@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the optimizer itself: Region DAG construction +
 //! rule expansion + cost-based extraction (the paper's "<1 s optimization
-//! time" claim), plus ablations of the framework pieces called out in
-//! DESIGN.md, and the parallel batch driver against its sequential
-//! baseline.
+//! time" claim), plus ablations of the framework pieces (Volcano rule
+//! engine, F-IR conversion), and the parallel batch driver against its
+//! sequential baseline.
 //!
 //! Uses the dependency-free runner in `bench_support` (the workspace
 //! builds offline, so criterion is unavailable). Run with

@@ -1,9 +1,9 @@
 //! Shared support for the experiment binaries.
 //!
 //! Each binary regenerates one table/figure of the paper's evaluation
-//! (§VIII); see DESIGN.md's per-experiment index. Runtimes are *simulated*
-//! (virtual clock), so results are deterministic; the shapes — who wins,
-//! by what factor, where crossovers fall — are the reproduction targets.
+//! (§VIII). Runtimes are *simulated* (virtual clock), so results are
+//! deterministic; the shapes — who wins, by what factor, where crossovers
+//! fall — are the reproduction targets.
 
 use cobra_core::{Cobra, CostCatalog};
 use imperative::ast::Program;
@@ -52,15 +52,14 @@ pub fn run_secs(fixture: &Fixture, net: NetworkProfile, program: &Program) -> f6
     run_on(fixture, net, program).expect("program runs").secs
 }
 
-/// One structured micro-benchmark measurement (what [`bench_record`]
-/// returns and the `--json` sinks serialize).
+/// One structured measurement (what the `--json` sinks serialize).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
     /// Benchmark name (row label).
     pub name: String,
     /// Free-form configuration string (profile, cardinalities, flags…).
     pub config: String,
-    /// Timed iterations (after one warm-up pass).
+    /// Timed iterations.
     pub iters: usize,
     /// Fastest iteration, nanoseconds.
     pub min_ns: f64,
@@ -83,7 +82,7 @@ impl BenchRecord {
 }
 
 /// Escape a string for JSON output.
-pub fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -105,19 +104,7 @@ pub fn json_str(s: &str) -> String {
 /// network access, so criterion is not available). Runs `f` for a warm-up
 /// pass, then `iters` timed iterations, and prints min/mean per-iteration
 /// wall-clock times. Returns the mean seconds per iteration.
-pub fn bench_fn<T>(name: &str, iters: usize, f: impl FnMut() -> T) -> f64 {
-    bench_record(name, "", iters, f).mean_ns / 1e9
-}
-
-/// The structured-result variant of [`bench_fn`]: same warm-up plus timed
-/// loop, but returns the full [`BenchRecord`] (and still prints the
-/// human-readable row).
-pub fn bench_record<T>(
-    name: &str,
-    config: &str,
-    iters: usize,
-    mut f: impl FnMut() -> T,
-) -> BenchRecord {
+pub fn bench_fn<T>(name: &str, iters: usize, mut f: impl FnMut() -> T) -> f64 {
     use std::time::Instant;
     std::hint::black_box(f());
     let iters = iters.max(1);
@@ -134,19 +121,13 @@ pub fn bench_record<T>(
         fmt_secs(min),
         fmt_secs(mean)
     );
-    BenchRecord {
-        name: name.to_string(),
-        config: config.to_string(),
-        iters,
-        min_ns: min * 1e9,
-        mean_ns: mean * 1e9,
-    }
+    mean
 }
 
 /// The JSON output path requested for this run: `--json <path>` on the
 /// command line, else the `COBRA_BENCH_JSON` environment variable. The
 /// fig/opt_time binaries stay print-only when neither is set.
-pub fn json_path_from_args() -> Option<std::path::PathBuf> {
+fn json_path_from_args() -> Option<std::path::PathBuf> {
     let args: Vec<String> = std::env::args().collect();
     if let Some(i) = args.iter().position(|a| a == "--json") {
         if let Some(p) = args.get(i + 1) {
@@ -157,7 +138,7 @@ pub fn json_path_from_args() -> Option<std::path::PathBuf> {
 }
 
 /// Write `records` as a JSON document `{"bench": name, "records": [...]}`
-/// to the path selected by [`json_path_from_args`], if any. Errors are
+/// to `--json <path>` / `COBRA_BENCH_JSON`, if either is given. Errors are
 /// fatal: a benchmark asked to persist results must not lose them quietly.
 pub fn emit_json_if_requested(bench: &str, records: &[BenchRecord]) {
     let Some(path) = json_path_from_args() else {

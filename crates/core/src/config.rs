@@ -9,7 +9,7 @@
 //! * [`fir::RuleSet`] — which transformations the search explores,
 //! * [`SearchBudget`] — how much of the alternative space it may build,
 //! * [`OptimizerConfig`] — the value-typed bundle of both plus network
-//!   profile, cost catalog and memoization toggle,
+//!   profile and cost catalog,
 //! * [`CobraBuilder`] — the one entry point wiring a database, ORM
 //!   mappings and a function registry to a config, producing a
 //!   [`crate::Cobra`].
@@ -32,7 +32,7 @@
 use crate::catalog::CostCatalog;
 use crate::optimizer::Cobra;
 use fir::RuleSet;
-use minidb::{ExecEngine, FuncRegistry};
+use minidb::FuncRegistry;
 use netsim::NetworkProfile;
 use orm::MappingRegistry;
 use std::sync::Arc;
@@ -123,26 +123,11 @@ pub struct OptimizerConfig {
     pub rules: RuleSet,
     /// Bounds on search effort.
     pub budget: SearchBudget,
-    /// Per-search cost memoization (`volcano::CostMemo`); memoized and
-    /// un-memoized searches return bit-identical costs.
-    pub memoize_costs: bool,
-    /// Fingerprint-keyed whole-plan estimate caching
-    /// (`minidb::EstimateCache`), shared across every search and batch
-    /// worker of one `Cobra`. Cached and uncached estimation are
-    /// bit-identical; the toggle exists for benchmarking and for the
-    /// equivalence suite asserting exactly that.
-    pub cache_estimates: bool,
     /// Histogram/statistics-interpolated selectivity estimation (default
     /// on). Off reproduces the uniform-NDV baseline — fixed 1/3 range
     /// selectivity, null-blind 1/NDV equality — kept for ablations and
     /// for measuring how much the adaptive statistics help.
     pub use_histograms: bool,
-    /// Which server-side execution engine sessions built from this
-    /// configuration run plans on (columnar by default; the row engine is
-    /// the bit-identical differential baseline). Surfaced in
-    /// [`crate::OptimizationReport`] so experiment output names the data
-    /// plane it measured.
-    pub exec_engine: ExecEngine,
     /// Runtime-validated plan selection ([`crate::ValidationConfig`]):
     /// extract the top-k candidates, micro-measure them, and promote the
     /// measured winner. `None` (the default) keeps selection cost-only
@@ -182,10 +167,7 @@ impl Default for OptimizerConfig {
             catalog: CostCatalog::default(),
             rules: RuleSet::standard(),
             budget: SearchBudget::default(),
-            memoize_costs: true,
-            cache_estimates: true,
             use_histograms: true,
-            exec_engine: ExecEngine::default(),
             validation: None,
             verify_rewrites: VerifyLevel::Off,
         }
@@ -283,19 +265,6 @@ impl CobraBuilder {
         self
     }
 
-    /// Enable or disable per-search cost memoization (default: on).
-    pub fn memoize_costs(mut self, on: bool) -> CobraBuilder {
-        self.config.memoize_costs = on;
-        self
-    }
-
-    /// Enable or disable fingerprint-keyed estimate caching (default:
-    /// on). Cached and uncached searches return bit-identical results.
-    pub fn cache_estimates(mut self, on: bool) -> CobraBuilder {
-        self.config.cache_estimates = on;
-        self
-    }
-
     /// Enable or disable histogram-interpolated selectivity estimation
     /// (default: on). Off reproduces the uniform-NDV baseline estimator.
     pub fn histograms(mut self, on: bool) -> CobraBuilder {
@@ -309,14 +278,6 @@ impl CobraBuilder {
     /// space and tags the report `verifier-rejected`.
     pub fn verify_rewrites(mut self, level: VerifyLevel) -> CobraBuilder {
         self.config.verify_rewrites = level;
-        self
-    }
-
-    /// Select the execution engine (default: [`ExecEngine::Columnar`]).
-    /// The row engine is kept as the differential baseline; both produce
-    /// bit-identical results and work accounting.
-    pub fn engine(mut self, engine: ExecEngine) -> CobraBuilder {
-        self.config.exec_engine = engine;
         self
     }
 
@@ -396,21 +357,28 @@ mod tests {
             .catalog(CostCatalog::with_af(7.0))
             .disable_rule("T4")
             .budget(SearchBudget::default().with_max_memo_exprs(100))
-            .memoize_costs(false)
-            .engine(ExecEngine::Row)
+            .histograms(false)
+            .validate_selection(crate::validation::ValidationConfig::default())
+            .verify_rewrites(VerifyLevel::Reject)
             .build();
-        assert_eq!(cobra.network().name(), NetworkProfile::slow_remote().name());
-        assert_eq!(cobra.catalog().default_af, 7.0);
-        assert!(!cobra.rules().is_enabled("T4"));
-        assert!(cobra.rules().is_enabled("T2"));
-        assert_eq!(cobra.budget().max_memo_exprs, Some(100));
-        assert!(!cobra.config().memoize_costs);
-        assert_eq!(cobra.config().exec_engine, ExecEngine::Row);
-    }
-
-    #[test]
-    fn engine_defaults_to_columnar() {
-        let cfg = OptimizerConfig::default();
-        assert_eq!(cfg.exec_engine, ExecEngine::Columnar);
+        // Exhaustive on purpose (no `..`): a new field has to be added
+        // here, next to the setter that reaches it.
+        let OptimizerConfig {
+            network,
+            catalog,
+            rules,
+            budget,
+            use_histograms,
+            validation,
+            verify_rewrites,
+        } = cobra.config().clone();
+        assert_eq!(network.name(), NetworkProfile::slow_remote().name());
+        assert_eq!(catalog.default_af, 7.0);
+        assert!(!rules.is_enabled("T4"));
+        assert!(rules.is_enabled("T2"));
+        assert_eq!(budget.max_memo_exprs, Some(100));
+        assert!(!use_histograms);
+        assert!(validation.is_some());
+        assert_eq!(verify_rewrites, VerifyLevel::Reject);
     }
 }

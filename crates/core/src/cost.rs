@@ -138,9 +138,10 @@ impl RegionCostModel {
         self.estimates = cache;
     }
 
-    /// Disable estimate caching entirely (every estimate recomputed).
-    /// Exists for benchmarking and for the equivalence suite; results are
-    /// bit-identical either way.
+    /// Disable estimate caching entirely (every estimate recomputed) —
+    /// the reference hook the equivalence suite compares cached search
+    /// against, on the model [`crate::Cobra::region_dag`] returns; results
+    /// are bit-identical either way.
     pub fn disable_estimate_cache(&mut self) {
         self.use_estimate_cache = false;
     }

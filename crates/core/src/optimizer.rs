@@ -41,7 +41,7 @@ pub struct Optimized {
     /// Feature tags of the chosen program (see [`emit::describe`]).
     pub tags: Vec<&'static str>,
     /// Cost estimates served from the per-search memo cache (see
-    /// [`volcano::CostMemo`]); 0 when memoization is disabled.
+    /// [`volcano::CostMemo`]).
     pub cost_cache_hits: u64,
     /// Cost estimates computed by the underlying model during the search.
     pub cost_cache_misses: u64,
@@ -78,7 +78,7 @@ pub struct Optimized {
 /// Construct one with [`Cobra::builder`]; the optimizer owns a database
 /// handle, ORM mappings, a function registry, and an
 /// [`OptimizerConfig`] (network profile, cost catalog, [`RuleSet`],
-/// [`SearchBudget`], memoization toggle).
+/// [`SearchBudget`]).
 pub struct Cobra {
     db: minidb::SharedDb,
     funcs: std::sync::Arc<FuncRegistry>,
@@ -154,9 +154,6 @@ impl Cobra {
             self.mappings.clone(),
         );
         model.set_estimate_cache(self.estimates.clone());
-        if !self.config.cache_estimates {
-            model.disable_estimate_cache();
-        }
         model.set_use_histograms(self.config.use_histograms);
         model.set_feedback(self.feedback.clone());
         model
@@ -165,8 +162,10 @@ impl Cobra {
     /// Build (but do not search) the Region DAG for `program`: the memo
     /// with every registered alternative plus its root group, alongside a
     /// cost model configured like [`Cobra::optimize_program`]'s. This is
-    /// the introspection hook the cost-iteration equivalence suite drives
-    /// `volcano::cost_table` vs `volcano::cost_table_sweeps` through.
+    /// the hook the equivalence suites search through: worklist
+    /// `volcano::cost_table` vs `volcano::cost_table_sweeps`, the model
+    /// bare vs wrapped in `volcano::CostMemo`, and the estimate cache on
+    /// vs [`RegionCostModel::disable_estimate_cache`].
     pub fn region_dag(
         &self,
         program: &Program,
@@ -240,42 +239,6 @@ impl Cobra {
         }
     }
 
-    /// Create an optimizer against a database, network profile, cost
-    /// catalog and ORM mapping registry.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Cobra::builder(db).network(..).catalog(..).mappings(..).build()`"
-    )]
-    pub fn new(
-        db: minidb::SharedDb,
-        net: NetworkProfile,
-        catalog: CostCatalog,
-        mappings: MappingRegistry,
-    ) -> Cobra {
-        Cobra::builder(db)
-            .network(net)
-            .catalog(catalog)
-            .mappings(mappings)
-            .build()
-    }
-
-    /// Use a custom function registry (needed when programs call
-    /// application-specific pure functions like `myFunc`).
-    #[deprecated(since = "0.2.0", note = "use `CobraBuilder::funcs`")]
-    pub fn with_funcs(mut self, funcs: std::sync::Arc<FuncRegistry>) -> Cobra {
-        self.funcs = funcs;
-        self
-    }
-
-    /// Enable or disable per-search cost memoization (on by default).
-    /// Memoized and un-memoized searches return bit-identical costs; the
-    /// toggle exists for benchmarking and for tests asserting exactly that.
-    #[deprecated(since = "0.2.0", note = "use `CobraBuilder::memoize_costs`")]
-    pub fn with_cost_memoization(mut self, on: bool) -> Cobra {
-        self.config.memoize_costs = on;
-        self
-    }
-
     /// The network profile this optimizer costs against.
     pub fn network(&self) -> &NetworkProfile {
         &self.config.network
@@ -321,7 +284,6 @@ impl Cobra {
     /// produced them. The report pretty-prints via [`std::fmt::Display`].
     pub fn explain(&self, program: &Program) -> DbResult<OptimizationReport> {
         let mut report = self.run_search(program)?.into_report();
-        report.engine = self.config.exec_engine;
         if self.feedback.is_some() {
             report.drift = Some(self.estimation_drift());
         }
@@ -352,27 +314,15 @@ impl Cobra {
         // distinct candidates instead of just the argmin; slot 0 of
         // `top_k_plans` is bit-identical to `best_plan_from`.
         let top_k = self.config.validation.as_ref().map(|v| v.top_k.max(1));
-        let (mut plans, table, cache_hits, cache_misses) = if self.config.memoize_costs {
-            let memoized = volcano::CostMemo::new(&model);
-            let table = volcano::cost_table(&memo, &memoized, sweeps);
-            let plans: Vec<volcano::BestPlan<RegionOp>> = match top_k {
-                None => volcano::best_plan_from(&memo, root, &memoized, &table)
-                    .into_iter()
-                    .collect(),
-                Some(k) => volcano::top_k_plans(&memo, root, &memoized, &table, k),
-            };
-            let (h, m) = (memoized.hits(), memoized.misses());
-            (plans, table, h, m)
-        } else {
-            let table = volcano::cost_table(&memo, &model, sweeps);
-            let plans: Vec<volcano::BestPlan<RegionOp>> = match top_k {
-                None => volcano::best_plan_from(&memo, root, &model, &table)
-                    .into_iter()
-                    .collect(),
-                Some(k) => volcano::top_k_plans(&memo, root, &model, &table, k),
-            };
-            (plans, table, 0, 0)
+        let memoized = volcano::CostMemo::new(&model);
+        let table = volcano::cost_table(&memo, &memoized, sweeps);
+        let mut plans: Vec<volcano::BestPlan<RegionOp>> = match top_k {
+            None => volcano::best_plan_from(&memo, root, &memoized, &table)
+                .into_iter()
+                .collect(),
+            Some(k) => volcano::top_k_plans(&memo, root, &memoized, &table, k),
         };
+        let (cache_hits, cache_misses) = (memoized.hits(), memoized.misses());
         if plans.is_empty() {
             return Err(DbError::Invalid("no plan for program".to_string()));
         }
@@ -391,7 +341,6 @@ impl Cobra {
                     funcs: &self.funcs,
                     mappings: &self.mappings,
                     network: &self.config.network,
-                    engine: self.config.exec_engine,
                     feedback: self.feedback.as_ref(),
                 };
                 let outcome = crate::validation::validate_selection(
@@ -600,15 +549,10 @@ impl Cobra {
         let region = Region::from_function(f);
         let root = memo.insert_tree(&region_to_optree(&region), None);
         // Fresh per-memo cache (CostMemo keys by MExprId, which is only
-        // meaningful within a single Memo); honors the memoization toggle
-        // like `optimize_program` does.
-        let best = if self.config.memoize_costs {
-            let memoized = volcano::CostMemo::new(model);
-            volcano::best_plan(&memo, root, &memoized)
-        } else {
-            volcano::best_plan(&memo, root, model)
-        };
-        best.map(|b| b.cost).unwrap_or(f64::INFINITY)
+        // meaningful within a single Memo).
+        volcano::best_plan(&memo, root, &volcano::CostMemo::new(model))
+            .map(|b| b.cost)
+            .unwrap_or(f64::INFINITY)
     }
 
     /// Plain costs of every non-entry function (callee bodies), used for
@@ -747,7 +691,6 @@ impl SearchRun {
             choice_points,
             rules_fired,
             drift: None,
-            engine: minidb::ExecEngine::default(),
             batch_size: minidb::BATCH_SIZE,
         }
     }

@@ -11,7 +11,6 @@
 use crate::optimizer::Optimized;
 use crate::region_ops::RegionOp;
 use imperative::pretty;
-use minidb::ExecEngine;
 
 /// One alternative at a choice point.
 #[derive(Debug, Clone)]
@@ -63,12 +62,8 @@ pub struct OptimizationReport {
     /// between model-estimated and observed cardinalities. `None` when no
     /// feedback store is attached; `Some(1.0)` means perfect agreement.
     pub drift: Option<f64>,
-    /// The execution engine sessions built from this configuration run on
-    /// (from `OptimizerConfig::exec_engine`).
-    pub engine: ExecEngine,
     /// Filter batch width of the vectorized engine
-    /// ([`minidb::BATCH_SIZE`]); reported even when `engine` is the row
-    /// engine so runs are comparable across engine switches.
+    /// ([`minidb::BATCH_SIZE`]).
     pub batch_size: usize,
 }
 
@@ -115,11 +110,7 @@ impl std::fmt::Display for OptimizationReport {
                 writeln!(f, "  - {d}")?;
             }
         }
-        writeln!(
-            f,
-            "execution: {} engine, batch size {}",
-            self.engine, self.batch_size
-        )?;
+        writeln!(f, "execution: batch size {}", self.batch_size)?;
         let pct = |hits: u64, misses: u64| {
             let total = hits + misses;
             if total == 0 {

@@ -31,7 +31,7 @@ use crate::emit;
 use crate::region_ops::RegionOp;
 use imperative::ast::{Expr, Function, Program, Stmt, StmtKind};
 use interp::{Interp, InterpConfig};
-use minidb::{feedback::semantic_key, Database, ExecEngine, FuncRegistry, PlanFingerprint, Row};
+use minidb::{feedback::semantic_key, Database, FuncRegistry, PlanFingerprint, Row};
 use netsim::{Clock, NetworkProfile};
 use orm::{MappingRegistry, RemoteDb, Session};
 
@@ -146,7 +146,6 @@ pub(crate) struct ValidationContext<'a> {
     pub funcs: &'a Arc<FuncRegistry>,
     pub mappings: &'a MappingRegistry,
     pub network: &'a NetworkProfile,
-    pub engine: ExecEngine,
     pub feedback: Option<&'a Arc<minidb::FeedbackStore>>,
 }
 
@@ -241,10 +240,12 @@ pub(crate) fn validate_selection(
 fn measure(ctx: &ValidationContext<'_>, base: &Database, program: &Program) -> Option<f64> {
     let shared = minidb::shared(base.clone());
     let clock = Arc::new(Clock::new());
-    let remote = Arc::new(
-        RemoteDb::new(shared, ctx.funcs.clone(), ctx.network.clone(), clock)
-            .with_engine(ctx.engine),
-    );
+    let remote = Arc::new(RemoteDb::new(
+        shared,
+        ctx.funcs.clone(),
+        ctx.network.clone(),
+        clock,
+    ));
     let session = Session::new(remote, Arc::new(ctx.mappings.clone()));
     Interp::new(&session, program)
         .with_config(InterpConfig::default())

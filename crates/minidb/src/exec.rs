@@ -14,7 +14,7 @@
 //!
 //! Two data planes share this interface (see [`ExecEngine`]): the
 //! vectorized columnar engine ([`crate::vexec`], the default) and the
-//! original row-at-a-time interpreter kept as its differential baseline.
+//! original row-at-a-time interpreter kept as its differential reference.
 //! Both produce bit-identical results and [`ExecWork`] counters; only
 //! wall-clock speed differs.
 
@@ -34,18 +34,10 @@ pub enum ExecEngine {
     /// typed kernels, late materialization). The default.
     #[default]
     Columnar,
-    /// The original row-at-a-time interpreter — kept as the differential
-    /// baseline and for before/after throughput comparisons.
+    /// The original row-at-a-time interpreter — the differential
+    /// reference the columnar engine is tested against. Selected only
+    /// below the configuration layer ([`Executor::with_engine`]).
     Row,
-}
-
-impl std::fmt::Display for ExecEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecEngine::Columnar => write!(f, "columnar"),
-            ExecEngine::Row => write!(f, "row"),
-        }
-    }
 }
 
 /// Rows produced by an operator: either borrowed straight from table

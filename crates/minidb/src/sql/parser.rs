@@ -6,10 +6,22 @@ use crate::expr::{AggFunc, BinOp, ColRef, ScalarExpr};
 use crate::plan::{AggItem, LogicalPlan, SortDir};
 use crate::value::Value;
 
+/// Deepest plan/expression tree the parser will build. SQL text reaches
+/// [`parse`] from the wire (embedded queries in submitted programs), and
+/// everything downstream — fingerprinting, estimation, even `Drop` —
+/// recurses over the tree, so unbounded depth is a stack overflow, which
+/// aborts the process instead of unwinding. Generated and Wilos queries
+/// nest < 20.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a SQL `SELECT` statement into a logical plan.
 pub fn parse(sql: &str) -> DbResult<LogicalPlan> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let plan = p.query()?;
     p.expect_eof()?;
     Ok(plan)
@@ -32,6 +44,9 @@ enum SelectItem {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels of nesting the tree under construction already has above
+    /// the current position (see [`Parser::descend`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -53,6 +68,18 @@ impl Parser {
             msg.into(),
             self.tokens[self.pos].offset
         ))
+    }
+
+    /// Enter one more level of the output tree: a recursive production,
+    /// or one more link of a left-deep operator/join chain (those loop
+    /// rather than recurse, but nest the tree just the same). The caller
+    /// gives the levels back once the subtree is built.
+    fn descend(&mut self) -> DbResult<()> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting depth exceeds {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     /// Case-insensitive keyword check without consuming.
@@ -134,11 +161,13 @@ impl Parser {
         // JOIN chains and comma cross-joins.
         loop {
             if self.eat_kw("join") {
+                self.descend()?;
                 let right = self.table_ref()?;
                 self.expect_kw("on")?;
                 let pred = self.expr()?;
                 plan = plan.join(right, pred);
             } else if self.eat_symbol(",") {
+                self.descend()?;
                 let right = self.table_ref()?;
                 plan = plan.join(right, ScalarExpr::lit(true));
             } else {
@@ -365,27 +394,43 @@ impl Parser {
         self.or_expr()
     }
 
-    fn or_expr(&mut self) -> DbResult<ScalarExpr> {
-        let mut lhs = self.and_expr()?;
-        while self.eat_kw("or") {
-            let rhs = self.and_expr()?;
-            lhs = ScalarExpr::bin(BinOp::Or, lhs, rhs);
+    /// A left-associative chain `next (op next)*`. It loops rather than
+    /// recurses, but every link nests the result one level deeper, so
+    /// every link is charged to the depth budget.
+    fn binary_chain(
+        &mut self,
+        next: impl Fn(&mut Parser) -> DbResult<ScalarExpr>,
+        op_at: impl Fn(&TokenKind) -> Option<BinOp>,
+    ) -> DbResult<ScalarExpr> {
+        let base = self.depth;
+        let mut lhs = next(self)?;
+        while let Some(op) = op_at(self.peek()) {
+            self.bump();
+            self.descend()?;
+            let rhs = next(self)?;
+            lhs = ScalarExpr::bin(op, lhs, rhs);
         }
+        self.depth = base;
         Ok(lhs)
     }
 
+    fn or_expr(&mut self) -> DbResult<ScalarExpr> {
+        self.binary_chain(Parser::and_expr, |t| {
+            matches!(t, TokenKind::Ident(s) if s.eq_ignore_ascii_case("or")).then_some(BinOp::Or)
+        })
+    }
+
     fn and_expr(&mut self) -> DbResult<ScalarExpr> {
-        let mut lhs = self.not_expr()?;
-        while self.eat_kw("and") {
-            let rhs = self.not_expr()?;
-            lhs = ScalarExpr::bin(BinOp::And, lhs, rhs);
-        }
-        Ok(lhs)
+        self.binary_chain(Parser::not_expr, |t| {
+            matches!(t, TokenKind::Ident(s) if s.eq_ignore_ascii_case("and")).then_some(BinOp::And)
+        })
     }
 
     fn not_expr(&mut self) -> DbResult<ScalarExpr> {
         if self.eat_kw("not") {
+            self.descend()?;
             let inner = self.not_expr()?;
+            self.depth -= 1;
             return Ok(ScalarExpr::Not(Box::new(inner)));
         }
         self.cmp_expr()
@@ -412,38 +457,26 @@ impl Parser {
     }
 
     fn add_expr(&mut self) -> DbResult<ScalarExpr> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Symbol("+") => BinOp::Add,
-                TokenKind::Symbol("-") => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = ScalarExpr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
+        self.binary_chain(Parser::mul_expr, |t| match t {
+            TokenKind::Symbol("+") => Some(BinOp::Add),
+            TokenKind::Symbol("-") => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     fn mul_expr(&mut self) -> DbResult<ScalarExpr> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Symbol("*") => BinOp::Mul,
-                TokenKind::Symbol("/") => BinOp::Div,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = ScalarExpr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
+        self.binary_chain(Parser::unary_expr, |t| match t {
+            TokenKind::Symbol("*") => Some(BinOp::Mul),
+            TokenKind::Symbol("/") => Some(BinOp::Div),
+            _ => None,
+        })
     }
 
     fn unary_expr(&mut self) -> DbResult<ScalarExpr> {
         if self.eat_symbol("-") {
+            self.descend()?;
             let inner = self.unary_expr()?;
+            self.depth -= 1;
             return Ok(ScalarExpr::bin(BinOp::Sub, ScalarExpr::lit(0i64), inner));
         }
         self.atom()
@@ -456,7 +489,9 @@ impl Parser {
             TokenKind::Str(s) => Ok(ScalarExpr::Lit(Value::Str(s))),
             TokenKind::Param(p) => Ok(ScalarExpr::Param(p)),
             TokenKind::Symbol("(") => {
+                self.descend()?;
                 let inner = self.expr()?;
+                self.depth -= 1;
                 self.expect_symbol(")")?;
                 Ok(inner)
             }
@@ -476,12 +511,14 @@ impl Parser {
                     self.bump();
                     let mut args = Vec::new();
                     if !self.eat_symbol(")") {
+                        self.descend()?;
                         loop {
                             args.push(self.expr()?);
                             if !self.eat_symbol(",") {
                                 break;
                             }
                         }
+                        self.depth -= 1;
                         self.expect_symbol(")")?;
                     }
                     return Ok(ScalarExpr::Func(lower, args));
@@ -638,6 +675,39 @@ mod tests {
             panic!()
         };
         assert!(matches!(*rhs, ScalarExpr::Bin(BinOp::Sub, _, _)));
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded_with_a_typed_error() {
+        let too_deep = |sql: String| {
+            let err = parse(&sql).unwrap_err();
+            assert!(
+                matches!(&err, DbError::Parse(m) if m.contains("nesting depth")),
+                "{err}"
+            );
+        };
+        // Recursive productions: at the budget they parse (and round-trip
+        // while the printed form, which parenthesizes nested `not` and
+        // unary minus, stays within it); far past it — depths that used
+        // to overflow the stack, an abort — they are a parse error.
+        for (open, close) in [("(", ")"), ("NOT ", ""), ("- ", "")] {
+            let wrap = |n: usize| {
+                let (open, close) = (open.repeat(n), close.repeat(n));
+                format!("SELECT * FROM t WHERE {open}a = 1{close}")
+            };
+            parse(&wrap(MAX_DEPTH - 1)).unwrap();
+            let plan = parse(&wrap(MAX_DEPTH / 2 - 1)).unwrap();
+            assert_eq!(parse(&crate::sql::print(&plan)).unwrap(), plan);
+            too_deep(wrap(100_000));
+        }
+        // Left-deep chains loop instead of recursing, but nest the tree
+        // (which fingerprinting and `Drop` recurse over) just the same.
+        for sep in [" + ", " * ", " AND ", " OR "] {
+            let chain = |n: usize| format!("SELECT * FROM t WHERE {}", vec!["a"; n].join(sep));
+            parse(&chain(MAX_DEPTH)).unwrap();
+            too_deep(chain(100_000));
+        }
+        too_deep(format!("SELECT * FROM {}", vec!["t"; 100_000].join(", ")));
     }
 
     #[test]

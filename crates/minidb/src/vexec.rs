@@ -1457,7 +1457,7 @@ mod tests {
                 .with_engine(engine)
                 .execute(&plan, &HashMap::new())
                 .unwrap_err();
-            assert!(matches!(err, DbError::UnboundParam(_)), "{engine}");
+            assert!(matches!(err, DbError::UnboundParam(_)), "{engine:?}");
         }
         // NOT on a non-boolean errors identically.
         let plan = parse("select * from orders where not o_id").unwrap();
@@ -1466,7 +1466,7 @@ mod tests {
                 .with_engine(engine)
                 .execute(&plan, &HashMap::new())
                 .unwrap_err();
-            assert!(matches!(err, DbError::Type(_)), "{engine}");
+            assert!(matches!(err, DbError::Type(_)), "{engine:?}");
         }
     }
 

@@ -5,8 +5,7 @@
 //! seed is all the consumers require. It lives in `netsim` — the lowest
 //! layer of the workspace — so the workload generators, the fault-injection
 //! harness in `cobra-server`, and the property-test suites all share one
-//! generator implementation and one behavior. `workloads::rng` re-exports
-//! it for existing callers.
+//! generator implementation and one behavior.
 
 use std::ops::Range;
 

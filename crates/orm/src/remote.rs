@@ -36,7 +36,7 @@ pub struct RemoteDb {
     /// feedback loop; estimators opt in via `Estimator::with_feedback`).
     feedback: Option<Arc<minidb::FeedbackStore>>,
     /// Which server-side execution engine runs the plans (columnar by
-    /// default; the row engine is kept as a differential baseline).
+    /// default; the row engine is the differential reference).
     engine: ExecEngine,
 }
 
@@ -61,15 +61,11 @@ impl RemoteDb {
         }
     }
 
-    /// Select the server-side execution engine (columnar or row).
+    /// Select the server-side execution engine — the engine differential's
+    /// hook for running a session on the row reference.
     pub fn with_engine(mut self, engine: ExecEngine) -> RemoteDb {
         self.engine = engine;
         self
-    }
-
-    /// The execution engine queries run on.
-    pub fn engine(&self) -> ExecEngine {
-        self.engine
     }
 
     /// Override the server's per-row cost (ns).

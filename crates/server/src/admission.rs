@@ -191,6 +191,15 @@ mod tests {
         assert_eq!(adm.admitted(), 3);
     }
 
+    /// Block until `n` requests sit in the wait queue. A queued request
+    /// is parked inside `admit`, so the controller's own state is the
+    /// only hand-off that says it got there.
+    fn wait_queued(adm: &Admission, n: usize) {
+        while sync::lock(&adm.state).queued < n {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn queued_request_proceeds_when_slot_frees() {
         let adm = Arc::new(Admission::new(1, 4, 8));
@@ -200,8 +209,7 @@ mod tests {
             let permit = adm2.admit().unwrap();
             assert!(!permit.degraded());
         });
-        // Give the waiter time to enqueue, then free the slot.
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        wait_queued(&adm, 1);
         drop(p);
         waiter.join().unwrap();
         assert_eq!(adm.admitted(), 2);
@@ -211,15 +219,17 @@ mod tests {
     #[test]
     fn wait_idle_observes_drain() {
         let adm = Admission::new(2, 4, 8);
+        let release = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
             let p1 = adm.admit().unwrap();
             let p2 = adm.admit().unwrap();
             assert!(!adm.wait_idle(Duration::from_millis(10)), "still running");
-            scope.spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
+            scope.spawn(|| {
+                release.wait();
                 drop(p1);
                 drop(p2);
             });
+            release.wait();
             assert!(adm.wait_idle(Duration::from_secs(2)), "drains");
         });
     }
@@ -241,7 +251,7 @@ mod tests {
         let p = adm.admit().unwrap();
         let adm2 = adm.clone();
         let waiter = std::thread::spawn(move || adm2.admit().unwrap().degraded());
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        wait_queued(&adm, 1);
         drop(p);
         assert!(waiter.join().unwrap(), "queued at depth 1 => degraded");
         assert_eq!(adm.degraded(), 1);

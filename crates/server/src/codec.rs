@@ -75,17 +75,34 @@ impl ByteWriter {
     }
 }
 
+/// Deepest expression/statement nesting a frame may carry. Decoding
+/// recurses once per nested tag, and a stack overflow aborts the process
+/// (panic isolation cannot catch it), so depth is bounded here with a
+/// typed error. Generated and Wilos programs nest < 20.
+const MAX_DEPTH: usize = 128;
+
+/// Most elements a sequence pre-allocates for. A length prefix is bounded
+/// by the bytes that remain, but `with_capacity(n)` multiplies that by
+/// the element size; past this the `Vec` grows as elements really decode.
+const PREALLOC_CAP: usize = 1024;
+
 /// Cursor over a received frame body.
 #[derive(Debug)]
 pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Open [`ByteReader::nested`] levels.
+    depth: usize,
 }
 
 impl<'a> ByteReader<'a> {
     /// A reader over `buf`.
     pub fn new(buf: &'a [u8]) -> ByteReader<'a> {
-        ByteReader { buf, pos: 0 }
+        ByteReader {
+            buf,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     /// True when every byte has been consumed (frames must be exact).
@@ -137,7 +154,7 @@ impl<'a> ByteReader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| bad("utf-8"))
     }
 
-    pub(crate) fn len(&mut self) -> Result<usize> {
+    fn len(&mut self) -> Result<usize> {
         let n = self.u32()? as usize;
         // A length prefix can never exceed the bytes that remain; checking
         // here keeps a corrupt frame from provoking a huge allocation.
@@ -145,6 +162,31 @@ impl<'a> ByteReader<'a> {
             return Err(bad("length prefix"));
         }
         Ok(n)
+    }
+
+    /// Decode a length-prefixed sequence, one `item` call per element.
+    pub(crate) fn seq<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let n = self.len()?;
+        let mut out = Vec::with_capacity(n.min(PREALLOC_CAP));
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
+    /// Decode one nesting level down; fails once [`MAX_DEPTH`] levels are
+    /// open. Every self-recursive decoder goes through here.
+    fn nested<T>(&mut self, decode: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_DEPTH {
+            return Err(bad("nesting depth"));
+        }
+        self.depth += 1;
+        let out = decode(self);
+        self.depth -= 1;
+        out
     }
 }
 
@@ -223,12 +265,7 @@ fn get_query(r: &mut ByteReader) -> Result<QuerySpec> {
     let sql = r.str()?;
     let plan = minidb::sql::parse(&sql)
         .map_err(|e| ServerError::Protocol(format!("embedded SQL failed to parse: {e}")))?;
-    let n = r.len()?;
-    let mut binds = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.str()?;
-        binds.push((name, get_expr(r)?));
-    }
+    let binds = r.seq(|r| Ok((r.str()?, get_expr(r)?)))?;
     Ok(QuerySpec {
         plan: plan.into(),
         binds,
@@ -303,44 +340,41 @@ fn put_expr(w: &mut ByteWriter, e: &Expr) {
 }
 
 fn get_expr(r: &mut ByteReader) -> Result<Expr> {
-    Ok(match r.u8()? {
-        0 => Expr::Var(r.str()?),
-        1 => Expr::Lit(get_value(r)?),
-        2 => {
-            let op = get_bin_op(r)?;
-            Expr::Bin(op, Box::new(get_expr(r)?), Box::new(get_expr(r)?))
-        }
-        3 => Expr::Not(Box::new(get_expr(r)?)),
-        4 => {
-            let b = get_expr(r)?;
-            Expr::Field(Box::new(b), r.str()?)
-        }
-        5 => {
-            let b = get_expr(r)?;
-            Expr::Nav(Box::new(b), r.str()?)
-        }
-        6 => {
-            let name = r.str()?;
-            let n = r.len()?;
-            let mut args = Vec::with_capacity(n);
-            for _ in 0..n {
-                args.push(get_expr(r)?);
+    r.nested(|r| {
+        Ok(match r.u8()? {
+            0 => Expr::Var(r.str()?),
+            1 => Expr::Lit(get_value(r)?),
+            2 => {
+                let op = get_bin_op(r)?;
+                Expr::Bin(op, Box::new(get_expr(r)?), Box::new(get_expr(r)?))
             }
-            Expr::Call(name, args)
-        }
-        7 => Expr::LoadAll(r.str()?),
-        8 => Expr::Query(get_query(r)?),
-        9 => Expr::ScalarQuery(get_query(r)?),
-        10 => {
-            let cache = r.str()?;
-            Expr::LookupCache(cache, Box::new(get_expr(r)?))
-        }
-        11 => {
-            let m = get_expr(r)?;
-            Expr::MapGet(Box::new(m), Box::new(get_expr(r)?))
-        }
-        12 => Expr::Len(Box::new(get_expr(r)?)),
-        _ => return Err(bad("expr tag")),
+            3 => Expr::Not(Box::new(get_expr(r)?)),
+            4 => {
+                let b = get_expr(r)?;
+                Expr::Field(Box::new(b), r.str()?)
+            }
+            5 => {
+                let b = get_expr(r)?;
+                Expr::Nav(Box::new(b), r.str()?)
+            }
+            6 => {
+                let name = r.str()?;
+                Expr::Call(name, r.seq(get_expr)?)
+            }
+            7 => Expr::LoadAll(r.str()?),
+            8 => Expr::Query(get_query(r)?),
+            9 => Expr::ScalarQuery(get_query(r)?),
+            10 => {
+                let cache = r.str()?;
+                Expr::LookupCache(cache, Box::new(get_expr(r)?))
+            }
+            11 => {
+                let m = get_expr(r)?;
+                Expr::MapGet(Box::new(m), Box::new(get_expr(r)?))
+            }
+            12 => Expr::Len(Box::new(get_expr(r)?)),
+            _ => return Err(bad("expr tag")),
+        })
     })
 }
 
@@ -352,12 +386,7 @@ fn put_stmts(w: &mut ByteWriter, stmts: &[Stmt]) {
 }
 
 fn get_stmts(r: &mut ByteReader) -> Result<Vec<Stmt>> {
-    let n = r.len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_stmt(r)?);
-    }
-    Ok(out)
+    r.seq(get_stmt)
 }
 
 fn put_stmt(w: &mut ByteWriter, s: &Stmt) {
@@ -465,96 +494,93 @@ fn put_stmt(w: &mut ByteWriter, s: &Stmt) {
 }
 
 fn get_stmt(r: &mut ByteReader) -> Result<Stmt> {
-    let line = r.u32()?;
-    let kind = match r.u8()? {
-        0 => {
-            let v = r.str()?;
-            StmtKind::Let(v, get_expr(r)?)
-        }
-        1 => StmtKind::NewCollection(r.str()?),
-        2 => StmtKind::NewMap(r.str()?),
-        3 => {
-            let v = r.str()?;
-            StmtKind::Add(v, get_expr(r)?)
-        }
-        4 => {
-            let v = r.str()?;
-            let k = get_expr(r)?;
-            StmtKind::Put(v, k, get_expr(r)?)
-        }
-        5 => {
-            let var = r.str()?;
-            let iter = get_expr(r)?;
-            StmtKind::ForEach {
-                var,
-                iter,
-                body: get_stmts(r)?,
+    r.nested(|r| {
+        let line = r.u32()?;
+        let kind = match r.u8()? {
+            0 => {
+                let v = r.str()?;
+                StmtKind::Let(v, get_expr(r)?)
             }
-        }
-        6 => {
-            let cond = get_expr(r)?;
-            StmtKind::While {
-                cond,
-                body: get_stmts(r)?,
+            1 => StmtKind::NewCollection(r.str()?),
+            2 => StmtKind::NewMap(r.str()?),
+            3 => {
+                let v = r.str()?;
+                StmtKind::Add(v, get_expr(r)?)
             }
-        }
-        7 => {
-            let cond = get_expr(r)?;
-            let then_branch = get_stmts(r)?;
-            StmtKind::If {
-                cond,
-                then_branch,
-                else_branch: get_stmts(r)?,
+            4 => {
+                let v = r.str()?;
+                let k = get_expr(r)?;
+                StmtKind::Put(v, k, get_expr(r)?)
             }
-        }
-        8 => StmtKind::Print(get_expr(r)?),
-        9 => {
-            let some = r.bool()?;
-            StmtKind::Return(if some { Some(get_expr(r)?) } else { None })
-        }
-        10 => StmtKind::Break,
-        11 => {
-            let cache = r.str()?;
-            let source = get_expr(r)?;
-            StmtKind::CacheByColumn {
-                cache,
-                source,
-                key_col: r.str()?,
+            5 => {
+                let var = r.str()?;
+                let iter = get_expr(r)?;
+                StmtKind::ForEach {
+                    var,
+                    iter,
+                    body: get_stmts(r)?,
+                }
             }
-        }
-        12 => {
-            let table = r.str()?;
-            let set_col = r.str()?;
-            let value = get_expr(r)?;
-            let key_col = r.str()?;
-            StmtKind::UpdateQuery {
-                table,
-                set_col,
-                value,
-                key_col,
-                key: get_expr(r)?,
+            6 => {
+                let cond = get_expr(r)?;
+                StmtKind::While {
+                    cond,
+                    body: get_stmts(r)?,
+                }
             }
-        }
-        13 => {
-            let v = r.str()?;
-            let f = r.str()?;
-            let n = r.len()?;
-            let mut args = Vec::with_capacity(n);
-            for _ in 0..n {
-                args.push(get_expr(r)?);
+            7 => {
+                let cond = get_expr(r)?;
+                let then_branch = get_stmts(r)?;
+                StmtKind::If {
+                    cond,
+                    then_branch,
+                    else_branch: get_stmts(r)?,
+                }
             }
-            StmtKind::LetCall(v, f, args)
-        }
-        14 => {
-            let body = get_stmts(r)?;
-            StmtKind::TryCatch {
-                body,
-                handler: get_stmts(r)?,
+            8 => StmtKind::Print(get_expr(r)?),
+            9 => {
+                let some = r.bool()?;
+                StmtKind::Return(if some { Some(get_expr(r)?) } else { None })
             }
-        }
-        _ => return Err(bad("stmt tag")),
-    };
-    Ok(Stmt { kind, line })
+            10 => StmtKind::Break,
+            11 => {
+                let cache = r.str()?;
+                let source = get_expr(r)?;
+                StmtKind::CacheByColumn {
+                    cache,
+                    source,
+                    key_col: r.str()?,
+                }
+            }
+            12 => {
+                let table = r.str()?;
+                let set_col = r.str()?;
+                let value = get_expr(r)?;
+                let key_col = r.str()?;
+                StmtKind::UpdateQuery {
+                    table,
+                    set_col,
+                    value,
+                    key_col,
+                    key: get_expr(r)?,
+                }
+            }
+            13 => {
+                let v = r.str()?;
+                let f = r.str()?;
+                StmtKind::LetCall(v, f, r.seq(get_expr)?)
+            }
+            14 => {
+                let body = get_stmts(r)?;
+                StmtKind::TryCatch {
+                    body,
+                    handler: get_stmts(r)?,
+                }
+            }
+            _ => return Err(bad("stmt tag")),
+        };
+        Ok(Stmt { kind, line })
+    })
 }
 
 pub(crate) fn put_function(w: &mut ByteWriter, f: &Function) {
@@ -568,11 +594,7 @@ pub(crate) fn put_function(w: &mut ByteWriter, f: &Function) {
 
 pub(crate) fn get_function(r: &mut ByteReader) -> Result<Function> {
     let name = r.str()?;
-    let n = r.len()?;
-    let mut params = Vec::with_capacity(n);
-    for _ in 0..n {
-        params.push(r.str()?);
-    }
+    let params = r.seq(|r| r.str())?;
     Ok(Function {
         name,
         params,
@@ -590,13 +612,9 @@ pub fn put_program(w: &mut ByteWriter, p: &Program) {
 
 /// Decode a whole program.
 pub fn get_program(r: &mut ByteReader) -> Result<Program> {
-    let n = r.len()?;
-    if n == 0 {
+    let functions = r.seq(get_function)?;
+    if functions.is_empty() {
         return Err(bad("empty program"));
-    }
-    let mut functions = Vec::with_capacity(n);
-    for _ in 0..n {
-        functions.push(get_function(r)?);
     }
     Ok(Program { functions })
 }
@@ -636,35 +654,15 @@ fn put_snapshot(w: &mut ByteWriter, s: &Snapshot) {
 }
 
 fn get_snapshot(r: &mut ByteReader) -> Result<Snapshot> {
-    Ok(match r.u8()? {
-        0 => Snapshot::Unit,
-        1 => Snapshot::Scalar(get_value(r)?),
-        2 => {
-            let n = r.len()?;
-            let mut vals = Vec::with_capacity(n);
-            for _ in 0..n {
-                vals.push(get_value(r)?);
-            }
-            Snapshot::Row(vals)
-        }
-        3 => {
-            let n = r.len()?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(get_snapshot(r)?);
-            }
-            Snapshot::List(items)
-        }
-        4 => {
-            let n = r.len()?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let k = get_value(r)?;
-                entries.push((k, get_snapshot(r)?));
-            }
-            Snapshot::Map(entries)
-        }
-        _ => return Err(bad("snapshot tag")),
+    r.nested(|r| {
+        Ok(match r.u8()? {
+            0 => Snapshot::Unit,
+            1 => Snapshot::Scalar(get_value(r)?),
+            2 => Snapshot::Row(r.seq(get_value)?),
+            3 => Snapshot::List(r.seq(get_snapshot)?),
+            4 => Snapshot::Map(r.seq(|r| Ok((get_value(r)?, get_snapshot(r)?)))?),
+            _ => return Err(bad("snapshot tag")),
+        })
     })
 }
 
@@ -682,18 +680,9 @@ fn put_outcome(w: &mut ByteWriter, o: &NormalizedOutcome) {
 }
 
 fn get_outcome(r: &mut ByteReader) -> Result<NormalizedOutcome> {
-    let n = r.len()?;
-    let mut vars = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.str()?;
-        vars.push((name, get_snapshot(r)?));
-    }
+    let vars = r.seq(|r| Ok((r.str()?, get_snapshot(r)?)))?;
     let ret = get_snapshot(r)?;
-    let n = r.len()?;
-    let mut prints = Vec::with_capacity(n);
-    for _ in 0..n {
-        prints.push(get_snapshot(r)?);
-    }
+    let prints = r.seq(get_snapshot)?;
     Ok(NormalizedOutcome { vars, ret, prints })
 }
 
@@ -746,11 +735,7 @@ fn get_reply(r: &mut ByteReader) -> Result<SubmitReply> {
     let degraded = r.bool()?;
     let est_cost_ns = r.f64()?;
     let original_cost_ns = r.f64()?;
-    let n = r.len()?;
-    let mut tags = Vec::with_capacity(n);
-    for _ in 0..n {
-        tags.push(r.str()?);
-    }
+    let tags = r.seq(|r| r.str())?;
     Ok(SubmitReply {
         fingerprint,
         stamp,
@@ -1088,6 +1073,48 @@ mod tests {
         let mut ok = Request::Counters.encode();
         ok.push(0);
         assert!(Request::decode(&ok).is_err());
+    }
+
+    /// A `Submit` of `let x = !!…!y` that opens `depth` decoder levels
+    /// (the statement, `depth - 2` `Not`s, the variable) — written tag by
+    /// tag, so hostile depths lean on neither the encoder's recursion nor
+    /// `Drop`'s.
+    fn submit_nested_to(depth: usize) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u8(2); // Submit
+        w.u64(1); // session
+        w.u64(0); // idempotency
+        w.len(1); // functions
+        w.str("f");
+        w.len(0); // params
+        w.len(1); // statements
+        w.u32(1); // line
+        w.u8(0); // Let
+        w.str("x");
+        for _ in 0..depth - 2 {
+            w.u8(3); // Not
+        }
+        w.u8(0); // Var
+        w.str("y");
+        w.finish()
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded_with_a_typed_error() {
+        for depth in [3, MAX_DEPTH - 1, MAX_DEPTH] {
+            let frame = submit_nested_to(depth);
+            let req = Request::decode(&frame).expect("within the budget");
+            assert_eq!(req.encode(), frame, "depth {depth} round-trips");
+        }
+        // One level past the budget, the 5 KB frame that used to overflow
+        // a 2 MiB stack (an abort, not a panic), and a far larger one.
+        for depth in [MAX_DEPTH + 1, 5_000, 1_000_000] {
+            let err = Request::decode(&submit_nested_to(depth)).unwrap_err();
+            assert!(
+                matches!(&err, ServerError::Protocol(m) if m.contains("nesting depth")),
+                "depth {depth}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -410,6 +410,21 @@ mod tests {
         assert_eq!(how, CacheOutcome::Miss);
     }
 
+    /// Block until `n` waiters have joined the flight at `key`. A waiter
+    /// joins by cloning the flight's `Arc` under the shard lock (beside
+    /// the map's and the leader's own reference), and from then on can
+    /// only return `Coalesced` — so the strong count is the hand-off.
+    fn wait_for_waiters(cache: &PlanCache, key: &CacheKey, n: usize) {
+        loop {
+            if let Some(Slot::InFlight(flight)) = sync::lock(cache.shard(key)).get(key) {
+                if Arc::strong_count(flight) >= 2 + n {
+                    return;
+                }
+            }
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn concurrent_same_key_coalesces_to_one_compute() {
         use std::sync::atomic::AtomicUsize;
@@ -430,10 +445,9 @@ mod tests {
                     barrier.wait();
                     let (r, _) = cache.get_or_compute(k, &p, true, || {
                         computes.fetch_add(1, Ordering::SeqCst);
-                        // Hold the flight open long enough that the other
-                        // threads reliably coalesce instead of racing the
-                        // ready slot.
-                        std::thread::sleep(std::time::Duration::from_millis(30));
+                        // Hold the flight open until every other thread
+                        // has joined it, so none can race the ready slot.
+                        wait_for_waiters(&cache, &k, 7);
                         Ok(dummy_optimized(&p))
                     });
                     assert!(r.is_ok());
@@ -442,8 +456,8 @@ mod tests {
         });
         assert_eq!(computes.load(Ordering::SeqCst), 1, "exactly one search");
         assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits() + cache.coalesced(), 7);
-        assert!(cache.coalesced() >= 1, "waiters joined the flight");
+        assert_eq!(cache.coalesced(), 7, "every other thread joined the flight");
+        assert_eq!(cache.hits(), 0);
     }
 
     #[test]
@@ -461,8 +475,8 @@ mod tests {
             let barrier = barrier.clone();
             std::thread::spawn(move || {
                 let (r, how) = cache.get_or_compute(k, &p, true, || {
-                    barrier.wait(); // waiter is about to join the flight
-                    std::thread::sleep(std::time::Duration::from_millis(30));
+                    barrier.wait(); // the slot is in flight; release the waiter
+                    wait_for_waiters(&cache, &k, 1);
                     panic!("injected worker panic");
                 });
                 assert_eq!(how, CacheOutcome::Miss);
@@ -470,18 +484,14 @@ mod tests {
             })
         };
         barrier.wait();
-        // Give the waiter path time to observe the in-flight slot.
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let (waited, _) = cache.get_or_compute(k, &p, true, || Ok(dummy_optimized(&p)));
+        let (waited, how) = cache.get_or_compute(k, &p, true, || Ok(dummy_optimized(&p)));
+        assert_eq!(how, CacheOutcome::Coalesced, "joined the doomed flight");
 
         let led = leader.join().expect("leader thread must not propagate");
         assert!(matches!(led, Err(ServerError::Internal(_))));
-        // The waiter either coalesced onto the failed flight (Internal) or
-        // arrived after it settled and recomputed successfully; both are
-        // fine — what is not fine is a hang or a poisoned shard.
-        if let Err(e) = waited {
-            assert!(matches!(e, ServerError::Internal(_)));
-        }
+        // The waiter is handed the leader's typed failure — not a hang,
+        // not a poisoned shard.
+        assert!(matches!(waited, Err(ServerError::Internal(_))));
         let (r, _) = cache.get_or_compute(k, &p, true, || Ok(dummy_optimized(&p)));
         assert!(r.is_ok(), "cache stays usable after a panicked flight");
     }

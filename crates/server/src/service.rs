@@ -31,7 +31,7 @@ use cobra_core::{
 };
 use imperative::ast::Program;
 use interp::{Interp, InterpConfig, NormalizedOutcome};
-use minidb::{CacheStamp, ExecEngine, FeedbackStore, FuncRegistry, PlanFingerprint, SharedDb};
+use minidb::{CacheStamp, FeedbackStore, FuncRegistry, PlanFingerprint, SharedDb};
 use netsim::{Clock, NetworkProfile};
 use orm::{MappingRegistry, RemoteDb, Session};
 use std::collections::{HashMap, VecDeque};
@@ -63,8 +63,6 @@ pub struct ServerConfig {
     pub drift_check_every: u64,
     /// Plan-cache shard count. Default 16.
     pub cache_shards: usize,
-    /// Execution engine sessions run plans on. Default columnar.
-    pub engine: ExecEngine,
     /// Runtime-validate plan selection on the full-budget path: the
     /// optimizer's top-k candidates are micro-executed (or judged by
     /// fresh feedback) and the *measured* winner is promoted — so both
@@ -105,7 +103,6 @@ impl Default for ServerConfig {
             drift_threshold: 4.0,
             drift_check_every: 32,
             cache_shards: 16,
-            engine: ExecEngine::default(),
             validate: None,
             faults: FaultPlan::off(),
             degrade_after_faults: 3,
@@ -506,7 +503,6 @@ impl CobraService {
                 .mappings(spec.mappings.clone())
                 .funcs(spec.funcs.clone())
                 .network(spec.network.clone())
-                .engine(self.inner.config.engine)
                 .verify_rewrites(verify);
             if let Some(fb) = &feedback {
                 b = b.feedback(fb.clone());
@@ -774,8 +770,7 @@ impl CobraService {
             tenant.funcs.clone(),
             tenant.network.clone(),
             clock,
-        )
-        .with_engine(self.inner.config.engine);
+        );
         if let Some(fb) = &tenant.feedback {
             remote = remote.with_feedback(fb.clone());
         }

@@ -34,7 +34,8 @@
 use crate::codec::{self, ByteReader, ByteWriter};
 use crate::error::ServerError;
 use imperative::ast::{Function, Program};
-use minidb::{CacheStamp, Observation};
+use minidb::{CacheStamp, Observation, StableHasher};
+use std::hash::Hasher;
 use std::path::Path;
 
 /// File magic: "CBSN" (Cobra snapshot).
@@ -61,13 +62,12 @@ fn intern_tag(tag: &str) -> Option<&'static str> {
     KNOWN_TAGS.iter().copied().find(|t| *t == tag)
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+/// FNV-1a of the payload — part of the file format, so the byte stream
+/// fed to the hasher (the payload, nothing else) must not change.
+fn checksum(payload: &[u8]) -> u64 {
+    let mut h = StableHasher::new();
+    h.write(payload);
+    h.finish()
 }
 
 fn corrupt(what: &str) -> ServerError {
@@ -270,7 +270,7 @@ impl Snapshot {
         let mut out = Vec::with_capacity(payload.len() + 16);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_be_bytes());
-        out.extend_from_slice(&fnv1a(&payload).to_be_bytes());
+        out.extend_from_slice(&checksum(&payload).to_be_bytes());
         out.extend_from_slice(&payload);
         out
     }
@@ -290,9 +290,9 @@ impl Snapshot {
                 "unsupported snapshot version {version} (this build reads {VERSION})"
             )));
         }
-        let checksum = u64::from_be_bytes(bytes[8..16].try_into().unwrap());
+        let stored = u64::from_be_bytes(bytes[8..16].try_into().unwrap());
         let payload = &bytes[16..];
-        if fnv1a(payload) != checksum {
+        if checksum(payload) != stored {
             return Err(corrupt("checksum mismatch"));
         }
         // The payload layer reuses the wire codec, whose errors are
@@ -305,67 +305,44 @@ impl Snapshot {
 
     fn decode_payload(payload: &[u8]) -> Result<Snapshot, ServerError> {
         let mut r = ByteReader::new(payload);
-        let n_tenants = r.len()?;
-        let mut tenants = Vec::with_capacity(n_tenants);
-        for _ in 0..n_tenants {
+        let tenants = r.seq(|r| {
             let name = r.str()?;
-            let stamp = codec::get_stamp(&mut r)?;
-            let n_plans = r.len()?;
-            let mut plans = Vec::with_capacity(n_plans);
-            for _ in 0..n_plans {
-                let program = codec::get_program(&mut r)?;
-                let function = codec::get_function(&mut r)?;
-                let est_cost_ns = r.f64()?;
-                let original_cost_ns = r.f64()?;
-                let alternatives = r.u64()?;
-                let choice_points = r.u64()?;
-                let groups = r.u64()?;
-                let exprs = r.u64()?;
-                let n_tags = r.len()?;
-                let mut tags = Vec::with_capacity(n_tags);
-                for _ in 0..n_tags {
-                    tags.push(r.str()?);
-                }
-                let budget_exhausted = r.bool()?;
-                plans.push(PlanSnapshot {
-                    program,
+            let stamp = codec::get_stamp(r)?;
+            let plans = r.seq(|r| {
+                Ok(PlanSnapshot {
+                    program: codec::get_program(r)?,
                     optimized: OptimizedSnapshot {
-                        function,
-                        est_cost_ns,
-                        original_cost_ns,
-                        alternatives,
-                        choice_points,
-                        groups,
-                        exprs,
-                        tags,
-                        budget_exhausted,
+                        function: codec::get_function(r)?,
+                        est_cost_ns: r.f64()?,
+                        original_cost_ns: r.f64()?,
+                        alternatives: r.u64()?,
+                        choice_points: r.u64()?,
+                        groups: r.u64()?,
+                        exprs: r.u64()?,
+                        tags: r.seq(|r| r.str())?,
+                        budget_exhausted: r.bool()?,
                     },
-                });
-            }
-            let n_fb = r.len()?;
-            let mut feedback = Vec::with_capacity(n_fb);
-            for _ in 0..n_fb {
-                let sql = r.str()?;
-                let observation = Observation {
-                    rows: r.f64()?,
-                    startup_work: r.f64()?,
-                    total_work: r.f64()?,
-                    runs: r.u64()?,
-                };
-                let data_stamp = if r.bool()? { Some(r.u64()?) } else { None };
-                feedback.push(FeedbackSnapshot {
-                    sql,
-                    observation,
-                    data_stamp,
-                });
-            }
-            tenants.push(TenantSnapshot {
+                })
+            })?;
+            let feedback = r.seq(|r| {
+                Ok(FeedbackSnapshot {
+                    sql: r.str()?,
+                    observation: Observation {
+                        rows: r.f64()?,
+                        startup_work: r.f64()?,
+                        total_work: r.f64()?,
+                        runs: r.u64()?,
+                    },
+                    data_stamp: if r.bool()? { Some(r.u64()?) } else { None },
+                })
+            })?;
+            Ok(TenantSnapshot {
                 name,
                 stamp,
                 plans,
                 feedback,
-            });
-        }
+            })
+        })?;
         if !r.at_end() {
             return Err(corrupt("trailing bytes"));
         }
@@ -453,6 +430,26 @@ mod tests {
         assert_eq!(back, snap);
     }
 
+    /// `sample_snapshot()` minus its plan, as encoded by the commit that
+    /// introduced the format: files already on disk must keep restoring,
+    /// so header, checksum and payload layout are pinned byte for byte.
+    const PINNED_V1: &str = "4342534e000000015d1524e1498be3f5000000010000000461636d65\
+        0000000000000007000000000000000300000000000000000100000000000000010000001453454c\
+        454354202a2046524f4d206f726465727340450000000000003ff000000000000040550000000000\
+        00000000000000000301000000000000000b";
+
+    #[test]
+    fn v1_bytes_written_by_earlier_builds_still_restore() {
+        let pinned: Vec<u8> = (0..PINNED_V1.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&PINNED_V1[i..i + 2], 16).unwrap())
+            .collect();
+        let mut snap = sample_snapshot();
+        snap.tenants[0].plans.clear();
+        assert_eq!(Snapshot::decode(&pinned).expect("decode"), snap);
+        assert_eq!(snap.encode(), pinned);
+    }
+
     #[test]
     fn detects_every_kind_of_corruption() {
         let snap = sample_snapshot();
@@ -488,7 +485,7 @@ mod tests {
         // Truncated payload (checksum recomputed so the payload layer
         // itself must catch it).
         let mut bad = good[..good.len() - 4].to_vec();
-        let sum = fnv1a(&bad[16..]);
+        let sum = checksum(&bad[16..]);
         bad[8..16].copy_from_slice(&sum.to_be_bytes());
         assert!(matches!(
             Snapshot::decode(&bad),

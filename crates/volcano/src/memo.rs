@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Debug;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 
 /// Identifier of a group (OR node).
 pub type GroupId = usize;
@@ -88,26 +88,37 @@ pub struct Memo<Op: Clone + Eq + Hash + Debug> {
     merge_epoch: u64,
 }
 
-/// FNV-1a over the operator's `Hash` stream: a deterministic hasher so
-/// index keys are reproducible (`RandomState` would also work — the hash
-/// never leaves the process — but determinism costs nothing and keeps
-/// debugging sane).
-fn op_hash<Op: Hash>(op: &Op) -> u64 {
-    struct Fnv(u64);
-    impl std::hash::Hasher for Fnv {
-        fn finish(&self) -> u64 {
-            self.0
-        }
-        fn write(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+/// Streaming FNV-1a 64: the crate's one deterministic hasher, behind both
+/// the memo's hash-consing index and [`crate::tree_fingerprint`]
+/// (`minidb::StableHasher` is the same function one layer up; volcano
+/// stays dependency-free).
+pub(crate) struct Fnv(u64);
+
+impl Fnv {
+    pub(crate) fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+}
+
+/// Deterministic hash of an operator, so index keys are reproducible
+/// (`RandomState` would also work — the hash never leaves the process —
+/// but determinism costs nothing and keeps debugging sane).
+fn op_hash<Op: Hash>(op: &Op) -> u64 {
+    let mut h = Fnv::new();
     op.hash(&mut h);
-    std::hash::Hasher::finish(&h)
+    h.finish()
 }
 
 impl<Op: Clone + Eq + Hash + Debug> Default for Memo<Op> {

@@ -1,6 +1,6 @@
 //! Least-cost plan extraction over the AND-OR DAG.
 
-use crate::memo::{Child, GroupId, MExprId, Memo, OpTree};
+use crate::memo::{Child, Fnv, GroupId, MExprId, Memo, OpTree};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::fmt::Debug;
@@ -167,11 +167,12 @@ pub fn cost_table<Op: Clone + Eq + Hash + Debug>(
     }
 }
 
-/// The straightforward O(sweeps × exprs) Gauss-Seidel sweep this module
-/// used before the worklist engine — kept as the executable specification:
-/// [`cost_table`] must reproduce its `group_costs` and `converged`
-/// bit-for-bit (asserted by the equivalence suite), it just consults the
-/// cost model far less.
+/// The straightforward O(sweeps × exprs) Gauss-Seidel sweep — the
+/// reference [`cost_table`] is tested against: the worklist must
+/// reproduce its `group_costs` and `converged` bit-for-bit (asserted here
+/// and by the equivalence suite), it just consults the cost model far
+/// less. Not a search entry point.
+#[doc(hidden)]
 pub fn cost_table_sweeps<Op: Clone + Eq + Hash + Debug>(
     memo: &Memo<Op>,
     model: &dyn CostModel<Op>,
@@ -314,18 +315,6 @@ fn extract<Op: Clone + Eq + Hash + Debug>(
 /// them, which is what [`top_k_plans`] uses both to deduplicate
 /// structurally equal candidates and to break cost ties deterministically.
 pub fn tree_fingerprint<Op: Clone + Eq + Hash + Debug>(tree: &OpTree<Op>) -> u64 {
-    struct Fnv(u64);
-    impl Hasher for Fnv {
-        fn finish(&self) -> u64 {
-            self.0
-        }
-        fn write(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-    }
     fn walk<Op: Clone + Eq + Hash + Debug>(tree: &OpTree<Op>, h: &mut Fnv) {
         tree.op.hash(h);
         tree.children.len().hash(h);
@@ -342,7 +331,7 @@ pub fn tree_fingerprint<Op: Clone + Eq + Hash + Debug>(tree: &OpTree<Op>) -> u64
             }
         }
     }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut h = Fnv::new();
     walk(tree, &mut h);
     h.finish()
 }

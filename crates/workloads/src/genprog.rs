@@ -28,10 +28,10 @@
 //! fail.
 
 use crate::harness::Fixture;
-use crate::rng::StdRng;
 use imperative::ast::{Expr, Function, Program, QuerySpec, Stmt, StmtKind};
 use imperative::pretty;
 use minidb::{BinOp, Column, DataType, Database, FuncRegistry, Schema, Value};
+use netsim::rng::StdRng;
 use orm::{EntityMapping, MappingRegistry};
 
 use std::sync::Arc;
@@ -81,8 +81,8 @@ impl Default for GenConfig {
 impl GenConfig {
     /// The skewed-corpus preset: larger tables (so selectivity errors
     /// actually move costs) with heavily skewed data columns and foreign
-    /// keys. Used by the cost-model-fidelity suite and the `opt_bench`
-    /// estimation-error metric.
+    /// keys. Used by the cost-model-fidelity, validated-selection and
+    /// engine-differential suites.
     pub fn skewed() -> GenConfig {
         GenConfig {
             max_rows: 320,
@@ -94,8 +94,8 @@ impl GenConfig {
     /// The execution-throughput preset: 1M+ rows per table across a
     /// small schema, so scan/filter/join throughput is memory-bandwidth
     /// bound rather than dispatch bound. Skewed like [`GenConfig::skewed`]
-    /// so joins have realistic fan-out. Used by `opt_bench`'s
-    /// executions/sec section; far too large for the differential corpus.
+    /// so joins have realistic fan-out. Used by `cobra_bench`'s
+    /// `exec_olap` workload; far too large for the differential corpus.
     pub fn large() -> GenConfig {
         GenConfig {
             min_tables: 2,

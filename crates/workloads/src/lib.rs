@@ -20,7 +20,6 @@
 pub mod genprog;
 pub mod harness;
 pub mod motivating;
-pub mod rng;
 pub mod wilos;
 
 pub use harness::{run_on, run_on_engine, Fixture, RunResult};

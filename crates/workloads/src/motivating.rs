@@ -5,9 +5,9 @@
 //! widths, so `S_row` is exact in both the simulator and the cost model).
 
 use crate::harness::Fixture;
-use crate::rng::StdRng;
 use imperative::ast::{Expr, Function, Program, QuerySpec, Stmt, StmtKind};
 use minidb::{Column, DataType, Database, FuncRegistry, Schema, Value};
+use netsim::rng::StdRng;
 use orm::{EntityMapping, MappingRegistry};
 
 use std::sync::Arc;

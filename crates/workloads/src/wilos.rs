@@ -22,9 +22,9 @@
 //! | F | different parts of a collection across callees | multiple select/project queries vs one prefetch |
 
 use crate::harness::Fixture;
-use crate::rng::StdRng;
 use imperative::ast::{Expr, Function, Program, QuerySpec, Stmt, StmtKind};
 use minidb::{BinOp, Column, DataType, Database, FuncRegistry, Schema, Value};
+use netsim::rng::StdRng;
 use orm::{EntityMapping, MappingRegistry};
 
 use std::sync::Arc;

@@ -6,15 +6,18 @@
 //! `crates/volcano/src/costmemo.rs`.)
 
 use cobra::core::Cobra;
+use cobra::imperative::ast::Program;
 use cobra::netsim::NetworkProfile;
+use cobra::oracle::matrix::mid_range;
+use cobra::volcano::{self, CostMemo};
+use cobra::workloads::genprog::{GenCase, GenConfig};
 use cobra::workloads::{motivating, wilos};
 
-fn cobra_for_motivating(memoize: bool) -> (Cobra, Vec<cobra::imperative::ast::Program>) {
+fn cobra_for_motivating() -> (Cobra, Vec<Program>) {
     let fx = motivating::build_fixture(2_000, 400, 11);
     let cobra = fx
         .cobra_builder()
         .network(NetworkProfile::slow_remote())
-        .memoize_costs(memoize)
         .build();
     (cobra, vec![motivating::p0(), motivating::m0()])
 }
@@ -27,7 +30,7 @@ fn cobra_for_motivating(memoize: bool) -> (Cobra, Vec<cobra::imperative::ast::Pr
 /// see both traffic and hits.)
 #[test]
 fn optimizer_search_hits_the_cost_cache() {
-    let (cobra, programs) = cobra_for_motivating(true);
+    let (cobra, programs) = cobra_for_motivating();
     for program in &programs {
         let opt = cobra.optimize_program(program).unwrap();
         assert!(opt.cost_cache_misses > 0, "search consults the model");
@@ -40,54 +43,67 @@ fn optimizer_search_hits_the_cost_cache() {
     }
 }
 
-/// Memoized search returns identical `est_cost_ns` (and identical chosen
-/// programs) to un-memoized search on the motivating workloads.
+/// Search `program`'s Region DAG twice — over the bare cost model and
+/// over the same model wrapped in a [`CostMemo`] — and require the two
+/// searches to agree bit-for-bit on every group cost, on convergence, and
+/// on the extracted plan (cost, tree, per-group choices).
+fn assert_memoized_search_is_identical(cobra: &Cobra, program: &Program, ctx: &str) {
+    let (memo, root, model) = cobra.region_dag(program).unwrap();
+    let memoized = CostMemo::new(&model);
+    let plain_table = volcano::cost_table(&memo, &model, None);
+    let memo_table = volcano::cost_table(&memo, &memoized, None);
+    assert_eq!(plain_table.converged, memo_table.converged, "{ctx}");
+    let bits = |t: &volcano::CostTable| {
+        t.group_costs
+            .iter()
+            .map(|c| c.to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bits(&plain_table), bits(&memo_table), "group costs: {ctx}");
+
+    let plain = volcano::best_plan_from(&memo, root, &model, &plain_table).expect("a plan");
+    let cached = volcano::best_plan_from(&memo, root, &memoized, &memo_table).expect("a plan");
+    assert_eq!(
+        plain.cost.to_bits(),
+        cached.cost.to_bits(),
+        "plan cost: {ctx}"
+    );
+    assert_eq!(plain.tree, cached.tree, "chosen tree: {ctx}");
+    assert_eq!(plain.choices, cached.choices, "choices: {ctx}");
+    assert!(
+        memoized.misses() > 0,
+        "memoized run reports its misses: {ctx}"
+    );
+}
+
+/// Memoized search is identical to un-memoized search on the motivating
+/// workloads, every Wilos pattern, and the generated corpus under all
+/// three network profiles.
 #[test]
 fn memoized_search_is_identical_to_unmemoized() {
-    let (with_memo, programs) = cobra_for_motivating(true);
-    let (without_memo, _) = cobra_for_motivating(false);
+    let (cobra, programs) = cobra_for_motivating();
     for program in &programs {
-        let a = with_memo.optimize_program(program).unwrap();
-        let b = without_memo.optimize_program(program).unwrap();
-        assert_eq!(
-            a.est_cost_ns.to_bits(),
-            b.est_cost_ns.to_bits(),
-            "bit-identical estimated cost for {}",
-            program.entry().name
-        );
-        assert_eq!(a.original_cost_ns.to_bits(), b.original_cost_ns.to_bits());
-        assert_eq!(
-            cobra::imperative::pretty::function_to_string(&a.program),
-            cobra::imperative::pretty::function_to_string(&b.program),
-            "identical chosen program"
-        );
-        assert!(a.cost_cache_misses > 0, "memoized run reports its misses");
-        assert_eq!(
-            (b.cost_cache_hits, b.cost_cache_misses),
-            (0, 0),
-            "memoization off"
-        );
+        assert_memoized_search_is_identical(&cobra, program, &program.entry().name);
     }
-    // Same property across every Wilos pattern.
     for pattern in wilos::Pattern::all() {
-        let fx = wilos::build_fixture(2_000, 5);
+        let cobra = wilos::build_fixture(2_000, 5)
+            .cobra_builder()
+            .network(NetworkProfile::fast_local())
+            .build();
         let program = wilos::representative(pattern);
-        let base = fx
-            .cobra_builder()
-            .network(NetworkProfile::fast_local())
-            .build();
-        let a = base.optimize_program(&program).unwrap();
-        let fx2 = wilos::build_fixture(2_000, 5);
-        let off = fx2
-            .cobra_builder()
-            .network(NetworkProfile::fast_local())
-            .memoize_costs(false)
-            .build();
-        let b = off.optimize_program(&program).unwrap();
-        assert_eq!(
-            a.est_cost_ns.to_bits(),
-            b.est_cost_ns.to_bits(),
-            "pattern {pattern:?}"
-        );
+        assert_memoized_search_is_identical(&cobra, &program, &format!("pattern {pattern:?}"));
+    }
+    let cfg = GenConfig::default();
+    for seed in 0..100 {
+        let case = GenCase::from_seed(seed, &cfg);
+        for net in [
+            NetworkProfile::slow_remote(),
+            mid_range(),
+            NetworkProfile::fast_local(),
+        ] {
+            let ctx = format!("seed {seed}, profile {}", net.name());
+            let cobra = case.fixture().cobra_builder().network(net).build();
+            assert_memoized_search_is_identical(&cobra, &case.program, &ctx);
+        }
     }
 }

@@ -188,9 +188,21 @@ fn histograms_and_feedback_improve_skewed_corpus_ranking() {
         }
         let rho_base = spearman(&baseline, &simulated);
         let rho_adapt = spearman(&adaptive, &simulated);
+        // Calibration beside ranking: geomean multiplicative distance of
+        // estimated cost from simulated runtime (1.0 = perfect).
+        let error_factor = |est_ns: &[f64]| {
+            let log_errs = est_ns
+                .iter()
+                .zip(&simulated)
+                .map(|(e, secs)| ((e / 1e9).max(1e-9) / secs.max(1e-9)).ln().abs());
+            (log_errs.sum::<f64>() / est_ns.len() as f64).exp()
+        };
         eprintln!(
-            "skewed corpus {}: baseline rho {rho_base:.3}, histogram+feedback rho {rho_adapt:.3}",
-            net.name()
+            "skewed corpus {}: baseline rho {rho_base:.3} (error x{:.3}), \
+             histogram+feedback rho {rho_adapt:.3} (error x{:.3})",
+            net.name(),
+            error_factor(&baseline),
+            error_factor(&adaptive)
         );
         assert!(
             rho_adapt > rho_base,

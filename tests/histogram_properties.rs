@@ -6,11 +6,11 @@ use cobra::core::Cobra;
 use cobra::minidb::{
     BinOp, Column, DataType, Database, FeedbackStore, FuncRegistry, Schema, TableStats, Value,
 };
+use cobra::netsim::rng::StdRng;
 use cobra::netsim::NetworkProfile;
 use cobra::oracle::{run_case, OracleMatrix};
 use cobra::workloads::genprog::{GenCase, GenConfig};
 use cobra::workloads::harness::run_on_with_feedback;
-use cobra::workloads::rng::StdRng;
 use std::sync::Arc;
 
 /// A randomized single-column table: integers (uniform or piled-up),

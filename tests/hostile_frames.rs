@@ -1,0 +1,199 @@
+//! Frames built to kill the process rather than to fail a request.
+//!
+//! Panic isolation turns a panicking worker into a typed error, but a
+//! stack overflow or a failed allocation *aborts*: nothing unwinds and
+//! every session dies. Three inputs used to get there from one frame:
+//!
+//! * an expression nested 5,000 `Not`s deep (5 KB) — the decoder recursed
+//!   once per tag;
+//! * embedded SQL nested far past the parser's budget — by parentheses,
+//!   by `NOT`, and by a left-deep `+` chain (a loop in the parser, but a
+//!   nest in the plan every later pass recurses over);
+//! * a statement count claiming every remaining byte of the frame — legal
+//!   for the length check, but `Vec::with_capacity` multiplied it by
+//!   `size_of::<Stmt>()`.
+//!
+//! Each is now a `Protocol` error, and a live server answers all of them
+//! and then an honest request on the same connection.
+
+use cobra::prelude::*;
+use cobra::server::{Request, Response};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::io::{Read, Write};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The system allocator, remembering the largest single request made by
+/// a thread that asked to be watched (per thread, because the tests of
+/// this binary run side by side).
+struct LargestRequest;
+
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    // Const-initialized and without a destructor, so reading it from
+    // inside the allocator never allocates.
+    static WATCHED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn note(size: usize) {
+    if WATCHED.try_with(Cell::get).unwrap_or(false) {
+        LARGEST.fetch_max(size, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: defers to `System` unchanged; only records sizes.
+unsafe impl GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: LargestRequest = LargestRequest;
+
+/// The wire encoding's primitives (big-endian, u32-length-prefixed).
+#[derive(Default)]
+struct Frame(Vec<u8>);
+
+impl Frame {
+    fn u8(self, v: u8) -> Frame {
+        self.fill(v, 1)
+    }
+    fn u32(mut self, v: u32) -> Frame {
+        self.0.extend_from_slice(&v.to_be_bytes());
+        self
+    }
+    fn str(self, s: &str) -> Frame {
+        let mut f = self.u32(s.len() as u32);
+        f.0.extend_from_slice(s.as_bytes());
+        f
+    }
+    fn fill(mut self, byte: u8, n: usize) -> Frame {
+        self.0.resize(self.0.len() + n, byte);
+        self
+    }
+
+    /// `Submit` on `session` (no idempotency key) of one parameterless
+    /// function `f`, up to its statement count.
+    fn submit(session: u64) -> Frame {
+        let mut f = Frame::default().u8(2);
+        f.0.extend_from_slice(&session.to_be_bytes());
+        f.fill(0, 8).u32(1).str("f").u32(0)
+    }
+
+    /// `let x = <expr follows>` as the function's only statement.
+    fn let_x(self) -> Frame {
+        self.u32(1).u32(1).u8(0).str("x")
+    }
+}
+
+/// The frames above: `let x = !!…!y`, then `let x = query(<sql>)` per
+/// hostile SQL text, then the over-claimed statement count.
+fn hostile_frames(session: u64) -> Vec<Vec<u8>> {
+    let n = 100_000;
+    let sql = [
+        format!(
+            "SELECT * FROM t WHERE {}a = 1{}",
+            "(".repeat(n),
+            ")".repeat(n)
+        ),
+        format!("SELECT * FROM t WHERE {}a = 1", "NOT ".repeat(n)),
+        format!("SELECT * FROM t WHERE {} = 1", vec!["a"; n].join(" + ")),
+    ];
+    let mut frames = vec![Frame::submit(session).let_x().fill(3, 5_000).u8(0).str("y")];
+    frames.extend(
+        sql.iter()
+            .map(|sql| Frame::submit(session).let_x().u8(8).str(sql).u32(0)),
+    );
+    frames.push(overclaimed_stmts(session, 1 << 20));
+    frames.into_iter().map(|f| f.0).collect()
+}
+
+/// A statement count equal to the `filler` bytes behind it (so the length
+/// check passes), none of which decodes as a statement.
+fn overclaimed_stmts(session: u64, filler: usize) -> Frame {
+    Frame::submit(session).u32(filler as u32).fill(0xFF, filler)
+}
+
+#[test]
+fn overclaimed_length_does_not_preallocate() {
+    // 4 MiB of filler claims 4M statements: hundreds of MiB if taken at
+    // its word; decoding may not ask for even the frame's own size.
+    let frame = overclaimed_stmts(1, 4 << 20).0;
+    WATCHED.set(true);
+    let decoded = Request::decode(&frame);
+    WATCHED.set(false);
+    assert!(
+        matches!(decoded, Err(ServerError::Protocol(_))),
+        "{decoded:?}"
+    );
+    let largest = LARGEST.load(Ordering::Relaxed);
+    assert!(
+        largest < frame.len(),
+        "largest single allocation was {largest} bytes for a {}-byte frame",
+        frame.len()
+    );
+}
+
+/// One request/reply exchange on a raw socket (4-byte big-endian length,
+/// then the body).
+fn exchange(stream: &mut std::net::TcpStream, body: &[u8]) -> Response {
+    stream
+        .write_all(&(body.len() as u32).to_be_bytes())
+        .and_then(|()| stream.write_all(body))
+        .expect("send");
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len).expect("reply length");
+    let mut reply = vec![0u8; u32::from_be_bytes(len) as usize];
+    stream.read_exact(&mut reply).expect("reply body");
+    Response::decode(&reply).expect("well-formed reply")
+}
+
+#[test]
+fn the_server_answers_every_hostile_frame_and_keeps_serving() {
+    let case = GenCase::from_seed(0, &GenConfig::default());
+    let fx = case.fixture();
+    let service = CobraService::new(ServerConfig::default());
+    service.register_tenant(TenantSpec::new(
+        "t0",
+        fx.db.clone(),
+        fx.mapping.clone(),
+        fx.funcs.clone(),
+    ));
+    let server = WireServer::spawn(service, "127.0.0.1:0").expect("bind");
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+
+    let open = Request::OpenSession {
+        tenant: "t0".into(),
+    };
+    let Response::SessionOpened { session } = exchange(&mut stream, &open.encode()) else {
+        panic!("session opens");
+    };
+    let protocol = ServerError::Protocol(String::new()).code();
+    for frame in hostile_frames(session) {
+        let reply = exchange(&mut stream, &frame);
+        assert!(
+            matches!(reply, Response::Error { code, .. } if code == protocol),
+            "hostile frame answered with {reply:?}"
+        );
+    }
+
+    // Same connection, same session, still in business.
+    let submit = Request::Submit {
+        session,
+        idempotency: 0,
+        program: case.program.clone(),
+    };
+    let reply = exchange(&mut stream, &submit.encode());
+    assert!(matches!(reply, Response::SubmitOk(_)), "{reply:?}");
+    server.shutdown();
+}

@@ -64,7 +64,7 @@ fn expansion_idempotent() {
 #[test]
 fn best_plan_beats_the_original() {
     // Deterministic pseudo-random cardinalities per (n, case).
-    let mut rng = cobra::workloads::rng::StdRng::seed_from_u64(0x0B5E55ED);
+    let mut rng = cobra::netsim::rng::StdRng::seed_from_u64(0x0B5E55ED);
     for n in 2usize..=5 {
         for case in 0..4 {
             let names = rel_names(n);

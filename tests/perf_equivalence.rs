@@ -3,14 +3,15 @@
 //! Arc-shared plans) must change *nothing* about what the optimizer
 //! chooses or reports — only how fast it gets there.
 //!
-//! * cached vs uncached estimation produces bit-identical [`Optimized`]
-//!   results and semantically identical [`OptimizationReport`]s across
-//!   the oracle's generated corpus × all three network profiles;
+//! * cached vs uncached estimation produces bit-identical group costs,
+//!   extracted trees and emitted programs across the oracle's generated
+//!   corpus × all three network profiles;
 //! * the worklist `volcano::cost_table` reproduces the reference
 //!   Gauss-Seidel sweep (`volcano::cost_table_sweeps`) bit-for-bit —
 //!   `group_costs` and `converged` — on real Region DAGs, under the
 //!   unbudgeted and several budgeted configurations.
 
+use cobra::core::emit::emit_function;
 use cobra::core::Cobra;
 use cobra::imperative::pretty;
 use cobra::netsim::NetworkProfile;
@@ -28,77 +29,63 @@ fn profiles() -> Vec<NetworkProfile> {
     ]
 }
 
-fn cobra_for(case: &GenCase, net: NetworkProfile, cache: bool) -> Cobra {
-    case.fixture()
-        .cobra_builder()
-        .network(net)
-        .cache_estimates(cache)
-        .build()
+fn cobra_for(case: &GenCase, net: NetworkProfile) -> Cobra {
+    case.fixture().cobra_builder().network(net).build()
 }
 
-/// Cached and uncached costing agree bit-for-bit on everything the
-/// optimizer returns: tags, costs, the chosen program, and the whole
-/// report (up to the cache-statistics counters themselves).
+/// Cached and uncached costing agree bit-for-bit on everything a search
+/// decides: every group's cost, convergence, the extracted tree, and the
+/// emitted program. The uncached side is a second Region DAG (own
+/// fixture, own `Cobra`) whose model has its estimate cache disabled.
 #[test]
 fn cached_costing_is_bit_identical_across_corpus() {
     let cfg = GenConfig::default();
     for seed in 0..SEEDS {
         let case = GenCase::from_seed(seed, &cfg);
+        let entry = case.program.entry();
         for net in profiles() {
-            let cached = cobra_for(&case, net.clone(), true);
-            let uncached = cobra_for(&case, net.clone(), false);
-            let a = cached.optimize_program(&case.program).unwrap();
-            let b = uncached.optimize_program(&case.program).unwrap();
             let ctx = format!("seed {seed}, profile {}", net.name());
+            let (memo_a, root_a, cached) = cobra_for(&case, net.clone())
+                .region_dag(&case.program)
+                .unwrap();
+            let (memo_b, root_b, mut uncached) = cobra_for(&case, net.clone())
+                .region_dag(&case.program)
+                .unwrap();
+            uncached.disable_estimate_cache();
+            assert_eq!(root_a, root_b, "{ctx}");
+            assert_eq!(
+                (memo_a.num_live_groups(), memo_a.num_exprs()),
+                (memo_b.num_live_groups(), memo_b.num_exprs()),
+                "{ctx}"
+            );
 
+            let ta = volcano::cost_table(&memo_a, &cached, None);
+            let tb = volcano::cost_table(&memo_b, &uncached, None);
+            assert_eq!(ta.converged, tb.converged, "{ctx}");
+            assert_eq!(ta.group_costs.len(), tb.group_costs.len(), "{ctx}");
+            for (g, (a, b)) in ta.group_costs.iter().zip(&tb.group_costs).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "group {g} cost: {ctx}");
+            }
+
+            let a = volcano::best_plan_from(&memo_a, root_a, &cached, &ta).expect("a plan");
+            let b = volcano::best_plan_from(&memo_b, root_b, &uncached, &tb).expect("a plan");
+            assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "est cost: {ctx}");
+            assert_eq!(a.tree, b.tree, "extracted tree: {ctx}");
+            assert_eq!(a.choices, b.choices, "{ctx}");
             assert_eq!(
-                a.est_cost_ns.to_bits(),
-                b.est_cost_ns.to_bits(),
-                "est_cost_ns: {ctx}"
+                pretty::function_to_string(&emit_function(&entry.name, &entry.params, &a.tree)),
+                pretty::function_to_string(&emit_function(&entry.name, &entry.params, &b.tree)),
+                "emitted program: {ctx}"
             );
+            assert!(cached.estimate_cache_misses() > 0, "cache engaged: {ctx}");
             assert_eq!(
-                a.original_cost_ns.to_bits(),
-                b.original_cost_ns.to_bits(),
-                "original_cost_ns: {ctx}"
-            );
-            assert_eq!(
-                pretty::function_to_string(&a.program),
-                pretty::function_to_string(&b.program),
-                "chosen program: {ctx}"
-            );
-            assert_eq!(a.tags, b.tags, "tags: {ctx}");
-            assert_eq!(a.alternatives, b.alternatives, "{ctx}");
-            assert_eq!(a.choice_points, b.choice_points, "{ctx}");
-            assert_eq!((a.groups, a.exprs), (b.groups, b.exprs), "{ctx}");
-            assert_eq!(a.budget_exhausted, b.budget_exhausted, "{ctx}");
-            assert_eq!(
-                (b.estimator_cache_hits, b.estimator_cache_misses),
+                (
+                    uncached.estimate_cache_hits(),
+                    uncached.estimate_cache_misses()
+                ),
                 (0, 0),
                 "uncached run must not touch the estimate cache: {ctx}"
             );
-
-            // Reports agree on every semantic field (cost bits included).
-            let ra = cached.explain(&case.program).unwrap();
-            let rb = uncached.explain(&case.program).unwrap();
-            assert_eq!(ra.rules_fired, rb.rules_fired, "{ctx}");
-            assert_eq!(ra.choice_points.len(), rb.choice_points.len(), "{ctx}");
-            for (ca, cb) in ra.choice_points.iter().zip(&rb.choice_points) {
-                assert_eq!(ca.group, cb.group, "{ctx}");
-                assert_eq!(ca.region, cb.region, "{ctx}");
-                assert_eq!(ca.on_chosen_path, cb.on_chosen_path, "{ctx}");
-                assert_eq!(ca.alternatives.len(), cb.alternatives.len(), "{ctx}");
-                for (aa, ab) in ca.alternatives.iter().zip(&cb.alternatives) {
-                    assert_eq!(aa.expr, ab.expr, "{ctx}");
-                    assert_eq!(aa.label, ab.label, "{ctx}");
-                    assert_eq!(aa.rules, ab.rules, "{ctx}");
-                    assert_eq!(aa.chosen, ab.chosen, "{ctx}");
-                    assert_eq!(
-                        aa.cost_ns.to_bits(),
-                        ab.cost_ns.to_bits(),
-                        "alternative cost: {ctx}"
-                    );
-                }
-            }
         }
     }
 }
@@ -111,7 +98,7 @@ fn estimate_cache_engages_on_real_searches() {
     let mut total_hits = 0u64;
     for seed in 0..10 {
         let case = GenCase::from_seed(seed, &cfg);
-        let cobra = cobra_for(&case, NetworkProfile::slow_remote(), true);
+        let cobra = cobra_for(&case, NetworkProfile::slow_remote());
         let opt = cobra.optimize_program(&case.program).unwrap();
         assert!(
             opt.estimator_cache_misses > 0,
@@ -139,7 +126,7 @@ fn worklist_cost_table_matches_reference_sweep_on_corpus() {
     for seed in 0..SEEDS {
         let case = GenCase::from_seed(seed, &cfg);
         for net in profiles() {
-            let cobra = cobra_for(&case, net.clone(), true);
+            let cobra = cobra_for(&case, net.clone());
             let (memo, _root, model) = cobra.region_dag(&case.program).unwrap();
             for budget in [None, Some(1), Some(2), Some(3), Some(8)] {
                 let fast = volcano::cost_table(&memo, &model, budget);
@@ -163,7 +150,7 @@ fn worklist_cost_table_matches_reference_sweep_on_corpus() {
 #[test]
 fn report_display_shows_cache_effectiveness() {
     let case = GenCase::from_seed(3, &GenConfig::default());
-    let cobra = cobra_for(&case, NetworkProfile::slow_remote(), true);
+    let cobra = cobra_for(&case, NetworkProfile::slow_remote());
     let report = cobra.explain(&case.program).unwrap();
     let text = report.to_string();
     assert!(text.contains("cost-memo"), "{text}");

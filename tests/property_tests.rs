@@ -11,8 +11,8 @@
 use cobra::core::{heuristic, CostCatalog};
 use cobra::imperative::ast::Program;
 use cobra::minidb::{sql, Value};
+use cobra::netsim::rng::StdRng;
 use cobra::netsim::NetworkProfile;
-use cobra::workloads::rng::StdRng;
 use cobra::workloads::{harness::run_on, motivating, wilos};
 
 /// An identifier-ish name: `[a-z][a-z0-9_]{0,8}`.

@@ -112,10 +112,12 @@ fn concurrent_same_program_coalesces_into_one_search() {
     // Retry with fresh services: whether waiters land on the in-flight
     // window (coalesced) or arrive after completion (hit) is a race; the
     // invariant that always holds is ONE search. The coalesce observation
-    // itself just needs enough attempts.
+    // itself just needs enough attempts (the loop stops at the first; on
+    // a loaded 2-core host five were too few about one run in thirty —
+    // `plan_cache`'s unit tests pin coalescing by construction).
     const SESSIONS: usize = 8;
     let mut saw_coalesce = false;
-    for attempt in 0..5 {
+    for attempt in 0..64 {
         // Seed 0 is read-only with a multi-millisecond search (33
         // statements): a wide single-flight window. Tiny rows keep the
         // execution after the search cheap.

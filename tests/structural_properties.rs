@@ -11,7 +11,7 @@ use cobra::imperative::ast::{Expr, Function, Stmt, StmtKind};
 use cobra::imperative::regions::Region;
 use cobra::imperative::structural;
 use cobra::minidb::BinOp;
-use cobra::workloads::rng::StdRng;
+use cobra::netsim::rng::StdRng;
 
 /// A short lowercase name, `[a-z]{1,4}`.
 fn name(rng: &mut StdRng) -> String {

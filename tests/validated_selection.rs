@@ -191,6 +191,51 @@ fn validation_records_are_consistent_and_promotions_are_measured() {
     );
 }
 
+/// The selection gate: on the skewed corpus, judged by *full-fixture*
+/// runs (simulated time, so deterministic), the validated pick must be
+/// no slower than the cost-only pick on at least 95% of cases and must
+/// win at least as often as cost-only does. A validator that promotes a
+/// plan which loses at full scale fails here.
+#[test]
+fn validated_selection_holds_the_win_rate_floor() {
+    const CASES: u64 = 12;
+    let gen = GenConfig::skewed();
+    let net = NetworkProfile::slow_remote();
+    let (mut validated_wins, mut cost_only_wins) = (0u64, 0u64);
+    for seed in 0..CASES {
+        let case = GenCase::from_seed(7000 + seed, &gen);
+        let fixture = case.fixture();
+        let builder = fixture.cobra_builder().network(net.clone());
+        let optimize = |cobra: Cobra| cobra.optimize_program(&case.program).expect("optimizes");
+        let cost_only = optimize(builder.clone().build());
+        let validated = optimize(
+            builder
+                .validate_selection(ValidationConfig::default())
+                .build(),
+        );
+        // Ground truth: each pick on its own fresh full-size fixture.
+        let full_run = |pick: Function| {
+            run_on(&case.fixture(), net.clone(), &case.program.with_entry(pick))
+                .expect("pick runs")
+                .secs
+        };
+        let (t_cost, t_val) = (full_run(cost_only.program), full_run(validated.program));
+        validated_wins += u64::from(t_val <= t_cost * (1.0 + 1e-9));
+        cost_only_wins += u64::from(t_cost <= t_val * (1.0 + 1e-9));
+    }
+    println!(
+        "validated selection: {validated_wins}/{CASES} wins vs cost-only {cost_only_wins}/{CASES}"
+    );
+    assert!(
+        validated_wins >= cost_only_wins,
+        "validated selection wins {validated_wins}/{CASES}, below cost-only {cost_only_wins}/{CASES}"
+    );
+    assert!(
+        validated_wins as f64 + 1e-9 >= 0.95 * CASES as f64,
+        "validated selection wins {validated_wins}/{CASES}, below the 0.95 floor"
+    );
+}
+
 /// An attached-but-empty feedback store cannot satisfy the freshness
 /// shortcut: validation falls back to measured execution.
 #[test]

@@ -161,6 +161,9 @@ pub struct RunRecord {
     pub alternatives: u64,
     /// Whether the search reported budget exhaustion.
     pub budget_exhausted: bool,
+    /// Tags of the rules that produced a registered alternative
+    /// (`OptimizationReport::rules_fired`) — what the cell *covered*.
+    pub rules_fired: Vec<&'static str>,
 }
 
 /// Why a cell failed.
@@ -261,9 +264,10 @@ pub fn run_cell(
         .rules(cell.ruleset.clone())
         .verify_rewrites(cell.verify)
         .build();
-    let opt = cobra
-        .optimize_program(&case.program)
+    let report = cobra
+        .explain(&case.program)
         .map_err(|e| fail(FailureKind::Optimize(e.to_string()), None))?;
+    let opt = report.summary;
     let optimized_program = case.program.with_entry(opt.program.clone());
     let optimized_text = pretty::program_to_string(&optimized_program);
 
@@ -303,6 +307,7 @@ pub fn run_cell(
         secs_optimized: rewritten.secs,
         alternatives: opt.alternatives,
         budget_exhausted: opt.budget_exhausted,
+        rules_fired: report.rules_fired,
     })
 }
 

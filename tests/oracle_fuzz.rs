@@ -8,6 +8,7 @@
 //! (or `FUZZ_SEEDS=2000..3000` for a window). CI pins `0..500` so the run
 //! is deterministic and time-bounded.
 
+use cobra::fir::RuleSet;
 use cobra::oracle::{fuzz, run_case, seed_range_from_env, OracleMatrix};
 use cobra::workloads::genprog::{GenCase, GenConfig};
 
@@ -46,6 +47,28 @@ fn corpus_is_equivalence_clean_across_the_matrix() {
             .iter()
             .any(|r| r.budget == "tight" && r.budget_exhausted),
         "the tight budget must clip some searches"
+    );
+    // Coverage, rule half: a rule no seed fires is a rule the sweep above
+    // says nothing about. (`inline` runs outside the F-IR engine and tags
+    // no alternative.) Tags are the rule name, optionally qualified.
+    let fired_on = |rule: &str| {
+        let seeds: HashSet<u64> = report
+            .records
+            .iter()
+            .filter(|r| r.rules_fired.iter().any(|tag| tag.starts_with(rule)))
+            .map(|r| r.seed)
+            .collect();
+        println!("rule {rule}: fired on {} of {n_seeds} seeds", seeds.len());
+        seeds.len()
+    };
+    let unfired: Vec<&str> = RuleSet::standard()
+        .names()
+        .into_iter()
+        .filter(|rule| fired_on(rule) == 0 && *rule != "inline")
+        .collect();
+    assert!(
+        unfired.is_empty() || n_seeds < 500,
+        "rules {unfired:?} fired on no seed: the corpus does not cover them"
     );
 }
 

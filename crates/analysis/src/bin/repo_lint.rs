@@ -1,7 +1,7 @@
 //! Dependency-free source-level repo lints, run in CI (`static-analysis`
 //! job) as `cargo run -p analysis --bin repo_lint`.
 //!
-//! Two invariants, both established by earlier PRs and cheap to regress:
+//! Three invariants, all established by earlier PRs and cheap to regress:
 //!
 //! * **Server locks must recover from poison.** PR 9 routed every lock
 //!   acquisition in `crates/server` through the poison-recovering helpers
@@ -13,6 +13,10 @@
 //! * **The network simulator's clock stays virtual.** `crates/netsim`
 //!   must never consult `Instant::now()` — determinism of every seeded
 //!   test depends on it.
+//! * **Only the closure driver records which rule fired.** Rules in
+//!   `crates/fir` describe derivations; `ruleset.rs` builds the
+//!   alternative and pushes the tag. A rule that tags an alternative
+//!   itself is back to assembling alternatives by hand.
 //!
 //! Exit status 0 when clean; 1 with `file:line` diagnostics otherwise.
 
@@ -40,6 +44,12 @@ const LINTS: &[Lint] = &[
         exempt: &[],
         patterns: &["Instant::now()"],
         why: "netsim's clock is virtual; wall-clock reads break seeded determinism",
+    },
+    Lint {
+        dir: "crates/fir/src",
+        exempt: &["ruleset.rs"],
+        patterns: &["rules_applied.push("],
+        why: "rules return Derivations; only the driver in ruleset.rs builds alternatives",
     },
 ];
 

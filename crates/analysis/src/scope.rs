@@ -106,7 +106,7 @@ fn walk(
         }
         _ => {
             let mut result = Ok(());
-            arena.for_each_child(id, |child| {
+            arena.node(id).for_each_child(|child| {
                 if result.is_ok() {
                     result = walk(arena, child, scope, visited);
                 }

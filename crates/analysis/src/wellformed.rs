@@ -35,7 +35,7 @@ pub fn check_wellformed(alt: &FirAlternative) -> Result<(), Diagnostic> {
     // their parent's. Catches dangling ids and reference cycles at once.
     for id in 0..arena.len() {
         let mut bad = None;
-        arena.for_each_child(id, |child| {
+        arena.node(id).for_each_child(|child| {
             if child >= id && bad.is_none() {
                 bad = Some(child);
             }

@@ -124,7 +124,9 @@ fn bench_fir_rules() {
             Some(&live),
         )
         .unwrap();
-        fir::rules::expand_alternatives(base, 64).len()
+        fir::expand_with(base, &fir::RuleSet::standard(), 64)
+            .alternatives
+            .len()
     });
 }
 

@@ -92,7 +92,7 @@ fn best_sql_push(
     mappings: &MappingRegistry,
 ) -> Option<Vec<Stmt>> {
     let base = fir::build::loop_to_fold(var, iter, body, mappings, Some(live_after))?;
-    let alts = fir::rules::expand_alternatives(base, 64);
+    let alts = fir::expand_with(base, &fir::RuleSet::standard(), 64).alternatives;
     let mut best: Option<(i64, &FirAlternative)> = None;
     for alt in &alts {
         let score = sql_push_score(alt, prev_sibling);
@@ -116,14 +116,8 @@ fn sql_push_score(alt: &FirAlternative, prev_sibling: Option<&Stmt>) -> Option<i
     if alt.rules_applied.iter().any(|r| *r == "N1" || *r == "N2") {
         return Some(-1);
     }
-    if let Some(v) = &alt.requires_empty_init {
-        let ok = match prev_sibling.map(|s| &s.kind) {
-            Some(StmtKind::NewCollection(p)) | Some(StmtKind::NewMap(p)) => p == v,
-            _ => false,
-        };
-        if !ok {
-            return None;
-        }
+    if !crate::optimizer::t1_gate_ok(alt, prev_sibling) {
+        return None;
     }
     let folds_left = alt
         .assigns

@@ -50,4 +50,4 @@ pub use validation::{SelectionValidation, ValidatedCandidate, ValidationConfig, 
 
 // Re-exported so configuring rules does not require a direct `fir`
 // dependency.
-pub use fir::{Rule, RuleAction, RuleSet};
+pub use fir::{Rule, RuleSet};

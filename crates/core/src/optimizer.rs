@@ -190,6 +190,7 @@ impl Cobra {
         let updated_tables = transforms::updated_tables(program);
         let mut builder = DagBuilder {
             memo: &mut memo,
+            db: &self.db,
             mappings: &self.mappings,
             var_plans: &mut var_plans,
             rules: &self.config.rules,
@@ -702,6 +703,7 @@ impl SearchRun {
 /// recording which rules produced each registered alternative.
 struct DagBuilder<'a> {
     memo: &'a mut Memo<RegionOp>,
+    db: &'a minidb::SharedDb,
     mappings: &'a MappingRegistry,
     var_plans: &'a mut HashMap<String, minidb::SharedPlan>,
     rules: &'a RuleSet,
@@ -871,7 +873,7 @@ impl<'a> DagBuilder<'a> {
         }
         self.rejections.extend(expansion.rejected);
         for alt in expansion.alternatives {
-            if !self.t1_gate_ok(&alt, prev_sibling) {
+            if !t1_gate_ok(&alt, prev_sibling) || self.join_is_ambiguous(&alt) {
                 continue;
             }
             // Prefetching a table the program updates is unsound: the
@@ -909,17 +911,31 @@ impl<'a> DagBuilder<'a> {
             .memo_has_room(self.memo.num_groups(), self.memo.num_exprs())
     }
 
-    /// Rule T1's validity gate: `fold(insert, {}, Q) = Q` requires the
-    /// accumulator to be empty at loop entry — satisfied when the previous
-    /// statement in the sequence freshly created it.
-    fn t1_gate_ok(&self, alt: &FirAlternative, prev_sibling: Option<&Stmt>) -> bool {
-        let Some(v) = &alt.requires_empty_init else {
-            return true;
-        };
-        match prev_sibling.map(|s| &s.kind) {
-            Some(StmtKind::NewCollection(p)) | Some(StmtKind::NewMap(p)) => p == v,
-            _ => false,
+    /// Rule T4's catalog gate: the join it builds puts both sides' columns
+    /// under one tuple variable and names them unqualified, so tables that
+    /// share a column name (`emp.id`, `dept.id`) give a program that fails
+    /// with "ambiguous column" where the original ran.
+    fn join_is_ambiguous(&self, alt: &FirAlternative) -> bool {
+        if !alt.rules_applied.iter().any(|r| r.starts_with("T4")) {
+            return false;
         }
+        let db = self.db.read().expect("database lock poisoned");
+        let shares_a_column = |plan: &LogicalPlan| {
+            let mut seen = std::collections::HashSet::new();
+            let tables = plan.base_tables().into_iter();
+            tables
+                .filter_map(|t| db.table(t).ok())
+                .flat_map(|t| t.schema().columns())
+                .any(|c| !seen.insert(&c.name))
+        };
+        alt.assigns.iter().any(|(_, root)| {
+            alt.arena.any(*root, &|n| match n {
+                fir::FirNode::Query { plan, .. } | fir::FirNode::ScalarQuery { plan, .. } => {
+                    shares_a_column(plan)
+                }
+                _ => false,
+            })
+        })
     }
 
     fn register_var_plan(&mut self, stmt: &Stmt) {
@@ -935,6 +951,19 @@ impl<'a> DagBuilder<'a> {
             }
             _ => {}
         }
+    }
+}
+
+/// Rule T1's validity gate: `fold(insert, {}, Q) = Q` requires the
+/// accumulator to be empty at loop entry — satisfied when the previous
+/// statement in the sequence freshly created it.
+pub(crate) fn t1_gate_ok(alt: &FirAlternative, prev_sibling: Option<&Stmt>) -> bool {
+    let Some(v) = &alt.requires_empty_init else {
+        return true;
+    };
+    match prev_sibling.map(|s| &s.kind) {
+        Some(StmtKind::NewCollection(p)) | Some(StmtKind::NewMap(p)) => p == v,
+        _ => false,
     }
 }
 

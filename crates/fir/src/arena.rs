@@ -76,6 +76,113 @@ pub enum FirNode {
     },
 }
 
+impl FirNode {
+    /// Visit the direct children, in order, without allocating (the `Vec`
+    /// that [`FirArena::children`] returns is pure overhead in traversal
+    /// hot loops). With [`FirNode::map_children`] this is the one
+    /// definition of a node's child structure: traversal, rewriting and
+    /// structural hashing are all written on these two.
+    pub fn for_each_child(&self, mut f: impl FnMut(FirId)) {
+        match self {
+            FirNode::Bin(_, l, r) | FirNode::Insert(l, r) => {
+                f(*l);
+                f(*r);
+            }
+            FirNode::Not(e) | FirNode::Project(e, _) | FirNode::RowField(e, _) => f(*e),
+            FirNode::Call(_, args) | FirNode::Tuple(args) => {
+                for a in args {
+                    f(*a);
+                }
+            }
+            FirNode::MapPut(a, b, c) => {
+                f(*a);
+                f(*b);
+                f(*c);
+            }
+            FirNode::Cond {
+                pred,
+                then_val,
+                else_val,
+            } => {
+                f(*pred);
+                f(*then_val);
+                f(*else_val);
+            }
+            FirNode::Query { binds, .. } | FirNode::ScalarQuery { binds, .. } => {
+                for (_, e) in binds {
+                    f(*e);
+                }
+            }
+            FirNode::CacheLookup { key, .. } => f(*key),
+            FirNode::Fold {
+                func, init, source, ..
+            } => {
+                f(*func);
+                f(*init);
+                f(*source);
+            }
+            FirNode::Const(_)
+            | FirNode::Param(_)
+            | FirNode::AccParam(_)
+            | FirNode::TupleVar(_)
+            | FirNode::TupleAttr(_, _)
+            | FirNode::CollectionParam(_) => {}
+        }
+    }
+
+    /// This node with every child id replaced by `f(child)`, called in
+    /// [`FirNode::for_each_child`] order; everything else is cloned.
+    pub fn map_children(&self, mut f: impl FnMut(FirId) -> FirId) -> FirNode {
+        let mut node = self.clone();
+        match &mut node {
+            FirNode::Bin(_, l, r) | FirNode::Insert(l, r) => {
+                *l = f(*l);
+                *r = f(*r);
+            }
+            FirNode::Not(e) | FirNode::Project(e, _) | FirNode::RowField(e, _) => *e = f(*e),
+            FirNode::Call(_, args) | FirNode::Tuple(args) => {
+                for a in args {
+                    *a = f(*a);
+                }
+            }
+            FirNode::MapPut(a, b, c) => {
+                *a = f(*a);
+                *b = f(*b);
+                *c = f(*c);
+            }
+            FirNode::Cond {
+                pred,
+                then_val,
+                else_val,
+            } => {
+                *pred = f(*pred);
+                *then_val = f(*then_val);
+                *else_val = f(*else_val);
+            }
+            FirNode::Query { binds, .. } | FirNode::ScalarQuery { binds, .. } => {
+                for (_, e) in binds {
+                    *e = f(*e);
+                }
+            }
+            FirNode::CacheLookup { key, .. } => *key = f(*key),
+            FirNode::Fold {
+                func, init, source, ..
+            } => {
+                *func = f(*func);
+                *init = f(*init);
+                *source = f(*source);
+            }
+            FirNode::Const(_)
+            | FirNode::Param(_)
+            | FirNode::AccParam(_)
+            | FirNode::TupleVar(_)
+            | FirNode::TupleAttr(_, _)
+            | FirNode::CollectionParam(_) => {}
+        }
+        node
+    }
+}
+
 /// A hash-consed arena of F-IR nodes: structurally identical expressions
 /// share one id, so common sub-expressions are shared (§V-B: "The
 /// expressions may have common sub-expressions, which are shared").
@@ -133,117 +240,10 @@ impl FirArena {
         id: FirId,
         subst: &impl Fn(FirId, &FirNode) -> Option<FirNode>,
     ) -> FirId {
-        let node = (*self.nodes[id]).clone();
-        if let Some(replacement) = subst(id, &node) {
-            return self.add(replacement);
-        }
-        let rebuilt = match node {
-            FirNode::Bin(op, l, r) => {
-                let l2 = self.rewrite(l, subst);
-                let r2 = self.rewrite(r, subst);
-                FirNode::Bin(op, l2, r2)
-            }
-            FirNode::Not(e) => {
-                let e2 = self.rewrite(e, subst);
-                FirNode::Not(e2)
-            }
-            FirNode::Call(f, args) => {
-                let args2 = args.into_iter().map(|a| self.rewrite(a, subst)).collect();
-                FirNode::Call(f, args2)
-            }
-            FirNode::Insert(c, e) => {
-                let c2 = self.rewrite(c, subst);
-                let e2 = self.rewrite(e, subst);
-                FirNode::Insert(c2, e2)
-            }
-            FirNode::MapPut(m, k, v) => {
-                let m2 = self.rewrite(m, subst);
-                let k2 = self.rewrite(k, subst);
-                let v2 = self.rewrite(v, subst);
-                FirNode::MapPut(m2, k2, v2)
-            }
-            FirNode::Cond {
-                pred,
-                then_val,
-                else_val,
-            } => {
-                let p = self.rewrite(pred, subst);
-                let t = self.rewrite(then_val, subst);
-                let e = self.rewrite(else_val, subst);
-                FirNode::Cond {
-                    pred: p,
-                    then_val: t,
-                    else_val: e,
-                }
-            }
-            FirNode::Tuple(items) => {
-                let items2 = items.into_iter().map(|i| self.rewrite(i, subst)).collect();
-                FirNode::Tuple(items2)
-            }
-            FirNode::Project(t, i) => {
-                let t2 = self.rewrite(t, subst);
-                FirNode::Project(t2, i)
-            }
-            FirNode::Query { plan, binds } => {
-                let binds2 = binds
-                    .into_iter()
-                    .map(|(p, e)| (p, self.rewrite(e, subst)))
-                    .collect();
-                FirNode::Query {
-                    plan,
-                    binds: binds2,
-                }
-            }
-            FirNode::ScalarQuery { plan, binds } => {
-                let binds2 = binds
-                    .into_iter()
-                    .map(|(p, e)| (p, self.rewrite(e, subst)))
-                    .collect();
-                FirNode::ScalarQuery {
-                    plan,
-                    binds: binds2,
-                }
-            }
-            FirNode::RowField(r, c) => {
-                let r2 = self.rewrite(r, subst);
-                FirNode::RowField(r2, c)
-            }
-            FirNode::CacheLookup {
-                table,
-                key_col,
-                key,
-            } => {
-                let key2 = self.rewrite(key, subst);
-                FirNode::CacheLookup {
-                    table,
-                    key_col,
-                    key: key2,
-                }
-            }
-            FirNode::Fold {
-                func,
-                init,
-                source,
-                loop_var,
-                updated,
-            } => {
-                let f2 = self.rewrite(func, subst);
-                let i2 = self.rewrite(init, subst);
-                let s2 = self.rewrite(source, subst);
-                FirNode::Fold {
-                    func: f2,
-                    init: i2,
-                    source: s2,
-                    loop_var,
-                    updated,
-                }
-            }
-            leaf @ (FirNode::Const(_)
-            | FirNode::Param(_)
-            | FirNode::AccParam(_)
-            | FirNode::TupleVar(_)
-            | FirNode::TupleAttr(_, _)
-            | FirNode::CollectionParam(_)) => leaf,
+        let node = self.nodes[id].clone();
+        let rebuilt = match subst(id, &node) {
+            Some(replacement) => replacement,
+            None => node.map_children(|c| self.rewrite(c, subst)),
         };
         self.add(rebuilt)
     }
@@ -280,7 +280,7 @@ impl FirArena {
             }
             seen[n] = true;
             let mut found = false;
-            self.for_each_child(n, |c| {
+            self.node(n).for_each_child(|c| {
                 if c == target {
                     found = true;
                 } else {
@@ -299,33 +299,15 @@ impl FirArena {
             return;
         }
         seen[id] = true;
-        self.for_each_child(id, |c| self.visit(c, seen, order));
+        self.node(id).for_each_child(|c| self.visit(c, seen, order));
         order.push(id);
     }
 
     /// Direct children of a node.
     pub fn children(&self, id: FirId) -> Vec<FirId> {
-        match self.node(id) {
-            FirNode::Bin(_, l, r) => vec![*l, *r],
-            FirNode::Not(e) | FirNode::Project(e, _) | FirNode::RowField(e, _) => vec![*e],
-            FirNode::Call(_, args) => args.clone(),
-            FirNode::Insert(a, b) => vec![*a, *b],
-            FirNode::MapPut(a, b, c) => vec![*a, *b, *c],
-            FirNode::Cond {
-                pred,
-                then_val,
-                else_val,
-            } => vec![*pred, *then_val, *else_val],
-            FirNode::Tuple(items) => items.clone(),
-            FirNode::Query { binds, .. } | FirNode::ScalarQuery { binds, .. } => {
-                binds.iter().map(|(_, e)| *e).collect()
-            }
-            FirNode::CacheLookup { key, .. } => vec![*key],
-            FirNode::Fold {
-                func, init, source, ..
-            } => vec![*func, *init, *source],
-            _ => Vec::new(),
-        }
+        let mut out = Vec::new();
+        self.node(id).for_each_child(|c| out.push(c));
+        out
     }
 
     /// True if any node reachable from `id` satisfies `pred` — an
@@ -342,63 +324,12 @@ impl FirArena {
             if pred(self.node(n)) {
                 return true;
             }
-            self.for_each_child(n, |c| stack.push(c));
+            self.node(n).for_each_child(|c| stack.push(c));
         }
         false
     }
 
-    /// Visit the direct children of `id` without allocating (the `Vec`
-    /// that [`FirArena::children`] returns is pure overhead in traversal
-    /// hot loops).
-    pub fn for_each_child(&self, id: FirId, mut f: impl FnMut(FirId)) {
-        match self.node(id) {
-            FirNode::Bin(_, l, r) | FirNode::Insert(l, r) => {
-                f(*l);
-                f(*r);
-            }
-            FirNode::Not(e) | FirNode::Project(e, _) | FirNode::RowField(e, _) => f(*e),
-            FirNode::Call(_, args) | FirNode::Tuple(args) => {
-                for a in args {
-                    f(*a);
-                }
-            }
-            FirNode::MapPut(a, b, c) => {
-                f(*a);
-                f(*b);
-                f(*c);
-            }
-            FirNode::Cond {
-                pred,
-                then_val,
-                else_val,
-            } => {
-                f(*pred);
-                f(*then_val);
-                f(*else_val);
-            }
-            FirNode::Query { binds, .. } | FirNode::ScalarQuery { binds, .. } => {
-                for (_, e) in binds {
-                    f(*e);
-                }
-            }
-            FirNode::CacheLookup { key, .. } => f(*key),
-            FirNode::Fold {
-                func, init, source, ..
-            } => {
-                f(*func);
-                f(*init);
-                f(*source);
-            }
-            FirNode::Const(_)
-            | FirNode::Param(_)
-            | FirNode::AccParam(_)
-            | FirNode::TupleVar(_)
-            | FirNode::TupleAttr(_, _)
-            | FirNode::CollectionParam(_) => {}
-        }
-    }
-
-    /// A stable 64-bit structural hash of the DAG rooted at `id`:
+    /// A 64-bit structural hash of the DAG rooted at `id`:
     /// arena-id-independent (child ids are replaced by their own
     /// structural hashes), so hashes compare across arenas. `memo` caches
     /// per-node results — pass a `vec![None; arena.len()]` (or shorter;
@@ -412,138 +343,9 @@ impl FirArena {
             return h;
         }
         let mut h = minidb::StableHasher::new();
-        let child = |s: &Self, m: &mut Vec<Option<u64>>, c: FirId| s.structural_hash(c, m);
-        match self.node(id) {
-            FirNode::Const(v) => {
-                0u8.hash(&mut h);
-                v.hash(&mut h);
-            }
-            FirNode::Param(s) => {
-                1u8.hash(&mut h);
-                s.hash(&mut h);
-            }
-            FirNode::AccParam(s) => {
-                2u8.hash(&mut h);
-                s.hash(&mut h);
-            }
-            FirNode::TupleVar(s) => {
-                3u8.hash(&mut h);
-                s.hash(&mut h);
-            }
-            FirNode::TupleAttr(v, c) => {
-                4u8.hash(&mut h);
-                v.hash(&mut h);
-                c.hash(&mut h);
-            }
-            FirNode::Bin(op, l, r) => {
-                5u8.hash(&mut h);
-                op.hash(&mut h);
-                let (l, r) = (*l, *r);
-                child(self, memo, l).hash(&mut h);
-                child(self, memo, r).hash(&mut h);
-            }
-            FirNode::Not(e) => {
-                6u8.hash(&mut h);
-                let e = *e;
-                child(self, memo, e).hash(&mut h);
-            }
-            FirNode::Call(f, args) => {
-                7u8.hash(&mut h);
-                f.hash(&mut h);
-                for &a in args {
-                    child(self, memo, a).hash(&mut h);
-                }
-            }
-            FirNode::Insert(a, b) => {
-                8u8.hash(&mut h);
-                let (a, b) = (*a, *b);
-                child(self, memo, a).hash(&mut h);
-                child(self, memo, b).hash(&mut h);
-            }
-            FirNode::MapPut(a, b, c) => {
-                9u8.hash(&mut h);
-                let (a, b, c) = (*a, *b, *c);
-                child(self, memo, a).hash(&mut h);
-                child(self, memo, b).hash(&mut h);
-                child(self, memo, c).hash(&mut h);
-            }
-            FirNode::Cond {
-                pred,
-                then_val,
-                else_val,
-            } => {
-                10u8.hash(&mut h);
-                let (p, t, e) = (*pred, *then_val, *else_val);
-                child(self, memo, p).hash(&mut h);
-                child(self, memo, t).hash(&mut h);
-                child(self, memo, e).hash(&mut h);
-            }
-            FirNode::Tuple(items) => {
-                11u8.hash(&mut h);
-                items.len().hash(&mut h);
-                for &i in items {
-                    child(self, memo, i).hash(&mut h);
-                }
-            }
-            FirNode::Project(t, i) => {
-                12u8.hash(&mut h);
-                i.hash(&mut h);
-                let t = *t;
-                child(self, memo, t).hash(&mut h);
-            }
-            FirNode::Query { plan, binds } => {
-                13u8.hash(&mut h);
-                plan.fingerprint().as_u64().hash(&mut h);
-                for (p, e) in binds {
-                    p.hash(&mut h);
-                    child(self, memo, *e).hash(&mut h);
-                }
-            }
-            FirNode::ScalarQuery { plan, binds } => {
-                14u8.hash(&mut h);
-                plan.fingerprint().as_u64().hash(&mut h);
-                for (p, e) in binds {
-                    p.hash(&mut h);
-                    child(self, memo, *e).hash(&mut h);
-                }
-            }
-            FirNode::RowField(r, c) => {
-                15u8.hash(&mut h);
-                c.hash(&mut h);
-                let r = *r;
-                child(self, memo, r).hash(&mut h);
-            }
-            FirNode::CacheLookup {
-                table,
-                key_col,
-                key,
-            } => {
-                16u8.hash(&mut h);
-                table.hash(&mut h);
-                key_col.hash(&mut h);
-                let k = *key;
-                child(self, memo, k).hash(&mut h);
-            }
-            FirNode::CollectionParam(s) => {
-                17u8.hash(&mut h);
-                s.hash(&mut h);
-            }
-            FirNode::Fold {
-                func,
-                init,
-                source,
-                loop_var,
-                updated,
-            } => {
-                18u8.hash(&mut h);
-                loop_var.hash(&mut h);
-                updated.hash(&mut h);
-                let (f0, i0, s0) = (*func, *init, *source);
-                child(self, memo, f0).hash(&mut h);
-                child(self, memo, i0).hash(&mut h);
-                child(self, memo, s0).hash(&mut h);
-            }
-        }
+        self.node(id)
+            .map_children(|c| self.structural_hash(c, memo) as FirId)
+            .hash(&mut h);
         let out = h.finish();
         memo[id] = Some(out);
         out

@@ -444,7 +444,7 @@ fn update_order(arena: &FirArena, updated: &[String], items: &[FirId]) -> Option
 mod tests {
     use super::*;
     use crate::build::loop_to_fold;
-    use crate::rules::expand_alternatives;
+    use crate::ruleset::{expand_with, RuleSet};
     use imperative::pretty;
     use minidb::BinOp;
     use orm::{EntityMapping, MappingRegistry};
@@ -486,7 +486,7 @@ mod tests {
             Some(&["result".to_string()]),
         )
         .unwrap();
-        expand_alternatives(base, 32)
+        expand_with(base, &RuleSet::standard(), 32).alternatives
     }
 
     #[test]
@@ -575,7 +575,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let alts = expand_alternatives(base, 32);
+        let alts = expand_with(base, &RuleSet::standard(), 32).alternatives;
         let agg = alts
             .iter()
             .find(|a| a.rules_applied.contains(&"T5"))
@@ -660,7 +660,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let alts = expand_alternatives(base, 32);
+        let alts = expand_with(base, &RuleSet::standard(), 32).alternatives;
         let t1 = alts
             .iter()
             .find(|a| a.rules_applied.contains(&"T1"))

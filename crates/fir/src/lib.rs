@@ -17,14 +17,15 @@
 //! * [`rules`] — transformation rules: T2 (predicate push), T3 is folded
 //!   into the expression translation, T4/T5-variant (lookup/nested-loop →
 //!   join), T5 (aggregation extraction, full and partial), N1
-//!   (prefetching), N2 (selection pull-out), T1 (fold removal), plus the
-//!   closure driver [`rules::expand_alternatives`],
+//!   (prefetching), N2 (selection pull-out), T1 (fold removal); each one
+//!   matches and returns [`Derivation`]s, data describing what it derived,
 //! * [`codegen`] — F-IR alternative → imperative statements, the inverse
 //!   of [`build`],
 //! * [`ruleset`] — the rules as first-class API objects: a [`RuleSet`]
 //!   registry with per-rule enable/disable toggles and room for
-//!   user-registered [`Rule`]s, consumed by the closure driver
-//!   [`ruleset::expand_with`].
+//!   user-registered [`Rule`]s, and the closure driver
+//!   [`ruleset::expand_with`] — the one place that turns a [`Derivation`]
+//!   into a [`FirAlternative`].
 
 pub mod arena;
 pub mod build;
@@ -35,8 +36,7 @@ pub mod ruleset;
 pub use arena::{FirArena, FirId, FirNode};
 pub use build::{loop_to_fold, FirAlternative, Prefetch};
 pub use codegen::generate;
-pub use rules::expand_alternatives;
 pub use ruleset::{
-    expand_with, expand_with_verifier, EffectDelta, Expansion, RewriteVerifier, Rule, RuleAction,
-    RuleSet,
+    expand_with, expand_with_verifier, Change, Derivation, EffectDelta, Expansion, RewriteVerifier,
+    Rule, RuleFn, RuleSet,
 };

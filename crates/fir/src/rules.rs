@@ -13,25 +13,49 @@
 //! implicitly during aggregation extraction: aggregate arguments are
 //! translated into SQL expressions over the source's columns.
 //!
-//! Rules return *new* [`FirAlternative`]s; [`expand_alternatives`] closes
-//! a base alternative under all rules with structural deduplication (the
-//! T2 ⇄ N2 cycle terminates exactly the way cyclic rules terminate in the
-//! Volcano memo).
+//! Every rule here has the one shape of [`crate::ruleset::RuleFn`]: it
+//! matches, and returns [`Derivation`]s describing what it found;
+//! [`crate::ruleset::expand_with`] builds the alternatives and closes a
+//! base alternative under the registered rules.
 
 use crate::arena::{FirArena, FirId, FirNode};
 use crate::build::{FirAlternative, Prefetch};
+use crate::ruleset::{Change, Derivation};
 use minidb::plan::AggItem;
-use minidb::{AggFunc, BinOp, LogicalPlan, ScalarExpr, Value};
+use minidb::{AggFunc, BinOp, LogicalPlan, ScalarExpr, SharedPlan, Value};
+
+/// `var ← expr`, as in [`FirAlternative::assigns`].
+type Assign = (String, FirId);
 
 /// The decomposed parts of a fold node.
 struct FoldParts {
-    #[allow(dead_code)]
-    fold: FirId,
     func_items: Vec<FirId>,
     init_items: Vec<FirId>,
     source: FirId,
     loop_var: String,
     updated: Vec<String>,
+}
+
+impl FoldParts {
+    /// This fold with another body and source: same accumulators, same
+    /// initial values, same tuple variable.
+    fn rebuilt(&self, arena: &mut FirArena, func_items: Vec<FirId>, source: FirId) -> FirNode {
+        FirNode::Fold {
+            func: arena.add(FirNode::Tuple(func_items)),
+            init: arena.add(FirNode::Tuple(self.init_items.clone())),
+            source,
+            loop_var: self.loop_var.clone(),
+            updated: self.updated.clone(),
+        }
+    }
+
+    /// The fold's source when it is a query: `(plan, binds)`.
+    fn source_query(&self, arena: &FirArena) -> Option<(SharedPlan, Vec<Assign>)> {
+        match arena.node(self.source) {
+            FirNode::Query { plan, binds } => Some((plan.clone(), binds.clone())),
+            _ => None,
+        }
+    }
 }
 
 fn fold_parts(arena: &FirArena, fold: FirId) -> Option<FoldParts> {
@@ -52,7 +76,6 @@ fn fold_parts(arena: &FirArena, fold: FirId) -> Option<FoldParts> {
         return None;
     };
     Some(FoldParts {
-        fold,
         func_items,
         init_items,
         source,
@@ -61,12 +84,11 @@ fn fold_parts(arena: &FirArena, fold: FirId) -> Option<FoldParts> {
     })
 }
 
-/// The outermost fold of an alternative whose assigns are all
-/// `project_i(fold)` of one fold.
-fn top_fold(alt: &FirAlternative) -> Option<FirId> {
+/// The one fold that every id in `projections` is a `project_i` of.
+fn common_fold(arena: &FirArena, projections: impl Iterator<Item = FirId>) -> Option<FirId> {
     let mut fold = None;
-    for (_, id) in &alt.assigns {
-        let FirNode::Project(f, _) = alt.arena.node(*id) else {
+    for id in projections {
+        let FirNode::Project(f, _) = arena.node(id) else {
             return None;
         };
         match fold {
@@ -76,6 +98,12 @@ fn top_fold(alt: &FirAlternative) -> Option<FirId> {
         }
     }
     fold
+}
+
+/// The outermost fold of an alternative whose assigns are all
+/// `project_i(fold)` of one fold.
+fn top_fold(arena: &FirArena, assigns: &[Assign]) -> Option<FirId> {
+    common_fold(arena, assigns.iter().map(|(_, id)| *id))
 }
 
 /// All fold nodes reachable from the alternative's assignments.
@@ -93,50 +121,39 @@ pub(crate) fn reachable_folds(alt: &FirAlternative) -> Vec<FirId> {
     out
 }
 
-/// Rebuild every assignment with `old` replaced by `new_node`.
-pub(crate) fn replace_node(
-    alt: &FirAlternative,
-    old: FirId,
-    new_node: FirNode,
-    rule: &'static str,
-    extra_prefetches: Vec<Prefetch>,
-) -> FirAlternative {
-    let mut arena = alt.arena.clone();
-    let assigns = alt
-        .assigns
-        .iter()
-        .map(|(v, root)| {
-            let repl = new_node.clone();
-            let new_root = arena.rewrite(*root, &|id, _| {
-                if id == old {
-                    Some(repl.clone())
-                } else {
-                    None
-                }
-            });
-            (v.clone(), new_root)
-        })
-        .collect();
-    let mut prefetches = alt.prefetches.clone();
-    for p in extra_prefetches {
-        if !prefetches.contains(&p) {
-            prefetches.push(p);
+/// Flatten a `+`/`-` chain into its terms, each with its sign (`Sub`
+/// negates its right arm). With `through_sub` off only `+` is a chain and
+/// a `-` node is a term like any other.
+fn signed_terms(
+    arena: &FirArena,
+    id: FirId,
+    through_sub: bool,
+    positive: bool,
+    out: &mut Vec<(FirId, bool)>,
+) {
+    match arena.node(id) {
+        FirNode::Bin(op @ (BinOp::Add | BinOp::Sub), l, r) if through_sub || *op == BinOp::Add => {
+            signed_terms(arena, *l, through_sub, positive, out);
+            signed_terms(arena, *r, through_sub, positive == (*op == BinOp::Add), out);
         }
-    }
-    let mut rules_applied = alt.rules_applied.clone();
-    rules_applied.push(rule);
-    FirAlternative {
-        arena,
-        prefetches,
-        assigns,
-        rules_applied,
-        requires_empty_init: alt.requires_empty_init.clone(),
+        _ => out.push((id, positive)),
     }
 }
 
 // --------------------------------------------------------------------
 // Scalar translation helpers (the F-IR ⇄ SQL bridge; subsumes rule T3).
 // --------------------------------------------------------------------
+
+/// Bind `value` as a query parameter under a name `binds` does not hold
+/// yet — the source query may already bind `:p1` to something else.
+fn fresh_param(binds: &mut Vec<Assign>, value: FirId) -> ScalarExpr {
+    let name = (binds.len()..)
+        .map(|i| format!("p{i}"))
+        .find(|name| binds.iter().all(|(bound, _)| bound != name))
+        .expect("an unbounded range of candidate names");
+    binds.push((name.clone(), value));
+    ScalarExpr::Param(name)
+}
 
 /// Translate an F-IR expression into a SQL scalar expression over the
 /// tuple of fold `loop_var`. References to anything *outside* that tuple
@@ -146,24 +163,18 @@ fn to_scalar(
     arena: &FirArena,
     id: FirId,
     loop_var: &str,
-    binds: &mut Vec<(String, FirId)>,
+    binds: &mut Vec<Assign>,
 ) -> Option<ScalarExpr> {
     match arena.node(id) {
         FirNode::Const(v) => Some(ScalarExpr::Lit(v.clone())),
         FirNode::TupleAttr(v, c) if v == loop_var => Some(ScalarExpr::col(c)),
-        FirNode::TupleAttr(_, _) | FirNode::Param(_) => {
-            // Correlated / outer value → query parameter.
-            let name = format!("p{}", binds.len());
-            binds.push((name.clone(), id));
-            Some(ScalarExpr::Param(name))
-        }
+        // Correlated / outer value → query parameter.
+        FirNode::TupleAttr(_, _) | FirNode::Param(_) => Some(fresh_param(binds, id)),
         // A field of a row available at region entry (the enclosing loop's
         // element, viewed from the inner region) is scalar to the query →
         // also a parameter (pattern A's correlated inner filter).
         FirNode::RowField(base, _) if matches!(arena.node(*base), FirNode::Param(_)) => {
-            let name = format!("p{}", binds.len());
-            binds.push((name.clone(), id));
-            Some(ScalarExpr::Param(name))
+            Some(fresh_param(binds, id))
         }
         FirNode::Bin(op, l, r) => {
             let ls = to_scalar(arena, *l, loop_var, binds)?;
@@ -192,7 +203,7 @@ fn from_scalar(
     arena: &mut FirArena,
     expr: &ScalarExpr,
     loop_var: &str,
-    binds: &[(String, FirId)],
+    binds: &[Assign],
 ) -> Option<FirId> {
     match expr {
         ScalarExpr::Lit(v) => Some(arena.add(FirNode::Const(v.clone()))),
@@ -220,9 +231,10 @@ fn from_scalar(
 }
 
 /// Match a single-row/filtered lookup query: `σ_{A = key}(R)` where `key`
-/// is a parameter bound to an F-IR value or a constant. Returns
-/// `(table, key_column, key_fir_id)`.
-fn match_lookup_query(arena: &FirArena, id: FirId) -> Option<(String, String, FirId)> {
+/// is a parameter bound to an F-IR value or, in a query without binds, a
+/// constant. Returns `(table, key_column, key node)`; the key comes back
+/// as a node because a constant one may not be interned yet.
+fn match_lookup_query(arena: &FirArena, id: FirId) -> Option<(String, String, FirNode)> {
     let FirNode::Query { plan, binds } = arena.node(id) else {
         return None;
     };
@@ -240,118 +252,60 @@ fn match_lookup_query(arena: &FirArena, id: FirId) -> Option<(String, String, Fi
         (other, ScalarExpr::Col(c)) => (c, other),
         _ => return None,
     };
-    match key_expr {
+    let key = match key_expr {
         ScalarExpr::Param(p) => {
             let (_, key_id) = binds.iter().find(|(n, _)| n == p)?;
-            Some((table.clone(), col.name.clone(), *key_id))
+            arena.node(*key_id).clone()
         }
-        // Constant keys are handled by `match_lookup_query_mut`, which can
-        // intern the constant.
-        _ => None,
-    }
-}
-
-/// Like [`match_lookup_query`] but also matches constant keys; needs `&mut`
-/// to intern the constant.
-fn match_lookup_query_mut(arena: &mut FirArena, id: FirId) -> Option<(String, String, FirId)> {
-    if let Some(hit) = match_lookup_query(arena, id) {
-        return Some(hit);
-    }
-    let FirNode::Query { plan, binds } = arena.node(id).clone() else {
-        return None;
-    };
-    if !binds.is_empty() {
-        return None;
-    }
-    let LogicalPlan::Select { input, pred } = plan.as_plan() else {
-        return None;
-    };
-    let LogicalPlan::Scan { table, .. } = &**input else {
-        return None;
-    };
-    let ScalarExpr::Bin(BinOp::Eq, l, r) = pred else {
-        return None;
-    };
-    let (col, key_expr) = match (&**l, &**r) {
-        (ScalarExpr::Col(c), other) => (c, other),
-        (other, ScalarExpr::Col(c)) => (c, other),
+        ScalarExpr::Lit(v) if binds.is_empty() => FirNode::Const(v.clone()),
         _ => return None,
     };
-    if let ScalarExpr::Lit(v) = key_expr {
-        let key = arena.add(FirNode::Const(v.clone()));
-        return Some((table.clone(), col.name.clone(), key));
-    }
-    None
+    Some((table.clone(), col.name.clone(), key))
 }
 
 // --------------------------------------------------------------------
 // Rule T5 — aggregation extraction.
 // --------------------------------------------------------------------
 
-/// A classified scalar aggregation.
-struct AggClass {
-    func: AggFunc,
-    arg: Option<ScalarExpr>,
-}
-
-/// Classify `item` as an aggregation update of accumulator `acc`:
-/// `<acc> + e` (sum), `<acc> + 1` (count).
-fn classify_agg(arena: &FirArena, item: FirId, acc: &str, loop_var: &str) -> Option<AggClass> {
+/// Classify `item` as an aggregation update of accumulator `acc` —
+/// `<acc> + e` (sum), `<acc> + 1` (count) — and name the aggregate
+/// `agg_<acc>`.
+fn classify_agg(arena: &FirArena, item: FirId, acc: &str, loop_var: &str) -> Option<AggItem> {
+    let agg = |func, arg| AggItem {
+        func,
+        arg,
+        name: format!("agg_{acc}"),
+    };
     // Flatten an Add chain and find <acc> exactly once.
-    fn flatten(arena: &FirArena, id: FirId, out: &mut Vec<FirId>) {
-        if let FirNode::Bin(BinOp::Add, l, r) = arena.node(id) {
-            flatten(arena, *l, out);
-            flatten(arena, *r, out);
-        } else {
-            out.push(id);
-        }
-    }
-    let mut terms = Vec::new();
-    flatten(arena, item, &mut terms);
     let acc_node = FirNode::AccParam(acc.to_string());
-    let acc_positions: Vec<usize> = terms
-        .iter()
-        .enumerate()
-        .filter(|(_, &t)| arena.node(t) == &acc_node)
-        .map(|(i, _)| i)
-        .collect();
-    if acc_positions.len() != 1 {
-        return None;
-    }
+    let mut terms = Vec::new();
+    signed_terms(arena, item, false, true, &mut terms);
     let rest: Vec<FirId> = terms
-        .into_iter()
+        .iter()
+        .map(|&(t, _)| t)
         .filter(|&t| arena.node(t) != &acc_node)
         .collect();
-    if rest.is_empty() {
+    if rest.len() + 1 != terms.len() || rest.is_empty() {
         return None;
     }
     // count: the remaining term is the constant 1.
-    if rest.len() == 1 {
-        if let FirNode::Const(Value::Int(1)) = arena.node(rest[0]) {
-            return Some(AggClass {
-                func: AggFunc::Count,
-                arg: None,
-            });
+    if let [one] = rest[..] {
+        if let FirNode::Const(Value::Int(1)) = arena.node(one) {
+            return Some(agg(AggFunc::Count, None));
         }
     }
     // sum: all remaining terms translate to scalar expressions over the
     // fold tuple with no correlation.
     let mut binds = Vec::new();
-    let mut sum_expr: Option<ScalarExpr> = None;
-    for t in rest {
-        let s = to_scalar(arena, t, loop_var, &mut binds)?;
-        sum_expr = Some(match sum_expr {
-            None => s,
-            Some(acc) => ScalarExpr::bin(BinOp::Add, acc, s),
-        });
-    }
+    let summands: Option<Vec<ScalarExpr>> = rest
+        .iter()
+        .map(|&t| to_scalar(arena, t, loop_var, &mut binds))
+        .collect();
     if !binds.is_empty() {
         return None; // correlated aggregation argument: keep in the loop
     }
-    Some(AggClass {
-        func: AggFunc::Sum,
-        arg: sum_expr,
-    })
+    let sum = |l, r| ScalarExpr::bin(BinOp::Add, l, r);
+    Some(agg(AggFunc::Sum, summands?.into_iter().reduce(sum)))
 }
 
 /// Strip a top-level ORDER BY (irrelevant under aggregation) and a
@@ -419,125 +373,79 @@ fn add_init(arena: &mut FirArena, init: FirId, agg: FirId) -> FirId {
 /// when the entry value is literally zero): the fold starts from the
 /// accumulator's region-entry value and yields it unchanged on an empty
 /// source, and the SQL query must reproduce both behaviors.
-pub fn t5_aggregation(alt: &FirAlternative) -> Vec<FirAlternative> {
-    let Some(fold) = top_fold(alt) else {
-        return Vec::new();
-    };
-    let Some(parts) = fold_parts(&alt.arena, fold) else {
-        return Vec::new();
-    };
-    let FirNode::Query { plan, binds } = alt.arena.node(parts.source) else {
-        return Vec::new();
-    };
-    if !binds.is_empty() {
-        return Vec::new(); // correlated source: aggregation not uncorrelated
+pub(crate) fn t5_aggregation(
+    arena: &mut FirArena,
+    assigns: &[Assign],
+    site: Option<FirId>,
+) -> Option<Vec<Derivation>> {
+    if site.is_some() {
+        return None;
     }
-    let classes: Vec<Option<AggClass>> = parts
+    let parts = fold_parts(arena, top_fold(arena, assigns)?)?;
+    let (plan, binds) = parts.source_query(arena)?;
+    if !binds.is_empty() {
+        return None; // correlated source: aggregation not uncorrelated
+    }
+    let classes: Vec<Option<AggItem>> = parts
         .updated
         .iter()
         .zip(&parts.func_items)
-        .map(|(u, &item)| classify_agg(&alt.arena, item, u, &parts.loop_var))
+        .map(|(u, &item)| classify_agg(arena, item, u, &parts.loop_var))
         .collect();
+    let aggregate = |aggs: Vec<AggItem>| -> SharedPlan {
+        strip_order(&plan).aggregate(Vec::new(), aggs).into()
+    };
 
-    let mut out = Vec::new();
-    let all = classes.iter().all(|c| c.is_some());
-    if all && !classes.is_empty() {
+    let all: Option<Vec<AggItem>> = classes.iter().cloned().collect();
+    if let Some(aggs) = all.filter(|aggs| !aggs.is_empty()) {
         // Full extraction: one aggregate query computing every accumulator.
-        let mut arena = alt.arena.clone();
-        let aggs: Vec<AggItem> = parts
-            .updated
-            .iter()
-            .zip(&classes)
-            .map(|(u, c)| {
-                let c = c.as_ref().unwrap();
-                AggItem {
-                    func: c.func,
-                    arg: c.arg.clone(),
-                    name: format!("agg_{u}"),
-                }
+        let scalar = aggs.len() == 1;
+        let (plan, binds) = (aggregate(aggs.clone()), Vec::new());
+        let q = arena.add(if scalar {
+            FirNode::ScalarQuery { plan, binds }
+        } else {
+            FirNode::Query { plan, binds }
+        });
+        let values = parts.updated.iter().zip(&aggs).zip(&parts.init_items);
+        let assigns = values
+            .map(|((u, agg), &init)| {
+                let value = if scalar {
+                    q
+                } else {
+                    arena.add(FirNode::RowField(q, agg.name.clone()))
+                };
+                let guarded = guard_empty_agg(arena, value, agg.func);
+                (u.clone(), add_init(arena, init, guarded))
             })
             .collect();
-        let agg_plan = strip_order(plan).aggregate(Vec::new(), aggs);
-        let assigns = if parts.updated.len() == 1 {
-            let sq = arena.add(FirNode::ScalarQuery {
-                plan: agg_plan.into(),
-                binds: Vec::new(),
-            });
-            let func = classes[0].as_ref().unwrap().func;
-            let guarded = guard_empty_agg(&mut arena, sq, func);
-            let value = add_init(&mut arena, parts.init_items[0], guarded);
-            vec![(parts.updated[0].clone(), value)]
-        } else {
-            let q = arena.add(FirNode::Query {
-                plan: agg_plan.into(),
-                binds: Vec::new(),
-            });
-            parts
-                .updated
-                .iter()
-                .zip(&classes)
-                .zip(&parts.init_items)
-                .map(|((u, c), &init)| {
-                    let rf = arena.add(FirNode::RowField(q, format!("agg_{u}")));
-                    let guarded = guard_empty_agg(&mut arena, rf, c.as_ref().unwrap().func);
-                    let value = add_init(&mut arena, init, guarded);
-                    (u.clone(), value)
-                })
-                .collect()
-        };
-        let mut rules_applied = alt.rules_applied.clone();
-        rules_applied.push("T5");
-        out.push(FirAlternative {
-            arena,
-            prefetches: alt.prefetches.clone(),
-            assigns,
-            rules_applied,
-            requires_empty_init: alt.requires_empty_init.clone(),
-        });
-    } else {
-        // Partial extraction (per extractable accumulator): keep the loop,
-        // add an aggregate query that recomputes the accumulator after it.
-        for (i, u) in parts.updated.iter().enumerate() {
-            let Some(c) = &classes[i] else { continue };
-            let mut arena = alt.arena.clone();
-            let agg_plan = strip_order(plan).aggregate(
-                Vec::new(),
-                vec![AggItem {
-                    func: c.func,
-                    arg: c.arg.clone(),
-                    name: format!("agg_{u}"),
-                }],
-            );
-            let sq = arena.add(FirNode::ScalarQuery {
-                plan: agg_plan.into(),
-                binds: Vec::new(),
-            });
-            let guarded = guard_empty_agg(&mut arena, sq, c.func);
-            let mut assigns = alt.assigns.clone();
-            let init = parts.init_items[i];
-            let value = if is_zero_const(&arena, init) {
-                guarded
-            } else {
-                // The kept loop mutates `u`, so its region-entry value
-                // must be captured *before* the loop runs.
-                let entry_var = format!("{u}__at_entry");
-                let entry_param = arena.add(FirNode::Param(entry_var.clone()));
-                assigns.insert(0, (entry_var, init));
-                arena.add(FirNode::Bin(BinOp::Add, entry_param, guarded))
-            };
-            assigns.push((u.clone(), value));
-            let mut rules_applied = alt.rules_applied.clone();
-            rules_applied.push("T5-partial");
-            out.push(FirAlternative {
-                arena,
-                prefetches: alt.prefetches.clone(),
-                assigns,
-                rules_applied,
-                requires_empty_init: alt.requires_empty_init.clone(),
-            });
-        }
+        return Some(vec![Derivation::new("T5", Change::Assigns(assigns))]);
     }
-    out
+    // Partial extraction (per extractable accumulator): keep the loop,
+    // add an aggregate query that recomputes the accumulator after it.
+    let mut out = Vec::new();
+    for ((u, class), &init) in parts.updated.iter().zip(classes).zip(&parts.init_items) {
+        let Some(agg) = class else { continue };
+        let func = agg.func;
+        let sq = arena.add(FirNode::ScalarQuery {
+            plan: aggregate(vec![agg]),
+            binds: Vec::new(),
+        });
+        let guarded = guard_empty_agg(arena, sq, func);
+        let mut assigns = assigns.to_vec();
+        let value = if is_zero_const(arena, init) {
+            guarded
+        } else {
+            // The kept loop mutates `u`, so its region-entry value
+            // must be captured *before* the loop runs.
+            let entry_var = format!("{u}__at_entry");
+            let entry_param = arena.add(FirNode::Param(entry_var.clone()));
+            assigns.insert(0, (entry_var, init));
+            arena.add(FirNode::Bin(BinOp::Add, entry_param, guarded))
+        };
+        assigns.push((u.clone(), value));
+        out.push(Derivation::new("T5-partial", Change::Assigns(assigns)));
+    }
+    Some(out)
 }
 
 // --------------------------------------------------------------------
@@ -546,11 +454,14 @@ pub fn t5_aggregation(alt: &FirAlternative) -> Vec<FirAlternative> {
 
 /// Rule T2 applied to one fold node: if every accumulator update is
 /// `?(p, g, <acc>)` with the same `p`, push `p` into the source query.
-pub(crate) fn t2_on_fold(arena: &mut FirArena, fold: FirId) -> Option<(FirNode, &'static str)> {
+pub(crate) fn t2_predicate_push(
+    arena: &mut FirArena,
+    _: &[Assign],
+    site: Option<FirId>,
+) -> Option<Vec<Derivation>> {
+    let fold = site?;
     let parts = fold_parts(arena, fold)?;
-    let FirNode::Query { plan, binds } = arena.node(parts.source).clone() else {
-        return None;
-    };
+    let (plan, mut binds) = parts.source_query(arena)?;
     let mut common_pred: Option<FirId> = None;
     let mut inner_items = Vec::with_capacity(parts.func_items.len());
     for (u, &item) in parts.updated.iter().zip(&parts.func_items) {
@@ -562,8 +473,7 @@ pub(crate) fn t2_on_fold(arena: &mut FirArena, fold: FirId) -> Option<(FirNode, 
         else {
             return None;
         };
-        let acc = arena.add(FirNode::AccParam(u.clone()));
-        if else_val != acc {
+        if arena.node(else_val) != &FirNode::AccParam(u.clone()) {
             return None;
         }
         match common_pred {
@@ -573,51 +483,40 @@ pub(crate) fn t2_on_fold(arena: &mut FirArena, fold: FirId) -> Option<(FirNode, 
         }
         inner_items.push(then_val);
     }
-    let pred = common_pred?;
-    let mut new_binds = binds.clone();
-    let scalar = to_scalar(arena, pred, &parts.loop_var, &mut new_binds)?;
-    let new_plan = plan.unshare().select(scalar);
-    let new_source = arena.add(FirNode::Query {
-        plan: new_plan.into(),
-        binds: new_binds,
+    let scalar = to_scalar(arena, common_pred?, &parts.loop_var, &mut binds)?;
+    let source = arena.add(FirNode::Query {
+        plan: plan.unshare().select(scalar).into(),
+        binds,
     });
-    let func = arena.add(FirNode::Tuple(inner_items));
-    let init = arena.add(FirNode::Tuple(parts.init_items.clone()));
-    Some((
-        FirNode::Fold {
-            func,
-            init,
-            source: new_source,
-            loop_var: parts.loop_var.clone(),
-            updated: parts.updated.clone(),
-        },
-        "T2",
-    ))
+    let node = parts.rebuilt(arena, inner_items, source);
+    Some(vec![Derivation::replace("T2", fold, node)])
 }
 
 // --------------------------------------------------------------------
 // Rule N2 — selection pull-out (reverse of T2).
 // --------------------------------------------------------------------
 
-pub(crate) fn n2_on_fold(arena: &mut FirArena, fold: FirId) -> Option<(FirNode, &'static str)> {
+pub(crate) fn n2_selection_pull(
+    arena: &mut FirArena,
+    _: &[Assign],
+    site: Option<FirId>,
+) -> Option<Vec<Derivation>> {
+    let fold = site?;
     let parts = fold_parts(arena, fold)?;
-    let FirNode::Query { plan, binds } = arena.node(parts.source).clone() else {
-        return None;
-    };
+    let (plan, mut binds) = parts.source_query(arena)?;
     let LogicalPlan::Select { input, pred } = plan.unshare() else {
         return None;
     };
     let fir_pred = from_scalar(arena, &pred, &parts.loop_var, &binds)?;
-    // Drop binds consumed by the predicate.
-    let mut used = Vec::new();
-    pred.collect_params(&mut used);
-    let rest_binds: Vec<(String, FirId)> = binds
-        .into_iter()
-        .filter(|(n, _)| !used.contains(n))
-        .collect();
-    let new_source = arena.add(FirNode::Query {
+    // Drop the binds only the pulled predicate consumed: one the rest of
+    // the plan still names stays bound.
+    let mut pulled = Vec::new();
+    pred.collect_params(&mut pulled);
+    let kept = input.params();
+    binds.retain(|(n, _)| !pulled.contains(n) || kept.contains(n));
+    let source = arena.add(FirNode::Query {
         plan: (*input).into(),
-        binds: rest_binds,
+        binds,
     });
     let new_items: Vec<FirId> = parts
         .updated
@@ -632,18 +531,8 @@ pub(crate) fn n2_on_fold(arena: &mut FirArena, fold: FirId) -> Option<(FirNode, 
             })
         })
         .collect();
-    let func = arena.add(FirNode::Tuple(new_items));
-    let init = arena.add(FirNode::Tuple(parts.init_items.clone()));
-    Some((
-        FirNode::Fold {
-            func,
-            init,
-            source: new_source,
-            loop_var: parts.loop_var.clone(),
-            updated: parts.updated.clone(),
-        },
-        "N2",
-    ))
+    let node = parts.rebuilt(arena, new_items, source);
+    Some(vec![Derivation::replace("N2", fold, node)])
 }
 
 // --------------------------------------------------------------------
@@ -675,36 +564,16 @@ pub(crate) fn n2_on_fold(arena: &mut FirArena, fold: FirId) -> Option<(FirNode, 
 /// order and changed the result.
 fn order_insensitive_update(arena: &FirArena, item: FirId, acc: &str) -> bool {
     let reads_any_acc = |id: FirId| arena.any(id, &|n| matches!(n, FirNode::AccParam(_)));
-    // Flatten a ±-chain with sign tracking (Sub negates its right arm).
-    fn flatten(arena: &FirArena, id: FirId, positive: bool, out: &mut Vec<(FirId, bool)>) {
-        match arena.node(id) {
-            FirNode::Bin(BinOp::Add, l, r) => {
-                flatten(arena, *l, positive, out);
-                flatten(arena, *r, positive, out);
-            }
-            FirNode::Bin(BinOp::Sub, l, r) => {
-                flatten(arena, *l, positive, out);
-                flatten(arena, *r, !positive, out);
-            }
-            _ => out.push((id, positive)),
-        }
-    }
     match arena.node(item) {
         FirNode::AccParam(v) => v == acc,
         FirNode::Bin(BinOp::Add | BinOp::Sub, _, _) => {
-            let mut terms = Vec::new();
-            flatten(arena, item, true, &mut terms);
             let acc_node = FirNode::AccParam(acc.to_string());
-            let accs: Vec<bool> = terms
-                .iter()
-                .filter(|(t, _)| arena.node(*t) == &acc_node)
-                .map(|&(_, positive)| positive)
-                .collect();
-            accs == [true]
-                && terms
-                    .iter()
-                    .filter(|(t, _)| arena.node(*t) != &acc_node)
-                    .all(|&(t, _)| !reads_any_acc(t))
+            let mut terms = Vec::new();
+            signed_terms(arena, item, true, true, &mut terms);
+            let (accs, deltas): (Vec<_>, Vec<_>) = terms
+                .into_iter()
+                .partition(|(t, _)| arena.node(*t) == &acc_node);
+            matches!(accs[..], [(_, true)]) && deltas.iter().all(|&(t, _)| !reads_any_acc(t))
         }
         FirNode::Insert(base, elem) => {
             !reads_any_acc(*elem) && order_insensitive_update(arena, *base, acc)
@@ -733,16 +602,36 @@ fn join_safe(arena: &FirArena, updated: &[String], items: &[FirId]) -> bool {
         .all(|(u, &item)| order_insensitive_update(arena, item, u))
 }
 
-/// Rewrite an iterative single-row lookup inside the fold into a join with
-/// the source (the paper's "variation of rule T5" that turns P0 into P1).
-pub(crate) fn lookup_to_join_on_fold(
+/// The source `outer ⋈_{fk = key} table` of a fold over `outer` whose
+/// body looked `table` up by `key_col = <loop_var>.fk` (`key`). The joined
+/// tuple carries both sides' columns under one variable, so a table may
+/// not meet itself: every column name would be ambiguous.
+fn join_source(
     arena: &mut FirArena,
-    fold: FirId,
-) -> Option<(FirNode, &'static str)> {
-    let parts = fold_parts(arena, fold)?;
-    let FirNode::Query { plan, binds } = arena.node(parts.source).clone() else {
+    outer: &FoldParts,
+    (table, key_col, key): (String, String, FirNode),
+) -> Option<FirId> {
+    let FirNode::TupleAttr(v, fk_col) = key else {
         return None;
     };
+    let (plan, binds) = outer.source_query(arena)?;
+    if v != outer.loop_var || plan.base_tables().contains(&table.as_str()) {
+        return None;
+    }
+    let join_plan = plan.unshare().join(
+        LogicalPlan::scan(&table),
+        ScalarExpr::eq(ScalarExpr::col(&fk_col), ScalarExpr::col(&key_col)),
+    );
+    Some(arena.add(FirNode::Query {
+        plan: join_plan.into(),
+        binds,
+    }))
+}
+
+/// Rewrite an iterative single-row lookup inside the fold into a join with
+/// the source (the paper's "variation of rule T5" that turns P0 into P1).
+fn lookup_to_join(arena: &mut FirArena, fold: FirId) -> Option<Derivation> {
+    let parts = fold_parts(arena, fold)?;
     // The join may enumerate rows in a different order than the loop.
     if !join_safe(arena, &parts.updated, &parts.func_items) {
         return None;
@@ -750,107 +639,48 @@ pub(crate) fn lookup_to_join_on_fold(
     // Find a lookup query reachable from the fold function whose key is an
     // attribute of *this* fold's tuple.
     let func_node = arena.add(FirNode::Tuple(parts.func_items.clone()));
-    let mut target: Option<(FirId, String, String, String)> = None;
-    for id in arena.reachable(func_node) {
-        if let Some((table, key_col, key)) = match_lookup_query(arena, id) {
-            if let FirNode::TupleAttr(v, b) = arena.node(key).clone() {
-                if v == parts.loop_var {
-                    target = Some((id, table, key_col, b));
-                    break;
-                }
-            }
-        }
-    }
-    let (lookup, table, key_col, fk_col) = target?;
-
-    // New source: source ⋈_{fk = key} table.
-    let join_plan = plan.unshare().join(
-        LogicalPlan::scan(&table),
-        ScalarExpr::eq(ScalarExpr::col(&fk_col), ScalarExpr::col(&key_col)),
-    );
-    let new_source = arena.add(FirNode::Query {
-        plan: join_plan.into(),
-        binds,
-    });
+    let (lookup, matched) = arena.reachable(func_node).into_iter().find_map(|id| {
+        let matched = match_lookup_query(arena, id)?;
+        matches!(&matched.2, FirNode::TupleAttr(v, _) if *v == parts.loop_var)
+            .then_some((id, matched))
+    })?;
+    let source = join_source(arena, &parts, matched)?;
 
     // Rewrite items: fields of the lookup become attributes of the joined
     // tuple.
-    let loop_var = parts.loop_var.clone();
     let new_items: Vec<FirId> = parts
         .func_items
         .iter()
         .map(|&item| {
-            arena.rewrite(item, &|id, node| match node {
+            arena.rewrite(item, &|_, node| match node {
                 FirNode::RowField(base, col) if *base == lookup => {
-                    Some(FirNode::TupleAttr(loop_var.clone(), col.clone()))
+                    Some(FirNode::TupleAttr(parts.loop_var.clone(), col.clone()))
                 }
-                _ => {
-                    let _ = id;
-                    None
-                }
+                _ => None,
             })
         })
         .collect();
     // The lookup must be fully consumed by field accesses.
-    for &item in &new_items {
-        if arena.reaches(item, lookup) {
-            return None;
-        }
+    if new_items.iter().any(|&item| arena.reaches(item, lookup)) {
+        return None;
     }
-    let func = arena.add(FirNode::Tuple(new_items));
-    let init = arena.add(FirNode::Tuple(parts.init_items.clone()));
-    Some((
-        FirNode::Fold {
-            func,
-            init,
-            source: new_source,
-            loop_var: parts.loop_var.clone(),
-            updated: parts.updated.clone(),
-        },
-        "T4/T5var(lookup-to-join)",
-    ))
+    let node = parts.rebuilt(arena, new_items, source);
+    Some(Derivation::replace("T4/T5var(lookup-to-join)", fold, node))
 }
 
 /// Rule T4 proper: a nested fold over a correlated selection becomes a
 /// single fold over a join (nested-loops join identification, pattern C).
-pub(crate) fn t4_nested_join_on_fold(
-    arena: &mut FirArena,
-    fold: FirId,
-) -> Option<(FirNode, &'static str)> {
+fn nested_fold_to_join(arena: &mut FirArena, fold: FirId) -> Option<Derivation> {
     let outer = fold_parts(arena, fold)?;
-    let FirNode::Query {
-        plan: outer_plan,
-        binds: outer_binds,
-    } = arena.node(outer.source).clone()
-    else {
-        return None;
-    };
     // Every outer item must be project_j(inner_fold) of one inner fold.
-    let mut inner_fold: Option<FirId> = None;
-    for &item in &outer.func_items {
-        let FirNode::Project(f, _) = arena.node(item) else {
-            return None;
-        };
-        match inner_fold {
-            None => inner_fold = Some(*f),
-            Some(existing) if existing == *f => {}
-            _ => return None,
-        }
-    }
-    let inner = fold_parts(arena, inner_fold?)?;
+    let inner_fold = common_fold(arena, outer.func_items.iter().copied())?;
+    let inner = fold_parts(arena, inner_fold)?;
     // Inner source: σ_{A = outer.B}(R).
-    let (table, key_col, key) = match_lookup_query(arena, inner.source)?;
-    let FirNode::TupleAttr(v, fk_col) = arena.node(key).clone() else {
-        return None;
-    };
-    if v != outer.loop_var {
-        return None;
-    }
+    let matched = match_lookup_query(arena, inner.source)?;
     // Inner init must be the plain accumulators (no accumulation between
     // the loop header and the inner loop).
     for (u, &init) in inner.updated.iter().zip(&inner.init_items) {
-        let acc = arena.add(FirNode::AccParam(u.clone()));
-        if init != acc {
+        if arena.node(init) != &FirNode::AccParam(u.clone()) {
             return None;
         }
     }
@@ -863,46 +693,42 @@ pub(crate) fn t4_nested_join_on_fold(
     if !join_safe(arena, &inner.updated, &inner.func_items) {
         return None;
     }
-
-    let join_plan = outer_plan.unshare().join(
-        LogicalPlan::scan(&table),
-        ScalarExpr::eq(ScalarExpr::col(&fk_col), ScalarExpr::col(&key_col)),
-    );
-    let new_source = arena.add(FirNode::Query {
-        plan: join_plan.into(),
-        binds: outer_binds,
-    });
+    let source = join_source(arena, &outer, matched)?;
     // Rename the inner tuple variable to the outer one: the join tuple
     // carries both sides' columns.
-    let outer_var = outer.loop_var.clone();
-    let inner_var = inner.loop_var.clone();
+    let (outer_var, inner_var) = (&outer.loop_var, &inner.loop_var);
     let new_items: Vec<FirId> = inner
         .func_items
         .iter()
         .map(|&item| {
             arena.rewrite(item, &|_, node| match node {
-                FirNode::TupleAttr(v, c) if *v == inner_var => {
+                FirNode::TupleAttr(v, c) if v == inner_var => {
                     Some(FirNode::TupleAttr(outer_var.clone(), c.clone()))
                 }
-                FirNode::TupleVar(v) if *v == inner_var => {
+                FirNode::TupleVar(v) if v == inner_var => {
                     Some(FirNode::TupleVar(outer_var.clone()))
                 }
                 _ => None,
             })
         })
         .collect();
-    let func = arena.add(FirNode::Tuple(new_items));
-    let init = arena.add(FirNode::Tuple(outer.init_items.clone()));
-    Some((
-        FirNode::Fold {
-            func,
-            init,
-            source: new_source,
-            loop_var: outer.loop_var.clone(),
-            updated: outer.updated.clone(),
-        },
-        "T4",
-    ))
+    let node = outer.rebuilt(arena, new_items, source);
+    Some(Derivation::replace("T4", fold, node))
+}
+
+/// Rule T4 at one fold: the lookup-to-join variant, then the nested-fold
+/// one.
+pub(crate) fn t4_joins(
+    arena: &mut FirArena,
+    _: &[Assign],
+    site: Option<FirId>,
+) -> Option<Vec<Derivation>> {
+    let fold = site?;
+    let derived = [
+        lookup_to_join(arena, fold),
+        nested_fold_to_join(arena, fold),
+    ];
+    Some(derived.into_iter().flatten().collect())
 }
 
 // --------------------------------------------------------------------
@@ -911,57 +737,43 @@ pub(crate) fn t4_nested_join_on_fold(
 
 /// Rule N1: replace every eq-keyed lookup query (correlated or constant)
 /// with a client-cache lookup, adding the prefetch obligations.
-pub fn n1_prefetch(alt: &FirAlternative) -> Option<FirAlternative> {
-    // Collect matches first.
-    let mut arena = alt.arena.clone();
-    let mut lookups: Vec<(FirId, String, String, FirId)> = Vec::new();
+pub(crate) fn n1_prefetch(
+    arena: &mut FirArena,
+    assigns: &[Assign],
+    site: Option<FirId>,
+) -> Option<Vec<Derivation>> {
+    if site.is_some() {
+        return None;
+    }
+    let mut replaced: Vec<(FirId, FirNode)> = Vec::new();
+    let mut prefetches = Vec::new();
     let (mut seen, mut order) = (Vec::new(), Vec::new());
-    for (_, root) in &alt.assigns {
+    for (_, root) in assigns {
         arena.reachable_into(*root, &mut seen, &mut order);
         for &id in &order {
-            if lookups.iter().any(|(l, _, _, _)| *l == id) {
+            if replaced.iter().any(|(l, _)| *l == id) {
                 continue;
             }
             // Whole-table fold sources are not N1 targets — only eq-keyed
             // filtered lookups are.
-            if let Some((table, key_col, key)) = match_lookup_query_mut(&mut arena, id) {
-                lookups.push((id, table, key_col, key));
+            if let Some((table, key_col, key)) = match_lookup_query(arena, id) {
+                let lookup = FirNode::CacheLookup {
+                    table: table.clone(),
+                    key_col: key_col.clone(),
+                    key: arena.add(key),
+                };
+                replaced.push((id, lookup));
+                prefetches.push(Prefetch { table, key_col });
             }
         }
     }
-    if lookups.is_empty() {
+    if replaced.is_empty() {
         return None;
     }
-    let mut prefetches = alt.prefetches.clone();
-    let mut assigns = Vec::with_capacity(alt.assigns.len());
-    for (v, root) in &alt.assigns {
-        let lk = lookups.clone();
-        let new_root = arena.rewrite(*root, &|id, _| {
-            lk.iter()
-                .find(|(l, _, _, _)| *l == id)
-                .map(|(_, table, key_col, key)| FirNode::CacheLookup {
-                    table: table.clone(),
-                    key_col: key_col.clone(),
-                    key: *key,
-                })
-        });
-        assigns.push((v.clone(), new_root));
-    }
-    for (_, table, key_col, _) in lookups {
-        let p = Prefetch { table, key_col };
-        if !prefetches.contains(&p) {
-            prefetches.push(p);
-        }
-    }
-    let mut rules_applied = alt.rules_applied.clone();
-    rules_applied.push("N1");
-    Some(FirAlternative {
-        arena,
+    Some(vec![Derivation {
         prefetches,
-        assigns,
-        rules_applied,
-        requires_empty_init: alt.requires_empty_init.clone(),
-    })
+        ..Derivation::new("N1", Change::Nodes(replaced))
+    }])
 }
 
 // --------------------------------------------------------------------
@@ -971,59 +783,38 @@ pub fn n1_prefetch(alt: &FirAlternative) -> Option<FirAlternative> {
 /// Rule T1: `fold(insert, {}, Q) = Q`. Valid only when the accumulator is
 /// empty at region entry — recorded in `requires_empty_init` and gated by
 /// the optimizer against the surrounding region.
-pub fn t1_fold_removal(alt: &FirAlternative) -> Option<FirAlternative> {
-    let fold = top_fold(alt)?;
-    let parts = fold_parts(&alt.arena, fold)?;
-    if parts.updated.len() != 1 || alt.assigns.len() != 1 {
+pub(crate) fn t1_fold_removal(
+    arena: &mut FirArena,
+    assigns: &[Assign],
+    site: Option<FirId>,
+) -> Option<Vec<Derivation>> {
+    if site.is_some() {
         return None;
     }
-    let item = parts.func_items[0];
-    let FirNode::Insert(base, elem) = alt.arena.node(item).clone() else {
+    let parts = fold_parts(arena, top_fold(arena, assigns)?)?;
+    let ([acc], [item], [_]) = (&parts.updated[..], &parts.func_items[..], assigns) else {
         return None;
     };
-    let acc = FirNode::AccParam(parts.updated[0].clone());
-    if alt.arena.node(base) != &acc {
-        return None;
-    }
-    let FirNode::TupleVar(v) = alt.arena.node(elem) else {
+    let FirNode::Insert(base, elem) = arena.node(*item) else {
         return None;
     };
-    if *v != parts.loop_var {
+    if arena.node(*base) != &FirNode::AccParam(acc.clone())
+        || arena.node(*elem) != &FirNode::TupleVar(parts.loop_var.clone())
+        || !matches!(arena.node(parts.source), FirNode::Query { .. })
+    {
         return None;
     }
-    if !matches!(alt.arena.node(parts.source), FirNode::Query { .. }) {
-        return None;
-    }
-    let mut rules_applied = alt.rules_applied.clone();
-    rules_applied.push("T1");
-    Some(FirAlternative {
-        arena: alt.arena.clone(),
-        prefetches: alt.prefetches.clone(),
-        assigns: vec![(parts.updated[0].clone(), parts.source)],
-        rules_applied,
-        requires_empty_init: Some(parts.updated[0].clone()),
-    })
-}
-
-// --------------------------------------------------------------------
-// Driver.
-// --------------------------------------------------------------------
-
-/// Close `base` under the standard rule set, deduplicating structurally.
-/// Returns the base plus every derived alternative (bounded by
-/// `max_alternatives`). Convenience wrapper over
-/// [`crate::ruleset::expand_with`] with [`crate::RuleSet::standard`]; use
-/// `expand_with` to toggle individual rules or register your own, and to
-/// learn whether the bound clipped the closure.
-pub fn expand_alternatives(base: FirAlternative, max_alternatives: usize) -> Vec<FirAlternative> {
-    crate::ruleset::expand_with(base, &crate::ruleset::RuleSet::standard(), max_alternatives)
-        .alternatives
+    Some(vec![Derivation {
+        requires_empty_init: Some(acc.clone()),
+        ..Derivation::new("T1", Change::Assigns(vec![(acc.clone(), parts.source)]))
+    }])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::loop_to_fold;
+    use crate::ruleset::{expand_with, RuleSet};
     use imperative::ast::{Expr, QuerySpec, Stmt, StmtKind};
     use orm::{EntityMapping, MappingRegistry};
 
@@ -1068,7 +859,7 @@ mod tests {
 
     #[test]
     fn lookup_to_join_produces_p1_shape() {
-        let alts = expand_alternatives(p0_alternative(), 32);
+        let alts = expand_with(p0_alternative(), &RuleSet::standard(), 32).alternatives;
         let join = alts
             .iter()
             .find(|a| a.rules_applied.contains(&"T4/T5var(lookup-to-join)"))
@@ -1084,7 +875,7 @@ mod tests {
 
     #[test]
     fn n1_produces_p2_shape() {
-        let alts = expand_alternatives(p0_alternative(), 32);
+        let alts = expand_with(p0_alternative(), &RuleSet::standard(), 32).alternatives;
         let pf = alts
             .iter()
             .find(|a| a.rules_applied.contains(&"N1"))
@@ -1101,7 +892,7 @@ mod tests {
     fn expansion_includes_original() {
         let base = p0_alternative();
         let base_key = base.key();
-        let alts = expand_alternatives(base, 32);
+        let alts = expand_with(base, &RuleSet::standard(), 32).alternatives;
         assert!(alts.iter().any(|a| a.key() == base_key));
         assert!(
             alts.len() >= 3,
@@ -1131,7 +922,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let alts = expand_alternatives(base, 32);
+        let alts = expand_with(base, &RuleSet::standard(), 32).alternatives;
         let agg = alts
             .iter()
             .find(|a| a.rules_applied.contains(&"T5"))
@@ -1172,7 +963,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let alts = expand_alternatives(base, 32);
+        let alts = expand_with(base, &RuleSet::standard(), 32).alternatives;
         let partial = alts
             .iter()
             .find(|a| a.rules_applied.contains(&"T5-partial"))
@@ -1222,7 +1013,7 @@ mod tests {
             Some(&["total".to_string()]),
         )
         .unwrap();
-        let alts = expand_alternatives(base, 64);
+        let alts = expand_with(base, &RuleSet::standard(), 64).alternatives;
         assert!(
             alts.iter().all(|a| !a
                 .rules_applied
@@ -1254,7 +1045,7 @@ mod tests {
             Some(&["total".to_string()]),
         )
         .unwrap();
-        let alts = expand_alternatives(base, 64);
+        let alts = expand_with(base, &RuleSet::standard(), 64).alternatives;
         assert!(
             alts.iter()
                 .any(|a| a.rules_applied.iter().any(|r| r.contains("join"))),
@@ -1281,7 +1072,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let alts = expand_alternatives(base, 32);
+        let alts = expand_with(base, &RuleSet::standard(), 32).alternatives;
         let pushed = alts
             .iter()
             .find(|a| a.rules_applied.contains(&"T2"))
@@ -1315,7 +1106,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let alts = expand_alternatives(base, 32);
+        let alts = expand_with(base, &RuleSet::standard(), 32).alternatives;
         let t1 = alts
             .iter()
             .find(|a| a.rules_applied.contains(&"T1"))
@@ -1346,7 +1137,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let alts = expand_alternatives(base, 64);
+        let alts = expand_with(base, &RuleSet::standard(), 64).alternatives;
         let pulled = alts
             .iter()
             .find(|a| a.rules_applied.contains(&"N2"))
@@ -1385,7 +1176,7 @@ mod tests {
             Some(&["result".to_string()]),
         )
         .unwrap();
-        let alts = expand_alternatives(base, 64);
+        let alts = expand_with(base, &RuleSet::standard(), 64).alternatives;
         let joined = alts
             .iter()
             .find(|a| a.rules_applied.contains(&"T4"))
@@ -1418,7 +1209,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let alts = expand_alternatives(base, 1000);
+        let alts = expand_with(base, &RuleSet::standard(), 1000).alternatives;
         assert!(alts.len() < 100, "dedup bounds the closure: {}", alts.len());
         // T2 and N2 both fired somewhere in the closure.
         assert!(alts.iter().any(|a| a.rules_applied.contains(&"T2")));

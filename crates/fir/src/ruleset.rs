@@ -1,4 +1,5 @@
-//! First-class transformation rules: a named, toggleable rule registry.
+//! First-class transformation rules: a named, toggleable rule registry
+//! and the closure driver that applies it.
 //!
 //! COBRA's contract (Figure 1) is *program + transformation rules + cost
 //! model → least-cost program*. This module makes the middle input a real
@@ -8,41 +9,82 @@
 //! per-tenant configurations, or debugging, and user rules can be
 //! registered alongside the standard set.
 //!
+//! A rule only *describes* what it derives — a [`Derivation`]: which nodes
+//! to replace or which assignments to install, under which tag, with which
+//! prefetch obligations. The driver alone turns a description into a
+//! [`FirAlternative`], so there is one place that clones arenas, re-roots
+//! assignments and records which rule fired.
+//!
 //! Rule T3 (pushing scalar functions into query projections) has no
 //! registry entry: it is subsumed by the F-IR ⇄ SQL expression translation
 //! that T2/T5 perform and cannot fire (or be disabled) on its own.
 //!
 //! The registry's iteration order **is** the exploration order of the
-//! closure driver; [`RuleSet::standard`] lists the rules in the order the
-//! legacy hard-coded driver applied them, so results are reproducible
-//! across releases.
+//! closure driver, and with it which alternative wins a cost tie and
+//! which ones a tight budget keeps; [`RuleSet::standard`] fixes it so
+//! results are reproducible across releases.
 
 use crate::arena::{FirArena, FirId, FirNode};
-use crate::build::FirAlternative;
+use crate::build::{FirAlternative, Prefetch};
 use crate::rules;
 use std::sync::Arc;
 
-/// Rewrite callback over a whole alternative (may derive several).
-pub type AlternativeFn = dyn Fn(&FirAlternative) -> Vec<FirAlternative> + Send + Sync;
-/// Rewrite callback tried at every reachable fold node. Returns the
-/// replacement node and the rule tag recorded in
-/// [`FirAlternative::rules_applied`].
-pub type FoldLocalFn =
-    dyn Fn(&mut FirArena, FirId) -> Option<(FirNode, &'static str)> + Send + Sync;
-
-/// How (part of) a rule rewrites alternatives.
-#[derive(Clone)]
-pub enum RuleAction {
-    /// Applies to the whole alternative (T1, T5, N1).
-    Alternative(Arc<AlternativeFn>),
-    /// Applies at each fold node reachable from the alternative's
-    /// assignments (T2, N2, T4).
-    FoldLocal(Arc<FoldLocalFn>),
-    /// Implemented outside the F-IR closure engine; the embedding
-    /// optimizer consults [`RuleSet::is_enabled`] by name (procedure
-    /// inlining, statement-level prefetching).
-    External,
+/// How a [`Derivation`] differs from the alternative it was derived from.
+#[derive(Debug, Clone)]
+pub enum Change {
+    /// Replace each listed node, wherever the assignments reach it.
+    Nodes(Vec<(FirId, FirNode)>),
+    /// Install this assignment list instead.
+    Assigns(Vec<(String, FirId)>),
 }
+
+/// One derived alternative, as the rule that found it describes it.
+/// Everything not named here is inherited from the source alternative.
+#[derive(Debug, Clone)]
+pub struct Derivation {
+    /// Recorded in [`FirAlternative::rules_applied`]: the rule's name,
+    /// optionally followed by a non-alphanumeric qualifier
+    /// (`"T5-partial"`) — see [`RuleSet::delta_for_applied`].
+    pub tag: &'static str,
+    /// The rewrite itself.
+    pub change: Change,
+    /// Prefetch obligations the rewrite adds (rule N1).
+    pub prefetches: Vec<Prefetch>,
+    /// Set when the rewrite is only valid if this collection variable is
+    /// empty at region entry (rule T1).
+    pub requires_empty_init: Option<String>,
+}
+
+impl Derivation {
+    /// A derivation with no prefetches and no entry condition.
+    pub fn new(tag: &'static str, change: Change) -> Derivation {
+        Derivation {
+            tag,
+            change,
+            prefetches: Vec::new(),
+            requires_empty_init: None,
+        }
+    }
+
+    /// The derivation that replaces the one node `old` by `new`.
+    pub fn replace(tag: &'static str, old: FirId, new: FirNode) -> Derivation {
+        Derivation::new(tag, Change::Nodes(vec![(old, new)]))
+    }
+}
+
+/// The one shape of a rule: `rule(arena, assigns, site)`.
+///
+/// The driver calls every enabled rule on each alternative first with
+/// `site == None` (the alternative as a whole) and then once per fold
+/// reachable from `assigns`, innermost first (`Some(fold)`); a rule
+/// answers at the sites it rewrites and returns `None` elsewhere and
+/// whenever it does not match. `arena` is the alternative's own: a rule
+/// interns the new nodes its derivations mention (interning is
+/// append-only, and a node no assignment reaches is part of no
+/// alternative) but never builds an alternative itself.
+pub type RuleFn = dyn Fn(&mut FirArena, &[(String, FirId)], Option<FirId>) -> Option<Vec<Derivation>>
+    + Send
+    + Sync;
 
 /// The side effects a rule is *allowed* to add to an alternative, checked
 /// by the static rewrite verifier (`crates/analysis`).
@@ -96,61 +138,40 @@ impl EffectDelta {
 
 /// A named transformation rule: one of the paper's T/N rules or a
 /// user-registered extension.
-///
-/// A rule may carry several [`RuleAction`]s (rule T4 covers both the
-/// lookup-to-join and the nested-fold-to-join rewrite); enabling or
-/// disabling the rule toggles all of them together.
 #[derive(Clone)]
 pub struct Rule {
     name: &'static str,
     description: &'static str,
-    actions: Vec<RuleAction>,
     effects: EffectDelta,
+    apply: Option<Arc<RuleFn>>,
 }
 
 impl Rule {
-    /// A rule rewriting whole alternatives.
-    pub fn alternative(
+    /// A rule the closure driver applies (see [`RuleFn`]).
+    pub fn new(
         name: &'static str,
         description: &'static str,
-        f: impl Fn(&FirAlternative) -> Vec<FirAlternative> + Send + Sync + 'static,
+        apply: impl Fn(&mut FirArena, &[(String, FirId)], Option<FirId>) -> Option<Vec<Derivation>>
+            + Send
+            + Sync
+            + 'static,
     ) -> Rule {
         Rule {
-            name,
-            description,
-            actions: vec![RuleAction::Alternative(Arc::new(f))],
-            effects: EffectDelta::default(),
+            apply: Some(Arc::new(apply)),
+            ..Rule::name_only(name, description)
         }
     }
 
-    /// A rule rewriting individual fold nodes.
-    pub fn fold_local(
-        name: &'static str,
-        description: &'static str,
-        f: impl Fn(&mut FirArena, FirId) -> Option<(FirNode, &'static str)> + Send + Sync + 'static,
-    ) -> Rule {
+    /// A rule implemented outside the F-IR closure engine; the embedding
+    /// optimizer consults [`RuleSet::is_enabled`] by name (procedure
+    /// inlining).
+    pub fn name_only(name: &'static str, description: &'static str) -> Rule {
         Rule {
             name,
             description,
-            actions: vec![RuleAction::FoldLocal(Arc::new(f))],
             effects: EffectDelta::default(),
+            apply: None,
         }
-    }
-
-    /// A rule implemented outside the F-IR engine, consulted by name.
-    pub fn external(name: &'static str, description: &'static str) -> Rule {
-        Rule {
-            name,
-            description,
-            actions: vec![RuleAction::External],
-            effects: EffectDelta::default(),
-        }
-    }
-
-    /// Add a further action to this rule (builder style).
-    pub fn with_action(mut self, action: RuleAction) -> Rule {
-        self.actions.push(action);
-        self
     }
 
     /// Declare the effect deviations this rule is allowed to introduce
@@ -175,11 +196,6 @@ impl Rule {
     pub fn description(&self) -> &'static str {
         self.description
     }
-
-    /// The rule's rewrite actions.
-    pub fn actions(&self) -> &[RuleAction] {
-        &self.actions
-    }
 }
 
 impl std::fmt::Debug for Rule {
@@ -187,7 +203,7 @@ impl std::fmt::Debug for Rule {
         f.debug_struct("Rule")
             .field("name", &self.name)
             .field("description", &self.description)
-            .field("actions", &self.actions.len())
+            .field("name_only", &self.apply.is_none())
             .finish()
     }
 }
@@ -219,57 +235,63 @@ impl RuleSet {
     /// rule (procedure inlining, the enabler of pattern D) which the
     /// Region-DAG optimizer applies outside the F-IR engine.
     ///
-    /// Registry order is exploration order and deliberately matches the
-    /// legacy hard-coded driver: alternative-level rules T5, N1, T1 first,
-    /// then the fold-local rules T2, N2, T4.
+    /// Registry order is exploration order: T5, N1 and T1 answer on the
+    /// whole alternative, then T2, N2 and T4 at each fold.
     pub fn standard() -> RuleSet {
-        let mut set = RuleSet::empty();
-        set.register(
-            Rule::alternative(
+        let none = EffectDelta::default;
+        let table: [(&str, &str, EffectDelta, Option<Arc<RuleFn>>); 7] = [
+            (
                 "T5",
                 "extract aggregations into SQL (full and partial)",
-                rules::t5_aggregation,
-            )
-            .with_effects(EffectDelta::introduces_calls(&["coalesce"])),
-        );
-        set.register(
-            Rule::alternative(
+                EffectDelta::introduces_calls(&["coalesce"]),
+                Some(Arc::new(rules::t5_aggregation)),
+            ),
+            (
                 "N1",
                 "prefetch relations client-side; lookups probe the cache",
-                |alt| rules::n1_prefetch(alt).into_iter().collect(),
-            )
-            .with_effects(EffectDelta::adds_reads()),
-        );
-        set.register(Rule::alternative(
-            "T1",
-            "fold(insert, {}, Q) = Q: a loop materializing a query is the query",
-            |alt| rules::t1_fold_removal(alt).into_iter().collect(),
-        ));
-        set.register(Rule::fold_local(
-            "T2",
-            "push a common conditional predicate into the source query",
-            rules::t2_on_fold,
-        ));
-        set.register(Rule::fold_local(
-            "N2",
-            "pull a selection out of the source query (reverse of T2)",
-            rules::n2_on_fold,
-        ));
-        set.register(
-            Rule::fold_local(
+                EffectDelta::adds_reads(),
+                Some(Arc::new(rules::n1_prefetch)),
+            ),
+            (
+                "T1",
+                "fold(insert, {}, Q) = Q: a loop materializing a query is the query",
+                none(),
+                Some(Arc::new(rules::t1_fold_removal)),
+            ),
+            (
+                "T2",
+                "push a common conditional predicate into the source query",
+                none(),
+                Some(Arc::new(rules::t2_predicate_push)),
+            ),
+            (
+                "N2",
+                "pull a selection out of the source query (reverse of T2)",
+                none(),
+                Some(Arc::new(rules::n2_selection_pull)),
+            ),
+            (
                 "T4",
                 "iterative lookups / nested folds become joins",
-                rules::lookup_to_join_on_fold,
-            )
-            .with_action(RuleAction::FoldLocal(Arc::new(
-                rules::t4_nested_join_on_fold,
-            ))),
-        );
-        set.register(Rule::external(
-            "inline",
-            "inline procedure calls so loop bodies expose their queries (pattern D)",
-        ));
-        set
+                none(),
+                Some(Arc::new(rules::t4_joins)),
+            ),
+            (
+                "inline",
+                "inline procedure calls so loop bodies expose their queries (pattern D)",
+                none(),
+                None,
+            ),
+        ];
+        let rule = |(name, description, effects, apply)| Rule {
+            name,
+            description,
+            effects,
+            apply,
+        };
+        RuleSet {
+            rules: table.into_iter().map(|row| (rule(row), true)).collect(),
+        }
     }
 
     /// Register a rule (enabled). Re-registering a name replaces the old
@@ -423,19 +445,10 @@ pub fn expand_with_verifier(
     max_alternatives: usize,
     verifier: Option<RewriteVerifier<'_>>,
 ) -> Expansion {
-    // Flatten enabled actions once; fold-local actions keep the
-    // fold-outer/rule-inner iteration of the legacy driver.
-    let mut alt_actions: Vec<&Arc<AlternativeFn>> = Vec::new();
-    let mut fold_actions: Vec<&Arc<FoldLocalFn>> = Vec::new();
-    for rule in rules.enabled() {
-        for action in rule.actions() {
-            match action {
-                RuleAction::Alternative(f) => alt_actions.push(f),
-                RuleAction::FoldLocal(f) => fold_actions.push(f),
-                RuleAction::External => {}
-            }
-        }
-    }
+    let enabled: Vec<&RuleFn> = rules
+        .enabled()
+        .filter_map(|rule| rule.apply.as_deref())
+        .collect();
 
     let mut out: Vec<FirAlternative> = Vec::new();
     let mut seen: std::collections::HashSet<u64> = std::collections::HashSet::new();
@@ -446,7 +459,7 @@ pub fn expand_with_verifier(
     let mut queue: Vec<FirAlternative> = vec![base];
     let mut truncated = false;
     let mut rejected: Vec<String> = Vec::new();
-    while let Some(alt) = queue.pop() {
+    while let Some(mut alt) = queue.pop() {
         let key = alt.dedup_key();
         if seen.contains(&key) {
             continue;
@@ -467,34 +480,57 @@ pub fn expand_with_verifier(
                 continue;
             }
         }
-        out.push(alt.clone());
 
-        for f in &alt_actions {
-            queue.extend(f(&alt));
-        }
-        for fold in rules::reachable_folds(&alt) {
-            for f in &fold_actions {
-                let mut arena = alt.arena.clone();
-                if let Some((replacement, name)) = f(&mut arena, fold) {
-                    let staged = FirAlternative {
-                        arena,
-                        ..alt.clone()
-                    };
-                    queue.push(rules::replace_node(
-                        &staged,
-                        fold,
-                        replacement,
-                        name,
-                        Vec::new(),
-                    ));
-                }
+        // Site-outer, rule-inner: the order derivations are queued in is
+        // the exploration order.
+        let folds = rules::reachable_folds(&alt);
+        let mut derived = Vec::new();
+        for site in std::iter::once(None).chain(folds.into_iter().map(Some)) {
+            for rule in &enabled {
+                derived.extend(rule(&mut alt.arena, &alt.assigns, site).unwrap_or_default());
             }
         }
+        queue.extend(derived.into_iter().map(|d| derive(&alt, d)));
+        out.push(alt);
     }
     Expansion {
         alternatives: out,
         truncated,
         rejected,
+    }
+}
+
+/// Build the alternative `d` describes — the only place one is assembled
+/// outside `loopToFold`: one arena clone per derivation that fired.
+fn derive(alt: &FirAlternative, d: Derivation) -> FirAlternative {
+    let mut arena = alt.arena.clone();
+    let assigns = match d.change {
+        Change::Assigns(assigns) => assigns,
+        Change::Nodes(replaced) => {
+            let subst = |id: FirId, _: &FirNode| {
+                let (_, new) = replaced.iter().find(|(old, _)| *old == id)?;
+                Some(new.clone())
+            };
+            let reroot = |(v, root): &(String, FirId)| (v.clone(), arena.rewrite(*root, &subst));
+            alt.assigns.iter().map(reroot).collect()
+        }
+    };
+    let mut prefetches = alt.prefetches.clone();
+    for p in d.prefetches {
+        if !prefetches.contains(&p) {
+            prefetches.push(p);
+        }
+    }
+    let mut rules_applied = alt.rules_applied.clone();
+    rules_applied.push(d.tag);
+    FirAlternative {
+        arena,
+        prefetches,
+        assigns,
+        rules_applied,
+        requires_empty_init: d
+            .requires_empty_init
+            .or_else(|| alt.requires_empty_init.clone()),
     }
 }
 
@@ -547,17 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn standard_set_matches_legacy_driver() {
-        let base = p0_alternative();
-        let legacy = crate::rules::expand_alternatives(base.clone(), 64);
-        let new = expand_with(base, &RuleSet::standard(), 64);
-        assert!(!new.truncated);
-        let legacy_keys: Vec<String> = legacy.iter().map(|a| a.key()).collect();
-        let new_keys: Vec<String> = new.alternatives.iter().map(|a| a.key()).collect();
-        assert_eq!(legacy_keys, new_keys, "same alternatives, same order");
-    }
-
-    #[test]
     fn disabling_a_rule_removes_its_alternatives() {
         let full = expand_with(p0_alternative(), &RuleSet::standard(), 64);
         let no_n1 = expand_with(p0_alternative(), &RuleSet::standard().without("N1"), 64);
@@ -601,21 +626,59 @@ mod tests {
         assert!(exp.truncated, "the closure was clipped");
     }
 
+    /// README's user rule, verbatim: `not(not(e)) = e`, stated as data.
     #[test]
     fn user_rules_can_be_registered() {
-        let fired = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let fired2 = fired.clone();
-        let set = RuleSet::standard().with_rule(Rule::alternative(
-            "count-visits",
-            "test-only rule counting driver visits",
-            move |_| {
-                fired2.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                Vec::new()
-            },
-        ));
-        let exp = expand_with(p0_alternative(), &set, 64);
-        assert!(fired.load(std::sync::atomic::Ordering::Relaxed) >= exp.alternatives.len() - 1);
-        assert!(set.names().contains(&"count-visits"));
+        let double_negation = Rule::new("NN", "not(not(e)) = e", |arena, assigns, site| {
+            let inner = |id| match arena.node(id) {
+                FirNode::Not(e) => Some(*e),
+                _ => None,
+            };
+            let reached = assigns.iter().flat_map(|(_, root)| arena.reachable(*root));
+            let hits: Vec<_> = reached
+                .filter_map(|id| Some((id, arena.node(inner(inner(id)?)?).clone())))
+                .collect();
+            (site.is_none() && !hits.is_empty())
+                .then(|| vec![Derivation::new("NN", Change::Nodes(hits))])
+        });
+        let set = RuleSet::standard().with_rule(double_negation);
+        assert!(set.names().contains(&"NN"));
+
+        // for (o : orders) { if (!!(o.o_id > 10)) result.add(o.o_id) }
+        let keep = Expr::bin(
+            minidb::BinOp::Gt,
+            Expr::field(Expr::var("o"), "o_id"),
+            Expr::lit(10i64),
+        );
+        let body = vec![Stmt::new(StmtKind::If {
+            cond: Expr::Not(Box::new(Expr::Not(Box::new(keep)))),
+            then_branch: vec![Stmt::new(StmtKind::Add(
+                "result".into(),
+                Expr::field(Expr::var("o"), "o_id"),
+            ))],
+            else_branch: vec![],
+        })];
+        let live = ["result".to_string()];
+        let base = loop_to_fold(
+            "o",
+            &Expr::LoadAll("Order".into()),
+            &body,
+            &mappings(),
+            Some(&live),
+        )
+        .unwrap();
+        assert!(base.display().contains("not(not("), "{}", base.display());
+        let exp = expand_with(base, &set, 64);
+        let simplified = exp
+            .alternatives
+            .iter()
+            .find(|a| a.rules_applied == ["toFIR", "NN"])
+            .expect("the user rule fired on the base alternative");
+        assert!(
+            !simplified.display().contains("not("),
+            "{}",
+            simplified.display()
+        );
     }
 
     #[test]

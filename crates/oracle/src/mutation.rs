@@ -6,7 +6,7 @@
 //! that are cheaper than any correct one, so the cost-based search picks
 //! them and the differential suite must flag the mismatch and minimize it.
 
-use fir::{FirNode, Rule};
+use fir::{Derivation, FirNode, Rule};
 
 /// A broken rule that truncates every fold's source query to one row
 /// (`… limit 1`). The derived alternative does strictly less work than
@@ -27,40 +27,26 @@ use fir::{FirNode, Rule};
 ///
 /// **Never** register this outside a test.
 pub fn broken_limit_rule() -> Rule {
-    Rule::fold_local(
+    Rule::new(
         "Xbug",
         "INTENTIONALLY BROKEN (mutation smoke test): truncate fold sources to one row",
-        |arena, fold| {
-            let FirNode::Fold {
-                func,
-                init,
-                source,
-                loop_var,
-                updated,
-            } = arena.node(fold).clone()
-            else {
+        |arena, _, site| {
+            let fold = site?;
+            let FirNode::Fold { source, .. } = arena.node(fold) else {
                 return None;
             };
+            let source = *source;
             let FirNode::Query { plan, binds } = arena.node(source).clone() else {
                 return None;
             };
             if matches!(plan.as_plan(), minidb::LogicalPlan::Limit { .. }) {
                 return None; // already mutated; don't refire forever
             }
-            let new_source = arena.add(FirNode::Query {
+            let limited = FirNode::Query {
                 plan: plan.unshare().limit(1).into(),
                 binds,
-            });
-            Some((
-                FirNode::Fold {
-                    func,
-                    init,
-                    source: new_source,
-                    loop_var,
-                    updated,
-                },
-                "Xbug",
-            ))
+            };
+            Some(vec![Derivation::replace("Xbug", source, limited)])
         },
     )
 }

@@ -7,7 +7,8 @@
 //! loops over query results, ORM association navigation (the N+1
 //! pattern), correlated inner queries and scalar aggregates, scalar
 //! `funcs` calls, conditionals, accumulators, result-list appends, client
-//! caches, database updates (pattern A blockers) — plus the fixture data
+//! caches, database updates (pattern A blockers), on every 64th seed a
+//! loop materializing a query's rows (rule T1) — plus the fixture data
 //! itself.
 //!
 //! ```

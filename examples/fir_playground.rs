@@ -7,7 +7,7 @@
 //! cargo run --release --example fir_playground
 //! ```
 
-use cobra::fir::{build, codegen, rules};
+use cobra::fir::{build, codegen, expand_with, RuleSet};
 use cobra::imperative::ast::{Expr, QuerySpec, Stmt, StmtKind};
 use cobra::imperative::pretty;
 use cobra::minidb::BinOp;
@@ -51,7 +51,7 @@ fn main() {
     }
 
     println!("\nalternatives under the rules (note the T5-partial degradation of §V-B):\n");
-    for a in rules::expand_alternatives(alt, 32) {
+    for a in expand_with(alt, &RuleSet::standard(), 32).alternatives {
         println!("[{}]", a.rules_applied.join(" → "));
         println!("  {}\n", a.display());
     }
@@ -83,7 +83,7 @@ fn main() {
         Some(&live),
     )
     .expect("foldable");
-    for a in rules::expand_alternatives(base, 32) {
+    for a in expand_with(base, &RuleSet::standard(), 32).alternatives {
         println!("[{}]", a.rules_applied.join(" → "));
         println!("  F-IR : {}", a.display());
         if let Some(stmts) = codegen::generate(&a) {

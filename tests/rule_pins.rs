@@ -82,3 +82,141 @@ fn emitted_programs_are_pinned() {
     }
     assert_eq!(h.finish(), PROGRAMS_DIGEST, "{:#018x}", h.finish());
 }
+
+/// Optimize with `cobra`, run original and rewritten on `fx`, and require
+/// the same observables and the same `var`. Returns the rewritten text.
+fn assert_same_result(fx: &Fixture, cobra: &Cobra, program: &Program, var: &str) -> String {
+    let opt = cobra.optimize_program(program).expect("optimizes");
+    let text = pretty::function_to_string(&opt.program);
+    let net = NetworkProfile::fast_local();
+    let original = run_on(fx, net.clone(), program).expect("original runs");
+    let rewritten = run_on(fx, net, &program.with_entry(opt.program))
+        .unwrap_or_else(|e| panic!("rewritten program fails: {e}\n{text}"));
+    println!("{text}");
+    assert_equivalent(
+        &original.outcome.normalized_with_vars(&[var]),
+        &rewritten.outcome.normalized_with_vars(&[var]),
+    );
+    text
+}
+
+/// T2 pushes `t.o_customer_sk == cust` into a source query that already
+/// binds `:p1`: the pushed value needs a bind name of its own. (It got
+/// `p{binds.len()}` = `p1` again — two binds of one name, and `o_id > :p1`
+/// read `cust`.)
+#[test]
+fn t2_mints_a_bind_name_the_source_query_does_not_use() {
+    use cobra::imperative::ast::QuerySpec;
+    use cobra::minidb::BinOp;
+    let source =
+        QuerySpec::sql("select * from orders where o_id > :p1").bind("p1", Expr::var("lo"));
+    let mut f = Function::new(
+        "sumForCustomer",
+        vec!["sum".to_string()],
+        vec![
+            Stmt::new(StmtKind::Let("lo".into(), Expr::lit(1_000i64))),
+            Stmt::new(StmtKind::Let("cust".into(), Expr::lit(7i64))),
+            Stmt::new(StmtKind::Let("sum".into(), Expr::lit(0i64))),
+            Stmt::new(StmtKind::ForEach {
+                var: "t".into(),
+                iter: Expr::Query(source),
+                body: vec![Stmt::new(StmtKind::If {
+                    cond: Expr::bin(
+                        BinOp::Eq,
+                        Expr::field(Expr::var("t"), "o_customer_sk"),
+                        Expr::var("cust"),
+                    ),
+                    then_branch: vec![Stmt::new(StmtKind::Let(
+                        "sum".into(),
+                        Expr::bin(
+                            BinOp::Add,
+                            Expr::var("sum"),
+                            Expr::field(Expr::var("t"), "o_id"),
+                        ),
+                    ))],
+                    else_branch: vec![],
+                })],
+            }),
+        ],
+    );
+    f.number_lines(2);
+    let program = Program::single(f);
+    let fx = motivating::build_fixture(2_000, 40, 11);
+    // Without N2 the search can only reach the pushed filter by T2 on the
+    // source as written (N2 → T2 re-mints both names and hides the bug).
+    let cobra = fx
+        .cobra_builder()
+        .network(NetworkProfile::slow_remote())
+        .disable_rule("N2")
+        .build();
+    let text = assert_same_result(&fx, &cobra, &program, "sum");
+    assert!(text.contains("o_customer_sk = :"), "T2 was chosen: {text}");
+}
+
+/// `emp(id, boss_id, salary)` with `Emp.boss → Emp` or `→ dept(id,
+/// budget)`: T4's join puts both tables' columns under one tuple variable,
+/// so `boss_id = id` (and `e.id`) would be ambiguous at run time. Every
+/// other schema in the repo prefixes column names per table.
+#[test]
+fn t4_declines_joins_over_tables_that_share_a_column_name() {
+    use cobra::minidb::{Column, DataType, Database, FuncRegistry, Schema, Value};
+    let int = |n: &str| Column::new(n, DataType::Int);
+    let mut db = Database::new();
+    let t = db
+        .create_table(
+            "emp",
+            Schema::new(vec![int("id"), int("boss_id"), int("salary")]),
+        )
+        .unwrap();
+    t.set_primary_key("id").unwrap();
+    t.insert_many(
+        (0..60i64).map(|i| vec![Value::Int(i), Value::Int(i % 6), Value::Int(1_000 + i)]),
+    )
+    .unwrap();
+    let t = db
+        .create_table("dept", Schema::new(vec![int("id"), int("budget")]))
+        .unwrap();
+    t.set_primary_key("id").unwrap();
+    t.insert_many((0..6i64).map(|i| vec![Value::Int(i), Value::Int(500 * i)]))
+        .unwrap();
+    db.analyze_all();
+    let db = cobra::minidb::shared(db);
+
+    for (target, field) in [("Emp", "salary"), ("Dept", "budget")] {
+        let mut mapping = MappingRegistry::new();
+        mapping.register(
+            EntityMapping::new("Emp", "emp", "id").many_to_one("boss", target, "boss_id"),
+        );
+        mapping.register(EntityMapping::new("Dept", "dept", "id"));
+        let fx = Fixture {
+            db: db.clone(),
+            mapping,
+            funcs: std::sync::Arc::new(FuncRegistry::with_builtins()),
+        };
+        let mut f = Function::new(
+            "sumOverBoss",
+            vec!["sum".to_string()],
+            vec![
+                Stmt::new(StmtKind::Let("sum".into(), Expr::lit(0i64))),
+                Stmt::new(StmtKind::ForEach {
+                    var: "e".into(),
+                    iter: Expr::LoadAll("Emp".into()),
+                    body: vec![
+                        Stmt::new(StmtKind::Let("b".into(), Expr::nav(Expr::var("e"), "boss"))),
+                        Stmt::new(StmtKind::Let(
+                            "sum".into(),
+                            Expr::bin(
+                                cobra::minidb::BinOp::Add,
+                                Expr::var("sum"),
+                                Expr::field(Expr::var("b"), field),
+                            ),
+                        )),
+                    ],
+                }),
+            ],
+        );
+        f.number_lines(2);
+        let text = assert_same_result(&fx, &fx.cobra_builder().build(), &Program::single(f), "sum");
+        assert!(!text.contains(" join "), "boss → {target}: {text}");
+    }
+}

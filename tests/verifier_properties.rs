@@ -17,7 +17,7 @@
 
 use cobra::analysis;
 use cobra::core::VerifyLevel;
-use cobra::fir::{self, FirAlternative, FirNode};
+use cobra::fir::{self, Change, Derivation, FirAlternative, FirNode};
 use cobra::netsim::NetworkProfile;
 use cobra::oracle::{broken_limit_rule, mid_range};
 use cobra::prelude::*;
@@ -207,17 +207,15 @@ fn two_accumulator_base() -> FirAlternative {
 /// Caught by pass 2 (the write set shrank).
 #[test]
 fn mutant_dropping_a_write_is_caught_by_pass_2() {
-    let rule = Rule::alternative(
+    let rule = Rule::new(
         "Xdrop",
         "INTENTIONALLY BROKEN: drop the last assignment",
-        |alt| {
-            if alt.assigns.len() < 2 {
-                return Vec::new();
+        |_, assigns, site| {
+            if site.is_some() || assigns.len() < 2 {
+                return None;
             }
-            let mut out = alt.clone();
-            out.assigns.pop();
-            out.rules_applied.push("Xdrop");
-            vec![out]
+            let kept = assigns[..assigns.len() - 1].to_vec();
+            Some(vec![Derivation::new("Xdrop", Change::Assigns(kept))])
         },
     );
     let rules = RuleSet::standard().with_rule(rule);
@@ -240,26 +238,23 @@ fn mutant_dropping_a_write_is_caught_by_pass_2() {
 /// markers escape the fold. Caught by pass 3.
 #[test]
 fn mutant_leaking_a_binding_is_caught_by_pass_3() {
-    let rule = Rule::alternative(
+    let rule = Rule::new(
         "Xleak",
         "INTENTIONALLY BROKEN: hoist a fold body item out of its fold",
-        |alt| {
-            let Some((var, root)) = alt.assigns.first().cloned() else {
-                return Vec::new();
+        |arena, assigns, site| {
+            let (var, root) = assigns.first().filter(|_| site.is_none())?;
+            let FirNode::Project(fold, idx) = arena.node(*root) else {
+                return None;
             };
-            let FirNode::Project(fold, idx) = alt.arena.node(root).clone() else {
-                return Vec::new();
+            let FirNode::Fold { func, .. } = arena.node(*fold) else {
+                return None;
             };
-            let FirNode::Fold { func, .. } = alt.arena.node(fold).clone() else {
-                return Vec::new();
+            let FirNode::Tuple(items) = arena.node(*func) else {
+                return None;
             };
-            let FirNode::Tuple(items) = alt.arena.node(func).clone() else {
-                return Vec::new();
-            };
-            let mut out = alt.clone();
-            out.assigns[0] = (var, items[idx]);
-            out.rules_applied.push("Xleak");
-            vec![out]
+            let mut leaked = assigns.to_vec();
+            leaked[0] = (var.clone(), items[*idx]);
+            Some(vec![Derivation::new("Xleak", Change::Assigns(leaked))])
         },
     );
     let rules = RuleSet::standard().with_rule(rule);

@@ -298,46 +298,6 @@ impl ColumnVec {
             }),
         }
     }
-
-    /// Gather rows `ids` into a new dense column of the same type.
-    pub fn gather(&self, ids: &[u32]) -> ColumnVec {
-        match self {
-            ColumnVec::Mixed(v) => {
-                ColumnVec::Mixed(ids.iter().map(|&i| v[i as usize].clone()).collect())
-            }
-            _ => {
-                let mut nulls: Option<NullMask> = None;
-                if ids.iter().any(|&i| self.is_null(i as usize)) {
-                    let mut m = NullMask::new(ids.len());
-                    for (out, &i) in ids.iter().enumerate() {
-                        if self.is_null(i as usize) {
-                            m.set_null(out);
-                        }
-                    }
-                    nulls = Some(m);
-                }
-                match self {
-                    ColumnVec::Int { data, .. } => ColumnVec::Int {
-                        data: ids.iter().map(|&i| data[i as usize]).collect(),
-                        nulls,
-                    },
-                    ColumnVec::Float { data, .. } => ColumnVec::Float {
-                        data: ids.iter().map(|&i| data[i as usize]).collect(),
-                        nulls,
-                    },
-                    ColumnVec::Str { data, .. } => ColumnVec::Str {
-                        data: ids.iter().map(|&i| data[i as usize].clone()).collect(),
-                        nulls,
-                    },
-                    ColumnVec::Bool { data, .. } => ColumnVec::Bool {
-                        data: ids.iter().map(|&i| data[i as usize]).collect(),
-                        nulls,
-                    },
-                    ColumnVec::Mixed(_) => unreachable!(),
-                }
-            }
-        }
-    }
 }
 
 /// The columnar projection of one table: one `Arc`-shared [`ColumnVec`]
@@ -434,21 +394,6 @@ mod tests {
         assert!(matches!(&*ct.cols[0], ColumnVec::Mixed(_)));
         for (i, row) in data.iter().enumerate() {
             assert_eq!(&ct.row(i), row);
-        }
-    }
-
-    #[test]
-    fn gather_preserves_values_and_nulls() {
-        let data = rows();
-        let ct = ColumnTable::from_rows(&schema(), &data);
-        let g = ct.cols[0].gather(&[2, 1, 0, 2]);
-        assert_eq!(g.get(0), Value::Int(-3));
-        assert_eq!(g.get(1), Value::Null);
-        assert_eq!(g.get(2), Value::Int(1));
-        assert_eq!(g.get(3), Value::Int(-3));
-        // Empty gather of every type.
-        for c in &ct.cols {
-            assert_eq!(c.gather(&[]).len(), 0);
         }
     }
 

@@ -1,11 +1,21 @@
 //! Vectorized execution over columnar storage — the default data plane.
 //!
-//! Operators pass `Chunk`s around: `Arc`-shared [`ColumnVec`]s plus a
-//! *selection vector* of surviving row ids. Scans are zero-copy (they
-//! clone the table's column `Arc`s, never the data), filters evaluate
-//! predicates column-wise in batches of [`BATCH_SIZE`] ids through typed
-//! kernels, joins hash on column keys, and rows are materialized only at
-//! the result boundary.
+//! Operators pass `Chunk`s around: a list of *segments*, each a run of
+//! `Arc`-shared [`ColumnVec`]s plus one *selection vector* that maps the
+//! chunk's logical rows to base rows of those columns. Scans are zero-copy
+//! (one dense segment holding the table's column `Arc`s), filters evaluate
+//! predicates column-wise in batches of [`BATCH_SIZE`] rows through typed
+//! kernels and compose the survivors into every selection, and a join's
+//! output is its left input's segments read through the left candidate
+//! ids followed by its right input's read through the right ones — `u32`
+//! gathers, never column data. A column's values are gathered only when
+//! an expression reads it, one batch at a time, and rows are materialized
+//! only at the result boundary.
+//!
+//! Equi-joins share one `BuildTable`: a flat CSR table (bucket offsets,
+//! build row ids grouped by bucket in insertion order) keyed by a `u64`
+//! hash, with key equality checked on probe. Null-free `Int` keys hash
+//! the raw `i64`; every other key goes through `Value`'s own `Hash`/`Eq`.
 //!
 //! **Exact-equivalence contract.** This engine must be bit-identical to
 //! the row engine in `exec.rs`: same output rows in the same order, same
@@ -26,6 +36,7 @@
 //! 3. Order-sensitive accumulations (AVG's float sum, group first-seen
 //!    order, stable sorts) run in selection order, matching row order.
 
+use crate::catalog::Table;
 use crate::column::{ColumnTable, ColumnVec, NullMask};
 use crate::error::{DbError, DbResult};
 use crate::exec::{AggState, ExecWork, Executor};
@@ -35,66 +46,128 @@ use crate::plan::{AggItem, LogicalPlan, SortDir};
 use crate::schema::Schema;
 use crate::value::{Row, Value};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Rows processed per filter batch: large enough to amortize dispatch,
 /// small enough that batch temporaries stay cache-resident.
 pub const BATCH_SIZE: usize = 1024;
 
-/// A batch-of-columns intermediate result: `cols` hold `len` base rows,
-/// `sel` (when present) lists the surviving row ids in output order.
-struct Chunk {
-    schema: Schema,
+/// Columns that share one selection vector.
+struct Segment {
     cols: Vec<Arc<ColumnVec>>,
-    /// Base row count of `cols`.
-    len: usize,
-    /// Selection vector into `0..len`; `None` means all rows survive.
+    /// Base row of each logical row; `None` is the identity (logical row
+    /// `k` is base row `k`, and `cols` may run past the chunk's length).
     sel: Option<Vec<u32>>,
 }
 
-impl Chunk {
-    fn n_rows(&self) -> usize {
-        match &self.sel {
-            Some(s) => s.len(),
-            None => self.len,
+impl Segment {
+    /// This segment read through `rows`, logical row ids of its chunk.
+    fn compose(&self, rows: &[u32]) -> Segment {
+        Segment {
+            cols: self.cols.clone(),
+            sel: Some(match &self.sel {
+                Some(sel) => rows.iter().map(|&k| sel[k as usize]).collect(),
+                None => rows.to_vec(),
+            }),
+        }
+    }
+}
+
+/// One column of a chunk: its storage and its segment's selection.
+#[derive(Clone, Copy)]
+struct ColView<'a> {
+    col: &'a ColumnVec,
+    sel: Option<&'a [u32]>,
+}
+
+impl ColView<'_> {
+    /// Base row of logical row `k`.
+    #[inline]
+    fn base(&self, k: usize) -> usize {
+        match self.sel {
+            Some(sel) => sel[k] as usize,
+            None => k,
         }
     }
 
-    /// The selection as explicit ids (identity when dense).
-    fn ids(&self) -> Vec<u32> {
-        match &self.sel {
-            Some(s) => s.clone(),
-            None => (0..self.len as u32).collect(),
+    fn get(&self, k: usize) -> Value {
+        self.col.get(self.base(k))
+    }
+}
+
+/// A batch-of-columns intermediate result: `len` logical rows whose
+/// columns are those of `segs`, in order, each read through its segment's
+/// selection.
+struct Chunk {
+    schema: Schema,
+    segs: Vec<Segment>,
+    len: usize,
+}
+
+impl Chunk {
+    /// One segment holding the first `len` rows of `cols`.
+    fn dense(schema: Schema, cols: Vec<Arc<ColumnVec>>, len: usize) -> Chunk {
+        Chunk {
+            schema,
+            segs: vec![Segment { cols, sel: None }],
+            len,
         }
+    }
+
+    /// All of `t`'s rows, zero-copy, under `schema` (its own, qualified).
+    fn scan(t: &Table, schema: Schema) -> Chunk {
+        let ct = t.columnar();
+        Chunk::dense(schema, ct.cols.clone(), ct.len)
     }
 
     /// Build a dense chunk from materialized rows (aggregate outputs).
     fn from_rows(schema: Schema, rows: &[Row]) -> Chunk {
         let ct = ColumnTable::from_rows(&schema, rows);
+        Chunk::dense(schema, ct.cols, ct.len)
+    }
+
+    /// A join's output: row `k` is row `l_rows[k]` of `l` followed by row
+    /// `r_rows[k]` of `r`. Only selections are written.
+    fn joined(l: &Chunk, l_rows: &[u32], r: &Chunk, r_rows: &[u32]) -> Chunk {
+        let l_segs = l.segs.iter().map(|s| s.compose(l_rows));
+        let r_segs = r.segs.iter().map(|s| s.compose(r_rows));
         Chunk {
-            schema,
-            cols: ct.cols,
-            len: ct.len,
-            sel: None,
+            schema: l.schema.join(&r.schema),
+            segs: l_segs.chain(r_segs).collect(),
+            len: l_rows.len(),
         }
+    }
+
+    /// Column `i` of the schema.
+    fn col(&self, mut i: usize) -> ColView<'_> {
+        for seg in &self.segs {
+            if let Some(col) = seg.cols.get(i) {
+                return ColView {
+                    col,
+                    sel: seg.sel.as_deref(),
+                };
+            }
+            i -= seg.cols.len();
+        }
+        unreachable!("column index resolved against this chunk's schema")
+    }
+
+    /// Keep the logical rows `rows`, in that order.
+    fn select(&mut self, rows: &[u32]) {
+        for seg in &mut self.segs {
+            *seg = seg.compose(rows);
+        }
+        self.len = rows.len();
     }
 
     /// Late materialization: clone the selected rows out, in order.
     fn materialize(&self) -> Vec<Row> {
-        let mut out = Vec::with_capacity(self.n_rows());
-        match &self.sel {
-            Some(s) => {
-                for &i in s {
-                    out.push(self.cols.iter().map(|c| c.get(i as usize)).collect());
-                }
-            }
-            None => {
-                for i in 0..self.len {
-                    out.push(self.cols.iter().map(|c| c.get(i)).collect());
-                }
-            }
-        }
-        out
+        let cols: Vec<ColView<'_>> = (0..self.schema.len()).map(|i| self.col(i)).collect();
+        (0..self.len)
+            .map(|k| cols.iter().map(|c| c.get(k)).collect())
+            .collect()
     }
 }
 
@@ -117,44 +190,26 @@ fn run_plan(
     match plan {
         LogicalPlan::Scan { table, alias } => {
             let t = exec.db.table(table)?;
-            let q = alias.clone().unwrap_or_else(|| table.clone());
-            let schema = t.schema().with_qualifier(&q);
-            let ct = t.columnar();
+            let q = alias.as_deref().unwrap_or(table);
+            let chunk = Chunk::scan(t, t.schema().with_qualifier(q));
             let work = ExecWork {
                 startup_rows: 0,
-                total_rows: ct.len as u64,
+                total_rows: chunk.len as u64,
             };
-            Ok((
-                Chunk {
-                    schema,
-                    cols: ct.cols.clone(),
-                    len: ct.len,
-                    sel: None,
-                },
-                work,
-            ))
+            Ok((chunk, work))
         }
         LogicalPlan::Select { input, pred } => run_select(exec, input, pred, params),
         LogicalPlan::Project { input, items } => {
             let (chunk, mut work) = run_plan(exec, input, params)?;
             let out_schema = plan.output_schema(exec.db, exec.funcs)?;
-            let ids = chunk.ids();
-            let n = ids.len();
+            let n = chunk.len;
             let mut cols = Vec::with_capacity(items.len());
             for (expr, _) in items {
-                let v = eval_vec(expr, &chunk.schema, &chunk.cols, &ids, params, exec.funcs)?;
+                let v = eval_vec(expr, &chunk, 0..n, params, exec.funcs)?;
                 cols.push(Arc::new(vcol_to_column(v, n)));
             }
             work.total_rows += n as u64;
-            Ok((
-                Chunk {
-                    schema: out_schema,
-                    cols,
-                    len: n,
-                    sel: None,
-                },
-                work,
-            ))
+            Ok((Chunk::dense(out_schema, cols, n), work))
         }
         LogicalPlan::Join { left, right, pred } => run_join(exec, left, right, pred, params),
         LogicalPlan::Aggregate {
@@ -164,16 +219,17 @@ fn run_plan(
         } => run_aggregate(exec, plan, input, group_by, aggs, params),
         LogicalPlan::OrderBy { input, keys } => {
             let (mut chunk, mut work) = run_plan(exec, input, params)?;
-            let mut key_idx = Vec::with_capacity(keys.len());
+            let mut key_cols = Vec::with_capacity(keys.len());
             for (c, dir) in keys {
-                key_idx.push((chunk.schema.resolve(&c.to_ref_string())?, *dir));
+                let i = chunk.schema.resolve(&c.to_ref_string())?;
+                key_cols.push((chunk.col(i), *dir));
             }
-            let mut ids = chunk.ids();
+            let mut rows: Vec<u32> = (0..chunk.len as u32).collect();
             // Stable index sort with the row engine's comparator
             // (`Value::cmp` per key column) — identical permutation.
-            ids.sort_by(|&a, &b| {
-                for &(i, dir) in &key_idx {
-                    let ord = cmp_rows(&chunk.cols[i], a as usize, b as usize);
+            rows.sort_by(|&a, &b| {
+                for &(c, dir) in &key_cols {
+                    let ord = cmp_rows(c.col, c.base(a as usize), c.base(b as usize));
                     let ord = match dir {
                         SortDir::Asc => ord,
                         SortDir::Desc => ord.reverse(),
@@ -184,22 +240,19 @@ fn run_plan(
                 }
                 std::cmp::Ordering::Equal
             });
-            let n = ids.len() as u64;
+            let n = rows.len() as u64;
             let sort_work = n * (64 - n.max(1).leading_zeros() as u64).max(1);
             work.startup_rows = work.total_rows + sort_work;
             work.total_rows += sort_work;
-            chunk.sel = Some(ids);
+            chunk.select(&rows);
             Ok((chunk, work))
         }
         LogicalPlan::Limit { input, n } => {
             let (mut chunk, work) = run_plan(exec, input, params)?;
-            let n = *n as usize;
-            match &mut chunk.sel {
-                Some(s) => s.truncate(n),
-                None => {
-                    if chunk.len > n {
-                        chunk.sel = Some((0..n as u32).collect());
-                    }
+            chunk.len = chunk.len.min(*n as usize);
+            for seg in &mut chunk.segs {
+                if let Some(sel) = &mut seg.sel {
+                    sel.truncate(chunk.len);
                 }
             }
             Ok((chunk, work))
@@ -238,8 +291,7 @@ fn run_select(
     // eligible equality conjunct over an indexed base-table column).
     if let LogicalPlan::Scan { table, alias } = input {
         let t = exec.db.table(table)?;
-        let q = alias.clone().unwrap_or_else(|| table.clone());
-        let schema = t.schema().with_qualifier(&q);
+        let schema = t.schema().with_qualifier(alias.as_deref().unwrap_or(table));
         let conjuncts = pred.conjuncts();
         for (ci, c) in conjuncts.iter().enumerate() {
             if let ScalarExpr::Bin(BinOp::Eq, l, r) = c {
@@ -260,13 +312,9 @@ fn run_select(
                     startup_rows: 0,
                     total_rows: positions.len() as u64 + 1,
                 };
-                let ct = t.columnar();
-                let mut chunk = Chunk {
-                    schema,
-                    cols: ct.cols.clone(),
-                    len: ct.len,
-                    sel: Some(positions.iter().map(|&p| p as u32).collect()),
-                };
+                let hits: Vec<u32> = positions.iter().map(|&p| p as u32).collect();
+                let mut chunk = Chunk::scan(t, schema);
+                chunk.select(&hits);
                 // Remaining conjuncts narrow the selection in order
                 // (progressive = the row engine's per-row short-circuit).
                 for (i, other) in conjuncts.iter().enumerate() {
@@ -281,13 +329,13 @@ fn run_select(
     }
     // Generic filter: whole predicate tree, batched over the selection.
     let (mut chunk, mut work) = run_plan(exec, input, params)?;
-    let n = chunk.n_rows() as u64;
+    let n = chunk.len as u64;
     filter_chunk(&mut chunk, pred, params, exec.funcs)?;
     work.total_rows += n;
     Ok((chunk, work))
 }
 
-/// Narrow `chunk`'s selection to rows where `pred` is true, evaluating
+/// Narrow `chunk` to the rows where `pred` is true, evaluating
 /// column-wise in [`BATCH_SIZE`] batches.
 fn filter_chunk(
     chunk: &mut Chunk,
@@ -295,32 +343,33 @@ fn filter_chunk(
     params: &HashMap<String, Value>,
     funcs: &FuncRegistry,
 ) -> DbResult<()> {
-    let ids = chunk.ids();
     let mut keep: Vec<u32> = Vec::new();
-    for batch in ids.chunks(BATCH_SIZE) {
-        let v = eval_vec(pred, &chunk.schema, &chunk.cols, batch, params, funcs)?;
-        append_truthy(&v, batch, &mut keep);
+    for lo in (0..chunk.len).step_by(BATCH_SIZE) {
+        let rows = lo..chunk.len.min(lo + BATCH_SIZE);
+        let v = eval_vec(pred, chunk, rows.clone(), params, funcs)?;
+        append_truthy(&v, rows, &mut keep);
     }
-    chunk.sel = Some(keep);
+    chunk.select(&keep);
     Ok(())
 }
 
-/// Append the ids (from `batch`) whose predicate value is `TRUE`.
-fn append_truthy(v: &VCol, batch: &[u32], keep: &mut Vec<u32>) {
+/// Append the rows of the batch `rows` whose predicate value is `TRUE`.
+fn append_truthy(v: &VCol, rows: Range<usize>, keep: &mut Vec<u32>) {
+    let rows = rows.start as u32..rows.end as u32;
     match v {
         VCol::Bool(data, nulls) => {
-            for (k, &id) in batch.iter().enumerate() {
+            for (k, row) in rows.enumerate() {
                 if data[k] && !nulls.as_ref().is_some_and(|n| n[k]) {
-                    keep.push(id);
+                    keep.push(row);
                 }
             }
         }
-        VCol::Const(Value::Bool(true)) => keep.extend_from_slice(batch),
+        VCol::Const(Value::Bool(true)) => keep.extend(rows),
         VCol::Const(_) => {}
         VCol::Vals(vals) => {
-            for (k, &id) in batch.iter().enumerate() {
+            for (k, row) in rows.enumerate() {
                 if vals[k].as_bool() == Some(true) {
-                    keep.push(id);
+                    keep.push(row);
                 }
             }
         }
@@ -336,12 +385,16 @@ fn run_join(
     pred: &ScalarExpr,
     params: &HashMap<String, Value>,
 ) -> DbResult<(Chunk, ExecWork)> {
-    if let Some(result) = try_inl_join(exec, left, right, pred, params)? {
+    // A side the INL attempt executed and then declined to drive with is
+    // not executed again.
+    let mut ran = [None, None];
+    if let Some(result) = try_inl_join(exec, [left, right], pred, params, &mut ran)? {
         return Ok(result);
     }
-    let (l_chunk, l_work) = run_plan(exec, left, params)?;
-    let (r_chunk, r_work) = run_plan(exec, right, params)?;
-    let out_schema = l_chunk.schema.join(&r_chunk.schema);
+    let [l_ran, r_ran] = ran;
+    let side = |ran: Option<_>, plan| ran.map_or_else(|| run_plan(exec, plan, params), Ok);
+    let (l_chunk, l_work) = side(l_ran, left)?;
+    let (r_chunk, r_work) = side(r_ran, right)?;
     let mut work = ExecWork::default();
     work.add(l_work);
     work.add(r_work);
@@ -369,55 +422,44 @@ fn run_join(
 
     if let Some((li, ri)) = equi {
         // Hash join; build on the smaller side, probe-major output.
-        let build_left = l_chunk.n_rows() <= r_chunk.n_rows();
+        let build_left = l_chunk.len <= r_chunk.len;
         let (build, probe, b_key, p_key) = if build_left {
             (&l_chunk, &r_chunk, li, ri)
         } else {
             (&r_chunk, &l_chunk, ri, li)
         };
-        let b_ids = build.ids();
-        let p_ids = probe.ids();
-        work.startup_rows = work.total_rows + b_ids.len() as u64;
-        work.total_rows += b_ids.len() as u64 + p_ids.len() as u64;
-        let (cand_b, cand_p) = hash_candidates(build, b_key, &b_ids, probe, p_key, &p_ids);
+        work.startup_rows = work.total_rows + build.len as u64;
+        work.total_rows += build.len as u64 + probe.len as u64;
+        let (cand_b, cand_p) = hash_candidates(build, b_key, probe, p_key);
         let (cand_l, cand_r) = if build_left {
             (&cand_b, &cand_p)
         } else {
             (&cand_p, &cand_b)
         };
-        let mut chunk = gather_join(&out_schema, &l_chunk, cand_l, &r_chunk, cand_r);
+        let mut chunk = Chunk::joined(&l_chunk, cand_l, &r_chunk, cand_r);
         // Residual check = all conjuncts, progressively (short-circuit).
         for c in &conjuncts {
             filter_chunk(&mut chunk, c, params, exec.funcs)?;
         }
         // The row engine charges one row-touch per row *passing* the
         // residual.
-        work.total_rows += chunk.n_rows() as u64;
+        work.total_rows += chunk.len as u64;
         Ok((chunk, work))
     } else {
         // Nested-loop join: generate l-major candidate pairs in batches,
         // evaluate the full predicate per batch.
-        let l_ids = l_chunk.ids();
-        let r_ids = r_chunk.ids();
         work.startup_rows = work.total_rows;
-        work.total_rows += (l_ids.len() as u64).saturating_mul(r_ids.len() as u64);
+        work.total_rows += (l_chunk.len as u64).saturating_mul(r_chunk.len as u64);
         let mut keep_l: Vec<u32> = Vec::new();
         let mut keep_r: Vec<u32> = Vec::new();
         let mut batch_l: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
         let mut batch_r: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
-        let flush = |batch_l: &mut Vec<u32>,
-                     batch_r: &mut Vec<u32>,
-                     keep_l: &mut Vec<u32>,
-                     keep_r: &mut Vec<u32>|
-         -> DbResult<()> {
-            if batch_l.is_empty() {
-                return Ok(());
-            }
-            let mini = gather_join(&out_schema, &l_chunk, batch_l, &r_chunk, batch_r);
-            let ids = mini.ids();
-            let v = eval_vec(pred, &mini.schema, &mini.cols, &ids, params, exec.funcs)?;
+        let mut flush = |batch_l: &mut Vec<u32>, batch_r: &mut Vec<u32>| -> DbResult<()> {
+            let n = batch_l.len();
+            let mini = Chunk::joined(&l_chunk, batch_l, &r_chunk, batch_r);
+            let v = eval_vec(pred, &mini, 0..n, params, exec.funcs)?;
             let mut local: Vec<u32> = Vec::new();
-            append_truthy(&v, &ids, &mut local);
+            append_truthy(&v, 0..n, &mut local);
             for &k in &local {
                 keep_l.push(batch_l[k as usize]);
                 keep_r.push(batch_r[k as usize]);
@@ -426,37 +468,110 @@ fn run_join(
             batch_r.clear();
             Ok(())
         };
-        for &li in &l_ids {
-            for &ri_id in &r_ids {
-                batch_l.push(li);
-                batch_r.push(ri_id);
+        for l in 0..l_chunk.len as u32 {
+            for r in 0..r_chunk.len as u32 {
+                batch_l.push(l);
+                batch_r.push(r);
                 if batch_l.len() == BATCH_SIZE {
-                    flush(&mut batch_l, &mut batch_r, &mut keep_l, &mut keep_r)?;
+                    flush(&mut batch_l, &mut batch_r)?;
                 }
             }
         }
-        flush(&mut batch_l, &mut batch_r, &mut keep_l, &mut keep_r)?;
-        let chunk = gather_join(&out_schema, &l_chunk, &keep_l, &r_chunk, &keep_r);
-        Ok((chunk, work))
+        flush(&mut batch_l, &mut batch_r)?;
+        Ok((Chunk::joined(&l_chunk, &keep_l, &r_chunk, &keep_r), work))
     }
 }
 
-/// Build the candidate pair lists of a hash join: probe-major order,
-/// matches in build-insertion order — exactly the row engine's output
-/// order. Returns base ids per side.
+/// The build side of every hash join, as one flat table in CSR layout: a
+/// power-of-two number of buckets, and the build rows grouped by bucket,
+/// in build-insertion order within each. Keys are not stored; a probe
+/// checks equality against the build column.
+struct BuildTable {
+    /// Bucket `h` is `rows[offsets[h]..offsets[h + 1]]`.
+    offsets: Vec<u32>,
+    rows: Vec<u32>,
+    /// A hash's top `64 - shift` bits pick its bucket.
+    shift: u32,
+}
+
+impl BuildTable {
+    /// Table over build rows `0..n`, `hash(b)` hashing row `b`'s key.
+    fn new(n: usize, hash: impl Fn(usize) -> u64) -> BuildTable {
+        assert!(n <= u32::MAX as usize, "row ids are u32");
+        // At least two buckets, so that `shift` stays below 64.
+        let buckets = n.next_power_of_two().max(2);
+        let shift = 64 - buckets.trailing_zeros();
+        let bucket_of: Vec<u32> = (0..n).map(|b| (hash(b) >> shift) as u32).collect();
+        let mut offsets = vec![0u32; buckets + 1];
+        for &h in &bucket_of {
+            offsets[h as usize + 1] += 1;
+        }
+        for h in 0..buckets {
+            offsets[h + 1] += offsets[h];
+        }
+        let mut next = offsets.clone();
+        let mut rows = vec![0u32; n];
+        for (b, &h) in bucket_of.iter().enumerate() {
+            rows[next[h as usize] as usize] = b as u32;
+            next[h as usize] += 1;
+        }
+        BuildTable {
+            offsets,
+            rows,
+            shift,
+        }
+    }
+
+    /// The candidate pairs `(build row, probe row)` of probe rows
+    /// `0..n_probe`: probe-major, a probe row's matches in
+    /// build-insertion order — exactly the row engine's output order.
+    /// `key(p)` is probe row `p`'s hash and key, `eq(b, k)` whether build
+    /// row `b` has key `k`.
+    fn probe<K>(
+        &self,
+        n_probe: usize,
+        key: impl Fn(usize) -> (u64, K),
+        eq: impl Fn(usize, &K) -> bool,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let mut cand_b: Vec<u32> = Vec::new();
+        let mut cand_p: Vec<u32> = Vec::new();
+        for p in 0..n_probe {
+            let (hash, k) = key(p);
+            let h = (hash >> self.shift) as usize;
+            for &b in &self.rows[self.offsets[h] as usize..self.offsets[h + 1] as usize] {
+                if eq(b as usize, &k) {
+                    cand_b.push(b);
+                    cand_p.push(p as u32);
+                }
+            }
+        }
+        (cand_b, cand_p)
+    }
+}
+
+/// Multiplicative (Fibonacci) hash: the top bits mix every key bit.
+#[inline]
+fn hash_i64(k: i64) -> u64 {
+    (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// `Value`'s own `Hash`, so keys equal under `Value::eq` share a bucket.
+fn hash_value(v: &Value) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// The candidate pair lists of a hash join, as logical rows per side.
 fn hash_candidates(
     build: &Chunk,
     b_key: usize,
-    b_ids: &[u32],
     probe: &Chunk,
     p_key: usize,
-    p_ids: &[u32],
 ) -> (Vec<u32>, Vec<u32>) {
-    let mut cand_b: Vec<u32> = Vec::new();
-    let mut cand_p: Vec<u32> = Vec::new();
+    let (n_build, n_probe) = (build.len, probe.len);
+    let (build, probe) = (build.col(b_key), probe.col(p_key));
     // Typed fast path: both keys are null-free Int columns, hash raw i64.
-    // (With possible NULL keys the generic path keeps the row engine's
-    // NULL==NULL candidate pairs, which its residual then discards.)
     if let (
         ColumnVec::Int {
             data: bd,
@@ -466,77 +581,49 @@ fn hash_candidates(
             data: pd,
             nulls: None,
         },
-    ) = (&*build.cols[b_key], &*probe.cols[p_key])
+    ) = (build.col, probe.col)
     {
-        let mut table: HashMap<i64, Vec<u32>> = HashMap::with_capacity(b_ids.len());
-        for &bi in b_ids {
-            table.entry(bd[bi as usize]).or_default().push(bi);
-        }
-        for &pi in p_ids {
-            if let Some(matches) = table.get(&pd[pi as usize]) {
-                for &bi in matches {
-                    cand_b.push(bi);
-                    cand_p.push(pi);
-                }
-            }
-        }
-        return (cand_b, cand_p);
+        let table = BuildTable::new(n_build, |b| hash_i64(bd[build.base(b)]));
+        return table.probe(
+            n_probe,
+            |p| {
+                let k = pd[probe.base(p)];
+                (hash_i64(k), k)
+            },
+            |b, k| bd[build.base(b)] == *k,
+        );
     }
-    // Generic path: hash full `Value`s (NULL keys included, as in the row
-    // engine's `HashMap<&Value, _>` build).
-    let b_col = &build.cols[b_key];
-    let p_col = &probe.cols[p_key];
-    let mut table: HashMap<Value, Vec<u32>> = HashMap::with_capacity(b_ids.len());
-    for &bi in b_ids {
-        table.entry(b_col.get(bi as usize)).or_default().push(bi);
-    }
-    for &pi in p_ids {
-        if let Some(matches) = table.get(&p_col.get(pi as usize)) {
-            for &bi in matches {
-                cand_b.push(bi);
-                cand_p.push(pi);
-            }
-        }
-    }
-    (cand_b, cand_p)
-}
-
-/// Gather left and right candidate rows into one dense joined chunk.
-fn gather_join(
-    out_schema: &Schema,
-    l_chunk: &Chunk,
-    l_ids: &[u32],
-    r_chunk: &Chunk,
-    r_ids: &[u32],
-) -> Chunk {
-    let mut cols = Vec::with_capacity(l_chunk.cols.len() + r_chunk.cols.len());
-    for c in &l_chunk.cols {
-        cols.push(Arc::new(c.gather(l_ids)));
-    }
-    for c in &r_chunk.cols {
-        cols.push(Arc::new(c.gather(r_ids)));
-    }
-    Chunk {
-        schema: out_schema.clone(),
-        cols,
-        len: l_ids.len(),
-        sel: None,
-    }
+    // Generic path: full `Value`s, NULL keys included — the row engine's
+    // `HashMap<&Value, _>` build pairs NULL with NULL and its residual
+    // then discards the pair.
+    let b_keys: Vec<Value> = (0..n_build).map(|b| build.get(b)).collect();
+    let table = BuildTable::new(n_build, |b| hash_value(&b_keys[b]));
+    table.probe(
+        n_probe,
+        |p| {
+            let k = probe.get(p);
+            (hash_value(&k), k)
+        },
+        |b, k| b_keys[b] == *k,
+    )
 }
 
 /// Index-nested-loops join, mirroring the row engine's decision order:
 /// inner side must be a bare scan with an index on the *last* eligible
 /// equi conjunct; the outer side runs first (errors propagate even if the
 /// size heuristic then rejects), and candidates charge one row-touch per
-/// outer row plus one per index hit before residual checks.
+/// outer row plus one per index hit before residual checks. `sides` is
+/// `[left, right]`; an outer side that ran and was rejected is left in
+/// its slot of `ran`.
 fn try_inl_join(
     exec: &Executor<'_>,
-    left: &LogicalPlan,
-    right: &LogicalPlan,
+    sides: [&LogicalPlan; 2],
     pred: &ScalarExpr,
     params: &HashMap<String, Value>,
+    ran: &mut [Option<(Chunk, ExecWork)>; 2],
 ) -> DbResult<Option<(Chunk, ExecWork)>> {
-    for (outer_plan, inner_plan, inner_is_right) in [(left, right, true), (right, left, false)] {
+    for outer in [0, 1] {
+        let (outer_plan, inner_plan) = (sides[outer], sides[1 - outer]);
         let LogicalPlan::Scan { table, alias } = inner_plan else {
             continue;
         };
@@ -567,53 +654,29 @@ fn try_inl_join(
             continue;
         };
 
-        let (o_chunk, o_work) = run_plan(exec, outer_plan, params)?;
-        if o_chunk.n_rows() * 2 >= t.row_count() {
+        let (o_chunk, o_work) = ran[outer].insert(run_plan(exec, outer_plan, params)?);
+        if o_chunk.len * 2 >= t.row_count() {
             continue; // hash join is the better plan; fall through
         }
 
-        let out_schema = if inner_is_right {
-            o_chunk.schema.join(&inner_schema)
-        } else {
-            inner_schema.join(&o_chunk.schema)
-        };
-        let mut work = o_work;
-        let o_ids = o_chunk.ids();
-        let i_ct = t.columnar();
+        let mut work = *o_work;
         let mut cand_o: Vec<u32> = Vec::new();
         let mut cand_i: Vec<u32> = Vec::new();
-        let o_key_col = &o_chunk.cols[o_col];
-        for &oid in &o_ids {
+        let o_key = o_chunk.col(o_col);
+        for k in 0..o_chunk.len {
             work.total_rows += 1;
-            let key = o_key_col.get(oid as usize);
-            let hits = t.index_lookup(i_col, &key).unwrap_or(&[]);
+            let hits = t.index_lookup(i_col, &o_key.get(k)).unwrap_or(&[]);
             for &pos in hits {
                 work.total_rows += 1;
-                cand_o.push(oid);
+                cand_o.push(k as u32);
                 cand_i.push(pos as u32);
             }
         }
-        let mut cols = Vec::with_capacity(o_chunk.cols.len() + i_ct.cols.len());
-        if inner_is_right {
-            for c in &o_chunk.cols {
-                cols.push(Arc::new(c.gather(&cand_o)));
-            }
-            for c in &i_ct.cols {
-                cols.push(Arc::new(c.gather(&cand_i)));
-            }
+        let inner = Chunk::scan(t, inner_schema);
+        let mut chunk = if outer == 0 {
+            Chunk::joined(o_chunk, &cand_o, &inner, &cand_i)
         } else {
-            for c in &i_ct.cols {
-                cols.push(Arc::new(c.gather(&cand_i)));
-            }
-            for c in &o_chunk.cols {
-                cols.push(Arc::new(c.gather(&cand_o)));
-            }
-        }
-        let mut chunk = Chunk {
-            schema: out_schema,
-            cols,
-            len: cand_o.len(),
-            sel: None,
+            Chunk::joined(&inner, &cand_i, o_chunk, &cand_o)
         };
         // All conjuncts, in order, progressively (per-hit short-circuit).
         for c in &conjuncts {
@@ -634,23 +697,25 @@ fn run_aggregate(
 ) -> DbResult<(Chunk, ExecWork)> {
     let (chunk, mut work) = run_plan(exec, input, params)?;
     let out_schema = plan.output_schema(exec.db, exec.funcs)?;
-    let mut group_idx = Vec::with_capacity(group_by.len());
+    let mut group_cols = Vec::with_capacity(group_by.len());
     for g in group_by {
-        group_idx.push(chunk.schema.resolve(&g.to_ref_string())?);
+        group_cols.push(chunk.col(chunk.schema.resolve(&g.to_ref_string())?));
     }
-    let ids = chunk.ids();
-    let n = ids.len();
+    let n = chunk.len;
 
     // Assign a group id to every row, preserving first-seen order.
     let mut order: Vec<Vec<Value>> = Vec::new();
     let mut gid_of_row: Vec<u32> = Vec::with_capacity(n);
-    if group_idx.len() == 1 {
-        if let ColumnVec::Int { data, nulls } = &*chunk.cols[group_idx[0]] {
+    match group_cols[..] {
+        [c @ ColView {
+            col: ColumnVec::Int { data, nulls },
+            ..
+        }] => {
             // Typed path: single Int key, hash raw i64 (NULL keys group
             // together, as `Value::Null == Value::Null` does).
             let mut seen: HashMap<Option<i64>, u32> = HashMap::new();
-            for &id in &ids {
-                let i = id as usize;
+            for k in 0..n {
+                let i = c.base(k);
                 let key = if nulls.as_ref().is_some_and(|m| m.is_null(i)) {
                     None
                 } else {
@@ -663,11 +728,8 @@ fn run_aggregate(
                 });
                 gid_of_row.push(gid);
             }
-        } else {
-            assign_value_groups(&chunk, &group_idx, &ids, &mut order, &mut gid_of_row);
         }
-    } else {
-        assign_value_groups(&chunk, &group_idx, &ids, &mut order, &mut gid_of_row);
+        _ => assign_value_groups(&group_cols, n, &mut order, &mut gid_of_row),
     }
 
     let mut states: Vec<Vec<AggState>> = order
@@ -680,7 +742,7 @@ fn run_aggregate(
     for (ai, item) in aggs.iter().enumerate() {
         match &item.arg {
             Some(e) => {
-                let v = eval_vec(e, &chunk.schema, &chunk.cols, &ids, params, exec.funcs)?;
+                let v = eval_vec(e, &chunk, 0..n, params, exec.funcs)?;
                 for (k, &gid) in gid_of_row.iter().enumerate() {
                     let val = v.value_at(k);
                     states[gid as usize][ai].update(Some(&val));
@@ -715,18 +777,14 @@ fn run_aggregate(
 
 /// Group assignment over full `Value` keys (multi-column or non-Int).
 fn assign_value_groups(
-    chunk: &Chunk,
-    group_idx: &[usize],
-    ids: &[u32],
+    group_cols: &[ColView<'_>],
+    n: usize,
     order: &mut Vec<Vec<Value>>,
     gid_of_row: &mut Vec<u32>,
 ) {
     let mut seen: HashMap<Vec<Value>, u32> = HashMap::new();
-    for &id in ids {
-        let key: Vec<Value> = group_idx
-            .iter()
-            .map(|&c| chunk.cols[c].get(id as usize))
-            .collect();
+    for k in 0..n {
+        let key: Vec<Value> = group_cols.iter().map(|c| c.get(k)).collect();
         let next = order.len() as u32;
         let gid = match seen.get(&key) {
             Some(&g) => g,
@@ -863,19 +921,18 @@ fn vcol_to_column(v: VCol, n: usize) -> ColumnVec {
     }
 }
 
-/// Evaluate `expr` over the rows listed in `ids` (base ids into `cols`).
+/// Evaluate `expr` over the batch `rows` of `chunk`'s logical rows.
 ///
 /// Empty batches return immediately without resolving anything — the row
 /// engine evaluates nothing over zero rows, so neither may we.
 fn eval_vec(
     expr: &ScalarExpr,
-    schema: &Schema,
-    cols: &[Arc<ColumnVec>],
-    ids: &[u32],
+    chunk: &Chunk,
+    rows: Range<usize>,
     params: &HashMap<String, Value>,
     funcs: &FuncRegistry,
 ) -> DbResult<VCol> {
-    let n = ids.len();
+    let n = rows.len();
     if n == 0 {
         return Ok(VCol::Vals(Vec::new()));
     }
@@ -887,16 +944,19 @@ fn eval_vec(
             .map(VCol::Const)
             .ok_or_else(|| DbError::UnboundParam(name.clone())),
         ScalarExpr::Col(c) => {
-            let i = schema.resolve(&c.to_ref_string())?;
-            Ok(gather_vcol(&cols[i], ids))
+            let col = chunk.col(chunk.schema.resolve(&c.to_ref_string())?);
+            Ok(match col.sel {
+                Some(sel) => gather_vcol(col.col, sel[rows].iter().map(|&i| i as usize)),
+                None => gather_vcol(col.col, rows),
+            })
         }
         ScalarExpr::Bin(op, l, r) => {
-            let lv = eval_vec(l, schema, cols, ids, params, funcs)?;
-            let rv = eval_vec(r, schema, cols, ids, params, funcs)?;
+            let lv = eval_vec(l, chunk, rows.clone(), params, funcs)?;
+            let rv = eval_vec(r, chunk, rows, params, funcs)?;
             combine(*op, lv, rv, n)
         }
         ScalarExpr::Not(e) => {
-            let v = eval_vec(e, schema, cols, ids, params, funcs)?;
+            let v = eval_vec(e, chunk, rows, params, funcs)?;
             match v {
                 VCol::Bool(mut data, nulls) => {
                     for b in &mut data {
@@ -926,7 +986,7 @@ fn eval_vec(
         ScalarExpr::Func(name, args) => {
             let mut arg_cols = Vec::with_capacity(args.len());
             for a in args {
-                arg_cols.push(eval_vec(a, schema, cols, ids, params, funcs)?);
+                arg_cols.push(eval_vec(a, chunk, rows.clone(), params, funcs)?);
             }
             let mut out = Vec::with_capacity(n);
             let mut call_args = vec![Value::Null; args.len()];
@@ -941,34 +1001,20 @@ fn eval_vec(
     }
 }
 
-/// Gather a storage column into a batch result (typed, nulls as flags).
-fn gather_vcol(col: &ColumnVec, ids: &[u32]) -> VCol {
-    fn flags(col: &ColumnVec, ids: &[u32]) -> Option<Vec<bool>> {
-        if col.null_count() == 0 {
-            return None;
-        }
-        Some(ids.iter().map(|&i| col.is_null(i as usize)).collect())
-    }
+/// Gather base rows `ids` of a storage column into a batch result (typed,
+/// nulls as flags).
+fn gather_vcol(col: &ColumnVec, ids: impl Iterator<Item = usize> + Clone) -> VCol {
+    let flags = || (col.null_count() > 0).then(|| ids.clone().map(|i| col.is_null(i)).collect());
     match col {
-        ColumnVec::Int { data, .. } => VCol::Int(
-            ids.iter().map(|&i| data[i as usize]).collect(),
-            flags(col, ids),
-        ),
-        ColumnVec::Float { data, .. } => VCol::Float(
-            ids.iter().map(|&i| data[i as usize]).collect(),
-            flags(col, ids),
-        ),
-        ColumnVec::Str { data, .. } => VCol::Str(
-            ids.iter().map(|&i| data[i as usize].clone()).collect(),
-            flags(col, ids),
-        ),
-        ColumnVec::Bool { data, .. } => VCol::Bool(
-            ids.iter().map(|&i| data[i as usize]).collect(),
-            flags(col, ids),
-        ),
-        ColumnVec::Mixed(vals) => {
-            VCol::Vals(ids.iter().map(|&i| vals[i as usize].clone()).collect())
+        ColumnVec::Int { data, .. } => VCol::Int(ids.clone().map(|i| data[i]).collect(), flags()),
+        ColumnVec::Float { data, .. } => {
+            VCol::Float(ids.clone().map(|i| data[i]).collect(), flags())
         }
+        ColumnVec::Str { data, .. } => {
+            VCol::Str(ids.clone().map(|i| data[i].clone()).collect(), flags())
+        }
+        ColumnVec::Bool { data, .. } => VCol::Bool(ids.clone().map(|i| data[i]).collect(), flags()),
+        ColumnVec::Mixed(vals) => VCol::Vals(ids.map(|i| vals[i].clone()).collect()),
     }
 }
 
@@ -1265,26 +1311,38 @@ mod tests {
     use crate::schema::{Column, DataType};
     use crate::sql::parse;
 
-    /// Run `sql` on both engines and assert bit-identical results + work.
-    fn assert_engines_agree(db: &Database, sql: &str) -> crate::exec::QueryResult {
-        let funcs = FuncRegistry::with_builtins();
-        let plan = parse(sql).unwrap();
-        let col = Executor::new(db, &funcs)
+    /// Run `plan` on both engines and assert bit-identical results + work.
+    fn assert_plan_agrees(
+        db: &Database,
+        funcs: &FuncRegistry,
+        plan: &LogicalPlan,
+        label: &str,
+    ) -> crate::exec::QueryResult {
+        let col = Executor::new(db, funcs)
             .with_engine(ExecEngine::Columnar)
-            .execute(&plan, &HashMap::new());
-        let row = Executor::new(db, &funcs)
+            .execute(plan, &HashMap::new());
+        let row = Executor::new(db, funcs)
             .with_engine(ExecEngine::Row)
-            .execute(&plan, &HashMap::new());
+            .execute(plan, &HashMap::new());
         match (col, row) {
             (Ok(c), Ok(r)) => {
-                assert_eq!(c.schema, r.schema, "schema for {sql}");
-                assert_eq!(c.rows, r.rows, "rows for {sql}");
-                assert_eq!(c.work, r.work, "work for {sql}");
+                assert_eq!(c.schema, r.schema, "schema for {label}");
+                assert_eq!(c.rows, r.rows, "rows for {label}");
+                assert_eq!(c.work, r.work, "work for {label}");
                 c
             }
-            (Err(ce), Err(_re)) => panic!("both engines error on {sql}: {ce}"),
-            (c, r) => panic!("engines disagree on {sql}: columnar={c:?} row={r:?}"),
+            (Err(ce), Err(_re)) => panic!("both engines error on {label}: {ce}"),
+            (c, r) => panic!("engines disagree on {label}: columnar={c:?} row={r:?}"),
         }
+    }
+
+    fn assert_engines_agree(db: &Database, sql: &str) -> crate::exec::QueryResult {
+        assert_plan_agrees(
+            db,
+            &FuncRegistry::with_builtins(),
+            &parse(sql).unwrap(),
+            sql,
+        )
     }
 
     fn test_db() -> Database {
@@ -1482,5 +1540,202 @@ mod tests {
         db.analyze_all();
         let r = assert_engines_agree(&db, &format!("select * from big where v = {base}"));
         assert_eq!(r.row_count(), 1, "no f64 rounding in Int = Int");
+    }
+
+    /// One-column tables `name(k)` without indexes, so that a join on `k`
+    /// takes the hash path whatever the sizes.
+    fn key_tables(tables: &[(&str, &[Value])]) -> Database {
+        let mut db = Database::new();
+        for (name, keys) in tables {
+            let t = db
+                .create_table(*name, Schema::new(vec![Column::new("k", DataType::Int)]))
+                .unwrap();
+            for k in *keys {
+                t.insert(vec![k.clone()]).unwrap();
+            }
+        }
+        db.analyze_all();
+        db
+    }
+
+    fn ints(keys: &[i64]) -> Vec<Value> {
+        keys.iter().map(|&k| Value::Int(k)).collect()
+    }
+
+    /// `a join b on a.k = b.k` and its mirror image (so the smaller
+    /// table, the build side, is once the left and once the right input).
+    fn assert_key_joins_agree(db: &Database) -> crate::exec::QueryResult {
+        assert_engines_agree(db, "select * from b join a on a.k = b.k");
+        assert_engines_agree(db, "select * from a join b on a.k = b.k")
+    }
+
+    #[test]
+    fn duplicate_build_keys_match_in_build_insertion_order() {
+        let keys = [3i64, 1, 3, 2, 3, 1];
+        let table = BuildTable::new(keys.len(), |b| hash_i64(keys[b]));
+        let probes = [3i64, 7, 1];
+        let (b, p) = table.probe(
+            probes.len(),
+            |p| (hash_i64(probes[p]), probes[p]),
+            |b, k| keys[b] == *k,
+        );
+        assert_eq!((b, p), (vec![0, 2, 4, 1, 5], vec![0, 0, 0, 2, 2]));
+
+        let db = key_tables(&[("a", &ints(&keys)), ("b", &ints(&[3, 7, 1, 3, 2, 2, 9]))]);
+        let r = assert_key_joins_agree(&db);
+        assert_eq!(r.row_count(), 3 + 2 + 3 + 1 + 1);
+    }
+
+    #[test]
+    fn keys_sharing_a_bucket_do_not_match_each_other() {
+        // Four build rows make four buckets; all eight keys hash to the
+        // first of them.
+        let colliding: Vec<i64> = (0i64..)
+            .filter(|&k| hash_i64(k) >> 62 == 0)
+            .take(8)
+            .collect();
+        let table = BuildTable::new(4, |b| hash_i64(colliding[b]));
+        assert_eq!(table.offsets, [0, 4, 4, 4, 4]);
+        let (b, p) = table.probe(
+            8,
+            |p| (hash_i64(colliding[p]), colliding[p]),
+            |b, k| colliding[b] == *k,
+        );
+        assert_eq!((b, p), (vec![0, 1, 2, 3], vec![0, 1, 2, 3]));
+        let db = key_tables(&[("a", &ints(&colliding[..4])), ("b", &ints(&colliding))]);
+        let r = assert_key_joins_agree(&db);
+        assert_eq!(r.row_count(), 4);
+        assert!(r.rows.iter().all(|row| row[0] == row[1]));
+    }
+
+    #[test]
+    fn extreme_int_keys_join() {
+        let keys = ints(&[i64::MIN, -1, 0, i64::MAX]);
+        let probes = ints(&[i64::MAX, 0, 1, -1, i64::MIN, i64::MIN + 1, 0]);
+        let db = key_tables(&[("a", &keys), ("b", &probes)]);
+        assert_eq!(assert_key_joins_agree(&db).row_count(), 5);
+    }
+
+    #[test]
+    fn empty_build_and_probe_sides_join_to_nothing() {
+        let db = key_tables(&[("a", &[]), ("b", &ints(&[1, 2, 3]))]);
+        assert_eq!(assert_key_joins_agree(&db).row_count(), 0);
+        assert_engines_agree(&db, "select * from a x join a y on x.k = y.k");
+        // Empty through a selection rather than an empty table, on either
+        // side and on both.
+        let none = || LogicalPlan::scan_as("b", "x").select(parse_pred("x.k < 0"));
+        let on = || ScalarExpr::eq(ScalarExpr::col("x.k"), ScalarExpr::col("y.k"));
+        let funcs = FuncRegistry::with_builtins();
+        for (plan, label) in [
+            (
+                none().join(LogicalPlan::scan_as("b", "y"), on()),
+                "empty ⋈ b",
+            ),
+            (
+                LogicalPlan::scan_as("b", "y").join(none(), on()),
+                "b ⋈ empty",
+            ),
+            (
+                none().join(LogicalPlan::scan_as("a", "y"), on()),
+                "empty ⋈ empty",
+            ),
+        ] {
+            assert_eq!(assert_plan_agrees(&db, &funcs, &plan, label).row_count(), 0);
+        }
+    }
+
+    /// The predicate of `select * from t x where <pred>`.
+    fn parse_pred(pred: &str) -> ScalarExpr {
+        match parse(&format!("select * from t x where {pred}")).unwrap() {
+            LogicalPlan::Select { pred, .. } => pred,
+            other => panic!("expected a selection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn build_side_carrying_a_selection_vector_joins_in_selection_order() {
+        let a: Vec<i64> = (0..40).map(|i| i % 5).collect();
+        let b: Vec<i64> = (0..90).map(|i| i % 9).collect();
+        let db = key_tables(&[("a", &ints(&a)), ("b", &ints(&b))]);
+        let funcs = FuncRegistry::with_builtins();
+        let on = || ScalarExpr::eq(ScalarExpr::col("x.k"), ScalarExpr::col("y.k"));
+        // A filtered build side: its selection skips rows.
+        let filtered = LogicalPlan::scan_as("a", "x")
+            .select(parse_pred("x.k > 1"))
+            .join(LogicalPlan::scan_as("b", "y"), on());
+        let r = assert_plan_agrees(&db, &funcs, &filtered, "filtered build side");
+        assert_eq!(r.row_count(), 3 * 8 * 10);
+        // A sorted one: its selection is not monotone, and duplicates
+        // must come out in sorted (= insertion) order.
+        let sorted = LogicalPlan::scan_as("b", "y").join(
+            LogicalPlan::scan_as("a", "x").order_by(vec![(ColRef::parse("x.k"), SortDir::Desc)]),
+            on(),
+        );
+        assert_plan_agrees(&db, &funcs, &sorted, "sorted build side");
+        // Both sides selected, and the output limited.
+        let both = LogicalPlan::scan_as("a", "x")
+            .select(parse_pred("x.k < 4"))
+            .join(
+                LogicalPlan::scan_as("b", "y").select(parse_pred("y.k > 2")),
+                on(),
+            )
+            .limit(7);
+        let r = assert_plan_agrees(&db, &funcs, &both, "both sides selected");
+        assert_eq!(r.row_count(), 7);
+    }
+
+    #[test]
+    fn null_and_mixed_type_keys_go_through_value_equality() {
+        let a = [Value::Null, Value::Int(1), Value::Null, Value::Int(2)];
+        let b = [
+            Value::Int(1),
+            Value::Null,
+            Value::Int(2),
+            Value::Int(2),
+            Value::str("1"),
+            Value::Float(1.0),
+            Value::str("x"),
+        ];
+        let db = key_tables(&[("a", &a), ("b", &b), ("c", &b[3..])]);
+        // Int-with-NULLs against Mixed: NULL pairs with NULL as a
+        // candidate and the residual drops it; 1 ≠ 1.0 ≠ '1' as keys.
+        let r = assert_key_joins_agree(&db);
+        assert_eq!(r.row_count(), 3);
+        assert!(r.rows.iter().all(|row| !row[0].is_null()));
+        // Mixed against Mixed.
+        let r = assert_engines_agree(&db, "select * from b join c on b.k = c.k");
+        assert_eq!(r.row_count(), 2 + 1 + 1 + 1);
+    }
+
+    #[test]
+    fn rejected_inl_join_runs_its_outer_side_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let db = test_db();
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mut funcs = FuncRegistry::with_builtins();
+        let counter = calls.clone();
+        funcs.register("bump", DataType::Int, move |args| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            Ok(args[0].clone())
+        });
+        // `customer` is indexed on the join key, so the INL attempt runs
+        // the outer side (100 rows), finds it larger than half of
+        // `customer` (10 rows) and falls through to the hash join.
+        let bumped = ScalarExpr::Func("bump".into(), vec![ScalarExpr::col("o_id")]);
+        let plan = LogicalPlan::scan("orders")
+            .select(ScalarExpr::bin(BinOp::Ge, bumped, ScalarExpr::lit(0i64)))
+            .join(
+                LogicalPlan::scan("customer"),
+                ScalarExpr::eq(
+                    ScalarExpr::col("o_customer_sk"),
+                    ScalarExpr::col("c_customer_sk"),
+                ),
+            );
+        Executor::new(&db, &funcs)
+            .with_engine(ExecEngine::Columnar)
+            .execute(&plan, &HashMap::new())
+            .unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 100, "once per outer row");
+        assert_plan_agrees(&db, &funcs, &plan, "rejected INL join");
     }
 }

@@ -148,3 +148,196 @@ fn report_names_the_batch_size() {
     let text = report.to_string();
     assert!(text.contains("execution: batch size"), "{text}");
 }
+
+/// Joins at a size that fills many buckets of the build table and
+/// composes selection vectors more than once: 20 000 items, 30 000 sales
+/// whose foreign keys are skewed (a few hot items), duplicated and, in one
+/// column, sometimes NULL. Rows, their order and `ExecWork` must be
+/// bit-identical across the two engines.
+#[test]
+fn large_joins_agree_across_engines() {
+    use cobra::minidb::plan::SortDir;
+    use cobra::minidb::{
+        sql, BinOp, ColRef, Column, DataType, Database, Executor, FuncRegistry, LogicalPlan,
+        ScalarExpr, Schema, Value,
+    };
+    use cobra::netsim::rng::StdRng;
+    use std::collections::HashMap;
+
+    const ITEMS: i64 = 20_000;
+    const SALES: i64 = 30_000;
+    let mut rng = StdRng::seed_from_u64(14);
+    let mut db = Database::new();
+
+    let t = db
+        .create_table(
+            "item",
+            Schema::new(vec![
+                Column::new("i_id", DataType::Int),
+                Column::new("i_grp", DataType::Int),
+                Column::new("i_price", DataType::Float),
+                Column::with_width("i_name", DataType::Str, 8),
+            ]),
+        )
+        .unwrap();
+    t.set_primary_key("i_id").unwrap();
+    for i in 0..ITEMS {
+        t.insert(vec![
+            Value::Int(i),
+            Value::Int(rng.gen_range(0..60i64)),
+            Value::Float(rng.gen_range(0..10_000i64) as f64 / 100.0),
+            Value::str(format!("item{}", i % 97)),
+        ])
+        .unwrap();
+    }
+
+    let t = db
+        .create_table(
+            "sale",
+            Schema::new(vec![
+                Column::new("s_id", DataType::Int),
+                Column::new("s_item", DataType::Int),
+                Column::new("s_item_opt", DataType::Int),
+                Column::new("s_qty", DataType::Int),
+            ]),
+        )
+        .unwrap();
+    t.set_primary_key("s_id").unwrap();
+    for s in 0..SALES {
+        // 2 % of the sales go to four hot items; the rest are uniform
+        // over a range a tenth of which has no item.
+        let item = if rng.chance(2) {
+            rng.gen_range(0..4i64)
+        } else {
+            rng.gen_range(0..ITEMS + ITEMS / 10)
+        };
+        let item_opt = if rng.chance(5) {
+            Value::Null
+        } else {
+            Value::Int(item)
+        };
+        let qty = rng.gen_range(1..20i64);
+        t.insert(vec![
+            Value::Int(s),
+            Value::Int(item),
+            item_opt,
+            Value::Int(qty),
+        ])
+        .unwrap();
+    }
+
+    let t = db
+        .create_table(
+            "grp",
+            Schema::new(vec![
+                Column::new("g_id", DataType::Int),
+                Column::with_width("g_label", DataType::Str, 8),
+            ]),
+        )
+        .unwrap();
+    t.set_primary_key("g_id").unwrap();
+    for g in 0..50i64 {
+        t.insert(vec![Value::Int(g), Value::str(format!("g{g}"))])
+            .unwrap();
+    }
+    db.analyze_all();
+
+    let col = ScalarExpr::col;
+    let lt = |c: &str, v: Value| ScalarExpr::bin(BinOp::Lt, col(c), ScalarExpr::Lit(v));
+    let sale_item = || {
+        LogicalPlan::scan("sale").join(
+            LogicalPlan::scan("item"),
+            ScalarExpr::eq(col("s_item"), col("i_id")),
+        )
+    };
+    // join → filter → join → project: three segments, the first two
+    // composed by the filter and again by the second join.
+    let chain = |keep_sales: i64| {
+        sale_item()
+            .select(ScalarExpr::and(
+                lt("i_price", Value::Float(40.0)),
+                lt("s_id", Value::Int(keep_sales)),
+            ))
+            .join(
+                LogicalPlan::scan("grp"),
+                ScalarExpr::eq(col("i_grp"), col("g_id")),
+            )
+            .project(vec![
+                (col("s_id"), "s_id".into()),
+                (col("g_label"), "label".into()),
+                (
+                    ScalarExpr::bin(BinOp::Mul, col("i_price"), col("s_qty")),
+                    "total".into(),
+                ),
+                (col("i_name"), "name".into()),
+            ])
+    };
+    let mut cases: Vec<(String, LogicalPlan)> = [
+        // Typed i64 keys; NULL-able keys (the `Value` path); both ways
+        // round. `item` is indexed, so each also rejects an INL attempt.
+        "select * from sale join item on s_item = i_id",
+        "select * from item join sale on i_id = s_item_opt",
+        "select count(*) as n, sum(s_qty) as q from sale join item on s_item_opt = i_id",
+        // Self-joins on the skewed key, with a residual and without.
+        "select a.s_id, b.s_id, b.s_qty from sale a join sale b \
+         on a.s_item = b.s_item and a.s_qty < b.s_qty",
+        "select count(*) as n from sale a join sale b on a.s_item_opt = b.s_item_opt",
+        // Three-way chain, aggregated and sorted.
+        "select g_label, count(*) as n, sum(s_qty) as q, avg(i_price) as p \
+         from sale join item on s_item = i_id join grp on i_grp = g_id \
+         where s_qty > 3 group by g_label order by g_label",
+        // ORDER BY / LIMIT over a joined chunk.
+        "select * from sale join item on s_item = i_id \
+         where i_price > 90.0 order by i_price desc, s_id limit 100",
+    ]
+    .iter()
+    .map(|text| (text.to_string(), sql::parse(text).expect("query parses")))
+    .collect();
+    cases.extend([
+        ("chain, hash joins throughout".to_string(), chain(SALES)),
+        // Few enough sales survive that `grp`, then a second copy of
+        // `item`, are joined by index lookups driven from a chunk of
+        // several segments.
+        ("chain, INL second join".to_string(), chain(20)),
+        (
+            "chain joined back to item by index".to_string(),
+            sale_item()
+                .select(lt("s_id", Value::Int(300)))
+                .join(
+                    LogicalPlan::scan_as("item", "j"),
+                    ScalarExpr::eq(col("s_qty"), col("j.i_id")),
+                )
+                .order_by(vec![(ColRef::parse("j.i_name"), SortDir::Asc)])
+                .limit(250),
+        ),
+        // No equi conjunct: the nested-loop path over composed inputs.
+        (
+            "nested loop over a joined chunk".to_string(),
+            sale_item().select(lt("s_id", Value::Int(150))).join(
+                LogicalPlan::scan("grp"),
+                ScalarExpr::bin(BinOp::Lt, col("i_grp"), col("g_id")),
+            ),
+        ),
+    ]);
+
+    let funcs = FuncRegistry::with_builtins();
+    for (label, plan) in &cases {
+        let run = |engine| {
+            Executor::new(&db, &funcs)
+                .with_engine(engine)
+                .execute(plan, &HashMap::new())
+                .unwrap_or_else(|e| panic!("{label}: {engine:?} engine errors: {e}"))
+        };
+        let (c, r) = (run(ExecEngine::Columnar), run(ExecEngine::Row));
+        assert!(c.row_count() > 0, "{label}: vacuous");
+        assert_eq!(c.schema, r.schema, "schema of {label}");
+        assert_eq!(c.work, r.work, "ExecWork of {label}");
+        assert_eq!(c.row_count(), r.row_count(), "row count of {label}");
+        if let Some(k) = (0..c.rows.len()).find(|&k| c.rows[k] != r.rows[k]) {
+            panic!(
+                "{label}: row {k} differs: columnar {:?}, row engine {:?}",
+                c.rows[k], r.rows[k]
+            );
+        }
+    }
+}

@@ -9,15 +9,20 @@
 //! * the worklist `volcano::cost_table` reproduces the reference
 //!   Gauss-Seidel sweep (`volcano::cost_table_sweeps`) bit-for-bit —
 //!   `group_costs` and `converged` — on real Region DAGs, under the
-//!   unbudgeted and several budgeted configurations.
+//!   unbudgeted and several budgeted configurations;
+//! * as-written costs (`Cobra::cost_of`, `Optimized::original_cost_ns`)
+//!   and the chosen plan's cost are pinned bit-for-bit by a digest.
 
 use cobra::core::emit::emit_function;
 use cobra::core::Cobra;
 use cobra::imperative::pretty;
+use cobra::minidb::StableHasher;
 use cobra::netsim::NetworkProfile;
 use cobra::oracle::matrix::mid_range;
 use cobra::volcano;
 use cobra::workloads::genprog::{GenCase, GenConfig};
+use cobra::workloads::{motivating, wilos};
+use std::hash::{Hash, Hasher};
 
 const SEEDS: u64 = 100;
 
@@ -88,6 +93,49 @@ fn cached_costing_is_bit_identical_across_corpus() {
             );
         }
     }
+}
+
+/// The bits of every as-written cost and of every chosen plan's cost over
+/// the generated corpus, the 32 Wilos fragments and `motivating::{p0, m0}`
+/// on all three profiles. As-written costing is a recursion over the
+/// region tree that must do the search's arithmetic in the search's order:
+/// where the original program wins, `est_cost_ns` and `original_cost_ns`
+/// are the same bits, and `cobra_bench` fails an op on `est > original`.
+const AS_WRITTEN_COSTS_DIGEST: u64 = 0x3abc_a4fb_9e8a_e219;
+
+#[test]
+fn as_written_costs_are_pinned() {
+    let cfg = GenConfig::default();
+    let mut corpus: Vec<_> = (0..SEEDS)
+        .map(|seed| {
+            let case = GenCase::from_seed(seed, &cfg);
+            (case.fixture(), case.program)
+        })
+        .collect();
+    let fx = wilos::build_fixture(2_000, 5);
+    corpus.extend(
+        wilos::fragments()
+            .into_iter()
+            .map(|f| (fx.clone(), f.program)),
+    );
+    let fx = motivating::build_fixture(2_000, 400, 11);
+    corpus.extend([(fx.clone(), motivating::p0()), (fx, motivating::m0())]);
+
+    let mut h = StableHasher::new();
+    for (i, (fixture, program)) in corpus.iter().enumerate() {
+        for net in profiles() {
+            let ctx = format!("program {i}, profile {}", net.name());
+            let cobra = fixture.cobra_builder().network(net).build();
+            let opt = cobra.optimize_program(program).expect("optimizes");
+            assert!(opt.est_cost_ns <= opt.original_cost_ns, "{ctx}");
+            opt.original_cost_ns.to_bits().hash(&mut h);
+            opt.est_cost_ns.to_bits().hash(&mut h);
+            for f in &program.functions {
+                cobra.cost_of(f).to_bits().hash(&mut h);
+            }
+        }
+    }
+    assert_eq!(h.finish(), AS_WRITTEN_COSTS_DIGEST, "{:#018x}", h.finish());
 }
 
 /// The estimate cache is actually doing work on this corpus (the

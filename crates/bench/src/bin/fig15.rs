@@ -34,7 +34,8 @@ fn main() {
 
         // Heuristic rewrite.
         let fixture = fresh();
-        let rewritten = heuristic::optimize_heuristic(&program, &fixture.mapping);
+        let baseline_of = fixture.cobra_builder().network(net.clone()).build();
+        let rewritten = heuristic::optimize_heuristic(&program, &baseline_of);
         let heuristic_program = with_entry(&program, rewritten);
         let t_heur = run_secs(&fixture, net.clone(), &heuristic_program);
 

@@ -15,14 +15,26 @@
 //! * loops: `N_Q · C_body + C_Db(Q)` when the trip count is known from the
 //!   iterable's plan, a tunable default otherwise.
 //!
-//! Like the paper's model, this one does **not** model the ORM session
-//! cache: iterative navigations are charged one lookup per iteration.
-//! (The paper's Experiment 2 notes the same mismatch for P0 on fast
-//! networks; COBRA never picks P0 anyway.)
+//! The region formulas are stated once (`region_cost`, with
+//! `break_probability`) and have two callers: [`CostModel::cost`] hands
+//! them the search's child-group costs, and
+//! [`RegionCostModel::written_cost`] — code priced as written has no
+//! alternatives, so no memo and no search — its own recursion's. The two
+//! agree to the bit, so `est_cost_ns == original_cost_ns` when the
+//! original program wins. An unstructured fragment is priced the same
+//! way: a `try` costs what its body and handler cost outside it.
+//!
+//! Unlike the paper's model, this one does model the ORM session cache
+//! for association navigation: a navigation is charged its lookup times
+//! the association's expected miss rate, `NDV(fk) / row_count` (see
+//! `nav_cost`). The paper charges every navigation one lookup — its known
+//! P0 overestimate (Experiment 2 notes the mismatch on fast networks) —
+//! and `use_histograms = false` reproduces that.
 
 use crate::catalog::CostCatalog;
-use crate::region_ops::RegionOp;
+use crate::region_ops::{region_to_optree, RegionOp};
 use imperative::ast::{Expr, Stmt, StmtKind};
+use imperative::regions::Region;
 use minidb::{
     Estimate, EstimateCache, Estimator, FuncRegistry, LogicalPlan, PlanFingerprint, ScalarExpr,
     SharedPlan, Value,
@@ -34,7 +46,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use volcano::{CostModel, GroupId, MExprId, Memo};
+use volcano::{Child, CostModel, GroupId, MExprId, Memo, OpTree};
 
 /// A finite stand-in for "cannot estimate": large enough to lose against
 /// any real alternative without poisoning arithmetic like `f64::INFINITY`
@@ -53,10 +65,10 @@ pub struct RegionCostModel {
     var_plans: HashMap<String, SharedPlan>,
     /// Pre-computed plain costs of callee functions (for `LetCall`).
     fn_costs: HashMap<String, f64>,
-    /// Whole-plan estimate cache, keyed by plan fingerprint. Shareable
-    /// across searches and batch workers (see [`EstimateCache`]); a fresh
-    /// private cache is used unless [`RegionCostModel::set_estimate_cache`]
-    /// installs a shared one.
+    /// Whole-plan estimate cache, keyed by plan fingerprint. Epoch-
+    /// validated, so sharing one across many searches and batch workers
+    /// over the same database is safe and is what [`crate::Cobra`] does
+    /// (see [`EstimateCache`]).
     estimates: Arc<EstimateCache>,
     /// Estimates this model served from the cache / had to compute
     /// (model-local, so per-search reporting stays exact even when the
@@ -84,28 +96,32 @@ pub struct RegionCostModel {
 }
 
 impl RegionCostModel {
-    /// Build a cost model.
+    /// Build a cost model that charges against `config`'s network profile
+    /// and cost catalog (with or without histograms, as it says), serves
+    /// estimates through `estimates`, and prefers `feedback`'s observed
+    /// runtime cardinalities over model guesses.
     pub fn new(
         db: minidb::SharedDb,
         funcs: std::sync::Arc<FuncRegistry>,
-        net: NetworkProfile,
-        catalog: CostCatalog,
         mappings: MappingRegistry,
+        config: &crate::OptimizerConfig,
+        estimates: Arc<EstimateCache>,
+        feedback: Option<Arc<minidb::FeedbackStore>>,
     ) -> RegionCostModel {
         RegionCostModel {
             db,
             funcs,
-            net,
-            catalog,
+            net: config.network.clone(),
+            catalog: config.catalog.clone(),
             mappings,
             var_plans: HashMap::new(),
             fn_costs: HashMap::new(),
-            estimates: Arc::new(EstimateCache::new()),
+            estimates,
             est_hits: AtomicU64::new(0),
             est_misses: AtomicU64::new(0),
             use_estimate_cache: true,
-            use_histograms: true,
-            feedback: None,
+            use_histograms: config.use_histograms,
+            feedback,
             fb_overrides: AtomicU64::new(0),
             scan_plans: std::sync::Mutex::new(HashMap::new()),
             nav_plans: std::sync::Mutex::new(HashMap::new()),
@@ -131,31 +147,12 @@ impl RegionCostModel {
         self.fn_costs = costs;
     }
 
-    /// Serve estimates through `cache` (epoch-validated, so sharing one
-    /// cache across many searches over the same database is safe and is
-    /// what [`crate::Cobra`] does).
-    pub fn set_estimate_cache(&mut self, cache: Arc<EstimateCache>) {
-        self.estimates = cache;
-    }
-
     /// Disable estimate caching entirely (every estimate recomputed) —
     /// the reference hook the equivalence suite compares cached search
     /// against, on the model [`crate::Cobra::region_dag`] returns; results
     /// are bit-identical either way.
     pub fn disable_estimate_cache(&mut self) {
         self.use_estimate_cache = false;
-    }
-
-    /// Enable or disable histogram-interpolated selectivities (default
-    /// on); off is the uniform-NDV baseline.
-    pub fn set_use_histograms(&mut self, on: bool) {
-        self.use_histograms = on;
-    }
-
-    /// Prefer observed runtime cardinalities from `feedback` over model
-    /// guesses.
-    pub fn set_feedback(&mut self, feedback: Option<Arc<minidb::FeedbackStore>>) {
-        self.feedback = feedback;
     }
 
     /// Estimates this model computed with an observed runtime cardinality
@@ -490,60 +487,34 @@ impl RegionCostModel {
         self.catalog.default_loop_iters
     }
 
-    /// Per-iteration probability that executing `stmts` exits the
-    /// enclosing loop via `break`: `1 − Π(1 − p_i)` over the top-level
-    /// break sites, with conditional breaks weighted by their condition's
-    /// statistics-driven probability. Nested loops swallow their own
-    /// breaks and contribute nothing.
-    fn stmts_break_probability(&self, stmts: &[Stmt]) -> f64 {
-        let mut cont = 1.0;
-        for s in stmts {
-            let p = match &s.kind {
-                StmtKind::Break => 1.0,
-                StmtKind::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                } => {
-                    let pc = self.cond_probability(cond);
-                    pc * self.stmts_break_probability(then_branch)
-                        + (1.0 - pc) * self.stmts_break_probability(else_branch)
-                }
-                _ => 0.0,
-            };
-            cont *= 1.0 - p;
-        }
-        (1.0 - cont).clamp(0.0, 1.0)
-    }
-
-    /// [`RegionCostModel::stmts_break_probability`] over a body *group* of
-    /// the Region DAG, read off the group's original expression (the
-    /// region as written; rewritten alternatives are fold-generated and
-    /// never contain breaks).
-    fn body_break_probability(&self, memo: &Memo<RegionOp>, group: GroupId) -> f64 {
-        let g = memo.find(group);
-        let Some(&e0) = memo.group(g).first() else {
-            return 0.0;
-        };
-        let e = memo.expr(e0);
-        match &e.op {
-            RegionOp::Leaf(stmt) => self.stmts_break_probability(std::slice::from_ref(stmt)),
-            RegionOp::BlackBox(stmts) => self.stmts_break_probability(stmts),
-            RegionOp::Seq(_) => {
+    /// Per-iteration probability that executing `body` exits the enclosing
+    /// loop via `break`: `1 − Π(1 − p_i)` over a sequence, with conditional
+    /// breaks weighted by their condition's statistics-driven probability.
+    /// `node` gives a body's operator and children — the search reads them
+    /// off a memo group, as-written costing off a tree. Nested loops
+    /// swallow their own breaks and contribute nothing, as do simple
+    /// statements, empty bodies and black boxes.
+    fn break_probability<'a, T>(
+        &self,
+        body: &'a T,
+        node: &impl Fn(&'a T) -> Option<(&'a RegionOp, &'a [T])>,
+    ) -> f64 {
+        match node(body) {
+            Some((RegionOp::Leaf(s), _)) if s.kind == StmtKind::Break => 1.0,
+            Some((RegionOp::Seq(_), children)) => {
                 let mut cont = 1.0;
-                for &c in &e.children {
-                    cont *= 1.0 - self.body_break_probability(memo, c);
+                for c in children {
+                    cont *= 1.0 - self.break_probability(c, node);
                 }
                 (1.0 - cont).clamp(0.0, 1.0)
             }
-            RegionOp::Cond { cond } => {
+            Some((RegionOp::Cond { cond }, children)) => {
                 let p = self.cond_probability(cond);
-                let t = self.body_break_probability(memo, e.children[0]);
-                let el = self.body_break_probability(memo, e.children[1]);
+                let t = self.break_probability(&children[0], node);
+                let el = self.break_probability(&children[1], node);
                 (p * t + (1.0 - p) * el).clamp(0.0, 1.0)
             }
-            // Inner loops consume their own breaks; empty bodies have none.
-            RegionOp::Loop { .. } | RegionOp::While { .. } | RegionOp::Empty => 0.0,
+            _ => 0.0,
         }
     }
 
@@ -570,44 +541,75 @@ impl RegionCostModel {
         None
     }
 
-    /// Rough cost of an unstructured fragment: every statement charged,
-    /// loops at default trip counts.
-    fn black_box_cost(&self, stmts: &[Stmt]) -> f64 {
-        let mut total = 0.0;
-        for s in stmts {
-            total += match &s.kind {
-                StmtKind::ForEach { iter, body, .. } => {
-                    let iters = Self::expected_iterations(
-                        self.iter_rows(iter),
-                        self.stmts_break_probability(body),
-                    );
-                    self.iter_fetch_cost(iter)
-                        + iters * (self.black_box_cost(body) + self.catalog.cz_ns)
-                }
-                StmtKind::While { body, .. } => {
-                    let iters = Self::expected_iterations(
-                        self.catalog.default_loop_iters,
-                        self.stmts_break_probability(body),
-                    );
-                    iters * (self.black_box_cost(body) + self.catalog.cz_ns)
-                }
-                StmtKind::If {
-                    then_branch,
-                    else_branch,
-                    cond,
-                } => {
-                    let p = self.cond_probability(cond);
-                    p * self.black_box_cost(then_branch)
-                        + (1.0 - p) * self.black_box_cost(else_branch)
-                        + self.catalog.cy_ns
-                }
-                StmtKind::TryCatch { body, handler } => {
-                    self.black_box_cost(body) + self.black_box_cost(handler)
-                }
-                _ => self.stmt_cost(s),
-            };
+    /// §VI's region formulas, stated once: the cost of one region operator
+    /// from its children's costs and — for the two loops — its body's
+    /// per-iteration break probability. [`CostModel::cost`] hands it the
+    /// search's best child-group costs, [`RegionCostModel::written_cost`]
+    /// its own recursion's.
+    fn region_cost(
+        &self,
+        op: &RegionOp,
+        child_costs: &[f64],
+        break_p: impl FnOnce() -> f64,
+    ) -> f64 {
+        match op {
+            RegionOp::Leaf(stmt) => self.stmt_cost(stmt),
+            RegionOp::Seq(_) => child_costs.iter().sum(),
+            RegionOp::Cond { cond } => {
+                let p = self.cond_probability(cond);
+                let c_pred = self.catalog.cy_ns + self.expr_cost(cond);
+                p * child_costs[0] + (1.0 - p) * child_costs[1] + c_pred
+            }
+            RegionOp::Loop { iter, .. } => {
+                // Early exits shorten loops: a body that breaks with
+                // per-iteration probability p runs ~geometric(p) times.
+                let iters = Self::expected_iterations(self.iter_rows(iter), break_p());
+                self.iter_fetch_cost(iter) + iters * (child_costs[0] + self.catalog.cz_ns)
+            }
+            RegionOp::While { cond } => {
+                let per_iter = child_costs[0] + self.catalog.cz_ns + self.expr_cost(cond);
+                Self::expected_iterations(self.while_iters(cond), break_p()) * per_iter
+            }
+            // An unstructured fragment costs what its statements cost as
+            // written, a `try` being its body followed by its handler.
+            RegionOp::BlackBox(stmts) => {
+                let priced = stmts.iter().map(|s| match &s.kind {
+                    StmtKind::TryCatch { body, handler } => {
+                        self.written_cost(body) + self.written_cost(handler)
+                    }
+                    _ => self.written_cost(std::slice::from_ref(s)),
+                });
+                priced.sum()
+            }
+            RegionOp::Empty => 0.0,
         }
-        total
+    }
+
+    /// Cost of `stmts` exactly as written (no transformations). Code with
+    /// no alternatives needs no memo and no search: this folds
+    /// `region_cost` over the region tree — the search's own arithmetic,
+    /// in its order, so a program that stays as written gets the same bits
+    /// from both.
+    pub fn written_cost(&self, stmts: &[Stmt]) -> f64 {
+        self.tree_cost(&region_to_optree(&Region::from_stmts(stmts)))
+    }
+
+    fn tree_cost(&self, tree: &OpTree<RegionOp>) -> f64 {
+        fn subtree(child: &Child<RegionOp>) -> &OpTree<RegionOp> {
+            match child {
+                Child::Tree(t) => t,
+                Child::Group(g) => unreachable!("region trees have no group references (g{g})"),
+            }
+        }
+        let costs: Vec<f64> = tree
+            .children
+            .iter()
+            .map(|c| self.tree_cost(subtree(c)))
+            .collect();
+        let node = |c| Some((&subtree(c).op, &subtree(c).children[..]));
+        self.region_cost(&tree.op, &costs, || {
+            self.break_probability(&tree.children[0], &node)
+        })
     }
 }
 
@@ -630,31 +632,17 @@ fn prefetched_table(source: &Expr) -> Option<String> {
 
 impl CostModel<RegionOp> for RegionCostModel {
     fn cost(&self, memo: &Memo<RegionOp>, expr: MExprId, child_costs: &[f64]) -> f64 {
-        let children_sum: f64 = child_costs.iter().sum();
-        match &memo.expr(expr).op {
-            RegionOp::Leaf(stmt) => self.stmt_cost(stmt),
-            RegionOp::Seq(_) => children_sum,
-            RegionOp::Cond { cond } => {
-                let p = self.cond_probability(cond);
-                let c_pred = self.catalog.cy_ns + self.expr_cost(cond);
-                p * child_costs[0] + (1.0 - p) * child_costs[1] + c_pred
-            }
-            RegionOp::Loop { iter, .. } => {
-                // Early exits shorten loops: a body that breaks with
-                // per-iteration probability p runs ~geometric(p) times.
-                let n = self.iter_rows(iter);
-                let p = self.body_break_probability(memo, memo.expr(expr).children[0]);
-                let iters = Self::expected_iterations(n, p);
-                self.iter_fetch_cost(iter) + iters * (child_costs[0] + self.catalog.cz_ns)
-            }
-            RegionOp::While { cond } => {
-                let per_iter = child_costs[0] + self.catalog.cz_ns + self.expr_cost(cond);
-                let p = self.body_break_probability(memo, memo.expr(expr).children[0]);
-                Self::expected_iterations(self.while_iters(cond), p) * per_iter
-            }
-            RegionOp::BlackBox(stmts) => self.black_box_cost(stmts),
-            RegionOp::Empty => 0.0,
-        }
+        let e = memo.expr(expr);
+        // A body group's break probability is read off its original
+        // expression (the region as written; rewritten alternatives are
+        // fold-generated and never contain breaks).
+        let node = |g: &GroupId| {
+            let original = memo.expr(*memo.group(memo.find(*g)).first()?);
+            Some((&original.op, &original.children[..]))
+        };
+        self.region_cost(&e.op, child_costs, || {
+            self.break_probability(&e.children[0], &node)
+        })
     }
 }
 
@@ -666,6 +654,14 @@ mod tests {
     use orm::EntityMapping;
 
     fn fixture(net: NetworkProfile, af: f64) -> RegionCostModel {
+        fixture_with(crate::OptimizerConfig {
+            network: net,
+            catalog: CostCatalog::with_af(af),
+            ..Default::default()
+        })
+    }
+
+    fn fixture_with(config: crate::OptimizerConfig) -> RegionCostModel {
         let mut db = Database::new();
         let orders = Schema::new(vec![
             Column::new("o_id", DataType::Int),
@@ -697,9 +693,10 @@ mod tests {
         RegionCostModel::new(
             minidb::shared(db),
             std::sync::Arc::new(FuncRegistry::with_builtins()),
-            net,
-            CostCatalog::with_af(af),
             mappings,
+            &config,
+            Arc::new(EstimateCache::new()),
+            None,
         )
     }
 
@@ -745,8 +742,12 @@ mod tests {
         assert!(c >= 24e6, "10 % of a 250 ms round trip: {c}");
         assert!(c <= 27e6, "cache hits are client-local: {c}");
         // The uniform baseline keeps the paper's every-nav-pays model.
-        let mut legacy = fixture(NetworkProfile::slow_remote(), 1.0);
-        legacy.set_use_histograms(false);
+        let legacy = fixture_with(crate::OptimizerConfig {
+            network: NetworkProfile::slow_remote(),
+            catalog: CostCatalog::with_af(1.0),
+            use_histograms: false,
+            ..Default::default()
+        });
         let c = legacy.expr_cost(&nav);
         assert!(c >= 250e6, "point lookup pays the round trip: {c}");
         assert!(c <= 251e6, "but transfers only one row: {c}");
@@ -827,6 +828,45 @@ mod tests {
         // 1000 iterations × amortized lookup ≈ 100 distinct customers
         // × ≥250 ms round trip ≈ ≥25 s — still ruinous vs one join.
         assert!(best.cost >= 24e9, "got {}", best.cost);
+    }
+
+    /// One statement, one price: a `try` body costs what the same
+    /// statements cost outside it. (The black-box formulas were a second
+    /// copy of §VI's: the `if` came out short by `expr_cost(cond)`, and
+    /// `while (k < 3)` ran `default_loop_iters` times, its condition free.)
+    #[test]
+    fn try_body_is_priced_like_the_same_statements_outside_it() {
+        let m = fixture(NetworkProfile::slow_remote(), 1.0);
+        let lt = |l: Expr, r: Expr| Expr::bin(minidb::BinOp::Lt, l, r);
+        let bump = |v: &str| {
+            let plus_one = Expr::bin(minidb::BinOp::Add, Expr::var(v), Expr::lit(1i64));
+            Stmt::new(StmtKind::Let(v.into(), plus_one))
+        };
+        let s = vec![
+            Stmt::new(StmtKind::If {
+                cond: lt(Expr::field(Expr::var("o"), "o_id"), Expr::var("k")),
+                then_branch: vec![bump("x")],
+                else_branch: vec![],
+            }),
+            Stmt::new(StmtKind::While {
+                cond: lt(Expr::var("k"), Expr::lit(3i64)),
+                body: vec![bump("k")],
+            }),
+        ];
+        let searched = |stmts: &[Stmt]| {
+            let mut memo: Memo<RegionOp> = Memo::new();
+            let tree = crate::region_ops::region_to_optree(&Region::from_stmts(stmts));
+            let root = memo.insert_tree(&tree, None);
+            volcano::best_plan(&memo, root, &m).unwrap().cost
+        };
+        let in_try = [Stmt::new(StmtKind::TryCatch {
+            body: s.clone(),
+            handler: vec![],
+        })];
+        assert_eq!(searched(&in_try).to_bits(), searched(&s).to_bits());
+        // And the search prices a program as written to the bit.
+        let written = m.written_cost(&s);
+        assert_eq!(written.to_bits(), searched(&s).to_bits());
     }
 
     #[test]

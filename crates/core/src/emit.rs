@@ -1,7 +1,7 @@
 //! Emission of the winning plan back into an imperative function.
 
 use crate::region_ops::{optree_to_stmts, RegionOp};
-use imperative::ast::{Function, Stmt, StmtKind};
+use imperative::ast::{Expr, Function, Stmt, StmtKind};
 use volcano::OpTree;
 
 /// Materialize the extracted plan as a function (lines renumbered for
@@ -23,20 +23,23 @@ pub fn describe(f: &Function) -> Vec<&'static str> {
     let mut has_agg = false;
     let mut has_nav = false;
     let mut has_param_query = false;
-    visit(&f.body, &mut |s: &Stmt| {
-        if matches!(s.kind, StmtKind::CacheByColumn { .. }) {
-            has_cache = true;
+    let mut expr_features = |e: &Expr| match e {
+        Expr::Query(spec) | Expr::ScalarQuery(spec) => {
+            spec.plan.walk(&mut |p| match p {
+                minidb::LogicalPlan::Join { .. } => has_join = true,
+                minidb::LogicalPlan::Aggregate { .. } => has_agg = true,
+                _ => {}
+            });
+            has_param_query |= !spec.binds.is_empty();
         }
-        for e in stmt_exprs(s) {
-            expr_features(
-                e,
-                &mut has_join,
-                &mut has_agg,
-                &mut has_nav,
-                &mut has_param_query,
-            );
-        }
-    });
+        Expr::Nav(..) => has_nav = true,
+        _ => {}
+    };
+    let mut visit = |s: &Stmt| {
+        has_cache |= matches!(s.kind, StmtKind::CacheByColumn { .. });
+        s.exprs().iter().for_each(|e| e.walk(&mut expr_features));
+    };
+    f.body.iter().for_each(|s| s.walk(&mut visit));
     if has_cache {
         tags.push("prefetch");
     }
@@ -58,75 +61,10 @@ pub fn describe(f: &Function) -> Vec<&'static str> {
     tags
 }
 
-fn visit(stmts: &[Stmt], f: &mut impl FnMut(&Stmt)) {
-    for s in stmts {
-        f(s);
-        for list in s.children() {
-            visit(list, f);
-        }
-    }
-}
-
-fn stmt_exprs(s: &Stmt) -> Vec<&imperative::ast::Expr> {
-    use imperative::ast::StmtKind::*;
-    match &s.kind {
-        Let(_, e) | Add(_, e) | Print(e) | Return(Some(e)) => vec![e],
-        Put(_, k, v) => vec![k, v],
-        ForEach { iter, .. } => vec![iter],
-        While { cond, .. } | If { cond, .. } => vec![cond],
-        CacheByColumn { source, .. } => vec![source],
-        UpdateQuery { value, key, .. } => vec![value, key],
-        LetCall(_, _, args) => args.iter().collect(),
-        _ => Vec::new(),
-    }
-}
-
-fn expr_features(
-    e: &imperative::ast::Expr,
-    has_join: &mut bool,
-    has_agg: &mut bool,
-    has_nav: &mut bool,
-    has_param_query: &mut bool,
-) {
-    use imperative::ast::Expr;
-    match e {
-        Expr::Query(spec) | Expr::ScalarQuery(spec) => {
-            spec.plan.walk(&mut |p| match p {
-                minidb::LogicalPlan::Join { .. } => *has_join = true,
-                minidb::LogicalPlan::Aggregate { .. } => *has_agg = true,
-                _ => {}
-            });
-            if !spec.binds.is_empty() {
-                *has_param_query = true;
-            }
-            for (_, b) in &spec.binds {
-                expr_features(b, has_join, has_agg, has_nav, has_param_query);
-            }
-        }
-        Expr::Nav(b, _) => {
-            *has_nav = true;
-            expr_features(b, has_join, has_agg, has_nav, has_param_query);
-        }
-        Expr::Bin(_, l, r) | Expr::MapGet(l, r) => {
-            expr_features(l, has_join, has_agg, has_nav, has_param_query);
-            expr_features(r, has_join, has_agg, has_nav, has_param_query);
-        }
-        Expr::Not(i) | Expr::Len(i) | Expr::Field(i, _) | Expr::LookupCache(_, i) => {
-            expr_features(i, has_join, has_agg, has_nav, has_param_query)
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                expr_features(a, has_join, has_agg, has_nav, has_param_query);
-            }
-        }
-        _ => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imperative::ast::{Expr, QuerySpec};
+    use imperative::ast::QuerySpec;
 
     #[test]
     fn describe_tags_prefetch_and_join() {

@@ -7,117 +7,88 @@
 //! prefetch/client-side alternatives (N1/N2). Figure 15 compares programs
 //! rewritten this way against COBRA's choices.
 
+use crate::optimizer::{Cobra, LoopGate};
 use crate::transforms;
 use fir::build::FirAlternative;
 use imperative::ast::{Expr, Function, Program, Stmt, StmtKind};
-use orm::MappingRegistry;
 
-/// Rewrite the entry function with the push-to-SQL heuristic.
+/// Rewrite the entry function with the push-to-SQL heuristic, as the
+/// baseline of `cobra`: a loop's candidates are the alternatives `cobra`'s
+/// own search would admit (same rules, same soundness gates); only the
+/// choice among them differs.
 ///
 /// Inlines procedure calls when possible (the heuristic of \[4\] also works
 /// interprocedurally), then rewrites every loop bottom-up using the
 /// highest-scoring SQL-push alternative.
-pub fn optimize_heuristic(program: &Program, mappings: &MappingRegistry) -> Function {
+pub fn optimize_heuristic(program: &Program, cobra: &Cobra) -> Function {
     let base = transforms::inline_calls(program).unwrap_or_else(|| program.entry().clone());
     let live: Vec<String> = base.params.clone();
-    let body = rewrite_stmts(&base.body, &live, mappings);
+    let body = rewrite_stmts(&base.body, &live, &cobra.loop_gate(program));
     let mut f = Function::new(base.name.clone(), base.params.clone(), body);
     f.number_lines(2);
     f
 }
 
-fn rewrite_stmts(stmts: &[Stmt], live_after: &[String], mappings: &MappingRegistry) -> Vec<Stmt> {
+fn rewrite_stmts(stmts: &[Stmt], live_after: &[String], gate: &LoopGate) -> Vec<Stmt> {
     let mut out = Vec::with_capacity(stmts.len());
     for (i, s) in stmts.iter().enumerate() {
         // Live set after this statement.
-        let mut live: Vec<String> = live_after.to_vec();
-        for v in transforms::reads_of(&stmts[i + 1..]) {
-            if !live.contains(&v) {
-                live.push(v);
+        let live = transforms::live_with(live_after, &transforms::reads_of(&stmts[i + 1..]));
+        if let StmtKind::ForEach { var, iter, body } = &s.kind {
+            let prev = i.checked_sub(1).map(|p| &stmts[p]);
+            if let Some(replacement) = best_sql_push(gate, var, iter, body, &live, prev) {
+                out.extend(replacement);
+                continue;
             }
         }
-        match &s.kind {
-            StmtKind::ForEach { var, iter, body } => {
-                let prev = if i > 0 { Some(&stmts[i - 1]) } else { None };
-                match best_sql_push(var, iter, body, &live, prev, mappings) {
-                    Some(replacement) => out.extend(replacement),
-                    None => {
-                        // Not foldable as a whole: recurse into the body
-                        // (pattern A: the inner loop still gets pushed).
-                        out.push(Stmt::at(
-                            s.line,
-                            StmtKind::ForEach {
-                                var: var.clone(),
-                                iter: iter.clone(),
-                                body: rewrite_stmts(body, &live, mappings),
-                            },
-                        ));
-                    }
-                }
+        // Everything else, loops that are not foldable as a whole included,
+        // keeps its shape and has its bodies rewritten (pattern A: the
+        // inner loop still gets pushed). A black box is kept verbatim.
+        let mut s = s.clone();
+        if !matches!(s.kind, StmtKind::TryCatch { .. }) {
+            for body in s.children_mut() {
+                *body = rewrite_stmts(body, &live, gate);
             }
-            StmtKind::While { cond, body } => out.push(Stmt::at(
-                s.line,
-                StmtKind::While {
-                    cond: cond.clone(),
-                    body: rewrite_stmts(body, &live, mappings),
-                },
-            )),
-            StmtKind::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => out.push(Stmt::at(
-                s.line,
-                StmtKind::If {
-                    cond: cond.clone(),
-                    then_branch: rewrite_stmts(then_branch, &live, mappings),
-                    else_branch: rewrite_stmts(else_branch, &live, mappings),
-                },
-            )),
-            _ => out.push(s.clone()),
         }
+        out.push(s);
     }
     out
 }
 
-/// The heuristic's pick for one loop: the alternative with the most
-/// computation pushed into SQL; client-side alternatives (prefetching,
-/// selection pull-out) are never chosen.
+/// The heuristic's pick for one loop: among the admitted alternatives, the
+/// one with the most computation pushed into SQL; client-side alternatives
+/// (prefetching, selection pull-out) are never chosen.
 fn best_sql_push(
+    gate: &LoopGate,
     var: &str,
     iter: &Expr,
     body: &[Stmt],
     live_after: &[String],
     prev_sibling: Option<&Stmt>,
-    mappings: &MappingRegistry,
 ) -> Option<Vec<Stmt>> {
-    let base = fir::build::loop_to_fold(var, iter, body, mappings, Some(live_after))?;
-    let alts = fir::expand_with(base, &fir::RuleSet::standard(), 64).alternatives;
-    let mut best: Option<(i64, &FirAlternative)> = None;
-    for alt in &alts {
-        let score = sql_push_score(alt, prev_sibling);
-        let Some(score) = score else { continue };
+    let mut best: Option<(i64, Vec<Stmt>)> = None;
+    for (alt, stmts) in gate
+        .admit(var, iter, body, live_after, prev_sibling)
+        .alternatives
+    {
+        let score = sql_push_score(&alt);
         if score <= 0 {
             continue; // the original program itself: keep the loop as-is
         }
         match best {
             Some((s, _)) if s >= score => {}
-            _ => best = Some((score, alt)),
+            _ => best = Some((score, stmts)),
         }
     }
-    let (_, alt) = best?;
-    fir::codegen::generate(alt)
+    best.map(|(_, stmts)| stmts)
 }
 
-/// Score an alternative by how much it pushes into SQL. `None` = invalid
-/// (failed T1 gate); ≤ 0 = not a push-to-SQL rewrite.
-fn sql_push_score(alt: &FirAlternative, prev_sibling: Option<&Stmt>) -> Option<i64> {
+/// Score an admitted alternative by how much it pushes into SQL; ≤ 0 =
+/// not a push-to-SQL rewrite.
+fn sql_push_score(alt: &FirAlternative) -> i64 {
     // The heuristic never prefetches or pulls work to the client.
     if alt.rules_applied.iter().any(|r| *r == "N1" || *r == "N2") {
-        return Some(-1);
-    }
-    if !crate::optimizer::t1_gate_ok(alt, prev_sibling) {
-        return None;
+        return -1;
     }
     let folds_left = alt
         .assigns
@@ -147,10 +118,10 @@ fn sql_push_score(alt: &FirAlternative, prev_sibling: Option<&Stmt>) -> Option<i
         .filter(|r| **r == "T2" || **r == "T1")
         .count() as i64;
     if joins + aggs + pushes == 0 {
-        return Some(0); // the unrewritten base
+        return 0; // the unrewritten base
     }
     // No fold left = fully translated; then prefer more rule applications.
-    Some(if folds_left == 0 { 1000 } else { 100 } + 10 * joins + 5 * aggs + pushes)
+    (if folds_left == 0 { 1000 } else { 100 }) + 10 * joins + 5 * aggs + pushes
 }
 
 #[cfg(test)]
@@ -159,9 +130,11 @@ mod tests {
     use imperative::ast::QuerySpec;
     use imperative::pretty;
     use minidb::BinOp;
-    use orm::EntityMapping;
+    use orm::{EntityMapping, MappingRegistry};
 
-    fn mappings() -> MappingRegistry {
+    /// The optimizer the heuristic is the baseline of: default rules over
+    /// an empty catalog (no table, so no shared column names).
+    fn cobra() -> Cobra {
         let mut r = MappingRegistry::new();
         r.register(EntityMapping::new("Order", "orders", "o_id").many_to_one(
             "customer",
@@ -169,7 +142,9 @@ mod tests {
             "o_customer_sk",
         ));
         r.register(EntityMapping::new("Customer", "customer", "c_customer_sk"));
-        r
+        Cobra::builder(minidb::shared(minidb::Database::new()))
+            .mappings(r)
+            .build()
     }
 
     #[test]
@@ -201,7 +176,7 @@ mod tests {
                 }),
             ],
         ));
-        let rewritten = optimize_heuristic(&p0, &mappings());
+        let rewritten = optimize_heuristic(&p0, &cobra());
         let text = pretty::function_to_string(&rewritten);
         assert!(text.contains("join customer"), "pushes the join: {text}");
         assert!(!text.contains("cacheByColumn"), "never prefetches: {text}");
@@ -230,7 +205,7 @@ mod tests {
                 }),
             ],
         ));
-        let rewritten = optimize_heuristic(&p, &mappings());
+        let rewritten = optimize_heuristic(&p, &cobra());
         let text = pretty::function_to_string(&rewritten);
         assert!(
             text.contains("executeScalar(\"select count(*) as agg_cnt from orders\")"),
@@ -280,7 +255,7 @@ mod tests {
                 ],
             })],
         ));
-        let rewritten = optimize_heuristic(&p, &mappings());
+        let rewritten = optimize_heuristic(&p, &cobra());
         let text = pretty::function_to_string(&rewritten);
         assert!(
             text.contains("for (o : loadAll(Order))"),

@@ -1,8 +1,15 @@
 //! The COBRA optimizer: Region DAG construction, alternative generation,
 //! least-cost extraction, program emission.
+//!
+//! One `optimize_program` is one pass down this file: the entry function's
+//! region tree goes into one [`Memo`] ([`DagBuilder`]), every cursor loop's
+//! alternatives come through the one [`LoopGate`], one `volcano::cost_table`
+//! prices the DAG, one plan is extracted and emitted. What the program (or
+//! a callee) costs *as written* takes no memo and no search — it is
+//! [`RegionCostModel::written_cost`], a recursion over the region tree.
 
 use crate::catalog::CostCatalog;
-use crate::config::{CobraBuilder, OptimizerConfig, SearchBudget};
+use crate::config::{CobraBuilder, OptimizerConfig, SearchBudget, VerifyLevel};
 use crate::cost::RegionCostModel;
 use crate::emit;
 use crate::region_ops::{region_to_optree, RegionOp};
@@ -11,12 +18,12 @@ use crate::transforms;
 use fir::build::FirAlternative;
 use fir::RuleSet;
 use imperative::ast::{Expr, Function, Program, Stmt, StmtKind};
-use imperative::regions::Region;
+use imperative::regions::{Region, RegionKind};
 use minidb::{DbError, DbResult, FuncRegistry, LogicalPlan};
 use netsim::NetworkProfile;
 use orm::MappingRegistry;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use volcano::{CostModel, GroupId, MExprId, Memo};
 
@@ -144,19 +151,37 @@ impl Cobra {
     }
 
     /// Build a [`RegionCostModel`] wired to this optimizer's configuration
-    /// and shared estimate cache.
-    fn cost_model(&self) -> RegionCostModel {
+    /// and shared estimate cache, knowing `var_plans` and `fn_costs`.
+    fn cost_model(
+        &self,
+        var_plans: HashMap<String, minidb::SharedPlan>,
+        fn_costs: HashMap<String, f64>,
+    ) -> RegionCostModel {
         let mut model = RegionCostModel::new(
             self.db.clone(),
             self.funcs.clone(),
-            self.config.network.clone(),
-            self.config.catalog.clone(),
             self.mappings.clone(),
+            &self.config,
+            self.estimates.clone(),
+            self.feedback.clone(),
         );
-        model.set_estimate_cache(self.estimates.clone());
-        model.set_use_histograms(self.config.use_histograms);
-        model.set_feedback(self.feedback.clone());
+        model.set_var_plans(var_plans);
+        model.set_fn_costs(fn_costs);
         model
+    }
+
+    /// The gate every cursor loop of `program` goes through to its
+    /// admissible alternatives, under this optimizer's rules, budget,
+    /// verification level and catalog.
+    pub(crate) fn loop_gate(&self, program: &Program) -> LoopGate<'_> {
+        LoopGate {
+            db: &self.db,
+            mappings: &self.mappings,
+            rules: &self.config.rules,
+            max_alternatives: self.config.budget.max_alternatives_per_region,
+            verify: self.config.verify_rewrites,
+            updated_tables: transforms::updated_tables(program),
+        }
     }
 
     /// Build (but do not search) the Region DAG for `program`: the memo
@@ -176,7 +201,6 @@ impl Cobra {
 
     /// The DAG-construction half of [`Cobra::run_search`].
     fn build_dag(&self, program: &Program) -> BuiltDag {
-        let budget = &self.config.budget;
         let entry = program.entry();
         let mut memo: Memo<RegionOp> = Memo::new();
         let mut var_plans: HashMap<String, minidb::SharedPlan> = HashMap::new();
@@ -187,18 +211,13 @@ impl Cobra {
 
         // Variant 0: the original entry function.
         let live0: Vec<String> = entry.params.clone();
-        let updated_tables = transforms::updated_tables(program);
         let mut builder = DagBuilder {
             memo: &mut memo,
-            db: &self.db,
-            mappings: &self.mappings,
+            gate: self.loop_gate(program),
             var_plans: &mut var_plans,
-            rules: &self.config.rules,
-            budget,
-            updated_tables,
+            budget: &self.config.budget,
             provenance: HashMap::new(),
             exhausted: false,
-            verify: self.config.verify_rewrites,
             rejections: Vec::new(),
         };
         let region = Region::from_function(entry);
@@ -227,9 +246,7 @@ impl Cobra {
             rejections,
             ..
         } = builder;
-        let mut model = self.cost_model();
-        model.set_var_plans(var_plans);
-        model.set_fn_costs(fn_costs);
+        let model = self.cost_model(var_plans, fn_costs);
         BuiltDag {
             memo,
             root,
@@ -370,7 +387,7 @@ impl Cobra {
         if !verifier_rejections.is_empty() {
             tags.push("verifier-rejected");
         }
-        let original_cost_ns = self.cost_of_with(&model, entry);
+        let original_cost_ns = model.written_cost(&entry.body);
 
         let choice_points = (0..memo.num_groups())
             .filter(|&g| memo.find(g) == g && memo.group(g).len() > 1)
@@ -475,18 +492,9 @@ impl Cobra {
     /// mutable state. Worker count is the smaller of the batch size and
     /// available hardware parallelism.
     pub fn optimize_batch(&self, programs: &[Program]) -> Vec<DbResult<Optimized>> {
-        // Worker count: hardware parallelism, overridable with
-        // `COBRA_BATCH_WORKERS` (ops knob; also lets single-core hosts
-        // exercise the threaded path).
-        let workers = std::env::var("COBRA_BATCH_WORKERS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
+        let workers = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
         self.optimize_batch_with_workers(programs, workers)
     }
 
@@ -538,38 +546,27 @@ impl Cobra {
     /// Cost a function as-is (no transformations) under this optimizer's
     /// model — used for reporting and for the experiments' cost columns.
     pub fn cost_of(&self, f: &Function) -> f64 {
-        let mut model = self.cost_model();
         let mut var_plans = HashMap::new();
         transforms::collect_var_plans(&f.body, &self.mappings, &mut var_plans);
-        model.set_var_plans(var_plans);
-        self.cost_of_with(&model, f)
-    }
-
-    fn cost_of_with(&self, model: &RegionCostModel, f: &Function) -> f64 {
-        let mut memo: Memo<RegionOp> = Memo::new();
-        let region = Region::from_function(f);
-        let root = memo.insert_tree(&region_to_optree(&region), None);
-        // Fresh per-memo cache (CostMemo keys by MExprId, which is only
-        // meaningful within a single Memo).
-        volcano::best_plan(&memo, root, &volcano::CostMemo::new(model))
-            .map(|b| b.cost)
-            .unwrap_or(f64::INFINITY)
+        self.cost_model(var_plans, HashMap::new())
+            .written_cost(&f.body)
     }
 
     /// Plain costs of every non-entry function (callee bodies), used for
-    /// `LetCall` statements.
+    /// `LetCall` statements. Their loops see every function's collection
+    /// bindings (flow-insensitive, like the search's).
     fn callee_costs(&self, program: &Program) -> HashMap<String, f64> {
-        let mut model = self.cost_model();
+        let callees = &program.functions[1..];
+        if callees.is_empty() {
+            return HashMap::new();
+        }
         let mut var_plans = HashMap::new();
         for f in &program.functions {
             transforms::collect_var_plans(&f.body, &self.mappings, &mut var_plans);
         }
-        model.set_var_plans(var_plans);
-        let mut out = HashMap::new();
-        for f in program.functions.iter().skip(1) {
-            out.insert(f.name.clone(), self.cost_of_with(&model, f));
-        }
-        out
+        let model = self.cost_model(var_plans, HashMap::new());
+        let cost = |f: &Function| (f.name.clone(), model.written_cost(&f.body));
+        callees.iter().map(cost).collect()
     }
 }
 
@@ -698,26 +695,19 @@ impl SearchRun {
 }
 
 /// Builds the Region DAG: inserts region trees and registers alternatives
-/// from the F-IR rules (loops) and the statement-level prefetch rule,
-/// consulting the configured [`RuleSet`] and [`SearchBudget`] and
-/// recording which rules produced each registered alternative.
+/// from the F-IR rules (loops, through the [`LoopGate`]) and the
+/// statement-level prefetch rule, consulting the configured [`RuleSet`]
+/// and [`SearchBudget`] and recording which rules produced each registered
+/// alternative.
 struct DagBuilder<'a> {
     memo: &'a mut Memo<RegionOp>,
-    db: &'a minidb::SharedDb,
-    mappings: &'a MappingRegistry,
+    gate: LoopGate<'a>,
     var_plans: &'a mut HashMap<String, minidb::SharedPlan>,
-    rules: &'a RuleSet,
     budget: &'a SearchBudget,
-    /// Tables the program writes. Prefetch alternatives over these are
-    /// unsound (build-once client caches would serve stale rows) and are
-    /// never registered.
-    updated_tables: std::collections::HashSet<String>,
     /// Root m-expr of each registered alternative → rules that derived it.
     provenance: HashMap<MExprId, Vec<&'static str>>,
     /// Set when any budget bound clipped alternative registration.
     exhausted: bool,
-    /// Static verification of rule outputs (`crates/analysis`).
-    verify: crate::config::VerifyLevel,
     /// Diagnostics of alternatives dropped under `VerifyLevel::Reject`.
     rejections: Vec<String>,
 }
@@ -737,21 +727,21 @@ impl<'a> DagBuilder<'a> {
         prev_sibling: Option<&Stmt>,
         into: Option<GroupId>,
     ) -> GroupId {
-        use imperative::regions::RegionKind;
         match &region.kind {
             RegionKind::Block(stmt) => {
                 let g = self
                     .memo
                     .insert_expr(RegionOp::Leaf(stmt.clone()), vec![], into);
-                self.register_var_plan(stmt);
+                let this = std::slice::from_ref(stmt);
+                transforms::collect_var_plans(this, self.gate.mappings, self.var_plans);
                 // Statement-level prefetch alternative (patterns E/F) —
                 // the prefetch rule N1 applied at statement granularity.
-                if self.rules.is_enabled("N1") {
+                if self.gate.rules.is_enabled("N1") {
                     if let Some(alt_stmts) =
                         transforms::prefetch_stmt_alternative(stmt).filter(|stmts| {
                             !transforms::prefetched_tables(stmts)
                                 .iter()
-                                .any(|t| self.updated_tables.contains(t))
+                                .any(|t| self.gate.updated_tables.contains(t))
                         })
                     {
                         if self.memo_has_room() {
@@ -774,20 +764,15 @@ impl<'a> DagBuilder<'a> {
                 for (i, child) in children.iter().enumerate() {
                     // Live set for child i: everything read by children
                     // after it, plus the incoming live set.
-                    let mut live: Vec<String> = live_after.to_vec();
-                    for later in &child_reads[i + 1..] {
-                        for v in later {
-                            if !live.iter().any(|l| l == v) {
-                                live.push(v.clone());
-                            }
-                        }
-                    }
-                    let prev = if i > 0 {
-                        last_stmt(&children[i - 1])
-                    } else {
-                        None
+                    let later = child_reads[i + 1..].iter().flatten();
+                    let live = transforms::live_with(live_after, later);
+                    // Only a simple statement can be the fresh `x = {}` the
+                    // T1 gate looks for.
+                    let prev = match i.checked_sub(1).map(|p| &children[p].kind) {
+                        Some(RegionKind::Block(s)) => Some(s),
+                        _ => None,
                     };
-                    child_groups.push(self.insert_region(child, &live, prev.as_ref(), None));
+                    child_groups.push(self.insert_region(child, &live, prev, None));
                 }
                 self.memo
                     .insert_expr(RegionOp::Seq(children.len()), child_groups, into)
@@ -805,12 +790,7 @@ impl<'a> DagBuilder<'a> {
             RegionKind::Loop { var, iter, body } => {
                 // Body sub-regions get their own groups (and alternatives:
                 // inner loops of non-foldable outer loops — pattern A).
-                let mut live: Vec<String> = live_after.to_vec();
-                for v in transforms::reads_of_region(body) {
-                    if !live.contains(&v) {
-                        live.push(v);
-                    }
-                }
+                let live = transforms::live_with(live_after, &transforms::reads_of_region(body));
                 let body_g = self.insert_region(body, &live, None, None);
                 let g = self.memo.insert_expr(
                     RegionOp::Loop {
@@ -820,7 +800,21 @@ impl<'a> DagBuilder<'a> {
                     vec![body_g],
                     into,
                 );
-                self.loop_alternatives(var, iter, &body.to_stmts(), live_after, prev_sibling, g);
+                // Register the loop's F-IR alternatives.
+                let body = body.to_stmts();
+                let admitted = self.gate.admit(var, iter, &body, live_after, prev_sibling);
+                self.exhausted |= admitted.truncated;
+                self.rejections.extend(admitted.rejected);
+                for (alt, stmts) in admitted.alternatives {
+                    if !self.memo_has_room() {
+                        self.exhausted = true;
+                        break;
+                    }
+                    transforms::collect_var_plans(&stmts, self.gate.mappings, self.var_plans);
+                    let tree = region_to_optree(&Region::from_stmts(&stmts));
+                    let (_, eid) = self.memo.insert_tree_full(&tree, Some(g));
+                    self.provenance.entry(eid).or_insert(alt.rules_applied);
+                }
                 g
             }
             RegionKind::WhileLoop { cond, body } => {
@@ -836,79 +830,106 @@ impl<'a> DagBuilder<'a> {
         }
     }
 
-    /// Generate and register F-IR alternatives for a loop region.
-    fn loop_alternatives(
-        &mut self,
-        var: &str,
-        iter: &Expr,
-        body: &[Stmt],
-        live_after: &[String],
-        prev_sibling: Option<&Stmt>,
-        group: GroupId,
-    ) {
-        let Some(base) = fir::build::loop_to_fold(var, iter, body, self.mappings, Some(live_after))
-        else {
-            return;
-        };
-        let max = self.budget.max_alternatives_per_region;
-        let expansion = match self.verify {
-            crate::config::VerifyLevel::Off => fir::expand_with(base, self.rules, max),
-            level => {
-                let rules = self.rules;
-                let check = move |b: &FirAlternative, alt: &FirAlternative| {
-                    let delta = rules.delta_for_applied(&alt.rules_applied);
-                    match analysis::verify_rewrite(b, alt, &delta) {
-                        Ok(()) => Ok(()),
-                        Err(diag) if level == crate::config::VerifyLevel::Panic => {
-                            panic!("verify_rewrites=Panic: statically unsound rewrite: {diag}")
-                        }
-                        Err(diag) => Err(diag.to_string()),
-                    }
-                };
-                fir::expand_with_verifier(base, self.rules, max, Some(&check))
-            }
-        };
-        if expansion.truncated {
-            self.exhausted = true;
-        }
-        self.rejections.extend(expansion.rejected);
-        for alt in expansion.alternatives {
-            if !t1_gate_ok(&alt, prev_sibling) || self.join_is_ambiguous(&alt) {
-                continue;
-            }
-            // Prefetching a table the program updates is unsound: the
-            // build-once client cache would serve pre-update rows.
-            if alt
-                .prefetches
-                .iter()
-                .any(|p| self.updated_tables.contains(&p.table))
-            {
-                continue;
-            }
-            let Some(stmts) = fir::codegen::generate(&alt) else {
-                continue;
-            };
-            if !self.memo_has_room() {
-                self.exhausted = true;
-                break;
-            }
-            for s in &stmts {
-                self.register_var_plan(s);
-            }
-            transforms::collect_var_plans(&stmts, self.mappings, self.var_plans);
-            let tree = region_to_optree(&Region::from_stmts(&stmts));
-            let (_, eid) = self.memo.insert_tree_full(&tree, Some(group));
-            self.provenance
-                .entry(eid)
-                .or_insert_with(|| alt.rules_applied.clone());
-        }
-    }
-
     /// Whether the memo caps of the budget leave room for more
     /// alternatives.
     fn memo_has_room(&self) -> bool {
         self.budget
             .memo_has_room(self.memo.num_groups(), self.memo.num_exprs())
+    }
+}
+
+/// The one path from a cursor loop to the alternatives a caller may use:
+/// loop → fold → rule expansion (statically verified when configured) →
+/// T1's empty-init gate → T4's catalog gate → the updated-table prefetch
+/// gate → code generation. The optimizer registers everything admitted;
+/// the heuristic baseline scores it. (A second copy of this path is how
+/// the baseline once lost the catalog gate.)
+pub(crate) struct LoopGate<'a> {
+    db: &'a minidb::SharedDb,
+    mappings: &'a MappingRegistry,
+    rules: &'a RuleSet,
+    /// F-IR alternatives explored per loop
+    /// ([`SearchBudget::max_alternatives_per_region`]).
+    max_alternatives: usize,
+    /// Static verification of rule outputs (`crates/analysis`).
+    verify: VerifyLevel,
+    /// Tables the program writes. Prefetch alternatives over these are
+    /// unsound (build-once client caches would serve stale rows) and are
+    /// never admitted.
+    updated_tables: HashSet<String>,
+}
+
+/// What [`LoopGate::admit`] let through for one loop.
+#[derive(Default)]
+pub(crate) struct Admitted {
+    /// Each admitted alternative with the statements generated for it, in
+    /// exploration order.
+    pub(crate) alternatives: Vec<(FirAlternative, Vec<Stmt>)>,
+    /// The per-loop alternative budget clipped the expansion.
+    truncated: bool,
+    /// Diagnostics of alternatives dropped under `VerifyLevel::Reject`.
+    rejected: Vec<String>,
+}
+
+impl LoopGate<'_> {
+    /// The admissible alternatives of `for (var : iter) body` (nothing when
+    /// the loop is not foldable).
+    ///
+    /// * `live_after` — variables live after the loop,
+    /// * `prev_sibling` — the statement immediately preceding the loop in
+    ///   the enclosing sequence (gates rule T1's empty-init condition).
+    pub(crate) fn admit(
+        &self,
+        var: &str,
+        iter: &Expr,
+        body: &[Stmt],
+        live_after: &[String],
+        prev_sibling: Option<&Stmt>,
+    ) -> Admitted {
+        let Some(base) = fir::build::loop_to_fold(var, iter, body, self.mappings, Some(live_after))
+        else {
+            return Admitted::default();
+        };
+        let expansion = match self.verify {
+            VerifyLevel::Off => fir::expand_with(base, self.rules, self.max_alternatives),
+            level => {
+                let check = move |b: &FirAlternative, alt: &FirAlternative| {
+                    let delta = self.rules.delta_for_applied(&alt.rules_applied);
+                    match analysis::verify_rewrite(b, alt, &delta) {
+                        Ok(()) => Ok(()),
+                        Err(diag) if level == VerifyLevel::Panic => {
+                            panic!("verify_rewrites=Panic: statically unsound rewrite: {diag}")
+                        }
+                        Err(diag) => Err(diag.to_string()),
+                    }
+                };
+                fir::expand_with_verifier(base, self.rules, self.max_alternatives, Some(&check))
+            }
+        };
+        let admissible = |alt: &FirAlternative| {
+            t1_gate_ok(alt, prev_sibling)
+                && !self.join_is_ambiguous(alt)
+                // Prefetching a table the program updates is unsound: the
+                // build-once client cache would serve pre-update rows.
+                && !alt
+                    .prefetches
+                    .iter()
+                    .any(|p| self.updated_tables.contains(&p.table))
+        };
+        let generated = |alt: FirAlternative| {
+            let stmts = fir::codegen::generate(&alt)?;
+            Some((alt, stmts))
+        };
+        Admitted {
+            truncated: expansion.truncated,
+            rejected: expansion.rejected,
+            alternatives: expansion
+                .alternatives
+                .into_iter()
+                .filter(admissible)
+                .filter_map(generated)
+                .collect(),
+        }
     }
 
     /// Rule T4's catalog gate: the join it builds puts both sides' columns
@@ -937,60 +958,17 @@ impl<'a> DagBuilder<'a> {
             })
         })
     }
-
-    fn register_var_plan(&mut self, stmt: &Stmt) {
-        match &stmt.kind {
-            StmtKind::Let(v, Expr::Query(spec)) => {
-                self.var_plans.insert(v.clone(), spec.plan.clone());
-            }
-            StmtKind::Let(v, Expr::LoadAll(entity)) => {
-                if let Some(m) = self.mappings.entity(entity) {
-                    self.var_plans
-                        .insert(v.clone(), LogicalPlan::scan(&m.table).into());
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 /// Rule T1's validity gate: `fold(insert, {}, Q) = Q` requires the
 /// accumulator to be empty at loop entry — satisfied when the previous
 /// statement in the sequence freshly created it.
-pub(crate) fn t1_gate_ok(alt: &FirAlternative, prev_sibling: Option<&Stmt>) -> bool {
+fn t1_gate_ok(alt: &FirAlternative, prev_sibling: Option<&Stmt>) -> bool {
     let Some(v) = &alt.requires_empty_init else {
         return true;
     };
     match prev_sibling.map(|s| &s.kind) {
         Some(StmtKind::NewCollection(p)) | Some(StmtKind::NewMap(p)) => p == v,
         _ => false,
-    }
-}
-
-/// The last statement of a region, for T1 gating. Only `NewCollection` /
-/// `NewMap` heads matter to the gate, so compound trailing statements are
-/// rebuilt with empty bodies instead of deep-cloning them (gate-equivalent
-/// to `region.to_stmts().into_iter().last()`, without the clones).
-fn last_stmt(region: &Region) -> Option<Stmt> {
-    use imperative::regions::RegionKind;
-    match &region.kind {
-        RegionKind::Block(s) => Some(s.clone()),
-        RegionKind::Seq(children) => children.iter().rev().find_map(last_stmt),
-        RegionKind::Cond { cond, .. } => Some(Stmt::new(StmtKind::If {
-            cond: cond.clone(),
-            then_branch: Vec::new(),
-            else_branch: Vec::new(),
-        })),
-        RegionKind::Loop { var, iter, .. } => Some(Stmt::new(StmtKind::ForEach {
-            var: var.clone(),
-            iter: iter.clone(),
-            body: Vec::new(),
-        })),
-        RegionKind::WhileLoop { cond, .. } => Some(Stmt::new(StmtKind::While {
-            cond: cond.clone(),
-            body: Vec::new(),
-        })),
-        RegionKind::BlackBox(stmts) => stmts.last().cloned(),
-        RegionKind::Empty => None,
     }
 }

@@ -1,111 +1,61 @@
 //! Program transformations beyond the F-IR loop rules:
 //! statement-level prefetching (patterns E/F) and procedure inlining
 //! (pattern D), plus the shared liveness/var-plan utilities.
+//!
+//! Nothing here spells out the statement or expression grammar: every
+//! walk is written on the traversal primitives of `imperative::ast`
+//! (`Stmt::{walk, exprs, children}` and `Expr::{walk, for_each_child}`,
+//! with their `_mut` forms for rebuilding) and names only the variants it
+//! treats specially.
 
 use fir::codegen::cache_name;
 use imperative::ast::{Expr, Function, Program, QuerySpec, Stmt, StmtKind};
+use imperative::regions::{Region, RegionKind};
 use minidb::{BinOp, LogicalPlan, ScalarExpr};
 use std::collections::{HashMap, HashSet};
 
 /// Collect variables read anywhere in `stmts` (including nested bodies).
 pub fn reads_of(stmts: &[Stmt]) -> HashSet<String> {
-    let mut out = HashSet::new();
-    fn walk(stmts: &[Stmt], out: &mut HashSet<String>) {
-        for s in stmts {
-            let mut vars = Vec::new();
-            match &s.kind {
-                StmtKind::Let(_, e) | StmtKind::Add(_, e) | StmtKind::Print(e) => {
-                    e.free_vars(&mut vars)
-                }
-                StmtKind::Put(_, k, v) => {
-                    k.free_vars(&mut vars);
-                    v.free_vars(&mut vars);
-                }
-                StmtKind::Return(Some(e)) => e.free_vars(&mut vars),
-                StmtKind::ForEach { iter, body, .. } => {
-                    iter.free_vars(&mut vars);
-                    walk(body, out);
-                }
-                StmtKind::While { cond, body } => {
-                    cond.free_vars(&mut vars);
-                    walk(body, out);
-                }
-                StmtKind::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                } => {
-                    cond.free_vars(&mut vars);
-                    walk(then_branch, out);
-                    walk(else_branch, out);
-                }
-                StmtKind::CacheByColumn { source, .. } => source.free_vars(&mut vars),
-                StmtKind::UpdateQuery { value, key, .. } => {
-                    value.free_vars(&mut vars);
-                    key.free_vars(&mut vars);
-                }
-                StmtKind::LetCall(_, _, args) => {
-                    for a in args {
-                        a.free_vars(&mut vars);
-                    }
-                }
-                StmtKind::TryCatch { body, handler } => {
-                    walk(body, out);
-                    walk(handler, out);
-                }
-                _ => {}
-            }
-            out.extend(vars);
-        }
+    let mut vars = Vec::new();
+    for s in stmts {
+        s.walk(&mut |s| s.exprs().iter().for_each(|e| e.free_vars(&mut vars)));
     }
-    walk(stmts, &mut out);
-    out
+    vars.into_iter().collect()
 }
 
-/// [`reads_of`] computed directly on a region tree — no intermediate
+/// [`reads_of`] over a region tree: its statements plus the loop and
+/// branch headers the tree holds apart from them. No intermediate
 /// statement materialization (`Region::to_stmts` deep-clones every
 /// nested statement, which made the per-child live-set computation of
 /// DAG construction quadratic in cloned statements).
-pub fn reads_of_region(region: &imperative::regions::Region) -> HashSet<String> {
+pub fn reads_of_region(region: &Region) -> HashSet<String> {
     let mut out = HashSet::new();
-    fn go(region: &imperative::regions::Region, out: &mut HashSet<String>) {
-        use imperative::regions::RegionKind;
-        match &region.kind {
-            RegionKind::Block(s) => out.extend(reads_of(std::slice::from_ref(s))),
-            RegionKind::Seq(children) => {
-                for c in children {
-                    go(c, out);
-                }
-            }
-            RegionKind::Cond {
-                cond,
-                then_r,
-                else_r,
-            } => {
-                let mut vars = Vec::new();
-                cond.free_vars(&mut vars);
-                out.extend(vars);
-                go(then_r, out);
-                go(else_r, out);
-            }
-            RegionKind::Loop { iter, body, .. } => {
-                let mut vars = Vec::new();
-                iter.free_vars(&mut vars);
-                out.extend(vars);
-                go(body, out);
-            }
-            RegionKind::WhileLoop { cond, body } => {
-                let mut vars = Vec::new();
-                cond.free_vars(&mut vars);
-                out.extend(vars);
-                go(body, out);
-            }
-            RegionKind::BlackBox(stmts) => out.extend(reads_of(stmts)),
-            RegionKind::Empty => {}
+    let mut vars = Vec::new();
+    region.walk(&mut |r| match &r.kind {
+        RegionKind::Block(s) => out.extend(reads_of(std::slice::from_ref(s))),
+        RegionKind::BlackBox(stmts) => out.extend(reads_of(stmts)),
+        RegionKind::Cond { cond: e, .. }
+        | RegionKind::WhileLoop { cond: e, .. }
+        | RegionKind::Loop { iter: e, .. } => e.free_vars(&mut vars),
+        RegionKind::Seq(_) | RegionKind::Empty => {}
+    });
+    out.extend(vars);
+    out
+}
+
+/// The live set `live_after` extended by `reads`: what is live before code
+/// that is followed by those reads.
+pub(crate) fn live_with<'a>(
+    live_after: &[String],
+    reads: impl IntoIterator<Item = &'a String>,
+) -> Vec<String> {
+    let mut live = live_after.to_vec();
+    for v in reads {
+        if !live.contains(v) {
+            live.push(v.clone());
         }
     }
-    go(region, &mut out);
-    out
+    live
 }
 
 /// Gather `variable → producing plan` bindings from `Let(v, query)` and
@@ -116,34 +66,18 @@ pub fn collect_var_plans(
     mappings: &orm::MappingRegistry,
     out: &mut HashMap<String, minidb::SharedPlan>,
 ) {
-    for s in stmts {
-        match &s.kind {
-            StmtKind::Let(v, Expr::Query(spec)) => {
-                out.insert(v.clone(), spec.plan.clone());
-            }
-            StmtKind::Let(v, Expr::LoadAll(entity)) => {
-                if let Some(m) = mappings.entity(entity) {
-                    out.insert(v.clone(), LogicalPlan::scan(&m.table).into());
-                }
-            }
-            StmtKind::ForEach { body, .. } | StmtKind::While { body, .. } => {
-                collect_var_plans(body, mappings, out)
-            }
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                collect_var_plans(then_branch, mappings, out);
-                collect_var_plans(else_branch, mappings, out);
-            }
-            StmtKind::TryCatch { body, handler } => {
-                collect_var_plans(body, mappings, out);
-                collect_var_plans(handler, mappings, out);
-            }
-            _ => {}
+    let mut visit = |s: &Stmt| match &s.kind {
+        StmtKind::Let(v, Expr::Query(spec)) => {
+            out.insert(v.clone(), spec.plan.clone());
         }
-    }
+        StmtKind::Let(v, Expr::LoadAll(entity)) => {
+            if let Some(m) = mappings.entity(entity) {
+                out.insert(v.clone(), LogicalPlan::scan(&m.table).into());
+            }
+        }
+        _ => {}
+    };
+    stmts.iter().for_each(|s| s.walk(&mut visit));
 }
 
 /// Tables the program writes (`update …` statements, any function, any
@@ -153,18 +87,13 @@ pub fn collect_var_plans(
 /// differential oracle caught the absence of).
 pub fn updated_tables(program: &Program) -> HashSet<String> {
     let mut out = HashSet::new();
-    fn walk(stmts: &[Stmt], out: &mut HashSet<String>) {
-        for s in stmts {
-            if let StmtKind::UpdateQuery { table, .. } = &s.kind {
-                out.insert(table.clone());
-            }
-            for child in s.children() {
-                walk(child, out);
-            }
+    let mut visit = |s: &Stmt| {
+        if let StmtKind::UpdateQuery { table, .. } = &s.kind {
+            out.insert(table.clone());
         }
-    }
+    };
     for f in &program.functions {
-        walk(&f.body, &mut out);
+        f.body.iter().for_each(|s| s.walk(&mut visit));
     }
     out
 }
@@ -173,23 +102,18 @@ pub fn updated_tables(program: &Program) -> HashSet<String> {
 /// (`Utils.cacheByColumn` over a table scan).
 pub fn prefetched_tables(stmts: &[Stmt]) -> Vec<String> {
     let mut out = Vec::new();
-    fn walk(stmts: &[Stmt], out: &mut Vec<String>) {
-        for s in stmts {
-            if let StmtKind::CacheByColumn {
-                source: Expr::Query(spec),
-                ..
-            } = &s.kind
-            {
-                if let LogicalPlan::Scan { table, .. } = spec.plan.as_plan() {
-                    out.push(table.clone());
-                }
-            }
-            for child in s.children() {
-                walk(child, out);
+    let mut visit = |s: &Stmt| {
+        if let StmtKind::CacheByColumn {
+            source: Expr::Query(spec),
+            ..
+        } = &s.kind
+        {
+            if let LogicalPlan::Scan { table, .. } = spec.plan.as_plan() {
+                out.push(table.clone());
             }
         }
-    }
-    walk(stmts, &mut out);
+    };
+    stmts.iter().for_each(|s| s.walk(&mut visit));
     out
 }
 
@@ -261,7 +185,8 @@ pub fn prefetch_stmt_alternative(stmt: &Stmt) -> Option<Vec<Stmt>> {
 pub fn inline_calls(program: &Program) -> Option<Function> {
     let entry = program.entry();
     let mut counter = 0usize;
-    let body = inline_in(&entry.body, program, &entry.name, &mut counter)?;
+    let mut body = entry.body.clone();
+    inline_in(&mut body, program, &entry.name, &mut counter)?;
     if counter == 0 {
         return None;
     }
@@ -271,62 +196,37 @@ pub fn inline_calls(program: &Program) -> Option<Function> {
 }
 
 fn inline_in(
-    stmts: &[Stmt],
+    stmts: &mut Vec<Stmt>,
     program: &Program,
     caller: &str,
     counter: &mut usize,
-) -> Option<Vec<Stmt>> {
+) -> Option<()> {
     let mut out = Vec::with_capacity(stmts.len());
-    for s in stmts {
+    for mut s in std::mem::take(stmts) {
         match &s.kind {
             StmtKind::LetCall(target, fname, args) => {
                 if fname == caller {
                     return None; // recursion: do not inline
                 }
                 let callee = program.function(fname)?;
-                let expanded = inline_one(callee, target, args, *counter)?;
+                let mut expanded = inline_one(callee, target, args, *counter)?;
                 *counter += 1;
                 // Callee bodies may call further down; expand recursively.
-                let expanded = inline_in(&expanded, program, caller, counter)?;
+                inline_in(&mut expanded, program, caller, counter)?;
                 out.extend(expanded);
             }
-            StmtKind::ForEach { var, iter, body } => {
-                out.push(Stmt::at(
-                    s.line,
-                    StmtKind::ForEach {
-                        var: var.clone(),
-                        iter: iter.clone(),
-                        body: inline_in(body, program, caller, counter)?,
-                    },
-                ));
+            // A black box is kept verbatim: calls inside it stay calls.
+            StmtKind::TryCatch { .. } => out.push(s),
+            _ => {
+                for body in s.children_mut() {
+                    inline_in(body, program, caller, counter)?;
+                }
+                out.push(s);
             }
-            StmtKind::While { cond, body } => {
-                out.push(Stmt::at(
-                    s.line,
-                    StmtKind::While {
-                        cond: cond.clone(),
-                        body: inline_in(body, program, caller, counter)?,
-                    },
-                ));
-            }
-            StmtKind::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                out.push(Stmt::at(
-                    s.line,
-                    StmtKind::If {
-                        cond: cond.clone(),
-                        then_branch: inline_in(then_branch, program, caller, counter)?,
-                        else_branch: inline_in(else_branch, program, caller, counter)?,
-                    },
-                ));
-            }
-            _ => out.push(s.clone()),
         }
     }
-    Some(out)
+    *stmts = out;
+    Some(())
 }
 
 /// Inline one call: substitute arguments for parameters, α-rename callee
@@ -344,16 +244,6 @@ fn inline_one(
     let StmtKind::Return(Some(ret)) = &last.kind else {
         return None;
     };
-    // No other returns / no try-catch anywhere in the body.
-    fn clean(stmts: &[Stmt]) -> bool {
-        stmts.iter().all(|s| match &s.kind {
-            StmtKind::Return(_) | StmtKind::TryCatch { .. } => false,
-            _ => s.children().iter().all(|c| clean(c)),
-        })
-    }
-    if !clean(init) {
-        return None;
-    }
 
     // Substitution: params → args; locals → fresh names.
     let mut subst: HashMap<String, Expr> = HashMap::new();
@@ -361,7 +251,13 @@ fn inline_one(
         subst.insert(p.clone(), a.clone());
     }
     let mut locals = HashSet::new();
-    collect_locals(&callee.body, &mut locals);
+    let mut visit = |s: &Stmt| {
+        locals.extend(s.updated_var().map(str::to_string));
+        if let StmtKind::ForEach { var, .. } = &s.kind {
+            locals.insert(var.clone());
+        }
+    };
+    callee.body.iter().for_each(|s| s.walk(&mut visit));
     for l in &locals {
         if !subst.contains_key(l) {
             subst.insert(
@@ -371,64 +267,24 @@ fn inline_one(
         }
     }
 
-    let mut out = rewrite_stmts(init, &subst)?;
-    out.push(Stmt::new(StmtKind::Let(
-        target.to_string(),
-        rewrite_expr(ret, &subst)?,
-    )));
+    let mut out = init.to_vec();
+    rewrite_stmts(&mut out, &subst)?;
+    let mut ret = ret.clone();
+    rewrite_expr(&mut ret, &subst);
+    out.push(Stmt::new(StmtKind::Let(target.to_string(), ret)));
     Some(out)
 }
 
-fn collect_locals(stmts: &[Stmt], out: &mut HashSet<String>) {
-    for s in stmts {
-        if let Some(v) = s.updated_var() {
-            out.insert(v.to_string());
+/// Rename/substitute variables in an expression.
+fn rewrite_expr(e: &mut Expr, subst: &HashMap<String, Expr>) {
+    match e {
+        Expr::Var(v) => {
+            if let Some(to) = subst.get(v) {
+                *e = to.clone();
+            }
         }
-        if let StmtKind::ForEach { var, .. } = &s.kind {
-            out.insert(var.clone());
-        }
-        for list in s.children() {
-            collect_locals(list, out);
-        }
+        _ => e.for_each_child_mut(|c| rewrite_expr(c, subst)),
     }
-}
-
-/// Rename/substitute variables in an expression. Substituting a variable
-/// that is *assigned* requires the substitute to be a variable.
-fn rewrite_expr(e: &Expr, subst: &HashMap<String, Expr>) -> Option<Expr> {
-    Some(match e {
-        Expr::Var(v) => match subst.get(v) {
-            Some(r) => r.clone(),
-            None => e.clone(),
-        },
-        Expr::Lit(_) | Expr::LoadAll(_) => e.clone(),
-        Expr::Bin(op, l, r) => Expr::bin(*op, rewrite_expr(l, subst)?, rewrite_expr(r, subst)?),
-        Expr::Not(i) => Expr::Not(Box::new(rewrite_expr(i, subst)?)),
-        Expr::Field(b, f) => Expr::field(rewrite_expr(b, subst)?, f.clone()),
-        Expr::Nav(b, f) => Expr::nav(rewrite_expr(b, subst)?, f.clone()),
-        Expr::Call(f, args) => Expr::Call(
-            f.clone(),
-            args.iter()
-                .map(|a| rewrite_expr(a, subst))
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        Expr::Query(spec) => Expr::Query(rewrite_spec(spec, subst)?),
-        Expr::ScalarQuery(spec) => Expr::ScalarQuery(rewrite_spec(spec, subst)?),
-        Expr::LookupCache(c, k) => Expr::LookupCache(c.clone(), Box::new(rewrite_expr(k, subst)?)),
-        Expr::MapGet(m, k) => Expr::MapGet(
-            Box::new(rewrite_expr(m, subst)?),
-            Box::new(rewrite_expr(k, subst)?),
-        ),
-        Expr::Len(c) => Expr::Len(Box::new(rewrite_expr(c, subst)?)),
-    })
-}
-
-fn rewrite_spec(spec: &QuerySpec, subst: &HashMap<String, Expr>) -> Option<QuerySpec> {
-    let mut out = QuerySpec::of(spec.plan.clone());
-    for (p, e) in &spec.binds {
-        out = out.bind(p.clone(), rewrite_expr(e, subst)?);
-    }
-    Some(out)
 }
 
 /// Renamed assignment target: must map to a plain variable.
@@ -440,77 +296,31 @@ fn rewrite_target(v: &str, subst: &HashMap<String, Expr>) -> Option<String> {
     }
 }
 
-fn rewrite_stmts(stmts: &[Stmt], subst: &HashMap<String, Expr>) -> Option<Vec<Stmt>> {
-    let mut out = Vec::with_capacity(stmts.len());
+/// Substitute through the callee's statements before its trailing return.
+/// `None` when they hold another return or a try-catch anywhere, or assign
+/// through a parameter whose argument is not a variable.
+fn rewrite_stmts(stmts: &mut [Stmt], subst: &HashMap<String, Expr>) -> Option<()> {
+    use StmtKind::*;
     for s in stmts {
-        let kind = match &s.kind {
-            StmtKind::Let(v, e) => {
-                StmtKind::Let(rewrite_target(v, subst)?, rewrite_expr(e, subst)?)
-            }
-            StmtKind::NewCollection(v) => StmtKind::NewCollection(rewrite_target(v, subst)?),
-            StmtKind::NewMap(v) => StmtKind::NewMap(rewrite_target(v, subst)?),
-            StmtKind::Add(c, e) => {
-                StmtKind::Add(rewrite_target(c, subst)?, rewrite_expr(e, subst)?)
-            }
-            StmtKind::Put(m, k, v) => StmtKind::Put(
-                rewrite_target(m, subst)?,
-                rewrite_expr(k, subst)?,
-                rewrite_expr(v, subst)?,
-            ),
-            StmtKind::ForEach { var, iter, body } => StmtKind::ForEach {
-                var: rewrite_target(var, subst)?,
-                iter: rewrite_expr(iter, subst)?,
-                body: rewrite_stmts(body, subst)?,
-            },
-            StmtKind::While { cond, body } => StmtKind::While {
-                cond: rewrite_expr(cond, subst)?,
-                body: rewrite_stmts(body, subst)?,
-            },
-            StmtKind::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => StmtKind::If {
-                cond: rewrite_expr(cond, subst)?,
-                then_branch: rewrite_stmts(then_branch, subst)?,
-                else_branch: rewrite_stmts(else_branch, subst)?,
-            },
-            StmtKind::Print(e) => StmtKind::Print(rewrite_expr(e, subst)?),
-            StmtKind::Break => StmtKind::Break,
-            StmtKind::CacheByColumn {
-                cache,
-                source,
-                key_col,
-            } => StmtKind::CacheByColumn {
-                cache: cache.clone(),
-                source: rewrite_expr(source, subst)?,
-                key_col: key_col.clone(),
-            },
-            StmtKind::UpdateQuery {
-                table,
-                set_col,
-                value,
-                key_col,
-                key,
-            } => StmtKind::UpdateQuery {
-                table: table.clone(),
-                set_col: set_col.clone(),
-                value: rewrite_expr(value, subst)?,
-                key_col: key_col.clone(),
-                key: rewrite_expr(key, subst)?,
-            },
-            StmtKind::LetCall(v, f, args) => StmtKind::LetCall(
-                rewrite_target(v, subst)?,
-                f.clone(),
-                args.iter()
-                    .map(|a| rewrite_expr(a, subst))
-                    .collect::<Option<Vec<_>>>()?,
-            ),
-            StmtKind::Return(_) | StmtKind::TryCatch { .. } => return None,
-        };
-        out.push(Stmt::new(kind));
+        match &mut s.kind {
+            Return(_) | TryCatch { .. } => return None,
+            Let(v, _)
+            | NewCollection(v)
+            | NewMap(v)
+            | Add(v, _)
+            | Put(v, _, _)
+            | LetCall(v, _, _)
+            | ForEach { var: v, .. } => *v = rewrite_target(v, subst)?,
+            _ => {}
+        }
+        s.exprs_mut()
+            .into_iter()
+            .for_each(|e| rewrite_expr(e, subst));
+        for body in s.children_mut() {
+            rewrite_stmts(body, subst)?;
+        }
     }
-    Some(out)
+    Some(())
 }
 
 #[cfg(test)]

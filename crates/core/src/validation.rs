@@ -29,7 +29,7 @@
 
 use crate::emit;
 use crate::region_ops::RegionOp;
-use imperative::ast::{Expr, Function, Program, Stmt, StmtKind};
+use imperative::ast::{Expr, Function, Program, Stmt};
 use interp::{Interp, InterpConfig};
 use minidb::{feedback::semantic_key, Database, FuncRegistry, PlanFingerprint, Row};
 use netsim::{Clock, NetworkProfile};
@@ -259,8 +259,15 @@ fn measure(ctx: &ValidationContext<'_>, base: &Database, program: &Program) -> O
 /// have nothing feedback could validate, so they report `false` and force
 /// the execution path.
 fn all_queries_fresh(db: &Database, store: &minidb::FeedbackStore, f: &Function) -> bool {
+    // Every logical plan `f` can reach: queries in any expression position.
     let mut plans = Vec::new();
-    collect_plans(&f.body, &mut plans);
+    let mut collect = |e: &Expr| {
+        if let Expr::Query(q) | Expr::ScalarQuery(q) = e {
+            plans.push(q.plan.as_plan().clone());
+        }
+    };
+    let mut visit = |s: &Stmt| s.exprs().iter().for_each(|e| e.walk(&mut collect));
+    f.body.iter().for_each(|s| s.walk(&mut visit));
     !plans.is_empty()
         && plans.iter().all(|p| {
             let stamp = db.plan_data_stamp(p);
@@ -269,60 +276,6 @@ fn all_queries_fresh(db: &Database, store: &minidb::FeedbackStore, f: &Function)
                 .or_else(|| store.observed_semantic(semantic_key(p), stamp))
                 .is_some()
         })
-}
-
-/// Every logical plan reachable from `stmts` (queries in any expression
-/// position).
-fn collect_plans(stmts: &[Stmt], out: &mut Vec<minidb::LogicalPlan>) {
-    fn expr(e: &Expr, out: &mut Vec<minidb::LogicalPlan>) {
-        match e {
-            Expr::Query(q) | Expr::ScalarQuery(q) => {
-                out.push(q.plan.as_plan().clone());
-                for (_, b) in &q.binds {
-                    expr(b, out);
-                }
-            }
-            Expr::Bin(_, l, r) => {
-                expr(l, out);
-                expr(r, out);
-            }
-            Expr::Not(e) | Expr::Len(e) => expr(e, out),
-            Expr::Field(b, _) | Expr::Nav(b, _) => expr(b, out),
-            Expr::Call(_, args) => args.iter().for_each(|a| expr(a, out)),
-            Expr::LookupCache(_, k) => expr(k, out),
-            Expr::MapGet(m, k) => {
-                expr(m, out);
-                expr(k, out);
-            }
-            Expr::Var(_) | Expr::Lit(_) | Expr::LoadAll(_) => {}
-        }
-    }
-    for s in stmts {
-        match &s.kind {
-            StmtKind::Let(_, e) | StmtKind::Add(_, e) | StmtKind::Print(e) => expr(e, out),
-            StmtKind::Put(_, k, v) => {
-                expr(k, out);
-                expr(v, out);
-            }
-            StmtKind::ForEach { iter, .. } => expr(iter, out),
-            StmtKind::While { cond, .. } | StmtKind::If { cond, .. } => expr(cond, out),
-            StmtKind::Return(Some(e)) => expr(e, out),
-            StmtKind::CacheByColumn { source, .. } => expr(source, out),
-            StmtKind::UpdateQuery { value, key, .. } => {
-                expr(value, out);
-                expr(key, out);
-            }
-            StmtKind::LetCall(_, _, args) => args.iter().for_each(|a| expr(a, out)),
-            StmtKind::Return(None)
-            | StmtKind::NewCollection(_)
-            | StmtKind::NewMap(_)
-            | StmtKind::Break
-            | StmtKind::TryCatch { .. } => {}
-        }
-        for list in s.children() {
-            collect_plans(list, out);
-        }
-    }
 }
 
 /// A `row_scale`-shrunk copy of `src` that preserves referential

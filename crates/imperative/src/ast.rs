@@ -109,48 +109,70 @@ impl Expr {
         Expr::Nav(Box::new(base), assoc.into())
     }
 
+    /// Call `f` on each direct sub-expression, in evaluation order (a
+    /// query's sub-expressions are the values it binds).
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
+        match self {
+            Expr::Var(_) | Expr::Lit(_) | Expr::LoadAll(_) => {}
+            Expr::Bin(_, l, r) | Expr::MapGet(l, r) => {
+                f(l);
+                f(r);
+            }
+            Expr::Not(e)
+            | Expr::Len(e)
+            | Expr::Field(e, _)
+            | Expr::Nav(e, _)
+            | Expr::LookupCache(_, e) => f(e),
+            Expr::Call(_, args) => args.iter().for_each(f),
+            Expr::Query(q) | Expr::ScalarQuery(q) => q.binds.iter().for_each(|(_, e)| f(e)),
+        }
+    }
+
+    /// [`Expr::for_each_child`] for rebuilding in place.
+    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut Expr)) {
+        match self {
+            Expr::Var(_) | Expr::Lit(_) | Expr::LoadAll(_) => {}
+            Expr::Bin(_, l, r) | Expr::MapGet(l, r) => {
+                f(l);
+                f(r);
+            }
+            Expr::Not(e)
+            | Expr::Len(e)
+            | Expr::Field(e, _)
+            | Expr::Nav(e, _)
+            | Expr::LookupCache(_, e) => f(e),
+            Expr::Call(_, args) => args.iter_mut().for_each(f),
+            Expr::Query(q) | Expr::ScalarQuery(q) => q.binds.iter_mut().for_each(|(_, e)| f(e)),
+        }
+    }
+
+    /// Call `f` on this expression and every expression nested in it,
+    /// parents first.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
+        self.for_each_child(|c| c.walk(f));
+    }
+
     /// Collect free variable names into `out` (with duplicates).
     pub fn free_vars(&self, out: &mut Vec<String>) {
-        match self {
-            Expr::Var(v) => out.push(v.clone()),
-            Expr::Lit(_) | Expr::LoadAll(_) => {}
-            Expr::Bin(_, l, r) => {
-                l.free_vars(out);
-                r.free_vars(out);
+        self.walk(&mut |e| {
+            if let Expr::Var(v) = e {
+                out.push(v.clone());
             }
-            Expr::Not(e) | Expr::Len(e) => e.free_vars(out),
-            Expr::Field(b, _) | Expr::Nav(b, _) => b.free_vars(out),
-            Expr::Call(_, args) => {
-                for a in args {
-                    a.free_vars(out);
-                }
-            }
-            Expr::Query(q) | Expr::ScalarQuery(q) => {
-                for (_, e) in &q.binds {
-                    e.free_vars(out);
-                }
-            }
-            Expr::LookupCache(_, k) => k.free_vars(out),
-            Expr::MapGet(m, k) => {
-                m.free_vars(out);
-                k.free_vars(out);
-            }
-        }
+        });
     }
 
     /// True if evaluation may access the database (queries, loads, or
     /// association navigation that can miss the session cache).
     pub fn may_access_db(&self) -> bool {
-        match self {
-            Expr::LoadAll(_) | Expr::Query(_) | Expr::ScalarQuery(_) | Expr::Nav(_, _) => true,
-            Expr::Var(_) | Expr::Lit(_) => false,
-            Expr::Bin(_, l, r) => l.may_access_db() || r.may_access_db(),
-            Expr::Not(e) | Expr::Len(e) => e.may_access_db(),
-            Expr::Field(b, _) => b.may_access_db(),
-            Expr::Call(_, args) => args.iter().any(|a| a.may_access_db()),
-            Expr::LookupCache(_, k) => k.may_access_db(),
-            Expr::MapGet(m, k) => m.may_access_db() || k.may_access_db(),
-        }
+        let mut accesses = false;
+        self.walk(&mut |e| {
+            accesses |= matches!(
+                e,
+                Expr::LoadAll(_) | Expr::Query(_) | Expr::ScalarQuery(_) | Expr::Nav(_, _)
+            );
+        });
+        accesses
     }
 }
 
@@ -243,26 +265,75 @@ impl Stmt {
         }
     }
 
+    /// The expressions this statement itself evaluates, in evaluation
+    /// order (a nested statement's are its own; see [`Stmt::walk`]).
+    pub fn exprs(&self) -> Vec<&Expr> {
+        use StmtKind::*;
+        match &self.kind {
+            Let(_, e) | Add(_, e) | Print(e) | Return(Some(e)) => vec![e],
+            ForEach { iter: e, .. }
+            | While { cond: e, .. }
+            | If { cond: e, .. }
+            | CacheByColumn { source: e, .. } => vec![e],
+            Put(_, k, v) => vec![k, v],
+            UpdateQuery { value, key, .. } => vec![value, key],
+            LetCall(_, _, args) => args.iter().collect(),
+            NewCollection(_) | NewMap(_) | Return(None) | Break | TryCatch { .. } => Vec::new(),
+        }
+    }
+
+    /// Call `f` on this statement and every statement nested in it, in
+    /// source order.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
+        f(self);
+        for s in self.children().into_iter().flatten() {
+            s.walk(f);
+        }
+    }
+
+    /// [`Stmt::exprs`] for rebuilding in place.
+    pub fn exprs_mut(&mut self) -> Vec<&mut Expr> {
+        use StmtKind::*;
+        match &mut self.kind {
+            Let(_, e) | Add(_, e) | Print(e) | Return(Some(e)) => vec![e],
+            ForEach { iter: e, .. }
+            | While { cond: e, .. }
+            | If { cond: e, .. }
+            | CacheByColumn { source: e, .. } => vec![e],
+            Put(_, k, v) => vec![k, v],
+            UpdateQuery { value, key, .. } => vec![value, key],
+            LetCall(_, _, args) => args.iter_mut().collect(),
+            NewCollection(_) | NewMap(_) | Return(None) | Break | TryCatch { .. } => Vec::new(),
+        }
+    }
+
+    /// [`Stmt::children`] for rebuilding in place.
+    pub fn children_mut(&mut self) -> Vec<&mut Vec<Stmt>> {
+        match &mut self.kind {
+            StmtKind::ForEach { body, .. } | StmtKind::While { body, .. } => vec![body],
+            StmtKind::If {
+                then_branch,
+                else_branch,
+                ..
+            } => vec![then_branch, else_branch],
+            StmtKind::TryCatch { body, handler } => vec![body, handler],
+            _ => Vec::new(),
+        }
+    }
+
     /// Largest line number in this statement (inclusive of children).
     pub fn max_line(&self) -> u32 {
-        let mut max = self.line;
-        for list in self.children() {
-            for s in list {
-                max = max.max(s.max_line());
-            }
-        }
+        let mut max = 0;
+        self.walk(&mut |s| max = max.max(s.line));
         max
     }
 
     /// Number of statements in this statement, inclusive of children
     /// (an `if` with two one-statement branches counts 3).
     pub fn stmt_count(&self) -> usize {
-        1 + self
-            .children()
-            .iter()
-            .flat_map(|list| list.iter())
-            .map(|s| s.stmt_count())
-            .sum::<usize>()
+        let mut n = 0;
+        self.walk(&mut |_| n += 1);
+        n
     }
 
     /// The variable this statement defines/updates at the top level, if any.

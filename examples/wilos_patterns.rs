@@ -37,7 +37,8 @@ fn main() {
 
         // Heuristic rewrite ([4]-style push-to-SQL).
         let fx = wilos::build_fixture(scale, 7);
-        let h = heuristic::optimize_heuristic(&program, &fx.mapping);
+        let baseline_of = fx.cobra_builder().network(net.clone()).build();
+        let h = heuristic::optimize_heuristic(&program, &baseline_of);
         let mut funcs = vec![h.clone()];
         funcs.extend(program.functions.iter().skip(1).cloned());
         let t_heur = run_on(&fx, net.clone(), &Program { functions: funcs })

@@ -212,7 +212,7 @@ fn heuristic_rewrites_preserve_p0_semantics() {
         let fx = motivating::build_fixture(orders, customers, seed);
         let net = NetworkProfile::fast_local();
         let p0 = motivating::p0();
-        let h = heuristic::optimize_heuristic(&p0, &fx.mapping);
+        let h = heuristic::optimize_heuristic(&p0, &fx.cobra_builder().build());
         let original = run_on(&fx, net.clone(), &p0).unwrap();
         let rewritten = run_on(&fx, net, &Program::single(h)).unwrap();
         assert_eq!(

@@ -19,6 +19,11 @@ const ALTERNATIVES_DIGEST: u64 = 0xaa2a_a990_57d6_628e;
 /// the slow-remote and fast-local profiles.
 const PROGRAMS_DIGEST: u64 = 0x758b_a6c3_6287_3d48;
 
+/// The pretty-printed `optimize_heuristic` output over the same corpus:
+/// the Fig. 15 baseline's choices (taken at the commit before it moved onto
+/// the optimizer's own loop gate, and unchanged by the move).
+const HEURISTIC_DIGEST: u64 = 0x8b83_bf23_7358_0e70;
+
 fn corpus() -> Vec<(Fixture, Program)> {
     let fx = motivating::build_fixture(2_000, 400, 11);
     let mut out = vec![(fx.clone(), motivating::p0()), (fx, motivating::m0())];
@@ -83,14 +88,37 @@ fn emitted_programs_are_pinned() {
     assert_eq!(h.finish(), PROGRAMS_DIGEST, "{:#018x}", h.finish());
 }
 
+#[test]
+fn heuristic_programs_are_pinned() {
+    let mut h = StableHasher::new();
+    for (fixture, program) in corpus() {
+        let cobra = fixture.cobra_builder().build();
+        let baseline = cobra::core::heuristic::optimize_heuristic(&program, &cobra);
+        pretty::function_to_string(&baseline).hash(&mut h);
+    }
+    assert_eq!(h.finish(), HEURISTIC_DIGEST, "{:#018x}", h.finish());
+}
+
 /// Optimize with `cobra`, run original and rewritten on `fx`, and require
 /// the same observables and the same `var`. Returns the rewritten text.
 fn assert_same_result(fx: &Fixture, cobra: &Cobra, program: &Program, var: &str) -> String {
     let opt = cobra.optimize_program(program).expect("optimizes");
-    let text = pretty::function_to_string(&opt.program);
+    assert_runs_like_original(fx, program, opt.program, var)
+}
+
+/// Run `program` with and without `rewritten` as its entry on `fx` and
+/// require the same observables and the same `var`. Returns the rewritten
+/// text.
+fn assert_runs_like_original(
+    fx: &Fixture,
+    program: &Program,
+    rewritten: Function,
+    var: &str,
+) -> String {
+    let text = pretty::function_to_string(&rewritten);
     let net = NetworkProfile::fast_local();
     let original = run_on(fx, net.clone(), program).expect("original runs");
-    let rewritten = run_on(fx, net, &program.with_entry(opt.program))
+    let rewritten = run_on(fx, net, &program.with_entry(rewritten))
         .unwrap_or_else(|e| panic!("rewritten program fails: {e}\n{text}"));
     println!("{text}");
     assert_equivalent(
@@ -156,7 +184,9 @@ fn t2_mints_a_bind_name_the_source_query_does_not_use() {
 /// `emp(id, boss_id, salary)` with `Emp.boss → Emp` or `→ dept(id,
 /// budget)`: T4's join puts both tables' columns under one tuple variable,
 /// so `boss_id = id` (and `e.id`) would be ambiguous at run time. Every
-/// other schema in the repo prefixes column names per table.
+/// other schema in the repo prefixes column names per table. The Fig. 15
+/// heuristic baseline takes its candidates through the same gate (it had a
+/// driver of its own without it, and emitted the join for `boss → Dept`).
 #[test]
 fn t4_declines_joins_over_tables_that_share_a_column_name() {
     use cobra::minidb::{Column, DataType, Database, FuncRegistry, Schema, Value};
@@ -216,7 +246,10 @@ fn t4_declines_joins_over_tables_that_share_a_column_name() {
             ],
         );
         f.number_lines(2);
-        let text = assert_same_result(&fx, &fx.cobra_builder().build(), &Program::single(f), "sum");
+        let (cobra, program) = (fx.cobra_builder().build(), Program::single(f));
+        let text = assert_same_result(&fx, &cobra, &program, "sum");
         assert!(!text.contains(" join "), "boss → {target}: {text}");
+        let baseline = cobra::core::heuristic::optimize_heuristic(&program, &cobra);
+        assert_runs_like_original(&fx, &program, baseline, "sum");
     }
 }

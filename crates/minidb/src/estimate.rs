@@ -621,27 +621,13 @@ impl<'a> Estimator<'a> {
         let Ok(outer_schema) = outer_plan.output_schema(self.db, self.funcs) else {
             return false;
         };
-        for c in pred.conjuncts() {
-            let ScalarExpr::Bin(BinOp::Eq, a, b) = c else {
-                continue;
-            };
-            let (ScalarExpr::Col(ca), ScalarExpr::Col(cb)) = (&**a, &**b) else {
-                continue;
-            };
-            for (x, y) in [(ca, cb), (cb, ca)] {
-                if outer_schema.resolve(&x.to_ref_string()).is_ok() {
-                    if let Ok(i) = inner_schema.resolve(&y.to_ref_string()) {
-                        if t.has_index(i) {
-                            return true;
-                        }
-                    }
-                }
-            }
-        }
-        false
+        crate::vexec::inl_probe_columns(t, &outer_schema, &inner_schema, &pred.conjuncts())
+            .is_some()
     }
 
-    /// Mirrors the executor's index fast-path detection.
+    /// True when the executor answers `σ_pred(input)` from an index: `input`
+    /// is a base scan and `pred` has an equality conjunct its index fast
+    /// path can probe with.
     fn indexed_eq_lookup(&self, input: &LogicalPlan, pred: &ScalarExpr, schema: &Schema) -> bool {
         let LogicalPlan::Scan { table, .. } = input else {
             return false;
@@ -649,23 +635,7 @@ impl<'a> Estimator<'a> {
         let Ok(t) = self.db.table(table) else {
             return false;
         };
-        for c in pred.conjuncts() {
-            if let ScalarExpr::Bin(BinOp::Eq, l, r) = c {
-                let col = match (&**l, &**r) {
-                    (ScalarExpr::Col(col), o) if !o.references_columns() => Some(col),
-                    (o, ScalarExpr::Col(col)) if !o.references_columns() => Some(col),
-                    _ => None,
-                };
-                if let Some(col) = col {
-                    if let Ok(i) = schema.resolve(&col.to_ref_string()) {
-                        if t.has_index(i) {
-                            return true;
-                        }
-                    }
-                }
-            }
-        }
-        false
+        crate::vexec::indexed_eq_conjunct(t, schema, &pred.conjuncts()).is_some()
     }
 }
 

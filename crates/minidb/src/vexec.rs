@@ -281,6 +281,30 @@ fn cmp_rows(col: &ColumnVec, a: usize, b: usize) -> std::cmp::Ordering {
     }
 }
 
+/// The index fast path's probe: the first equality conjunct between an
+/// indexed column of base table `t` (whose scan has `schema`) and a
+/// column-free expression, as `(conjunct position, column, key
+/// expression)`. The row engine's selection, kept there as the reference
+/// copy; the estimator prices the path this finds.
+pub(crate) fn indexed_eq_conjunct<'p>(
+    t: &Table,
+    schema: &Schema,
+    conjuncts: &[&'p ScalarExpr],
+) -> Option<(usize, usize, &'p ScalarExpr)> {
+    conjuncts.iter().enumerate().find_map(|(ci, c)| {
+        let ScalarExpr::Bin(BinOp::Eq, l, r) = c else {
+            return None;
+        };
+        let (col, key_expr) = match (&**l, &**r) {
+            (ScalarExpr::Col(col), other) if !other.references_columns() => (col, other),
+            (other, ScalarExpr::Col(col)) if !other.references_columns() => (col, other),
+            _ => return None,
+        };
+        let idx = schema.resolve(&col.to_ref_string()).ok()?;
+        t.has_index(idx).then_some((ci, idx, key_expr))
+    })
+}
+
 fn run_select(
     exec: &Executor<'_>,
     input: &LogicalPlan,
@@ -293,38 +317,25 @@ fn run_select(
         let t = exec.db.table(table)?;
         let schema = t.schema().with_qualifier(alias.as_deref().unwrap_or(table));
         let conjuncts = pred.conjuncts();
-        for (ci, c) in conjuncts.iter().enumerate() {
-            if let ScalarExpr::Bin(BinOp::Eq, l, r) = c {
-                let (col, key_expr) = match (&**l, &**r) {
-                    (ScalarExpr::Col(col), other) if !other.references_columns() => (col, other),
-                    (other, ScalarExpr::Col(col)) if !other.references_columns() => (col, other),
-                    _ => continue,
-                };
-                let Ok(idx) = schema.resolve(&col.to_ref_string()) else {
-                    continue;
-                };
-                if !t.has_index(idx) {
+        if let Some((ci, idx, key_expr)) = indexed_eq_conjunct(t, &schema, &conjuncts) {
+            let key = key_expr.eval(&Schema::default(), &Vec::new(), params, exec.funcs)?;
+            let positions = t.index_lookup(idx, &key).unwrap_or(&[]);
+            let work = ExecWork {
+                startup_rows: 0,
+                total_rows: positions.len() as u64 + 1,
+            };
+            let hits: Vec<u32> = positions.iter().map(|&p| p as u32).collect();
+            let mut chunk = Chunk::scan(t, schema);
+            chunk.select(&hits);
+            // Remaining conjuncts narrow the selection in order
+            // (progressive = the row engine's per-row short-circuit).
+            for (i, other) in conjuncts.iter().enumerate() {
+                if i == ci {
                     continue;
                 }
-                let key = key_expr.eval(&Schema::default(), &Vec::new(), params, exec.funcs)?;
-                let positions = t.index_lookup(idx, &key).unwrap_or(&[]);
-                let work = ExecWork {
-                    startup_rows: 0,
-                    total_rows: positions.len() as u64 + 1,
-                };
-                let hits: Vec<u32> = positions.iter().map(|&p| p as u32).collect();
-                let mut chunk = Chunk::scan(t, schema);
-                chunk.select(&hits);
-                // Remaining conjuncts narrow the selection in order
-                // (progressive = the row engine's per-row short-circuit).
-                for (i, other) in conjuncts.iter().enumerate() {
-                    if i == ci {
-                        continue;
-                    }
-                    filter_chunk(&mut chunk, other, params, exec.funcs)?;
-                }
-                return Ok((chunk, work));
+                filter_chunk(&mut chunk, other, params, exec.funcs)?;
             }
+            return Ok((chunk, work));
         }
     }
     // Generic filter: whole predicate tree, batched over the selection.
@@ -608,6 +619,39 @@ fn hash_candidates(
     )
 }
 
+/// Index-nested-loops' probe columns: the *last* equi-conjunct between a
+/// column of the outer side and an indexed column of the inner side — a
+/// bare scan of `t` with schema `inner_schema` — as `(outer column, inner
+/// column)`. The row engine's selection, kept there as the reference copy;
+/// the estimator prices the join this makes eligible.
+pub(crate) fn inl_probe_columns(
+    t: &Table,
+    outer_schema: &Schema,
+    inner_schema: &Schema,
+    conjuncts: &[&ScalarExpr],
+) -> Option<(usize, usize)> {
+    let mut probe = None;
+    for c in conjuncts {
+        let ScalarExpr::Bin(BinOp::Eq, a, b) = c else {
+            continue;
+        };
+        let (ScalarExpr::Col(ca), ScalarExpr::Col(cb)) = (&**a, &**b) else {
+            continue;
+        };
+        for (x, y) in [(ca, cb), (cb, ca)] {
+            if let (Ok(o), Ok(i)) = (
+                outer_schema.resolve(&x.to_ref_string()),
+                inner_schema.resolve(&y.to_ref_string()),
+            ) {
+                if t.has_index(i) {
+                    probe = Some((o, i));
+                }
+            }
+        }
+    }
+    probe
+}
+
 /// Index-nested-loops join, mirroring the row engine's decision order:
 /// inner side must be a bare scan with an index on the *last* eligible
 /// equi conjunct; the outer side runs first (errors propagate even if the
@@ -631,26 +675,8 @@ fn try_inl_join(
         let inner_schema = t.schema().with_qualifier(alias.as_deref().unwrap_or(table));
         let outer_schema = outer_plan.output_schema(exec.db, exec.funcs)?;
         let conjuncts = pred.conjuncts();
-        let mut probe: Option<(usize, usize)> = None;
-        for c in &conjuncts {
-            let ScalarExpr::Bin(BinOp::Eq, a, b) = c else {
-                continue;
-            };
-            let (ScalarExpr::Col(ca), ScalarExpr::Col(cb)) = (&**a, &**b) else {
-                continue;
-            };
-            for (x, y) in [(ca, cb), (cb, ca)] {
-                if let (Ok(o), Ok(i)) = (
-                    outer_schema.resolve(&x.to_ref_string()),
-                    inner_schema.resolve(&y.to_ref_string()),
-                ) {
-                    if t.has_index(i) {
-                        probe = Some((o, i));
-                    }
-                }
-            }
-        }
-        let Some((o_col, i_col)) = probe else {
+        let Some((o_col, i_col)) = inl_probe_columns(t, &outer_schema, &inner_schema, &conjuncts)
+        else {
             continue;
         };
 

@@ -1,7 +1,7 @@
 //! Dependency-free source-level repo lints, run in CI (`static-analysis`
 //! job) as `cargo run -p analysis --bin repo_lint`.
 //!
-//! Three invariants, all established by earlier PRs and cheap to regress:
+//! Four invariants, all established by earlier PRs and cheap to regress:
 //!
 //! * **Server locks must recover from poison.** PR 9 routed every lock
 //!   acquisition in `crates/server` through the poison-recovering helpers
@@ -17,6 +17,10 @@
 //!   `crates/fir` describe derivations; `ruleset.rs` builds the
 //!   alternative and pushes the tag. A rule that tags an alternative
 //!   itself is back to assembling alternatives by hand.
+//! * **One path from a loop to its alternatives.** In `crates/core` only
+//!   `optimizer.rs` (the `LoopGate`) folds a loop and expands it; the
+//!   heuristic baseline had a second driver, and that copy never got the
+//!   catalog gate.
 //!
 //! Exit status 0 when clean; 1 with `file:line` diagnostics otherwise.
 
@@ -50,6 +54,13 @@ const LINTS: &[Lint] = &[
         exempt: &["ruleset.rs"],
         patterns: &["rules_applied.push("],
         why: "rules return Derivations; only the driver in ruleset.rs builds alternatives",
+    },
+    Lint {
+        dir: "crates/core/src",
+        exempt: &["optimizer.rs"],
+        patterns: &["expand_with", "loop_to_fold("],
+        why: "loop alternatives come from optimizer.rs's LoopGate; a second driver drifts \
+              from its soundness gates",
     },
 ];
 

@@ -100,30 +100,6 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// A dependency-free micro-benchmark runner (the workspace builds without
-/// network access, so criterion is not available). Runs `f` for a warm-up
-/// pass, then `iters` timed iterations, and prints min/mean per-iteration
-/// wall-clock times. Returns the mean seconds per iteration.
-pub fn bench_fn<T>(name: &str, iters: usize, mut f: impl FnMut() -> T) -> f64 {
-    use std::time::Instant;
-    std::hint::black_box(f());
-    let iters = iters.max(1);
-    let mut times = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        times.push(start.elapsed().as_secs_f64());
-    }
-    let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
-    let mean = times.iter().sum::<f64>() / times.len() as f64;
-    println!(
-        "{name:<40} min {:>10}  mean {:>10}",
-        fmt_secs(min),
-        fmt_secs(mean)
-    );
-    mean
-}
-
 /// The JSON output path requested for this run: `--json <path>` on the
 /// command line, else the `COBRA_BENCH_JSON` environment variable. The
 /// fig/opt_time binaries stay print-only when neither is set.

@@ -606,7 +606,7 @@ impl RegionCostModel {
             .iter()
             .map(|c| self.tree_cost(subtree(c)))
             .collect();
-        let node = |c| Some((&subtree(c).op, &subtree(c).children[..]));
+        let node = |c| Some(subtree(c)).map(|t| (&t.op, &t.children[..]));
         self.region_cost(&tree.op, &costs, || {
             self.break_probability(&tree.children[0], &node)
         })
@@ -855,8 +855,7 @@ mod tests {
         ];
         let searched = |stmts: &[Stmt]| {
             let mut memo: Memo<RegionOp> = Memo::new();
-            let tree = crate::region_ops::region_to_optree(&Region::from_stmts(stmts));
-            let root = memo.insert_tree(&tree, None);
+            let root = memo.insert_tree(&region_to_optree(&Region::from_stmts(stmts)), None);
             volcano::best_plan(&memo, root, &m).unwrap().cost
         };
         let in_try = [Stmt::new(StmtKind::TryCatch {

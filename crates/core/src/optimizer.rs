@@ -2,8 +2,8 @@
 //! least-cost extraction, program emission.
 //!
 //! One `optimize_program` is one pass down this file: the entry function's
-//! region tree goes into one [`Memo`] ([`DagBuilder`]), every cursor loop's
-//! alternatives come through the one [`LoopGate`], one `volcano::cost_table`
+//! region tree goes into one [`Memo`] (`DagBuilder`), every cursor loop's
+//! alternatives come through the one `LoopGate`, one `volcano::cost_table`
 //! prices the DAG, one plan is extracted and emitted. What the program (or
 //! a callee) costs *as written* takes no memo and no search — it is
 //! [`RegionCostModel::written_cost`], a recursion over the region tree.

@@ -14,12 +14,15 @@ use imperative::regions::{Region, RegionKind};
 use minidb::{BinOp, LogicalPlan, ScalarExpr};
 use std::collections::{HashMap, HashSet};
 
+/// Append the variables `stmt` reads, nested bodies included, to `vars`.
+fn stmt_reads(stmt: &Stmt, vars: &mut Vec<String>) {
+    stmt.walk(&mut |s| s.exprs().iter().for_each(|e| e.free_vars(vars)));
+}
+
 /// Collect variables read anywhere in `stmts` (including nested bodies).
 pub fn reads_of(stmts: &[Stmt]) -> HashSet<String> {
     let mut vars = Vec::new();
-    for s in stmts {
-        s.walk(&mut |s| s.exprs().iter().for_each(|e| e.free_vars(&mut vars)));
-    }
+    stmts.iter().for_each(|s| stmt_reads(s, &mut vars));
     vars.into_iter().collect()
 }
 
@@ -29,18 +32,16 @@ pub fn reads_of(stmts: &[Stmt]) -> HashSet<String> {
 /// nested statement, which made the per-child live-set computation of
 /// DAG construction quadratic in cloned statements).
 pub fn reads_of_region(region: &Region) -> HashSet<String> {
-    let mut out = HashSet::new();
     let mut vars = Vec::new();
     region.walk(&mut |r| match &r.kind {
-        RegionKind::Block(s) => out.extend(reads_of(std::slice::from_ref(s))),
-        RegionKind::BlackBox(stmts) => out.extend(reads_of(stmts)),
+        RegionKind::Block(s) => stmt_reads(s, &mut vars),
+        RegionKind::BlackBox(stmts) => stmts.iter().for_each(|s| stmt_reads(s, &mut vars)),
         RegionKind::Cond { cond: e, .. }
         | RegionKind::WhileLoop { cond: e, .. }
         | RegionKind::Loop { iter: e, .. } => e.free_vars(&mut vars),
         RegionKind::Seq(_) | RegionKind::Empty => {}
     });
-    out.extend(vars);
-    out
+    vars.into_iter().collect()
 }
 
 /// The live set `live_after` extended by `reads`: what is live before code

@@ -504,6 +504,86 @@ mod tests {
         assert_eq!(vars, vec!["o", "m", "k"]);
     }
 
+    /// The read and in-place forms of each traversal primitive list the
+    /// same parts in the same order, on every variant.
+    #[test]
+    fn read_and_mut_traversals_list_the_same_parts() {
+        let (x, y) = (|| Box::new(Expr::var("x")), || Box::new(Expr::var("y")));
+        let q = || QuerySpec::sql("select * from t where a = :p").bind("p", Expr::var("x"));
+        let exprs = vec![
+            Expr::var("v"),
+            Expr::lit(1i64),
+            Expr::LoadAll("E".into()),
+            Expr::Bin(BinOp::Add, x(), y()),
+            Expr::MapGet(x(), y()),
+            Expr::Not(x()),
+            Expr::Len(x()),
+            Expr::Field(x(), "f".into()),
+            Expr::Nav(x(), "a".into()),
+            Expr::LookupCache("c".into(), x()),
+            Expr::Call("f".into(), vec![*x(), *y()]),
+            Expr::Query(q()),
+            Expr::ScalarQuery(q()),
+        ];
+        for e in &exprs {
+            let (mut read, mut muted) = (Vec::new(), Vec::new());
+            e.for_each_child(|c| read.push(c.clone()));
+            e.clone().for_each_child_mut(|c| muted.push(c.clone()));
+            assert_eq!(read, muted, "{e:?}");
+        }
+        let body = || vec![let_stmt("z", *y())];
+        let mut kinds = vec![
+            StmtKind::NewCollection("c".into()),
+            StmtKind::NewMap("m".into()),
+            StmtKind::Add("c".into(), *x()),
+            StmtKind::Put("m".into(), *x(), *y()),
+            StmtKind::Print(*x()),
+            StmtKind::Return(Some(*x())),
+            StmtKind::Return(None),
+            StmtKind::Break,
+            StmtKind::LetCall("v".into(), "f".into(), vec![*x(), *y()]),
+        ];
+        kinds.push(StmtKind::ForEach {
+            var: "r".into(),
+            iter: *x(),
+            body: body(),
+        });
+        kinds.push(StmtKind::While {
+            cond: *x(),
+            body: body(),
+        });
+        kinds.push(StmtKind::If {
+            cond: *x(),
+            then_branch: body(),
+            else_branch: vec![Stmt::new(StmtKind::Break)],
+        });
+        kinds.push(StmtKind::TryCatch {
+            body: body(),
+            handler: vec![Stmt::new(StmtKind::Break)],
+        });
+        kinds.push(StmtKind::CacheByColumn {
+            cache: "c".into(),
+            source: *x(),
+            key_col: "k".into(),
+        });
+        kinds.push(StmtKind::UpdateQuery {
+            table: "t".into(),
+            set_col: "a".into(),
+            value: *x(),
+            key_col: "k".into(),
+            key: *y(),
+        });
+        for kind in kinds {
+            let (s, mut m) = (Stmt::new(kind.clone()), Stmt::new(kind));
+            let read: Vec<Expr> = s.exprs().into_iter().cloned().collect();
+            let muted: Vec<Expr> = m.exprs_mut().into_iter().map(|e| e.clone()).collect();
+            assert_eq!(read, muted, "{s:?}");
+            let read: Vec<Vec<Stmt>> = s.children().into_iter().map(<[Stmt]>::to_vec).collect();
+            let muted: Vec<Vec<Stmt>> = m.children_mut().into_iter().map(|b| b.clone()).collect();
+            assert_eq!(read, muted, "{s:?}");
+        }
+    }
+
     #[test]
     fn may_access_db_flags_queries_and_nav() {
         assert!(Expr::LoadAll("Order".into()).may_access_db());

@@ -649,7 +649,8 @@ impl AggState {
                     *acc = Some(match acc.take() {
                         None => val.clone(),
                         Some(Value::Int(a)) => match val {
-                            Value::Int(b) => Value::Int(a + b),
+                            // Int arithmetic wraps, as in `apply_bin_op`.
+                            Value::Int(b) => Value::Int(a.wrapping_add(*b)),
                             other => Value::Float(a as f64 + other.as_f64().unwrap_or(0.0)),
                         },
                         Some(Value::Float(a)) => Value::Float(a + val.as_f64().unwrap_or(0.0)),

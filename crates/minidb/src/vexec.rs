@@ -8,24 +8,52 @@
 //! kernels and compose the survivors into every selection, and a join's
 //! output is its left input's segments read through the left candidate
 //! ids followed by its right input's read through the right ones — `u32`
-//! gathers, never column data. A column's values are gathered only when
-//! an expression reads it, one batch at a time, and rows are materialized
-//! only at the result boundary.
+//! gathers, never column data. A column's values are read only when an
+//! expression reads it, one batch at a time — borrowed from storage under
+//! an identity selection, gathered through any other — and rows are
+//! materialized only at the result boundary. A column reference is
+//! resolved once per filter or aggregate, when its first non-empty batch
+//! is evaluated.
 //!
 //! Equi-joins share one `BuildTable`: a flat CSR table (bucket offsets,
 //! build row ids grouped by bucket in insertion order) keyed by a `u64`
 //! hash, with key equality checked on probe. Null-free `Int` keys hash
 //! the raw `i64`; every other key goes through `Value`'s own `Hash`/`Eq`.
+//! On the typed path the probe *is* the equi conjunct, so the residual
+//! pass skips it.
+//!
+//! Aggregation assigns every row a group id, then folds each aggregate's
+//! argument — evaluated once over the whole chunk — into one accumulator
+//! per group, in row order. A scalar aggregate assigns nothing; a single
+//! null-free `Int` key goes through `IntGroups`, a flat open-addressing
+//! table on the same `i64` hash; every other key is grouped by `Value`.
+//! `COUNT(*)` is a histogram of the group ids. `Int` and `Float`
+//! arguments fold into typed accumulators, every other argument through
+//! the row engine's own `AggState`.
+//!
+//! Which operand combinations have a typed kernel (a batch that is all
+//! of one type, a constant, or a NULL constant counts as that type):
+//!
+//! | operator | operands | no NULL flags | with NULL flags |
+//! |---|---|---|---|
+//! | `= <> < <= > >=` | Int×Int, numeric×Float, Str×Str | straight loop (slice×slice, slice×constant) | nullable loop |
+//! | `AND OR` | Bool×Bool | straight loop (slice×slice) | nullable loop (also ×constant) |
+//! | `+ - * /` | Int×Int, numeric×Float, Str`+`Str | nullable loop | nullable loop |
+//! | `NOT` | Bool | straight loop | straight loop, flags kept |
+//! | keep `TRUE` rows | Bool | branch-free loop | branch-free loop |
+//! | `COUNT SUM MIN MAX AVG` | Int, Float | typed fold | typed fold, NULLs skipped |
+//! | anything else | Str/Bool arguments, `Mixed` columns, mismatched types, function calls | per-row `Value`s: `apply_bin_op`, `AggState` | same |
 //!
 //! **Exact-equivalence contract.** This engine must be bit-identical to
 //! the row engine in `exec.rs`: same output rows in the same order, same
 //! [`ExecWork`] counters, and an error whenever the row engine errors.
 //! Three properties make that hold:
 //!
-//! 1. Typed kernels replicate [`apply_bin_op`]/[`Value::sql_cmp`] exactly
-//!    (integer compares stay integral, floats use total order, Int
-//!    arithmetic wraps, `/0 → NULL`); every combination without a kernel
-//!    falls back to a per-row `apply_bin_op` loop.
+//! 1. Typed kernels replicate [`apply_bin_op`]/[`Value::sql_cmp`] and
+//!    `AggState` exactly (integer compares stay integral, floats use
+//!    total order, Int arithmetic and Int SUM wrap, `/0 → NULL`, a Float
+//!    SUM starts from its first value); every combination without a
+//!    kernel falls back to a per-row `apply_bin_op` or `AggState` loop.
 //! 2. The row engine never short-circuits `AND`/`OR` *inside* a predicate
 //!    tree (both sides always evaluate) and evaluates nothing on empty
 //!    input — so whole-tree vectorized evaluation with an empty-batch
@@ -40,11 +68,13 @@ use crate::catalog::Table;
 use crate::column::{ColumnTable, ColumnVec, NullMask};
 use crate::error::{DbError, DbResult};
 use crate::exec::{AggState, ExecWork, Executor};
-use crate::expr::{apply_bin_op, BinOp, ColRef, ScalarExpr};
+use crate::expr::{apply_bin_op, AggFunc, BinOp, ColRef, ScalarExpr};
 use crate::func::FuncRegistry;
 use crate::plan::{AggItem, LogicalPlan, SortDir};
 use crate::schema::Schema;
 use crate::value::{Row, Value};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
@@ -203,10 +233,10 @@ fn run_plan(
             let (chunk, mut work) = run_plan(exec, input, params)?;
             let out_schema = plan.output_schema(exec.db, exec.funcs)?;
             let n = chunk.len;
+            let mut eval = Eval::new(&chunk, params, exec.funcs);
             let mut cols = Vec::with_capacity(items.len());
             for (expr, _) in items {
-                let v = eval_vec(expr, &chunk, 0..n, params, exec.funcs)?;
-                cols.push(Arc::new(vcol_to_column(v, n)));
+                cols.push(Arc::new(vcol_to_column(eval.eval(expr, 0..n)?, n)));
             }
             work.total_rows += n as u64;
             Ok((Chunk::dense(out_schema, cols, n), work))
@@ -234,11 +264,11 @@ fn run_plan(
                         SortDir::Asc => ord,
                         SortDir::Desc => ord.reverse(),
                     };
-                    if ord != std::cmp::Ordering::Equal {
+                    if ord != Ordering::Equal {
                         return ord;
                     }
                 }
-                std::cmp::Ordering::Equal
+                Ordering::Equal
             });
             let n = rows.len() as u64;
             let sort_work = n * (64 - n.max(1).leading_zeros() as u64).max(1);
@@ -261,8 +291,7 @@ fn run_plan(
 }
 
 /// `Value::cmp` on two rows of one column without materializing values.
-fn cmp_rows(col: &ColumnVec, a: usize, b: usize) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
+fn cmp_rows(col: &ColumnVec, a: usize, b: usize) -> Ordering {
     match col {
         ColumnVec::Mixed(v) => v[a].cmp(&v[b]),
         _ => match (col.is_null(a), col.is_null(b)) {
@@ -355,9 +384,10 @@ fn filter_chunk(
     funcs: &FuncRegistry,
 ) -> DbResult<()> {
     let mut keep: Vec<u32> = Vec::new();
+    let mut eval = Eval::new(chunk, params, funcs);
     for lo in (0..chunk.len).step_by(BATCH_SIZE) {
         let rows = lo..chunk.len.min(lo + BATCH_SIZE);
-        let v = eval_vec(pred, chunk, rows.clone(), params, funcs)?;
+        let v = eval.eval(pred, rows.clone())?;
         append_truthy(&v, rows, &mut keep);
     }
     chunk.select(&keep);
@@ -365,15 +395,31 @@ fn filter_chunk(
 }
 
 /// Append the rows of the batch `rows` whose predicate value is `TRUE`.
-fn append_truthy(v: &VCol, rows: Range<usize>, keep: &mut Vec<u32>) {
+fn append_truthy(v: &VCol<'_>, rows: Range<usize>, keep: &mut Vec<u32>) {
     let rows = rows.start as u32..rows.end as u32;
     match v {
         VCol::Bool(data, nulls) => {
-            for (k, row) in rows.enumerate() {
-                if data[k] && !nulls.as_ref().is_some_and(|n| n[k]) {
-                    keep.push(row);
+            // Branch-free: every row is written at the cursor, which
+            // moves past the row only when it is kept.
+            let start = keep.len();
+            keep.resize(start + rows.len(), 0);
+            let out = &mut keep[start..];
+            let mut kept = 0;
+            match nulls {
+                None => {
+                    for (&b, row) in data.iter().zip(rows) {
+                        out[kept] = row;
+                        kept += b as usize;
+                    }
+                }
+                Some(nulls) => {
+                    for ((&b, &null), row) in data.iter().zip(nulls).zip(rows) {
+                        out[kept] = row;
+                        kept += (b & !null) as usize;
+                    }
                 }
             }
+            keep.truncate(start + kept);
         }
         VCol::Const(Value::Bool(true)) => keep.extend(rows),
         VCol::Const(_) => {}
@@ -411,27 +457,31 @@ fn run_join(
     work.add(r_work);
 
     // Equi-conjunct detection, identical to the row engine (first match
-    // in conjunct order, either orientation).
+    // in conjunct order, either orientation): the conjunct's position and
+    // its (left, right) columns, by reference and by position.
     let conjuncts = pred.conjuncts();
-    let mut equi: Option<(usize, usize)> = None;
-    for c in &conjuncts {
-        if let ScalarExpr::Bin(BinOp::Eq, a, b) = c {
-            if let (ScalarExpr::Col(ca), ScalarExpr::Col(cb)) = (&**a, &**b) {
-                let ra = ca.to_ref_string();
-                let rb = cb.to_ref_string();
-                if let (Ok(i), Ok(j)) = (l_chunk.schema.resolve(&ra), r_chunk.schema.resolve(&rb)) {
-                    equi = Some((i, j));
-                    break;
-                }
-                if let (Ok(i), Ok(j)) = (l_chunk.schema.resolve(&rb), r_chunk.schema.resolve(&ra)) {
-                    equi = Some((i, j));
-                    break;
-                }
-            }
+    let equi = conjuncts.iter().enumerate().find_map(|(ci, c)| {
+        let ScalarExpr::Bin(BinOp::Eq, a, b) = c else {
+            return None;
+        };
+        let (ScalarExpr::Col(ca), ScalarExpr::Col(cb)) = (&**a, &**b) else {
+            return None;
+        };
+        let (ra, rb) = (ca.to_ref_string(), cb.to_ref_string());
+        let sides = |l: &str, r: &str| {
+            Some((
+                l_chunk.schema.resolve(l).ok()?,
+                r_chunk.schema.resolve(r).ok()?,
+            ))
+        };
+        if let Some((li, ri)) = sides(&ra, &rb) {
+            return Some((ci, [ra, rb], li, ri));
         }
-    }
+        let (li, ri) = sides(&rb, &ra)?;
+        Some((ci, [rb, ra], li, ri))
+    });
 
-    if let Some((li, ri)) = equi {
+    if let Some((equi_ci, [l_ref, r_ref], li, ri)) = equi {
         // Hash join; build on the smaller side, probe-major output.
         let build_left = l_chunk.len <= r_chunk.len;
         let (build, probe, b_key, p_key) = if build_left {
@@ -441,16 +491,26 @@ fn run_join(
         };
         work.startup_rows = work.total_rows + build.len as u64;
         work.total_rows += build.len as u64 + probe.len as u64;
-        let (cand_b, cand_p) = hash_candidates(build, b_key, probe, p_key);
+        let ((cand_b, cand_p), typed) = hash_candidates(build, b_key, probe, p_key);
         let (cand_l, cand_r) = if build_left {
             (&cand_b, &cand_p)
         } else {
             (&cand_p, &cand_b)
         };
         let mut chunk = Chunk::joined(&l_chunk, cand_l, &r_chunk, cand_r);
-        // Residual check = all conjuncts, progressively (short-circuit).
-        for c in &conjuncts {
-            filter_chunk(&mut chunk, c, params, exec.funcs)?;
+        // The typed probe compared the two key columns as null-free ints,
+        // which is the equi conjunct — provided the conjunct reads those
+        // same two columns in the joined schema (where a reference can
+        // turn ambiguous, and must then still raise).
+        let proven = typed
+            && chunk.schema.resolve(&l_ref).ok() == Some(li)
+            && chunk.schema.resolve(&r_ref).ok() == Some(l_chunk.schema.len() + ri);
+        // Residual check = every other conjunct, progressively
+        // (short-circuit).
+        for (ci, c) in conjuncts.iter().enumerate() {
+            if !(proven && ci == equi_ci) {
+                filter_chunk(&mut chunk, c, params, exec.funcs)?;
+            }
         }
         // The row engine charges one row-touch per row *passing* the
         // residual.
@@ -468,7 +528,7 @@ fn run_join(
         let mut flush = |batch_l: &mut Vec<u32>, batch_r: &mut Vec<u32>| -> DbResult<()> {
             let n = batch_l.len();
             let mini = Chunk::joined(&l_chunk, batch_l, &r_chunk, batch_r);
-            let v = eval_vec(pred, &mini, 0..n, params, exec.funcs)?;
+            let v = Eval::new(&mini, params, exec.funcs).eval(pred, 0..n)?;
             let mut local: Vec<u32> = Vec::new();
             append_truthy(&v, 0..n, &mut local);
             for &k in &local {
@@ -573,13 +633,15 @@ fn hash_value(v: &Value) -> u64 {
     h.finish()
 }
 
-/// The candidate pair lists of a hash join, as logical rows per side.
+/// The candidate pair lists of a hash join, as logical rows per side, and
+/// whether the typed path produced them (every pair then has equal,
+/// non-NULL Int keys).
 fn hash_candidates(
     build: &Chunk,
     b_key: usize,
     probe: &Chunk,
     p_key: usize,
-) -> (Vec<u32>, Vec<u32>) {
+) -> ((Vec<u32>, Vec<u32>), bool) {
     let (n_build, n_probe) = (build.len, probe.len);
     let (build, probe) = (build.col(b_key), probe.col(p_key));
     // Typed fast path: both keys are null-free Int columns, hash raw i64.
@@ -595,7 +657,7 @@ fn hash_candidates(
     ) = (build.col, probe.col)
     {
         let table = BuildTable::new(n_build, |b| hash_i64(bd[build.base(b)]));
-        return table.probe(
+        let pairs = table.probe(
             n_probe,
             |p| {
                 let k = pd[probe.base(p)];
@@ -603,20 +665,22 @@ fn hash_candidates(
             },
             |b, k| bd[build.base(b)] == *k,
         );
+        return (pairs, true);
     }
     // Generic path: full `Value`s, NULL keys included — the row engine's
     // `HashMap<&Value, _>` build pairs NULL with NULL and its residual
     // then discards the pair.
     let b_keys: Vec<Value> = (0..n_build).map(|b| build.get(b)).collect();
     let table = BuildTable::new(n_build, |b| hash_value(&b_keys[b]));
-    table.probe(
+    let pairs = table.probe(
         n_probe,
         |p| {
             let k = probe.get(p);
             (hash_value(&k), k)
         },
         |b, k| b_keys[b] == *k,
-    )
+    );
+    (pairs, false)
 }
 
 /// Index-nested-loops' probe columns: the *last* equi-conjunct between a
@@ -729,98 +793,278 @@ fn run_aggregate(
     }
     let n = chunk.len;
 
-    // Assign a group id to every row, preserving first-seen order.
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut gid_of_row: Vec<u32> = Vec::with_capacity(n);
-    match group_cols[..] {
+    // Group keys in first-seen order, and every row's group. A scalar
+    // aggregate has its one group whatever the input, and assigns nothing.
+    let (mut out, gids): (Vec<Row>, Option<Vec<u32>>) = match group_cols[..] {
+        [] => (vec![Vec::new()], None),
         [c @ ColView {
-            col: ColumnVec::Int { data, nulls },
+            col: ColumnVec::Int { data, nulls: None },
             ..
         }] => {
-            // Typed path: single Int key, hash raw i64 (NULL keys group
-            // together, as `Value::Null == Value::Null` does).
-            let mut seen: HashMap<Option<i64>, u32> = HashMap::new();
-            for k in 0..n {
-                let i = c.base(k);
-                let key = if nulls.as_ref().is_some_and(|m| m.is_null(i)) {
-                    None
-                } else {
-                    Some(data[i])
-                };
-                let next = order.len() as u32;
-                let gid = *seen.entry(key).or_insert_with(|| {
-                    order.push(vec![key.map_or(Value::Null, Value::Int)]);
-                    next
-                });
-                gid_of_row.push(gid);
-            }
+            let mut groups = IntGroups::new();
+            let gids = (0..n).map(|k| groups.gid(data[c.base(k)])).collect();
+            let keys = groups.keys.into_iter().map(|k| vec![Value::Int(k)]);
+            (keys.collect(), Some(gids))
         }
-        _ => assign_value_groups(&group_cols, n, &mut order, &mut gid_of_row),
-    }
-
-    let mut states: Vec<Vec<AggState>> = order
-        .iter()
-        .map(|_| aggs.iter().map(|a| AggState::new(a.func)).collect())
-        .collect();
+        _ => {
+            let (keys, gids) = value_groups(&group_cols, n);
+            (keys, Some(gids))
+        }
+    };
+    let (gids, n_groups) = (gids.as_deref(), out.len());
 
     // Per aggregate item: evaluate the argument once over all rows, then
-    // fold into states in row order (AVG's float sum is order-sensitive).
-    for (ai, item) in aggs.iter().enumerate() {
-        match &item.arg {
-            Some(e) => {
-                let v = eval_vec(e, &chunk, 0..n, params, exec.funcs)?;
-                for (k, &gid) in gid_of_row.iter().enumerate() {
-                    let val = v.value_at(k);
-                    states[gid as usize][ai].update(Some(&val));
-                }
-            }
-            None => {
-                for &gid in &gid_of_row {
-                    states[gid as usize][ai].update(None);
-                }
-            }
+    // fold it per group in row order (AVG's float sum is order-sensitive).
+    let mut eval = Eval::new(&chunk, params, exec.funcs);
+    for item in aggs {
+        let vals = match &item.arg {
+            Some(e) => fold_agg(item.func, &eval.eval(e, 0..n)?, n, gids, n_groups),
+            None if item.func == AggFunc::Count => count_star(n, gids, n_groups),
+            // No other function's state moves on an argument-less update.
+            None => (0..n_groups)
+                .map(|_| AggState::new(item.func).finish())
+                .collect(),
+        };
+        for (row, v) in out.iter_mut().zip(vals) {
+            row.push(v);
         }
-    }
-
-    // Scalar aggregate over empty input still emits one row.
-    if group_by.is_empty() && order.is_empty() {
-        order.push(Vec::new());
-        states.push(aggs.iter().map(|a| AggState::new(a.func)).collect());
-    }
-
-    let mut out = Vec::with_capacity(order.len());
-    for (key, group_states) in order.into_iter().zip(states) {
-        let mut row = key;
-        for s in group_states {
-            row.push(s.finish());
-        }
-        out.push(row);
     }
     work.total_rows += n as u64;
     work.startup_rows = work.total_rows;
     Ok((Chunk::from_rows(out_schema, &out), work))
 }
 
-/// Group assignment over full `Value` keys (multi-column or non-Int).
-fn assign_value_groups(
-    group_cols: &[ColView<'_>],
-    n: usize,
-    order: &mut Vec<Vec<Value>>,
-    gid_of_row: &mut Vec<u32>,
-) {
-    let mut seen: HashMap<Vec<Value>, u32> = HashMap::new();
-    for k in 0..n {
-        let key: Vec<Value> = group_cols.iter().map(|c| c.get(k)).collect();
-        let next = order.len() as u32;
-        let gid = match seen.get(&key) {
-            Some(&g) => g,
-            None => {
+/// Group assignment over one null-free Int key: a flat open-addressing
+/// table (linear probing from the top bits of `hash_i64`, at most half
+/// full) from a key to its group id, ids handed out in first-seen order.
+struct IntGroups {
+    /// The key of each group, by id.
+    keys: Vec<i64>,
+    /// A power-of-two number of slots: 0 for empty, else a group id + 1.
+    slots: Vec<u32>,
+    /// A hash's top `64 - shift` bits pick the slot its probe starts at.
+    shift: u32,
+}
+
+impl IntGroups {
+    fn new() -> IntGroups {
+        IntGroups {
+            keys: Vec::new(),
+            slots: vec![0; 16],
+            shift: 60,
+        }
+    }
+
+    /// The slot that holds `k`'s group, or the empty one where it belongs.
+    #[inline]
+    fn slot(&self, k: i64) -> usize {
+        let mut h = (hash_i64(k) >> self.shift) as usize;
+        while self.slots[h] != 0 && self.keys[self.slots[h] as usize - 1] != k {
+            h = (h + 1) & (self.slots.len() - 1);
+        }
+        h
+    }
+
+    /// The group id of `k`, a new one if `k` was not seen before.
+    #[inline]
+    fn gid(&mut self, k: i64) -> u32 {
+        let h = self.slot(k);
+        if self.slots[h] == 0 {
+            self.keys.push(k);
+            self.slots[h] = self.keys.len() as u32;
+            if self.keys.len() * 2 > self.slots.len() {
+                self.shift -= 1;
+                self.slots = vec![0; self.slots.len() * 2];
+                for g in 0..self.keys.len() {
+                    let h = self.slot(self.keys[g]);
+                    self.slots[h] = g as u32 + 1;
+                }
+            }
+            return self.keys.len() as u32 - 1;
+        }
+        self.slots[h] - 1
+    }
+}
+
+/// Group assignment over full `Value` keys (several columns, a non-Int
+/// one, or an Int one with NULLs): the keys in first-seen order and every
+/// row's group.
+fn value_groups(group_cols: &[ColView<'_>], n: usize) -> (Vec<Row>, Vec<u32>) {
+    let mut order: Vec<Row> = Vec::new();
+    let mut seen: HashMap<Row, u32> = HashMap::new();
+    let gids = (0..n)
+        .map(|k| {
+            let key: Row = group_cols.iter().map(|c| c.get(k)).collect();
+            *seen.entry(key).or_insert_with_key(|key| {
                 order.push(key.clone());
-                seen.insert(key, next);
-                next
+                order.len() as u32 - 1
+            })
+        })
+        .collect();
+    (order, gids)
+}
+
+/// COUNT(*) per group: a histogram of `gids`; a scalar aggregate's is `n`.
+fn count_star(n: usize, gids: Option<&[u32]>, n_groups: usize) -> Vec<Value> {
+    let Some(gids) = gids else {
+        return vec![Value::Int(n as i64)];
+    };
+    let mut counts = vec![0i64; n_groups];
+    for &g in gids {
+        counts[g as usize] += 1;
+    }
+    counts.into_iter().map(Value::Int).collect()
+}
+
+/// The element types with typed accumulators, under [`AggState`]'s
+/// arithmetic and `sql_cmp`'s order.
+trait AggNum: Copy + Default + Into<Value> {
+    /// SUM's step; `first` on a group's first non-NULL row.
+    fn sum(acc: Self, x: Self, first: bool) -> Self;
+    fn order(self, other: Self) -> Ordering;
+    fn to_f64(self) -> f64;
+}
+
+impl AggNum for i64 {
+    /// Wrapping, so the sum from 0 is the sum from the first row.
+    fn sum(acc: i64, x: i64, _first: bool) -> i64 {
+        acc.wrapping_add(x)
+    }
+    fn order(self, other: i64) -> Ordering {
+        self.cmp(&other)
+    }
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+impl AggNum for f64 {
+    /// Starts from the first row itself: `0.0 + x` is not `x` bit for bit
+    /// when `x` is `-0.0` or a signalling NaN.
+    fn sum(acc: f64, x: f64, first: bool) -> f64 {
+        if first {
+            x
+        } else {
+            acc + x
+        }
+    }
+    fn order(self, other: f64) -> Ordering {
+        self.total_cmp(&other)
+    }
+    fn to_f64(self) -> f64 {
+        self
+    }
+}
+
+/// `step(accumulator, x, first)` over the non-NULL rows of `data`, in row
+/// order, into one `(accumulator, non-NULL rows)` per group; `first` is
+/// set on a group's first such row.
+fn fold_groups<T: Copy, A: Copy>(
+    data: &[T],
+    nulls: Option<&[bool]>,
+    gids: Option<&[u32]>,
+    n_groups: usize,
+    init: A,
+    step: impl Fn(A, T, bool) -> A,
+) -> Vec<(A, u64)> {
+    let feed = |acc: &mut (A, u64), x: T| {
+        acc.0 = step(acc.0, x, acc.1 == 0);
+        acc.1 += 1;
+    };
+    let mut accs = vec![(init, 0); n_groups];
+    match (gids, nulls) {
+        // Null-free: straight loops, a scalar's accumulator in a local.
+        (None, None) => {
+            let mut acc = accs[0];
+            data.iter().for_each(|&x| feed(&mut acc, x));
+            accs[0] = acc;
+        }
+        (Some(gids), None) => {
+            for (&x, &g) in data.iter().zip(gids) {
+                feed(&mut accs[g as usize], x);
+            }
+        }
+        (_, Some(nulls)) => {
+            for k in (0..data.len()).filter(|&k| !nulls[k]) {
+                feed(&mut accs[gids.map_or(0, |g| g[k] as usize)], data[k]);
+            }
+        }
+    }
+    accs
+}
+
+/// One aggregate of a typed slice per group, as `AggState` would compute
+/// it row by row.
+fn fold_typed<T: AggNum>(
+    func: AggFunc,
+    data: &[T],
+    nulls: Option<&[bool]>,
+    gids: Option<&[u32]>,
+    n_groups: usize,
+) -> Vec<Value> {
+    /// NULL for a group without a non-NULL row, else `value`.
+    fn finish<A>(accs: Vec<(A, u64)>, value: impl Fn(A, u64) -> Value) -> Vec<Value> {
+        let finish = |(acc, rows)| {
+            if rows == 0 {
+                Value::Null
+            } else {
+                value(acc, rows)
             }
         };
-        gid_of_row.push(gid);
+        accs.into_iter().map(finish).collect()
+    }
+    // A group's extreme moves only to a row strictly beyond it.
+    let extreme = |beyond: Ordering| {
+        let step = move |acc: T, x: T, first| {
+            if first || x.order(acc) == beyond {
+                x
+            } else {
+                acc
+            }
+        };
+        let accs = fold_groups(data, nulls, gids, n_groups, T::default(), step);
+        finish(accs, |acc, _| acc.into())
+    };
+    match func {
+        AggFunc::Count => fold_groups(data, nulls, gids, n_groups, (), |_, _, _| ())
+            .into_iter()
+            .map(|(_, rows)| Value::Int(rows as i64))
+            .collect(),
+        AggFunc::Sum => {
+            let accs = fold_groups(data, nulls, gids, n_groups, T::default(), T::sum);
+            finish(accs, |acc, _| acc.into())
+        }
+        AggFunc::Min => extreme(Ordering::Less),
+        AggFunc::Max => extreme(Ordering::Greater),
+        AggFunc::Avg => {
+            let step = |acc: f64, x: T, _| acc + x.to_f64();
+            let accs = fold_groups(data, nulls, gids, n_groups, 0.0, step);
+            finish(accs, |acc, rows| Value::Float(acc / rows as f64))
+        }
+    }
+}
+
+/// One aggregate of the `n`-row argument `v` per group: typed
+/// accumulators over `Int` and `Float`; `AggState` row by row is the exact
+/// fallback for everything else (`Str`, `Bool`, constants, mixed-type
+/// `Vals` and with them SUM's Int→Float promotion).
+fn fold_agg(
+    func: AggFunc,
+    v: &VCol<'_>,
+    n: usize,
+    gids: Option<&[u32]>,
+    n_groups: usize,
+) -> Vec<Value> {
+    match v {
+        VCol::Int(data, nulls) => fold_typed(func, data, nulls.as_deref(), gids, n_groups),
+        VCol::Float(data, nulls) => fold_typed(func, data, nulls.as_deref(), gids, n_groups),
+        _ => {
+            let mut states: Vec<AggState> = (0..n_groups).map(|_| AggState::new(func)).collect();
+            for k in 0..n {
+                states[gids.map_or(0, |g| g[k] as usize)].update(Some(&v.value_at(k)));
+            }
+            states.into_iter().map(AggState::finish).collect()
+        }
     }
 }
 
@@ -828,55 +1072,32 @@ fn assign_value_groups(
 // Vectorized expression evaluation
 // ---------------------------------------------------------------------------
 
-/// A vectorized expression result over one batch of rows: typed vectors
+/// A vectorized expression result over one batch of rows: typed slices
 /// with optional per-row null flags, a broadcast constant, or exact
-/// `Value`s as the fallback.
-enum VCol {
-    Int(Vec<i64>, Option<Vec<bool>>),
-    Float(Vec<f64>, Option<Vec<bool>>),
-    Str(Vec<String>, Option<Vec<bool>>),
-    Bool(Vec<bool>, Option<Vec<bool>>),
+/// `Value`s as the fallback. A column read through an identity selection
+/// borrows its storage; everything else owns its values.
+enum VCol<'a> {
+    Int(Cow<'a, [i64]>, Option<Vec<bool>>),
+    Float(Cow<'a, [f64]>, Option<Vec<bool>>),
+    Str(Cow<'a, [String]>, Option<Vec<bool>>),
+    Bool(Cow<'a, [bool]>, Option<Vec<bool>>),
     /// One value for every row of the batch.
     Const(Value),
     /// Exact per-row values (mixed types).
     Vals(Vec<Value>),
 }
 
-impl VCol {
+impl VCol<'_> {
     /// The value at batch position `k`.
     fn value_at(&self, k: usize) -> Value {
-        fn nul(nulls: &Option<Vec<bool>>, k: usize) -> bool {
-            nulls.as_ref().is_some_and(|n| n[k])
+        fn at<T: Clone>(d: &[T], nulls: &Option<Vec<bool>>, k: usize) -> Option<T> {
+            (!nulls.as_ref().is_some_and(|n| n[k])).then(|| d[k].clone())
         }
         match self {
-            VCol::Int(d, n) => {
-                if nul(n, k) {
-                    Value::Null
-                } else {
-                    Value::Int(d[k])
-                }
-            }
-            VCol::Float(d, n) => {
-                if nul(n, k) {
-                    Value::Null
-                } else {
-                    Value::Float(d[k])
-                }
-            }
-            VCol::Str(d, n) => {
-                if nul(n, k) {
-                    Value::Null
-                } else {
-                    Value::Str(d[k].clone())
-                }
-            }
-            VCol::Bool(d, n) => {
-                if nul(n, k) {
-                    Value::Null
-                } else {
-                    Value::Bool(d[k])
-                }
-            }
+            VCol::Int(d, n) => at(d, n, k).map_or(Value::Null, Value::Int),
+            VCol::Float(d, n) => at(d, n, k).map_or(Value::Null, Value::Float),
+            VCol::Str(d, n) => at(d, n, k).map_or(Value::Null, Value::Str),
+            VCol::Bool(d, n) => at(d, n, k).map_or(Value::Null, Value::Bool),
             VCol::Const(v) => v.clone(),
             VCol::Vals(v) => v[k].clone(),
         }
@@ -893,7 +1114,7 @@ impl VCol {
 }
 
 /// Convert a batch result into storable column form.
-fn vcol_to_column(v: VCol, n: usize) -> ColumnVec {
+fn vcol_to_column(v: VCol<'_>, n: usize) -> ColumnVec {
     fn mask(nulls: Option<Vec<bool>>, n: usize) -> Option<NullMask> {
         let nulls = nulls?;
         if !nulls.iter().any(|&b| b) {
@@ -910,19 +1131,19 @@ fn vcol_to_column(v: VCol, n: usize) -> ColumnVec {
     match v {
         VCol::Int(data, nulls) => ColumnVec::Int {
             nulls: mask(nulls, n),
-            data,
+            data: data.into_owned(),
         },
         VCol::Float(data, nulls) => ColumnVec::Float {
             nulls: mask(nulls, n),
-            data,
+            data: data.into_owned(),
         },
         VCol::Str(data, nulls) => ColumnVec::Str {
             nulls: mask(nulls, n),
-            data,
+            data: data.into_owned(),
         },
         VCol::Bool(data, nulls) => ColumnVec::Bool {
             nulls: mask(nulls, n),
-            data,
+            data: data.into_owned(),
         },
         VCol::Vals(vals) => ColumnVec::from_values(vals),
         VCol::Const(val) => match val {
@@ -947,48 +1168,70 @@ fn vcol_to_column(v: VCol, n: usize) -> ColumnVec {
     }
 }
 
-/// Evaluate `expr` over the batch `rows` of `chunk`'s logical rows.
-///
-/// Empty batches return immediately without resolving anything — the row
-/// engine evaluates nothing over zero rows, so neither may we.
-fn eval_vec(
-    expr: &ScalarExpr,
-    chunk: &Chunk,
-    rows: Range<usize>,
-    params: &HashMap<String, Value>,
-    funcs: &FuncRegistry,
-) -> DbResult<VCol> {
-    let n = rows.len();
-    if n == 0 {
-        return Ok(VCol::Vals(Vec::new()));
+/// Expression evaluation over one chunk: what every batch of a
+/// `filter_chunk` or `run_aggregate` shares.
+struct Eval<'a> {
+    chunk: &'a Chunk,
+    params: &'a HashMap<String, Value>,
+    funcs: &'a FuncRegistry,
+    /// The column references evaluated so far, by address in the
+    /// expression tree, each resolved against the chunk once — and only
+    /// once a non-empty batch reads it, which keeps resolution errors
+    /// where the row engine raises them.
+    cols: Vec<(&'a ColRef, ColView<'a>)>,
+}
+
+impl<'a> Eval<'a> {
+    fn new(
+        chunk: &'a Chunk,
+        params: &'a HashMap<String, Value>,
+        funcs: &'a FuncRegistry,
+    ) -> Eval<'a> {
+        Eval {
+            chunk,
+            params,
+            funcs,
+            cols: Vec::new(),
+        }
     }
-    match expr {
-        ScalarExpr::Lit(v) => Ok(VCol::Const(v.clone())),
-        ScalarExpr::Param(name) => params
-            .get(name)
-            .cloned()
-            .map(VCol::Const)
-            .ok_or_else(|| DbError::UnboundParam(name.clone())),
-        ScalarExpr::Col(c) => {
-            let col = chunk.col(chunk.schema.resolve(&c.to_ref_string())?);
-            Ok(match col.sel {
-                Some(sel) => gather_vcol(col.col, sel[rows].iter().map(|&i| i as usize)),
-                None => gather_vcol(col.col, rows),
-            })
+
+    fn col(&mut self, c: &'a ColRef) -> DbResult<ColView<'a>> {
+        if let Some(&(_, view)) = self.cols.iter().find(|(seen, _)| std::ptr::eq(*seen, c)) {
+            return Ok(view);
         }
-        ScalarExpr::Bin(op, l, r) => {
-            let lv = eval_vec(l, chunk, rows.clone(), params, funcs)?;
-            let rv = eval_vec(r, chunk, rows, params, funcs)?;
-            combine(*op, lv, rv, n)
+        let view = self
+            .chunk
+            .col(self.chunk.schema.resolve(&c.to_ref_string())?);
+        self.cols.push((c, view));
+        Ok(view)
+    }
+
+    /// Evaluate `expr` over the batch `rows` of the chunk's logical rows.
+    ///
+    /// Empty batches return immediately without resolving anything — the
+    /// row engine evaluates nothing over zero rows, so neither may we.
+    fn eval(&mut self, expr: &'a ScalarExpr, rows: Range<usize>) -> DbResult<VCol<'a>> {
+        let n = rows.len();
+        if n == 0 {
+            return Ok(VCol::Vals(Vec::new()));
         }
-        ScalarExpr::Not(e) => {
-            let v = eval_vec(e, chunk, rows, params, funcs)?;
-            match v {
-                VCol::Bool(mut data, nulls) => {
-                    for b in &mut data {
-                        *b = !*b;
-                    }
-                    Ok(VCol::Bool(data, nulls))
+        match expr {
+            ScalarExpr::Lit(v) => Ok(VCol::Const(v.clone())),
+            ScalarExpr::Param(name) => self
+                .params
+                .get(name)
+                .cloned()
+                .map(VCol::Const)
+                .ok_or_else(|| DbError::UnboundParam(name.clone())),
+            ScalarExpr::Col(c) => Ok(read_column(self.col(c)?, rows)),
+            ScalarExpr::Bin(op, l, r) => {
+                let lv = self.eval(l, rows.clone())?;
+                let rv = self.eval(r, rows)?;
+                combine(*op, &lv, &rv, n)
+            }
+            ScalarExpr::Not(e) => match self.eval(e, rows)? {
+                VCol::Bool(data, nulls) => {
+                    Ok(VCol::Bool(data.iter().map(|&b| !b).collect(), nulls))
                 }
                 VCol::Const(Value::Bool(b)) => Ok(VCol::Const(Value::Bool(!b))),
                 VCol::Const(Value::Null) => Ok(VCol::Const(Value::Null)),
@@ -996,9 +1239,8 @@ fn eval_vec(
                 other => {
                     // Per-row semantics: NULL stays NULL, non-boolean
                     // errors at the first non-null row.
-                    let vals = other.to_vals(n);
                     let mut out = Vec::with_capacity(n);
-                    for v in vals {
+                    for v in other.to_vals(n) {
                         match v {
                             Value::Bool(b) => out.push(Value::Bool(!b)),
                             Value::Null => out.push(Value::Null),
@@ -1007,79 +1249,79 @@ fn eval_vec(
                     }
                     Ok(VCol::Vals(out))
                 }
-            }
-        }
-        ScalarExpr::Func(name, args) => {
-            let mut arg_cols = Vec::with_capacity(args.len());
-            for a in args {
-                arg_cols.push(eval_vec(a, chunk, rows.clone(), params, funcs)?);
-            }
-            let mut out = Vec::with_capacity(n);
-            let mut call_args = vec![Value::Null; args.len()];
-            for k in 0..n {
-                for (s, c) in call_args.iter_mut().zip(&arg_cols) {
-                    *s = c.value_at(k);
+            },
+            ScalarExpr::Func(name, args) => {
+                let mut arg_cols = Vec::with_capacity(args.len());
+                for a in args {
+                    arg_cols.push(self.eval(a, rows.clone())?);
                 }
-                out.push(funcs.call(name, &call_args)?);
+                let mut out = Vec::with_capacity(n);
+                let mut call_args = vec![Value::Null; args.len()];
+                for k in 0..n {
+                    for (s, c) in call_args.iter_mut().zip(&arg_cols) {
+                        *s = c.value_at(k);
+                    }
+                    out.push(self.funcs.call(name, &call_args)?);
+                }
+                Ok(VCol::Vals(out))
             }
-            Ok(VCol::Vals(out))
         }
     }
 }
 
-/// Gather base rows `ids` of a storage column into a batch result (typed,
-/// nulls as flags).
-fn gather_vcol(col: &ColumnVec, ids: impl Iterator<Item = usize> + Clone) -> VCol {
-    let flags = || (col.null_count() > 0).then(|| ids.clone().map(|i| col.is_null(i)).collect());
+/// The batch `rows` of a column as a batch result: the storage slice
+/// itself under an identity selection, a gather through the selection
+/// otherwise; a null mask becomes per-row flags.
+fn read_column<'a>(view: ColView<'a>, rows: Range<usize>) -> VCol<'a> {
+    fn read<'a, T: Clone>(data: &'a [T], view: ColView<'a>, rows: Range<usize>) -> Cow<'a, [T]> {
+        match view.sel {
+            None => Cow::Borrowed(&data[rows]),
+            Some(sel) => sel[rows]
+                .iter()
+                .map(|&i| data[i as usize].clone())
+                .collect(),
+        }
+    }
+    let col = view.col;
+    let flags = || {
+        (col.null_count() > 0).then(|| rows.clone().map(|k| col.is_null(view.base(k))).collect())
+    };
     match col {
-        ColumnVec::Int { data, .. } => VCol::Int(ids.clone().map(|i| data[i]).collect(), flags()),
-        ColumnVec::Float { data, .. } => {
-            VCol::Float(ids.clone().map(|i| data[i]).collect(), flags())
-        }
-        ColumnVec::Str { data, .. } => {
-            VCol::Str(ids.clone().map(|i| data[i].clone()).collect(), flags())
-        }
-        ColumnVec::Bool { data, .. } => VCol::Bool(ids.clone().map(|i| data[i]).collect(), flags()),
-        ColumnVec::Mixed(vals) => VCol::Vals(ids.map(|i| vals[i].clone()).collect()),
+        ColumnVec::Int { data, .. } => VCol::Int(read(data, view, rows.clone()), flags()),
+        ColumnVec::Float { data, .. } => VCol::Float(read(data, view, rows.clone()), flags()),
+        ColumnVec::Str { data, .. } => VCol::Str(read(data, view, rows.clone()), flags()),
+        ColumnVec::Bool { data, .. } => VCol::Bool(read(data, view, rows.clone()), flags()),
+        ColumnVec::Mixed(vals) => VCol::Vals(rows.map(|k| vals[view.base(k)].clone()).collect()),
     }
 }
 
 // --- typed kernel plumbing --------------------------------------------------
 
-/// One side of a binary kernel: a slice with null flags, or a broadcast
-/// scalar (possibly NULL).
-#[derive(Clone, Copy)]
-enum Side<'v, T: Copy> {
+/// One side of a binary kernel: a slice with null flags, a broadcast
+/// scalar, or a broadcast NULL.
+enum Side<'v, T> {
     Slice(&'v [T], Option<&'v [bool]>),
     Const(T),
-    ConstNull,
+    Null,
 }
 
-impl<'v, T: Copy + Default> Side<'v, T> {
+impl<T> Side<'_, T> {
+    /// The value at batch position `k`, `None` for NULL.
     #[inline]
-    fn val(&self, k: usize) -> T {
+    fn get(&self, k: usize) -> Option<&T> {
         match self {
-            Side::Slice(d, _) => d[k],
-            Side::Const(v) => *v,
-            Side::ConstNull => T::default(),
-        }
-    }
-
-    #[inline]
-    fn is_null(&self, k: usize) -> bool {
-        match self {
-            Side::Slice(_, nulls) => nulls.is_some_and(|n| n[k]),
-            Side::Const(_) => false,
-            Side::ConstNull => true,
+            Side::Slice(d, nulls) => (!nulls.is_some_and(|n| n[k])).then(|| &d[k]),
+            Side::Const(v) => Some(v),
+            Side::Null => None,
         }
     }
 }
 
-fn int_side<'v>(v: &'v VCol) -> Option<Side<'v, i64>> {
+fn int_side<'v>(v: &'v VCol<'_>) -> Option<Side<'v, i64>> {
     match v {
         VCol::Int(d, n) => Some(Side::Slice(d, n.as_deref())),
         VCol::Const(Value::Int(x)) => Some(Side::Const(*x)),
-        VCol::Const(Value::Null) => Some(Side::ConstNull),
+        VCol::Const(Value::Null) => Some(Side::Null),
         _ => None,
     }
 }
@@ -1087,7 +1329,7 @@ fn int_side<'v>(v: &'v VCol) -> Option<Side<'v, i64>> {
 /// A float-kernel side: accepts Float *and* Int sources (numeric
 /// cross-type compares and arithmetic go through `f64`, as in
 /// `sql_cmp`/`apply_bin_op`).
-fn float_side<'v>(v: &'v VCol, tmp: &'v mut Vec<f64>) -> Option<Side<'v, f64>> {
+fn float_side<'v>(v: &'v VCol<'_>, tmp: &'v mut Vec<f64>) -> Option<Side<'v, f64>> {
     match v {
         VCol::Float(d, n) => Some(Side::Slice(d, n.as_deref())),
         VCol::Int(d, n) => {
@@ -1096,59 +1338,67 @@ fn float_side<'v>(v: &'v VCol, tmp: &'v mut Vec<f64>) -> Option<Side<'v, f64>> {
         }
         VCol::Const(Value::Float(x)) => Some(Side::Const(*x)),
         VCol::Const(Value::Int(x)) => Some(Side::Const(*x as f64)),
-        VCol::Const(Value::Null) => Some(Side::ConstNull),
+        VCol::Const(Value::Null) => Some(Side::Null),
         _ => None,
     }
 }
 
-fn bool_side<'v>(v: &'v VCol) -> Option<Side<'v, bool>> {
+/// Both sides of a float kernel, when at least one operand is a Float
+/// and the other is numeric.
+fn float_sides<'v>(
+    l: &'v VCol<'_>,
+    r: &'v VCol<'_>,
+    tmp: &'v mut (Vec<f64>, Vec<f64>),
+) -> Option<(Side<'v, f64>, Side<'v, f64>)> {
+    let is_float = |v: &VCol<'_>| matches!(v, VCol::Float(..) | VCol::Const(Value::Float(_)));
+    if !is_float(l) && !is_float(r) {
+        return None;
+    }
+    float_side(l, &mut tmp.0).zip(float_side(r, &mut tmp.1))
+}
+
+fn bool_side<'v>(v: &'v VCol<'_>) -> Option<Side<'v, bool>> {
     match v {
         VCol::Bool(d, n) => Some(Side::Slice(d, n.as_deref())),
         VCol::Const(Value::Bool(b)) => Some(Side::Const(*b)),
-        VCol::Const(Value::Null) => Some(Side::ConstNull),
+        VCol::Const(Value::Null) => Some(Side::Null),
         _ => None,
     }
 }
 
-/// Is this a Str batch (typed or constant)? Returns accessor data.
-enum StrSide<'v> {
-    Slice(&'v [String], Option<&'v [bool]>),
-    Const(&'v str),
-    ConstNull,
-}
-
-impl<'v> StrSide<'v> {
-    #[inline]
-    fn val(&self, k: usize) -> &str {
-        match self {
-            StrSide::Slice(d, _) => &d[k],
-            StrSide::Const(s) => s,
-            StrSide::ConstNull => "",
-        }
-    }
-
-    #[inline]
-    fn is_null(&self, k: usize) -> bool {
-        match self {
-            StrSide::Slice(_, nulls) => nulls.is_some_and(|n| n[k]),
-            StrSide::Const(_) => false,
-            StrSide::ConstNull => true,
-        }
-    }
-}
-
-fn str_side<'v>(v: &'v VCol) -> Option<StrSide<'v>> {
+fn str_side<'v>(v: &'v VCol<'_>) -> Option<Side<'v, String>> {
     match v {
-        VCol::Str(d, n) => Some(StrSide::Slice(d, n.as_deref())),
-        VCol::Const(Value::Str(s)) => Some(StrSide::Const(s)),
-        VCol::Const(Value::Null) => Some(StrSide::ConstNull),
+        VCol::Str(d, n) => Some(Side::Slice(d, n.as_deref())),
+        VCol::Const(Value::Str(s)) => Some(Side::Const(s.clone())),
+        VCol::Const(Value::Null) => Some(Side::Null),
         _ => None,
     }
+}
+
+/// The nullable form of every typed kernel: `f` on the rows where both
+/// sides are non-NULL, NULL (flag set, `U::default()` as the value)
+/// where a side is NULL or `f` returns `None`.
+fn zip_nullable<T, U: Default + Clone>(
+    a: &Side<'_, T>,
+    b: &Side<'_, T>,
+    n: usize,
+    f: impl Fn(&T, &T) -> Option<U>,
+) -> (Cow<'static, [U]>, Option<Vec<bool>>) {
+    let mut data = Vec::with_capacity(n);
+    let mut nulls: Option<Vec<bool>> = None;
+    for k in 0..n {
+        let v = a.get(k).zip(b.get(k)).and_then(|(x, y)| f(x, y));
+        if v.is_none() {
+            nulls.get_or_insert_with(|| vec![false; n])[k] = true;
+        }
+        data.push(v.unwrap_or_default());
+    }
+    (Cow::Owned(data), nulls)
 }
 
 #[inline]
-fn cmp_holds(op: BinOp, ord: std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering::*;
+fn cmp_holds(op: BinOp, ord: Ordering) -> bool {
+    use Ordering::*;
     match op {
         BinOp::Eq => ord == Equal,
         BinOp::Ne => ord != Equal,
@@ -1160,168 +1410,122 @@ fn cmp_holds(op: BinOp, ord: std::cmp::Ordering) -> bool {
     }
 }
 
+/// `op` on `ord(k)` for every `k` in `0..n`. The operator is matched
+/// outside the loops, so that each is a straight loop over its operands.
+fn cmp_loop(op: BinOp, n: usize, ord: impl Fn(usize) -> Ordering) -> Vec<bool> {
+    use Ordering::*;
+    match op {
+        BinOp::Eq => (0..n).map(|k| ord(k) == Equal).collect(),
+        BinOp::Ne => (0..n).map(|k| ord(k) != Equal).collect(),
+        BinOp::Lt => (0..n).map(|k| ord(k) == Less).collect(),
+        BinOp::Le => (0..n).map(|k| ord(k) != Greater).collect(),
+        BinOp::Gt => (0..n).map(|k| ord(k) == Greater).collect(),
+        BinOp::Ge => (0..n).map(|k| ord(k) != Less).collect(),
+        _ => unreachable!("comparison operator"),
+    }
+}
+
+/// The comparison kernel of every element type, under the type's
+/// `sql_cmp` order `cmp`: null-free slice × constant and slice × slice
+/// are straight loops, every other pairing takes the nullable form.
+fn compare<T>(
+    op: BinOp,
+    a: &Side<'_, T>,
+    b: &Side<'_, T>,
+    n: usize,
+    cmp: impl Fn(&T, &T) -> Ordering,
+) -> VCol<'static> {
+    let data = match (a, b) {
+        (Side::Slice(a, None), Side::Slice(b, None)) => {
+            let (a, b) = (&a[..n], &b[..n]);
+            cmp_loop(op, n, |k| cmp(&a[k], &b[k]))
+        }
+        (Side::Slice(a, None), Side::Const(c)) => {
+            let a = &a[..n];
+            cmp_loop(op, n, |k| cmp(&a[k], c))
+        }
+        (Side::Const(c), Side::Slice(b, None)) => {
+            let b = &b[..n];
+            cmp_loop(op.mirror(), n, |k| cmp(&b[k], c))
+        }
+        _ => {
+            let (data, nulls) = zip_nullable(a, b, n, |x, y| Some(cmp_holds(op, cmp(x, y))));
+            return VCol::Bool(data, nulls);
+        }
+    };
+    VCol::Bool(Cow::Owned(data), None)
+}
+
 /// Combine two batch results under `op` with exact `apply_bin_op`
 /// semantics. Typed kernels cover the hot combinations; everything else
 /// falls back to a per-row `apply_bin_op` loop (bit-identical by
 /// construction, first error in row order).
-fn combine(op: BinOp, l: VCol, r: VCol, n: usize) -> DbResult<VCol> {
+fn combine(op: BinOp, l: &VCol<'_>, r: &VCol<'_>, n: usize) -> DbResult<VCol<'static>> {
     use BinOp::*;
+    let mut tmp = (Vec::new(), Vec::new());
     match op {
         Eq | Ne | Lt | Le | Gt | Ge => {
             // Int × Int stays integral (i64 beyond 2^53 must not round).
-            if let (Some(a), Some(b)) = (int_side(&l), int_side(&r)) {
-                let mut data = Vec::with_capacity(n);
-                let mut nulls: Option<Vec<bool>> = None;
-                for k in 0..n {
-                    if a.is_null(k) || b.is_null(k) {
-                        nulls.get_or_insert_with(|| vec![false; n])[k] = true;
-                        data.push(false);
-                    } else {
-                        data.push(cmp_holds(op, a.val(k).cmp(&b.val(k))));
-                    }
-                }
-                return Ok(VCol::Bool(data, nulls));
+            if let (Some(a), Some(b)) = (int_side(l), int_side(r)) {
+                return Ok(compare(op, &a, &b, n, i64::cmp));
             }
             // Numeric (mixed Int/Float) via total_cmp on f64.
-            let numeric = matches!(l, VCol::Float(..) | VCol::Const(Value::Float(_)))
-                || matches!(r, VCol::Float(..) | VCol::Const(Value::Float(_)));
-            if numeric {
-                let (mut ta, mut tb) = (Vec::new(), Vec::new());
-                let a = float_side(&l, &mut ta);
-                let b = float_side(&r, &mut tb);
-                if let (Some(a), Some(b)) = (a, b) {
-                    let mut data = Vec::with_capacity(n);
-                    let mut nulls: Option<Vec<bool>> = None;
-                    for k in 0..n {
-                        if a.is_null(k) || b.is_null(k) {
-                            nulls.get_or_insert_with(|| vec![false; n])[k] = true;
-                            data.push(false);
-                        } else {
-                            data.push(cmp_holds(op, a.val(k).total_cmp(&b.val(k))));
-                        }
-                    }
-                    return Ok(VCol::Bool(data, nulls));
-                }
+            if let Some((a, b)) = float_sides(l, r, &mut tmp) {
+                return Ok(compare(op, &a, &b, n, f64::total_cmp));
             }
-            if let (Some(a), Some(b)) = (str_side(&l), str_side(&r)) {
-                let mut data = Vec::with_capacity(n);
-                let mut nulls: Option<Vec<bool>> = None;
-                for k in 0..n {
-                    if a.is_null(k) || b.is_null(k) {
-                        nulls.get_or_insert_with(|| vec![false; n])[k] = true;
-                        data.push(false);
-                    } else {
-                        data.push(cmp_holds(op, a.val(k).cmp(b.val(k))));
-                    }
-                }
-                return Ok(VCol::Bool(data, nulls));
+            if let (Some(a), Some(b)) = (str_side(l), str_side(r)) {
+                return Ok(compare(op, &a, &b, n, String::cmp));
             }
-            combine_generic(op, &l, &r, n)
         }
         Add | Sub | Mul | Div => {
             // Int × Int: wrapping arithmetic, division by zero → NULL.
-            if let (Some(a), Some(b)) = (int_side(&l), int_side(&r)) {
-                let mut data = Vec::with_capacity(n);
-                let mut nulls: Option<Vec<bool>> = None;
-                for k in 0..n {
-                    if a.is_null(k) || b.is_null(k) {
-                        nulls.get_or_insert_with(|| vec![false; n])[k] = true;
-                        data.push(0);
-                        continue;
-                    }
-                    let (x, y) = (a.val(k), b.val(k));
-                    let v = match op {
-                        Add => x.wrapping_add(y),
-                        Sub => x.wrapping_sub(y),
-                        Mul => x.wrapping_mul(y),
-                        Div => {
-                            if y == 0 {
-                                nulls.get_or_insert_with(|| vec![false; n])[k] = true;
-                                data.push(0);
-                                continue;
-                            }
-                            x.wrapping_div(y)
-                        }
-                        _ => unreachable!(),
-                    };
-                    data.push(v);
-                }
+            if let (Some(a), Some(b)) = (int_side(l), int_side(r)) {
+                let (data, nulls) = zip_nullable(&a, &b, n, |&x, &y| match op {
+                    Add => Some(x.wrapping_add(y)),
+                    Sub => Some(x.wrapping_sub(y)),
+                    Mul => Some(x.wrapping_mul(y)),
+                    _ => (y != 0).then(|| x.wrapping_div(y)),
+                });
                 return Ok(VCol::Int(data, nulls));
             }
             // Numeric mixed → Float.
-            let numeric = matches!(l, VCol::Float(..) | VCol::Const(Value::Float(_)))
-                || matches!(r, VCol::Float(..) | VCol::Const(Value::Float(_)));
-            if numeric {
-                let (mut ta, mut tb) = (Vec::new(), Vec::new());
-                let a = float_side(&l, &mut ta);
-                let b = float_side(&r, &mut tb);
-                if let (Some(a), Some(b)) = (a, b) {
-                    let mut data = Vec::with_capacity(n);
-                    let mut nulls: Option<Vec<bool>> = None;
-                    for k in 0..n {
-                        if a.is_null(k) || b.is_null(k) {
-                            nulls.get_or_insert_with(|| vec![false; n])[k] = true;
-                            data.push(0.0);
-                            continue;
-                        }
-                        let (x, y) = (a.val(k), b.val(k));
-                        data.push(match op {
-                            Add => x + y,
-                            Sub => x - y,
-                            Mul => x * y,
-                            Div => x / y,
-                            _ => unreachable!(),
-                        });
-                    }
-                    return Ok(VCol::Float(data, nulls));
-                }
+            if let Some((a, b)) = float_sides(l, r, &mut tmp) {
+                let (data, nulls) = zip_nullable(&a, &b, n, |&x, &y| {
+                    Some(match op {
+                        Add => x + y,
+                        Sub => x - y,
+                        Mul => x * y,
+                        _ => x / y,
+                    })
+                });
+                return Ok(VCol::Float(data, nulls));
             }
             // Str + Str concatenates; every other combination (including
             // mismatched types, which must *error* row-wise) → generic.
-            if op == Add {
-                if let (Some(a), Some(b)) = (str_side(&l), str_side(&r)) {
-                    let mut data = Vec::with_capacity(n);
-                    let mut nulls: Option<Vec<bool>> = None;
-                    for k in 0..n {
-                        if a.is_null(k) || b.is_null(k) {
-                            nulls.get_or_insert_with(|| vec![false; n])[k] = true;
-                            data.push(String::new());
-                        } else {
-                            data.push(format!("{}{}", a.val(k), b.val(k)));
-                        }
-                    }
-                    return Ok(VCol::Str(data, nulls));
-                }
+            if let (Add, Some(a), Some(b)) = (op, str_side(l), str_side(r)) {
+                let (data, nulls) = zip_nullable(&a, &b, n, |x, y| Some(format!("{x}{y}")));
+                return Ok(VCol::Str(data, nulls));
             }
-            combine_generic(op, &l, &r, n)
         }
         And | Or => {
-            if let (Some(a), Some(b)) = (bool_side(&l), bool_side(&r)) {
-                let mut data = Vec::with_capacity(n);
-                let mut nulls: Option<Vec<bool>> = None;
-                for k in 0..n {
-                    if a.is_null(k) || b.is_null(k) {
-                        nulls.get_or_insert_with(|| vec![false; n])[k] = true;
-                        data.push(false);
-                    } else {
-                        data.push(match op {
-                            And => a.val(k) && b.val(k),
-                            Or => a.val(k) || b.val(k),
-                            _ => unreachable!(),
-                        });
-                    }
-                }
+            if let (VCol::Bool(a, None), VCol::Bool(b, None)) = (l, r) {
+                let both = a[..n].iter().zip(&b[..n]);
+                let data: Vec<bool> = match op {
+                    And => both.map(|(&x, &y)| x & y).collect(),
+                    _ => both.map(|(&x, &y)| x | y).collect(),
+                };
+                return Ok(VCol::Bool(Cow::Owned(data), None));
+            }
+            if let (Some(a), Some(b)) = (bool_side(l), bool_side(r)) {
+                let (data, nulls) = zip_nullable(&a, &b, n, |&x, &y| {
+                    Some(if op == And { x && y } else { x || y })
+                });
                 return Ok(VCol::Bool(data, nulls));
             }
-            combine_generic(op, &l, &r, n)
         }
     }
-}
-
-/// Exact fallback: per-row `apply_bin_op` in batch order.
-fn combine_generic(op: BinOp, l: &VCol, r: &VCol, n: usize) -> DbResult<VCol> {
-    let lv = l.to_vals(n);
-    let rv = r.to_vals(n);
+    // Exact fallback: per-row `apply_bin_op` in batch order.
+    let (lv, rv) = (l.to_vals(n), r.to_vals(n));
     let mut out = Vec::with_capacity(n);
     for k in 0..n {
         out.push(apply_bin_op(op, &lv[k], &rv[k])?);
@@ -1378,6 +1582,7 @@ mod tests {
             Column::new("o_customer_sk", DataType::Int),
             Column::new("o_amount", DataType::Float),
             Column::with_width("o_note", DataType::Str, 8),
+            Column::new("o_discount", DataType::Float),
         ]);
         let t = db.create_table("orders", orders).unwrap();
         t.set_primary_key("o_id").unwrap();
@@ -1394,6 +1599,14 @@ mod tests {
                     Value::Null
                 } else {
                     Value::str(format!("n{}", i % 4))
+                },
+                // NULLs, negatives, and `-0.0` as the first non-NULL value
+                // of customer 1's group (a sum started from `0.0` would
+                // lose its sign).
+                match i % 5 {
+                    0 => Value::Null,
+                    1 => Value::Float(-0.0),
+                    r => Value::Float(r as f64 * 0.25 - 0.6),
                 },
             ])
             .unwrap();
@@ -1456,8 +1669,89 @@ mod tests {
             "select o_note, count(*) as n from orders group by o_note",
             "select * from orders order by o_customer_sk desc, o_id",
             "select sum(o_id) as s from orders",
+            // Every function over a NULL-bearing Int and a NULL-bearing
+            // Float argument, scalar and grouped by a null-free key.
+            "select count(o_customer_sk) as n, sum(o_customer_sk) as s, min(o_customer_sk) as a, \
+             max(o_customer_sk) as b, avg(o_customer_sk) as c from orders",
+            "select count(o_discount) as n, sum(o_discount) as s, min(o_discount) as a, \
+             max(o_discount) as b, avg(o_discount) as c from orders",
+            "select o_id, count(o_customer_sk) as n, sum(o_customer_sk) as s, \
+             min(o_customer_sk) as a, max(o_customer_sk) as b, avg(o_customer_sk) as c \
+             from orders group by o_id",
+            "select o_note, count(o_discount) as n, sum(o_discount) as s, min(o_discount) as a, \
+             max(o_discount) as b, avg(o_discount) as c from orders group by o_note",
+            // A NULL-bearing key (the `Value` path), its first group's sum
+            // starting at `-0.0`.
+            "select o_customer_sk, sum(o_discount) as s, count(o_note) as n, min(o_note) as a \
+             from orders group by o_customer_sk",
+            // Over a filtered chunk and over a joined one: the argument and
+            // the key are read through a selection.
+            "select o_customer_sk, count(*) as n, sum(o_id) as s, max(o_amount) as b \
+             from orders where o_id > 20 and o_customer_sk > 2 group by o_customer_sk",
+            "select c_birth_year, count(*) as n, sum(o_amount) as s, avg(o_discount) as c, \
+             min(o_id) as a from orders join customer on o_customer_sk = c_customer_sk \
+             where o_id > 5 group by c_birth_year",
+            "select sum(o_id) as s, avg(o_amount) as c from orders \
+             join customer on o_customer_sk = c_customer_sk",
+            // A scalar aggregate over empty input still emits one row.
+            "select count(*) as n, count(o_id) as m, sum(o_id) as s, min(o_amount) as a, \
+             max(o_note) as b, avg(o_discount) as c from orders where o_id < 0",
+            // Arguments that are not bare columns.
+            "select sum(o_id * 2) as s, sum(o_amount * 2.0) as t, count(o_id + o_customer_sk) as n, \
+             max(o_id / (o_id - 50)) as b from orders",
         ] {
             assert_engines_agree(&db, sql);
+        }
+        let r = assert_engines_agree(
+            &db,
+            "select sum(o_discount) as s from orders where o_id = 1",
+        );
+        assert_eq!(r.rows, [[Value::Float(-0.0)]], "the sum of one -0.0");
+    }
+
+    #[test]
+    fn group_keys_at_the_extremes_and_a_table_that_grows() {
+        let keys = [i64::MAX, -1, i64::MIN, 0, -1, i64::MAX, i64::MIN + 1, 0, -7];
+        let db = key_tables(&[("a", &ints(&keys))]);
+        let r = assert_engines_agree(
+            &db,
+            "select k, count(*) as n, sum(k) as s from a group by k",
+        );
+        let first_seen = [i64::MAX, -1, i64::MIN, 0, i64::MIN + 1, -7];
+        let got: Vec<&Value> = r.rows.iter().map(|row| &row[0]).collect();
+        assert_eq!(got, ints(&first_seen).iter().collect::<Vec<_>>());
+
+        // 5 000 distinct keys, each seen twice, in an order that is not
+        // the hash order: the table doubles ten times.
+        let mut groups = IntGroups::new();
+        let key = |g: u32| (g as i64).wrapping_mul(0x5851_F42D_4C95_7F2D);
+        let gids: Vec<u32> = (0..10_000).map(|k| groups.gid(key(k % 5_000))).collect();
+        assert!(gids.iter().zip(0..).all(|(&g, k)| g == k % 5_000));
+        assert_eq!(groups.keys, (0..5_000).map(key).collect::<Vec<_>>());
+        assert_eq!(groups.slots.len(), 16 << 10);
+    }
+
+    #[test]
+    fn int_sum_wraps_on_both_engines() {
+        // Under the debug profile an `a + b` here panics.
+        const MAX: i64 = i64::MAX;
+        let db = key_tables(&[("a", &ints(&[MAX, 1, 5, MAX])), ("b", &ints(&[MAX, 5]))]);
+        for (sql, want) in [
+            (
+                "select sum(k) as s from a",
+                MAX.wrapping_add(6).wrapping_add(MAX),
+            ),
+            (
+                "select k, sum(k) as s from a group by k",
+                MAX.wrapping_add(MAX),
+            ),
+            (
+                "select sum(a.k) as s from a join b on a.k = b.k",
+                MAX.wrapping_add(MAX).wrapping_add(5),
+            ),
+        ] {
+            let r = assert_engines_agree(&db, sql);
+            assert_eq!(r.rows[0].last(), Some(&Value::Int(want)), "{sql}");
         }
     }
 
@@ -1501,6 +1795,49 @@ mod tests {
         assert_engines_agree(&db2, "select * from t a join t b on a.k = b.k");
         assert_engines_agree(&db2, "select k, count(*) as n from t group by k");
         assert_engines_agree(&db2, "select * from t where k = 1");
+        assert_engines_agree(
+            &db2,
+            "select sum(k) as s, count(k) as n, avg(k) as a from t",
+        );
+        // Conjuncts over a null-free and a nullable column, both operand
+        // orders and a column-to-column compare, across batch boundaries;
+        // then the same under OR, and through a selection.
+        let t = db2
+            .create_table(
+                "w",
+                Schema::new(vec![
+                    Column::new("a", DataType::Int),
+                    Column::new("b", DataType::Int),
+                    Column::new("f", DataType::Float),
+                ]),
+            )
+            .unwrap();
+        for i in 0..(3 * BATCH_SIZE as i64 + 17) {
+            let b = if i % 3 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i % 50)
+            };
+            t.insert(vec![Value::Int(i % 40), b, Value::Float((i % 9) as f64)])
+                .unwrap();
+        }
+        db2.analyze_all();
+        for pred in [
+            "a < 20 and b < 25",
+            "20 > a and 25 > b",
+            "a < 20 or b < 25",
+            "a <= b and f <> 3.0",
+            "a >= b or f = a",
+            "a = 7 and not b > 10",
+            "a <> b and f >= 2.5 and a + 1 > b / 2",
+        ] {
+            let sql = format!("select * from w where {pred}");
+            assert!(assert_engines_agree(&db2, &sql).row_count() > 0, "{sql}");
+            assert_engines_agree(
+                &db2,
+                &format!("select count(*) as n, sum(b) as s from w where f > 1.0 and ({pred})"),
+            );
+        }
     }
 
     #[test]
@@ -1524,9 +1861,30 @@ mod tests {
             "select * from m where a > 0",
             "select a, b from m order by a",
             "select a, count(*) as n from m group by a",
+            // Strings and Int → Float promotion go through `AggState`.
+            "select sum(a) as s, min(a) as lo, max(a) as hi, avg(a) as c, count(a) as n from m",
         ] {
             assert_engines_agree(&db, sql);
         }
+        // SUM over a column mixing Int and Float promotes at the first
+        // Float and stays there.
+        let mut db = Database::new();
+        let t = db
+            .create_table("p", Schema::new(vec![Column::new("v", DataType::Int)]))
+            .unwrap();
+        for v in [
+            Value::Int(i64::MAX),
+            Value::Int(2),
+            Value::Null,
+            Value::Float(0.5),
+            Value::Int(3),
+        ] {
+            t.insert(vec![v]).unwrap();
+        }
+        db.analyze_all();
+        let r = assert_engines_agree(&db, "select sum(v) as s, avg(v) as a from p");
+        let promoted = i64::MAX.wrapping_add(2) as f64 + 0.5 + 3.0;
+        assert_eq!(r.rows[0][0], Value::Float(promoted));
     }
 
     #[test]
@@ -1551,6 +1909,31 @@ mod tests {
                 .execute(&plan, &HashMap::new())
                 .unwrap_err();
             assert!(matches!(err, DbError::Type(_)), "{engine:?}");
+        }
+        // An unknown column is an error under a filter that sees rows and
+        // none over an empty chunk, where nothing is resolved.
+        let unknown = || ScalarExpr::eq(ScalarExpr::col("nosuch"), ScalarExpr::lit(1i64));
+        let empty = LogicalPlan::scan("orders").select(parse_pred("o_id < 0"));
+        assert_plan_agrees(&db, &funcs, &empty.select(unknown()), "empty, filtered");
+        let plan = LogicalPlan::scan("orders").select(unknown());
+        for engine in [ExecEngine::Columnar, ExecEngine::Row] {
+            let err = Executor::new(&db, &funcs)
+                .with_engine(engine)
+                .execute(&plan, &HashMap::new())
+                .unwrap_err();
+            assert!(matches!(err, DbError::UnknownColumn(_)), "{engine:?}");
+        }
+        // `k = k` finds its two sides in the inputs' schemas and is
+        // ambiguous in the joined one: the typed hash join proves the
+        // keys equal and must still raise as the row engine does.
+        let db = key_tables(&[("a", &ints(&[1, 2])), ("b", &ints(&[2, 3]))]);
+        let plan = parse("select * from a join b on k = k").unwrap();
+        for engine in [ExecEngine::Columnar, ExecEngine::Row] {
+            let err = Executor::new(&db, &funcs)
+                .with_engine(engine)
+                .execute(&plan, &HashMap::new())
+                .unwrap_err();
+            assert!(matches!(err, DbError::AmbiguousColumn(_)), "{engine:?}");
         }
     }
 

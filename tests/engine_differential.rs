@@ -158,11 +158,10 @@ fn report_names_the_batch_size() {
 fn large_joins_agree_across_engines() {
     use cobra::minidb::plan::SortDir;
     use cobra::minidb::{
-        sql, BinOp, ColRef, Column, DataType, Database, Executor, FuncRegistry, LogicalPlan,
-        ScalarExpr, Schema, Value,
+        sql, BinOp, ColRef, Column, DataType, Database, FuncRegistry, LogicalPlan, ScalarExpr,
+        Schema, Value,
     };
     use cobra::netsim::rng::StdRng;
-    use std::collections::HashMap;
 
     const ITEMS: i64 = 20_000;
     const SALES: i64 = 30_000;
@@ -289,6 +288,16 @@ fn large_joins_agree_across_engines() {
         // ORDER BY / LIMIT over a joined chunk.
         "select * from sale join item on s_item = i_id \
          where i_price > 90.0 order by i_price desc, s_id limit 100",
+        // Well over 10 000 distinct Int keys: the group table doubles ten
+        // times and more, and the groups still come out in first-seen
+        // order. Then the same key with NULLs (grouped by `Value`), and a
+        // key read through a join's selection with Float arguments.
+        "select s_item, count(*) as n, sum(s_qty) as q, min(s_id) as lo, max(s_qty) as hi, \
+         avg(s_qty) as a from sale group by s_item",
+        "select s_item_opt, count(*) as n, count(s_item_opt) as m, sum(s_qty) as q \
+         from sale group by s_item_opt",
+        "select i_grp, count(*) as n, sum(i_price) as p, min(i_price) as lo, avg(s_qty) as a \
+         from sale join item on s_item = i_id where s_qty < 15 group by i_grp",
     ]
     .iter()
     .map(|text| (text.to_string(), sql::parse(text).expect("query parses")))
@@ -322,22 +331,89 @@ fn large_joins_agree_across_engines() {
 
     let funcs = FuncRegistry::with_builtins();
     for (label, plan) in &cases {
-        let run = |engine| {
-            Executor::new(&db, &funcs)
-                .with_engine(engine)
-                .execute(plan, &HashMap::new())
-                .unwrap_or_else(|e| panic!("{label}: {engine:?} engine errors: {e}"))
-        };
-        let (c, r) = (run(ExecEngine::Columnar), run(ExecEngine::Row));
+        let c = assert_plan_agrees(&db, &funcs, label, plan);
         assert!(c.row_count() > 0, "{label}: vacuous");
-        assert_eq!(c.schema, r.schema, "schema of {label}");
-        assert_eq!(c.work, r.work, "ExecWork of {label}");
-        assert_eq!(c.row_count(), r.row_count(), "row count of {label}");
-        if let Some(k) = (0..c.rows.len()).find(|&k| c.rows[k] != r.rows[k]) {
-            panic!(
-                "{label}: row {k} differs: columnar {:?}, row engine {:?}",
-                c.rows[k], r.rows[k]
-            );
-        }
+    }
+}
+
+/// Run `plan` on both engines, assert schema, `ExecWork`, rows and their
+/// order equal, and return the columnar engine's result.
+fn assert_plan_agrees(
+    db: &cobra::minidb::Database,
+    funcs: &cobra::minidb::FuncRegistry,
+    label: &str,
+    plan: &cobra::minidb::LogicalPlan,
+) -> cobra::minidb::QueryResult {
+    let run = |engine| {
+        cobra::minidb::Executor::new(db, funcs)
+            .with_engine(engine)
+            .execute(plan, &std::collections::HashMap::new())
+            .unwrap_or_else(|e| panic!("{label}: {engine:?} engine errors: {e}"))
+    };
+    let (c, r) = (run(ExecEngine::Columnar), run(ExecEngine::Row));
+    assert_eq!(c.schema, r.schema, "schema of {label}");
+    assert_eq!(c.work, r.work, "ExecWork of {label}");
+    assert_eq!(c.row_count(), r.row_count(), "row count of {label}");
+    if let Some(k) = (0..c.rows.len()).find(|&k| c.rows[k] != r.rows[k]) {
+        panic!(
+            "{label}: row {k} differs: columnar {:?}, row engine {:?}",
+            c.rows[k], r.rows[k]
+        );
+    }
+    c
+}
+
+/// The five plan shapes of `cobra_bench`'s `exec_olap` workload, on its
+/// schema (`GenSchema` seed 2024, `GenConfig::large()`) at a row scale the
+/// row engine can follow and that still spans a dozen batches. The
+/// benchmark checks these against its own reference; only here are their
+/// rows, order and `ExecWork` held to the row engine's.
+#[test]
+fn olap_shapes_agree_across_engines() {
+    use cobra::minidb::plan::AggItem;
+    use cobra::minidb::{sql, AggFunc, BinOp, LogicalPlan, ScalarExpr};
+    use cobra::netsim::rng::StdRng;
+    use cobra::workloads::genprog::GenSchema;
+
+    let schema = GenSchema::generate(&mut StdRng::seed_from_u64(2024), &GenConfig::large());
+    let fixture = schema.build_fixture(1, 0.01);
+    let db = fixture.db.read().expect("fixture lock");
+    let t0_rows = db.table("t0").unwrap().row_count();
+    assert!(
+        t0_rows > 8 * cobra::minidb::BATCH_SIZE,
+        "t0 has {t0_rows} rows"
+    );
+
+    let lt = |c: &str, v: i64| ScalarExpr::bin(BinOp::Lt, ScalarExpr::col(c), ScalarExpr::lit(v));
+    // A filtered build side of a few rows, probed by all of `t1`.
+    let small_build = LogicalPlan::scan("t0")
+        .select(ScalarExpr::and(lt("t0_a", 3), lt("t0_b", 5)))
+        .join(
+            LogicalPlan::scan("t1"),
+            ScalarExpr::eq(ScalarExpr::col("t0_id"), ScalarExpr::col("t1_fk")),
+        )
+        .aggregate(
+            vec![],
+            vec![AggItem {
+                func: AggFunc::Count,
+                arg: None,
+                name: "n".into(),
+            }],
+        );
+    let mut cases: Vec<(&str, LogicalPlan)> = [
+        "select sum(t0_a) as s from t0",
+        "select count(*) as n from t0 where t0_a < 20 and t0_b < 25",
+        "select count(*) as n from t0 join t1 on t0_id = t1_fk where t1_b < 10",
+        "select t0_a, count(*) as n, sum(t0_b) as s from t0 group by t0_a",
+    ]
+    .iter()
+    .map(|text| (*text, sql::parse(text).expect("query parses")))
+    .collect();
+    cases.push(("small filtered build side", small_build));
+
+    for (label, plan) in &cases {
+        let c = assert_plan_agrees(&db, &fixture.funcs, label, plan);
+        let counted = c.rows[0].last().and_then(|v| v.as_i64());
+        assert!(counted > Some(0), "{label}: vacuous ({counted:?})");
     }
 }

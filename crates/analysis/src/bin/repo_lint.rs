@@ -23,6 +23,11 @@
 //!   catalog gate.
 //!
 //! Exit status 0 when clean; 1 with `file:line` diagnostics otherwise.
+//!
+//! `repo_lint -- --lines <dir or file>…` lints nothing and prints the
+//! non-test lines of each `.rs` file (the lines before its first
+//! `#[cfg(test)]`) and their total — the count a simplification PR states
+//! per file, before and after.
 
 use std::path::{Path, PathBuf};
 
@@ -65,6 +70,15 @@ const LINTS: &[Lint] = &[
 ];
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some((flag, paths)) = args.split_first() {
+        if flag != "--lines" || paths.is_empty() {
+            eprintln!("usage: repo_lint [--lines <dir or file>...]");
+            std::process::exit(2);
+        }
+        return print_non_test_lines(paths);
+    }
+
     // crates/analysis/../.. is the workspace root.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
@@ -114,7 +128,36 @@ fn main() {
     println!("repo_lint: clean");
 }
 
+/// Lines before the first `#[cfg(test)]`, per `.rs` file under `paths`
+/// (relative to the working directory), then the total.
+fn print_non_test_lines(paths: &[String]) {
+    use std::io::Write;
+    let mut files = Vec::new();
+    for path in paths {
+        collect_rs_files(Path::new(path), &mut files);
+    }
+    files.sort();
+    let mut out = std::io::stdout().lock();
+    let mut total = 0;
+    for file in files {
+        let Ok(text) = std::fs::read_to_string(&file) else {
+            continue;
+        };
+        let is_test_gate = |line: &&str| line.trim() == "#[cfg(test)]";
+        let lines = text.lines().take_while(|l| !is_test_gate(l)).count();
+        total += lines;
+        if writeln!(out, "{lines:>7}  {}", file.display()).is_err() {
+            return; // `| head` closed the pipe: not a failure of a report
+        }
+    }
+    let _ = writeln!(out, "{total:>7}  total");
+}
+
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    if dir.is_file() {
+        out.push(dir.to_path_buf());
+        return;
+    }
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };

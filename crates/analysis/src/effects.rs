@@ -1,18 +1,11 @@
 //! Pass 2 — effect analysis and rewrite soundness.
 //!
-//! Two granularities:
-//!
-//! * [`alternative_effects`] — the observable effect set of one
-//!   [`FirAlternative`]: tables read (queries, cache lookups and
-//!   prefetches), tables read *under a `LIMIT`*, variables written, and
-//!   scalar functions invoked (both F-IR `Call` nodes and `Func`
-//!   expressions embedded in query plans, so a rewrite that pushes a call
-//!   into SQL is not misread as dropping it).
-//! * [`region_effects`] — variable/table read-write sets of an imperative
-//!   statement region, generalizing `imperative::deps::LoopAnalysis`
-//!   (which reports reads and updated variables for one loop) and
-//!   `cobra_core`'s `reads_of_region` (variable reads only) to arbitrary
-//!   regions with table-level effects.
+//! [`alternative_effects`] is the observable effect set of one
+//! alternative: tables read (queries, cache lookups and prefetches),
+//! tables read *under a `LIMIT`*, variables written, and scalar functions
+//! invoked (both F-IR `Call` nodes and `Func` expressions embedded in
+//! query plans, so a rewrite that pushes a call into SQL is not misread as
+//! dropping it).
 //!
 //! [`check_rewrite`] is the soundness judgment: a derived alternative
 //! must preserve the base's effect set modulo the applied rules' declared
@@ -25,10 +18,8 @@
 //! `broken_limit_rule` bug class, rejected here without executing a row.
 
 use crate::{Diagnostic, Pass};
-use fir::{EffectDelta, FirAlternative, FirArena, FirId, FirNode};
-use imperative::ast::{Expr, Stmt, StmtKind};
+use fir::{EffectDelta, FirArena, FirId, FirNode, FirRoots};
 use minidb::{LogicalPlan, ScalarExpr};
-use orm::MappingRegistry;
 use std::collections::BTreeSet;
 
 /// The observable effects of an F-IR alternative.
@@ -48,21 +39,16 @@ pub struct EffectSet {
 /// assignment root of node effects, plus assign targets as writes and
 /// prefetched tables as reads.
 #[must_use]
-pub fn alternative_effects(alt: &FirAlternative) -> EffectSet {
+pub fn alternative_effects(arena: &FirArena, alt: &FirRoots) -> EffectSet {
     let mut fx = EffectSet::default();
     for (var, root) in &alt.assigns {
         fx.writes.insert(var.clone());
-        collect_node(&alt.arena, *root, &mut fx);
+        collect_node(arena, *root, &mut fx);
     }
     for p in &alt.prefetches {
         fx.table_reads.insert(p.table.clone());
     }
     fx
-}
-
-/// Accumulate the read/call effects of the DAG under `root` into `fx`.
-pub fn node_effects(arena: &FirArena, root: FirId, fx: &mut EffectSet) {
-    collect_node(arena, root, fx);
 }
 
 fn collect_node(arena: &FirArena, root: FirId, fx: &mut EffectSet) {
@@ -132,19 +118,20 @@ fn err(node: Option<FirId>, message: String) -> Diagnostic {
     Diagnostic::new(Pass::Effects, node, message)
 }
 
-/// The rewrite-soundness judgment. See the module docs for the rules.
+/// The rewrite-soundness judgment of `derived` against the effect set `b`
+/// of its base. See the module docs for the rules.
 ///
 /// # Errors
 ///
 /// A [`Diagnostic`] naming the first effect deviation `delta` does not
 /// license, anchored at an offending node where one exists.
 pub fn check_rewrite(
-    base: &FirAlternative,
-    derived: &FirAlternative,
+    b: &EffectSet,
+    arena: &FirArena,
+    derived: &FirRoots,
     delta: &EffectDelta,
 ) -> Result<(), Diagnostic> {
-    let b = alternative_effects(base);
-    let d = alternative_effects(derived);
+    let d = alternative_effects(arena, derived);
 
     for w in &b.writes {
         if !d.writes.contains(w) {
@@ -158,7 +145,7 @@ pub fn check_rewrite(
     if !delta.may_add_reads {
         if let Some(t) = d.table_reads.difference(&b.table_reads).next() {
             return Err(err(
-                find_reader(derived, t),
+                find_reader(arena, derived, t),
                 format!("rewrite reads table `{t}` which the base does not (undeclared)"),
             ));
         }
@@ -174,7 +161,7 @@ pub fn check_rewrite(
 
     if let Some(t) = d.limited_reads.difference(&b.limited_reads).next() {
         return Err(err(
-            find_limiter(derived, t),
+            find_limiter(arena, derived, t),
             format!(
                 "rewrite truncates its read of table `{t}` with a LIMIT the base \
                  does not have (rows stolen)"
@@ -184,7 +171,7 @@ pub fn check_rewrite(
     for t in b.limited_reads.difference(&d.limited_reads) {
         if d.table_reads.contains(t) {
             return Err(err(
-                find_reader(derived, t),
+                find_reader(arena, derived, t),
                 format!(
                     "rewrite drops the LIMIT the base applies to table `{t}` \
                      (rows added)"
@@ -196,7 +183,7 @@ pub fn check_rewrite(
     for c in d.calls.difference(&b.calls) {
         if !delta.may_introduce_calls.contains(&c.as_str()) {
             return Err(err(
-                find_caller(derived, c),
+                find_caller(arena, derived, c),
                 format!("rewrite introduces a call to `{c}` the rule did not declare"),
             ));
         }
@@ -212,8 +199,8 @@ pub fn check_rewrite(
 }
 
 /// First reachable node of `alt` that reads `table`, for diagnostics.
-fn find_reader(alt: &FirAlternative, table: &str) -> Option<FirId> {
-    find_node(alt, &|arena, id| match arena.node(id) {
+fn find_reader(arena: &FirArena, alt: &FirRoots, table: &str) -> Option<FirId> {
+    find_node(arena, alt, &|node| match node {
         FirNode::Query { plan, .. } | FirNode::ScalarQuery { plan, .. } => {
             plan.as_plan().base_tables().contains(&table)
         }
@@ -223,8 +210,8 @@ fn find_reader(alt: &FirAlternative, table: &str) -> Option<FirId> {
 }
 
 /// First reachable node whose plan puts `table` under a `LIMIT`.
-fn find_limiter(alt: &FirAlternative, table: &str) -> Option<FirId> {
-    find_node(alt, &|arena, id| match arena.node(id) {
+fn find_limiter(arena: &FirArena, alt: &FirRoots, table: &str) -> Option<FirId> {
+    find_node(arena, alt, &|node| match node {
         FirNode::Query { plan, .. } | FirNode::ScalarQuery { plan, .. } => {
             let mut hit = false;
             plan.as_plan().walk(&mut |p| {
@@ -239,8 +226,8 @@ fn find_limiter(alt: &FirAlternative, table: &str) -> Option<FirId> {
 }
 
 /// First reachable node that invokes `name`, in F-IR or inside a plan.
-fn find_caller(alt: &FirAlternative, name: &str) -> Option<FirId> {
-    find_node(alt, &|arena, id| match arena.node(id) {
+fn find_caller(arena: &FirArena, alt: &FirRoots, name: &str) -> Option<FirId> {
+    find_node(arena, alt, &|node| match node {
         FirNode::Call(n, _) => n == name,
         FirNode::Query { plan, .. } | FirNode::ScalarQuery { plan, .. } => {
             let mut fx = EffectSet::default();
@@ -251,193 +238,10 @@ fn find_caller(alt: &FirAlternative, name: &str) -> Option<FirId> {
     })
 }
 
-fn find_node(alt: &FirAlternative, pred: &dyn Fn(&FirArena, FirId) -> bool) -> Option<FirId> {
-    for (_, root) in &alt.assigns {
-        for id in alt.arena.reachable(*root) {
-            if pred(&alt.arena, id) {
-                return Some(id);
-            }
-        }
-    }
-    None
-}
-
-/// Variable- and table-level read/write sets of an imperative region.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RegionEffects {
-    /// Variables read before the region defines them (external reads).
-    pub var_reads: BTreeSet<String>,
-    /// Variables the region assigns or accumulates into.
-    pub var_writes: BTreeSet<String>,
-    /// Tables read by queries, `loadAll`, or association navigation.
-    pub table_reads: BTreeSet<String>,
-    /// Tables written by `update` statements.
-    pub table_writes: BTreeSet<String>,
-}
-
-/// Compute the [`RegionEffects`] of a statement region.
-///
-/// Generalizes `imperative::deps::LoopAnalysis` (one loop, variables
-/// only) to arbitrary statement lists with table-level effects. `loadAll`
-/// resolves entity names through `mappings`; association navigation
-/// (`obj.assoc`) conservatively adds the target table of *every* mapping
-/// declaring an association of that name, since the object's entity is
-/// not tracked statically.
-#[must_use]
-pub fn region_effects(stmts: &[Stmt], mappings: &MappingRegistry) -> RegionEffects {
-    let mut fx = RegionEffects::default();
-    let mut locals = BTreeSet::new();
-    walk_stmts(stmts, &mut locals, &mut fx, mappings);
-    fx
-}
-
-fn walk_stmts(
-    stmts: &[Stmt],
-    locals: &mut BTreeSet<String>,
-    fx: &mut RegionEffects,
-    mappings: &MappingRegistry,
-) {
-    for stmt in stmts {
-        match &stmt.kind {
-            StmtKind::Let(x, e) => {
-                expr_effects(e, locals, fx, mappings);
-                fx.var_writes.insert(x.clone());
-                locals.insert(x.clone());
-            }
-            StmtKind::NewCollection(x) | StmtKind::NewMap(x) => {
-                fx.var_writes.insert(x.clone());
-                locals.insert(x.clone());
-            }
-            StmtKind::Add(x, e) => {
-                expr_effects(e, locals, fx, mappings);
-                if !locals.contains(x) {
-                    fx.var_reads.insert(x.clone());
-                }
-                fx.var_writes.insert(x.clone());
-            }
-            StmtKind::Put(x, k, v) => {
-                expr_effects(k, locals, fx, mappings);
-                expr_effects(v, locals, fx, mappings);
-                if !locals.contains(x) {
-                    fx.var_reads.insert(x.clone());
-                }
-                fx.var_writes.insert(x.clone());
-            }
-            StmtKind::ForEach { var, iter, body } => {
-                expr_effects(iter, locals, fx, mappings);
-                let mut inner = locals.clone();
-                inner.insert(var.clone());
-                walk_stmts(body, &mut inner, fx, mappings);
-            }
-            StmtKind::While { cond, body } => {
-                expr_effects(cond, locals, fx, mappings);
-                let mut inner = locals.clone();
-                walk_stmts(body, &mut inner, fx, mappings);
-            }
-            StmtKind::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                expr_effects(cond, locals, fx, mappings);
-                // Branch-local definitions do not dominate the join point.
-                let mut then_locals = locals.clone();
-                walk_stmts(then_branch, &mut then_locals, fx, mappings);
-                let mut else_locals = locals.clone();
-                walk_stmts(else_branch, &mut else_locals, fx, mappings);
-            }
-            StmtKind::Print(e) => expr_effects(e, locals, fx, mappings),
-            StmtKind::Return(e) => {
-                if let Some(e) = e {
-                    expr_effects(e, locals, fx, mappings);
-                }
-            }
-            StmtKind::Break => {}
-            StmtKind::CacheByColumn { cache, source, .. } => {
-                expr_effects(source, locals, fx, mappings);
-                fx.var_writes.insert(cache.clone());
-                locals.insert(cache.clone());
-            }
-            StmtKind::UpdateQuery {
-                table, value, key, ..
-            } => {
-                expr_effects(value, locals, fx, mappings);
-                expr_effects(key, locals, fx, mappings);
-                // An UPDATE reads the rows it rewrites.
-                fx.table_reads.insert(table.clone());
-                fx.table_writes.insert(table.clone());
-            }
-            StmtKind::LetCall(x, _, args) => {
-                for a in args {
-                    expr_effects(a, locals, fx, mappings);
-                }
-                fx.var_writes.insert(x.clone());
-                locals.insert(x.clone());
-            }
-            StmtKind::TryCatch { body, handler } => {
-                let mut body_locals = locals.clone();
-                walk_stmts(body, &mut body_locals, fx, mappings);
-                let mut handler_locals = locals.clone();
-                walk_stmts(handler, &mut handler_locals, fx, mappings);
-            }
-        }
-    }
-}
-
-fn expr_effects(
-    e: &Expr,
-    locals: &BTreeSet<String>,
-    fx: &mut RegionEffects,
-    mappings: &MappingRegistry,
-) {
-    let mut vars = Vec::new();
-    e.free_vars(&mut vars);
-    for v in vars {
-        if !locals.contains(&v) {
-            fx.var_reads.insert(v);
-        }
-    }
-    collect_expr_tables(e, fx, mappings);
-}
-
-fn collect_expr_tables(e: &Expr, fx: &mut RegionEffects, mappings: &MappingRegistry) {
-    match e {
-        Expr::LoadAll(entity) => {
-            if let Some(m) = mappings.entity(entity) {
-                fx.table_reads.insert(m.table.clone());
-            }
-        }
-        Expr::Query(spec) | Expr::ScalarQuery(spec) => {
-            for t in spec.plan.as_plan().base_tables() {
-                fx.table_reads.insert(t.to_string());
-            }
-            for (_, b) in &spec.binds {
-                collect_expr_tables(b, fx, mappings);
-            }
-        }
-        Expr::Nav(obj, assoc) => {
-            collect_expr_tables(obj, fx, mappings);
-            for m in mappings.iter() {
-                if let Some(a) = m.association(assoc) {
-                    if let Some(target) = mappings.entity(&a.target_entity) {
-                        fx.table_reads.insert(target.table.clone());
-                    }
-                }
-            }
-        }
-        Expr::Bin(_, l, r) | Expr::MapGet(l, r) => {
-            collect_expr_tables(l, fx, mappings);
-            collect_expr_tables(r, fx, mappings);
-        }
-        Expr::Not(inner) | Expr::Field(inner, _) | Expr::Len(inner) => {
-            collect_expr_tables(inner, fx, mappings);
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                collect_expr_tables(a, fx, mappings);
-            }
-        }
-        Expr::LookupCache(_, key) => collect_expr_tables(key, fx, mappings),
-        Expr::Var(_) | Expr::Lit(_) => {}
-    }
+fn find_node(arena: &FirArena, alt: &FirRoots, pred: &dyn Fn(&FirNode) -> bool) -> Option<FirId> {
+    let mut reached = alt
+        .assigns
+        .iter()
+        .flat_map(|(_, root)| arena.reachable(*root));
+    reached.find(|&id| pred(arena.node(id)))
 }

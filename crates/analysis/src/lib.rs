@@ -6,19 +6,25 @@
 //! so a broken rule is rejected in microseconds — before anything runs —
 //! with a diagnostic naming the pass and the offending arena node.
 //!
-//! Three passes, in the order they run:
+//! An alternative is a root tuple ([`fir::FirRoots`]) over the one arena
+//! its loop's closure grows, so every pass takes `(arena, roots)`, and a
+//! [`Verifier`] lives as long as one closure: what does not depend on the
+//! candidate is computed once.
+//!
+//! Three passes (1 and 3 need only the candidate and run first; 2
+//! compares it with the base):
 //!
 //! 1. **Well-formedness** ([`check_wellformed`]): arena references are
 //!    acyclic and defined before use (the hash-consing invariant that
-//!    every child id precedes its parent), fold `func`/`init` tuples are
-//!    balanced against the accumulator list, query plans carry a bind for
-//!    every parameter they use, and `requires_empty_init` names a real
-//!    assignment.
-//! 2. **Effect analysis** ([`effects`]): read/write/call sets per
-//!    alternative ([`EffectSet`]) and per imperative region
-//!    ([`RegionEffects`], generalizing `imperative::deps::LoopAnalysis`).
-//!    The rewrite-soundness check ([`effects::check_rewrite`]) demands
-//!    that a derived alternative preserve the base's effects modulo the
+//!    every child id precedes its parent — the arena only grows, so each
+//!    node is scanned once per closure, behind a watermark), fold
+//!    `func`/`init` tuples are balanced against the accumulator list,
+//!    query plans carry a bind for every parameter they use, and
+//!    `requires_empty_init` names a real assignment.
+//! 2. **Effect analysis** ([`effects`]): the read/write/call set of an
+//!    alternative ([`EffectSet`]). The rewrite-soundness check
+//!    ([`effects::check_rewrite`]) demands that a derived alternative
+//!    preserve the base's effects (computed once per closure) modulo the
 //!    rule's declared [`fir::EffectDelta`]: N1 may add prefetch reads, T5
 //!    may introduce `coalesce`, and nothing may silently drop a write,
 //!    change the tables read, or truncate a read with a `LIMIT` the base
@@ -35,11 +41,11 @@ pub mod effects;
 pub mod scope;
 pub mod wellformed;
 
-pub use effects::{alternative_effects, region_effects, EffectSet, RegionEffects};
+pub use effects::{alternative_effects, EffectSet};
 pub use scope::check_scopes;
 pub use wellformed::check_wellformed;
 
-use fir::{EffectDelta, FirAlternative, FirId};
+use fir::{EffectDelta, FirArena, FirId, FirRoots};
 
 /// Which verifier pass produced a diagnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,57 +109,78 @@ impl std::fmt::Display for Diagnostic {
 
 impl std::error::Error for Diagnostic {}
 
-/// Run passes 1 and 3 on a single alternative (no rewrite to compare
-/// against): well-formedness, then binding-leak detection.
-///
-/// # Errors
-///
-/// The first [`Diagnostic`] any pass produces.
-pub fn verify_alternative(alt: &FirAlternative) -> Result<(), Diagnostic> {
-    check_wellformed(alt)?;
-    check_scopes(alt)
+/// The static verifier of one closure: every alternative derived from one
+/// base over one (growing) arena. It holds what does not depend on the
+/// candidate — the base's effect set and how far pass 1's def-before-use
+/// scan of the arena got.
+#[derive(Debug)]
+pub struct Verifier {
+    base: EffectSet,
+    scanned: usize,
 }
 
-/// Full static verification of a rewrite: passes 1 and 3 on the derived
-/// alternative, then pass 2 comparing its effect set against the base's,
-/// modulo the applied rules' declared `delta`.
-///
-/// The returned diagnostic is attributed to the most recently applied
-/// rule (the last entry of `derived.rules_applied` past the `"toFIR"`
-/// base tag).
+impl Verifier {
+    /// A verifier for rewrites of `base`.
+    #[must_use]
+    pub fn new(arena: &FirArena, base: &FirRoots) -> Verifier {
+        Verifier {
+            base: alternative_effects(arena, base),
+            scanned: 0,
+        }
+    }
+
+    /// Full static verification of one candidate: passes 1 and 3 on it,
+    /// then pass 2 comparing its effect set against the base's, modulo the
+    /// applied rules' declared `delta`. `arena` is the arena the verifier
+    /// was made over, possibly grown since.
+    ///
+    /// The returned diagnostic is attributed to the most recently applied
+    /// rule (the last entry of `derived.rules_applied` past the `"toFIR"`
+    /// base tag).
+    ///
+    /// # Errors
+    ///
+    /// The first [`Diagnostic`] any pass produces.
+    pub fn verify(
+        &mut self,
+        arena: &FirArena,
+        derived: &FirRoots,
+        delta: &EffectDelta,
+    ) -> Result<(), Diagnostic> {
+        check_wellformed(arena, derived, &mut self.scanned)
+            .and_then(|()| check_scopes(arena, derived))
+            .and_then(|()| effects::check_rewrite(&self.base, arena, derived, delta))
+            .map_err(|mut d| {
+                let applied = derived.rules_applied.iter().rev();
+                d.rule = applied.copied().find(|t| *t != "toFIR");
+                d
+            })
+    }
+}
+
+/// One-shot [`Verifier::verify`]: `derived` against `base`, both over
+/// `arena`.
 ///
 /// # Errors
 ///
 /// The first [`Diagnostic`] any pass produces.
 pub fn verify_rewrite(
-    base: &FirAlternative,
-    derived: &FirAlternative,
+    arena: &FirArena,
+    base: &FirRoots,
+    derived: &FirRoots,
     delta: &EffectDelta,
 ) -> Result<(), Diagnostic> {
-    let attribute = |mut d: Diagnostic| {
-        d.rule = derived
-            .rules_applied
-            .iter()
-            .rev()
-            .find(|t| **t != "toFIR")
-            .copied();
-        d
-    };
-    verify_alternative(derived).map_err(attribute)?;
-    effects::check_rewrite(base, derived, delta).map_err(attribute)
+    Verifier::new(arena, base).verify(arena, derived, delta)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fir::{FirArena, FirNode};
-    use imperative::ast::{Expr, Stmt, StmtKind};
+    use fir::FirNode;
     use minidb::Value;
-    use orm::{EntityMapping, MappingRegistry};
 
-    fn single(arena: FirArena, root: FirId) -> FirAlternative {
-        FirAlternative {
-            arena,
+    fn single(root: FirId) -> FirRoots {
+        FirRoots {
             prefetches: Vec::new(),
             assigns: vec![("out".to_string(), root)],
             rules_applied: vec!["toFIR"],
@@ -177,7 +204,7 @@ mod tests {
         let c = arena.add(FirNode::Const(Value::Int(1)));
         let tuple = arena.add(FirNode::Tuple(vec![c]));
         let bad = arena.add(FirNode::Project(tuple, 3));
-        let diag = check_wellformed(&single(arena, bad)).unwrap_err();
+        let diag = check_wellformed(&arena, &single(bad), &mut 0).unwrap_err();
         assert_eq!(diag.pass, Pass::WellFormed);
         assert_eq!(diag.node, Some(bad));
         assert!(diag.message.contains("out of range"), "{diag}");
@@ -185,17 +212,40 @@ mod tests {
 
     #[test]
     fn wellformed_rejects_empty_assignment_list() {
-        let mut alt = single(FirArena::new(), 0);
+        let mut alt = single(0);
         alt.assigns.clear();
-        let diag = check_wellformed(&alt).unwrap_err();
+        let diag = check_wellformed(&FirArena::new(), &alt, &mut 0).unwrap_err();
         assert!(diag.message.contains("no assignments"), "{diag}");
+    }
+
+    /// The def-before-use scan runs once per node: the watermark moves to
+    /// the arena's end, covers only what was interned since on the next
+    /// call, and stays at a dangling node — which then fails every
+    /// alternative over that arena, whether or not it reaches the node.
+    #[test]
+    fn wellformed_scans_each_node_once_and_stops_at_a_dangling_one() {
+        let mut arena = FirArena::new();
+        let c = arena.add(FirNode::Const(Value::Int(1)));
+        let mut scanned = 0;
+        check_wellformed(&arena, &single(c), &mut scanned).unwrap();
+        assert_eq!(scanned, 1);
+        let not = arena.add(FirNode::Not(c));
+        check_wellformed(&arena, &single(not), &mut scanned).unwrap();
+        assert_eq!(scanned, 2);
+        let dangling = arena.add(FirNode::Not(99));
+        for root in [dangling, c] {
+            let diag = check_wellformed(&arena, &single(root), &mut scanned).unwrap_err();
+            assert_eq!(diag.node, Some(dangling));
+            assert!(diag.message.contains("does not precede"), "{diag}");
+            assert_eq!(scanned, dangling);
+        }
     }
 
     #[test]
     fn scope_rejects_a_top_level_row_binding() {
         let mut arena = FirArena::new();
         let leak = arena.add(FirNode::TupleVar("o".to_string()));
-        let diag = check_scopes(&single(arena, leak)).unwrap_err();
+        let diag = check_scopes(&arena, &single(leak)).unwrap_err();
         assert_eq!(diag.pass, Pass::Scope);
         assert_eq!(diag.node, Some(leak));
         assert!(diag.message.contains("escapes the fold body"), "{diag}");
@@ -205,87 +255,33 @@ mod tests {
     fn check_rewrite_flags_dropped_write_and_honors_delta() {
         let mut arena = FirArena::new();
         let c = arena.add(FirNode::Const(Value::Int(1)));
-        let base = FirAlternative {
-            arena,
-            prefetches: Vec::new(),
+        let base = FirRoots {
             assigns: vec![("a".to_string(), c), ("b".to_string(), c)],
-            rules_applied: vec!["toFIR"],
-            requires_empty_init: None,
+            ..single(c)
         };
         let mut derived = base.clone();
         derived.assigns.pop();
         derived.rules_applied.push("Xdrop");
         let delta = EffectDelta::default();
-        let diag = verify_rewrite(&base, &derived, &delta).unwrap_err();
+        let diag = verify_rewrite(&arena, &base, &derived, &delta).unwrap_err();
         assert_eq!(diag.pass, Pass::Effects);
         assert_eq!(diag.rule, Some("Xdrop"));
         assert!(diag.message.contains("drops the write to `b`"), "{diag}");
         // The same pair with the write intact verifies clean.
-        assert!(verify_rewrite(&base, &base, &delta).is_ok());
+        assert!(verify_rewrite(&arena, &base, &base, &delta).is_ok());
     }
 
     #[test]
     fn check_rewrite_allows_new_calls_only_when_declared() {
         let mut arena = FirArena::new();
         let c = arena.add(FirNode::Const(Value::Int(1)));
-        let base = single(arena, c);
-        let mut derived = base.clone();
-        let call = derived
-            .arena
-            .add(FirNode::Call("coalesce".to_string(), vec![c]));
-        derived.assigns[0].1 = call;
+        let base = alternative_effects(&arena, &single(c));
+        let call = arena.add(FirNode::Call("coalesce".to_string(), vec![c]));
+        let derived = single(call);
         let undeclared = EffectDelta::default();
-        let diag = effects::check_rewrite(&base, &derived, &undeclared).unwrap_err();
+        let diag = effects::check_rewrite(&base, &arena, &derived, &undeclared).unwrap_err();
         assert!(diag.message.contains("coalesce"), "{diag}");
         let declared = EffectDelta::introduces_calls(&["coalesce"]);
-        assert!(effects::check_rewrite(&base, &derived, &declared).is_ok());
-    }
-
-    #[test]
-    fn region_effects_tracks_vars_tables_and_updates() {
-        let mut mappings = MappingRegistry::new();
-        mappings.register(EntityMapping::new("Order", "orders", "o_id").many_to_one(
-            "customer",
-            "Customer",
-            "o_customer_sk",
-        ));
-        mappings.register(EntityMapping::new("Customer", "customer", "c_customer_sk"));
-        let region = vec![
-            Stmt::new(StmtKind::ForEach {
-                var: "o".to_string(),
-                iter: Expr::LoadAll("Order".to_string()),
-                body: vec![
-                    Stmt::new(StmtKind::Let(
-                        "cust".to_string(),
-                        Expr::nav(Expr::var("o"), "customer"),
-                    )),
-                    Stmt::new(StmtKind::Add(
-                        "total".to_string(),
-                        Expr::field(Expr::var("cust"), "c_birth_year"),
-                    )),
-                ],
-            }),
-            Stmt::new(StmtKind::UpdateQuery {
-                table: "orders".to_string(),
-                set_col: "o_qty".to_string(),
-                value: Expr::var("total"),
-                key_col: "o_id".to_string(),
-                key: Expr::lit(Value::Int(1)),
-            }),
-        ];
-        let fx = region_effects(&region, &mappings);
-        assert!(fx.table_reads.contains("orders"), "{fx:?}");
-        assert!(fx.table_reads.contains("customer"), "{fx:?}");
-        assert_eq!(
-            fx.table_writes.iter().collect::<Vec<_>>(),
-            vec!["orders"],
-            "only the UPDATE writes"
-        );
-        // `total` is accumulated before any local definition: an external
-        // read and a write. Loop-local `o`/`cust` never escape.
-        assert!(fx.var_reads.contains("total"), "{fx:?}");
-        assert!(fx.var_writes.contains("total"), "{fx:?}");
-        assert!(!fx.var_reads.contains("o"), "{fx:?}");
-        assert!(!fx.var_reads.contains("cust"), "{fx:?}");
+        assert!(effects::check_rewrite(&base, &arena, &derived, &declared).is_ok());
     }
 }

@@ -14,7 +14,7 @@
 //! rejects it without running anything.
 
 use crate::{Diagnostic, Pass};
-use fir::{FirAlternative, FirArena, FirId, FirNode};
+use fir::{FirArena, FirId, FirNode, FirRoots};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashSet};
 use std::hash::{Hash, Hasher};
@@ -49,11 +49,11 @@ impl Scope {
 /// # Errors
 ///
 /// A [`Diagnostic`] naming the leaking node and binding.
-pub fn check_scopes(alt: &FirAlternative) -> Result<(), Diagnostic> {
+pub fn check_scopes(arena: &FirArena, alt: &FirRoots) -> Result<(), Diagnostic> {
     let mut visited: HashSet<(FirId, u64)> = HashSet::new();
     let scope = Scope::default();
     for (var, root) in &alt.assigns {
-        walk(&alt.arena, *root, &scope, &mut visited).map_err(|mut d| {
+        walk(arena, *root, &scope, &mut visited).map_err(|mut d| {
             d.message = format!("in the assignment to `{var}`: {}", d.message);
             d
         })?;

@@ -1,15 +1,17 @@
-//! Pass 1 — structural well-formedness of an [`FirAlternative`].
+//! Pass 1 — structural well-formedness of an alternative.
 //!
 //! The checks lean on the hash-consing construction invariant: a node can
 //! only be interned after its children, so **every child id is strictly
 //! smaller than its parent's id**. One linear scan therefore rules out
-//! both dangling references and cycles. Unreachable nodes are *not* an
-//! error — rewrites legitimately strand the sub-expressions they replace
-//! (the arena is an append-only hash-consed pool, not a garbage-collected
-//! heap).
+//! both dangling references and cycles — and because the arena is
+//! append-only and shared by every alternative of a loop, that scan
+//! covers each node once per closure, not once per alternative: the
+//! caller keeps the watermark. Unreachable nodes are *not* an error — a
+//! node no assignment reaches is part of no alternative (the arena is a
+//! hash-consed pool, not a garbage-collected heap).
 
 use crate::{Diagnostic, Pass};
-use fir::{FirAlternative, FirArena, FirId, FirNode};
+use fir::{FirArena, FirId, FirNode, FirRoots};
 
 fn err(node: Option<FirId>, message: String) -> Diagnostic {
     Diagnostic::new(Pass::WellFormed, node, message)
@@ -17,13 +19,19 @@ fn err(node: Option<FirId>, message: String) -> Diagnostic {
 
 /// Check structural well-formedness. See the module docs for the rules.
 ///
+/// `scanned` is the def-before-use watermark: nodes below it were scanned
+/// by an earlier call over the same (since grown) arena. Start it at 0 and
+/// pass the same variable for every alternative of the closure.
+///
 /// # Errors
 ///
 /// The first structural defect found, as a [`Diagnostic`] naming the
 /// offending node where one exists.
-pub fn check_wellformed(alt: &FirAlternative) -> Result<(), Diagnostic> {
-    let arena = &alt.arena;
-
+pub fn check_wellformed(
+    arena: &FirArena,
+    alt: &FirRoots,
+    scanned: &mut usize,
+) -> Result<(), Diagnostic> {
     if alt.assigns.is_empty() {
         return Err(err(
             None,
@@ -31,9 +39,11 @@ pub fn check_wellformed(alt: &FirAlternative) -> Result<(), Diagnostic> {
         ));
     }
 
-    // Def-before-use over the whole arena: child ids strictly precede
-    // their parent's. Catches dangling ids and reference cycles at once.
-    for id in 0..arena.len() {
+    // Def-before-use: child ids strictly precede their parent's. Catches
+    // dangling ids and reference cycles at once. The watermark stops at a
+    // bad node, so an arena holding one fails every later alternative too.
+    while *scanned < arena.len() {
+        let id = *scanned;
         let mut bad = None;
         arena.node(id).for_each_child(|child| {
             if child >= id && bad.is_none() {
@@ -49,6 +59,7 @@ pub fn check_wellformed(alt: &FirAlternative) -> Result<(), Diagnostic> {
                 ),
             ));
         }
+        *scanned += 1;
     }
 
     for (var, root) in &alt.assigns {

@@ -86,11 +86,13 @@ fn best_sql_push(
 /// Score an admitted alternative by how much it pushes into SQL; ≤ 0 =
 /// not a push-to-SQL rewrite.
 fn sql_push_score(alt: &FirAlternative) -> i64 {
+    let applied = &alt.roots.rules_applied;
     // The heuristic never prefetches or pulls work to the client.
-    if alt.rules_applied.iter().any(|r| *r == "N1" || *r == "N2") {
+    if applied.iter().any(|r| *r == "N1" || *r == "N2") {
         return -1;
     }
     let folds_left = alt
+        .roots
         .assigns
         .iter()
         .map(|(_, id)| {
@@ -102,18 +104,12 @@ fn sql_push_score(alt: &FirAlternative) -> i64 {
         })
         .max()
         .unwrap_or(0);
-    let joins = alt
-        .rules_applied
-        .iter()
-        .filter(|r| r.contains("T4"))
-        .count() as i64;
-    let aggs = alt
-        .rules_applied
+    let joins = applied.iter().filter(|r| r.contains("T4")).count() as i64;
+    let aggs = applied
         .iter()
         .filter(|r| **r == "T5" || **r == "T5-partial")
         .count() as i64;
-    let pushes = alt
-        .rules_applied
+    let pushes = applied
         .iter()
         .filter(|r| **r == "T2" || **r == "T1")
         .count() as i64;

@@ -813,7 +813,9 @@ impl<'a> DagBuilder<'a> {
                     transforms::collect_var_plans(&stmts, self.gate.mappings, self.var_plans);
                     let tree = region_to_optree(&Region::from_stmts(&stmts));
                     let (_, eid) = self.memo.insert_tree_full(&tree, Some(g));
-                    self.provenance.entry(eid).or_insert(alt.rules_applied);
+                    self.provenance
+                        .entry(eid)
+                        .or_insert(alt.roots.rules_applied);
                 }
                 g
             }
@@ -893,9 +895,10 @@ impl LoopGate<'_> {
         let expansion = match self.verify {
             VerifyLevel::Off => fir::expand_with(base, self.rules, self.max_alternatives),
             level => {
-                let check = move |b: &FirAlternative, alt: &FirAlternative| {
+                let mut verifier = analysis::Verifier::new(&base.arena, &base.roots);
+                let mut check = |arena: &fir::FirArena, alt: &fir::FirRoots| {
                     let delta = self.rules.delta_for_applied(&alt.rules_applied);
-                    match analysis::verify_rewrite(b, alt, &delta) {
+                    match verifier.verify(arena, alt, &delta) {
                         Ok(()) => Ok(()),
                         Err(diag) if level == VerifyLevel::Panic => {
                             panic!("verify_rewrites=Panic: statically unsound rewrite: {diag}")
@@ -903,15 +906,16 @@ impl LoopGate<'_> {
                         Err(diag) => Err(diag.to_string()),
                     }
                 };
-                fir::expand_with_verifier(base, self.rules, self.max_alternatives, Some(&check))
+                fir::expand_with_verifier(base, self.rules, self.max_alternatives, Some(&mut check))
             }
         };
         let admissible = |alt: &FirAlternative| {
-            t1_gate_ok(alt, prev_sibling)
+            t1_gate_ok(&alt.roots, prev_sibling)
                 && !self.join_is_ambiguous(alt)
                 // Prefetching a table the program updates is unsound: the
                 // build-once client cache would serve pre-update rows.
                 && !alt
+                    .roots
                     .prefetches
                     .iter()
                     .any(|p| self.updated_tables.contains(&p.table))
@@ -937,7 +941,7 @@ impl LoopGate<'_> {
     /// share a column name (`emp.id`, `dept.id`) give a program that fails
     /// with "ambiguous column" where the original ran.
     fn join_is_ambiguous(&self, alt: &FirAlternative) -> bool {
-        if !alt.rules_applied.iter().any(|r| r.starts_with("T4")) {
+        if !alt.roots.rules_applied.iter().any(|r| r.starts_with("T4")) {
             return false;
         }
         let db = self.db.read().expect("database lock poisoned");
@@ -949,7 +953,7 @@ impl LoopGate<'_> {
                 .flat_map(|t| t.schema().columns())
                 .any(|c| !seen.insert(&c.name))
         };
-        alt.assigns.iter().any(|(_, root)| {
+        alt.roots.assigns.iter().any(|(_, root)| {
             alt.arena.any(*root, &|n| match n {
                 fir::FirNode::Query { plan, .. } | fir::FirNode::ScalarQuery { plan, .. } => {
                     shares_a_column(plan)
@@ -963,7 +967,7 @@ impl LoopGate<'_> {
 /// Rule T1's validity gate: `fold(insert, {}, Q) = Q` requires the
 /// accumulator to be empty at loop entry — satisfied when the previous
 /// statement in the sequence freshly created it.
-fn t1_gate_ok(alt: &FirAlternative, prev_sibling: Option<&Stmt>) -> bool {
+fn t1_gate_ok(alt: &fir::FirRoots, prev_sibling: Option<&Stmt>) -> bool {
     let Some(v) = &alt.requires_empty_init else {
         return true;
     };

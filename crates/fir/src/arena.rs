@@ -81,7 +81,7 @@ impl FirNode {
     /// that [`FirArena::children`] returns is pure overhead in traversal
     /// hot loops). With [`FirNode::map_children`] this is the one
     /// definition of a node's child structure: traversal, rewriting and
-    /// structural hashing are all written on these two.
+    /// re-interning are all written on these two.
     pub fn for_each_child(&self, mut f: impl FnMut(FirId)) {
         match self {
             FirNode::Bin(_, l, r) | FirNode::Insert(l, r) => {
@@ -187,11 +187,15 @@ impl FirNode {
 /// share one id, so common sub-expressions are shared (§V-B: "The
 /// expressions may have common sub-expressions, which are shared").
 ///
-/// Nodes are stored behind `Arc`, with the interning index keyed by the
-/// same allocation: cloning an arena — which the rule driver does once
-/// per candidate rewrite — bumps refcounts instead of deep-cloning (and
-/// re-hashing) every node.
-#[derive(Debug, Clone, Default)]
+/// One arena serves a whole loop: `loopToFold` fills it, the closure
+/// driver grows it while the rules run, and every alternative of the loop
+/// is a tuple of root ids into it ([`crate::FirRoots`]). Interning is
+/// append-only, so an id stays valid and two alternatives are the same
+/// exactly when their roots are the same ids; a node no assignment
+/// reaches is part of no alternative. Not `Clone`: an alternative that
+/// must stand alone is re-interned ([`FirArena::import`]). A node is one
+/// allocation, shared by the id list and the interning index.
+#[derive(Debug, Default)]
 pub struct FirArena {
     nodes: Vec<std::sync::Arc<FirNode>>,
     index: HashMap<std::sync::Arc<FirNode>, FirId>,
@@ -248,6 +252,24 @@ impl FirArena {
         self.add(rebuilt)
     }
 
+    /// Re-intern the DAG rooted at `id` of another arena here and return
+    /// its id in this one. `memo` maps the ids of `from` already imported;
+    /// pass the same map for every root taken from the same arena.
+    pub fn import(
+        &mut self,
+        from: &FirArena,
+        id: FirId,
+        memo: &mut HashMap<FirId, FirId>,
+    ) -> FirId {
+        if let Some(&here) = memo.get(&id) {
+            return here;
+        }
+        let node = from.node(id).map_children(|c| self.import(from, c, memo));
+        let here = self.add(node);
+        memo.insert(id, here);
+        here
+    }
+
     /// Collect every node id reachable from `id` (including itself),
     /// in post-order.
     pub fn reachable(&self, id: FirId) -> Vec<FirId> {
@@ -267,31 +289,11 @@ impl FirArena {
         self.visit(id, seen, order);
     }
 
-    /// True when `target` is reachable from `from` (early-exit DFS).
+    /// True when `target` is reachable from `from`: a node is interned
+    /// once, so it is `target` exactly when it is the same allocation.
     pub fn reaches(&self, from: FirId, target: FirId) -> bool {
-        if from == target {
-            return true;
-        }
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![from];
-        while let Some(n) = stack.pop() {
-            if seen[n] {
-                continue;
-            }
-            seen[n] = true;
-            let mut found = false;
-            self.node(n).for_each_child(|c| {
-                if c == target {
-                    found = true;
-                } else {
-                    stack.push(c);
-                }
-            });
-            if found {
-                return true;
-            }
-        }
-        false
+        let target = self.node(target);
+        self.any(from, &|n| std::ptr::eq(n, target))
     }
 
     fn visit(&self, id: FirId, seen: &mut Vec<bool>, order: &mut Vec<FirId>) {
@@ -327,28 +329,6 @@ impl FirArena {
             self.node(n).for_each_child(|c| stack.push(c));
         }
         false
-    }
-
-    /// A 64-bit structural hash of the DAG rooted at `id`:
-    /// arena-id-independent (child ids are replaced by their own
-    /// structural hashes), so hashes compare across arenas. `memo` caches
-    /// per-node results — pass a `vec![None; arena.len()]` (or shorter;
-    /// it grows) and reuse it for every root of the same arena.
-    pub fn structural_hash(&self, id: FirId, memo: &mut Vec<Option<u64>>) -> u64 {
-        use std::hash::{Hash, Hasher};
-        if memo.len() < self.nodes.len() {
-            memo.resize(self.nodes.len(), None);
-        }
-        if let Some(h) = memo[id] {
-            return h;
-        }
-        let mut h = minidb::StableHasher::new();
-        self.node(id)
-            .map_children(|c| self.structural_hash(c, memo) as FirId)
-            .hash(&mut h);
-        let out = h.finish();
-        memo[id] = Some(out);
-        out
     }
 
     /// Paper-style rendering, e.g. `fold(<sum> + t.sale_amt, tuple(0), Q)`.
@@ -394,27 +374,20 @@ impl FirArena {
                 format!("tuple({})", parts.join(", "))
             }
             FirNode::Project(t, i) => format!("project{i}({})", self.display(*t)),
-            FirNode::Query { plan, binds } => {
+            node @ (FirNode::Query { plan, binds } | FirNode::ScalarQuery { plan, binds }) => {
+                let q = match node {
+                    FirNode::Query { .. } => "Q",
+                    _ => "scalarQ",
+                };
+                let sql = minidb::sql::print(plan);
                 if binds.is_empty() {
-                    format!("Q[{}]", minidb::sql::print(plan))
-                } else {
-                    let bs: Vec<String> = binds
-                        .iter()
-                        .map(|(p, e)| format!("{p}={}", self.display(*e)))
-                        .collect();
-                    format!("Q[{} | {}]", minidb::sql::print(plan), bs.join(", "))
+                    return format!("{q}[{sql}]");
                 }
-            }
-            FirNode::ScalarQuery { plan, binds } => {
-                if binds.is_empty() {
-                    format!("scalarQ[{}]", minidb::sql::print(plan))
-                } else {
-                    let bs: Vec<String> = binds
-                        .iter()
-                        .map(|(p, e)| format!("{p}={}", self.display(*e)))
-                        .collect();
-                    format!("scalarQ[{} | {}]", minidb::sql::print(plan), bs.join(", "))
-                }
+                let bs: Vec<String> = binds
+                    .iter()
+                    .map(|(p, e)| format!("{p}={}", self.display(*e)))
+                    .collect();
+                format!("{q}[{sql} | {}]", bs.join(", "))
             }
             FirNode::RowField(r, c) => format!("{}.{c}", self.display(*r)),
             FirNode::CacheLookup {

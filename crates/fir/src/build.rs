@@ -18,6 +18,7 @@ use imperative::deps::LoopAnalysis;
 use minidb::{LogicalPlan, ScalarExpr};
 use orm::MappingRegistry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A prefetch obligation: cache `table` client-side, keyed by `key_col`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -28,12 +29,13 @@ pub struct Prefetch {
     pub key_col: String,
 }
 
-/// One F-IR alternative for a region: optional prefetches, then variable
-/// assignments (each an F-IR expression — folds, queries, projections).
-#[derive(Debug, Clone)]
-pub struct FirAlternative {
-    /// The expression arena (owned; alternatives are independent).
-    pub arena: FirArena,
+/// An alternative without its arena — roots into the one arena its loop's
+/// closure grows: optional prefetches, then variable assignments (each an
+/// F-IR expression — folds, queries, projections). The closure driver
+/// queues these and the verifier callback reads them; [`FirAlternative`]
+/// pairs one with the arena once that is frozen.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FirRoots {
     /// Prefetches to perform before the assignments.
     pub prefetches: Vec<Prefetch>,
     /// `var ← expr`, in execution order.
@@ -45,42 +47,31 @@ pub struct FirAlternative {
     pub requires_empty_init: Option<String>,
 }
 
-impl FirAlternative {
-    /// Compact structural key for deduplication: a stable 64-bit hash
-    /// over prefetches (sorted), assignment targets and their expression
-    /// DAGs (with plans contributing their fingerprints), and the
-    /// empty-init requirement. Equal [`FirAlternative::key`] strings
-    /// imply equal `dedup_key`s; the expansion driver dedups on this, so
-    /// it never renders SQL text on the hot path.
-    pub fn dedup_key(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = minidb::StableHasher::new();
-        let mut pf = self.prefetches.clone();
-        pf.sort();
-        pf.hash(&mut h);
-        let mut memo: Vec<Option<u64>> = vec![None; self.arena.len()];
-        self.assigns.len().hash(&mut h);
-        for (v, id) in &self.assigns {
-            v.hash(&mut h);
-            self.arena.structural_hash(*id, &mut memo).hash(&mut h);
-        }
-        self.requires_empty_init.hash(&mut h);
-        h.finish()
-    }
+/// One F-IR alternative for a region: its roots and the arena they point
+/// into, which every alternative of the same [`crate::Expansion`] shares.
+#[derive(Debug, Clone)]
+pub struct FirAlternative {
+    /// The expression arena, frozen: it only grows inside the closure
+    /// driver.
+    pub arena: Arc<FirArena>,
+    /// What this alternative assigns, prefetches and requires.
+    pub roots: FirRoots,
+}
 
-    /// Structural key for deduplication (human-readable form; see
-    /// [`FirAlternative::dedup_key`] for the hot-path variant).
+impl FirAlternative {
+    /// Human-readable structural key: arena-independent, so it compares
+    /// across expansions (inside one, compare the roots).
     pub fn key(&self) -> String {
         let mut parts: Vec<String> = Vec::new();
-        let mut pf = self.prefetches.clone();
+        let mut pf = self.roots.prefetches.clone();
         pf.sort();
         for p in pf {
             parts.push(format!("prefetch({},{})", p.table, p.key_col));
         }
-        for (v, id) in &self.assigns {
+        for (v, id) in &self.roots.assigns {
             parts.push(format!("{v}={}", self.arena.display(*id)));
         }
-        if let Some(v) = &self.requires_empty_init {
+        if let Some(v) = &self.roots.requires_empty_init {
             parts.push(format!("requires_empty({v})"));
         }
         parts.join("; ")
@@ -89,6 +80,18 @@ impl FirAlternative {
     /// Paper-style rendering of the whole alternative.
     pub fn display(&self) -> String {
         self.key()
+    }
+
+    /// This alternative alone in a fresh arena: the nodes its assignments
+    /// reach, re-interned, and nothing its siblings added.
+    pub fn isolated(&self) -> FirAlternative {
+        let (mut arena, mut memo) = (FirArena::new(), HashMap::new());
+        let mut roots = self.roots.clone();
+        for (_, root) in &mut roots.assigns {
+            *root = arena.import(&self.arena, *root, &mut memo);
+        }
+        let arena = Arc::new(arena);
+        FirAlternative { arena, roots }
     }
 }
 
@@ -147,11 +150,13 @@ pub fn loop_to_fold(
         .map(|(i, u)| (u.clone(), ctx.arena.add(FirNode::Project(fold, i))))
         .collect();
     Some(FirAlternative {
-        arena: ctx.arena,
-        prefetches: Vec::new(),
-        assigns,
-        rules_applied: vec!["toFIR"],
-        requires_empty_init: None,
+        arena: Arc::new(ctx.arena),
+        roots: FirRoots {
+            prefetches: Vec::new(),
+            assigns,
+            rules_applied: vec!["toFIR"],
+            requires_empty_init: None,
+        },
     })
 }
 
@@ -555,8 +560,8 @@ mod tests {
             "select month, sale_amt from sales order by month",
         ));
         let alt = loop_to_fold("t", &iter, &body, &mappings(), None).expect("foldable");
-        assert_eq!(alt.assigns.len(), 2);
-        let (v0, p0) = &alt.assigns[0];
+        assert_eq!(alt.roots.assigns.len(), 2);
+        let (v0, p0) = &alt.roots.assigns[0];
         assert_eq!(v0, "sum");
         let text = alt.arena.display(*p0);
         // project0(fold(tuple((<sum> + t.sale_amt), mapput(<cSum>, t.month,
@@ -600,7 +605,7 @@ mod tests {
             Some(&["result".to_string()]),
         )
         .expect("foldable");
-        let text = alt.arena.display(alt.assigns[0].1);
+        let text = alt.arena.display(alt.roots.assigns[0].1);
         assert!(
             text.contains("Q[select * from customer where c_customer_sk = :k | k=o.o_customer_sk]"),
             "navigation becomes a correlated lookup query: {text}"
@@ -628,7 +633,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let text = alt.arena.display(alt.assigns[0].1);
+        let text = alt.arena.display(alt.roots.assigns[0].1);
         assert!(
             text.contains("?((t.amount > 10), insert(<big>, t), <big>)"),
             "{text}"
@@ -658,7 +663,7 @@ mod tests {
             Some(&["result".to_string()]),
         )
         .expect("foldable");
-        let text = alt.arena.display(alt.assigns[0].1);
+        let text = alt.arena.display(alt.roots.assigns[0].1);
         assert!(
             text.contains("fold(tuple(insert(<result>, c.c_birth_year))"),
             "{text}"
@@ -696,7 +701,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let text = alt.arena.display(alt.assigns[0].1);
+        let text = alt.arena.display(alt.roots.assigns[0].1);
         assert!(text.contains("insert(<r>, t)"), "{text}");
     }
 
@@ -719,28 +724,6 @@ mod tests {
             None,
         )
         .unwrap();
-        assert_eq!(alt.assigns.len(), 2, "tmp and r both accumulate");
-    }
-
-    #[test]
-    fn dedup_key_is_stable() {
-        let body = vec![Stmt::new(StmtKind::Add("r".into(), Expr::var("t")))];
-        let a1 = loop_to_fold(
-            "t",
-            &Expr::Query(QuerySpec::sql("select * from orders")),
-            &body,
-            &mappings(),
-            None,
-        )
-        .unwrap();
-        let a2 = loop_to_fold(
-            "t",
-            &Expr::Query(QuerySpec::sql("select * from orders")),
-            &body,
-            &mappings(),
-            None,
-        )
-        .unwrap();
-        assert_eq!(a1.key(), a2.key());
+        assert_eq!(alt.roots.assigns.len(), 2, "tmp and r both accumulate");
     }
 }

@@ -30,14 +30,14 @@ pub fn generate(alt: &FirAlternative) -> Option<Vec<Stmt>> {
         fresh: 0,
     };
     let mut out = Vec::new();
-    for p in &alt.prefetches {
+    for p in &alt.roots.prefetches {
         out.push(Stmt::new(StmtKind::CacheByColumn {
             cache: cache_name(&p.table, &p.key_col),
             source: Expr::Query(QuerySpec::of(minidb::LogicalPlan::scan(&p.table))),
             key_col: p.key_col.clone(),
         }));
     }
-    for (var, id) in &alt.assigns {
+    for (var, id) in &alt.roots.assigns {
         g.emit_assign(var, *id, &mut out)?;
     }
     Some(out)
@@ -494,7 +494,7 @@ mod tests {
         let alts = p0_alts();
         let join = alts
             .iter()
-            .find(|a| a.rules_applied.contains(&"T4/T5var(lookup-to-join)"))
+            .find(|a| a.roots.rules_applied.contains(&"T4/T5var(lookup-to-join)"))
             .unwrap();
         let stmts = generate(join).expect("codegen");
         let text = pretty::stmts_to_string(&stmts);
@@ -518,7 +518,7 @@ mod tests {
         let alts = p0_alts();
         let pf = alts
             .iter()
-            .find(|a| a.rules_applied.contains(&"N1"))
+            .find(|a| a.roots.rules_applied.contains(&"N1"))
             .unwrap();
         let stmts = generate(pf).expect("codegen");
         let text = pretty::stmts_to_string(&stmts);
@@ -542,7 +542,7 @@ mod tests {
         let alts = p0_alts();
         let base = alts
             .iter()
-            .find(|a| a.rules_applied == vec!["toFIR"])
+            .find(|a| a.roots.rules_applied == vec!["toFIR"])
             .unwrap();
         let stmts = generate(base).expect("codegen");
         let text = pretty::stmts_to_string(&stmts);
@@ -578,7 +578,7 @@ mod tests {
         let alts = expand_with(base, &RuleSet::standard(), 32).alternatives;
         let agg = alts
             .iter()
-            .find(|a| a.rules_applied.contains(&"T5"))
+            .find(|a| a.roots.rules_applied.contains(&"T5"))
             .unwrap();
         let stmts = generate(agg).unwrap();
         let text = pretty::stmts_to_string(&stmts);
@@ -663,7 +663,7 @@ mod tests {
         let alts = expand_with(base, &RuleSet::standard(), 32).alternatives;
         let t1 = alts
             .iter()
-            .find(|a| a.rules_applied.contains(&"T1"))
+            .find(|a| a.roots.rules_applied.contains(&"T1"))
             .unwrap();
         let stmts = generate(t1).unwrap();
         let text = pretty::stmts_to_string(&stmts);

@@ -34,7 +34,7 @@ pub mod rules;
 pub mod ruleset;
 
 pub use arena::{FirArena, FirId, FirNode};
-pub use build::{loop_to_fold, FirAlternative, Prefetch};
+pub use build::{loop_to_fold, FirAlternative, FirRoots, Prefetch};
 pub use codegen::generate;
 pub use ruleset::{
     expand_with, expand_with_verifier, Change, Derivation, EffectDelta, Expansion, RewriteVerifier,

@@ -19,12 +19,12 @@
 //! base alternative under the registered rules.
 
 use crate::arena::{FirArena, FirId, FirNode};
-use crate::build::{FirAlternative, Prefetch};
+use crate::build::Prefetch;
 use crate::ruleset::{Change, Derivation};
 use minidb::plan::AggItem;
 use minidb::{AggFunc, BinOp, LogicalPlan, ScalarExpr, SharedPlan, Value};
 
-/// `var ← expr`, as in [`FirAlternative::assigns`].
+/// `var ← expr`, as in [`crate::FirRoots::assigns`].
 type Assign = (String, FirId);
 
 /// The decomposed parts of a fold node.
@@ -106,14 +106,14 @@ fn top_fold(arena: &FirArena, assigns: &[Assign]) -> Option<FirId> {
     common_fold(arena, assigns.iter().map(|(_, id)| *id))
 }
 
-/// All fold nodes reachable from the alternative's assignments.
-pub(crate) fn reachable_folds(alt: &FirAlternative) -> Vec<FirId> {
+/// All fold nodes reachable from an alternative's assignments.
+pub(crate) fn reachable_folds(arena: &FirArena, assigns: &[Assign]) -> Vec<FirId> {
     let mut out = Vec::new();
     let (mut seen, mut order) = (Vec::new(), Vec::new());
-    for (_, root) in &alt.assigns {
-        alt.arena.reachable_into(*root, &mut seen, &mut order);
+    for (_, root) in assigns {
+        arena.reachable_into(*root, &mut seen, &mut order);
         for &id in &order {
-            if matches!(alt.arena.node(id), FirNode::Fold { .. }) && !out.contains(&id) {
+            if matches!(arena.node(id), FirNode::Fold { .. }) && !out.contains(&id) {
                 out.push(id);
             }
         }
@@ -813,7 +813,7 @@ pub(crate) fn t1_fold_removal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::loop_to_fold;
+    use crate::build::{loop_to_fold, FirAlternative};
     use crate::ruleset::{expand_with, RuleSet};
     use imperative::ast::{Expr, QuerySpec, Stmt, StmtKind};
     use orm::{EntityMapping, MappingRegistry};
@@ -862,7 +862,7 @@ mod tests {
         let alts = expand_with(p0_alternative(), &RuleSet::standard(), 32).alternatives;
         let join = alts
             .iter()
-            .find(|a| a.rules_applied.contains(&"T4/T5var(lookup-to-join)"))
+            .find(|a| a.roots.rules_applied.contains(&"T4/T5var(lookup-to-join)"))
             .expect("join alternative");
         let text = join.display();
         assert!(
@@ -870,7 +870,7 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("myFunc(o.o_id, o.c_birth_year)"), "{text}");
-        assert!(join.prefetches.is_empty());
+        assert!(join.roots.prefetches.is_empty());
     }
 
     #[test]
@@ -878,7 +878,7 @@ mod tests {
         let alts = expand_with(p0_alternative(), &RuleSet::standard(), 32).alternatives;
         let pf = alts
             .iter()
-            .find(|a| a.rules_applied.contains(&"N1"))
+            .find(|a| a.roots.rules_applied.contains(&"N1"))
             .expect("prefetch alternative");
         let text = pf.display();
         assert!(text.contains("prefetch(customer,c_customer_sk)"), "{text}");
@@ -925,7 +925,7 @@ mod tests {
         let alts = expand_with(base, &RuleSet::standard(), 32).alternatives;
         let agg = alts
             .iter()
-            .find(|a| a.rules_applied.contains(&"T5"))
+            .find(|a| a.roots.rules_applied.contains(&"T5"))
             .expect("aggregate alternative");
         let text = agg.display();
         assert!(
@@ -966,15 +966,15 @@ mod tests {
         let alts = expand_with(base, &RuleSet::standard(), 32).alternatives;
         let partial = alts
             .iter()
-            .find(|a| a.rules_applied.contains(&"T5-partial"))
+            .find(|a| a.roots.rules_applied.contains(&"T5-partial"))
             .expect("partial alternative");
         assert_eq!(
-            partial.assigns.len(),
+            partial.roots.assigns.len(),
             4,
             "entry capture + sum, cSum from loop + sum override"
         );
         assert_eq!(
-            partial.assigns[0].0, "sum__at_entry",
+            partial.roots.assigns[0].0, "sum__at_entry",
             "the kept loop mutates `sum`, so its entry value is captured first"
         );
         let text = partial.display();
@@ -1016,11 +1016,14 @@ mod tests {
         let alts = expand_with(base, &RuleSet::standard(), 64).alternatives;
         assert!(
             alts.iter().all(|a| !a
+                .roots
                 .rules_applied
                 .iter()
                 .any(|r| r.contains("T4") || r.contains("join"))),
             "order-sensitive accumulation must not be join-rewritten: {:?}",
-            alts.iter().map(|a| &a.rules_applied).collect::<Vec<_>>()
+            alts.iter()
+                .map(|a| &a.roots.rules_applied)
+                .collect::<Vec<_>>()
         );
         // The additive form stays join-rewritable.
         let additive = vec![
@@ -1048,7 +1051,7 @@ mod tests {
         let alts = expand_with(base, &RuleSet::standard(), 64).alternatives;
         assert!(
             alts.iter()
-                .any(|a| a.rules_applied.iter().any(|r| r.contains("join"))),
+                .any(|a| a.roots.rules_applied.iter().any(|r| r.contains("join"))),
             "additive accumulation keeps its join alternatives"
         );
     }
@@ -1075,7 +1078,7 @@ mod tests {
         let alts = expand_with(base, &RuleSet::standard(), 32).alternatives;
         let pushed = alts
             .iter()
-            .find(|a| a.rules_applied.contains(&"T2"))
+            .find(|a| a.roots.rules_applied.contains(&"T2"))
             .expect("T2 alternative");
         let text = pushed.display();
         assert!(
@@ -1109,9 +1112,9 @@ mod tests {
         let alts = expand_with(base, &RuleSet::standard(), 32).alternatives;
         let t1 = alts
             .iter()
-            .find(|a| a.rules_applied.contains(&"T1"))
+            .find(|a| a.roots.rules_applied.contains(&"T1"))
             .expect("T1 alternative");
-        assert_eq!(t1.requires_empty_init.as_deref(), Some("r"));
+        assert_eq!(t1.roots.requires_empty_init.as_deref(), Some("r"));
         let text = t1.display();
         assert!(
             text.contains("r=Q[select * from orders where o_amount > 10]"),
@@ -1140,14 +1143,15 @@ mod tests {
         let alts = expand_with(base, &RuleSet::standard(), 64).alternatives;
         let pulled = alts
             .iter()
-            .find(|a| a.rules_applied.contains(&"N2"))
+            .find(|a| a.roots.rules_applied.contains(&"N2"))
             .expect("N2 alternative");
         let text = pulled.display();
         assert!(text.contains("?((t.o_status = \"open\")"), "{text}");
         assert!(text.contains("Q[select * from orders]"), "{text}");
         // And some alternative prefetches the orders table by status.
         let prefetched = alts.iter().find(|a| {
-            a.prefetches
+            a.roots
+                .prefetches
                 .iter()
                 .any(|p| p.table == "orders" && p.key_col == "o_status")
         });
@@ -1179,7 +1183,7 @@ mod tests {
         let alts = expand_with(base, &RuleSet::standard(), 64).alternatives;
         let joined = alts
             .iter()
-            .find(|a| a.rules_applied.contains(&"T4"))
+            .find(|a| a.roots.rules_applied.contains(&"T4"))
             .expect("T4 alternative");
         let text = joined.display();
         assert!(
@@ -1212,7 +1216,7 @@ mod tests {
         let alts = expand_with(base, &RuleSet::standard(), 1000).alternatives;
         assert!(alts.len() < 100, "dedup bounds the closure: {}", alts.len());
         // T2 and N2 both fired somewhere in the closure.
-        assert!(alts.iter().any(|a| a.rules_applied.contains(&"T2")));
+        assert!(alts.iter().any(|a| a.roots.rules_applied.contains(&"T2")));
         // N2 applied to the T2 result reproduces the base alternative and
         // is deduplicated away — exactly how cyclic rules terminate.
         let keys: Vec<String> = alts.iter().map(|a| a.key()).collect();

@@ -11,9 +11,12 @@
 //!
 //! A rule only *describes* what it derives — a [`Derivation`]: which nodes
 //! to replace or which assignments to install, under which tag, with which
-//! prefetch obligations. The driver alone turns a description into a
-//! [`FirAlternative`], so there is one place that clones arenas, re-roots
-//! assignments and records which rule fired.
+//! prefetch obligations. The driver alone turns a description into an
+//! alternative, so there is one place that re-roots assignments and
+//! records which rule fired. Every alternative of a loop is a root tuple
+//! ([`FirRoots`]) over the one arena the closure grows, so an alternative
+//! seen before is recognised by comparing ids — the way the Volcano memo
+//! ends cyclic rules.
 //!
 //! Rule T3 (pushing scalar functions into query projections) has no
 //! registry entry: it is subsumed by the F-IR ⇄ SQL expression translation
@@ -25,8 +28,9 @@
 //! results are reproducible across releases.
 
 use crate::arena::{FirArena, FirId, FirNode};
-use crate::build::{FirAlternative, Prefetch};
+use crate::build::{FirAlternative, FirRoots, Prefetch};
 use crate::rules;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// How a [`Derivation`] differs from the alternative it was derived from.
@@ -42,7 +46,7 @@ pub enum Change {
 /// Everything not named here is inherited from the source alternative.
 #[derive(Debug, Clone)]
 pub struct Derivation {
-    /// Recorded in [`FirAlternative::rules_applied`]: the rule's name,
+    /// Recorded in [`FirRoots::rules_applied`]: the rule's name,
     /// optionally followed by a non-alphanumeric qualifier
     /// (`"T5-partial"`) — see [`RuleSet::delta_for_applied`].
     pub tag: &'static str,
@@ -78,10 +82,10 @@ impl Derivation {
 /// `site == None` (the alternative as a whole) and then once per fold
 /// reachable from `assigns`, innermost first (`Some(fold)`); a rule
 /// answers at the sites it rewrites and returns `None` elsewhere and
-/// whenever it does not match. `arena` is the alternative's own: a rule
-/// interns the new nodes its derivations mention (interning is
-/// append-only, and a node no assignment reaches is part of no
-/// alternative) but never builds an alternative itself.
+/// whenever it does not match. `arena` is the one every alternative of
+/// the loop shares: a rule interns the new nodes its derivations mention
+/// (interning is append-only, and a node no assignment reaches is part of
+/// no alternative) but never builds an alternative itself.
 pub type RuleFn = dyn Fn(&mut FirArena, &[(String, FirId)], Option<FirId>) -> Option<Vec<Derivation>>
     + Send
     + Sync;
@@ -359,7 +363,7 @@ impl RuleSet {
     }
 
     /// The combined [`EffectDelta`] of every rule named in an
-    /// alternative's [`FirAlternative::rules_applied`] tag list.
+    /// alternative's [`FirRoots::rules_applied`] tag list.
     ///
     /// Tags are either a rule name verbatim (`"T5"`, `"N1"`) or a rule
     /// name followed by a non-alphanumeric qualifier (`"T5-partial"`,
@@ -408,7 +412,8 @@ impl std::fmt::Debug for RuleSet {
 /// The result of closing a base alternative under a rule set.
 #[derive(Debug, Clone)]
 pub struct Expansion {
-    /// The base plus every derived alternative, deduplicated structurally.
+    /// The base plus every derived alternative, each one once, all over
+    /// the same arena (`Arc::ptr_eq`).
     pub alternatives: Vec<FirAlternative>,
     /// True when the `max_alternatives` budget stopped the closure before
     /// it reached a fixpoint — alternatives were dropped, and the caller
@@ -420,61 +425,74 @@ pub struct Expansion {
     pub rejected: Vec<String>,
 }
 
-/// A soundness check run on every structurally new alternative the closure
-/// driver derives, *before* it is emitted or expanded further. Called as
-/// `verifier(base, candidate)`; an `Err` diagnostic drops the candidate
-/// (and everything only derivable from it) and is collected in
-/// [`Expansion::rejected`].
-pub type RewriteVerifier<'a> =
-    &'a (dyn Fn(&FirAlternative, &FirAlternative) -> Result<(), String> + Sync);
+/// A soundness check run on every new alternative the closure driver
+/// derives (and on the base), *before* it is emitted or expanded further.
+/// Called as `verifier(arena, candidate)` with the closure's arena as it
+/// stands; the callback knows the base it checks against. An `Err`
+/// diagnostic drops the candidate (and everything only derivable from it)
+/// and is collected in [`Expansion::rejected`].
+pub type RewriteVerifier<'a> = &'a mut dyn FnMut(&FirArena, &FirRoots) -> Result<(), String>;
 
-/// Close `base` under the enabled rules of `rules`, deduplicating
-/// structurally and stopping after `max_alternatives` (the T2 ⇄ N2 cycle
-/// terminates through deduplication exactly the way cyclic rules
-/// terminate in the Volcano memo).
+/// Close `base` under the enabled rules of `rules`, keeping each
+/// alternative once and stopping after `max_alternatives` (the T2 ⇄ N2
+/// cycle ends on an alternative already seen, exactly the way cyclic
+/// rules terminate in the Volcano memo).
 pub fn expand_with(base: FirAlternative, rules: &RuleSet, max_alternatives: usize) -> Expansion {
     expand_with_verifier(base, rules, max_alternatives, None)
 }
 
+/// What makes two root tuples over one arena the same alternative: the
+/// prefetches as a set, the assignments and the entry condition — not the
+/// rule path that led there.
+fn identity(alt: &FirRoots) -> (Vec<Prefetch>, Vec<(String, FirId)>, Option<String>) {
+    let mut prefetches = alt.prefetches.clone();
+    prefetches.sort();
+    let entry = alt.requires_empty_init.clone();
+    (prefetches, alt.assigns.clone(), entry)
+}
+
 /// [`expand_with`] with an optional per-alternative soundness check. With
 /// `verifier == None` this is byte-for-byte `expand_with`: the closure
-/// order, dedup keys and truncation behavior are identical.
+/// order and truncation behavior are identical.
 pub fn expand_with_verifier(
     base: FirAlternative,
     rules: &RuleSet,
     max_alternatives: usize,
-    verifier: Option<RewriteVerifier<'_>>,
+    mut verifier: Option<RewriteVerifier<'_>>,
 ) -> Expansion {
     let enabled: Vec<&RuleFn> = rules
         .enabled()
         .filter_map(|rule| rule.apply.as_deref())
         .collect();
 
-    let mut out: Vec<FirAlternative> = Vec::new();
-    let mut seen: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    // The base is the semantic reference every derivation is checked
-    // against; it is also checked against itself (the comparison is then
-    // trivial, but well-formedness and scoping still run on it).
-    let reference = base.clone();
-    let mut queue: Vec<FirAlternative> = vec![base];
+    // The closure grows the base's arena in place; a base that shares its
+    // arena (a clone, an alternative of an earlier expansion) is first
+    // re-interned alone.
+    let alone = Arc::strong_count(&base.arena) == 1;
+    let base = if alone { base } else { base.isolated() };
+    let mut arena = Arc::into_inner(base.arena).expect("sole holder of the base's arena");
+
+    let mut out: Vec<FirRoots> = Vec::new();
+    let mut seen = HashSet::new();
+    let mut queue: Vec<FirRoots> = vec![base.roots];
     let mut truncated = false;
     let mut rejected: Vec<String> = Vec::new();
-    while let Some(mut alt) = queue.pop() {
-        let key = alt.dedup_key();
+    while let Some(alt) = queue.pop() {
+        let key = identity(&alt);
         if seen.contains(&key) {
             continue;
         }
         if out.len() >= max_alternatives {
             // A genuinely new alternative exists but the budget is spent:
             // the closure was clipped. (A closure that completes exactly
-            // at the bound drains the queue through the dedup check above
-            // and never reaches this point.)
+            // at the bound drains the queue through the check above and
+            // never reaches this point.)
             truncated = true;
             break;
         }
         seen.insert(key);
-        if let Some(check) = verifier {
-            if let Err(why) = check(&reference, &alt) {
+        if let Some(check) = verifier.as_mut() {
+            if let Err(why) = check(&arena, &alt) {
                 // Unsound: drop the alternative without expanding it.
                 rejected.push(why);
                 continue;
@@ -483,27 +501,32 @@ pub fn expand_with_verifier(
 
         // Site-outer, rule-inner: the order derivations are queued in is
         // the exploration order.
-        let folds = rules::reachable_folds(&alt);
+        let folds = rules::reachable_folds(&arena, &alt.assigns);
         let mut derived = Vec::new();
         for site in std::iter::once(None).chain(folds.into_iter().map(Some)) {
             for rule in &enabled {
-                derived.extend(rule(&mut alt.arena, &alt.assigns, site).unwrap_or_default());
+                derived.extend(rule(&mut arena, &alt.assigns, site).unwrap_or_default());
             }
         }
-        queue.extend(derived.into_iter().map(|d| derive(&alt, d)));
+        queue.extend(derived.into_iter().map(|d| derive(&mut arena, &alt, d)));
         out.push(alt);
     }
+    let arena = Arc::new(arena);
+    let alternatives = out.into_iter().map(|roots| FirAlternative {
+        arena: arena.clone(),
+        roots,
+    });
     Expansion {
-        alternatives: out,
+        alternatives: alternatives.collect(),
         truncated,
         rejected,
     }
 }
 
-/// Build the alternative `d` describes — the only place one is assembled
-/// outside `loopToFold`: one arena clone per derivation that fired.
-fn derive(alt: &FirAlternative, d: Derivation) -> FirAlternative {
-    let mut arena = alt.arena.clone();
+/// Build the root tuple `d` describes — the only place one is assembled
+/// outside `loopToFold`. Replaced nodes are rewritten into the shared
+/// arena; nothing is copied.
+fn derive(arena: &mut FirArena, alt: &FirRoots, d: Derivation) -> FirRoots {
     let assigns = match d.change {
         Change::Assigns(assigns) => assigns,
         Change::Nodes(replaced) => {
@@ -523,8 +546,7 @@ fn derive(alt: &FirAlternative, d: Derivation) -> FirAlternative {
     }
     let mut rules_applied = alt.rules_applied.clone();
     rules_applied.push(d.tag);
-    FirAlternative {
-        arena,
+    FirRoots {
         prefetches,
         assigns,
         rules_applied,
@@ -573,6 +595,102 @@ mod tests {
         .unwrap()
     }
 
+    /// `for (o : orders) { if (o.o_id > 10) result.add(o.customer.c_birth_year) }`
+    /// — T2 can push the test, N1 can prefetch the lookup, in either order.
+    fn filtered_lookup_loop() -> FirAlternative {
+        let keep = Expr::bin(
+            minidb::BinOp::Gt,
+            Expr::field(Expr::var("o"), "o_id"),
+            Expr::lit(10i64),
+        );
+        let then_branch = vec![
+            Stmt::new(StmtKind::Let(
+                "cust".into(),
+                Expr::nav(Expr::var("o"), "customer"),
+            )),
+            Stmt::new(StmtKind::Add(
+                "result".into(),
+                Expr::field(Expr::var("cust"), "c_birth_year"),
+            )),
+        ];
+        let body = vec![Stmt::new(StmtKind::If {
+            cond: keep,
+            then_branch,
+            else_branch: vec![],
+        })];
+        loop_to_fold(
+            "o",
+            &Expr::LoadAll("Order".into()),
+            &body,
+            &mappings(),
+            Some(&["result".to_string()]),
+        )
+        .unwrap()
+    }
+
+    /// The standard rules with everything but `names` disabled.
+    fn only(names: &[&str]) -> RuleSet {
+        let mut set = RuleSet::standard();
+        for name in set.names() {
+            if !names.contains(&name) {
+                set.disable(name);
+            }
+        }
+        set
+    }
+
+    /// T2 and N1 commute, so `N1(T2(base))` and `T2(N1(base))` are one
+    /// alternative reached by two derivation orders: the closure holds it
+    /// once, under the tags of the order it met first.
+    #[test]
+    fn two_derivation_orders_reach_one_entry() {
+        let exp = expand_with(filtered_lookup_loop(), &only(&["T2", "N1"]), 64);
+        let tags: Vec<&[&str]> = exp
+            .alternatives
+            .iter()
+            .map(|a| &a.roots.rules_applied[1..])
+            .collect();
+        let expected: [&[&str]; 4] = [&[], &["T2"], &["T2", "N1"], &["N1"]];
+        assert_eq!(tags, expected);
+        assert!(!exp.truncated);
+        // Each order on its own reaches the entry the closure kept. (These
+        // bases share the expansion's arena, so the driver re-interns them.)
+        let both = exp.alternatives[2].key();
+        let t2_then_n1 = expand_with(exp.alternatives[1].clone(), &only(&["N1"]), 64);
+        let n1_then_t2 = expand_with(exp.alternatives[3].clone(), &only(&["T2"]), 64);
+        assert_eq!(t2_then_n1.alternatives[1].key(), both);
+        assert_eq!(n1_then_t2.alternatives[1].key(), both);
+    }
+
+    /// Identity is `FirId` equality: every alternative of an expansion
+    /// points into the same arena, and N2 applied to T2's output is the
+    /// base's root tuple id for id — the cycle ends on a comparison of
+    /// integers, not of text or hashes.
+    #[test]
+    fn t2_then_n2_comes_back_to_the_bases_root_tuple() {
+        let exp = expand_with(filtered_lookup_loop(), &RuleSet::standard(), 64);
+        let shared = &exp.alternatives[0].arena;
+        assert!(exp
+            .alternatives
+            .iter()
+            .all(|a| Arc::ptr_eq(&a.arena, shared)));
+
+        let base = filtered_lookup_loop();
+        let mut arena = Arc::into_inner(base.arena).unwrap();
+        let mut at_the_fold = |alt: &FirRoots, rule: &RuleFn| {
+            let fold = rules::reachable_folds(&arena, &alt.assigns)[0];
+            let d = rule(&mut arena, &alt.assigns, Some(fold))
+                .unwrap()
+                .remove(0);
+            derive(&mut arena, alt, d)
+        };
+        let pushed = at_the_fold(&base.roots, &rules::t2_predicate_push);
+        assert_ne!(identity(&pushed), identity(&base.roots));
+        let back = at_the_fold(&pushed, &rules::n2_selection_pull);
+        assert_eq!(identity(&back), identity(&base.roots));
+        assert_eq!(back.rules_applied, ["toFIR", "T2", "N2"]);
+    }
+
     #[test]
     fn standard_set_names_the_paper_rules() {
         let set = RuleSet::standard();
@@ -590,7 +708,7 @@ mod tests {
         assert!(no_n1
             .alternatives
             .iter()
-            .all(|a| !a.rules_applied.contains(&"N1")));
+            .all(|a| !a.roots.rules_applied.contains(&"N1")));
     }
 
     #[test]
@@ -672,7 +790,7 @@ mod tests {
         let simplified = exp
             .alternatives
             .iter()
-            .find(|a| a.rules_applied == ["toFIR", "NN"])
+            .find(|a| a.roots.rules_applied == ["toFIR", "NN"])
             .expect("the user rule fired on the base alternative");
         assert!(
             !simplified.display().contains("not("),

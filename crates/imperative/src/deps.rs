@@ -10,9 +10,7 @@
 //!   the tuple/project extension permits *dependent* accumulators, so
 //!   reading another accumulator is not a blocker),
 //! * the [`Blocker`]s that rule out a fold representation (side effects,
-//!   early exits, database writes, calls to non-pure functions, …),
-//! * whether the body performs iterative data access (the N+1 pattern
-//!   targeted by prefetching rule N1).
+//!   early exits, database writes, calls to non-pure functions, …).
 
 use crate::ast::{Expr, Stmt, StmtKind};
 
@@ -49,15 +47,8 @@ pub struct LoopAnalysis {
     /// Variables updated by the body, in first-update order (fold
     /// accumulator candidates).
     pub updated: Vec<String>,
-    /// Variables read by the body that are defined *outside* the loop
-    /// (excluding accumulators and the loop variable).
-    pub external_reads: Vec<String>,
     /// Conditions that block a fold representation.
     pub blockers: Vec<Blocker>,
-    /// The body contains a nested cursor loop (join candidate, rule T4).
-    pub has_nested_cursor_loop: bool,
-    /// The body accesses the database per iteration (N+1; rule N1 target).
-    pub iterative_db_access: bool,
 }
 
 impl LoopAnalysis {
@@ -75,24 +66,12 @@ impl LoopAnalysis {
         let mut a = LoopAnalysis {
             cursor,
             updated: Vec::new(),
-            external_reads: Vec::new(),
             blockers: Vec::new(),
-            has_nested_cursor_loop: false,
-            iterative_db_access: false,
         };
         if !cursor {
             a.blockers.push(Blocker::NonCursorIterable);
         }
-        let mut reads = Vec::new();
-        scan(var, body, &mut a, &mut reads, true);
-        // External reads: read before (or without) being updated locally,
-        // and not the loop variable.
-        let mut seen = std::collections::HashSet::new();
-        for r in reads {
-            if r != var && !a.updated.contains(&r) && seen.insert(r.clone()) {
-                a.external_reads.push(r);
-            }
-        }
+        scan(var, body, &mut a);
         a
     }
 }
@@ -111,119 +90,60 @@ fn push_unique(blockers: &mut Vec<Blocker>, b: Blocker) {
     }
 }
 
-fn scan(
-    loop_var: &str,
-    body: &[Stmt],
-    a: &mut LoopAnalysis,
-    reads: &mut Vec<String>,
-    top_level: bool,
-) {
+fn scan(loop_var: &str, body: &[Stmt], a: &mut LoopAnalysis) {
     for stmt in body {
         match &stmt.kind {
-            StmtKind::Let(v, e) => {
-                scan_expr(e, a, reads);
+            StmtKind::Let(v, _) | StmtKind::NewCollection(v) | StmtKind::NewMap(v) => {
                 note_update(a, v, loop_var);
             }
-            StmtKind::NewCollection(v) | StmtKind::NewMap(v) => {
-                note_update(a, v, loop_var);
-            }
-            StmtKind::Add(c, e) => {
-                scan_expr(e, a, reads);
-                note_update(a, c, loop_var);
-            }
-            StmtKind::Put(m, k, v) => {
-                scan_expr(k, a, reads);
-                scan_expr(v, a, reads);
-                note_update(a, m, loop_var);
-            }
-            StmtKind::ForEach { var, iter, body } => {
-                scan_expr(iter, a, reads);
-                if matches!(iter, Expr::LoadAll(_) | Expr::Query(_)) {
-                    a.has_nested_cursor_loop = true;
-                    a.iterative_db_access = true;
-                }
+            StmtKind::Add(c, _) => note_update(a, c, loop_var),
+            StmtKind::Put(m, _, _) => note_update(a, m, loop_var),
+            StmtKind::ForEach { var, body, .. } => {
                 // Nested loop bodies contribute updates/blockers too; the
                 // inner loop variable shadows.
                 let mut inner = LoopAnalysis {
                     cursor: true,
                     updated: Vec::new(),
-                    external_reads: Vec::new(),
                     blockers: Vec::new(),
-                    has_nested_cursor_loop: false,
-                    iterative_db_access: false,
                 };
-                let mut inner_reads = Vec::new();
-                scan(var, body, &mut inner, &mut inner_reads, false);
+                scan(var, body, &mut inner);
                 for b in inner.blockers {
                     push_unique(&mut a.blockers, b);
                 }
-                a.has_nested_cursor_loop |= inner.has_nested_cursor_loop;
-                a.iterative_db_access |= inner.iterative_db_access;
                 for u in inner.updated {
                     note_update(a, &u, loop_var);
                 }
-                for r in inner_reads {
-                    if r != *var {
-                        reads.push(r);
-                    }
-                }
             }
-            StmtKind::While { cond, body } => {
+            StmtKind::While { body, .. } => {
                 push_unique(&mut a.blockers, Blocker::HasWhile);
-                scan_expr(cond, a, reads);
-                scan(loop_var, body, a, reads, false);
+                scan(loop_var, body, a);
             }
             StmtKind::If {
-                cond,
                 then_branch,
                 else_branch,
+                ..
             } => {
-                scan_expr(cond, a, reads);
-                scan(loop_var, then_branch, a, reads, false);
-                scan(loop_var, else_branch, a, reads, false);
+                scan(loop_var, then_branch, a);
+                scan(loop_var, else_branch, a);
             }
-            StmtKind::Print(e) => {
-                push_unique(&mut a.blockers, Blocker::HasPrint);
-                scan_expr(e, a, reads);
-            }
-            StmtKind::Return(e) => {
-                push_unique(&mut a.blockers, Blocker::HasReturn);
-                if let Some(e) = e {
-                    scan_expr(e, a, reads);
-                }
-            }
+            StmtKind::Print(_) => push_unique(&mut a.blockers, Blocker::HasPrint),
+            StmtKind::Return(_) => push_unique(&mut a.blockers, Blocker::HasReturn),
             StmtKind::Break => push_unique(&mut a.blockers, Blocker::HasBreak),
-            StmtKind::CacheByColumn { cache, source, .. } => {
+            StmtKind::CacheByColumn { cache, .. } => {
                 push_unique(&mut a.blockers, Blocker::BuildsCache);
-                scan_expr(source, a, reads);
                 note_update(a, cache, loop_var);
             }
-            StmtKind::UpdateQuery { value, key, .. } => {
-                push_unique(&mut a.blockers, Blocker::HasUpdate);
-                scan_expr(value, a, reads);
-                scan_expr(key, a, reads);
-            }
-            StmtKind::LetCall(v, f, args) => {
+            StmtKind::UpdateQuery { .. } => push_unique(&mut a.blockers, Blocker::HasUpdate),
+            StmtKind::LetCall(v, f, _) => {
                 push_unique(&mut a.blockers, Blocker::CallsProcedure(f.clone()));
-                for e in args {
-                    scan_expr(e, a, reads);
-                }
                 note_update(a, v, loop_var);
             }
             StmtKind::TryCatch { body, handler } => {
                 push_unique(&mut a.blockers, Blocker::HasTryCatch);
-                scan(loop_var, body, a, reads, false);
-                scan(loop_var, handler, a, reads, false);
+                scan(loop_var, body, a);
+                scan(loop_var, handler, a);
             }
         }
-        let _ = top_level;
-    }
-}
-
-fn scan_expr(e: &Expr, a: &mut LoopAnalysis, reads: &mut Vec<String>) {
-    e.free_vars(reads);
-    if e.may_access_db() {
-        a.iterative_db_access = true;
     }
 }
 
@@ -328,15 +248,14 @@ mod tests {
     }
 
     #[test]
-    fn nav_inside_body_is_iterative_db_access() {
+    fn navigation_does_not_block_folding() {
         // The N+1 pattern of P0.
         let body = vec![Stmt::new(StmtKind::Let(
             "cust".into(),
             Expr::nav(Expr::var("o"), "customer"),
         ))];
         let a = LoopAnalysis::analyze("o", &Expr::LoadAll("Order".into()), &body);
-        assert!(a.iterative_db_access);
-        assert!(a.foldable(), "navigation itself does not block folding");
+        assert!(a.foldable());
     }
 
     #[test]
@@ -347,7 +266,6 @@ mod tests {
             body: vec![add_stmt("r", Expr::var("c"))],
         })];
         let a = LoopAnalysis::analyze("o", &Expr::LoadAll("Order".into()), &body);
-        assert!(a.has_nested_cursor_loop);
         assert!(a.foldable());
         assert_eq!(a.updated, vec!["r".to_string()]);
     }
@@ -376,20 +294,6 @@ mod tests {
         let a = LoopAnalysis::analyze("x", &Expr::lit(1i64), &body);
         assert!(!a.cursor);
         assert!(a.blockers.contains(&Blocker::NonCursorIterable));
-    }
-
-    #[test]
-    fn external_reads_exclude_loop_var_and_accumulators() {
-        let body = vec![Stmt::new(StmtKind::Let(
-            "acc".into(),
-            Expr::bin(
-                BinOp::Add,
-                Expr::bin(BinOp::Add, Expr::var("acc"), Expr::var("bias")),
-                Expr::field(Expr::var("t"), "v"),
-            ),
-        ))];
-        let a = LoopAnalysis::analyze("t", &Expr::var("rows"), &body);
-        assert_eq!(a.external_reads, vec!["bias".to_string()]);
     }
 
     #[test]

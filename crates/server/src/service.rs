@@ -825,7 +825,17 @@ impl CobraService {
         if generation == 0 || generation == tenant.swept_generation.load(Ordering::Acquire) {
             return 0;
         }
-        if tenant.cobra.estimation_drift() < self.inner.config.drift_threshold {
+        // The check reads the tenant's database, and a writer that
+        // panicked holding that lock poisoned it. A panic here is "no
+        // verdict for this generation" — not the end of the sweeper
+        // thread, and with it of drift sweeps for every other tenant.
+        let drift = catch_unwind(AssertUnwindSafe(|| tenant.cobra.estimation_drift()));
+        let Ok(drift) = drift else {
+            self.inner.internal_errors.fetch_add(1, Ordering::Relaxed);
+            tenant.swept_generation.store(generation, Ordering::Release);
+            return 0;
+        };
+        if drift < self.inner.config.drift_threshold {
             return 0;
         }
         tenant.swept_generation.store(generation, Ordering::Release);

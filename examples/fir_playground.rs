@@ -46,13 +46,13 @@ fn main() {
         "select month, sale_amt from sales order by month",
     ));
     let alt = build::loop_to_fold("t", &iter, &body, &mappings(), None).expect("foldable");
-    for (var, id) in &alt.assigns {
+    for (var, id) in &alt.roots.assigns {
         println!("{var} = {}", alt.arena.display(*id));
     }
 
     println!("\nalternatives under the rules (note the T5-partial degradation of §V-B):\n");
     for a in expand_with(alt, &RuleSet::standard(), 32).alternatives {
-        println!("[{}]", a.rules_applied.join(" → "));
+        println!("[{}]", a.roots.rules_applied.join(" → "));
         println!("  {}\n", a.display());
     }
 
@@ -84,7 +84,7 @@ fn main() {
     )
     .expect("foldable");
     for a in expand_with(base, &RuleSet::standard(), 32).alternatives {
-        println!("[{}]", a.rules_applied.join(" → "));
+        println!("[{}]", a.roots.rules_applied.join(" → "));
         println!("  F-IR : {}", a.display());
         if let Some(stmts) = codegen::generate(&a) {
             let text = pretty::stmts_to_string(&stmts);

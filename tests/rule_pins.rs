@@ -41,34 +41,98 @@ fn corpus() -> Vec<(Fixture, Program)> {
     out
 }
 
+/// `loop_to_fold` of every foldable loop of the corpus, in corpus order.
+fn foldable_loops() -> Vec<fir::FirAlternative> {
+    let mut bases = Vec::new();
+    for (fixture, program) in corpus() {
+        Region::from_function(program.entry()).walk(&mut |r| {
+            if let RegionKind::Loop { var, iter, body } = &r.kind {
+                bases.extend(fir::build::loop_to_fold(
+                    var,
+                    iter,
+                    &body.to_stmts(),
+                    &fixture.mapping,
+                    None,
+                ));
+            }
+        });
+    }
+    bases
+}
+
 #[test]
 fn alternative_lists_are_pinned() {
     let rules = RuleSet::standard();
     let max = SearchBudget::default().max_alternatives_per_region;
     let mut h = StableHasher::new();
     let (mut loops, mut alternatives) = (0, 0);
-    for (fixture, program) in corpus() {
-        Region::from_function(program.entry()).walk(&mut |r| {
-            let RegionKind::Loop { var, iter, body } = &r.kind else {
-                return;
-            };
-            let Some(base) =
-                fir::build::loop_to_fold(var, iter, &body.to_stmts(), &fixture.mapping, None)
-            else {
-                return;
-            };
-            loops += 1;
-            let expansion = fir::expand_with(base, &rules, max);
-            expansion.alternatives.len().hash(&mut h);
-            for alt in &expansion.alternatives {
-                alternatives += 1;
-                alt.key().hash(&mut h);
-                alt.rules_applied.hash(&mut h);
-            }
-        });
+    for base in foldable_loops() {
+        loops += 1;
+        let expansion = fir::expand_with(base, &rules, max);
+        expansion.alternatives.len().hash(&mut h);
+        for alt in &expansion.alternatives {
+            alternatives += 1;
+            alt.key().hash(&mut h);
+            alt.roots.rules_applied.hash(&mut h);
+        }
     }
     println!("{loops} foldable loops, {alternatives} alternatives");
     assert_eq!(h.finish(), ALTERNATIVES_DIGEST, "{:#018x}", h.finish());
+}
+
+/// Sibling isolation. Every alternative of a loop points into the one arena
+/// the closure grew, full of nodes only its siblings reach. None of them
+/// may matter: re-interned alone into a fresh arena, an alternative has
+/// the same key, generates the same code and gets the same verdict from
+/// the static verifier. Run under the standard rules and again with
+/// `broken_limit_rule`, so both verdicts occur.
+#[test]
+fn siblings_in_the_shared_arena_do_not_change_an_alternative() {
+    use cobra::analysis::verify_rewrite;
+    use std::sync::Arc;
+    let max = SearchBudget::default().max_alternatives_per_region;
+    let broken = RuleSet::standard().with_rule(cobra::oracle::broken_limit_rule());
+    let (mut accepted, mut refused) = (0, 0);
+    for rules in [RuleSet::standard(), broken] {
+        for base in foldable_loops() {
+            let expansion = fir::expand_with(base, &rules, max);
+            let shared = &expansion.alternatives[0].arena;
+            let base = &expansion.alternatives[0].roots;
+            assert_eq!(base.rules_applied, ["toFIR"]);
+            for alt in &expansion.alternatives {
+                assert!(Arc::ptr_eq(&alt.arena, shared));
+                let alone = alt.isolated();
+                assert!(alone.arena.len() <= shared.len());
+                assert_eq!(alone.key(), alt.key());
+                assert_eq!(fir::generate(&alone), fir::generate(alt), "{}", alt.key());
+
+                // The verifier compares with the base, so the fresh arena
+                // holds the base and this one alternative.
+                let (mut fresh, mut memo) = (fir::FirArena::new(), Default::default());
+                let mut import = |roots: &fir::FirRoots| {
+                    let mut roots = roots.clone();
+                    for (_, root) in &mut roots.assigns {
+                        *root = fresh.import(shared, *root, &mut memo);
+                    }
+                    roots
+                };
+                let (base_alone, alt_alone) = (import(base), import(&alt.roots));
+                let delta = rules.delta_for_applied(&alt.roots.rules_applied);
+                let verdict = |arena, base, alt| {
+                    verify_rewrite(arena, base, alt, &delta)
+                        .map_err(|d| (d.pass, d.rule, d.message))
+                };
+                let together = verdict(shared, base, &alt.roots);
+                assert_eq!(verdict(&fresh, &base_alone, &alt_alone), together);
+                match together {
+                    Ok(()) => accepted += 1,
+                    Err(_) => refused += 1,
+                }
+            }
+        }
+    }
+    println!("{accepted} verified, {refused} refused");
+    assert!(accepted > 0 && refused > 0);
 }
 
 #[test]

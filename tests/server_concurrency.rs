@@ -424,3 +424,94 @@ fn queue_pressure_degrades_the_budget_and_skips_retention() {
     }
     panic!("a held worker plus a 4-thread storm never queued in 8 attempts");
 }
+
+/// A writer that panics holding one tenant's database lock poisons it, and
+/// the drift check reads that lock. The sweep must treat that tenant as
+/// "no verdict" and go on to the next one; the sweeper thread used to die
+/// there, and with it drift sweeps for every tenant.
+#[test]
+fn a_poisoned_tenant_does_not_end_the_drift_sweep() {
+    use cobra::minidb::{self, Column, DataType, Schema, Value};
+    use imperative::ast::{Expr, Function, QuerySpec};
+    use std::time::{Duration, Instant};
+
+    // `orders(o_id, o_priority)`, a tenth of them priority 3.
+    let fixture = || {
+        let int = |name| Column::new(name, DataType::Int);
+        let mut db = Database::new();
+        let orders = Schema::new(vec![int("o_id"), int("o_priority")]);
+        let t = db.create_table("orders", orders).unwrap();
+        t.set_primary_key("o_id").unwrap();
+        t.insert_many((0..1000i64).map(|i| vec![Value::Int(i), Value::Int(i % 10)]))
+            .unwrap();
+        db.analyze_all();
+        Fixture {
+            db: minidb::shared(db),
+            mapping: MappingRegistry::new(),
+            funcs: Arc::new(FuncRegistry::with_builtins()),
+        }
+    };
+    let urgent = QuerySpec::sql("select * from orders where o_priority = 3");
+    let program = Program::single(Function::new(
+        "urgent",
+        vec!["result".to_string()],
+        vec![
+            Stmt::new(StmtKind::NewCollection("result".into())),
+            Stmt::new(StmtKind::ForEach {
+                var: "o".into(),
+                iter: Expr::Query(urgent),
+                body: vec![Stmt::new(StmtKind::Add(
+                    "result".into(),
+                    Expr::field(Expr::var("o"), "o_id"),
+                ))],
+            }),
+        ],
+    ));
+
+    let service = CobraService::new(ServerConfig {
+        drift_threshold: 2.0,
+        ..ServerConfig::default()
+    });
+    // Both tenants execute once, so both hold observations to check.
+    let (healthy, poisoned) = (fixture(), fixture());
+    let observe = |name: &str, fx: &Fixture| {
+        let tenant = service.register_tenant(tenant_for(name, fx, true));
+        let session = service.open_session(tenant).unwrap();
+        service.submit(session, &program).unwrap();
+        session
+    };
+    let session = observe("healthy", &healthy);
+    observe("poisoned", &poisoned);
+
+    let db = poisoned.db.clone();
+    let writer = std::thread::spawn(move || {
+        let _guard = db.write().unwrap();
+        panic!("a writer dies holding the tenant's database lock");
+    });
+    assert!(writer.join().is_err());
+    assert!(poisoned.db.read().is_err(), "the lock is poisoned");
+
+    // The healthy tenant's data shifts under stale statistics (nearly
+    // every order becomes priority 3) and its next execution observes it:
+    // drift far past the threshold, so a sweep that reaches it swaps.
+    {
+        let mut db = healthy.db.write().unwrap();
+        let t = db.table_mut("orders").unwrap();
+        for i in (0..1000i64).filter(|i| i % 11 != 0) {
+            t.update_where_eq(0, &Value::Int(i), 1, Value::Int(3));
+        }
+    }
+    service.submit(session, &program).unwrap();
+
+    service.sweep_now();
+    // The background sweeper polls too and may have got to either tenant
+    // first; a swap it began finishes on its own.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while service.counters().plans_swapped == 0 {
+        assert!(Instant::now() < deadline, "the healthy tenant was skipped");
+        std::thread::yield_now();
+    }
+    let counters = service.counters();
+    assert!(counters.internal_errors >= 1, "{counters}");
+    service.shutdown();
+}

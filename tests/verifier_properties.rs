@@ -33,11 +33,14 @@ fn verify_seeds() -> u64 {
 /// Expand `base` under `rules` with the static verifier attached,
 /// returning the expansion (rejected alternatives recorded, not kept).
 fn expand_verified(base: FirAlternative, rules: &RuleSet) -> fir::Expansion {
-    let check = |b: &FirAlternative, alt: &FirAlternative| {
+    let mut verifier = analysis::Verifier::new(&base.arena, &base.roots);
+    let mut check = |arena: &fir::FirArena, alt: &fir::FirRoots| {
         let delta = rules.delta_for_applied(&alt.rules_applied);
-        analysis::verify_rewrite(b, alt, &delta).map_err(|d| d.to_string())
+        verifier
+            .verify(arena, alt, &delta)
+            .map_err(|d| d.to_string())
     };
-    fir::expand_with_verifier(base, rules, 64, Some(&check))
+    fir::expand_with_verifier(base, rules, 64, Some(&mut check))
 }
 
 /// The corpus sweep: every generated program and every rule-produced

@@ -1,7 +1,7 @@
 //! Dependency-free source-level repo lints, run in CI (`static-analysis`
 //! job) as `cargo run -p analysis --bin repo_lint`.
 //!
-//! Four invariants, all established by earlier PRs and cheap to regress:
+//! Five invariants, all established by earlier PRs and cheap to regress:
 //!
 //! * **Server locks must recover from poison.** PR 9 routed every lock
 //!   acquisition in `crates/server` through the poison-recovering helpers
@@ -21,6 +21,11 @@
 //!   `optimizer.rs` (the `LoopGate`) folds a loop and expands it; the
 //!   heuristic baseline had a second driver, and that copy never got the
 //!   catalog gate.
+//! * **No behaviour hides behind an environment variable.** The house rule
+//!   is "replace, don't fork: no option, env var or kept-alive old path".
+//!   Under `crates/*/src` only three files read the environment, each to
+//!   size a run, never to change what a search does: `FUZZ_SEEDS` (oracle
+//!   corpus width), `COBRA_SCALE` and `COBRA_QUICK` (figure-binary scale).
 //!
 //! Exit status 0 when clean; 1 with `file:line` diagnostics otherwise.
 //!
@@ -31,8 +36,9 @@
 
 use std::path::{Path, PathBuf};
 
-/// A lint: substring patterns searched in `.rs` files under `dir`,
-/// skipping files named in `exempt`.
+/// A lint: substring patterns searched in `.rs` files under `dir` (one `*`
+/// component matches every subdirectory), skipping the files `exempt`
+/// lists by path from the workspace root.
 struct Lint {
     dir: &'static str,
     exempt: &'static [&'static str],
@@ -43,7 +49,7 @@ struct Lint {
 const LINTS: &[Lint] = &[
     Lint {
         dir: "crates/server/src",
-        exempt: &["sync.rs"],
+        exempt: &["crates/server/src/sync.rs"],
         patterns: &[".lock().unwrap()", ".read().unwrap()", ".write().unwrap()"],
         why: "server locks must use the poison-recovering helpers in \
               crates/server/src/sync.rs (PR 9 invariant)",
@@ -56,16 +62,28 @@ const LINTS: &[Lint] = &[
     },
     Lint {
         dir: "crates/fir/src",
-        exempt: &["ruleset.rs"],
+        exempt: &["crates/fir/src/ruleset.rs"],
         patterns: &["rules_applied.push("],
         why: "rules return Derivations; only the driver in ruleset.rs builds alternatives",
     },
     Lint {
         dir: "crates/core/src",
-        exempt: &["optimizer.rs"],
+        exempt: &["crates/core/src/optimizer.rs"],
         patterns: &["expand_with", "loop_to_fold("],
         why: "loop alternatives come from optimizer.rs's LoopGate; a second driver drifts \
               from its soundness gates",
+    },
+    Lint {
+        dir: "crates/*/src",
+        exempt: &[
+            "crates/oracle/src/matrix.rs",
+            "crates/bench/src/lib.rs",
+            "crates/bench/src/bin/fig13.rs",
+        ],
+        // Split so that this file, itself under crates/*/src, does not match.
+        patterns: &[concat!("env::", "var("), concat!("env::", "var_os(")],
+        why: "no option, env var or kept-alive old path: only FUZZ_SEEDS, COBRA_SCALE and \
+              COBRA_QUICK are read, each in its one allow-listed file",
     },
 ];
 
@@ -88,13 +106,20 @@ fn main() {
 
     let mut violations = 0usize;
     for lint in LINTS {
-        let base = root.join(lint.dir);
         let mut files = Vec::new();
-        collect_rs_files(&base, &mut files);
+        match lint.dir.split_once("/*/") {
+            None => collect_rs_files(&root.join(lint.dir), &mut files),
+            Some((parent, rest)) => {
+                let entries = std::fs::read_dir(root.join(parent)).into_iter().flatten();
+                for entry in entries.flatten() {
+                    collect_rs_files(&entry.path().join(rest), &mut files);
+                }
+            }
+        }
         files.sort();
         for file in files {
-            let name = file.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if lint.exempt.contains(&name) {
+            let rel = file.strip_prefix(&root).unwrap_or(&file);
+            if lint.exempt.iter().any(|exempt| rel == Path::new(exempt)) {
                 continue;
             }
             let Ok(text) = std::fs::read_to_string(&file) else {
@@ -107,7 +132,6 @@ fn main() {
                 for pat in lint.patterns {
                     if line.contains(pat) {
                         violations += 1;
-                        let rel = file.strip_prefix(&root).unwrap_or(&file);
                         println!(
                             "{}:{}: found `{}` — {}",
                             rel.display(),

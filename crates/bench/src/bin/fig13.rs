@@ -12,7 +12,7 @@
 //!
 //! `--quick` divides every cardinality by 10 (also `COBRA_QUICK=1`).
 
-use bench_support::{cobra_for, fmt_secs, print_row, run_cobra_choice, run_secs, BenchRecord};
+use bench_support::{fmt_secs, print_row, run_cobra_choice, run_secs};
 use cobra_core::CostCatalog;
 use netsim::NetworkProfile;
 use workloads::motivating;
@@ -66,18 +66,16 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "all".to_string());
 
-    let mut records: Vec<BenchRecord> = Vec::new();
     for (i, cfg) in configs(quick).into_iter().enumerate() {
         let tag = ["a", "b", "c"][i];
         if which != "all" && which != tag {
             continue;
         }
-        run_config(cfg, tag, &mut records);
+        run_config(cfg);
     }
-    bench_support::emit_json_if_requested("fig13", &records);
 }
 
-fn run_config(cfg: Config, tag: &str, records: &mut Vec<BenchRecord>) {
+fn run_config(cfg: Config) {
     println!("\nFigure {}", cfg.name);
     println!(
         "net: bandwidth {:.1} Mbit/s, RTT {:.1} ms",
@@ -123,19 +121,6 @@ fn run_config(cfg: Config, tag: &str, records: &mut Vec<BenchRecord>) {
             ],
             &widths,
         );
-        let cell = format!(
-            "orders={orders} customers={customers} net={}",
-            cfg.net.name()
-        );
-        for (variant, secs) in [("P0", t0), ("P1", t1), ("P2", t2), ("COBRA", tc)] {
-            records.push(BenchRecord {
-                name: format!("fig13{tag}/{variant}/{}={n}", cfg.vary),
-                config: cell.clone(),
-                iters: 1,
-                min_ns: secs * 1e9,
-                mean_ns: secs * 1e9,
-            });
-        }
         // Shape check: COBRA must track the best alternative.
         let best = t0.min(t1).min(t2);
         if tc > best * 1.5 {
@@ -144,8 +129,5 @@ fn run_config(cfg: Config, tag: &str, records: &mut Vec<BenchRecord>) {
                 fmt_secs(best)
             );
         }
-        // Sanity: the estimated cost orders alternatives the same way the
-        // measurements do for the chosen point (soft check, printed only).
-        let _ = cobra_for(&fixture, cfg.net.clone(), CostCatalog::default());
     }
 }

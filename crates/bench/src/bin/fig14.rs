@@ -23,7 +23,6 @@ fn main() {
 
     let mut counts: BTreeMap<Pattern, usize> = BTreeMap::new();
     let mut applicable: BTreeMap<Pattern, usize> = BTreeMap::new();
-    let mut alternatives: BTreeMap<Pattern, u64> = BTreeMap::new();
 
     for fragment in wilos::fragments() {
         *counts.entry(fragment.pattern).or_default() += 1;
@@ -33,7 +32,6 @@ fn main() {
         if opt.choice_points > 0 {
             *applicable.entry(fragment.pattern).or_default() += 1;
         }
-        *alternatives.entry(fragment.pattern).or_default() += opt.alternatives.max(1);
     }
 
     println!("\nFigure 14: cases for cost based optimization in the Wilos-like application");
@@ -73,22 +71,6 @@ fn main() {
     let total: usize = counts.values().sum();
     let total_app: usize = applicable.values().sum();
     println!("total fragments: {total}; with a cost-based choice: {total_app}");
-    let records: Vec<bench_support::BenchRecord> = Pattern::all()
-        .iter()
-        .map(|p| bench_support::BenchRecord {
-            name: format!("fig14/pattern-{p:?}"),
-            config: format!(
-                "fragments={} with_choice={} alternatives={}",
-                counts.get(p).copied().unwrap_or(0),
-                applicable.get(p).copied().unwrap_or(0),
-                alternatives.get(p).copied().unwrap_or(0)
-            ),
-            iters: 1,
-            min_ns: 0.0,
-            mean_ns: 0.0,
-        })
-        .collect();
-    bench_support::emit_json_if_requested("fig14", &records);
     println!("(paper: A=3, B=2, C=9, D=7, E=9, F=2 — 32 fragments, all with cost-based choices)");
 
     assert_eq!(total, 32, "32 fragments like Figure 16");

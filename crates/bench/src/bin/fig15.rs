@@ -7,7 +7,7 @@
 //! program's runtime; the original's absolute time is printed above each
 //! bar — this binary prints the same numbers as a table.
 
-use bench_support::{cobra_for, fmt_secs, run_secs, scale, BenchRecord};
+use bench_support::{cobra_for, fmt_secs, run_secs, scale};
 use cobra_core::{heuristic, CostCatalog};
 use imperative::ast::Program;
 use netsim::NetworkProfile;
@@ -23,7 +23,6 @@ fn main() {
     );
     println!("{:-<88}", "");
 
-    let mut records: Vec<BenchRecord> = Vec::new();
     for pattern in Pattern::all() {
         let program = wilos::representative(pattern);
 
@@ -53,20 +52,6 @@ fn main() {
             format!("{} | {}", tags50.join("+"), tags1.join("+")),
         );
 
-        for (variant, secs) in [
-            ("original", t_orig),
-            ("heuristic", t_heur),
-            ("cobra-af50", t_c50),
-            ("cobra-af1", t_c1),
-        ] {
-            records.push(BenchRecord {
-                name: format!("fig15/{pattern:?}/{variant}"),
-                config: format!("scale={scale} net={}", net.name()),
-                iters: 1,
-                min_ns: secs * 1e9,
-                mean_ns: secs * 1e9,
-            });
-        }
         // Shape check from the paper: COBRA always performs at least as
         // well as the original and the heuristic (small tolerance for the
         // simulator's fixed per-statement costs).
@@ -82,7 +67,6 @@ fn main() {
     }
     println!("{:-<88}", "");
     println!("fractions < 1.00 are improvements over Original; paper reports up to 95% over the heuristic");
-    bench_support::emit_json_if_requested("fig15", &records);
 }
 
 fn cobra_run(

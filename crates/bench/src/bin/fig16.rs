@@ -21,15 +21,4 @@ fn main() {
     }
     println!("{:-<70}", "");
     println!("32 fragments across patterns A-F, mirroring the paper's appendix");
-    let records: Vec<bench_support::BenchRecord> = wilos::fragments()
-        .iter()
-        .map(|f| bench_support::BenchRecord {
-            name: format!("fig16/fragment-{}", f.id),
-            config: format!("pattern={:?} file={} line={}", f.pattern, f.file, f.line),
-            iters: 1,
-            min_ns: 0.0,
-            mean_ns: 0.0,
-        })
-        .collect();
-    bench_support::emit_json_if_requested("fig16", &records);
 }

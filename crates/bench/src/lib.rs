@@ -52,87 +52,6 @@ pub fn run_secs(fixture: &Fixture, net: NetworkProfile, program: &Program) -> f6
     run_on(fixture, net, program).expect("program runs").secs
 }
 
-/// One structured measurement (what the `--json` sinks serialize).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRecord {
-    /// Benchmark name (row label).
-    pub name: String,
-    /// Free-form configuration string (profile, cardinalities, flags…).
-    pub config: String,
-    /// Timed iterations.
-    pub iters: usize,
-    /// Fastest iteration, nanoseconds.
-    pub min_ns: f64,
-    /// Mean iteration, nanoseconds.
-    pub mean_ns: f64,
-}
-
-impl BenchRecord {
-    /// Serialize as one JSON object (stable key order, no trailing comma).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":{},\"config\":{},\"iters\":{},\"min_ns\":{:.1},\"mean_ns\":{:.1}}}",
-            json_str(&self.name),
-            json_str(&self.config),
-            self.iters,
-            self.min_ns,
-            self.mean_ns
-        )
-    }
-}
-
-/// Escape a string for JSON output.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// The JSON output path requested for this run: `--json <path>` on the
-/// command line, else the `COBRA_BENCH_JSON` environment variable. The
-/// fig/opt_time binaries stay print-only when neither is set.
-fn json_path_from_args() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--json") {
-        if let Some(p) = args.get(i + 1) {
-            return Some(p.into());
-        }
-    }
-    std::env::var_os("COBRA_BENCH_JSON").map(|p| p.into())
-}
-
-/// Write `records` as a JSON document `{"bench": name, "records": [...]}`
-/// to `--json <path>` / `COBRA_BENCH_JSON`, if either is given. Errors are
-/// fatal: a benchmark asked to persist results must not lose them quietly.
-pub fn emit_json_if_requested(bench: &str, records: &[BenchRecord]) {
-    let Some(path) = json_path_from_args() else {
-        return;
-    };
-    let rows: Vec<String> = records
-        .iter()
-        .map(|r| format!("  {}", r.to_json()))
-        .collect();
-    let doc = format!(
-        "{{\n\"bench\":{},\n\"records\":[\n{}\n]\n}}\n",
-        json_str(bench),
-        rows.join(",\n")
-    );
-    std::fs::write(&path, doc).expect("write benchmark JSON");
-    println!("wrote {} record(s) to {}", records.len(), path.display());
-}
-
 /// Format seconds compactly (3 significant digits, s/ms).
 pub fn fmt_secs(secs: f64) -> String {
     if secs >= 100.0 {

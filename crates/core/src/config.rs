@@ -51,9 +51,6 @@ pub struct SearchBudget {
     pub max_memo_groups: Option<usize>,
     /// Cap on memo m-exprs (AND nodes). `None` = unbounded.
     pub max_memo_exprs: Option<usize>,
-    /// Cap on cost value-iteration sweeps over the DAG (search-effort
-    /// budget enforced inside `volcano`). `None` = run to the fixpoint.
-    pub max_search_sweeps: Option<usize>,
 }
 
 impl Default for SearchBudget {
@@ -62,20 +59,18 @@ impl Default for SearchBudget {
             max_alternatives_per_region: 64,
             max_memo_groups: None,
             max_memo_exprs: None,
-            max_search_sweeps: None,
         }
     }
 }
 
 impl SearchBudget {
     /// No bounds at all (beyond memory): explore every alternative the
-    /// rules can derive and iterate costs to the fixpoint.
+    /// rules can derive.
     pub fn unbounded() -> SearchBudget {
         SearchBudget {
             max_alternatives_per_region: usize::MAX,
             max_memo_groups: None,
             max_memo_exprs: None,
-            max_search_sweeps: None,
         }
     }
 
@@ -94,12 +89,6 @@ impl SearchBudget {
     /// Cap the number of memo m-exprs (AND nodes).
     pub fn with_max_memo_exprs(mut self, n: usize) -> SearchBudget {
         self.max_memo_exprs = Some(n);
-        self
-    }
-
-    /// Cap cost value-iteration sweeps.
-    pub fn with_max_search_sweeps(mut self, n: usize) -> SearchBudget {
-        self.max_search_sweeps = Some(n);
         self
     }
 
@@ -334,15 +323,13 @@ mod tests {
         assert_eq!(b.max_alternatives_per_region, 64);
         assert_eq!(b.max_memo_groups, None);
         assert_eq!(b.max_memo_exprs, None);
-        assert_eq!(b.max_search_sweeps, None);
     }
 
     #[test]
     fn budget_setters_chain() {
         let b = SearchBudget::unbounded()
             .with_max_memo_groups(10)
-            .with_max_memo_exprs(20)
-            .with_max_search_sweeps(3);
+            .with_max_memo_exprs(20);
         assert_eq!(b.max_alternatives_per_region, usize::MAX);
         assert!(b.memo_has_room(9, 19));
         assert!(!b.memo_has_room(10, 0));

@@ -66,8 +66,8 @@ pub struct RegionCostModel {
     /// Pre-computed plain costs of callee functions (for `LetCall`).
     fn_costs: HashMap<String, f64>,
     /// Whole-plan estimate cache, keyed by plan fingerprint. Epoch-
-    /// validated, so sharing one across many searches and batch workers
-    /// over the same database is safe and is what [`crate::Cobra`] does
+    /// validated, so sharing one across concurrent searches over the
+    /// same database is safe and is what [`crate::Cobra`] does
     /// (see [`EstimateCache`]).
     estimates: Arc<EstimateCache>,
     /// Estimates this model served from the cache / had to compute

@@ -63,9 +63,8 @@ pub struct Optimized {
     /// relevant has been observed yet.
     pub feedback_overrides: u64,
     /// True when a [`SearchBudget`] bound clipped the search (alternative
-    /// generation, memo growth, or cost iteration) — alternatives were
-    /// dropped rather than explored. Also surfaced as the
-    /// `"budget-exhausted"` tag.
+    /// generation or memo growth) — alternatives were dropped rather than
+    /// explored. Also surfaced as the `"budget-exhausted"` tag.
     pub budget_exhausted: bool,
     /// The record of runtime-validated selection (predicted vs measured
     /// ranks, promotion decision) when validation ran with more than one
@@ -91,9 +90,9 @@ pub struct Cobra {
     funcs: std::sync::Arc<FuncRegistry>,
     mappings: MappingRegistry,
     config: OptimizerConfig,
-    /// Whole-plan estimate cache shared by every search (and every batch
-    /// worker) this optimizer runs; epoch-validated against the database,
-    /// so it survives across programs. See [`minidb::EstimateCache`].
+    /// Whole-plan estimate cache shared by every search this optimizer
+    /// runs, on whichever thread; epoch-validated against the database, so
+    /// it survives across programs. See [`minidb::EstimateCache`].
     estimates: std::sync::Arc<minidb::EstimateCache>,
     /// Runtime cardinality observations ([`CobraBuilder::feedback`]);
     /// estimates prefer these, and [`Cobra::reoptimize_on_drift`] watches
@@ -103,8 +102,8 @@ pub struct Cobra {
 
 // The optimizer pipeline is thread-safe by construction: shared state goes
 // through `Arc`/`RwLock`, interior mutability through `Mutex`/atomics. The
-// parallel batch driver and any embedding server rely on this contract, so
-// it is enforced at compile time.
+// server's connection threads share one `&Cobra` per tenant, so the
+// contract is enforced at compile time.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Cobra>();
@@ -316,7 +315,7 @@ impl Cobra {
             memo,
             root,
             provenance,
-            exhausted: mut budget_exhausted,
+            exhausted: budget_exhausted,
             model,
             rejections: verifier_rejections,
         } = self.build_dag(program);
@@ -327,13 +326,12 @@ impl Cobra {
         // model (estimator + network formulas) dominates search time. A
         // `CostMemo` is valid for exactly one `Memo`, so each search
         // builds its own.
-        let sweeps = self.config.budget.max_search_sweeps;
         // With validation enabled, extract the k cheapest structurally
         // distinct candidates instead of just the argmin; slot 0 of
         // `top_k_plans` is bit-identical to `best_plan_from`.
         let top_k = self.config.validation.as_ref().map(|v| v.top_k.max(1));
         let memoized = volcano::CostMemo::new(&model);
-        let table = volcano::cost_table(&memo, &memoized, sweeps);
+        let table = volcano::cost_table(&memo, &memoized, None);
         let mut plans: Vec<volcano::BestPlan<RegionOp>> = match top_k {
             None => volcano::best_plan_from(&memo, root, &memoized, &table)
                 .into_iter()
@@ -343,9 +341,6 @@ impl Cobra {
         let (cache_hits, cache_misses) = (memoized.hits(), memoized.misses());
         if plans.is_empty() {
             return Err(DbError::Invalid("no plan for program".to_string()));
-        }
-        if !table.converged {
-            budget_exhausted = true;
         }
 
         // Runtime-validated selection: micro-measure the candidates and
@@ -382,7 +377,6 @@ impl Cobra {
         }
         if budget_exhausted {
             tags.push("budget-exhausted");
-            log_budget_exhausted(&entry.name);
         }
         if !verifier_rejections.is_empty() {
             tags.push("verifier-rejected");
@@ -483,66 +477,6 @@ impl Cobra {
         self.optimize_program(program).map(Some)
     }
 
-    /// Optimize many programs concurrently, one optimizer search per
-    /// program, sharing this optimizer's database snapshot, catalog and
-    /// mappings across worker threads (`Cobra` is `Send + Sync`).
-    ///
-    /// Results are in input order and identical to what sequential
-    /// [`Cobra::optimize_program`] calls would produce — searches share no
-    /// mutable state. Worker count is the smaller of the batch size and
-    /// available hardware parallelism.
-    pub fn optimize_batch(&self, programs: &[Program]) -> Vec<DbResult<Optimized>> {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.optimize_batch_with_workers(programs, workers)
-    }
-
-    /// [`Cobra::optimize_batch`] with an explicit worker-thread count
-    /// (clamped to the batch size; `workers <= 1` optimizes inline with
-    /// no thread overhead).
-    pub fn optimize_batch_with_workers(
-        &self,
-        programs: &[Program],
-        workers: usize,
-    ) -> Vec<DbResult<Optimized>> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        let workers = workers.min(programs.len());
-        // One worker (singleton batch or single-core host): a thread
-        // would only add spawn/teardown overhead — optimize inline.
-        if workers <= 1 {
-            return programs.iter().map(|p| self.optimize_program(p)).collect();
-        }
-
-        // Each slot is written exactly once, by whichever worker claimed
-        // its index off the shared counter.
-        let slots: Vec<std::sync::Mutex<Option<DbResult<Optimized>>>> = (0..programs.len())
-            .map(|_| std::sync::Mutex::new(None))
-            .collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(program) = programs.get(i) else {
-                        break;
-                    };
-                    let out = self.optimize_program(program);
-                    *slots[i].lock().unwrap() = Some(out);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap()
-                    .expect("every program was optimized")
-            })
-            .collect()
-    }
-
     /// Cost a function as-is (no transformations) under this optimizer's
     /// model — used for reporting and for the experiments' cost columns.
     pub fn cost_of(&self, f: &Function) -> f64 {
@@ -567,17 +501,6 @@ impl Cobra {
         let model = self.cost_model(var_plans, HashMap::new());
         let cost = |f: &Function| (f.name.clone(), model.written_cost(&f.body));
         callees.iter().map(cost).collect()
-    }
-}
-
-/// Emit a budget-exhaustion notice (opt-in via `COBRA_LOG`, so library
-/// users are not spammed; the flag on [`Optimized`] is the durable record).
-fn log_budget_exhausted(name: &str) {
-    if std::env::var_os("COBRA_LOG").is_some() {
-        eprintln!(
-            "cobra: search budget exhausted while optimizing `{name}`; \
-             alternatives were dropped (raise SearchBudget to explore them)"
-        );
     }
 }
 

@@ -161,19 +161,6 @@ impl Expr {
             }
         });
     }
-
-    /// True if evaluation may access the database (queries, loads, or
-    /// association navigation that can miss the session cache).
-    pub fn may_access_db(&self) -> bool {
-        let mut accesses = false;
-        self.walk(&mut |e| {
-            accesses |= matches!(
-                e,
-                Expr::LoadAll(_) | Expr::Query(_) | Expr::ScalarQuery(_) | Expr::Nav(_, _)
-            );
-        });
-        accesses
-    }
 }
 
 /// Statement payloads.
@@ -582,15 +569,6 @@ mod tests {
             let muted: Vec<Vec<Stmt>> = m.children_mut().into_iter().map(|b| b.clone()).collect();
             assert_eq!(read, muted, "{s:?}");
         }
-    }
-
-    #[test]
-    fn may_access_db_flags_queries_and_nav() {
-        assert!(Expr::LoadAll("Order".into()).may_access_db());
-        assert!(Expr::nav(Expr::var("o"), "customer").may_access_db());
-        assert!(!Expr::field(Expr::var("o"), "o_id").may_access_db());
-        let q = Expr::Query(QuerySpec::sql("select * from orders"));
-        assert!(q.may_access_db());
     }
 
     #[test]

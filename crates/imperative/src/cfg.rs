@@ -12,6 +12,9 @@
 //! * `return` → an edge to the function exit,
 //! * `try/catch` → an edge from *every* node of the body to the handler
 //!   entry (exceptional flow), which makes the fragment unstructured.
+//!
+//! The only consumer is [`crate::structural`], the reference region
+//! builder; see there for why both are kept though no search calls them.
 
 use crate::ast::{Expr, Function, Stmt, StmtKind};
 

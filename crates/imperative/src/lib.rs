@@ -12,12 +12,14 @@
 //!
 //! The crate provides:
 //! * [`ast`] — statements, expressions and functions (with line numbers),
-//! * [`mod@cfg`] — lowering to a control-flow graph whose nodes are single
-//!   statements (the paper treats each statement as a basic block),
-//! * [`regions`] — the region tree built directly from the structured AST,
-//! * [`structural`] — Muchnick-style structural analysis that rebuilds the
-//!   region tree from the *CFG* (the paper's construction), verified
-//!   against [`regions`] on structured programs,
+//! * [`regions`] — the region tree built directly from the structured AST;
+//!   this is the builder every search runs,
+//! * [`mod@cfg`] and [`structural`] — lowering to a control-flow graph whose
+//!   nodes are single statements (the paper treats each statement as a
+//!   basic block) and Muchnick-style structural analysis that rebuilds the
+//!   region tree from it (the paper's construction). No search calls them;
+//!   they are the independent reference [`regions`] is checked against on
+//!   every break-free, try-free function of the test corpus,
 //! * [`deps`] — loop dependence analysis feeding the F-IR preconditions,
 //! * [`pretty`] — a pseudo-code printer used by the examples.
 

@@ -3,14 +3,19 @@
 //! This is the paper's construction (§III-B, following Muchnick): regions
 //! are discovered by iteratively collapsing schema patterns in the CFG —
 //! sequences, if-then, if-then-else, and while/cursor loops — until one
-//! region remains. Fragments that match no pattern (exceptional edges from
-//! `try/catch`) leave the reduction stuck, and the analysis reports the
-//! program as unstructured; COBRA then falls back to AST-derived regions
-//! where such fragments become black boxes.
+//! region remains. Fragments that match no pattern (a `break`'s edge out of
+//! its loop, exceptional edges from `try/catch`) leave the reduction stuck,
+//! and the analysis reports the function as unstructured.
 //!
-//! The result is verified (in tests and property tests) to have the same
-//! shape as [`crate::regions::Region::from_function`] on structured
-//! programs.
+//! No search calls this module: production builds regions from the AST
+//! ([`crate::regions::Region::from_function`]), where a `try/catch` becomes
+//! a black box and a `break` stays a statement of its loop body. It is kept
+//! as the independent reference for that builder on break-free, try-free
+//! functions. `tests/structural_properties.rs` runs both over its own
+//! generated programs and over the corpus everything else uses (500
+//! generated seeds, the 32 Wilos fragments, P0/P1/P2/M0): on each function
+//! the two agree in shape, or this one refuses and the function contains
+//! `break` or `try`.
 
 use crate::ast::Function;
 use crate::cfg::{Cfg, NodeKind};

@@ -73,8 +73,8 @@ impl Estimate {
 /// serving the other configuration's numbers. Failed estimations are
 /// cached verbatim (the same `DbError` every time).
 ///
-/// Thread-safe (`RwLock` + atomics): one cache instance can serve every
-/// worker of a batch optimization.
+/// Thread-safe (`RwLock` + atomics): one cache instance serves every
+/// thread searching through the same optimizer.
 #[derive(Debug, Default)]
 pub struct EstimateCache {
     inner: RwLock<CacheInner>,

@@ -4,18 +4,7 @@ use minidb::{DbResult, ExecEngine, Executor, FuncRegistry, LogicalPlan, QueryRes
 use netsim::{Clock, NetStats, NetworkProfile};
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
-/// One executed query, for experiment reporting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryRecord {
-    /// The query as SQL text.
-    pub sql: String,
-    /// Result cardinality.
-    pub rows: u64,
-    /// Result payload bytes.
-    pub bytes: u64,
-}
+use std::sync::Arc;
 
 /// A remote database connection.
 ///
@@ -29,7 +18,6 @@ pub struct RemoteDb {
     net: NetworkProfile,
     clock: Arc<Clock>,
     stats: NetStats,
-    log: Mutex<Vec<QueryRecord>>,
     server_row_ns: f64,
     /// When set, every executed query records its observed cardinality
     /// and work into this store (the runtime half of the cardinality
@@ -54,7 +42,6 @@ impl RemoteDb {
             net,
             clock,
             stats: NetStats::new(),
-            log: Mutex::new(Vec::new()),
             server_row_ns: minidb::exec::DEFAULT_SERVER_ROW_NS,
             feedback: None,
             engine: ExecEngine::default(),
@@ -133,11 +120,6 @@ impl RemoteDb {
             .advance(self.net.round_trip_ns() + first + stream);
         self.stats.record_round_trip();
         self.stats.record_transfer(result.payload_bytes());
-        self.log.lock().unwrap().push(QueryRecord {
-            sql: minidb::sql::print(plan),
-            rows: result.row_count(),
-            bytes: result.payload_bytes(),
-        });
         Ok(result)
     }
 
@@ -172,15 +154,9 @@ impl RemoteDb {
         self.stats.bytes_transferred()
     }
 
-    /// Log of executed read queries.
-    pub fn query_log(&self) -> Vec<QueryRecord> {
-        self.log.lock().unwrap().clone()
-    }
-
-    /// Reset counters and the query log (keeps the clock untouched).
+    /// Reset the counters (keeps the clock untouched).
     pub fn reset_stats(&self) {
         self.stats.reset();
-        self.log.lock().unwrap().clear();
     }
 }
 
@@ -233,12 +209,11 @@ mod tests {
         for i in 0..7 {
             let mut params = HashMap::new();
             params.insert("k".to_string(), Value::Int(i));
-            remote.query(&plan, &params).unwrap();
+            let r = remote.query(&plan, &params).unwrap();
+            assert_eq!(r.row_count(), 1, "key {i}");
         }
         assert_eq!(remote.round_trips(), 7);
         assert!(clock.now() >= 7 * 5_000_000, "N+1 round trips dominate");
-        assert_eq!(remote.query_log().len(), 7);
-        assert_eq!(remote.query_log()[0].rows, 1);
     }
 
     #[test]
@@ -282,13 +257,15 @@ mod tests {
     }
 
     #[test]
-    fn reset_stats_clears_log_and_counters() {
+    fn reset_stats_clears_counters() {
         let (db, funcs, clock) = fixture();
         let remote = RemoteDb::new(db, funcs, NetworkProfile::fast_local(), clock);
         let plan = minidb::sql::parse("select * from t").unwrap();
         remote.query(&plan, &HashMap::new()).unwrap();
+        assert_eq!(remote.round_trips(), 1);
+        assert!(remote.bytes_transferred() > 0);
         remote.reset_stats();
         assert_eq!(remote.round_trips(), 0);
-        assert!(remote.query_log().is_empty());
+        assert_eq!(remote.bytes_transferred(), 0);
     }
 }

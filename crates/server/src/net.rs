@@ -43,46 +43,77 @@ const MAX_FRAME: u32 = 64 << 20;
 /// a hostile 64 MiB prefix costs bandwidth, never memory.
 const ALLOC_CAP: usize = 1 << 20;
 
-fn write_frame(stream: &mut TcpStream, body: &[u8]) -> std::io::Result<()> {
-    stream.write_all(&(body.len() as u32).to_be_bytes())?;
-    stream.write_all(body)?;
+/// Most bytes asked of the socket in one `read` while a frame arrives.
+const READ_STEP: usize = 64 * 1024;
+
+/// Send one frame. Prefix and body leave in a single `write_all`: on a
+/// `TCP_NODELAY` socket two writes are two segments, and the peer's reader
+/// would wake for the 4-byte one. `cut` is the `PartialWrite` fault — only
+/// the prefix and that many body bytes are sent, leaving the peer
+/// mid-frame.
+fn write_frame(stream: &mut TcpStream, body: &[u8], cut: Option<usize>) -> std::io::Result<()> {
+    let sent = cut.map_or(body.len(), |n| n.min(body.len()));
+    let mut frame = Vec::with_capacity(4 + sent);
+    frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    frame.extend_from_slice(&body[..sent]);
+    stream.write_all(&frame)?;
     stream.flush()
 }
 
-/// Read exactly `len` body bytes without trusting `len` for the
-/// allocation (see [`ALLOC_CAP`]).
-fn read_body(stream: &mut TcpStream, len: usize) -> std::io::Result<Vec<u8>> {
-    let mut body = Vec::with_capacity(len.min(ALLOC_CAP));
-    let mut chunk = [0u8; 64 * 1024];
-    while body.len() < len {
-        let want = (len - body.len()).min(chunk.len());
-        let n = stream.read(&mut chunk[..want])?;
-        if n == 0 {
-            return Err(std::io::ErrorKind::UnexpectedEof.into());
+/// Read one frame, for either end. `Ok(None)` means no frame is coming:
+/// the peer closed cleanly between frames, or `stop` tripped.
+///
+/// The two ends differ only in what a read timeout means. The server
+/// passes its `stop` flag: a timeout is a poll tick — bytes read so far are
+/// kept, the flag is re-checked, the read resumes. The client passes
+/// `None`: a timeout is its per-attempt deadline and fails the read.
+///
+/// The length prefix is never trusted for the allocation (see
+/// [`ALLOC_CAP`]): the buffer grows as bytes arrive.
+fn read_frame(
+    stream: &mut TcpStream,
+    stop: Option<&AtomicBool>,
+) -> std::io::Result<Option<Vec<u8>>> {
+    use std::io::ErrorKind;
+    let mut buf: Vec<u8> = Vec::with_capacity(4);
+    let mut need = 4usize;
+    let mut in_header = true;
+    loop {
+        if buf.len() == need {
+            if !in_header {
+                return Ok(Some(buf));
+            }
+            let len = u32::from_be_bytes(buf[..4].try_into().expect("four header bytes"));
+            if len > MAX_FRAME {
+                return Err(std::io::Error::new(
+                    ErrorKind::InvalidData,
+                    format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
+                ));
+            }
+            in_header = false;
+            need = len as usize;
+            buf = Vec::with_capacity(need.min(ALLOC_CAP));
+            continue;
         }
-        body.extend_from_slice(&chunk[..n]);
+        if stop.is_some_and(|s| s.load(Ordering::Acquire)) {
+            return Ok(None);
+        }
+        let old = buf.len();
+        buf.resize(old + (need - old).min(READ_STEP), 0);
+        let got = stream.read(&mut buf[old..]);
+        buf.truncate(old + got.as_ref().map_or(0, |&n| n));
+        match got {
+            // Clean close only between frames; mid-frame EOF is an error.
+            Ok(0) if in_header && buf.is_empty() => return Ok(None),
+            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e)
+                if stop.is_some()
+                    && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(e) => return Err(e),
+        }
     }
-    Ok(body)
-}
-
-/// Read one frame. `Ok(None)` means the peer closed cleanly between
-/// frames; timeouts bubble up as `WouldBlock`/`TimedOut` errors for the
-/// caller's poll loop.
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    match stream.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_be_bytes(len);
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
-        ));
-    }
-    Ok(Some(read_body(stream, len as usize)?))
 }
 
 /// The wire front end: a TCP listener serving a [`CobraService`].
@@ -168,68 +199,12 @@ fn accept_loop(listener: TcpListener, service: CobraService, stop: Arc<AtomicBoo
     }
 }
 
-/// Read one frame under the poll loop: accumulates across read-timeout
-/// ticks (so a timeout mid-frame never loses bytes) and re-checks `stop`
-/// on every tick. `Ok(None)` means clean close or shutdown.
-fn read_frame_polling(
-    stream: &mut TcpStream,
-    stop: &AtomicBool,
-) -> std::io::Result<Option<Vec<u8>>> {
-    let mut have: Vec<u8> = Vec::with_capacity(4);
-    let mut need = 4usize;
-    let mut in_header = true;
-    let mut chunk = [0u8; 8192];
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return Ok(None);
-        }
-        let want = (need - have.len()).min(chunk.len());
-        match stream.read(&mut chunk[..want]) {
-            Ok(0) => {
-                // Clean close only between frames; mid-frame EOF is an error.
-                return if in_header && have.is_empty() {
-                    Ok(None)
-                } else {
-                    Err(std::io::ErrorKind::UnexpectedEof.into())
-                };
-            }
-            Ok(n) => have.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue; // poll tick
-            }
-            Err(e) => return Err(e),
-        }
-        if have.len() == need {
-            if in_header {
-                let len = u32::from_be_bytes(have[..4].try_into().unwrap());
-                if len > MAX_FRAME {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
-                    ));
-                }
-                in_header = false;
-                need = len as usize;
-                have = Vec::with_capacity(need.min(ALLOC_CAP));
-                if need == 0 {
-                    return Ok(Some(have));
-                }
-            } else {
-                return Ok(Some(have));
-            }
-        }
-    }
-}
-
 fn serve_connection(mut stream: TcpStream, service: CobraService, stop: Arc<AtomicBool>) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let _ = stream.set_nodelay(true);
     let faults = service.config().faults.clone();
     loop {
-        let body = match read_frame_polling(&mut stream, &stop) {
+        let body = match read_frame(&mut stream, Some(&stop)) {
             Ok(Some(body)) => body,
             Ok(None) => return, // clean close or shutdown
             Err(_) => return,
@@ -243,20 +218,16 @@ fn serve_connection(mut stream: TcpStream, service: CobraService, stop: Arc<Atom
             service.shutdown();
         }
         let mut frame = response.encode();
+        let mut cut = None;
         // Chaos harness: the response write is the transport's seam, so
         // every transport fault is injected here. The shutdown ack is
         // exempt — a clean shutdown must stay observable.
         if !shutdown_after {
             match faults.decide(FaultSite::Response) {
                 Some(FaultKind::ConnReset) => return, // reply swallowed, peer sees EOF
-                Some(FaultKind::PartialWrite) => {
-                    // Length prefix plus half the body, then sever: the
-                    // peer is left mid-frame and must reconnect.
-                    let _ = stream.write_all(&(frame.len() as u32).to_be_bytes());
-                    let _ = stream.write_all(&frame[..frame.len() / 2]);
-                    let _ = stream.flush();
-                    return;
-                }
+                // Length prefix plus half the body, then sever: the peer
+                // is left mid-frame and must reconnect.
+                Some(FaultKind::PartialWrite) => cut = Some(frame.len() / 2),
                 Some(FaultKind::StallRead) => std::thread::sleep(faults.stall_duration()),
                 Some(FaultKind::SlowRead) => std::thread::sleep(faults.slow_duration()),
                 Some(FaultKind::CorruptFrame) => {
@@ -267,7 +238,7 @@ fn serve_connection(mut stream: TcpStream, service: CobraService, stop: Arc<Atom
                 Some(FaultKind::WorkerPanic) | None => {} // panics inject in the service
             }
         }
-        if write_frame(&mut stream, &frame).is_err() {
+        if write_frame(&mut stream, &frame, cut).is_err() || cut.is_some() {
             return;
         }
         if shutdown_after {
@@ -446,10 +417,10 @@ impl WireClient {
             return Err((e, true));
         }
         let stream = self.stream.as_mut().expect("connected above");
-        if let Err(e) = write_frame(stream, &request.encode()) {
+        if let Err(e) = write_frame(stream, &request.encode(), None) {
             return Err((e.into(), true));
         }
-        let body = match read_frame(stream) {
+        let body = match read_frame(stream, None) {
             Ok(Some(body)) => body,
             Ok(None) => return Err((ServerError::Io("server closed the connection".into()), true)),
             Err(e) => return Err((e.into(), true)),

@@ -53,7 +53,7 @@ pub struct ServerConfig {
     /// search budget. Default 8.
     pub degrade_queue_depth: usize,
     /// The downgraded [`SearchBudget`] used under pressure (fewer
-    /// alternatives, capped cost sweeps). Degraded results are *not*
+    /// alternatives per loop, a smaller memo). Degraded results are *not*
     /// retained in the plan cache.
     pub degraded_budget: SearchBudget,
     /// Multiplicative estimate-vs-observation divergence at which the

@@ -3,9 +3,9 @@
 //!
 //! A [`Snapshot`] is a versioned, checksummed binary image of every
 //! tenant's completed plan-cache entries (program + optimized result)
-//! and runtime-feedback observations, written atomically (temp file +
-//! rename) so a crash mid-write leaves either the old snapshot or the
-//! new one — never a torn file. On restart,
+//! and runtime-feedback observations, written atomically (temp file,
+//! flushed to disk, then renamed) so a crash mid-write leaves either the
+//! old snapshot or the new one — never a torn file. On restart,
 //! [`CobraService::restore`](crate::CobraService::restore) re-seeds the
 //! cache so the first submission of a previously-optimized program is a
 //! [`CacheOutcome::Hit`](crate::CacheOutcome::Hit) instead of a fresh
@@ -349,10 +349,14 @@ impl Snapshot {
         Ok(Snapshot { tenants })
     }
 
-    /// Write atomically: encode to `<path>.tmp`, then rename over `path`.
-    /// A crash at any point leaves the previous snapshot (or nothing)
-    /// intact — never a torn file.
+    /// Write atomically: encode to `<path>.tmp`, flush it to disk, then
+    /// rename over `path`. A crash at any point leaves the previous
+    /// snapshot (or nothing) intact — never a torn file. The flush is what
+    /// makes that true across an OS crash: without it the rename can
+    /// become durable before the data, and the torn file that the checksum
+    /// then rejects has already replaced the old snapshot.
     pub fn write_to(&self, path: &Path) -> Result<(), ServerError> {
+        use std::io::Write;
         let tmp = match path.file_name() {
             Some(name) => {
                 let mut n = name.to_os_string();
@@ -366,8 +370,18 @@ impl Snapshot {
                 )))
             }
         };
-        std::fs::write(&tmp, self.encode())?;
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(&self.encode())?;
+        file.sync_all()?;
+        drop(file);
         std::fs::rename(&tmp, path)?;
+        // Best effort: make the rename itself durable. A directory cannot
+        // be opened or synced on every platform, and the snapshot is
+        // already whole either way.
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        if let Ok(dir) = std::fs::File::open(dir.unwrap_or(Path::new("."))) {
+            let _ = dir.sync_all();
+        }
         Ok(())
     }
 
@@ -512,14 +526,15 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("state.cbsn");
         let snap = sample_snapshot();
-        snap.write_to(&path).expect("first write");
+        Snapshot::default().write_to(&path).expect("first write");
         snap.write_to(&path).expect("overwrite");
         let back = Snapshot::read_from(&path).expect("read");
-        assert_eq!(back, snap);
-        assert!(
-            !path.with_file_name("state.cbsn.tmp").exists(),
-            "temp file renamed away"
-        );
+        assert_eq!(back, snap, "the overwrite replaced the old snapshot whole");
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["state.cbsn"], "temp file renamed away");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

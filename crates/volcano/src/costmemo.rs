@@ -11,8 +11,7 @@
 //! Cache validity is tied to the memo's [`Memo::merge_epoch`]: when groups
 //! merge, m-exprs are rewritten to canonical children, so every cached
 //! estimate is dropped. Interior mutability is `Mutex`/atomic-based, which
-//! keeps the wrapper `Send + Sync` whenever the wrapped model is — a
-//! requirement for the parallel batch-optimization driver.
+//! keeps the wrapper `Send + Sync` whenever the wrapped model is.
 
 use crate::memo::{MExprId, Memo};
 use crate::search::CostModel;

@@ -89,15 +89,16 @@
 //! println!("{report}");
 //! ```
 //!
-//! ## Thread safety and batch optimization
+//! ## Thread safety
 //!
 //! The whole optimizer pipeline is `Send + Sync` (enforced by compile-time
 //! assertions in `cobra_core`): shared state travels in `Arc`s, the
 //! database behind an `RwLock` ([`minidb::SharedDb`]), and per-search cost
 //! memoization ([`volcano::CostMemo`]) uses lock/atomic interior
-//! mutability. One `Cobra` can therefore serve many threads, and
-//! `Cobra::optimize_batch` optimizes a whole batch of programs
-//! concurrently with results identical to sequential calls:
+//! mutability. One `&Cobra` can therefore serve many threads — which is
+//! how [`server`] runs it, one thread per connection behind an admission
+//! gate — and every thread gets the program and cost a sequential call
+//! would:
 //!
 //! ```
 //! use cobra::prelude::*;
@@ -108,10 +109,22 @@
 //!     .network(NetworkProfile::slow_remote())
 //!     .build();
 //!
-//! let batch = [motivating::p0(), motivating::m0()];
-//! let results = cobra.optimize_batch(&batch);
-//! assert_eq!(results.len(), 2);
-//! assert!(results.iter().all(|r| r.is_ok()));
+//! let programs = [motivating::p0(), motivating::m0()];
+//! let sequential: Vec<u64> = programs
+//!     .iter()
+//!     .map(|p| cobra.optimize_program(p).expect("optimizes").est_cost_ns.to_bits())
+//!     .collect();
+//! let threaded: Vec<u64> = std::thread::scope(|scope| {
+//!     let handles: Vec<_> = programs
+//!         .iter()
+//!         .map(|p| scope.spawn(|| cobra.optimize_program(p).expect("optimizes")))
+//!         .collect();
+//!     handles
+//!         .into_iter()
+//!         .map(|h| h.join().expect("no panic").est_cost_ns.to_bits())
+//!         .collect()
+//! });
+//! assert_eq!(threaded, sequential);
 //! ```
 
 pub use analysis;

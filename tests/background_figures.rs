@@ -3,13 +3,16 @@
 //! and the Region DAG of P0), and the black-box path for unstructured
 //! regions (§IV-B).
 
+mod support;
+
 use cobra::imperative::ast::{Expr, Function, Program, Stmt, StmtKind};
 use cobra::imperative::regions::Region;
 use cobra::imperative::{pretty, structural};
 use cobra::netsim::NetworkProfile;
-use cobra::volcano::relalg::{left_deep_join, JoinAssociativity, JoinCommutativity};
-use cobra::volcano::{count_plans, expand, Memo};
+use cobra::volcano::{count_plans, Memo};
 use cobra::workloads::motivating;
+use support::engine::expand;
+use support::relalg::{left_deep_join, JoinAssociativity, JoinCommutativity};
 
 #[test]
 fn figure_4_commutativity_gives_four_alternatives() {

@@ -1,8 +1,7 @@
-//! Tests for `Cobra::optimize_batch`, the parallel batch-optimization
-//! driver: concurrent optimization must produce byte-identical programs
-//! and bit-identical costs to sequential `optimize_program` calls. (The
-//! wall-clock speedup assertion lives in `tests/batch_speedup.rs`, its
-//! own binary, so timing is not disturbed by sibling tests.)
+//! What the server relies on when it hands one `&Cobra` to a thread per
+//! connection: a batch of programs optimized on scoped threads sharing
+//! that one optimizer yields byte-identical programs and bit-identical
+//! costs to sequential `optimize_program` calls.
 
 use cobra::core::{Cobra, Optimized};
 use cobra::imperative::ast::Program;
@@ -10,10 +9,9 @@ use cobra::imperative::pretty::function_to_string;
 use cobra::netsim::NetworkProfile;
 use cobra::workloads::{motivating, wilos};
 
-/// Byte-identical results: parallel == sequential, program by program.
-/// An explicit worker count forces the threaded path even on a
-/// single-core host, so this test always exercises real cross-thread
-/// optimization (no process-global env mutation).
+/// Byte-identical results: threaded == sequential, program by program.
+/// One thread per program, whatever the host's core count, so this always
+/// exercises real cross-thread optimization.
 #[test]
 fn batch_matches_sequential_results() {
     // P0/M0 against the motivating fixture.
@@ -40,14 +38,17 @@ fn batch_matches_sequential_results() {
 }
 
 fn assert_batch_matches(cobra: &Cobra, programs: &[Program]) {
+    // Threads first, so they fill the shared estimate cache concurrently.
+    let parallel: Vec<Optimized> = std::thread::scope(|scope| {
+        let handles: Vec<_> = programs
+            .iter()
+            .map(|p| scope.spawn(|| cobra.optimize_program(p).unwrap()))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
     let sequential: Vec<Optimized> = programs
         .iter()
         .map(|p| cobra.optimize_program(p).unwrap())
-        .collect();
-    let parallel: Vec<Optimized> = cobra
-        .optimize_batch_with_workers(programs, 3)
-        .into_iter()
-        .map(|r| r.unwrap())
         .collect();
     assert_eq!(sequential.len(), parallel.len());
     for (i, (s, p)) in sequential.iter().zip(&parallel).enumerate() {
@@ -66,7 +67,9 @@ fn assert_batch_matches(cobra: &Cobra, programs: &[Program]) {
     }
 }
 
-/// Empty and singleton batches take the sequential path and still work.
+/// The two ends of the range: a batch of one (a lone thread beside the
+/// caller's), and a batch that is the same program four times, so every
+/// thread races for the same estimate-cache entries.
 #[test]
 fn batch_edge_cases() {
     let fx = motivating::build_fixture(500, 100, 5);
@@ -74,8 +77,6 @@ fn batch_edge_cases() {
         .cobra_builder()
         .network(NetworkProfile::fast_local())
         .build();
-    assert!(cobra.optimize_batch(&[]).is_empty());
-    let one = cobra.optimize_batch(&[motivating::p0()]);
-    assert_eq!(one.len(), 1);
-    assert!(one[0].is_ok());
+    assert_batch_matches(&cobra, &[motivating::p0()]);
+    assert_batch_matches(&cobra, &vec![motivating::p0(); 4]);
 }

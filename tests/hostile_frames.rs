@@ -21,25 +21,27 @@ use cobra::server::{Request, Response};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{Read, Write};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The system allocator, remembering the largest single request made by
 /// a thread that asked to be watched (per thread, because the tests of
 /// this binary run side by side).
 struct LargestRequest;
 
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
-    // Const-initialized and without a destructor, so reading it from
-    // inside the allocator never allocates.
-    static WATCHED: Cell<bool> = const { Cell::new(false) };
+    // `None`: this thread is not watched. Const-initialized and without a
+    // destructor, so reading it from inside the allocator never allocates.
+    static LARGEST: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 fn note(size: usize) {
-    if WATCHED.try_with(Cell::get).unwrap_or(false) {
-        LARGEST.fetch_max(size, Ordering::Relaxed);
-    }
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().map(|seen| seen.max(size))));
+}
+
+/// The largest single allocation this thread makes while running `f`.
+fn largest_allocation_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.set(Some(0));
+    let out = f();
+    (out, LARGEST.take().expect("watched above"))
 }
 
 // SAFETY: defers to `System` unchanged; only records sizes.
@@ -129,14 +131,11 @@ fn overclaimed_length_does_not_preallocate() {
     // 4 MiB of filler claims 4M statements: hundreds of MiB if taken at
     // its word; decoding may not ask for even the frame's own size.
     let frame = overclaimed_stmts(1, 4 << 20).0;
-    WATCHED.set(true);
-    let decoded = Request::decode(&frame);
-    WATCHED.set(false);
+    let (decoded, largest) = largest_allocation_during(|| Request::decode(&frame));
     assert!(
         matches!(decoded, Err(ServerError::Protocol(_))),
         "{decoded:?}"
     );
-    let largest = LARGEST.load(Ordering::Relaxed);
     assert!(
         largest < frame.len(),
         "largest single allocation was {largest} bytes for a {}-byte frame",
@@ -144,18 +143,23 @@ fn overclaimed_length_does_not_preallocate() {
     );
 }
 
-/// One request/reply exchange on a raw socket (4-byte big-endian length,
-/// then the body).
+/// One honest frame off a raw socket (4-byte big-endian length, then the
+/// body).
+fn read_raw_frame(stream: &mut std::net::TcpStream) -> Vec<u8> {
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len).expect("frame length");
+    let mut body = vec![0u8; u32::from_be_bytes(len) as usize];
+    stream.read_exact(&mut body).expect("frame body");
+    body
+}
+
+/// One request/reply exchange on a raw socket.
 fn exchange(stream: &mut std::net::TcpStream, body: &[u8]) -> Response {
     stream
         .write_all(&(body.len() as u32).to_be_bytes())
         .and_then(|()| stream.write_all(body))
         .expect("send");
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len).expect("reply length");
-    let mut reply = vec![0u8; u32::from_be_bytes(len) as usize];
-    stream.read_exact(&mut reply).expect("reply body");
-    Response::decode(&reply).expect("well-formed reply")
+    Response::decode(&read_raw_frame(stream)).expect("well-formed reply")
 }
 
 #[test]
@@ -196,4 +200,55 @@ fn the_server_answers_every_hostile_frame_and_keeps_serving() {
     let reply = exchange(&mut stream, &submit.encode());
     assert!(matches!(reply, Response::SubmitOk(_)), "{reply:?}");
     server.shutdown();
+}
+
+/// The frame limits `server::net` reads under (private there): frames
+/// above `MAX_FRAME` are refused, and no length prefix buys more than
+/// `ALLOC_CAP` bytes before the bytes themselves arrive.
+const MAX_FRAME: u32 = 64 << 20;
+const ALLOC_CAP: usize = 1 << 20;
+
+/// A server that reads one request frame, answers with `reply` verbatim
+/// and hangs up.
+fn reply_once_with(reply: Vec<u8>) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("bound");
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        read_raw_frame(&mut stream);
+        stream.write_all(&reply).expect("reply");
+    });
+    (addr, server)
+}
+
+/// The reader both ends share, from the client's side: a hostile *reply*
+/// is a typed error — no panic, no hang — and never an allocation the
+/// size of its claim.
+#[test]
+fn the_client_refuses_hostile_replies_without_allocating_their_claim() {
+    let mut overclaimed = MAX_FRAME.to_be_bytes().to_vec();
+    overclaimed.extend_from_slice(&[0xAB; 10]);
+    // What is sent, and what the error must say (so a case cannot pass for
+    // another case's reason if the limits above drift from `net`'s).
+    let replies = [
+        ((MAX_FRAME + 1).to_be_bytes().to_vec(), "exceeds"),
+        (overclaimed, "end of file"),
+        (vec![0, 0], "end of file"),
+    ];
+    for (reply, says) in replies {
+        let (addr, server) = reply_once_with(reply);
+        // `connect` is `RetryPolicy::none()`: one attempt, no deadline, so
+        // a reader that waited for the claimed bytes would hang here.
+        let mut client = WireClient::connect(addr).expect("connect");
+        let (outcome, largest) = largest_allocation_during(|| client.open_session("t0"));
+        server.join().expect("the fake server answered");
+        assert!(
+            matches!(&outcome, Err(ServerError::Io(why)) if why.contains(says)),
+            "expected an I/O error saying `{says}`: {outcome:?}"
+        );
+        assert!(
+            largest <= ALLOC_CAP + 4096,
+            "`{says}`: largest single allocation was {largest} bytes"
+        );
+    }
 }

@@ -5,10 +5,13 @@
 //! builds offline): the input space here is small enough to cover
 //! exhaustively.
 
-use cobra::volcano::relalg::{
+mod support;
+
+use cobra::volcano::{best_plan, count_plans, Memo, OpTree};
+use support::engine::expand;
+use support::relalg::{
     left_deep_join, CardinalityCost, JoinAssociativity, JoinCommutativity, RelOp,
 };
-use cobra::volcano::{best_plan, count_plans, expand, Memo, OpTree};
 
 /// Random relation names (distinct by construction below).
 fn rel_names(n: usize) -> Vec<String> {

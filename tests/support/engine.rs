@@ -1,6 +1,6 @@
-//! The transformation-rule engine.
+//! A generic transformation-rule driver over `volcano::Memo`.
 
-use crate::memo::{GroupId, MExprId, Memo, OpTree};
+use cobra::volcano::{GroupId, MExprId, Memo, OpTree};
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -73,7 +73,7 @@ pub fn expand<Op: Clone + Eq + Hash + Debug>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memo::Child;
+    use cobra::volcano::Child;
 
     #[derive(Debug, Clone, PartialEq, Eq, Hash)]
     enum TOp {
@@ -146,7 +146,7 @@ mod tests {
         let root = memo.insert_tree(&tree, None);
         expand(&mut memo, &[&Commute], 16);
         assert_eq!(memo.group(root).len(), 2);
-        let plans = crate::search::count_plans(&memo, root);
+        let plans = cobra::volcano::count_plans(&memo, root);
         assert_eq!(plans, 4);
     }
 }

@@ -1,15 +1,11 @@
-//! Relational-algebra instantiation of the framework.
+//! Relational-algebra instantiation of the memo.
 //!
 //! Reproduces the paper's background example (Figure 4): the join query
 //! `(A ⋈ B) ⋈ C` represented as an AND-OR DAG, expanded with join
 //! commutativity (cyclic!) and associativity, then costed.
-//!
-//! This module doubles as executable documentation of how to instantiate
-//! [`Memo`]/[`Rule`]/[`CostModel`] for a new algebra.
 
-use crate::engine::Rule;
-use crate::memo::{Child, GroupId, MExprId, Memo, OpTree};
-use crate::search::CostModel;
+use super::engine::Rule;
+use cobra::volcano::{Child, CostModel, GroupId, MExprId, Memo, OpTree};
 use std::collections::HashMap;
 
 /// Relational operators: base relations and joins.
@@ -193,9 +189,9 @@ pub fn render(tree: &OpTree<RelOp>) -> String {
 
 #[cfg(test)]
 mod tests {
+    use super::super::engine::expand;
     use super::*;
-    use crate::engine::expand;
-    use crate::search::{best_plan, count_plans};
+    use cobra::volcano::{best_plan, count_plans};
 
     #[test]
     fn initial_dag_matches_figure_4b() {

@@ -187,7 +187,7 @@ pub fn inline_calls(program: &Program) -> Option<Function> {
     let entry = program.entry();
     let mut counter = 0usize;
     let mut body = entry.body.clone();
-    inline_in(&mut body, program, &entry.name, &mut counter)?;
+    inline_in(&mut body, program, &mut vec![&entry.name[..]], &mut counter)?;
     if counter == 0 {
         return None;
     }
@@ -196,31 +196,35 @@ pub fn inline_calls(program: &Program) -> Option<Function> {
     Some(f)
 }
 
-fn inline_in(
+/// `expanding` names the functions whose bodies enclose `stmts`: the
+/// entry, then every callee being expanded on the way down.
+fn inline_in<'p>(
     stmts: &mut Vec<Stmt>,
-    program: &Program,
-    caller: &str,
+    program: &'p Program,
+    expanding: &mut Vec<&'p str>,
     counter: &mut usize,
 ) -> Option<()> {
     let mut out = Vec::with_capacity(stmts.len());
     for mut s in std::mem::take(stmts) {
         match &s.kind {
             StmtKind::LetCall(target, fname, args) => {
-                if fname == caller {
-                    return None; // recursion: do not inline
+                if expanding.contains(&fname.as_str()) {
+                    return None; // recursion, direct or mutual: do not inline
                 }
                 let callee = program.function(fname)?;
                 let mut expanded = inline_one(callee, target, args, *counter)?;
                 *counter += 1;
                 // Callee bodies may call further down; expand recursively.
-                inline_in(&mut expanded, program, caller, counter)?;
+                expanding.push(&callee.name);
+                inline_in(&mut expanded, program, expanding, counter)?;
+                expanding.pop();
                 out.extend(expanded);
             }
             // A black box is kept verbatim: calls inside it stay calls.
             StmtKind::TryCatch { .. } => out.push(s),
             _ => {
                 for body in s.children_mut() {
-                    inline_in(body, program, caller, counter)?;
+                    inline_in(body, program, expanding, counter)?;
                 }
                 out.push(s);
             }
@@ -449,18 +453,32 @@ mod tests {
 
     #[test]
     fn recursion_is_not_inlined() {
-        let program = Program {
-            functions: vec![Function::new(
-                "main",
-                vec![],
-                vec![Stmt::new(StmtKind::LetCall(
-                    "x".into(),
-                    "main".into(),
-                    vec![],
-                ))],
-            )],
+        // `name(n) { y = callee(n); return y; }`
+        let calls = |name: &str, callee: &str| {
+            let call = StmtKind::LetCall("y".into(), callee.into(), vec![Expr::var("n")]);
+            let ret = StmtKind::Return(Some(Expr::var("y")));
+            Function::new(
+                name,
+                vec!["n".into()],
+                vec![Stmt::new(call), Stmt::new(ret)],
+            )
         };
-        assert!(inline_calls(&program).is_none());
+        // Into the entry, into the callee itself, and between two callees
+        // (each of the last two was expanded without end).
+        for functions in [
+            vec![calls("main", "main")],
+            vec![calls("main", "f"), calls("f", "f")],
+            vec![calls("main", "f"), calls("f", "g"), calls("g", "f")],
+        ] {
+            assert!(inline_calls(&Program { functions }).is_none());
+        }
+        // One callee called twice in a row, through a second one, is not.
+        let mut main = calls("main", "f");
+        main.body.insert(0, main.body[0].clone());
+        let ret = Stmt::new(StmtKind::Return(Some(Expr::var("n"))));
+        let leaf = Function::new("g", vec!["n".into()], vec![ret]);
+        let functions = vec![main, calls("f", "g"), leaf];
+        assert!(inline_calls(&Program { functions }).is_some());
     }
 
     #[test]

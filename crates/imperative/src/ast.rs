@@ -451,9 +451,10 @@ impl Program {
     /// the shape the optimizer returns, reassembled into a runnable
     /// program.
     pub fn with_entry(&self, entry: Function) -> Program {
-        let mut functions = self.functions.clone();
-        functions[0] = entry;
-        Program { functions }
+        let helpers = self.functions[1..].iter().cloned();
+        Program {
+            functions: std::iter::once(entry).chain(helpers).collect(),
+        }
     }
 }
 

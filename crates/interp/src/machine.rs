@@ -1,9 +1,39 @@
 //! The interpreter proper.
+//!
+//! [`Interp::run`] lowers the program once, then executes the lowered
+//! form. Lowering resolves every name a statement would otherwise look up
+//! each time it runs: per function a variable becomes a slot of the
+//! activation's frame (`None` until something binds it), a callee an index
+//! into the program — an unknown one stays a name and fails only if its
+//! statement executes — and a field access gets a site that remembers the
+//! `(schema, column)` it last resolved against. A row is a
+//! [`minidb::RowRef`] into the result that fetched it; an operation that
+//! only reads a variable (a field of it, its size, an operand) reads it
+//! in its frame instead of cloning it out first.
+//!
+//! **Clock.** The `C_Z` of each statement is summed locally and put on
+//! the shared clock before every [`orm::RemoteDb`] call and when the run
+//! ends, `Ok` or `Err`. The clock's sum saturates, so the order in which
+//! terms arrive does not change what it reads.
+//!
+//! **Stack.** The interpreter recurses once per open block (a loop body, a
+//! branch, a function body) and once per level of the expression being
+//! evaluated, and refuses to go deeper than `MAX_DEPTH` = 160 levels
+//! with [`DbError::Invalid`]: the 128 levels the wire decoder admits in
+//! one function, and 32 to call below them. A stack overflow is not a
+//! panic — nothing catches it, every tenant's connection dies — so this
+//! bound is what stands between a recursive callee and the process.
+//! Measured at the bound (x86-64, the largest of four mixes of calls,
+//! branches and expression levels): 143 KiB of stack in a release build
+//! and 1.3 MiB in an unoptimized one, of the 2 MiB a connection thread
+//! has.
 
-use crate::value::{ColumnCache, RowObj, RtVal, Snapshot};
-use imperative::ast::{Expr, Function, Program, Stmt, StmtKind};
-use minidb::{apply_bin_op, DbError, DbResult, Value};
+use crate::value::{ColumnCache, FieldSite, RowObj, RtVal, Snapshot};
+use imperative::ast::{Expr, Function, Program, QuerySpec, Stmt, StmtKind};
+use minidb::{apply_bin_op, BinOp, DbError, DbResult, LogicalPlan, ResultSet, RowRef, Value};
 use orm::Session;
+use std::borrow::Cow;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -34,13 +64,9 @@ pub struct Outcome {
     pub round_trips: u64,
     /// Result bytes transferred from the server during the run.
     pub bytes: u64,
-    /// Output of `print` statements, in order.
-    pub prints: Vec<String>,
-    /// The printed *values* (deep snapshots), in print order. Unlike
-    /// [`Outcome::prints`] (display strings, kept for logging), these can
-    /// be normalized for order-insensitive comparison — fixing the
-    /// print-vs-result asymmetry where results compared structurally but
-    /// prints only textually.
+    /// The printed values (deep snapshots), in print order: the one
+    /// record of what the program printed. Being values, they normalize
+    /// for order-insensitive comparison as results do.
     pub print_values: Vec<Snapshot>,
     /// Number of statement executions.
     pub stmts_executed: u64,
@@ -156,490 +182,276 @@ impl<'a> Interp<'a> {
     /// Run the entry function with `args` bound to its parameters (missing
     /// parameters default to fresh collections, matching the paper's
     /// out-parameter style `processOrders(result)`).
-    pub fn run(&self, args: Vec<(String, RtVal)>) -> DbResult<Outcome> {
-        let clock = self.session.remote().clock().clone();
-        let start_ns = clock.now();
-        let start_trips = self.session.remote().round_trips();
-        let start_bytes = self.session.remote().bytes_transferred();
+    pub fn run(&self, mut args: Vec<(String, RtVal)>) -> DbResult<Outcome> {
+        let remote = self.session.remote();
+        let start_ns = remote.clock().now();
+        let start_trips = remote.round_trips();
+        let start_bytes = remote.bytes_transferred();
 
-        let entry = self.program.entry();
-        let mut env: HashMap<String, RtVal> = HashMap::new();
-        let mut provided: HashMap<String, RtVal> = args.into_iter().collect();
-        for p in &entry.params {
-            let v = provided.remove(p).unwrap_or_else(RtVal::new_collection);
-            env.insert(p.clone(), v);
+        let mut tags = Vec::new();
+        let machine = Machine {
+            session: self.session,
+            cz_ns: self.config.cz_ns,
+            funcs: lower(self.program, self.session, &mut tags),
+            tags: RefCell::new(tags),
+            stmts: Cell::new(0),
+            unsettled_ns: Cell::new(0),
+            depth: Cell::new(0),
+            print_values: RefCell::default(),
+            built_caches: RefCell::default(),
+        };
+        let entry = &machine.funcs[0];
+        let mut frame: Frame = vec![None; entry.slots.len()];
+        for (p, &slot) in self.program.entry().params.iter().zip(&entry.params) {
+            let given = args.iter().rposition(|(name, _)| name == p);
+            let given = given.map(|i| args.swap_remove(i).1);
+            frame[slot] = Some(given.unwrap_or_else(RtVal::new_collection));
         }
 
-        let mut state = State {
-            prints: Vec::new(),
-            print_values: Vec::new(),
-            stmts: 0,
-            built_caches: Vec::new(),
-        };
-        let flow = self.exec_block(&entry.body, &mut env, &mut state)?;
-        let ret = match flow {
+        let flow = machine.exec_block(&entry.body, &mut frame);
+        // What the statements cost is on the clock however the run ended.
+        machine.settle();
+        let ret = match flow? {
             Flow::Return(v) => v,
             _ => RtVal::Unit,
         };
 
+        let bound = entry.slots.iter().zip(frame);
         Ok(Outcome {
-            env,
+            env: bound
+                .filter_map(|(name, v)| Some((name.to_string(), v?)))
+                .collect(),
             ret,
-            elapsed_ns: clock.now() - start_ns,
-            round_trips: self.session.remote().round_trips() - start_trips,
-            bytes: self.session.remote().bytes_transferred() - start_bytes,
-            prints: state.prints,
-            print_values: state.print_values,
-            stmts_executed: state.stmts,
+            elapsed_ns: remote.clock().now() - start_ns,
+            round_trips: remote.round_trips() - start_trips,
+            bytes: remote.bytes_transferred() - start_bytes,
+            print_values: machine.print_values.take(),
+            stmts_executed: machine.stmts.get(),
         })
     }
+}
 
-    fn charge(&self, state: &mut State) {
-        state.stmts += 1;
-        self.session.remote().clock().advance(self.config.cz_ns);
+/// The variables of one function activation, by slot; `None` is a variable
+/// nothing has bound yet.
+type Frame = Vec<Option<RtVal>>;
+
+/// The shared string rows of `entity` are tagged with.
+fn tag(tags: &mut Vec<Arc<str>>, entity: &str) -> Arc<str> {
+    if let Some(tag) = tags.iter().find(|t| ***t == *entity) {
+        return tag.clone();
     }
+    tags.push(entity.into());
+    tags[tags.len() - 1].clone()
+}
 
-    fn exec_block(
-        &self,
-        stmts: &[Stmt],
-        env: &mut HashMap<String, RtVal>,
-        state: &mut State,
-    ) -> DbResult<Flow> {
-        for s in stmts {
-            match self.exec_stmt(s, env, state)? {
-                Flow::Normal => {}
-                other => return Ok(other),
-            }
+// --- the lowered program ------------------------------------------------------
+
+/// A function with its names resolved: every variable is a slot of the
+/// activation's [`Frame`], every callee an index into the program.
+struct Func<'p> {
+    name: &'p str,
+    /// The slot of each parameter, in order.
+    params: Vec<usize>,
+    /// The variable each slot holds.
+    slots: Vec<&'p str>,
+    body: Vec<LStmt<'p>>,
+}
+
+/// A variable: its slot, and its name for error messages.
+#[derive(Clone, Copy)]
+struct Var<'p> {
+    slot: usize,
+    name: &'p str,
+}
+
+/// [`StmtKind`], lowered, fields in its order. A `try` is its body: the
+/// simulation raises no recoverable exception, the handler exists to
+/// exercise unstructured-region analysis.
+enum LStmt<'p> {
+    Let(Var<'p>, LExpr<'p>),
+    NewCollection(Var<'p>),
+    NewMap(Var<'p>),
+    Add(Var<'p>, LExpr<'p>),
+    Put(Var<'p>, LExpr<'p>, LExpr<'p>),
+    ForEach(Var<'p>, LExpr<'p>, Vec<LStmt<'p>>),
+    While(LExpr<'p>, Vec<LStmt<'p>>),
+    If(LExpr<'p>, Vec<LStmt<'p>>, Vec<LStmt<'p>>),
+    Print(LExpr<'p>),
+    Return(Option<LExpr<'p>>),
+    Break,
+    CacheByColumn(Var<'p>, LExpr<'p>, &'p str),
+    /// `update table set set_col = value where key_col = key`, as
+    /// `(table, set_col, value, key_col, key)`.
+    UpdateQuery(&'p str, &'p str, LExpr<'p>, &'p str, LExpr<'p>),
+    /// The callee by index; by name when the program has no such function,
+    /// which fails the statement when it executes and not before.
+    LetCall(Var<'p>, Result<usize, &'p str>, Vec<LExpr<'p>>),
+    Try(Vec<LStmt<'p>>),
+}
+
+/// [`Expr`], lowered.
+enum LExpr<'p> {
+    Var(Var<'p>),
+    Lit(RtVal),
+    Bin(BinOp, Box<LExpr<'p>>, Box<LExpr<'p>>),
+    Not(Box<LExpr<'p>>),
+    Field(Box<LExpr<'p>>, &'p str, FieldSite),
+    Nav(Box<LExpr<'p>>, &'p str),
+    Call(&'p str, Vec<LExpr<'p>>),
+    LoadAll(&'p str, Arc<str>),
+    Query(LQuery<'p>),
+    ScalarQuery(LQuery<'p>),
+    LookupCache(Var<'p>, Box<LExpr<'p>>),
+    MapGet(Box<LExpr<'p>>, Box<LExpr<'p>>),
+    Len(Box<LExpr<'p>>),
+}
+
+struct LQuery<'p> {
+    plan: &'p LogicalPlan,
+    binds: Vec<(&'p str, LExpr<'p>)>,
+    /// The entity result rows are tagged with: the plan is a plain fetch
+    /// of one mapped table, so navigation keeps working on its rows.
+    entity: Option<Arc<str>>,
+}
+
+/// Lower every function of `program`, once per run.
+fn lower<'p>(program: &'p Program, session: &Session, tags: &mut Vec<Arc<str>>) -> Vec<Func<'p>> {
+    // As `Program::function`: a name means the first function carrying it.
+    let mut callees: HashMap<&str, usize> = HashMap::new();
+    for (i, f) in program.functions.iter().enumerate() {
+        callees.entry(&f.name).or_insert(i);
+    }
+    let lower_function = |f: &'p Function| {
+        let mut l = Lowering {
+            session,
+            callees: &callees,
+            tags: &mut *tags,
+            slot_of: HashMap::new(),
+            slots: Vec::new(),
+        };
+        let params = f.params.iter().map(|p| l.var(p).slot).collect();
+        let body = l.stmts(&f.body);
+        Func {
+            name: &f.name,
+            params,
+            slots: l.slots,
+            body,
         }
-        Ok(Flow::Normal)
+    };
+    program.functions.iter().map(lower_function).collect()
+}
+
+/// The lowering of one function.
+struct Lowering<'p, 'c> {
+    session: &'c Session,
+    callees: &'c HashMap<&'p str, usize>,
+    tags: &'c mut Vec<Arc<str>>,
+    slot_of: HashMap<&'p str, usize>,
+    slots: Vec<&'p str>,
+}
+
+impl<'p> Lowering<'p, '_> {
+    fn var(&mut self, name: &'p str) -> Var<'p> {
+        let slot = *self.slot_of.entry(name).or_insert(self.slots.len());
+        if slot == self.slots.len() {
+            self.slots.push(name);
+        }
+        Var { slot, name }
     }
 
-    fn exec_stmt(
-        &self,
-        stmt: &Stmt,
-        env: &mut HashMap<String, RtVal>,
-        state: &mut State,
-    ) -> DbResult<Flow> {
-        self.charge(state);
+    fn stmts(&mut self, stmts: &'p [Stmt]) -> Vec<LStmt<'p>> {
+        stmts.iter().map(|s| self.stmt(s)).collect()
+    }
+
+    fn stmt(&mut self, stmt: &'p Stmt) -> LStmt<'p> {
+        use StmtKind::*;
         match &stmt.kind {
-            StmtKind::Let(v, e) => {
-                let val = self.eval(e, env, state)?;
-                env.insert(v.clone(), val);
-                Ok(Flow::Normal)
+            Let(v, e) => LStmt::Let(self.var(v), self.expr(e)),
+            NewCollection(v) => LStmt::NewCollection(self.var(v)),
+            NewMap(v) => LStmt::NewMap(self.var(v)),
+            Add(c, e) => LStmt::Add(self.var(c), self.expr(e)),
+            Put(m, k, v) => LStmt::Put(self.var(m), self.expr(k), self.expr(v)),
+            ForEach { var, iter, body } => {
+                LStmt::ForEach(self.var(var), self.expr(iter), self.stmts(body))
             }
-            StmtKind::NewCollection(v) => {
-                env.insert(v.clone(), RtVal::new_collection());
-                Ok(Flow::Normal)
-            }
-            StmtKind::NewMap(v) => {
-                env.insert(v.clone(), RtVal::new_map());
-                Ok(Flow::Normal)
-            }
-            StmtKind::Add(c, e) => {
-                let val = self.eval(e, env, state)?;
-                match env.get(c) {
-                    Some(RtVal::Collection(inner)) => {
-                        inner.lock().unwrap().push(val);
-                        Ok(Flow::Normal)
-                    }
-                    _ => Err(DbError::Invalid(format!("{c} is not a collection"))),
-                }
-            }
-            StmtKind::Put(m, k, v) => {
-                let key = self
-                    .eval(k, env, state)?
-                    .as_scalar()
-                    .cloned()
-                    .ok_or_else(|| DbError::Type("map key must be a scalar".into()))?;
-                let val = self.eval(v, env, state)?;
-                match env.get(m) {
-                    Some(RtVal::Map(inner)) => {
-                        inner.lock().unwrap().insert(key, val);
-                        Ok(Flow::Normal)
-                    }
-                    _ => Err(DbError::Invalid(format!("{m} is not a map"))),
-                }
-            }
-            StmtKind::ForEach { var, iter, body } => {
-                let items = self.eval_iterable(iter, env, state)?;
-                for item in items {
-                    // The loop header executes once per iteration.
-                    self.charge(state);
-                    env.insert(var.clone(), item);
-                    match self.exec_block(body, env, state)? {
-                        Flow::Normal => {}
-                        Flow::Break => break,
-                        ret @ Flow::Return(_) => return Ok(ret),
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            StmtKind::While { cond, body } => {
-                loop {
-                    self.charge(state);
-                    let c = self.eval(cond, env, state)?;
-                    match c.as_scalar().and_then(|v| v.as_bool()) {
-                        Some(true) => {}
-                        Some(false) => break,
-                        None => {
-                            return Err(DbError::Type("while condition must be boolean".into()))
-                        }
-                    }
-                    match self.exec_block(body, env, state)? {
-                        Flow::Normal => {}
-                        Flow::Break => break,
-                        ret @ Flow::Return(_) => return Ok(ret),
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            StmtKind::If {
+            While { cond, body } => LStmt::While(self.expr(cond), self.stmts(body)),
+            If {
                 cond,
                 then_branch,
                 else_branch,
-            } => {
-                let c = self.eval(cond, env, state)?;
-                let truth = c.as_scalar().and_then(|v| v.as_bool()).unwrap_or(false);
-                if truth {
-                    self.exec_block(then_branch, env, state)
-                } else {
-                    self.exec_block(else_branch, env, state)
-                }
-            }
-            StmtKind::Print(e) => {
-                let v = self.eval(e, env, state)?;
-                let snap = v.snapshot();
-                state.prints.push(format!("{snap:?}"));
-                state.print_values.push(snap);
-                Ok(Flow::Normal)
-            }
-            StmtKind::Return(e) => {
-                let v = match e {
-                    Some(e) => self.eval(e, env, state)?,
-                    None => RtVal::Unit,
-                };
-                Ok(Flow::Return(v))
-            }
-            StmtKind::Break => Ok(Flow::Break),
-            StmtKind::CacheByColumn {
+            } => LStmt::If(
+                self.expr(cond),
+                self.stmts(then_branch),
+                self.stmts(else_branch),
+            ),
+            Print(e) => LStmt::Print(self.expr(e)),
+            Return(e) => LStmt::Return(e.as_ref().map(|e| self.expr(e))),
+            Break => LStmt::Break,
+            CacheByColumn {
                 cache,
                 source,
                 key_col,
-            } => {
-                // Client-side caches (EhCache/Memcache in the paper) are
-                // built once per run: re-executing the statement (e.g.
-                // inside a loop or a second callee) is a no-op.
-                if state.built_caches.contains(cache) && env.contains_key(cache) {
-                    return Ok(Flow::Normal);
-                }
-                state.built_caches.push(cache.clone());
-                let rows = self.eval_iterable(source, env, state)?;
-                let row_objs: Vec<Arc<RowObj>> = rows
-                    .into_iter()
-                    .filter_map(|v| match v {
-                        RtVal::Row(r) => Some(r),
-                        _ => None,
-                    })
-                    .collect();
-                let built = ColumnCache::build(&row_objs, key_col);
-                env.insert(cache.clone(), RtVal::Cache(Arc::new(built)));
-                Ok(Flow::Normal)
-            }
-            StmtKind::UpdateQuery {
+            } => LStmt::CacheByColumn(self.var(cache), self.expr(source), key_col),
+            UpdateQuery {
                 table,
                 set_col,
                 value,
                 key_col,
                 key,
-            } => {
-                let v = self
-                    .eval(value, env, state)?
-                    .as_scalar()
-                    .cloned()
-                    .ok_or_else(|| DbError::Type("update value must be a scalar".into()))?;
-                let k = self
-                    .eval(key, env, state)?
-                    .as_scalar()
-                    .cloned()
-                    .ok_or_else(|| DbError::Type("update key must be a scalar".into()))?;
-                self.session
-                    .remote()
-                    .update(table, key_col, &k, set_col, v)?;
-                Ok(Flow::Normal)
-            }
-            StmtKind::LetCall(target, fname, args) => {
-                let f = self
-                    .program
-                    .function(fname)
-                    .ok_or_else(|| DbError::Invalid(format!("unknown function {fname}")))?;
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(a, env, state)?);
-                }
-                let ret = self.call(f, vals, state)?;
-                env.insert(target.clone(), ret);
-                Ok(Flow::Normal)
-            }
-            StmtKind::TryCatch { body, handler: _ } => {
-                // The simulation raises no recoverable exceptions; the
-                // handler exists to exercise unstructured-region analysis.
-                self.exec_block(body, env, state)
-            }
+            } => LStmt::UpdateQuery(table, set_col, self.expr(value), key_col, self.expr(key)),
+            LetCall(target, fname, args) => LStmt::LetCall(
+                self.var(target),
+                self.callees.get(fname.as_str()).copied().ok_or(fname),
+                self.exprs(args),
+            ),
+            TryCatch { body, handler: _ } => LStmt::Try(self.stmts(body)),
         }
     }
 
-    fn call(&self, f: &Function, args: Vec<RtVal>, state: &mut State) -> DbResult<RtVal> {
-        if args.len() != f.params.len() {
-            return Err(DbError::Invalid(format!(
-                "{} expects {} args, got {}",
-                f.name,
-                f.params.len(),
-                args.len()
-            )));
-        }
-        let mut env: HashMap<String, RtVal> = HashMap::new();
-        for (p, v) in f.params.iter().zip(args) {
-            env.insert(p.clone(), v);
-        }
-        match self.exec_block(&f.body, &mut env, state)? {
-            Flow::Return(v) => Ok(v),
-            _ => Ok(RtVal::Unit),
-        }
+    fn exprs(&mut self, exprs: &'p [Expr]) -> Vec<LExpr<'p>> {
+        exprs.iter().map(|e| self.expr(e)).collect()
     }
 
-    /// Evaluate an expression used as a loop iterable into a vector.
-    fn eval_iterable(
-        &self,
-        e: &Expr,
-        env: &mut HashMap<String, RtVal>,
-        state: &mut State,
-    ) -> DbResult<Vec<RtVal>> {
-        let v = self.eval(e, env, state)?;
-        match v {
-            RtVal::Collection(c) => Ok(c.lock().unwrap().clone()),
-            RtVal::Map(m) => Ok(m.lock().unwrap().values().cloned().collect()),
-            // A single-row cache/lookup result iterates as one element
-            // (cache lookups return the row itself on a unique match).
-            row @ RtVal::Row(_) => Ok(vec![row]),
-            other => Err(DbError::Type(format!(
-                "cannot iterate over {:?}",
-                other.snapshot()
-            ))),
-        }
+    fn boxed(&mut self, e: &'p Expr) -> Box<LExpr<'p>> {
+        Box::new(self.expr(e))
     }
 
-    // `state` is threaded through even though expression evaluation does
-    // not currently charge it: statement-level charging owns the clock,
-    // and sub-evaluations must keep the signature for rules that do.
-    #[allow(clippy::only_used_in_recursion)]
-    fn eval(
-        &self,
-        e: &Expr,
-        env: &mut HashMap<String, RtVal>,
-        state: &mut State,
-    ) -> DbResult<RtVal> {
+    fn expr(&mut self, e: &'p Expr) -> LExpr<'p> {
         match e {
-            Expr::Var(v) => env
-                .get(v)
-                .cloned()
-                .ok_or_else(|| DbError::Invalid(format!("unbound variable {v}"))),
-            Expr::Lit(v) => Ok(RtVal::Scalar(v.clone())),
-            Expr::Bin(op, l, r) => {
-                let lv = self.eval(l, env, state)?;
-                let rv = self.eval(r, env, state)?;
-                let (a, b) = match (lv.as_scalar(), rv.as_scalar()) {
-                    (Some(a), Some(b)) => (a.clone(), b.clone()),
-                    _ => return Err(DbError::Type("binary op on non-scalars".into())),
-                };
-                Ok(RtVal::Scalar(apply_bin_op(*op, &a, &b)?))
-            }
-            Expr::Not(inner) => {
-                let v = self.eval(inner, env, state)?;
-                match v.as_scalar() {
-                    Some(Value::Bool(b)) => Ok(RtVal::Scalar(Value::Bool(!b))),
-                    Some(Value::Null) => Ok(RtVal::Scalar(Value::Null)),
-                    _ => Err(DbError::Type("NOT on non-boolean".into())),
-                }
-            }
-            Expr::Field(base, name) => {
-                let v = self.eval(base, env, state)?;
-                match v {
-                    RtVal::Row(r) => r
-                        .field(name)
-                        .map(RtVal::Scalar)
-                        .ok_or_else(|| DbError::UnknownColumn(name.clone())),
-                    // Single-row convention (the ORM `uniqueResult` idiom,
-                    // same as cache lookups): a one-row collection behaves
-                    // as the row itself. Codegen relies on this when it
-                    // lowers association navigation to a point query and
-                    // reads the result's columns.
-                    RtVal::Collection(c) => {
-                        let items = c.lock().unwrap();
-                        match items.as_slice() {
-                            [RtVal::Row(r)] => r
-                                .field(name)
-                                .map(RtVal::Scalar)
-                                .ok_or_else(|| DbError::UnknownColumn(name.clone())),
-                            _ => Err(DbError::Type(format!(
-                                "field access .{name} on a {}-row collection",
-                                items.len()
-                            ))),
-                        }
-                    }
-                    _ => Err(DbError::Type(format!("field access .{name} on non-row"))),
-                }
-            }
-            Expr::Nav(base, field) => {
-                let v = self.eval(base, env, state)?;
-                let RtVal::Row(r) = v else {
-                    return Err(DbError::Type(format!("navigation .{field} on non-row")));
-                };
-                let entity = r.entity.clone().ok_or_else(|| {
-                    DbError::Invalid(format!("navigation .{field} requires an entity-mapped row"))
-                })?;
-                match self.session.navigate(&entity, field, &r.values)? {
-                    Some((target, row)) => {
-                        let schema = self.session.entity_schema(&target)?;
-                        Ok(RtVal::Row(Arc::new(RowObj {
-                            schema,
-                            values: row,
-                            entity: Some(target),
-                        })))
-                    }
-                    None => Ok(RtVal::Scalar(Value::Null)),
-                }
-            }
-            Expr::Call(f, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    let v = self.eval(a, env, state)?;
-                    vals.push(
-                        v.as_scalar()
-                            .cloned()
-                            .ok_or_else(|| DbError::Type(format!("{f} argument not scalar")))?,
-                    );
-                }
-                Ok(RtVal::Scalar(self.session.remote().funcs().call(f, &vals)?))
-            }
-            Expr::LoadAll(entity) => {
-                let (schema, rows) = self.session.load_all(entity)?;
-                let items: Vec<RtVal> = rows
-                    .into_iter()
-                    .map(|values| {
-                        RtVal::Row(Arc::new(RowObj {
-                            schema: schema.clone(),
-                            values,
-                            entity: Some(entity.clone()),
-                        }))
-                    })
-                    .collect();
-                Ok(RtVal::Collection(Arc::new(Mutex::new(items))))
-            }
+            Expr::Var(v) => LExpr::Var(self.var(v)),
+            Expr::Lit(v) => LExpr::Lit(RtVal::Scalar(v.clone())),
+            Expr::Bin(op, l, r) => LExpr::Bin(*op, self.boxed(l), self.boxed(r)),
+            Expr::Not(inner) => LExpr::Not(self.boxed(inner)),
+            Expr::Field(base, name) => LExpr::Field(self.boxed(base), name, FieldSite::default()),
+            Expr::Nav(base, field) => LExpr::Nav(self.boxed(base), field),
+            Expr::Call(f, args) => LExpr::Call(f, self.exprs(args)),
+            Expr::LoadAll(entity) => LExpr::LoadAll(entity, tag(self.tags, entity)),
             Expr::Query(spec) => {
-                let mut params = HashMap::new();
-                for (name, bind) in &spec.binds {
-                    let v = self.eval(bind, env, state)?;
-                    params.insert(
-                        name.clone(),
-                        v.as_scalar()
-                            .cloned()
-                            .ok_or_else(|| DbError::Type(format!(":{name} not scalar")))?,
-                    );
-                }
-                let result = self.session.remote().query(&spec.plan, &params)?;
-                let schema = Arc::new(result.schema);
-                // Tag rows with their entity when the query is a plain
-                // table fetch, so navigation keeps working on them.
                 let entity = single_table_entity(&spec.plan, self.session);
-                let items: Vec<RtVal> = result
-                    .rows
-                    .into_iter()
-                    .map(|row| {
-                        RtVal::Row(Arc::new(RowObj {
-                            schema: schema.clone(),
-                            values: Arc::new(row),
-                            entity: entity.clone(),
-                        }))
-                    })
-                    .collect();
-                Ok(RtVal::Collection(Arc::new(Mutex::new(items))))
+                LExpr::Query(self.query(spec, entity))
             }
-            Expr::ScalarQuery(spec) => {
-                let mut params = HashMap::new();
-                for (name, bind) in &spec.binds {
-                    let v = self.eval(bind, env, state)?;
-                    params.insert(
-                        name.clone(),
-                        v.as_scalar()
-                            .cloned()
-                            .ok_or_else(|| DbError::Type(format!(":{name} not scalar")))?,
-                    );
-                }
-                let result = self.session.remote().query(&spec.plan, &params)?;
-                let v = result
-                    .rows
-                    .first()
-                    .and_then(|r| r.first())
-                    .cloned()
-                    .unwrap_or(Value::Null);
-                Ok(RtVal::Scalar(v))
-            }
-            Expr::LookupCache(cache, key) => {
-                let k = self
-                    .eval(key, env, state)?
-                    .as_scalar()
-                    .cloned()
-                    .ok_or_else(|| DbError::Type("cache key must be scalar".into()))?;
-                match env.get(cache) {
-                    Some(RtVal::Cache(c)) => {
-                        let hits = c.lookup(&k);
-                        // Single-row convention: a unique match evaluates to
-                        // the row itself (paper: `cust = lookupCache(...)`),
-                        // multiple matches to a collection.
-                        match hits.len() {
-                            1 => Ok(RtVal::Row(hits[0].clone())),
-                            _ => Ok(RtVal::Collection(Arc::new(Mutex::new(
-                                hits.iter().map(|r| RtVal::Row(r.clone())).collect(),
-                            )))),
-                        }
-                    }
-                    _ => Err(DbError::Invalid(format!("{cache} is not a cache"))),
-                }
-            }
-            Expr::MapGet(m, k) => {
-                let key = self
-                    .eval(k, env, state)?
-                    .as_scalar()
-                    .cloned()
-                    .ok_or_else(|| DbError::Type("map key must be scalar".into()))?;
-                let mv = self.eval(m, env, state)?;
-                match mv {
-                    RtVal::Map(inner) => Ok(inner
-                        .lock()
-                        .unwrap()
-                        .get(&key)
-                        .cloned()
-                        .unwrap_or(RtVal::Scalar(Value::Null))),
-                    _ => Err(DbError::Type("get() on non-map".into())),
-                }
-            }
-            Expr::Len(c) => {
-                let v = self.eval(c, env, state)?;
-                let n = match v {
-                    RtVal::Collection(inner) => inner.lock().unwrap().len(),
-                    RtVal::Map(inner) => inner.lock().unwrap().len(),
-                    RtVal::Cache(inner) => inner.len(),
-                    _ => return Err(DbError::Type("size() on non-container".into())),
-                };
-                Ok(RtVal::Scalar(Value::Int(n as i64)))
-            }
+            Expr::ScalarQuery(spec) => LExpr::ScalarQuery(self.query(spec, None)),
+            Expr::LookupCache(cache, key) => LExpr::LookupCache(self.var(cache), self.boxed(key)),
+            Expr::MapGet(m, k) => LExpr::MapGet(self.boxed(m), self.boxed(k)),
+            Expr::Len(c) => LExpr::Len(self.boxed(c)),
+        }
+    }
+
+    fn query(&mut self, spec: &'p QuerySpec, entity: Option<&str>) -> LQuery<'p> {
+        let binds = spec.binds.iter();
+        LQuery {
+            plan: &spec.plan,
+            binds: binds
+                .map(|(name, e)| (name.as_str(), self.expr(e)))
+                .collect(),
+            entity: entity.map(|e| tag(self.tags, e)),
         }
     }
 }
 
 /// If the plan reads exactly one base table without reshaping rows
 /// (filters/sorts/limits are fine), return its mapped entity.
-fn single_table_entity(plan: &minidb::LogicalPlan, session: &Session) -> Option<String> {
+fn single_table_entity<'s>(plan: &LogicalPlan, session: &'s Session) -> Option<&'s str> {
     use minidb::LogicalPlan as P;
     fn base_table(plan: &P) -> Option<&str> {
         match plan {
@@ -650,26 +462,396 @@ fn single_table_entity(plan: &minidb::LogicalPlan, session: &Session) -> Option<
             _ => None,
         }
     }
-    let table = base_table(plan)?;
-    session
-        .mappings()
-        .entity_for_table(table)
-        .map(|m| m.entity.clone())
+    let mapping = session.mappings().entity_for_table(base_table(plan)?)?;
+    Some(&mapping.entity)
 }
 
-struct State {
-    prints: Vec<String>,
-    print_values: Vec<Snapshot>,
-    stmts: u64,
+// --- execution ----------------------------------------------------------------
+
+/// How deep a run may recurse — open blocks (loop bodies, branches,
+/// function bodies) plus levels of the expression being evaluated: the 128
+/// levels the wire decoder admits in one function, and room for calls
+/// below them. See the module documentation for the stack this costs.
+const MAX_DEPTH: usize = 160;
+
+fn type_error(what: impl Into<String>) -> DbError {
+    DbError::Type(what.into())
+}
+
+/// A collection of the rows of `result`, each tagged with `entity`.
+fn rows_of(result: Arc<ResultSet>, entity: Option<&Arc<str>>) -> RtVal {
+    let entity = entity.cloned();
+    let tagged = |row| {
+        RtVal::Row(RowObj {
+            row,
+            entity: entity.clone(),
+        })
+    };
+    RtVal::Collection(Arc::new(Mutex::new(
+        RowRef::all(&result).map(tagged).collect(),
+    )))
+}
+
+/// One run of a lowered program, and what it accumulates.
+struct Machine<'a, 'p> {
+    session: &'a Session,
+    cz_ns: u64,
+    funcs: Vec<Func<'p>>,
+    /// The entity names rows are tagged with, one shared string each.
+    tags: RefCell<Vec<Arc<str>>>,
+    stmts: Cell<u64>,
+    /// Statement cost not yet on the shared clock.
+    unsettled_ns: Cell<u64>,
+    /// How deep the interpreter's own recursion is: blocks open (function
+    /// bodies included) plus levels of the expression being evaluated.
+    depth: Cell<usize>,
+    print_values: RefCell<Vec<Snapshot>>,
     /// Names of client-side caches already built during this run.
-    built_caches: Vec<String>,
+    built_caches: RefCell<Vec<&'p str>>,
+}
+
+impl<'p> Machine<'_, 'p> {
+    fn charge(&self) {
+        self.stmts.set(self.stmts.get() + 1);
+        let ns = self.unsettled_ns.get().saturating_add(self.cz_ns);
+        self.unsettled_ns.set(ns);
+    }
+
+    /// Put the statement cost summed so far on the shared clock: before
+    /// the remote side advances it, and when the run ends. The clock's
+    /// sum saturates, so in which order the terms arrive does not matter.
+    fn settle(&self) {
+        self.session
+            .remote()
+            .clock()
+            .advance(self.unsettled_ns.take());
+    }
+
+    /// One level deeper, unless that is deeper than [`MAX_DEPTH`].
+    fn descend(&self) -> DbResult<()> {
+        if self.depth.get() == MAX_DEPTH {
+            let what = format!("blocks, calls and expressions nest deeper than {MAX_DEPTH}");
+            return Err(DbError::Invalid(what));
+        }
+        self.depth.set(self.depth.get() + 1);
+        Ok(())
+    }
+
+    fn ascend(&self) {
+        self.depth.set(self.depth.get() - 1);
+    }
+
+    fn exec_block(&self, stmts: &[LStmt<'p>], frame: &mut Frame) -> DbResult<Flow> {
+        self.descend()?;
+        for s in stmts {
+            match self.exec_stmt(s, frame)? {
+                Flow::Normal => {}
+                other => {
+                    self.ascend();
+                    return Ok(other);
+                }
+            }
+        }
+        self.ascend();
+        Ok(Flow::Normal)
+    }
+
+    fn exec_stmt(&self, stmt: &LStmt<'p>, frame: &mut Frame) -> DbResult<Flow> {
+        self.charge();
+        match stmt {
+            LStmt::Let(v, e) => frame[v.slot] = Some(self.eval(e, frame)?),
+            LStmt::NewCollection(v) => frame[v.slot] = Some(RtVal::new_collection()),
+            LStmt::NewMap(v) => frame[v.slot] = Some(RtVal::new_map()),
+            LStmt::Add(c, e) => {
+                let val = self.eval(e, frame)?;
+                match &frame[c.slot] {
+                    Some(RtVal::Collection(inner)) => inner.lock().unwrap().push(val),
+                    _ => return Err(DbError::Invalid(format!("{} is not a collection", c.name))),
+                }
+            }
+            LStmt::Put(m, k, v) => {
+                let key = self.scalar(k, frame, || "map key must be a scalar".into())?;
+                let val = self.eval(v, frame)?;
+                match &frame[m.slot] {
+                    Some(RtVal::Map(inner)) => inner.lock().unwrap().insert(key, val),
+                    _ => return Err(DbError::Invalid(format!("{} is not a map", m.name))),
+                };
+            }
+            LStmt::ForEach(var, iter, body) => {
+                for item in self.eval_iterable(iter, frame)? {
+                    // The loop header executes once per iteration.
+                    self.charge();
+                    frame[var.slot] = Some(item);
+                    match self.exec_block(body, frame)? {
+                        Flow::Normal => {}
+                        Flow::Break => break,
+                        ret @ Flow::Return(_) => return Ok(ret),
+                    }
+                }
+            }
+            LStmt::While(cond, body) => loop {
+                self.charge();
+                let c = self.operand(cond, frame)?;
+                match c.as_scalar().and_then(|v| v.as_bool()) {
+                    Some(true) => {}
+                    Some(false) => break,
+                    None => return Err(type_error("while condition must be boolean")),
+                }
+                match self.exec_block(body, frame)? {
+                    Flow::Normal => {}
+                    Flow::Break => break,
+                    ret @ Flow::Return(_) => return Ok(ret),
+                }
+            },
+            LStmt::If(cond, then_branch, else_branch) => {
+                let c = self.operand(cond, frame)?;
+                let truth = c.as_scalar().and_then(|v| v.as_bool()).unwrap_or(false);
+                let branch = if truth { then_branch } else { else_branch };
+                return self.exec_block(branch, frame);
+            }
+            LStmt::Print(e) => {
+                let snap = self.operand(e, frame)?.snapshot();
+                self.print_values.borrow_mut().push(snap);
+            }
+            LStmt::Return(None) => return Ok(Flow::Return(RtVal::Unit)),
+            LStmt::Return(Some(e)) => return Ok(Flow::Return(self.eval(e, frame)?)),
+            LStmt::Break => return Ok(Flow::Break),
+            LStmt::CacheByColumn(cache, source, key_col) => {
+                // Client-side caches (EhCache/Memcache in the paper) are
+                // built once per run: re-executing the statement (e.g.
+                // inside a loop or a second callee) is a no-op.
+                let built = self.built_caches.borrow().contains(&cache.name);
+                if built && frame[cache.slot].is_some() {
+                    return Ok(Flow::Normal);
+                }
+                self.built_caches.borrow_mut().push(cache.name);
+                let rows = self.eval_iterable(source, frame)?;
+                let rows = rows.into_iter().filter_map(|v| match v {
+                    RtVal::Row(r) => Some(r),
+                    _ => None,
+                });
+                let built = ColumnCache::build(rows, key_col);
+                frame[cache.slot] = Some(RtVal::Cache(Arc::new(built)));
+            }
+            LStmt::UpdateQuery(table, set_col, value, key_col, key) => {
+                let v = self.scalar(value, frame, || "update value must be a scalar".into())?;
+                let k = self.scalar(key, frame, || "update key must be a scalar".into())?;
+                self.settle();
+                let remote = self.session.remote();
+                remote.update(table, key_col, &k, set_col, v)?;
+            }
+            LStmt::LetCall(target, callee, args) => {
+                let f = match callee {
+                    Ok(index) => &self.funcs[*index],
+                    Err(name) => return Err(DbError::Invalid(format!("unknown function {name}"))),
+                };
+                let mut vals = Vec::with_capacity(args.len());
+                for a in args {
+                    vals.push(self.eval(a, frame)?);
+                }
+                frame[target.slot] = Some(self.call(f, vals)?);
+            }
+            LStmt::Try(body) => return self.exec_block(body, frame),
+        }
+        Ok(Flow::Normal)
+    }
+
+    fn call(&self, f: &Func<'p>, args: Vec<RtVal>) -> DbResult<RtVal> {
+        if args.len() != f.params.len() {
+            let (name, want, got) = (f.name, f.params.len(), args.len());
+            return Err(DbError::Invalid(format!(
+                "{name} expects {want} args, got {got}"
+            )));
+        }
+        let mut frame: Frame = vec![None; f.slots.len()];
+        for (&slot, v) in f.params.iter().zip(args) {
+            frame[slot] = Some(v);
+        }
+        match self.exec_block(&f.body, &mut frame)? {
+            Flow::Return(v) => Ok(v),
+            _ => Ok(RtVal::Unit),
+        }
+    }
+
+    /// Evaluate an expression used as a loop iterable into a vector: the
+    /// collection's own when nothing else holds it (a query's result, say),
+    /// a copy of one a variable holds too — the body may grow it.
+    fn eval_iterable(&self, e: &LExpr<'p>, frame: &Frame) -> DbResult<Vec<RtVal>> {
+        match self.eval(e, frame)? {
+            RtVal::Collection(c) => Ok(match Arc::try_unwrap(c) {
+                Ok(only) => only.into_inner().unwrap(),
+                Err(shared) => shared.lock().unwrap().clone(),
+            }),
+            RtVal::Map(m) => Ok(m.lock().unwrap().values().cloned().collect()),
+            // A single-row cache/lookup result iterates as one element
+            // (cache lookups return the row itself on a unique match).
+            row @ RtVal::Row(_) => Ok(vec![row]),
+            other => Err(type_error(format!(
+                "cannot iterate over {:?}",
+                other.snapshot()
+            ))),
+        }
+    }
+
+    /// The value of `e` for an operation that only reads it: a variable's
+    /// or a literal's where it lies, anything else evaluated.
+    fn operand<'v>(&'v self, e: &'v LExpr<'p>, frame: &'v Frame) -> DbResult<Cow<'v, RtVal>> {
+        match e {
+            LExpr::Var(v) => match &frame[v.slot] {
+                Some(val) => Ok(Cow::Borrowed(val)),
+                None => Err(DbError::Invalid(format!("unbound variable {}", v.name))),
+            },
+            LExpr::Lit(v) => Ok(Cow::Borrowed(v)),
+            _ => {
+                self.descend()?;
+                let v = self.eval(e, frame)?;
+                self.ascend();
+                Ok(Cow::Owned(v))
+            }
+        }
+    }
+
+    /// The scalar `e` evaluates to, or the type error `what` words.
+    fn scalar(
+        &self,
+        e: &LExpr<'p>,
+        frame: &Frame,
+        what: impl FnOnce() -> String,
+    ) -> DbResult<Value> {
+        let v = self.operand(e, frame)?;
+        v.as_scalar().cloned().ok_or_else(|| type_error(what()))
+    }
+
+    /// The values a query binds, then the query, on a settled clock.
+    fn query(&self, q: &LQuery<'p>, frame: &Frame) -> DbResult<Arc<ResultSet>> {
+        let mut params = HashMap::new();
+        for (name, bind) in &q.binds {
+            let v = self.scalar(bind, frame, || format!(":{name} not scalar"))?;
+            params.insert(name.to_string(), v);
+        }
+        self.settle();
+        self.session.remote().query(q.plan, &params)
+    }
+
+    fn eval(&self, e: &LExpr<'p>, frame: &Frame) -> DbResult<RtVal> {
+        match e {
+            LExpr::Var(_) | LExpr::Lit(_) => Ok(self.operand(e, frame)?.into_owned()),
+            LExpr::Bin(op, l, r) => {
+                let lv = self.operand(l, frame)?;
+                let rv = self.operand(r, frame)?;
+                match (lv.as_scalar(), rv.as_scalar()) {
+                    (Some(a), Some(b)) => Ok(RtVal::Scalar(apply_bin_op(*op, a, b)?)),
+                    _ => Err(type_error("binary op on non-scalars")),
+                }
+            }
+            LExpr::Not(inner) => match self.operand(inner, frame)?.as_scalar() {
+                Some(Value::Bool(b)) => Ok(RtVal::Scalar(Value::Bool(!b))),
+                Some(Value::Null) => Ok(RtVal::Scalar(Value::Null)),
+                _ => Err(type_error("NOT on non-boolean")),
+            },
+            LExpr::Field(base, name, site) => {
+                let read = |r: &RowObj| {
+                    let v = site.read(&r.row, name).map(RtVal::Scalar);
+                    v.ok_or_else(|| DbError::UnknownColumn(name.to_string()))
+                };
+                match &*self.operand(base, frame)? {
+                    RtVal::Row(r) => read(r),
+                    // Single-row convention (the ORM `uniqueResult` idiom,
+                    // same as cache lookups): a one-row collection behaves
+                    // as the row itself. Codegen relies on this when it
+                    // lowers association navigation to a point query and
+                    // reads the result's columns.
+                    RtVal::Collection(c) => match c.lock().unwrap().as_slice() {
+                        [RtVal::Row(r)] => read(r),
+                        items => Err(type_error(format!(
+                            "field access .{name} on a {}-row collection",
+                            items.len()
+                        ))),
+                    },
+                    _ => Err(type_error(format!("field access .{name} on non-row"))),
+                }
+            }
+            LExpr::Nav(base, field) => {
+                let v = self.operand(base, frame)?;
+                let RtVal::Row(r) = &*v else {
+                    return Err(type_error(format!("navigation .{field} on non-row")));
+                };
+                let entity = r.entity.as_deref().ok_or_else(|| {
+                    DbError::Invalid(format!("navigation .{field} requires an entity-mapped row"))
+                })?;
+                self.settle();
+                match self.session.navigate(entity, field, &r.row)? {
+                    Some((target, row)) => Ok(RtVal::Row(RowObj {
+                        row,
+                        entity: Some(tag(&mut self.tags.borrow_mut(), target)),
+                    })),
+                    None => Ok(RtVal::Scalar(Value::Null)),
+                }
+            }
+            LExpr::Call(f, args) => {
+                let mut vals = Vec::with_capacity(args.len());
+                for a in args {
+                    vals.push(self.scalar(a, frame, || format!("{f} argument not scalar"))?);
+                }
+                Ok(RtVal::Scalar(self.session.remote().funcs().call(f, &vals)?))
+            }
+            LExpr::LoadAll(entity, tag) => {
+                self.settle();
+                Ok(rows_of(self.session.load_all(entity)?, Some(tag)))
+            }
+            LExpr::Query(q) => Ok(rows_of(self.query(q, frame)?, q.entity.as_ref())),
+            LExpr::ScalarQuery(q) => {
+                let result = self.query(q, frame)?;
+                let none = result.is_empty() || result.schema().is_empty();
+                let v = if none {
+                    Value::Null
+                } else {
+                    result.value(0, 0)
+                };
+                Ok(RtVal::Scalar(v))
+            }
+            LExpr::LookupCache(cache, key) => {
+                let k = self.scalar(key, frame, || "cache key must be scalar".into())?;
+                match &frame[cache.slot] {
+                    // Single-row convention: a unique match evaluates to
+                    // the row itself (paper: `cust = lookupCache(...)`),
+                    // multiple matches to a collection.
+                    Some(RtVal::Cache(c)) => Ok(match c.lookup(&k) {
+                        [one] => RtVal::Row(one.clone()),
+                        hits => RtVal::Collection(Arc::new(Mutex::new(
+                            hits.iter().cloned().map(RtVal::Row).collect(),
+                        ))),
+                    }),
+                    _ => Err(DbError::Invalid(format!("{} is not a cache", cache.name))),
+                }
+            }
+            LExpr::MapGet(m, k) => {
+                let key = self.scalar(k, frame, || "map key must be scalar".into())?;
+                match &*self.operand(m, frame)? {
+                    RtVal::Map(inner) => {
+                        let found = inner.lock().unwrap().get(&key).cloned();
+                        Ok(found.unwrap_or(RtVal::Scalar(Value::Null)))
+                    }
+                    _ => Err(type_error("get() on non-map")),
+                }
+            }
+            LExpr::Len(c) => {
+                let n = match &*self.operand(c, frame)? {
+                    RtVal::Collection(inner) => inner.lock().unwrap().len(),
+                    RtVal::Map(inner) => inner.lock().unwrap().len(),
+                    RtVal::Cache(inner) => inner.len(),
+                    _ => return Err(type_error("size() on non-container")),
+                };
+                Ok(RtVal::Scalar(Value::Int(n as i64)))
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imperative::ast::QuerySpec;
-    use minidb::{BinOp, Column, DataType, Database, FuncRegistry, Schema};
+    use minidb::{Column, DataType, Database, FuncRegistry, Schema};
     use netsim::{Clock, NetworkProfile};
     use orm::{EntityMapping, MappingRegistry, RemoteDb};
 
@@ -1040,8 +1222,8 @@ mod tests {
             ],
         ));
         let (out, _) = run(&program);
-        assert_eq!(out.prints.len(), 2);
-        assert!(out.prints[0].contains('1'));
+        let printed = [1i64, 2].map(|v| Snapshot::Scalar(Value::Int(v)));
+        assert_eq!(out.print_values, printed);
     }
 
     #[test]
@@ -1123,5 +1305,189 @@ mod tests {
         ));
         let (out, _) = run(&program);
         assert_eq!(out.var_snapshot("year"), Snapshot::Scalar(Value::Int(1961)));
+    }
+
+    fn let_(v: &str, e: Expr) -> Stmt {
+        Stmt::new(StmtKind::Let(v.into(), e))
+    }
+
+    fn for_each(var: &str, iter: Expr, body: Vec<Stmt>) -> Stmt {
+        let var = var.into();
+        Stmt::new(StmtKind::ForEach { var, iter, body })
+    }
+
+    fn if_(cond: Expr, then_branch: Vec<Stmt>) -> Stmt {
+        Stmt::new(StmtKind::If {
+            cond,
+            then_branch,
+            else_branch: vec![],
+        })
+    }
+
+    fn query(sql: &str) -> Expr {
+        Expr::Query(QuerySpec::sql(sql))
+    }
+
+    fn int(v: i64) -> Snapshot {
+        Snapshot::Scalar(Value::Int(v))
+    }
+
+    #[test]
+    fn a_fetched_row_keeps_its_values_across_a_later_update() {
+        // A result holds the columns the table had when the query ran, and
+        // a scan's are the table's own. The update replaces them; it must
+        // not write through them.
+        let is_3 = Expr::bin(
+            BinOp::Eq,
+            Expr::field(Expr::var("o"), "o_id"),
+            Expr::lit(3i64),
+        );
+        let program = Program::single(Function::new(
+            "f",
+            vec![],
+            vec![
+                for_each(
+                    "o",
+                    query("select * from orders"),
+                    vec![if_(is_3, vec![let_("held", Expr::var("o"))])],
+                ),
+                Stmt::new(StmtKind::UpdateQuery {
+                    table: "orders".into(),
+                    set_col: "o_amount".into(),
+                    value: Expr::lit(777i64),
+                    key_col: "o_id".into(),
+                    key: Expr::lit(3i64),
+                }),
+                let_("before", Expr::field(Expr::var("held"), "o_amount")),
+                let_(
+                    "after",
+                    Expr::field(query("select * from orders where o_id = 3"), "o_amount"),
+                ),
+            ],
+        ));
+        let (out, _) = run(&program);
+        assert_eq!(out.var_snapshot("before"), int(30));
+        assert_eq!(out.var_snapshot("after"), int(777));
+    }
+
+    #[test]
+    fn a_loop_runs_over_the_collection_as_it_was_when_the_loop_began() {
+        let add = |c: &str, e: Expr| Stmt::new(StmtKind::Add(c.into(), e));
+        let one_more = Expr::bin(BinOp::Add, Expr::var("n"), Expr::lit(1i64));
+        let program = Program::single(Function::new(
+            "f",
+            vec!["c".to_string()],
+            vec![
+                add("c", Expr::lit(7i64)),
+                add("c", Expr::lit(8i64)),
+                add("c", Expr::lit(9i64)),
+                let_("n", Expr::lit(0i64)),
+                for_each(
+                    "x",
+                    Expr::var("c"),
+                    vec![add("c", Expr::var("x")), let_("n", one_more)],
+                ),
+                let_("len", Expr::Len(Box::new(Expr::var("c")))),
+            ],
+        ));
+        let (out, _) = run(&program);
+        assert_eq!(out.var_snapshot("n"), int(3));
+        assert_eq!(out.var_snapshot("len"), int(6));
+    }
+
+    #[test]
+    fn a_name_nothing_defines_fails_its_statement_not_the_program() {
+        let with = |taken: bool| {
+            Program::single(Function::new(
+                "f",
+                vec![],
+                vec![if_(
+                    Expr::lit(taken),
+                    vec![
+                        Stmt::new(StmtKind::LetCall("y".into(), "nosuch".into(), vec![])),
+                        let_("z", Expr::var("ghost")),
+                    ],
+                )],
+            ))
+        };
+        let (out, _) = run(&with(false));
+        assert_eq!(out.stmts_executed, 1);
+        let (session, _) = fixture();
+        let err = Interp::new(&session, &with(true)).run(vec![]).unwrap_err();
+        assert!(err.to_string().contains("unknown function nosuch"), "{err}");
+    }
+
+    #[test]
+    fn one_field_site_reads_rows_of_two_schemas() {
+        // `r.o_id` in `id_of` meets `o_id` in column 0, then 1, then 0.
+        let pick = |var: &str, sql: &str| {
+            let call = StmtKind::LetCall(var.into(), "id_of".into(), vec![Expr::var("r")]);
+            for_each("r", query(sql), vec![Stmt::new(call)])
+        };
+        let id_of = Stmt::new(StmtKind::Return(Some(Expr::field(Expr::var("r"), "o_id"))));
+        let program = Program {
+            functions: vec![
+                Function::new(
+                    "main",
+                    vec![],
+                    vec![
+                        pick("a", "select o_id, o_amount from orders where o_id = 5"),
+                        pick("b", "select o_amount, o_id from orders where o_id = 7"),
+                        pick("c", "select o_id, o_amount from orders where o_id = 9"),
+                    ],
+                ),
+                Function::new("id_of", vec!["r".to_string()], vec![id_of]),
+            ],
+        };
+        let (out, _) = run(&program);
+        let ids = ["a", "b", "c"].map(|v| out.var_snapshot(v));
+        assert_eq!(ids, [int(5), int(7), int(9)]);
+    }
+
+    #[test]
+    fn recursion_is_bounded_not_refused() {
+        // f(n) { if (n <= 0) { return 0; } y = f(n - 1); return y + 1; }
+        let n = || Expr::var("n");
+        let f = Function::new(
+            "f",
+            vec!["n".to_string()],
+            vec![
+                if_(
+                    Expr::bin(BinOp::Le, n(), Expr::lit(0i64)),
+                    vec![Stmt::new(StmtKind::Return(Some(Expr::lit(0i64))))],
+                ),
+                Stmt::new(StmtKind::LetCall(
+                    "y".into(),
+                    "f".into(),
+                    vec![Expr::bin(BinOp::Sub, n(), Expr::lit(1i64))],
+                )),
+                Stmt::new(StmtKind::Return(Some(Expr::bin(
+                    BinOp::Add,
+                    Expr::var("y"),
+                    Expr::lit(1i64),
+                )))),
+            ],
+        );
+        let calling_with = |n: i64| {
+            let call = StmtKind::LetCall("x".into(), "f".into(), vec![Expr::lit(n)]);
+            let main = Function::new("main", vec![], vec![Stmt::new(call)]);
+            Program {
+                functions: vec![main, f.clone()],
+            }
+        };
+        let (out, _) = run(&calling_with(10));
+        assert_eq!(out.var_snapshot("x"), int(10));
+        // One block per activation, main's included, and the last `if`'s.
+        let deepest = MAX_DEPTH as i64 - 3;
+        let (out, _) = run(&calling_with(deepest));
+        assert_eq!(out.var_snapshot("x"), int(deepest));
+        let (session, clock) = fixture();
+        let err = Interp::new(&session, &calling_with(deepest + 1))
+            .run(vec![])
+            .unwrap_err();
+        assert!(matches!(&err, DbError::Invalid(why) if why.contains("nest deeper")));
+        // What the failed run executed is on the clock all the same: the
+        // call in main, `if` and call in every activation, the last `if`.
+        assert_eq!(clock.now(), 30 * (1 + 2 * (deepest as u64 + 1) + 1));
     }
 }

@@ -1,30 +1,52 @@
 //! Runtime values of the interpreter.
 
-use minidb::{Row, Schema, Value};
+use minidb::{RowRef, Schema, Value};
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
-/// A row object: values plus the schema to resolve field names, plus the
-/// originating entity when the row came from the ORM (needed for
-/// association navigation).
+/// A row object: a row of a shared query result — which carries the schema
+/// that resolves field names — plus the originating entity when the row
+/// came from the ORM (needed for association navigation). Held by value:
+/// cloning bumps two reference counts and allocates nothing.
 #[derive(Debug, Clone)]
 pub struct RowObj {
-    /// Schema describing `values`.
-    pub schema: Arc<Schema>,
-    /// The row.
-    pub values: Arc<Row>,
-    /// Entity name when ORM-loaded (`None` for raw query results).
-    pub entity: Option<String>,
+    /// The row, where the engine left it.
+    pub row: RowRef,
+    /// Entity name when ORM-loaded (`None` for raw query results), shared
+    /// by every row of a result.
+    pub entity: Option<Arc<str>>,
 }
 
 impl RowObj {
     /// Read a field by (possibly qualified) name.
     pub fn field(&self, name: &str) -> Option<Value> {
-        self.schema
-            .resolve(name)
-            .ok()
-            .map(|i| self.values[i].clone())
+        let col = self.row.schema().resolve(name).ok()?;
+        Some(self.row.value(col))
+    }
+}
+
+/// One place that reads a field by name: it remembers the schema of the
+/// last row it read and the column the name resolved to there, and
+/// resolves again only when a row of another schema arrives.
+#[derive(Default)]
+pub(crate) struct FieldSite(RefCell<Option<(Arc<Schema>, usize)>>);
+
+impl FieldSite {
+    /// The field `name` of `row`; `None` when the row's schema has no such
+    /// column (or more than one).
+    pub(crate) fn read(&self, row: &RowRef, name: &str) -> Option<Value> {
+        let mut last = self.0.borrow_mut();
+        let col = match &*last {
+            Some((schema, col)) if Arc::ptr_eq(schema, row.schema()) => *col,
+            _ => {
+                let col = row.schema().resolve(name).ok()?;
+                *last = Some((row.schema().clone(), col));
+                col
+            }
+        };
+        Some(row.value(col))
     }
 }
 
@@ -32,27 +54,26 @@ impl RowObj {
 /// the paper): rows grouped by the value of a key column.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnCache {
-    rows_by_key: HashMap<Value, Vec<Arc<RowObj>>>,
+    rows_by_key: HashMap<Value, Vec<RowObj>>,
     len: usize,
 }
 
 impl ColumnCache {
     /// Build a cache of `rows` keyed by column `key_col`.
-    pub fn build(rows: &[Arc<RowObj>], key_col: &str) -> ColumnCache {
-        let mut map: HashMap<Value, Vec<Arc<RowObj>>> = HashMap::new();
+    pub fn build(rows: impl IntoIterator<Item = RowObj>, key_col: &str) -> ColumnCache {
+        let mut cache = ColumnCache::default();
+        let site = FieldSite::default();
         for r in rows {
-            if let Some(k) = r.field(key_col) {
-                map.entry(k).or_default().push(r.clone());
+            cache.len += 1;
+            if let Some(k) = site.read(&r.row, key_col) {
+                cache.rows_by_key.entry(k).or_default().push(r);
             }
         }
-        ColumnCache {
-            rows_by_key: map,
-            len: rows.len(),
-        }
+        cache
     }
 
     /// All rows whose key column equals `key` (empty slice when absent).
-    pub fn lookup(&self, key: &Value) -> &[Arc<RowObj>] {
+    pub fn lookup(&self, key: &Value) -> &[RowObj] {
         self.rows_by_key
             .get(key)
             .map(|v| v.as_slice())
@@ -78,7 +99,7 @@ pub enum RtVal {
     /// A scalar.
     Scalar(Value),
     /// A row object.
-    Row(Arc<RowObj>),
+    Row(RowObj),
     /// An ordered collection.
     Collection(Arc<Mutex<Vec<RtVal>>>),
     /// A map with deterministic (sorted-key) iteration order.
@@ -116,7 +137,7 @@ impl RtVal {
         match self {
             RtVal::Unit => Snapshot::Unit,
             RtVal::Scalar(v) => Snapshot::Scalar(v.clone()),
-            RtVal::Row(r) => Snapshot::Row((*r.values).clone()),
+            RtVal::Row(r) => Snapshot::Row(r.row.values()),
             RtVal::Collection(c) => {
                 Snapshot::List(c.lock().unwrap().iter().map(|v| v.snapshot()).collect())
             }
@@ -134,7 +155,7 @@ impl RtVal {
                 keys.sort();
                 for k in keys {
                     for r in &c.rows_by_key[k] {
-                        rows.push(Snapshot::Row((*r.values).clone()));
+                        rows.push(Snapshot::Row(r.row.values()));
                     }
                 }
                 Snapshot::List(rows)
@@ -235,40 +256,44 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minidb::{Column, DataType};
+    use minidb::{Column, DataType, Database, Executor, FuncRegistry, LogicalPlan, Row};
 
-    fn row(schema: &Arc<Schema>, vals: Vec<Value>) -> Arc<RowObj> {
-        Arc::new(RowObj {
-            schema: schema.clone(),
-            values: Arc::new(vals),
-            entity: None,
-        })
-    }
-
-    fn schema() -> Arc<Schema> {
-        Arc::new(Schema::new(vec![
+    /// `rows` as the rows of a scan of a table `t(k, v)`.
+    fn rows(rows: Vec<Row>) -> Vec<RowObj> {
+        let mut db = Database::new();
+        let schema = Schema::new(vec![
             Column::new("k", DataType::Int),
             Column::new("v", DataType::Str),
-        ]))
+        ]);
+        db.create_table("t", schema)
+            .unwrap()
+            .insert_many(rows)
+            .unwrap();
+        let funcs = FuncRegistry::with_builtins();
+        let result = Executor::new(&db, &funcs)
+            .run(&LogicalPlan::scan("t"), &HashMap::new())
+            .unwrap();
+        let result = Arc::new(result);
+        let rows = RowRef::all(&result).map(|row| RowObj { row, entity: None });
+        rows.collect()
     }
 
     #[test]
     fn row_field_access() {
-        let s = schema();
-        let r = row(&s, vec![Value::Int(1), Value::str("x")]);
+        let r = rows(vec![vec![Value::Int(1), Value::str("x")]]).remove(0);
         assert_eq!(r.field("v"), Some(Value::str("x")));
+        assert_eq!(r.field("t.k"), Some(Value::Int(1)));
         assert_eq!(r.field("nope"), None);
     }
 
     #[test]
     fn column_cache_groups_by_key() {
-        let s = schema();
-        let rows = vec![
-            row(&s, vec![Value::Int(1), Value::str("a")]),
-            row(&s, vec![Value::Int(2), Value::str("b")]),
-            row(&s, vec![Value::Int(1), Value::str("c")]),
-        ];
-        let cache = ColumnCache::build(&rows, "k");
+        let rows = rows(vec![
+            vec![Value::Int(1), Value::str("a")],
+            vec![Value::Int(2), Value::str("b")],
+            vec![Value::Int(1), Value::str("c")],
+        ]);
+        let cache = ColumnCache::build(rows, "k");
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.lookup(&Value::Int(1)).len(), 2);
         assert_eq!(cache.lookup(&Value::Int(9)).len(), 0);
@@ -334,14 +359,12 @@ mod tests {
 
     #[test]
     fn cache_snapshot_is_deterministic() {
-        let s = schema();
-        let rows = vec![
-            row(&s, vec![Value::Int(2), Value::str("b")]),
-            row(&s, vec![Value::Int(1), Value::str("a")]),
-        ];
-        let c1 = RtVal::Cache(Arc::new(ColumnCache::build(&rows, "k")));
-        let rows_rev: Vec<_> = rows.iter().rev().cloned().collect();
-        let c2 = RtVal::Cache(Arc::new(ColumnCache::build(&rows_rev, "k")));
+        let rows = rows(vec![
+            vec![Value::Int(2), Value::str("b")],
+            vec![Value::Int(1), Value::str("a")],
+        ]);
+        let c1 = RtVal::Cache(Arc::new(ColumnCache::build(rows.clone(), "k")));
+        let c2 = RtVal::Cache(Arc::new(ColumnCache::build(rows.into_iter().rev(), "k")));
         assert_eq!(c1.snapshot(), c2.snapshot());
     }
 }

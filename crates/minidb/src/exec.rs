@@ -1,10 +1,14 @@
 //! Physical execution of logical plans.
 //!
-//! The executor materializes results eagerly but *accounts* the work done
+//! The executor runs a plan to completion and *accounts* the work done
 //! per operator, split into the portion that happens **before the first
 //! output row** (blocking work: hash-build, aggregation, sorting) and the
 //! total. The simulated server derives `C^F_Q` / `C^L_Q` — time to first
 //! and last row — from these counters via a per-row cost.
+//!
+//! [`Executor::run`] returns the result as the engine left it, a columnar
+//! [`ResultSet`]; [`Executor::execute`] is `run` followed by
+//! [`ResultSet::rows`], for callers that want `Vec<Row>`.
 //!
 //! Physical strategies implemented:
 //! * index lookups for equality predicates over indexed base-table scans,
@@ -25,6 +29,7 @@ use crate::func::FuncRegistry;
 use crate::plan::{AggItem, LogicalPlan, SortDir};
 use crate::schema::Schema;
 use crate::value::{Row, Value};
+use crate::vexec::ResultSet;
 use std::collections::HashMap;
 
 /// Which physical data plane executes queries.
@@ -86,7 +91,8 @@ impl ExecWork {
     }
 }
 
-/// A materialized query result plus its work profile.
+/// A query result with every row materialized, plus its work profile:
+/// what [`Executor::execute`] returns.
 #[derive(Debug, Clone)]
 pub struct QueryResult {
     /// Output schema.
@@ -174,28 +180,40 @@ impl<'a> Executor<'a> {
         self.row_ns
     }
 
-    /// Execute `plan` with `params` bound, returning rows + work profile.
-    pub fn execute(
-        &self,
-        plan: &LogicalPlan,
-        params: &HashMap<String, Value>,
-    ) -> DbResult<QueryResult> {
-        let (schema, rows, work) = match self.engine {
+    /// Execute `plan` with `params` bound and return the result as the
+    /// engine left it: columnar, nothing materialized.
+    pub fn run(&self, plan: &LogicalPlan, params: &HashMap<String, Value>) -> DbResult<ResultSet> {
+        let result = match self.engine {
             ExecEngine::Columnar => crate::vexec::run(self, plan, params)?,
             ExecEngine::Row => {
-                let (schema, rows, work) = self.run(plan, params)?;
-                (schema, rows.into_owned(), work)
+                let (schema, rows, work) = self.run_rows(plan, params)?;
+                ResultSet::from_rows(schema, &rows, work)
             }
         };
         if let Some(fb) = self.feedback {
             fb.record_at(
                 plan,
-                rows.len() as u64,
-                &work,
+                result.len() as u64,
+                &result.work(),
                 self.db.plan_data_stamp(plan),
             );
         }
-        Ok(QueryResult { schema, rows, work })
+        Ok(result)
+    }
+
+    /// [`Executor::run`], then every row materialized: what tests and the
+    /// benchmark read rows through.
+    pub fn execute(
+        &self,
+        plan: &LogicalPlan,
+        params: &HashMap<String, Value>,
+    ) -> DbResult<QueryResult> {
+        let result = self.run(plan, params)?;
+        Ok(QueryResult {
+            schema: Schema::clone(result.schema()),
+            rows: result.rows(),
+            work: result.work(),
+        })
     }
 
     /// Server time to produce the first result row, in ns.
@@ -208,7 +226,7 @@ impl<'a> Executor<'a> {
         (work.total_rows as f64 * self.row_ns) as u64
     }
 
-    fn run(
+    fn run_rows(
         &self,
         plan: &LogicalPlan,
         params: &HashMap<String, Value>,
@@ -228,7 +246,7 @@ impl<'a> Executor<'a> {
             }
             LogicalPlan::Select { input, pred } => self.run_select(input, pred, params),
             LogicalPlan::Project { input, items } => {
-                let (in_schema, in_rows, mut work) = self.run(input, params)?;
+                let (in_schema, in_rows, mut work) = self.run_rows(input, params)?;
                 let out_schema = plan.output_schema(self.db, self.funcs)?;
                 let mut out = Vec::with_capacity(in_rows.len());
                 for row in in_rows.iter() {
@@ -248,7 +266,7 @@ impl<'a> Executor<'a> {
                 aggs,
             } => self.run_aggregate(plan, input, group_by, aggs, params),
             LogicalPlan::OrderBy { input, keys } => {
-                let (schema, rows, mut work) = self.run(input, params)?;
+                let (schema, rows, mut work) = self.run_rows(input, params)?;
                 let mut rows = rows.into_owned();
                 let mut key_idx = Vec::with_capacity(keys.len());
                 for (c, dir) in keys {
@@ -275,7 +293,7 @@ impl<'a> Executor<'a> {
                 Ok((schema, RowsBuf::Owned(rows), work))
             }
             LogicalPlan::Limit { input, n } => {
-                let (schema, rows, work) = self.run(input, params)?;
+                let (schema, rows, work) = self.run_rows(input, params)?;
                 let n = *n as usize;
                 let rows = match rows {
                     // Keep borrowing: a limited scan is still zero-copy.
@@ -348,7 +366,7 @@ impl<'a> Executor<'a> {
             }
         }
         // Generic filter scan.
-        let (schema, in_rows, mut work) = self.run(input, params)?;
+        let (schema, in_rows, mut work) = self.run_rows(input, params)?;
         let mut rows = Vec::new();
         for row in in_rows.iter() {
             let v = pred.eval(&schema, row, params, self.funcs)?;
@@ -405,7 +423,7 @@ impl<'a> Executor<'a> {
             };
 
             // Heuristic: only when the driving side is clearly smaller.
-            let (o_schema, o_rows, o_work) = self.run(outer_plan, params)?;
+            let (o_schema, o_rows, o_work) = self.run_rows(outer_plan, params)?;
             if o_rows.len() * 2 >= t.row_count() {
                 continue; // hash join is the better plan; fall through
             }
@@ -452,8 +470,8 @@ impl<'a> Executor<'a> {
         if let Some(result) = self.try_inl_join(left, right, pred, params)? {
             return Ok(result);
         }
-        let (l_schema, l_rows, l_work) = self.run(left, params)?;
-        let (r_schema, r_rows, r_work) = self.run(right, params)?;
+        let (l_schema, l_rows, l_work) = self.run_rows(left, params)?;
+        let (r_schema, r_rows, r_work) = self.run_rows(right, params)?;
         let out_schema = l_schema.join(&r_schema);
         let mut work = ExecWork::default();
         work.add(l_work);
@@ -557,7 +575,7 @@ impl<'a> Executor<'a> {
         aggs: &[AggItem],
         params: &HashMap<String, Value>,
     ) -> DbResult<(Schema, RowsBuf<'a>, ExecWork)> {
-        let (in_schema, in_rows, mut work) = self.run(input, params)?;
+        let (in_schema, in_rows, mut work) = self.run_rows(input, params)?;
         let out_schema = plan.output_schema(self.db, self.funcs)?;
         let mut group_idx = Vec::with_capacity(group_by.len());
         for g in group_by {

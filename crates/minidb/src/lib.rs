@@ -15,10 +15,15 @@
 //!   — the component the paper "consults the database query optimizer" for
 //!   (`C^F_Q`, `C^L_Q`, `N_Q`, `S_row(Q)`).
 //!
-//! The engine executes queries eagerly and materializes results; pipelining
-//! is *modelled* in the time accounting (first-row vs. last-row work)
-//! rather than implemented with iterators, which keeps the executor simple
-//! while preserving the cost behaviour the experiments depend on.
+//! The engine executes queries eagerly; pipelining is *modelled* in the
+//! time accounting (first-row vs. last-row work) rather than implemented
+//! with iterators, which keeps the executor simple while preserving the
+//! cost behaviour the experiments depend on. A result is not materialized:
+//! [`Executor::run`] returns a [`ResultSet`] — the output schema and the
+//! column `Arc`s the last operator ended with, read through their selection
+//! vectors — and a fetched row is a [`RowRef`] into it. Rows become
+//! `Vec<Value>`s only where a caller asks ([`ResultSet::rows`], which is
+//! all [`Executor::execute`] adds).
 
 pub mod catalog;
 pub mod column;
@@ -58,4 +63,4 @@ pub use plan::LogicalPlan;
 pub use schema::{Column, DataType, Schema};
 pub use stats::{ColumnStats, Histogram, TableStats};
 pub use value::{Row, Value};
-pub use vexec::BATCH_SIZE;
+pub use vexec::{ResultSet, RowRef, BATCH_SIZE};

@@ -10,10 +10,14 @@
 //! ids followed by its right input's read through the right ones — `u32`
 //! gathers, never column data. A column's values are read only when an
 //! expression reads it, one batch at a time — borrowed from storage under
-//! an identity selection, gathered through any other — and rows are
-//! materialized only at the result boundary. A column reference is
-//! resolved once per filter or aggregate, when its first non-empty batch
-//! is evaluated.
+//! an identity selection, gathered through any other. A column reference
+//! is resolved once per filter or aggregate, when its first non-empty
+//! batch is evaluated.
+//!
+//! No row is materialized, at the result boundary either: the chunk the
+//! last operator produced *is* the result ([`ResultSet`]), a fetched row is
+//! an index into it ([`RowRef`]), and a value is copied out when someone
+//! reads it ([`ResultSet::value`]) or asks for rows ([`ResultSet::rows`]).
 //!
 //! Equi-joins share one `BuildTable`: a flat CSR table (bucket offsets,
 //! build row ids grouped by bucket in insertion order) keyed by a `u64`
@@ -131,7 +135,7 @@ impl ColView<'_> {
 /// columns are those of `segs`, in order, each read through its segment's
 /// selection.
 struct Chunk {
-    schema: Schema,
+    schema: Arc<Schema>,
     segs: Vec<Segment>,
     len: usize,
 }
@@ -140,7 +144,7 @@ impl Chunk {
     /// One segment holding the first `len` rows of `cols`.
     fn dense(schema: Schema, cols: Vec<Arc<ColumnVec>>, len: usize) -> Chunk {
         Chunk {
-            schema,
+            schema: Arc::new(schema),
             segs: vec![Segment { cols, sel: None }],
             len,
         }
@@ -164,7 +168,7 @@ impl Chunk {
         let l_segs = l.segs.iter().map(|s| s.compose(l_rows));
         let r_segs = r.segs.iter().map(|s| s.compose(r_rows));
         Chunk {
-            schema: l.schema.join(&r.schema),
+            schema: Arc::new(l.schema.join(&r.schema)),
             segs: l_segs.chain(r_segs).collect(),
             len: l_rows.len(),
         }
@@ -201,15 +205,132 @@ impl Chunk {
     }
 }
 
-/// Entry point: run `plan` vectorized, materializing rows only here.
+/// A query's result, as the engine left it: the chunk the last operator
+/// produced — the output schema and, per segment, the column `Arc`s with
+/// their selection vector — and the work the server did. Nothing is copied
+/// until a value is read, and a value is read where it lies.
+///
+/// The columns are the ones the tables had when the query ran. A row write
+/// replaces a table's columnar projection and never mutates it, so a later
+/// update cannot change a result already fetched.
+///
+/// Every accessor takes logical rows `0..len()` and panics on any other:
+/// under an identity selection the columns run past a `LIMIT`.
+pub struct ResultSet {
+    chunk: Chunk,
+    work: ExecWork,
+}
+
+impl ResultSet {
+    /// The result of the row engine: its rows, in columnar form (a round
+    /// trip [`ColumnTable::from_rows`] keeps exact).
+    pub(crate) fn from_rows(schema: Schema, rows: &[Row], work: ExecWork) -> ResultSet {
+        ResultSet {
+            chunk: Chunk::from_rows(schema, rows),
+            work,
+        }
+    }
+
+    /// Result-set cardinality (`N_Q`).
+    pub fn len(&self) -> usize {
+        self.chunk.len
+    }
+
+    /// True when the query returned no row.
+    pub fn is_empty(&self) -> bool {
+        self.chunk.len == 0
+    }
+
+    /// Output schema, shared by every row of the result.
+    pub fn schema(&self) -> &Arc<Schema> {
+        &self.chunk.schema
+    }
+
+    /// Work performed by the server.
+    pub fn work(&self) -> ExecWork {
+        self.work
+    }
+
+    /// Total payload size in bytes: `N_Q · S_row(Q)`.
+    pub fn payload_bytes(&self) -> u64 {
+        self.chunk.len as u64 * self.chunk.schema.row_bytes()
+    }
+
+    /// The value of column `col` in row `row`.
+    pub fn value(&self, row: usize, col: usize) -> Value {
+        assert!(row < self.chunk.len, "row {row} of {}", self.chunk.len);
+        self.chunk.col(col).get(row)
+    }
+
+    /// Row `i`, materialized.
+    pub fn row(&self, i: usize) -> Row {
+        let cols = 0..self.chunk.schema.len();
+        cols.map(|col| self.value(i, col)).collect()
+    }
+
+    /// Every row, materialized, in result order.
+    pub fn rows(&self) -> Vec<Row> {
+        self.chunk.materialize()
+    }
+}
+
+impl std::fmt::Debug for ResultSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let columns = self.chunk.schema.columns().iter().map(|c| c.full_name());
+        write!(f, "ResultSet({} rows of ", self.chunk.len)?;
+        f.debug_list().entries(columns).finish()?;
+        write!(f, ")")
+    }
+}
+
+/// One row of a shared [`ResultSet`]: what a fetched row is to the ORM's
+/// cache and to the interpreter. Cloning bumps a reference count.
+#[derive(Clone)]
+pub struct RowRef {
+    set: Arc<ResultSet>,
+    row: u32,
+}
+
+impl RowRef {
+    /// Every row of `set`, in result order.
+    pub fn all(set: &Arc<ResultSet>) -> impl Iterator<Item = RowRef> + '_ {
+        let len = u32::try_from(set.len()).expect("row ids are u32");
+        (0..len).map(move |row| RowRef {
+            set: set.clone(),
+            row,
+        })
+    }
+
+    /// Schema of the result this row belongs to.
+    pub fn schema(&self) -> &Arc<Schema> {
+        self.set.schema()
+    }
+
+    /// The value in column `col`.
+    pub fn value(&self, col: usize) -> Value {
+        self.set.chunk.col(col).get(self.row as usize)
+    }
+
+    /// The row, materialized.
+    pub fn values(&self) -> Row {
+        self.set.row(self.row as usize)
+    }
+}
+
+impl std::fmt::Debug for RowRef {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("RowRef").field(&self.values()).finish()
+    }
+}
+
+/// Entry point: run `plan` vectorized. No row is materialized.
 pub(crate) fn run(
     exec: &Executor<'_>,
     plan: &LogicalPlan,
     params: &HashMap<String, Value>,
-) -> DbResult<(Schema, Vec<Row>, ExecWork)> {
+) -> DbResult<ResultSet> {
     let (chunk, work) = run_plan(exec, plan, params)?;
-    let rows = chunk.materialize();
-    Ok((chunk.schema, rows, work))
+    Ok(ResultSet { chunk, work })
 }
 
 fn run_plan(
@@ -1541,7 +1662,8 @@ mod tests {
     use crate::schema::{Column, DataType};
     use crate::sql::parse;
 
-    /// Run `plan` on both engines and assert bit-identical results + work.
+    /// Run `plan` on both engines and assert bit-identical results + work,
+    /// and that the unmaterialized result reads the same values in place.
     fn assert_plan_agrees(
         db: &Database,
         funcs: &FuncRegistry,
@@ -1559,6 +1681,18 @@ mod tests {
                 assert_eq!(c.schema, r.schema, "schema for {label}");
                 assert_eq!(c.rows, r.rows, "rows for {label}");
                 assert_eq!(c.work, r.work, "work for {label}");
+                for engine in [ExecEngine::Columnar, ExecEngine::Row] {
+                    let exec = Executor::new(db, funcs).with_engine(engine);
+                    let set = exec.run(plan, &HashMap::new()).unwrap();
+                    assert_eq!((set.len(), set.work()), (r.rows.len(), r.work), "{label}");
+                    assert_eq!(**set.schema(), r.schema, "{label}");
+                    for (i, row) in r.rows.iter().enumerate() {
+                        assert_eq!(&set.row(i), row, "row {i} for {label}");
+                        for (col, v) in row.iter().enumerate() {
+                            assert_eq!(&set.value(i, col), v, "value {i}, {col} for {label}");
+                        }
+                    }
+                }
                 c
             }
             (Err(ce), Err(_re)) => panic!("both engines error on {label}: {ce}"),
@@ -1640,6 +1774,24 @@ mod tests {
         ] {
             assert_engines_agree(&db, sql);
         }
+    }
+
+    #[test]
+    fn a_row_past_a_limit_is_refused_not_read() {
+        // The limited scan still holds the table's columns, 100 rows long.
+        let db = test_db();
+        let funcs = FuncRegistry::with_builtins();
+        let plan = parse("select * from orders limit 7").unwrap();
+        let set = Executor::new(&db, &funcs).run(&plan, &HashMap::new());
+        let set = Arc::new(set.unwrap());
+        assert_eq!((set.len(), set.payload_bytes()), (7, 7 * 40));
+        let last = RowRef::all(&set).last().unwrap();
+        assert_eq!((last.value(0), last.values()), (Value::Int(6), set.row(6)));
+        assert_eq!(RowRef::all(&set).count(), 7);
+        let refused =
+            |read: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(read)).is_err();
+        assert!(refused(&|| drop(set.value(7, 0))));
+        assert!(refused(&|| drop(set.row(7))));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The client's connection to the database across the simulated network.
 
-use minidb::{DbResult, ExecEngine, Executor, FuncRegistry, LogicalPlan, QueryResult, Value};
+use minidb::{DbResult, ExecEngine, Executor, FuncRegistry, LogicalPlan, ResultSet, Value};
 use netsim::{Clock, NetStats, NetworkProfile};
 
 use std::collections::HashMap;
@@ -99,11 +99,13 @@ impl RemoteDb {
     }
 
     /// Execute a read query, charging round trip + server + transfer time.
+    /// The result is the one the engine produced, shared: rows are read out
+    /// of it ([`minidb::RowRef`]), not copied here.
     pub fn query(
         &self,
         plan: &LogicalPlan,
         params: &HashMap<String, Value>,
-    ) -> DbResult<QueryResult> {
+    ) -> DbResult<Arc<ResultSet>> {
         let db = self.db.read().unwrap();
         let mut exec = Executor::new(&db, &self.funcs)
             .with_row_ns(self.server_row_ns)
@@ -111,16 +113,16 @@ impl RemoteDb {
         if let Some(fb) = &self.feedback {
             exec = exec.with_feedback(fb);
         }
-        let result = exec.execute(plan, params)?;
-        let first = exec.first_row_ns(&result.work);
-        let total = exec.total_ns(&result.work);
+        let result = exec.run(plan, params)?;
+        let first = exec.first_row_ns(&result.work());
+        let total = exec.total_ns(&result.work());
         let transfer = self.net.transfer_ns(result.payload_bytes());
         let stream = transfer.max(total - first);
         self.clock
             .advance(self.net.round_trip_ns() + first + stream);
         self.stats.record_round_trip();
         self.stats.record_transfer(result.payload_bytes());
-        Ok(result)
+        Ok(Arc::new(result))
     }
 
     /// Execute a single-row update, charging one round trip plus the
@@ -192,7 +194,7 @@ mod tests {
         let remote = RemoteDb::new(db, funcs, net, clock.clone());
         let plan = minidb::sql::parse("select * from t").unwrap();
         let r = remote.query(&plan, &HashMap::new()).unwrap();
-        assert_eq!(r.row_count(), 100);
+        assert_eq!(r.len(), 100);
         // 100 rows × 28 B = 2800 B → 2.8 ms transfer; RTT 10 ms.
         let elapsed = clock.now();
         assert!(elapsed >= 10_000_000 + 2_800_000, "elapsed={elapsed}");
@@ -210,7 +212,7 @@ mod tests {
             let mut params = HashMap::new();
             params.insert("k".to_string(), Value::Int(i));
             let r = remote.query(&plan, &params).unwrap();
-            assert_eq!(r.row_count(), 1, "key {i}");
+            assert_eq!(r.len(), 1, "key {i}");
         }
         assert_eq!(remote.round_trips(), 7);
         assert!(clock.now() >= 7 * 5_000_000, "N+1 round trips dominate");

@@ -1,8 +1,8 @@
 //! The ORM session: entity loading with a first-level cache.
 
-use crate::mapping::MappingRegistry;
+use crate::mapping::{EntityMapping, MappingRegistry};
 use crate::remote::RemoteDb;
-use minidb::{DbError, DbResult, LogicalPlan, Row, Schema, Value};
+use minidb::{DbError, DbResult, LogicalPlan, ResultSet, RowRef, ScalarExpr, Value};
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -14,13 +14,14 @@ use std::sync::{Arc, Mutex};
 /// * `get(Entity, id)` returns the cached row or issues a point query —
 ///   association navigation goes through this, producing the N+1 pattern
 ///   on cache misses and no traffic on hits.
+///
+/// A loaded row is a [`RowRef`] into the result that fetched it: it carries
+/// its schema, and the cache holds it without copying it.
 pub struct Session {
     remote: Arc<RemoteDb>,
     mappings: Arc<MappingRegistry>,
-    /// First-level cache: (entity, pk) → row.
-    l1: Mutex<HashMap<(String, Value), Arc<Row>>>,
-    /// Cached entity schemas (qualified by table name).
-    schemas: Mutex<HashMap<String, Arc<Schema>>>,
+    /// First-level cache: entity → primary key → row.
+    l1: Mutex<HashMap<String, HashMap<Value, RowRef>>>,
 }
 
 impl Session {
@@ -30,7 +31,6 @@ impl Session {
             remote,
             mappings,
             l1: Mutex::new(HashMap::new()),
-            schemas: Mutex::new(HashMap::new()),
         }
     }
 
@@ -44,103 +44,78 @@ impl Session {
         &self.mappings
     }
 
-    /// Schema of an entity's table (computed once per session).
-    pub fn entity_schema(&self, entity: &str) -> DbResult<Arc<Schema>> {
-        if let Some(s) = self.schemas.lock().unwrap().get(entity) {
-            return Ok(s.clone());
-        }
-        let m = self
-            .mappings
+    fn mapping(&self, entity: &str) -> DbResult<&EntityMapping> {
+        self.mappings
             .entity(entity)
-            .ok_or_else(|| DbError::Invalid(format!("unmapped entity {entity}")))?;
-        let db = self.remote.database().read().unwrap();
-        let schema = Arc::new(db.table(&m.table)?.schema().clone());
-        self.schemas
-            .lock()
-            .unwrap()
-            .insert(entity.to_string(), schema.clone());
-        Ok(schema)
+            .ok_or_else(|| DbError::Invalid(format!("unmapped entity {entity}")))
     }
 
     /// `loadAll(Entity)`: fetch the entire table, prime the L1 cache, and
-    /// return the rows.
-    pub fn load_all(&self, entity: &str) -> DbResult<(Arc<Schema>, Vec<Arc<Row>>)> {
-        let m = self
-            .mappings
-            .entity(entity)
-            .ok_or_else(|| DbError::Invalid(format!("unmapped entity {entity}")))?
-            .clone();
-        let schema = self.entity_schema(entity)?;
+    /// return the result.
+    pub fn load_all(&self, entity: &str) -> DbResult<Arc<ResultSet>> {
+        let m = self.mapping(entity)?;
         let plan = LogicalPlan::scan(&m.table);
         let result = self.remote.query(&plan, &HashMap::new())?;
-        let id_idx = schema.resolve(&m.id_column)?;
-        let mut rows = Vec::with_capacity(result.rows.len());
-        let mut cache = self.l1.lock().unwrap();
-        for row in result.rows {
-            let rc = Arc::new(row);
-            cache.insert((entity.to_string(), rc[id_idx].clone()), rc.clone());
-            rows.push(rc);
+        let id_idx = result.schema().resolve(&m.id_column)?;
+        let mut l1 = self.l1.lock().unwrap();
+        let cache = l1.entry(entity.to_string()).or_default();
+        for row in RowRef::all(&result) {
+            cache.insert(row.value(id_idx), row);
         }
-        Ok((schema, rows))
+        Ok(result)
     }
 
     /// `get(Entity, id)`: L1-cached point lookup.
     ///
     /// A miss issues `select * from table where id = :id` (one round trip);
     /// a hit is free — Hibernate's first-level cache behaviour.
-    pub fn get(&self, entity: &str, id: &Value) -> DbResult<Option<Arc<Row>>> {
-        let key = (entity.to_string(), id.clone());
-        if let Some(row) = self.l1.lock().unwrap().get(&key) {
-            return Ok(Some(row.clone()));
+    pub fn get(&self, entity: &str, id: &Value) -> DbResult<Option<RowRef>> {
+        let cached = |l1: &HashMap<String, HashMap<Value, RowRef>>| {
+            l1.get(entity).and_then(|rows| rows.get(id)).cloned()
+        };
+        if let Some(row) = cached(&self.l1.lock().unwrap()) {
+            return Ok(Some(row));
         }
-        let m = self
-            .mappings
-            .entity(entity)
-            .ok_or_else(|| DbError::Invalid(format!("unmapped entity {entity}")))?
-            .clone();
-        let plan = LogicalPlan::scan(&m.table).select(minidb::ScalarExpr::eq(
-            minidb::ScalarExpr::col(&m.id_column),
-            minidb::ScalarExpr::param("id"),
+        let m = self.mapping(entity)?;
+        let plan = LogicalPlan::scan(&m.table).select(ScalarExpr::eq(
+            ScalarExpr::col(&m.id_column),
+            ScalarExpr::param("id"),
         ));
-        let mut params = HashMap::new();
-        params.insert("id".to_string(), id.clone());
+        let params = HashMap::from([("id".to_string(), id.clone())]);
         let result = self.remote.query(&plan, &params)?;
-        let row = result.rows.into_iter().next().map(Arc::new);
-        if let Some(ref r) = row {
-            self.l1.lock().unwrap().insert(key, r.clone());
-        }
-        Ok(row)
+        let Some(row) = RowRef::all(&result).next() else {
+            return Ok(None);
+        };
+        let mut l1 = self.l1.lock().unwrap();
+        l1.entry(entity.to_string())
+            .or_default()
+            .insert(id.clone(), row.clone());
+        Ok(Some(row))
     }
 
     /// Navigate a many-to-one association from `row` of `entity` through
-    /// `field`: reads the FK column and `get`s the target entity.
+    /// `field`: reads the FK column and `get`s the target entity. Returns
+    /// the target entity's name with the row.
     pub fn navigate(
         &self,
         entity: &str,
         field: &str,
-        row: &Row,
-    ) -> DbResult<Option<(String, Arc<Row>)>> {
-        let m = self
-            .mappings
-            .entity(entity)
-            .ok_or_else(|| DbError::Invalid(format!("unmapped entity {entity}")))?
-            .clone();
-        let assoc = m.association(field).ok_or_else(|| {
+        row: &RowRef,
+    ) -> DbResult<Option<(&str, RowRef)>> {
+        let assoc = self.mapping(entity)?.association(field).ok_or_else(|| {
             DbError::Invalid(format!("{entity}.{field} is not a mapped association"))
         })?;
-        let schema = self.entity_schema(entity)?;
-        let fk_idx = schema.resolve(&assoc.fk_column)?;
-        let fk = &row[fk_idx];
+        let fk = row.value(row.schema().resolve(&assoc.fk_column)?);
         if fk.is_null() {
             return Ok(None);
         }
-        let target = assoc.target_entity.clone();
-        Ok(self.get(&target, fk)?.map(|r| (target, r)))
+        let target = assoc.target_entity.as_str();
+        Ok(self.get(target, &fk)?.map(|r| (target, r)))
     }
 
     /// Number of rows currently in the first-level cache.
     pub fn l1_size(&self) -> usize {
-        self.l1.lock().unwrap().len()
+        self.l1.lock().unwrap().values().map(HashMap::len).sum()
     }
 
     /// Drop all cached rows (end of transaction).
@@ -152,8 +127,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::EntityMapping;
-    use minidb::{Column, DataType, Database, FuncRegistry};
+    use minidb::{Column, DataType, Database, FuncRegistry, Schema};
     use netsim::{Clock, NetworkProfile};
 
     fn fixture() -> (Session, Arc<Clock>) {
@@ -198,9 +172,9 @@ mod tests {
     #[test]
     fn load_all_is_one_query_and_primes_cache() {
         let (s, _clock) = fixture();
-        let (schema, rows) = s.load_all("Order").unwrap();
-        assert_eq!(rows.len(), 20);
-        assert_eq!(schema.resolve("o_customer_sk").unwrap(), 1);
+        let orders = s.load_all("Order").unwrap();
+        assert_eq!(orders.len(), 20);
+        assert_eq!(orders.schema().resolve("o_customer_sk").unwrap(), 1);
         assert_eq!(s.remote().round_trips(), 1);
         assert_eq!(s.l1_size(), 20);
         // get() after load_all is free.
@@ -212,7 +186,7 @@ mod tests {
     fn get_misses_issue_point_queries_and_cache() {
         let (s, _clock) = fixture();
         let r = s.get("Customer", &Value::Int(3)).unwrap().unwrap();
-        assert_eq!(r[1], Value::Int(1963));
+        assert_eq!(r.value(1), Value::Int(1963));
         assert_eq!(s.remote().round_trips(), 1);
         // Second access: cache hit, no new round trip.
         s.get("Customer", &Value::Int(3)).unwrap().unwrap();
@@ -222,10 +196,12 @@ mod tests {
     #[test]
     fn navigation_produces_n_plus_one_then_saturates() {
         let (s, _clock) = fixture();
-        let (_schema, orders) = s.load_all("Order").unwrap();
+        let orders = s.load_all("Order").unwrap();
         let mut trips = Vec::new();
-        for o in &orders {
-            s.navigate("Order", "customer", o).unwrap().unwrap();
+        for o in RowRef::all(&orders) {
+            let (target, customer) = s.navigate("Order", "customer", &o).unwrap().unwrap();
+            assert_eq!(target, "Customer");
+            assert_eq!(customer.value(0), o.value(1));
             trips.push(s.remote().round_trips());
         }
         // 1 (load_all) + 5 distinct customers; later navigations hit cache.
@@ -244,8 +220,9 @@ mod tests {
     #[test]
     fn navigation_on_unmapped_field_errors() {
         let (s, _clock) = fixture();
-        let (_schema, orders) = s.load_all("Order").unwrap();
-        assert!(s.navigate("Order", "warehouse", &orders[0]).is_err());
+        let orders = s.load_all("Order").unwrap();
+        let first = RowRef::all(&orders).next().unwrap();
+        assert!(s.navigate("Order", "warehouse", &first).is_err());
     }
 
     #[test]

@@ -304,6 +304,6 @@ mod tests {
     fn m0_computes_dependent_aggregates() {
         let fx = build_fixture(100, 10, 5);
         let r = run_on(&fx, NetworkProfile::fast_local(), &m0()).unwrap();
-        assert_eq!(r.outcome.prints.len(), 2);
+        assert_eq!(r.outcome.print_values.len(), 2);
     }
 }

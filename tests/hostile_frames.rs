@@ -15,6 +15,10 @@
 //!
 //! Each is now a `Protocol` error, and a live server answers all of them
 //! and then an honest request on the same connection.
+//!
+//! A fourth needed no hostile encoding at all: a three-statement program
+//! whose callee calls itself. The inliner expanded it for ever and the
+//! interpreter followed it down; both now stop, with a typed error.
 
 use cobra::prelude::*;
 use cobra::server::{Request, Response};
@@ -199,6 +203,96 @@ fn the_server_answers_every_hostile_frame_and_keeps_serving() {
     };
     let reply = exchange(&mut stream, &submit.encode());
     assert!(matches!(reply, Response::SubmitOk(_)), "{reply:?}");
+    server.shutdown();
+}
+
+/// `name(n) { y = callee(n); return y; }`
+fn calling(name: &str, callee: &str) -> Function {
+    let call = StmtKind::LetCall("y".into(), callee.into(), vec![Expr::var("n")]);
+    let ret = StmtKind::Return(Some(Expr::var("y")));
+    Function::new(
+        name,
+        vec!["n".into()],
+        vec![Stmt::new(call), Stmt::new(ret)],
+    )
+}
+
+/// `main() { x = f(10); return x; }` over
+/// `f(n) { if (n <= 0) { return 0; } y = f(n - 1); return y + 1; }`
+fn counting_down_from_10() -> Program {
+    use cobra::minidb::BinOp;
+    let lit = |v: i64| Expr::lit(v);
+    let ret = |e| Stmt::new(StmtKind::Return(Some(e)));
+    let call = |x: &str, arg| Stmt::new(StmtKind::LetCall(x.into(), "f".into(), vec![arg]));
+    let base_case = StmtKind::If {
+        cond: Expr::bin(BinOp::Le, Expr::var("n"), lit(0)),
+        then_branch: vec![ret(lit(0))],
+        else_branch: vec![],
+    };
+    let f = vec![
+        Stmt::new(base_case),
+        call("y", Expr::bin(BinOp::Sub, Expr::var("n"), lit(1))),
+        ret(Expr::bin(BinOp::Add, Expr::var("y"), lit(1))),
+    ];
+    let main = vec![call("x", lit(10)), ret(Expr::var("x"))];
+    Program {
+        functions: vec![
+            Function::new("main", vec![], main),
+            Function::new("f", vec!["n".into()], f),
+        ],
+    }
+}
+
+#[test]
+fn calls_that_never_return_are_refused_and_the_server_keeps_serving() {
+    let fx = motivating::build_fixture(200, 40, 3);
+    // Recursion into the entry, into the callee itself, between two callees.
+    let endless = [
+        vec![calling("main", "main")],
+        vec![calling("main", "f"), calling("f", "f")],
+        vec![calling("main", "f"), calling("f", "g"), calling("g", "f")],
+    ]
+    .map(|functions| Program { functions });
+    let too_deep = |why: &str| why.contains("nest deeper");
+
+    // In process: the optimizer declines to inline and comes back, the
+    // interpreter stops at its depth bound.
+    let cobra = fx.cobra_builder().build();
+    for program in &endless {
+        cobra.optimize_program(program).expect("optimizes");
+        let refused = run_on(&fx, NetworkProfile::fast_local(), program).err();
+        assert!(matches!(&refused, Some(e) if too_deep(&e.to_string())));
+    }
+
+    // Over a socket: a typed error each, then business as usual on the
+    // same connection — P0's reply, and a recursion that does end.
+    let service = CobraService::new(ServerConfig::default());
+    service.register_tenant(TenantSpec::new(
+        "t0",
+        fx.db.clone(),
+        fx.mapping.clone(),
+        fx.funcs.clone(),
+    ));
+    let server = WireServer::spawn(service, "127.0.0.1:0").expect("bind");
+    let mut client = WireClient::connect(server.local_addr()).expect("connect");
+    let session = client.open_session("t0").expect("session opens");
+    for program in &endless {
+        let refused = client.submit(session, program);
+        assert!(
+            matches!(&refused, Err(ServerError::Db(why)) if too_deep(why)),
+            "{refused:?}"
+        );
+    }
+    let p0 = motivating::p0();
+    let as_written = run_on(&fx, NetworkProfile::slow_remote(), &p0).expect("P0 runs");
+    let reply = client.submit(session, &p0).expect("still serving");
+    assert_eq!(
+        reply.results,
+        as_written.outcome.normalized_with_vars(&["result"])
+    );
+    let reply = client.submit(session, &counting_down_from_10());
+    let ten = cobra::interp::Snapshot::Scalar(cobra::minidb::Value::Int(10));
+    assert_eq!(reply.expect("recursion that ends").results.ret, ten);
     server.shutdown();
 }
 

@@ -27,7 +27,7 @@ use crate::error::DbResult;
 use crate::expr::{AggFunc, BinOp, ScalarExpr};
 use crate::func::FuncRegistry;
 use crate::plan::{AggItem, LogicalPlan, SortDir};
-use crate::schema::Schema;
+use crate::schema::{DataType, Schema};
 use crate::value::{Row, Value};
 use crate::vexec::ResultSet;
 use std::collections::HashMap;
@@ -338,6 +338,9 @@ impl<'a> Executor<'a> {
                         continue;
                     }
                     let key = key_expr.eval(&Schema::default(), &Vec::new(), params, self.funcs)?;
+                    if !index_answers_eq(schema.column(idx).dtype, &key) {
+                        break;
+                    }
                     let positions = t.index_lookup(idx, &key).unwrap_or(&[]);
                     let mut rows = Vec::with_capacity(positions.len());
                     let rest: Vec<&ScalarExpr> = conjuncts
@@ -412,7 +415,9 @@ impl<'a> Executor<'a> {
                         outer_schema.resolve(&x.to_ref_string()),
                         inner_schema.resolve(&y.to_ref_string()),
                     ) {
-                        if t.has_index(i) {
+                        let (o_type, i_type) =
+                            (outer_schema.column(o).dtype, inner_schema.column(i).dtype);
+                        if t.has_index(i) && index_joins_eq(o_type, i_type) {
                             probe = Some((o, i));
                         }
                     }
@@ -506,15 +511,16 @@ impl<'a> Executor<'a> {
             } else {
                 (&r_rows[..], &l_rows[..], ri, li)
             };
-            let mut table: HashMap<&Value, Vec<usize>> = HashMap::with_capacity(build_rows.len());
+            let mut table: HashMap<Value, Vec<usize>> = HashMap::with_capacity(build_rows.len());
             for (i, row) in build_rows.iter().enumerate() {
-                table.entry(&row[build_key]).or_default().push(i);
+                let key = join_key(row[build_key].clone());
+                table.entry(key).or_default().push(i);
             }
             // The build phase blocks the first output row.
             work.startup_rows = work.total_rows + build_rows.len() as u64;
             work.total_rows += build_rows.len() as u64 + probe_rows.len() as u64;
             for probe in probe_rows {
-                if let Some(matches) = table.get(&probe[probe_key]) {
+                if let Some(matches) = table.get(&join_key(probe[probe_key].clone())) {
                     for &bi in matches {
                         let build = &build_rows[bi];
                         let joined: Row = if build_left {
@@ -522,10 +528,7 @@ impl<'a> Executor<'a> {
                         } else {
                             probe.iter().chain(build.iter()).cloned().collect()
                         };
-                        // Evaluate any residual conjuncts.
-                        let ok =
-                            self.residual_ok(&out_schema, &joined, &conjuncts, (li, ri), params)?;
-                        if ok {
+                        if self.residual_ok(&out_schema, &joined, &conjuncts, params)? {
                             work.total_rows += 1;
                             out.push(joined);
                         }
@@ -549,13 +552,15 @@ impl<'a> Executor<'a> {
         Ok((out_schema, RowsBuf::Owned(out), work))
     }
 
-    /// Check all conjuncts except the equi-join one already applied.
+    /// Whether a hash join's candidate row passes every conjunct, in order
+    /// and stopping at the first that does not hold — the equi conjunct
+    /// included: the table pairs keys under [`join_key`], which finds every
+    /// pair the conjunct holds on and some it does not.
     fn residual_ok(
         &self,
         schema: &Schema,
         row: &Row,
         conjuncts: &[&ScalarExpr],
-        _equi_cols: (usize, usize),
         params: &HashMap<String, Value>,
     ) -> DbResult<bool> {
         for c in conjuncts {
@@ -627,6 +632,43 @@ impl<'a> Executor<'a> {
         work.startup_rows = work.total_rows;
         Ok((out_schema, RowsBuf::Owned(out), work))
     }
+}
+
+/// The key a hash join files `v` under, on both engines: an Int's `f64`
+/// image — what `sql_cmp` compares an Int with a Float through — so that
+/// keys the predicate calls equal share an entry, and any other value
+/// itself. Ints that share an image (beyond 2^53) meet as candidates, as a
+/// NULL meets a NULL; the conjunct, evaluated on every candidate of a
+/// `Value`-keyed table, tells them apart.
+pub(crate) fn join_key(v: Value) -> Value {
+    match v {
+        Value::Int(i) => Value::Float(i as f64),
+        v => v,
+    }
+}
+
+/// Whether a hash index on a column declared `column` finds the rows
+/// `column = key` holds on. An index files values by `Value` identity,
+/// which ranks Int and Float apart where `sql_cmp` compares them
+/// numerically and finds a NULL under NULL where the predicate holds on no
+/// row: a numeric key of another type than the column's, or a NULL one,
+/// goes through the filter instead. (A column that *holds* values outside
+/// its declared type is out of scope for the two index paths.)
+pub(crate) fn index_answers_eq(column: DataType, key: &Value) -> bool {
+    match key {
+        Value::Int(_) => column == DataType::Int,
+        Value::Float(_) => column == DataType::Float,
+        Value::Null => false,
+        Value::Str(_) | Value::Bool(_) => true,
+    }
+}
+
+/// Whether an index on a column declared `inner` can be probed with the
+/// values of a column declared `outer`: not when one is Int and the other
+/// Float, for the reason [`index_answers_eq`] gives.
+pub(crate) fn index_joins_eq(outer: DataType, inner: DataType) -> bool {
+    use DataType::{Float, Int};
+    !matches!((outer, inner), (Int, Float) | (Float, Int))
 }
 
 /// Incremental aggregate state (shared with the vectorized engine as its

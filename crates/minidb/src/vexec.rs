@@ -19,12 +19,41 @@
 //! an index into it ([`RowRef`]), and a value is copied out when someone
 //! reads it ([`ResultSet::value`]) or asks for rows ([`ResultSet::rows`]).
 //!
-//! Equi-joins share one `BuildTable`: a flat CSR table (bucket offsets,
-//! build row ids grouped by bucket in insertion order) keyed by a `u64`
-//! hash, with key equality checked on probe. Null-free `Int` keys hash
-//! the raw `i64`; every other key goes through `Value`'s own `Hash`/`Eq`.
-//! On the typed path the probe *is* the equi conjunct, so the residual
-//! pass skips it.
+//! Equi-joins share one `BuildTable` — per bucket its first build row, per
+//! build row the next one of its bucket, linked in one pass from the last
+//! row to the first, so that a chain reads in build-insertion order, the
+//! row engine's output order — and one `probe`, which looks up a batch of
+//! buckets before it walks any chain. Keys are not stored; the paths
+//! differ in how a key finds its bucket and whether a chain needs
+//! comparing:
+//!
+//! * **Dense null-free `Int` keys are their own bucket**, `key - min`,
+//!   when `max - min + 1` is at most twice the rows the join reads (both
+//!   sides). Nothing is hashed or compared, the build column is not read
+//!   again, a probe key outside `[min, max]` matches nothing: a probe row
+//!   costs one load, a match one more (≈ 2 ns a probe row on `exec_olap`
+//!   where one in twenty matches, ≈ 9 where all do; the hashed CSR table
+//!   before this one took 15 and 20). Twice, because a bucket is four
+//!   bytes and a key eight: up to there the table is no larger than the
+//!   key columns the join reads anyway, so filling it costs no more than a
+//!   pass over them; and because a factor of one would take `exec_olap`'s
+//!   filtered build side by 2.6 % of its range, or not, with the data
+//!   seed. Surrogate keys and their foreign keys, which every corpus here
+//!   joins on, are well inside. The rule reads `min`, `max` and the two
+//!   row counts, nothing else.
+//! * **Other null-free `Int` keys are hashed** (`hash_i64`) into a power
+//!   of two of buckets, at least twice the build rows, so most probes
+//!   that match nothing meet no chain; a chain row costs a compare against
+//!   the build column and a load of the next.
+//! * **Every other key** (NULLs, non-`Int`, mixed) takes the same table
+//!   through `Value`s under `exec::join_key`: an Int is filed under the
+//!   `f64` image `sql_cmp` compares it with a Float through, the
+//!   candidates are a superset of the pairs the conjunct holds on, and
+//!   the residual pass evaluates it on each.
+//!
+//! On the two `Int` paths the probe *is* the equi conjunct, so the
+//! residual pass skips it. The candidate lists become the output's
+//! selection vectors without a copy.
 //!
 //! Aggregation assigns every row a group id, then folds each aggregate's
 //! argument — evaluated once over the whole chunk — into one accumulator
@@ -71,7 +100,7 @@
 use crate::catalog::Table;
 use crate::column::{ColumnTable, ColumnVec, NullMask};
 use crate::error::{DbError, DbResult};
-use crate::exec::{AggState, ExecWork, Executor};
+use crate::exec::{index_answers_eq, index_joins_eq, join_key, AggState, ExecWork, Executor};
 use crate::expr::{apply_bin_op, AggFunc, BinOp, ColRef, ScalarExpr};
 use crate::func::FuncRegistry;
 use crate::plan::{AggItem, LogicalPlan, SortDir};
@@ -164,14 +193,29 @@ impl Chunk {
 
     /// A join's output: row `k` is row `l_rows[k]` of `l` followed by row
     /// `r_rows[k]` of `r`. Only selections are written.
-    fn joined(l: &Chunk, l_rows: &[u32], r: &Chunk, r_rows: &[u32]) -> Chunk {
-        let l_segs = l.segs.iter().map(|s| s.compose(l_rows));
-        let r_segs = r.segs.iter().map(|s| s.compose(r_rows));
+    fn joined(l: &Chunk, l_rows: Vec<u32>, r: &Chunk, r_rows: Vec<u32>) -> Chunk {
+        let len = l_rows.len();
+        let mut segs = l.read_through(l_rows);
+        segs.extend(r.read_through(r_rows));
         Chunk {
             schema: Arc::new(l.schema.join(&r.schema)),
-            segs: l_segs.chain(r_segs).collect(),
-            len: l_rows.len(),
+            segs,
+            len,
         }
+    }
+
+    /// This chunk's segments read through `rows`, logical row ids of it. A
+    /// lone identity segment (a scan, a projection, an aggregate's output)
+    /// takes `rows` as its selection; any other composes its own.
+    fn read_through(&self, rows: Vec<u32>) -> Vec<Segment> {
+        if let [Segment { cols, sel: None }] = &self.segs[..] {
+            let cols = cols.clone();
+            return vec![Segment {
+                cols,
+                sel: Some(rows),
+            }];
+        }
+        self.segs.iter().map(|s| s.compose(&rows)).collect()
     }
 
     /// Column `i` of the schema.
@@ -189,11 +233,9 @@ impl Chunk {
     }
 
     /// Keep the logical rows `rows`, in that order.
-    fn select(&mut self, rows: &[u32]) {
-        for seg in &mut self.segs {
-            *seg = seg.compose(rows);
-        }
+    fn select(&mut self, rows: Vec<u32>) {
         self.len = rows.len();
+        self.segs = self.read_through(rows);
     }
 
     /// Late materialization: clone the selected rows out, in order.
@@ -395,7 +437,7 @@ fn run_plan(
             let sort_work = n * (64 - n.max(1).leading_zeros() as u64).max(1);
             work.startup_rows = work.total_rows + sort_work;
             work.total_rows += sort_work;
-            chunk.select(&rows);
+            chunk.select(rows);
             Ok((chunk, work))
         }
         LogicalPlan::Limit { input, n } => {
@@ -469,23 +511,24 @@ fn run_select(
         let conjuncts = pred.conjuncts();
         if let Some((ci, idx, key_expr)) = indexed_eq_conjunct(t, &schema, &conjuncts) {
             let key = key_expr.eval(&Schema::default(), &Vec::new(), params, exec.funcs)?;
-            let positions = t.index_lookup(idx, &key).unwrap_or(&[]);
-            let work = ExecWork {
-                startup_rows: 0,
-                total_rows: positions.len() as u64 + 1,
-            };
-            let hits: Vec<u32> = positions.iter().map(|&p| p as u32).collect();
-            let mut chunk = Chunk::scan(t, schema);
-            chunk.select(&hits);
-            // Remaining conjuncts narrow the selection in order
-            // (progressive = the row engine's per-row short-circuit).
-            for (i, other) in conjuncts.iter().enumerate() {
-                if i == ci {
-                    continue;
+            if index_answers_eq(schema.column(idx).dtype, &key) {
+                let positions = t.index_lookup(idx, &key).unwrap_or(&[]);
+                let work = ExecWork {
+                    startup_rows: 0,
+                    total_rows: positions.len() as u64 + 1,
+                };
+                let hits: Vec<u32> = positions.iter().map(|&p| p as u32).collect();
+                let mut chunk = Chunk::scan(t, schema);
+                chunk.select(hits);
+                // Remaining conjuncts narrow the selection in order
+                // (progressive = the row engine's per-row short-circuit).
+                for (i, other) in conjuncts.iter().enumerate() {
+                    if i != ci {
+                        filter_chunk(&mut chunk, other, params, exec.funcs)?;
+                    }
                 }
-                filter_chunk(&mut chunk, other, params, exec.funcs)?;
+                return Ok((chunk, work));
             }
-            return Ok((chunk, work));
         }
     }
     // Generic filter: whole predicate tree, batched over the selection.
@@ -511,7 +554,7 @@ fn filter_chunk(
         let v = eval.eval(pred, rows.clone())?;
         append_truthy(&v, rows, &mut keep);
     }
-    chunk.select(&keep);
+    chunk.select(keep);
     Ok(())
 }
 
@@ -614,12 +657,12 @@ fn run_join(
         work.total_rows += build.len as u64 + probe.len as u64;
         let ((cand_b, cand_p), typed) = hash_candidates(build, b_key, probe, p_key);
         let (cand_l, cand_r) = if build_left {
-            (&cand_b, &cand_p)
+            (cand_b, cand_p)
         } else {
-            (&cand_p, &cand_b)
+            (cand_p, cand_b)
         };
         let mut chunk = Chunk::joined(&l_chunk, cand_l, &r_chunk, cand_r);
-        // The typed probe compared the two key columns as null-free ints,
+        // The typed probe matched the two key columns as null-free ints,
         // which is the equi conjunct — provided the conjunct reads those
         // same two columns in the joined schema (where a reference can
         // turn ambiguous, and must then still raise).
@@ -648,7 +691,7 @@ fn run_join(
         let mut batch_r: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
         let mut flush = |batch_l: &mut Vec<u32>, batch_r: &mut Vec<u32>| -> DbResult<()> {
             let n = batch_l.len();
-            let mini = Chunk::joined(&l_chunk, batch_l, &r_chunk, batch_r);
+            let mini = Chunk::joined(&l_chunk, batch_l.clone(), &r_chunk, batch_r.clone());
             let v = Eval::new(&mini, params, exec.funcs).eval(pred, 0..n)?;
             let mut local: Vec<u32> = Vec::new();
             append_truthy(&v, 0..n, &mut local);
@@ -670,70 +713,94 @@ fn run_join(
             }
         }
         flush(&mut batch_l, &mut batch_r)?;
-        Ok((Chunk::joined(&l_chunk, &keep_l, &r_chunk, &keep_r), work))
+        Ok((Chunk::joined(&l_chunk, keep_l, &r_chunk, keep_r), work))
     }
 }
 
-/// The build side of every hash join, as one flat table in CSR layout: a
-/// power-of-two number of buckets, and the build rows grouped by bucket,
-/// in build-insertion order within each. Keys are not stored; a probe
-/// checks equality against the build column.
+/// End-of-chain mark of a [`BuildTable`]; no build row has this id.
+const NIL: u32 = u32::MAX;
+
+/// The build side of every hash join: per bucket its first build row, per
+/// build row the next one of its bucket, each chain in build-insertion
+/// order. Keys are not stored; which bucket a key has, and whether a chain
+/// can hold a row with another key, is the caller's.
 struct BuildTable {
-    /// Bucket `h` is `rows[offsets[h]..offsets[h + 1]]`.
-    offsets: Vec<u32>,
-    rows: Vec<u32>,
-    /// A hash's top `64 - shift` bits pick its bucket.
-    shift: u32,
+    /// The first build row of each bucket, [`NIL`] for an empty one.
+    head: Vec<u32>,
+    /// The next build row of each build row's bucket, [`NIL`] after the
+    /// last.
+    next: Vec<u32>,
 }
 
 impl BuildTable {
-    /// Table over build rows `0..n`, `hash(b)` hashing row `b`'s key.
-    fn new(n: usize, hash: impl Fn(usize) -> u64) -> BuildTable {
-        assert!(n <= u32::MAX as usize, "row ids are u32");
-        // At least two buckets, so that `shift` stays below 64.
-        let buckets = n.next_power_of_two().max(2);
+    /// Table of `buckets` buckets over build rows `0..n`, `bucket(b)` being
+    /// row `b`'s: one pass, from the last row to the first, so that every
+    /// chain runs from its first row to its last.
+    fn new(n: usize, buckets: usize, bucket: impl Fn(usize) -> usize) -> BuildTable {
+        assert!(
+            n < NIL as usize,
+            "row ids are u32, and u32::MAX ends a chain"
+        );
+        let mut head = vec![NIL; buckets];
+        let mut next = vec![NIL; n];
+        for b in (0..n).rev() {
+            let first = &mut head[bucket(b)];
+            next[b] = *first;
+            *first = b as u32;
+        }
+        BuildTable { head, next }
+    }
+
+    /// A hashed table over build rows `0..n`, at most half full: a power
+    /// of two of buckets, the top bits of `hash(b)` picking row `b`'s.
+    /// Returns the table and the shift that leaves those bits.
+    fn hashed(n: usize, hash: impl Fn(usize) -> u64) -> (BuildTable, u32) {
+        // At least two buckets, so that the shift stays below 64.
+        let buckets = (2 * n).next_power_of_two().max(2);
         let shift = 64 - buckets.trailing_zeros();
-        let bucket_of: Vec<u32> = (0..n).map(|b| (hash(b) >> shift) as u32).collect();
-        let mut offsets = vec![0u32; buckets + 1];
-        for &h in &bucket_of {
-            offsets[h as usize + 1] += 1;
-        }
-        for h in 0..buckets {
-            offsets[h + 1] += offsets[h];
-        }
-        let mut next = offsets.clone();
-        let mut rows = vec![0u32; n];
-        for (b, &h) in bucket_of.iter().enumerate() {
-            rows[next[h as usize] as usize] = b as u32;
-            next[h as usize] += 1;
-        }
-        BuildTable {
-            offsets,
-            rows,
-            shift,
-        }
+        let table = BuildTable::new(n, buckets, |b| (hash(b) >> shift) as usize);
+        (table, shift)
     }
 
     /// The candidate pairs `(build row, probe row)` of probe rows
     /// `0..n_probe`: probe-major, a probe row's matches in
     /// build-insertion order — exactly the row engine's output order.
-    /// `key(p)` is probe row `p`'s hash and key, `eq(b, k)` whether build
-    /// row `b` has key `k`.
-    fn probe<K>(
+    /// `bucket(p)` is probe row `p`'s bucket, `None` when its key has
+    /// none; `eq(b, p)` is whether build row `b` has probe row `p`'s key.
+    ///
+    /// A batch of probe rows first looks its buckets up — independent
+    /// loads, and the rows that found an empty one dropped without a
+    /// branch — and only then walks the chains, where each step waits for
+    /// the one before and the trip count cannot be predicted.
+    fn probe(
         &self,
         n_probe: usize,
-        key: impl Fn(usize) -> (u64, K),
-        eq: impl Fn(usize, &K) -> bool,
+        bucket: impl Fn(usize) -> Option<usize>,
+        eq: impl Fn(usize, usize) -> bool,
     ) -> (Vec<u32>, Vec<u32>) {
-        let mut cand_b: Vec<u32> = Vec::new();
-        let mut cand_p: Vec<u32> = Vec::new();
-        for p in 0..n_probe {
-            let (hash, k) = key(p);
-            let h = (hash >> self.shift) as usize;
-            for &b in &self.rows[self.offsets[h] as usize..self.offsets[h + 1] as usize] {
-                if eq(b as usize, &k) {
-                    cand_b.push(b);
-                    cand_p.push(p as u32);
+        // Room for one match per probe row, which is all a key–foreign-key
+        // join emits whichever side it builds on (the probe side is the
+        // larger one); a join that fans out further grows the lists.
+        let mut cand_b: Vec<u32> = Vec::with_capacity(n_probe);
+        let mut cand_p: Vec<u32> = Vec::with_capacity(n_probe);
+        let mut rows = [0u32; BATCH_SIZE];
+        let mut firsts = [NIL; BATCH_SIZE];
+        for lo in (0..n_probe).step_by(BATCH_SIZE) {
+            let mut found = 0;
+            for p in lo..n_probe.min(lo + BATCH_SIZE) {
+                let first = bucket(p).map_or(NIL, |h| self.head[h]);
+                rows[found] = p as u32;
+                firsts[found] = first;
+                found += (first != NIL) as usize;
+            }
+            for (&p, &first) in rows[..found].iter().zip(&firsts[..found]) {
+                let mut b = first;
+                while b != NIL {
+                    if eq(b as usize, p as usize) {
+                        cand_b.push(b);
+                        cand_p.push(p);
+                    }
+                    b = self.next[b as usize];
                 }
             }
         }
@@ -754,8 +821,20 @@ fn hash_value(v: &Value) -> u64 {
     h.finish()
 }
 
+/// `(min, max - min)` of `keys` when a table addressed by `key - min` is
+/// worth its buckets: the range is at most twice `rows` keys wide (why
+/// twice, the module doc says). `None` for an empty or a wider key set.
+fn dense_range(mut keys: impl Iterator<Item = i64>, rows: usize) -> Option<(i64, u64)> {
+    let first = keys.next()?;
+    let (min, max) = keys.fold((first, first), |(lo, hi), k| (lo.min(k), hi.max(k)));
+    // The difference of two `i64`s always fits a `u64`; the width, one
+    // more, need not (`i64::MIN..=i64::MAX`), so compare the difference.
+    let span = max.wrapping_sub(min) as u64;
+    (span < 2 * rows as u64).then_some((min, span))
+}
+
 /// The candidate pair lists of a hash join, as logical rows per side, and
-/// whether the typed path produced them (every pair then has equal,
+/// whether a typed path produced them (every pair then has equal,
 /// non-NULL Int keys).
 fn hash_candidates(
     build: &Chunk,
@@ -765,7 +844,7 @@ fn hash_candidates(
 ) -> ((Vec<u32>, Vec<u32>), bool) {
     let (n_build, n_probe) = (build.len, probe.len);
     let (build, probe) = (build.col(b_key), probe.col(p_key));
-    // Typed fast path: both keys are null-free Int columns, hash raw i64.
+    // Typed paths: both keys are null-free Int columns.
     if let (
         ColumnVec::Int {
             data: bd,
@@ -777,29 +856,49 @@ fn hash_candidates(
         },
     ) = (build.col, probe.col)
     {
-        let table = BuildTable::new(n_build, |b| hash_i64(bd[build.base(b)]));
-        let pairs = table.probe(
-            n_probe,
-            |p| {
-                let k = pd[probe.base(p)];
-                (hash_i64(k), k)
-            },
-            |b, k| bd[build.base(b)] == *k,
-        );
+        let b_at = |b: usize| bd[build.base(b)];
+        let p_at = |p: usize| pd[probe.base(p)];
+        let pairs = match dense_range((0..n_build).map(b_at), n_build + n_probe) {
+            // Dense: the key is its own bucket number. Nothing is hashed,
+            // a chain holds one key, and the build column is not read
+            // again.
+            Some((min, span)) => {
+                let bucket = |k: i64| k.wrapping_sub(min) as u64;
+                let table =
+                    BuildTable::new(n_build, span as usize + 1, |b| bucket(b_at(b)) as usize);
+                table.probe(
+                    n_probe,
+                    |p| {
+                        let h = bucket(p_at(p));
+                        (h <= span).then_some(h as usize)
+                    },
+                    |_, _| true,
+                )
+            }
+            None => {
+                let (table, shift) = BuildTable::hashed(n_build, |b| hash_i64(b_at(b)));
+                table.probe(
+                    n_probe,
+                    |p| Some((hash_i64(p_at(p)) >> shift) as usize),
+                    |b, p| b_at(b) == p_at(p),
+                )
+            }
+        };
         return (pairs, true);
     }
-    // Generic path: full `Value`s, NULL keys included — the row engine's
-    // `HashMap<&Value, _>` build pairs NULL with NULL and its residual
-    // then discards the pair.
-    let b_keys: Vec<Value> = (0..n_build).map(|b| build.get(b)).collect();
-    let table = BuildTable::new(n_build, |b| hash_value(&b_keys[b]));
+    // Generic path: full `Value`s under [`join_key`], NULL keys included —
+    // a NULL pairs with a NULL and two Ints with one `f64` image pair with
+    // each other, as in the row engine's table, and the residual, which
+    // evaluates every conjunct on this path, discards both.
+    let keys = |col: ColView<'_>, n: usize| -> Vec<Value> {
+        (0..n).map(|k| join_key(col.get(k))).collect()
+    };
+    let (b_keys, p_keys) = (keys(build, n_build), keys(probe, n_probe));
+    let (table, shift) = BuildTable::hashed(n_build, |b| hash_value(&b_keys[b]));
     let pairs = table.probe(
         n_probe,
-        |p| {
-            let k = probe.get(p);
-            (hash_value(&k), k)
-        },
-        |b, k| b_keys[b] == *k,
+        |p| Some((hash_value(&p_keys[p]) >> shift) as usize),
+        |b, p| b_keys[b] == p_keys[p],
     );
     (pairs, false)
 }
@@ -828,7 +927,8 @@ pub(crate) fn inl_probe_columns(
                 outer_schema.resolve(&x.to_ref_string()),
                 inner_schema.resolve(&y.to_ref_string()),
             ) {
-                if t.has_index(i) {
+                let (o_type, i_type) = (outer_schema.column(o).dtype, inner_schema.column(i).dtype);
+                if t.has_index(i) && index_joins_eq(o_type, i_type) {
                     probe = Some((o, i));
                 }
             }
@@ -885,9 +985,9 @@ fn try_inl_join(
         }
         let inner = Chunk::scan(t, inner_schema);
         let mut chunk = if outer == 0 {
-            Chunk::joined(o_chunk, &cand_o, &inner, &cand_i)
+            Chunk::joined(o_chunk, cand_o, &inner, cand_i)
         } else {
-            Chunk::joined(&inner, &cand_i, o_chunk, &cand_o)
+            Chunk::joined(&inner, cand_i, o_chunk, cand_o)
         };
         // All conjuncts, in order, progressively (per-hit short-circuit).
         for c in &conjuncts {
@@ -2133,12 +2233,12 @@ mod tests {
     #[test]
     fn duplicate_build_keys_match_in_build_insertion_order() {
         let keys = [3i64, 1, 3, 2, 3, 1];
-        let table = BuildTable::new(keys.len(), |b| hash_i64(keys[b]));
+        let (table, shift) = BuildTable::hashed(keys.len(), |b| hash_i64(keys[b]));
         let probes = [3i64, 7, 1];
         let (b, p) = table.probe(
             probes.len(),
-            |p| (hash_i64(probes[p]), probes[p]),
-            |b, k| keys[b] == *k,
+            |p| Some((hash_i64(probes[p]) >> shift) as usize),
+            |b, p| keys[b] == probes[p],
         );
         assert_eq!((b, p), (vec![0, 2, 4, 1, 5], vec![0, 0, 0, 2, 2]));
 
@@ -2149,18 +2249,19 @@ mod tests {
 
     #[test]
     fn keys_sharing_a_bucket_do_not_match_each_other() {
-        // Four build rows make four buckets; all eight keys hash to the
-        // first of them.
+        // Four build rows make eight buckets; all eight keys hash to the
+        // first of them, so the four build rows are one chain.
         let colliding: Vec<i64> = (0i64..)
-            .filter(|&k| hash_i64(k) >> 62 == 0)
+            .filter(|&k| hash_i64(k) >> 61 == 0)
             .take(8)
             .collect();
-        let table = BuildTable::new(4, |b| hash_i64(colliding[b]));
-        assert_eq!(table.offsets, [0, 4, 4, 4, 4]);
+        let (table, shift) = BuildTable::hashed(4, |b| hash_i64(colliding[b]));
+        assert_eq!(table.head, [0, NIL, NIL, NIL, NIL, NIL, NIL, NIL]);
+        assert_eq!(table.next, [1, 2, 3, NIL]);
         let (b, p) = table.probe(
             8,
-            |p| (hash_i64(colliding[p]), colliding[p]),
-            |b, k| colliding[b] == *k,
+            |p| Some((hash_i64(colliding[p]) >> shift) as usize),
+            |b, p| colliding[b] == colliding[p],
         );
         assert_eq!((b, p), (vec![0, 1, 2, 3], vec![0, 1, 2, 3]));
         let db = key_tables(&[("a", &ints(&colliding[..4])), ("b", &ints(&colliding))]);
@@ -2259,13 +2360,194 @@ mod tests {
         ];
         let db = key_tables(&[("a", &a), ("b", &b), ("c", &b[3..])]);
         // Int-with-NULLs against Mixed: NULL pairs with NULL as a
-        // candidate and the residual drops it; 1 ≠ 1.0 ≠ '1' as keys.
+        // candidate and the residual drops it; 1 = 1.0 as the predicate
+        // has it (`sql_cmp`), and neither is '1'.
         let r = assert_key_joins_agree(&db);
-        assert_eq!(r.row_count(), 3);
+        assert_eq!(r.row_count(), 2 + 2);
         assert!(r.rows.iter().all(|row| !row[0].is_null()));
-        // Mixed against Mixed.
+        // Mixed against Mixed: 2 twice, '1', 1.0 and 'x' join themselves,
+        // and 1 joins 1.0.
         let r = assert_engines_agree(&db, "select * from b join c on b.k = c.k");
-        assert_eq!(r.row_count(), 2 + 1 + 1 + 1);
+        assert_eq!(r.row_count(), 2 + 1 + 1 + 1 + 1);
+    }
+
+    #[test]
+    fn access_paths_answer_equality_as_the_predicate_does() {
+        // `sql_cmp` compares an Int and a Float numerically; `Value`
+        // identity, which the hash table, the index and the index join
+        // key by, ranks them apart. Each path is held to the same
+        // predicate written so that no access path applies.
+        let mut db = Database::new();
+        for (name, col, dtype, rows) in [
+            ("a", "ai", DataType::Int, 4),
+            ("b", "bf", DataType::Float, 4),
+            ("c", "ci", DataType::Int, 100),
+        ] {
+            let t = db
+                .create_table(name, Schema::new(vec![Column::new(col, dtype)]))
+                .unwrap();
+            for i in 0..rows {
+                let v = match dtype {
+                    DataType::Float => Value::Float(i as f64),
+                    _ => Value::Int(i),
+                };
+                t.insert(vec![v]).unwrap();
+            }
+        }
+        db.table_mut("c").unwrap().set_primary_key("ci").unwrap();
+        // An index files a NULL like any value; `= NULL` holds on no row.
+        let n = Schema::new(vec![Column::new("ni", DataType::Int)]);
+        let t = db.create_table("n", n).unwrap();
+        t.create_index("ni").unwrap();
+        for v in [Value::Int(1), Value::Null, Value::Null] {
+            t.insert(vec![v]).unwrap();
+        }
+        db.analyze_all();
+        for (path, fast, plain, rows) in [
+            (
+                "hash join",
+                "select * from a join b on ai = bf",
+                "select * from a join b on ai + 0 = bf",
+                4,
+            ),
+            (
+                "index",
+                "select * from c where ci = 1.0",
+                "select * from c where ci + 0 = 1.0",
+                1,
+            ),
+            (
+                "index join",
+                "select * from b join c on bf = ci",
+                "select * from b join c on bf = ci + 0",
+                4,
+            ),
+            (
+                "index, NULL key",
+                "select * from n where ni = null",
+                "select * from n where ni + 0 = null",
+                0,
+            ),
+        ] {
+            let (fast, plain) = (
+                assert_engines_agree(&db, fast),
+                assert_engines_agree(&db, plain),
+            );
+            assert_eq!(fast.rows, plain.rows, "{path}");
+            assert_eq!(fast.row_count(), rows, "{path}");
+        }
+    }
+
+    /// A chunk of one null-free Int column, read through `sel` if given.
+    fn key_chunk(keys: &[i64], sel: Option<&[u32]>) -> Chunk {
+        let col = ColumnVec::Int {
+            data: keys.to_vec(),
+            nulls: None,
+        };
+        let schema = Schema::new(vec![Column::new("k", DataType::Int)]);
+        let mut chunk = Chunk::dense(schema, vec![Arc::new(col)], keys.len());
+        if let Some(sel) = sel {
+            chunk.select(sel.to_vec());
+        }
+        chunk
+    }
+
+    /// `hash_candidates` on the two key columns against a double loop —
+    /// the same pairs, probe-major, a probe row's in build order — on the
+    /// path `dense` says.
+    fn assert_candidates(build: &Chunk, probe: &Chunk, dense: bool, label: &str) {
+        let (bk, pk) = (build.col(0), probe.col(0));
+        let b_keys = (0..build.len).map(|b| bk.get(b).as_i64().unwrap());
+        let range = dense_range(b_keys, build.len + probe.len);
+        assert_eq!(range.is_some(), dense, "path of {label}");
+        let (mut want_b, mut want_p) = (Vec::new(), Vec::new());
+        for p in 0..probe.len {
+            for b in (0..build.len).filter(|&b| bk.get(b) == pk.get(p)) {
+                want_b.push(b as u32);
+                want_p.push(p as u32);
+            }
+        }
+        let (got, typed) = hash_candidates(build, 0, probe, 0);
+        assert!(typed, "{label}");
+        assert_eq!(got, (want_b, want_p), "{label}");
+    }
+
+    #[test]
+    fn candidate_pairs_match_a_double_loop_on_both_typed_paths() {
+        let dense = |build: &[i64], probe: &[i64], label: &str| {
+            assert_candidates(
+                &key_chunk(build, None),
+                &key_chunk(probe, None),
+                true,
+                label,
+            )
+        };
+        let hashed = |build: &[i64], probe: &[i64], label: &str| {
+            assert_candidates(
+                &key_chunk(build, None),
+                &key_chunk(probe, None),
+                false,
+                label,
+            )
+        };
+        dense(&[3, 1, 3, 2, 3, 1], &[3, 7, 1, 3, 2], "duplicates");
+        dense(&[-5, -3, -5, 2, 0], &[2, -5, -4, 0, -3, -5], "negative min");
+        // 4..=9 with a gap at 6 and 7; probes below, above and in the gap.
+        dense(
+            &[4, 5, 8, 9],
+            &[3, 6, 10, 7, i64::MIN, i64::MAX, 4, 9],
+            "misses",
+        );
+        dense(&[7], &[7, 6, 8, 7], "a single build row");
+        hashed(&[], &[1, 2, 3], "an empty build side");
+        hashed(&[], &[], "two empty sides");
+        // Three build and five probe rows: up to sixteen buckets are dense.
+        let probe = [0, 5, 15, 16, 7];
+        dense(&[0, 5, 15], &probe, "the widest dense range");
+        hashed(&[0, 5, 16], &probe, "one key wider");
+        // The full range: `max - min` fits a `u64`, the width does not.
+        let extremes = [i64::MIN, -1, 0, i64::MAX];
+        hashed(
+            &extremes,
+            &[i64::MAX, 0, 1, -1, i64::MIN, i64::MIN + 1, 0],
+            "extremes",
+        );
+        hashed(&[i64::MAX, i64::MIN], &extremes, "the widest range");
+
+        // A build side behind a selection (every seventh row of 0..700, in
+        // an order that is not the storage order), probed by foreign keys.
+        let stored: Vec<i64> = (0..700).collect();
+        let sel: Vec<u32> = (0..700).rev().step_by(7).collect();
+        let fks: Vec<i64> = (0..2_000).map(|i| (i * i) % 900).collect();
+        let build = key_chunk(&stored, Some(&sel));
+        assert_candidates(&build, &key_chunk(&fks, None), true, "selected, dense");
+        let spread: Vec<i64> = stored.iter().map(|k| k * 1_000).collect();
+        let fks: Vec<i64> = fks.iter().map(|k| k * 1_000).collect();
+        let build = key_chunk(&spread, Some(&sel));
+        assert_candidates(&build, &key_chunk(&fks, None), false, "selected, hashed");
+        // Both sides selected.
+        let probe = key_chunk(&fks, Some(&[5, 1_999, 0, 5, 700]));
+        assert_candidates(&build, &probe, false, "both sides selected");
+
+        // Batches: a partial last one, and none, one in twenty and all of
+        // the probe rows matching, with duplicates on the build side.
+        let n = 3 * BATCH_SIZE as i64 + 17;
+        let build: Vec<i64> = (0..200).map(|i| i % 160).collect();
+        for (step, offset, label) in [(1, 1_000, "none"), (20, 0, "5 %"), (1, 0, "all")] {
+            let probe: Vec<i64> = (0..n)
+                .map(|i| {
+                    if i % step == 0 {
+                        i % 160 + offset
+                    } else {
+                        -1 - i
+                    }
+                })
+                .collect();
+            dense(&build, &probe, &format!("{label} match, dense"));
+            let sparse = |keys: &[i64]| keys.iter().map(|k| k * 1_000).collect::<Vec<_>>();
+            let label = format!("{label} match, hashed");
+            hashed(&sparse(&build), &sparse(&probe), &label);
+        }
     }
 
     #[test]

@@ -155,11 +155,6 @@ impl RemoteDb {
     pub fn bytes_transferred(&self) -> u64 {
         self.stats.bytes_transferred()
     }
-
-    /// Reset the counters (keeps the clock untouched).
-    pub fn reset_stats(&self) {
-        self.stats.reset();
-    }
 }
 
 #[cfg(test)]
@@ -256,18 +251,5 @@ mod tests {
         slow.query(&plan, &HashMap::new()).unwrap();
         // 2800 B at 1 kB/s = 2.8 s ≫ 0.1 ms server time.
         assert!(clock.now() >= 2_800_000_000);
-    }
-
-    #[test]
-    fn reset_stats_clears_counters() {
-        let (db, funcs, clock) = fixture();
-        let remote = RemoteDb::new(db, funcs, NetworkProfile::fast_local(), clock);
-        let plan = minidb::sql::parse("select * from t").unwrap();
-        remote.query(&plan, &HashMap::new()).unwrap();
-        assert_eq!(remote.round_trips(), 1);
-        assert!(remote.bytes_transferred() > 0);
-        remote.reset_stats();
-        assert_eq!(remote.round_trips(), 0);
-        assert_eq!(remote.bytes_transferred(), 0);
     }
 }

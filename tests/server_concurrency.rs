@@ -515,3 +515,108 @@ fn a_poisoned_tenant_does_not_end_the_drift_sweep() {
     assert!(counters.internal_errors >= 1, "{counters}");
     service.shutdown();
 }
+
+/// What a reply says beside how long it took: how the cache satisfied it
+/// and what executing the chosen program did.
+fn said(reply: &SubmitReply) -> (CacheOutcome, u64, u64, cobra::interp::NormalizedOutcome) {
+    (
+        reply.cache,
+        reply.round_trips,
+        reply.simulated_ns,
+        reply.results.clone(),
+    )
+}
+
+/// `round_trips` and `simulated_ns` of the eight read-only tenants' chosen
+/// programs (the virtual clock: a function of the plan and the data only).
+const PINNED_RUNS: [(u64, u64); 8] = [
+    (16, 4064847040),
+    (2, 545764200),
+    (40, 10038872650),
+    (2, 529806670),
+    (20, 5049722820),
+    (1, 259729140),
+    (4, 1046950540),
+    (1, 250141350),
+];
+
+/// One program reaches one plan whichever way it arrives: over the wire,
+/// in process, and over the wire again after `snapshot` → a fresh service
+/// → `restore`. Every reply carries the program's own fingerprint, the
+/// as-written program's observables and the same execution; only the
+/// first submission searches.
+#[test]
+fn wire_in_process_and_restored_submissions_reach_the_same_plan() {
+    use cobra::server::program_fingerprint;
+
+    let cases = read_only_cases(8);
+    let fixtures: Vec<Fixture> = cases.iter().map(|c| c.fixture()).collect();
+    let serve = || {
+        let service = CobraService::new(ServerConfig::default());
+        for (i, fx) in fixtures.iter().enumerate() {
+            service.register_tenant(tenant_for(&format!("t{i}"), fx, false));
+        }
+        WireServer::spawn(service, "127.0.0.1:0").expect("bind")
+    };
+
+    let server = serve();
+    let service = server.service().clone();
+    let mut client = WireClient::connect(server.local_addr()).expect("connect");
+    let mut first_life = Vec::new();
+    for (i, case) in cases.iter().enumerate() {
+        let program = &case.program;
+        let as_written = run_on(
+            &fixtures[i].fork_db(),
+            NetworkProfile::slow_remote(),
+            program,
+        )
+        .expect("runs as written");
+        let params: Vec<&str> = program.entry().params.iter().map(|p| p.as_str()).collect();
+        let reference = as_written.outcome.normalized_with_vars(&params);
+
+        let wire_session = client.open_session(&format!("t{i}")).unwrap();
+        let local_session = service
+            .open_session(service.tenant_id(&format!("t{i}")).unwrap())
+            .unwrap();
+        let cold = client.submit(wire_session, program).unwrap();
+        let warm = client.submit(wire_session, program).unwrap();
+        let local = service.submit(local_session, program).unwrap();
+
+        let (_, round_trips, simulated_ns, results) = said(&cold);
+        assert_eq!(results, reference, "seed {}", case.seed);
+        assert_eq!(
+            (round_trips, simulated_ns),
+            PINNED_RUNS[i],
+            "seed {}",
+            case.seed
+        );
+        let hit = (CacheOutcome::Hit, round_trips, simulated_ns, results);
+        assert_eq!(cold.cache, CacheOutcome::Miss, "seed {}", case.seed);
+        assert_eq!(said(&warm), hit, "seed {}: second wire", case.seed);
+        assert_eq!(said(&local), hit, "seed {}: in process", case.seed);
+        for reply in [&cold, &warm, &local] {
+            assert_eq!(reply.fingerprint, program_fingerprint(program));
+        }
+        first_life.push(hit);
+    }
+    let counters = service.counters();
+    assert_eq!((counters.cache_misses, counters.cache_hits), (8, 16));
+    let snapshot = service.snapshot();
+    server.shutdown();
+
+    // Second life: the same databases behind a fresh service.
+    let server = serve();
+    let service = server.service().clone();
+    let report = service.restore(&snapshot);
+    assert_eq!(report.plans_restored, 8, "{report}");
+    let mut client = WireClient::connect(server.local_addr()).expect("connect");
+    for (i, case) in cases.iter().enumerate() {
+        let session = client.open_session(&format!("t{i}")).unwrap();
+        let restored = client.submit(session, &case.program).unwrap();
+        assert_eq!(said(&restored), first_life[i], "seed {}", case.seed);
+        assert_eq!(restored.fingerprint, program_fingerprint(&case.program));
+    }
+    let counters = service.counters();
+    assert_eq!((counters.cache_misses, counters.cache_hits), (0, 8));
+    server.shutdown();
+}

@@ -7,9 +7,10 @@
 //! and sequences are u32-length-prefixed; multi-byte integers are
 //! big-endian. Embedded query plans travel as SQL text via
 //! [`minidb::sql::print`] — the printer is parse-idempotent, so decoding
-//! with [`minidb::sql::parse`] reconstructs a structurally identical
-//! plan (and therefore the identical [`minidb::PlanFingerprint`], which
-//! is what keeps the server's plan cache warm across the wire).
+//! with [`minidb::sql::parse`] and encoding again yields the same bytes —
+//! and [`put_program`]'s bytes are a program's identity: the plan cache
+//! keys on a hash of them ([`crate::program_fingerprint`]), computed over
+//! a [`SubmitFrame`]'s program slice without decoding it.
 
 use crate::error::ServerError;
 use crate::plan_cache::CacheOutcome;
@@ -619,6 +620,13 @@ pub fn get_program(r: &mut ByteReader) -> Result<Program> {
     Ok(Program { functions })
 }
 
+/// [`put_program`]'s bytes on their own: what identifies the program.
+pub fn encode_program(p: &Program) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    put_program(&mut w, p);
+    w.finish()
+}
+
 // ---- outcome layer ------------------------------------------------------
 
 fn put_snapshot(w: &mut ByteWriter, s: &Snapshot) {
@@ -769,6 +777,7 @@ fn put_counters(w: &mut ByteWriter, c: &ServerCounters) {
         c.internal_errors,
         c.idempotent_replays,
         c.restored_plans,
+        c.programs_decoded,
     ] {
         w.u64(v);
     }
@@ -792,6 +801,7 @@ fn get_counters(r: &mut ByteReader) -> Result<ServerCounters> {
         internal_errors: r.u64()?,
         idempotent_replays: r.u64()?,
         restored_plans: r.u64()?,
+        programs_decoded: r.u64()?,
     })
 }
 
@@ -832,6 +842,56 @@ pub enum Request {
     Shutdown,
 }
 
+/// A `Submit` frame, its program still encoded: the one definition of the
+/// layout `[2][session u64][idempotency u64][program…]`, shared by
+/// [`Request::encode`], [`Request::decode`], the client and the server.
+#[derive(Debug, Clone, Copy)]
+pub struct SubmitFrame<'a> {
+    /// The session id.
+    pub session: u64,
+    /// Idempotency key (0 = none).
+    pub idempotency: u64,
+    /// [`put_program`]'s bytes, to the end of the frame.
+    pub program: &'a [u8],
+}
+
+impl<'a> SubmitFrame<'a> {
+    const TAG: u8 = 2;
+
+    /// The frame body of a submission, from a borrowed program.
+    pub fn encode(session: u64, idempotency: u64, program: &Program) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u8(Self::TAG);
+        w.u64(session);
+        w.u64(idempotency);
+        put_program(&mut w, program);
+        w.finish()
+    }
+
+    /// Split a frame body at the program; `None` for any other request.
+    pub fn parse(body: &'a [u8]) -> Result<Option<SubmitFrame<'a>>> {
+        if body.first() != Some(&Self::TAG) {
+            return Ok(None);
+        }
+        let mut r = ByteReader::new(&body[1..]);
+        Ok(Some(SubmitFrame {
+            session: r.u64()?,
+            idempotency: r.u64()?,
+            program: &r.buf[r.pos..],
+        }))
+    }
+
+    /// Decode the program; it must fill its slice exactly.
+    pub fn decode_program(&self) -> Result<Program> {
+        let mut r = ByteReader::new(self.program);
+        let program = get_program(&mut r)?;
+        if !r.at_end() {
+            return Err(bad("trailing bytes"));
+        }
+        Ok(program)
+    }
+}
+
 impl Request {
     /// Encode into a frame body.
     pub fn encode(&self) -> Vec<u8> {
@@ -845,12 +905,7 @@ impl Request {
                 session,
                 idempotency,
                 program,
-            } => {
-                w.u8(2);
-                w.u64(*session);
-                w.u64(*idempotency);
-                put_program(&mut w, program);
-            }
+            } => return SubmitFrame::encode(*session, *idempotency, program),
             Request::Report { session } => {
                 w.u8(3);
                 w.u64(*session);
@@ -867,18 +922,16 @@ impl Request {
 
     /// Decode a frame body (must consume every byte).
     pub fn decode(buf: &[u8]) -> Result<Request> {
+        if let Some(frame) = SubmitFrame::parse(buf)? {
+            return Ok(Request::Submit {
+                session: frame.session,
+                idempotency: frame.idempotency,
+                program: frame.decode_program()?,
+            });
+        }
         let mut r = ByteReader::new(buf);
         let req = match r.u8()? {
             1 => Request::OpenSession { tenant: r.str()? },
-            2 => {
-                let session = r.u64()?;
-                let idempotency = r.u64()?;
-                Request::Submit {
-                    session,
-                    idempotency,
-                    program: get_program(&mut r)?,
-                }
-            }
             3 => Request::Report { session: r.u64()? },
             4 => Request::Counters,
             5 => Request::CloseSession { session: r.u64()? },
@@ -1057,6 +1110,40 @@ mod tests {
         for resp in &resps {
             assert_eq!(&Response::decode(&resp.encode()).unwrap(), resp);
         }
+    }
+
+    #[test]
+    fn a_submit_frame_splits_where_request_encode_put_the_program() {
+        use crate::plan_cache::{fingerprint_encoded, program_fingerprint};
+        let program = GenCase::from_seed(5, &GenConfig::default()).program;
+        let request = Request::Submit {
+            session: 42,
+            idempotency: 0xFEED,
+            program: program.clone(),
+        };
+        let body = request.encode();
+        assert_eq!(body, SubmitFrame::encode(42, 0xFEED, &program));
+        let frame = SubmitFrame::parse(&body).unwrap().expect("a Submit");
+        assert_eq!((frame.session, frame.idempotency), (42, 0xFEED));
+        assert_eq!(frame.program, encode_program(&program));
+        // What the server hashes in place is what a client can compute.
+        assert_eq!(
+            fingerprint_encoded(frame.program),
+            program_fingerprint(&program)
+        );
+        assert_eq!(frame.decode_program().unwrap(), program);
+
+        // Any other request is not a `Submit`; one cut inside its two ids
+        // is, and malformed.
+        assert!(SubmitFrame::parse(&Request::Counters.encode())
+            .unwrap()
+            .is_none());
+        assert!(SubmitFrame::parse(&[]).unwrap().is_none());
+        for cut in 1..17 {
+            assert!(SubmitFrame::parse(&body[..cut]).is_err(), "cut at {cut}");
+        }
+        let empty = SubmitFrame::parse(&body[..17]).unwrap().expect("a Submit");
+        assert!(empty.program.is_empty() && empty.decode_program().is_err());
     }
 
     #[test]

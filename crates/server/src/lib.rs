@@ -10,7 +10,9 @@
 //!   is the expensive step (region search over the memo), so results are
 //!   cached by `(program fingerprint, CacheStamp)`. N sessions
 //!   submitting the same program concurrently pay for *one* search; the
-//!   rest block briefly and share the `Arc<Optimized>`.
+//!   rest block briefly and share the `Arc<Optimized>`. The fingerprint
+//!   is a hash of the program's wire encoding, so a submission the cache
+//!   has seen is found by its bytes and never decoded.
 //! * **Sessions and tenants** ([`CobraService`]): tenants register a
 //!   database, ORM mappings, and functions; sessions open against a
 //!   tenant. The cache stamp's `instance_id` keys every entry to its

@@ -6,6 +6,12 @@
 //! connection — a connection is a client's command stream, and the
 //! concurrency story lives in [`CobraService`], not the socket layer.
 //!
+//! A `Submit` frame is not decoded here: the connection thread splits it
+//! at the program ([`crate::codec::SubmitFrame`]) and hands the encoded
+//! program to [`CobraService::submit_frame`], which decodes it only
+//! behind admission and only if the plan cache misses. A client encodes
+//! each request once, whatever the number of retry attempts.
+//!
 //! [`WireServer::spawn`] binds a listener and serves each connection on
 //! its own thread. Shutdown is cooperative: connection threads use a
 //! read timeout to poll the shutdown flag, and [`WireServer::shutdown`]
@@ -21,7 +27,7 @@
 //! idempotency keys so a retried submission whose original completed is
 //! replayed, not re-executed.
 
-use crate::codec::{Request, Response};
+use crate::codec::{Request, Response, SubmitFrame};
 use crate::error::ServerError;
 use crate::fault::{FaultKind, FaultSite};
 use crate::service::ServerCounters;
@@ -209,7 +215,9 @@ fn serve_connection(mut stream: TcpStream, service: CobraService, stop: Arc<Atom
             Ok(None) => return, // clean close or shutdown
             Err(_) => return,
         };
-        let (response, shutdown_after) = handle_request(&service, &body);
+        let response = handle_request(&service, &body);
+        // Only `Request::Shutdown` is answered with this.
+        let shutdown_after = response == Response::ShuttingDown;
         if shutdown_after {
             // Shut down *before* acking, so a client that saw the ack can
             // rely on the service being stopped. Trip the stop flag first
@@ -247,49 +255,39 @@ fn serve_connection(mut stream: TcpStream, service: CobraService, stop: Arc<Atom
     }
 }
 
-/// Execute one decoded request against the service. Returns the response
-/// and whether the connection should shut the server down afterwards.
-fn handle_request(service: &CobraService, body: &[u8]) -> (Response, bool) {
-    let request = match Request::decode(body) {
-        Ok(r) => r,
-        Err(e) => return (error_response(&e), false),
-    };
-    match request {
-        Request::OpenSession { tenant } => {
-            let Some(id) = service.tenant_id(&tenant) else {
-                return (error_response(&ServerError::UnknownTenant(tenant)), false);
-            };
-            match service.open_session(id) {
-                Ok(session) => (Response::SessionOpened { session: session.0 }, false),
-                Err(e) => (error_response(&e), false),
-            }
+/// Execute one request against the service; a failure is the typed
+/// [`Response::Error`]. A `Submit` is handed on with its program still
+/// encoded (see the module docs); everything else is decoded here.
+fn handle_request(service: &CobraService, body: &[u8]) -> Response {
+    let respond = || -> Result<Response, ServerError> {
+        if let Some(frame) = SubmitFrame::parse(body)? {
+            return Ok(Response::SubmitOk(Box::new(service.submit_frame(&frame)?)));
         }
-        Request::Submit {
-            session,
-            idempotency,
-            program,
-        } => match service.submit_idempotent(SessionId(session), &program, idempotency) {
-            Ok(reply) => (Response::SubmitOk(Box::new(reply)), false),
-            Err(e) => (error_response(&e), false),
-        },
-        Request::Report { session } => match service.session_report(SessionId(session)) {
-            Ok(report) => (Response::ReportText(report.to_string()), false),
-            Err(e) => (error_response(&e), false),
-        },
-        Request::Counters => (Response::Counters(service.counters()), false),
-        Request::CloseSession { session } => match service.close_session(SessionId(session)) {
-            Ok(()) => (Response::Closed, false),
-            Err(e) => (error_response(&e), false),
-        },
-        Request::Shutdown => (Response::ShuttingDown, true),
-    }
-}
-
-fn error_response(e: &ServerError) -> Response {
-    Response::Error {
+        Ok(match Request::decode(body)? {
+            Request::OpenSession { tenant } => {
+                let Some(id) = service.tenant_id(&tenant) else {
+                    return Err(ServerError::UnknownTenant(tenant));
+                };
+                Response::SessionOpened {
+                    session: service.open_session(id)?.0,
+                }
+            }
+            Request::Submit { .. } => unreachable!("`SubmitFrame::parse` takes every Submit"),
+            Request::Report { session } => {
+                Response::ReportText(service.session_report(SessionId(session))?.to_string())
+            }
+            Request::Counters => Response::Counters(service.counters()),
+            Request::CloseSession { session } => {
+                service.close_session(SessionId(session))?;
+                Response::Closed
+            }
+            Request::Shutdown => Response::ShuttingDown,
+        })
+    };
+    respond().unwrap_or_else(|e| Response::Error {
         code: e.code(),
         message: e.to_string(),
-    }
+    })
 }
 
 /// How a [`WireClient`] handles transient failures: per-request
@@ -412,12 +410,12 @@ impl WireClient {
     /// corrupt-frame failures always are (state is discarded with the
     /// connection); decoded server errors only when they are transient
     /// by contract (`Overloaded` shedding, `Internal` panic isolation).
-    fn call_once(&mut self, request: &Request) -> Result<Response, (ServerError, bool)> {
+    fn call_once(&mut self, request: &[u8]) -> Result<Response, (ServerError, bool)> {
         if let Err(e) = self.ensure_connected() {
             return Err((e, true));
         }
         let stream = self.stream.as_mut().expect("connected above");
-        if let Err(e) = write_frame(stream, &request.encode(), None) {
+        if let Err(e) = write_frame(stream, request, None) {
             return Err((e.into(), true));
         }
         let body = match read_frame(stream, None) {
@@ -440,7 +438,8 @@ impl WireClient {
         Ok(response)
     }
 
-    fn call(&mut self, request: &Request) -> Result<Response, ServerError> {
+    /// Send `request`, an encoded frame body: the same bytes every attempt.
+    fn call(&mut self, request: &[u8]) -> Result<Response, ServerError> {
         let max_attempts = self.policy.max_attempts.max(1);
         let mut attempt = 0u32;
         loop {
@@ -478,9 +477,10 @@ impl WireClient {
 
     /// Open a session against the named tenant.
     pub fn open_session(&mut self, tenant: &str) -> Result<SessionId, ServerError> {
-        match self.call(&Request::OpenSession {
+        let request = Request::OpenSession {
             tenant: tenant.to_string(),
-        })? {
+        };
+        match self.call(&request.encode())? {
             Response::SessionOpened { session } => Ok(SessionId(session)),
             other => Err(unexpected(&other)),
         }
@@ -502,11 +502,7 @@ impl WireClient {
         } else {
             0
         };
-        match self.call(&Request::Submit {
-            session: session.0,
-            idempotency,
-            program: program.clone(),
-        })? {
+        match self.call(&SubmitFrame::encode(session.0, idempotency, program))? {
             Response::SubmitOk(reply) => Ok(*reply),
             other => Err(unexpected(&other)),
         }
@@ -515,7 +511,7 @@ impl WireClient {
     /// Fetch the rendered optimization report for the session's last
     /// submitted program.
     pub fn report(&mut self, session: SessionId) -> Result<String, ServerError> {
-        match self.call(&Request::Report { session: session.0 })? {
+        match self.call(&Request::Report { session: session.0 }.encode())? {
             Response::ReportText(text) => Ok(text),
             other => Err(unexpected(&other)),
         }
@@ -523,7 +519,7 @@ impl WireClient {
 
     /// Fetch the server-wide counters.
     pub fn counters(&mut self) -> Result<ServerCounters, ServerError> {
-        match self.call(&Request::Counters)? {
+        match self.call(&Request::Counters.encode())? {
             Response::Counters(c) => Ok(c),
             other => Err(unexpected(&other)),
         }
@@ -534,7 +530,7 @@ impl WireClient {
     /// its ack was lost.
     pub fn close_session(&mut self, session: SessionId) -> Result<(), ServerError> {
         let before = self.retries;
-        match self.call(&Request::CloseSession { session: session.0 }) {
+        match self.call(&Request::CloseSession { session: session.0 }.encode()) {
             Ok(Response::Closed) => Ok(()),
             Ok(other) => Err(unexpected(&other)),
             Err(ServerError::UnknownSession(_)) if self.retries > before => Ok(()),
@@ -547,7 +543,7 @@ impl WireClient {
     /// unreachable server is what shutdown asked for.
     pub fn shutdown_server(&mut self) -> Result<(), ServerError> {
         let before = self.retries;
-        match self.call(&Request::Shutdown) {
+        match self.call(&Request::Shutdown.encode()) {
             Ok(Response::ShuttingDown) => Ok(()),
             Ok(other) => Err(unexpected(&other)),
             Err(ServerError::Io(_)) if self.retries > before => Ok(()),

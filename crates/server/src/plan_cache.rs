@@ -1,10 +1,11 @@
 //! The sharded, single-flight plan cache.
 //!
-//! Keys are `(PlanFingerprint, CacheStamp)` — the stable structural
-//! identity of the submitted program plus the validity coordinate the
-//! estimator layer already maintains (database instance, stats epoch,
-//! feedback generation, estimation mode). Folding the stamp into the key
-//! gives tenant isolation and invalidation for free:
+//! Keys are `(PlanFingerprint, CacheStamp)` — a hash of the submitted
+//! program's wire encoding ([`program_fingerprint`]: identity by bytes, so
+//! a lookup decodes nothing) plus the validity coordinate the estimator
+//! layer already maintains (database instance, stats epoch, feedback
+//! generation, estimation mode). Folding the stamp into the key gives
+//! tenant isolation and invalidation for free:
 //!
 //! * two tenants have different `Database::instance_id`s, so identical
 //!   programs land on different keys — cross-tenant pollution is
@@ -19,8 +20,10 @@
 //! coalesced count is surfaced per request and in the server counters.
 //!
 //! The map is sharded by fingerprint to keep lock contention off the hot
-//! path: a hit takes one shard mutex for a `HashMap` probe.
+//! path: a hit takes one shard mutex for a `HashMap` probe, and the entry
+//! it finds already holds the program to run ([`CachedPlan::runnable`]).
 
+use crate::codec;
 use crate::error::ServerError;
 use crate::sync;
 use cobra_core::Optimized;
@@ -35,7 +38,7 @@ use std::sync::{Arc, Condvar, Mutex};
 /// A plan-cache key: program identity × cache validity coordinate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// Structural fingerprint of the whole submitted program.
+    /// [`program_fingerprint`] of the whole submitted program.
     pub fingerprint: PlanFingerprint,
     /// Validity stamp (tenant instance, stats epoch, feedback
     /// generation, estimation mode).
@@ -48,24 +51,62 @@ impl std::fmt::Display for CacheKey {
     }
 }
 
-/// Fingerprint a whole imperative program: FNV-1a over its structural
-/// hash stream (statement line numbers are ignored by `Stmt::hash`, and
-/// embedded query plans hash by their precomputed fingerprints, so this
-/// is cheap and stable across processes).
+/// The identity of a whole imperative program: a hash of its encoding
+/// ([`codec::put_program`]), line numbers included. Nothing persists the
+/// value (snapshots recompute it), so it may change between builds.
 pub fn program_fingerprint(program: &Program) -> PlanFingerprint {
-    let mut h = StableHasher::new();
-    program.hash(&mut h);
-    PlanFingerprint::from_raw(h.finish())
+    fingerprint_encoded(&codec::encode_program(program))
+}
+
+/// A stable 64-bit hash of an encoded program, eight bytes a step. Every
+/// step is a bijection of the state, so equally long encodings that differ
+/// in one word never collide; the length goes in first, which also makes
+/// the zero-padded last word unambiguous.
+pub(crate) fn fingerprint_encoded(encoded: &[u8]) -> PlanFingerprint {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let step = |h: u64, word: u64| {
+        let h = (h ^ word).wrapping_mul(K);
+        h ^ (h >> 29)
+    };
+    let mut words = encoded.chunks_exact(8);
+    let mut h = step(K, encoded.len() as u64);
+    for word in &mut words {
+        h = step(h, u64::from_be_bytes(word.try_into().expect("eight bytes")));
+    }
+    let mut last = [0u8; 8];
+    last[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = step(h, u64::from_be_bytes(last));
+    PlanFingerprint::from_raw(step(h, h >> 32))
 }
 
 /// A cached optimization: the submitted program (kept so the drift
-/// sweeper can re-optimize it) and the shared result.
+/// sweeper can re-optimize it), the shared result, and the program a hit
+/// executes. The last is private, so [`CachedPlan::new`] is the only
+/// constructor and assembles it from the other two, once per entry.
 #[derive(Debug, Clone)]
 pub struct CachedPlan {
     /// The program as submitted.
     pub program: Arc<Program>,
     /// The optimizer's result, shared by every session that hits.
     pub optimized: Arc<Optimized>,
+    runnable: Arc<Program>,
+}
+
+impl CachedPlan {
+    /// An entry for `program` as submitted and its optimization result.
+    pub fn new(program: Arc<Program>, optimized: Arc<Optimized>) -> CachedPlan {
+        let runnable = Arc::new(program.with_entry(optimized.program.clone()));
+        CachedPlan {
+            program,
+            optimized,
+            runnable,
+        }
+    }
+
+    /// The submitted program with the optimized entry swapped in.
+    pub fn runnable(&self) -> &Arc<Program> {
+        &self.runnable
+    }
 }
 
 /// How a submission's optimization was satisfied.
@@ -141,6 +182,16 @@ impl PlanCache {
         &self.shards[i]
     }
 
+    /// The completed entry at `key`, counted as a hit. It asks for no
+    /// program: the caller has not decoded one yet.
+    pub fn get(&self, key: &CacheKey) -> Option<CachedPlan> {
+        let Some(Slot::Ready(cached)) = sync::lock(self.shard(key)).get(key).cloned() else {
+            return None;
+        };
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(cached)
+    }
+
     /// Look up `key`, running `compute` under single-flight semantics on
     /// a miss. `retain` controls whether a computed result is kept in the
     /// cache (degraded-budget results are published to waiters but not
@@ -185,10 +236,7 @@ impl PlanCache {
         // search settles the flight with a typed error — waiters must
         // never be left blocking on a flight whose leader unwound away.
         let result = match catch_unwind(AssertUnwindSafe(compute)) {
-            Ok(computed) => computed.map(|optimized| CachedPlan {
-                program: program.clone(),
-                optimized,
-            }),
+            Ok(computed) => computed.map(|optimized| CachedPlan::new(program.clone(), optimized)),
             Err(payload) => Err(ServerError::from_panic(payload)),
         };
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -386,6 +434,22 @@ mod tests {
     }
 
     #[test]
+    fn the_fingerprint_tells_lengths_tails_and_single_bytes_apart() {
+        let mut seen = std::collections::HashSet::new();
+        // Zero padding of the last word must not make prefixes collide.
+        for len in 0..=24 {
+            assert!(seen.insert(fingerprint_encoded(&vec![0u8; len])));
+        }
+        let base: Vec<u8> = (0..61u8).collect();
+        assert!(seen.insert(fingerprint_encoded(&base)));
+        for i in 0..base.len() {
+            let mut flipped = base.clone();
+            flipped[i] ^= 1;
+            assert!(seen.insert(fingerprint_encoded(&flipped)), "byte {i}");
+        }
+    }
+
+    #[test]
     fn unretained_results_are_not_cached() {
         let cache = PlanCache::new(1);
         let p = tiny_program(2);
@@ -501,10 +565,7 @@ mod tests {
         let cache = PlanCache::new(2);
         let p = tiny_program(7);
         let k = key(program_fingerprint(&p), 1, 0);
-        let plan = CachedPlan {
-            program: p.clone(),
-            optimized: dummy_optimized(&p),
-        };
+        let plan = CachedPlan::new(p.clone(), dummy_optimized(&p));
         assert!(cache.restore(k, plan.clone()));
         assert!(!cache.restore(k, plan), "live entries win over snapshots");
         assert_eq!(cache.restored(), 1);
@@ -523,18 +584,29 @@ mod tests {
         assert_eq!(entries.len(), 1);
 
         let new = key(fp, 7, 1);
-        cache.swap_in(
-            new,
-            CachedPlan {
-                program: p.clone(),
-                optimized: dummy_optimized(&p),
-            },
-        );
+        // The re-optimization chose another entry function: a hit must run it.
+        let chosen = tiny_program(50);
+        cache.swap_in(new, CachedPlan::new(p.clone(), dummy_optimized(&chosen)));
+        let stale = entries[0].1.runnable().clone();
+        drop(entries);
         assert_eq!(cache.purge_instance_except(7, new.stamp), 1);
+        assert_eq!(
+            Arc::strong_count(&stale),
+            1,
+            "the entry took its runnable along"
+        );
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.swapped(), 1);
         assert_eq!(cache.evicted(), 1);
         let (_, how) = cache.get_or_compute(new, &p, true, || panic!("swapped entry must hit"));
         assert_eq!(how, CacheOutcome::Hit);
+        let hit = cache.get(&new).expect("and by key alone");
+        assert_eq!(hit.runnable().entry(), chosen.entry());
+        assert!(
+            Arc::ptr_eq(&hit.program, &p),
+            "still the program as submitted"
+        );
+        assert!(cache.get(&old).is_none());
+        assert_eq!(cache.hits(), 2, "a `get` that finds nothing is not a hit");
     }
 }

@@ -19,16 +19,17 @@
 //! epochs simply stop being addressable.
 
 use crate::admission::Admission;
+use crate::codec::{self, SubmitFrame};
 use crate::error::ServerError;
 use crate::fault::{FaultKind, FaultPlan, FaultSite};
-use crate::plan_cache::{program_fingerprint, CacheKey, CacheOutcome, CachedPlan, PlanCache};
+use crate::plan_cache::{
+    fingerprint_encoded, program_fingerprint, CacheKey, CacheOutcome, CachedPlan, PlanCache,
+};
 use crate::snapshot::{
     FeedbackSnapshot, OptimizedSnapshot, PlanSnapshot, RestoreReport, Snapshot, TenantSnapshot,
 };
 use crate::sync;
-use cobra_core::{
-    Cobra, CobraBuilder, OptimizationReport, Optimized, SearchBudget, ValidationConfig,
-};
+use cobra_core::{Cobra, CobraBuilder, OptimizationReport, SearchBudget, ValidationConfig};
 use imperative::ast::Program;
 use interp::{Interp, InterpConfig, NormalizedOutcome};
 use minidb::{CacheStamp, FeedbackStore, FuncRegistry, PlanFingerprint, SharedDb};
@@ -297,14 +298,21 @@ pub struct ServerCounters {
     pub idempotent_replays: u64,
     /// Plans recovered from a snapshot at restore time.
     pub restored_plans: u64,
+    /// Wire submissions whose program was decoded — a hit decodes nothing.
+    pub programs_decoded: u64,
 }
 
 impl std::fmt::Display for ServerCounters {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "cache: {} hits / {} misses / {} coalesced / {} swapped / {} evicted",
-            self.cache_hits, self.cache_misses, self.coalesced, self.plans_swapped, self.evicted
+            "cache: {} hits / {} misses ({} programs decoded) / {} coalesced / {} swapped / {} evicted",
+            self.cache_hits,
+            self.cache_misses,
+            self.programs_decoded,
+            self.coalesced,
+            self.plans_swapped,
+            self.evicted
         )?;
         writeln!(
             f,
@@ -333,7 +341,7 @@ impl std::fmt::Display for ServerCounters {
 /// it, cost estimates, and the execution's observables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubmitReply {
-    /// Structural fingerprint of the submitted program.
+    /// [`program_fingerprint`] of the submitted program.
     pub fingerprint: PlanFingerprint,
     /// The cache stamp the plan was served under.
     pub stamp: CacheStamp,
@@ -374,6 +382,7 @@ struct Inner {
     internal_errors: AtomicU64,
     idempotent_replays: AtomicU64,
     restored_feedback: AtomicU64,
+    programs_decoded: AtomicU64,
     /// [`Health`] as a `u8` (see `Health::from_u8`).
     health: AtomicU8,
     /// Consecutive worker panics; resets on any clean submission.
@@ -422,6 +431,7 @@ impl CobraService {
             internal_errors: AtomicU64::new(0),
             idempotent_replays: AtomicU64::new(0),
             restored_feedback: AtomicU64::new(0),
+            programs_decoded: AtomicU64::new(0),
             health: AtomicU8::new(Health::Healthy as u8),
             fault_streak: AtomicU64::new(0),
             ok_streak: AtomicU64::new(0),
@@ -611,12 +621,38 @@ impl CobraService {
     /// retried submission whose original completed — only the response
     /// was lost — replays the stored reply instead of executing twice;
     /// a retry that arrives while the original is still optimizing
-    /// coalesces with it through the single-flight plan cache.
+    /// coalesces with it through the single-flight plan cache. The path is
+    /// the wire's: looked up by its encoding, cloned only to be searched.
     pub fn submit_idempotent(
         &self,
         session: SessionId,
         program: &Program,
         idempotency: u64,
+    ) -> Result<SubmitReply, ServerError> {
+        let encoded = codec::encode_program(program);
+        self.submit_encoded(session, idempotency, &encoded, || {
+            Ok(Arc::new(program.clone()))
+        })
+    }
+
+    /// A submission as it arrived on the wire. Its program is decoded —
+    /// SQL parsed, tree allocated — only behind admission and only if the
+    /// plan cache holds no completed entry for its bytes.
+    pub fn submit_frame(&self, frame: &SubmitFrame) -> Result<SubmitReply, ServerError> {
+        let session = SessionId(frame.session);
+        self.submit_encoded(session, frame.idempotency, frame.program, || {
+            self.inner.programs_decoded.fetch_add(1, Ordering::Relaxed);
+            frame.decode_program().map(Arc::new)
+        })
+    }
+
+    /// `encoded` identifies the program; `decode` yields it, on a miss.
+    fn submit_encoded(
+        &self,
+        session: SessionId,
+        idempotency: u64,
+        encoded: &[u8],
+        decode: impl FnOnce() -> Result<Arc<Program>, ServerError>,
     ) -> Result<SubmitReply, ServerError> {
         if self.inner.shutdown.load(Ordering::Acquire) {
             return Err(ServerError::ShuttingDown);
@@ -652,30 +688,34 @@ impl CobraService {
         };
         let degraded = permit.degraded() || health_degraded;
 
-        let program = Arc::new(program.clone());
-        let fingerprint = program_fingerprint(&program);
+        let fingerprint = fingerprint_encoded(encoded);
         let key = CacheKey {
             fingerprint,
             stamp: tenant.plan_stamp(),
         };
-        let optimizer = if degraded {
-            &tenant.cobra_degraded
-        } else {
-            &tenant.cobra
-        };
         let faults = &self.inner.config.faults;
-        let (cached, cache_outcome) =
-            self.inner
-                .cache
-                .get_or_compute(key, &program, !degraded, || {
-                    if let Some(FaultKind::WorkerPanic) = faults.decide(FaultSite::Search) {
-                        panic!("injected worker panic (search)");
-                    }
-                    optimizer
-                        .optimize_program(&program)
-                        .map(Arc::new)
-                        .map_err(ServerError::from)
-                });
+        let (cached, cache_outcome) = match self.inner.cache.get(&key) {
+            Some(cached) => (Ok(cached), CacheOutcome::Hit),
+            None => {
+                let program = decode()?;
+                let optimizer = if degraded {
+                    &tenant.cobra_degraded
+                } else {
+                    &tenant.cobra
+                };
+                self.inner
+                    .cache
+                    .get_or_compute(key, &program, !degraded, || {
+                        if let Some(FaultKind::WorkerPanic) = faults.decide(FaultSite::Search) {
+                            panic!("injected worker panic (search)");
+                        }
+                        optimizer
+                            .optimize_program(&program)
+                            .map(Arc::new)
+                            .map_err(ServerError::from)
+                    })
+            }
+        };
         let cached = match cached {
             Ok(cached) => cached,
             Err(e) => {
@@ -687,7 +727,7 @@ impl CobraService {
                 return Err(e);
             }
         };
-        let optimized: Arc<Optimized> = cached.optimized;
+        let optimized = &cached.optimized;
         // A fresh optimization whose validated selection overrode the
         // cost model's argmin (hits/coalesced replays would double-count).
         if cache_outcome == CacheOutcome::Miss
@@ -706,12 +746,12 @@ impl CobraService {
         // Execution runs inside `catch_unwind` for the same reason the
         // search does: a panicking worker fails this request with a typed
         // error instead of tearing the serving thread down.
-        let runnable = program.with_entry(optimized.program.clone());
+        let runnable = cached.runnable();
         let outcome = match catch_unwind(AssertUnwindSafe(|| {
             if let Some(FaultKind::WorkerPanic) = faults.decide(FaultSite::Execute) {
                 panic!("injected worker panic (execute)");
             }
-            self.execute(&tenant, &runnable)
+            self.execute(&tenant, runnable)
         })) {
             Ok(Ok(outcome)) => outcome,
             Ok(Err(e)) => return Err(e),
@@ -730,7 +770,7 @@ impl CobraService {
         state
             .simulated_ns
             .fetch_add(outcome.elapsed_ns, Ordering::Relaxed);
-        *sync::lock(&state.last_program) = Some(program.clone());
+        *sync::lock(&state.last_program) = Some(cached.program.clone());
         self.inner.executions.fetch_add(1, Ordering::Relaxed);
 
         // Drift check every N executions per tenant: wake the sweeper.
@@ -881,10 +921,7 @@ impl CobraService {
                         fingerprint: key.fingerprint,
                         stamp: new_stamp,
                     },
-                    CachedPlan {
-                        program: cached.program.clone(),
-                        optimized: Arc::new(re),
-                    },
+                    CachedPlan::new(cached.program.clone(), Arc::new(re)),
                 );
                 swapped += 1;
             }
@@ -924,6 +961,7 @@ impl CobraService {
             idempotent_replays: inner.idempotent_replays.load(Ordering::Relaxed),
             restored_plans: inner.cache.restored()
                 + inner.restored_feedback.load(Ordering::Relaxed),
+            programs_decoded: inner.programs_decoded.load(Ordering::Relaxed),
         }
     }
 
@@ -1008,10 +1046,10 @@ impl CobraService {
                     fingerprint: program_fingerprint(&plan.program),
                     stamp: live_stamp,
                 };
-                let cached = CachedPlan {
-                    program: Arc::new(plan.program.clone()),
-                    optimized: Arc::new(plan.optimized.to_optimized()),
-                };
+                let cached = CachedPlan::new(
+                    Arc::new(plan.program.clone()),
+                    Arc::new(plan.optimized.to_optimized()),
+                );
                 if self.inner.cache.restore(key, cached) {
                     report.plans_restored += 1;
                 } else {

@@ -27,9 +27,12 @@
 //!    server already produced — anything computed since restart is at
 //!    least as fresh as the snapshot.
 //!
-//! The payload reuses the wire codec's byte layer, so programs and
-//! functions round-trip with the same fingerprint-preserving encoding
-//! the protocol itself relies on.
+//! The payload reuses the wire codec's byte layer. That encoding is what
+//! identifies a program to the plan cache (a hash of
+//! [`codec::put_program`]'s bytes), and no key is stored: restore encodes
+//! each decoded program again and hashes that, which finds the entry a
+//! wire submission of the same program will look up because the encoding
+//! round-trips byte for byte.
 
 use crate::codec::{self, ByteReader, ByteWriter};
 use crate::error::ServerError;
@@ -145,8 +148,8 @@ impl OptimizedSnapshot {
 /// optimization result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanSnapshot {
-    /// The program as originally submitted (the cache key is its
-    /// structural fingerprint, recomputed on restore).
+    /// The program as originally submitted (the cache key is
+    /// [`crate::program_fingerprint`] of it, recomputed on restore).
     pub program: Program,
     /// The cached optimization result.
     pub optimized: OptimizedSnapshot,

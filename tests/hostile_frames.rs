@@ -21,7 +21,8 @@
 //! interpreter followed it down; both now stop, with a typed error.
 
 use cobra::prelude::*;
-use cobra::server::{Request, Response};
+use cobra::server::codec::SubmitFrame;
+use cobra::server::{CacheOutcome, Request, Response};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{Read, Write};
@@ -65,6 +66,9 @@ unsafe impl GlobalAlloc for LargestRequest {
 
 #[global_allocator]
 static ALLOC: LargestRequest = LargestRequest;
+
+#[path = "support/latch.rs"]
+mod latch;
 
 /// The wire encoding's primitives (big-endian, u32-length-prefixed).
 #[derive(Default)]
@@ -345,4 +349,179 @@ fn the_client_refuses_hostile_replies_without_allocating_their_claim() {
             "`{says}`: largest single allocation was {largest} bytes"
         );
     }
+}
+
+/// A raw socket to `server` with a session open on tenant `t0`.
+fn raw_session(server: &WireServer) -> (std::net::TcpStream, u64) {
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    // `exchange` writes prefix and body apart: without this each exchange
+    // waits out a delayed ACK, a minute over the ~1,500 of the mutation test.
+    stream.set_nodelay(true).expect("nodelay");
+    let open = Request::OpenSession {
+        tenant: "t0".into(),
+    };
+    let Response::SessionOpened { session } = exchange(&mut stream, &open.encode()) else {
+        panic!("session opens");
+    };
+    (stream, session)
+}
+
+/// `Submit` frames on `session` whose 17 header bytes are honest and whose
+/// program is not: the three hostile nests and the over-claimed count
+/// above, then bytes that are no program at all, `honest` cut short, and
+/// `honest` with a byte behind it.
+fn malformed_submits(session: u64, honest: &Program) -> Vec<Vec<u8>> {
+    let honest = SubmitFrame::encode(session, 0, honest);
+    let mut trailing = honest.clone();
+    trailing.push(0);
+    let mut frames = hostile_frames(session);
+    frames.push(Frame::submit(session).fill(0xA7, 64).0);
+    frames.push(honest[..honest.len() * 2 / 3].to_vec());
+    frames.push(trailing);
+    frames
+}
+
+/// Decoding a program — parsing its SQL, allocating its tree — is work a
+/// peer makes the server do, so it happens behind admission. With the one
+/// worker held, malformed submissions are shed like any other, nothing of
+/// them decoded and nothing allocated for them; with a permit to be had,
+/// each is the `Protocol` error it always was.
+#[test]
+fn a_malformed_program_is_decoded_only_once_a_permit_is_held() {
+    let case = GenCase::from_seed(0, &GenConfig::default());
+    let fx = case.fixture();
+    let latch = std::sync::Arc::new(latch::Latch::default());
+    let service = CobraService::new(ServerConfig {
+        max_concurrent: 1,
+        max_queue: 0,
+        ..ServerConfig::default()
+    });
+    service.register_tenant(TenantSpec::new(
+        "t0",
+        fx.db.clone(),
+        fx.mapping.clone(),
+        latch.funcs(&fx.funcs),
+    ));
+    let server = WireServer::spawn(service.clone(), "127.0.0.1:0").expect("bind");
+    let (mut stream, session) = raw_session(&server);
+    let frames = malformed_submits(session, &case.program);
+    let code_of = |reply: Response| match reply {
+        Response::Error { code, .. } => code,
+        other => panic!("a malformed submission answered with {other:?}"),
+    };
+
+    std::thread::scope(|scope| {
+        let occupant = scope.spawn(|| {
+            let mut client = WireClient::connect(server.local_addr()).expect("connect");
+            let session = client.open_session("t0").expect("session opens");
+            client.submit(session, &latch::holding_program())
+        });
+        latch.wait_entered();
+        let before = service.counters();
+        let overloaded = ServerError::Overloaded {
+            running: 1,
+            queued: 0,
+        };
+        for frame in &frames {
+            assert_eq!(code_of(exchange(&mut stream, frame)), overloaded.code());
+            // The same refusal on this thread, where the allocator watches.
+            let parsed = SubmitFrame::parse(frame).unwrap().expect("a Submit");
+            let (refused, largest) = largest_allocation_during(|| service.submit_frame(&parsed));
+            assert_eq!(refused, Err(overloaded.clone()));
+            assert!(
+                largest <= 64,
+                "shedding a {}-byte frame allocated {largest} bytes at once",
+                frame.len()
+            );
+        }
+        let after = service.counters();
+        assert_eq!(after.programs_decoded, before.programs_decoded);
+        assert_eq!(after.rejected - before.rejected, 2 * frames.len() as u64);
+        latch.open();
+        occupant.join().unwrap().expect("the occupant is served");
+    });
+
+    let before = service.counters();
+    let cached = service.cache_len();
+    let protocol = ServerError::Protocol(String::new()).code();
+    for frame in &frames {
+        assert_eq!(code_of(exchange(&mut stream, frame)), protocol);
+    }
+    let after = service.counters();
+    assert_eq!(
+        after.programs_decoded - before.programs_decoded,
+        frames.len() as u64
+    );
+    assert_eq!(after.cache_misses, before.cache_misses, "none was searched");
+    assert_eq!(service.cache_len(), cached, "and none left an entry");
+    server.shutdown();
+}
+
+/// Structured mutation of primed `Submit` frames: every byte flipped (its
+/// lowest bit, then its highest) and every truncation. The server hashes
+/// the program slice without decoding it, so this is the check that it
+/// never answers for bytes other than the ones it was sent: a mutant gets
+/// a typed error, or exactly what its own program computes as written —
+/// and a `Hit` only if its program bytes are a primed frame's.
+#[test]
+fn a_mutated_primed_frame_is_answered_for_its_own_bytes() {
+    let fx = motivating::build_fixture(60, 12, 3);
+    let service = CobraService::new(ServerConfig::default());
+    let spec = TenantSpec::new("t0", fx.db.clone(), fx.mapping.clone(), fx.funcs.clone());
+    service.register_tenant(spec.feedback(false));
+    let server = WireServer::spawn(service, "127.0.0.1:0").expect("bind");
+    let (mut stream, session) = raw_session(&server);
+
+    let as_written = |program: &Program| {
+        let observed: Vec<&str> = program.entry().params.iter().map(|p| p.as_str()).collect();
+        run_on(&fx, NetworkProfile::slow_remote(), program)
+            .map(|run| run.outcome.normalized_with_vars(&observed))
+    };
+    // ORM navigation in a loop, and the same report as one SQL join.
+    let (mut mutants, mut replies, mut hits) = (0, 0, 0);
+    for program in [motivating::p0(), motivating::p1()] {
+        let primed = SubmitFrame::encode(session, 0, &program);
+        let Response::SubmitOk(cold) = exchange(&mut stream, &primed) else {
+            panic!("priming submission");
+        };
+        assert_eq!(cold.cache, CacheOutcome::Miss);
+        assert_eq!(cold.results, as_written(&program).expect("runs as written"));
+
+        let flips = [0x01u8, 0x80].into_iter().flat_map(|mask| {
+            let primed = &primed;
+            (0..primed.len()).map(move |at| {
+                let mut mutant = primed.clone();
+                mutant[at] ^= mask;
+                mutant
+            })
+        });
+        let cuts = (0..primed.len()).map(|cut| primed[..cut].to_vec());
+        for mutant in flips.chain(cuts) {
+            mutants += 1;
+            let reply = match exchange(&mut stream, &mutant) {
+                Response::Error { code, message } => {
+                    let typed = ServerError::from_code(code, message);
+                    assert!(!matches!(typed, ServerError::Internal(_)), "{typed}");
+                    continue;
+                }
+                Response::SubmitOk(reply) => reply,
+                other => panic!("a mutant answered with {other:?}"),
+            };
+            replies += 1;
+            let Ok(Request::Submit { program: own, .. }) = Request::decode(&mutant) else {
+                panic!("a reply to bytes that do not decode as a submission");
+            };
+            let own_results = as_written(&own).expect("served what does not run as written");
+            assert_eq!(reply.results, own_results);
+            let primed_bytes = mutant.get(17..) == Some(&primed[17..]);
+            assert_eq!(reply.cache == CacheOutcome::Hit, primed_bytes);
+            hits += primed_bytes as usize;
+        }
+    }
+    // Two flips of each of the eight idempotency-key bytes of two frames
+    // leave the program bytes alone: those, and only those, hit.
+    assert_eq!(hits, 32);
+    assert!(replies > hits, "some mutants are programs that run");
+    eprintln!("{mutants} mutants, {replies} answered, {hits} of them hits");
+    server.shutdown();
 }

@@ -14,10 +14,14 @@
 //!   queue pressure downgrades the search budget instead of stalling.
 
 use cobra::prelude::*;
-use cobra::server::{CacheOutcome, ServerError};
+use cobra::server::CacheOutcome;
 use imperative::ast::{Stmt, StmtKind};
+use latch::Latch;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
+
+#[path = "support/latch.rs"]
+mod latch;
 
 /// True if the program performs a database write (writes advance the
 /// stats epoch, so they deliberately invalidate cached plans).
@@ -325,104 +329,82 @@ fn variant(program: &Program, i: i64) -> Program {
 
 #[test]
 fn queue_pressure_degrades_the_budget_and_skips_retention() {
-    // One worker, deep queue, degrade at depth 1: requests that queue are
-    // served under the degraded budget, and their results must not be
-    // retained in the plan cache. Seed 0's multi-millisecond search is
-    // the pressure source: an occupant submission holds the single worker
-    // while the storm threads pile into the queue behind it.
+    // One worker, a queue of one, degrade at depth 1. The occupant holds
+    // the worker on a latch. Of the two submissions sent in behind it, the
+    // first to arrive finds the queue empty and parks at depth 1 — so it
+    // will be served degraded — and the other finds the queue full and is
+    // shed. That rejection is the hand-off: it can only have happened with
+    // the first one parked, and only then is the latch opened.
     let case = GenCase::from_seed(0, &GenConfig::default()).with_row_scale(0.2);
     let fx = case.fixture();
-    // Distinct program per thread: no coalescing, so every phase-A reply
-    // is a Miss and its `degraded` flag tells us whether its (unretained)
-    // search was degraded.
-    let variants: Vec<Program> = (0..4).map(|i| variant(&case.program, i)).collect();
+    let latch = Arc::new(Latch::default());
+    let service = CobraService::new(ServerConfig {
+        max_concurrent: 1,
+        max_queue: 1,
+        degrade_queue_depth: 1,
+        ..ServerConfig::default()
+    });
+    let funcs = latch.funcs(&fx.funcs);
+    let spec = TenantSpec::new("acme", fx.db.clone(), fx.mapping.clone(), funcs);
+    let tenant = service.register_tenant(spec.feedback(false));
+    // Distinct programs: no coalescing, so the queued one is a Miss whose
+    // `degraded` flag says which budget searched it.
+    let variants: Vec<Program> = (0..2).map(|i| variant(&case.program, i)).collect();
 
-    for attempt in 0..8i64 {
-        let service = CobraService::new(ServerConfig {
-            max_concurrent: 1,
-            max_queue: 16,
-            degrade_queue_depth: 1,
-            ..ServerConfig::default()
+    let outcomes: Vec<Result<SubmitReply, ServerError>> = std::thread::scope(|scope| {
+        let occupant = scope.spawn(|| {
+            let session = service.open_session(tenant).unwrap();
+            service.submit(session, &latch::holding_program())
         });
-        let tenant = service.register_tenant(tenant_for("acme", &fx, false));
-
-        // Phase A: occupy, then storm. The occupant's cold search keeps
-        // the worker busy for milliseconds; the storm threads admitted in
-        // that window see a non-empty queue and degrade (the first can
-        // still see depth 0 and keep the full budget).
-        let occupant = variant(&case.program, 100 + attempt);
-        let admitted_before = service.counters().admitted;
-        let mut degraded_flags = vec![false; variants.len()];
-        std::thread::scope(|scope| {
-            {
-                let service = service.clone();
-                let occupant = &occupant;
+        latch.wait_entered();
+        let storm: Vec<_> = variants
+            .iter()
+            .map(|program| {
+                let service = &service;
                 scope.spawn(move || {
                     let session = service.open_session(tenant).unwrap();
-                    let _ = service.submit(session, occupant);
-                });
-            }
-            // Wait until the occupant holds the worker slot (admission
-            // counts before its search starts)...
-            while service.counters().admitted == admitted_before {
-                std::thread::yield_now();
-            }
-            // ...then release the storm into the queue behind it.
-            let barrier = Arc::new(Barrier::new(variants.len()));
-            let handles: Vec<_> = variants
-                .iter()
-                .map(|program| {
-                    let service = service.clone();
-                    let barrier = barrier.clone();
-                    scope.spawn(move || {
-                        let session = service.open_session(tenant).unwrap();
-                        barrier.wait();
-                        let reply = service.submit(session, program).unwrap();
-                        assert_eq!(reply.cache, CacheOutcome::Miss);
-                        reply.degraded
-                    })
+                    service.submit(session, program)
                 })
-                .collect();
-            for (flag, handle) in degraded_flags.iter_mut().zip(handles) {
-                *flag = handle.join().unwrap();
-            }
-        });
-
-        // Phase B: uncontended re-submission. Degraded searches were not
-        // retained, so those variants miss again (and now get the full
-        // budget); full-budget searches were retained and hit.
-        let session = service.open_session(tenant).unwrap();
-        for (program, &was_degraded) in variants.iter().zip(&degraded_flags) {
-            let reply = service.submit(session, program).unwrap();
-            assert!(!reply.degraded, "an idle server never degrades");
-            let expected = if was_degraded {
-                CacheOutcome::Miss
-            } else {
-                CacheOutcome::Hit
-            };
-            assert_eq!(
-                reply.cache, expected,
-                "degraded={was_degraded}: degraded results must not be \
-                 retained; full-budget results must be"
-            );
+            })
+            .collect();
+        while service.counters().rejected == 0 {
+            std::thread::yield_now();
         }
+        latch.open();
+        let occupant = occupant.join().unwrap().expect("the occupant is served");
+        assert!(!occupant.degraded, "it found the server idle");
+        storm.into_iter().map(|h| h.join().unwrap()).collect()
+    });
 
-        let counters = service.counters();
-        let degraded = degraded_flags.iter().filter(|&&d| d).count() as u64;
-        assert_eq!(
-            counters.degraded, degraded,
-            "per-reply degraded flags must match the admission counter"
-        );
-        service.shutdown();
-        // Still racy in principle (the occupant can finish before any
-        // storm thread enqueues): accept the first attempt that actually
-        // produced queue pressure.
-        if degraded >= 1 {
-            return;
-        }
-        eprintln!("attempt {attempt}: no queue pressure observed, retrying");
+    let queued = outcomes.iter().position(|o| o.is_ok()).expect("one queued");
+    let reply = outcomes[queued].as_ref().unwrap();
+    assert_eq!((reply.cache, reply.degraded), (CacheOutcome::Miss, true));
+    assert!(
+        matches!(
+            outcomes[1 - queued],
+            Err(ServerError::Overloaded {
+                running: 1,
+                queued: 1
+            })
+        ),
+        "{:?}",
+        outcomes[1 - queued]
+    );
+
+    // Uncontended now. The degraded search was not retained: the same
+    // program misses again, is searched under the full budget, and *that*
+    // result is kept. The shed program was never searched at all.
+    let session = service.open_session(tenant).unwrap();
+    for expected in [CacheOutcome::Miss, CacheOutcome::Hit] {
+        let again = service.submit(session, &variants[queued]).unwrap();
+        assert_eq!((again.cache, again.degraded), (expected, false));
+        assert_eq!(again.results, reply.results, "either budget, one answer");
     }
-    panic!("a held worker plus a 4-thread storm never queued in 8 attempts");
+    let shed = service.submit(session, &variants[1 - queued]).unwrap();
+    assert_eq!((shed.cache, shed.degraded), (CacheOutcome::Miss, false));
+    let counters = service.counters();
+    assert_eq!((counters.degraded, counters.rejected), (1, 1));
+    service.shutdown();
 }
 
 /// A writer that panics holding one tenant's database lock poisons it, and
@@ -544,7 +526,7 @@ const PINNED_RUNS: [(u64, u64); 8] = [
 /// in process, and over the wire again after `snapshot` → a fresh service
 /// → `restore`. Every reply carries the program's own fingerprint, the
 /// as-written program's observables and the same execution; only the
-/// first submission searches.
+/// first submission searches, and only it has its program decoded.
 #[test]
 fn wire_in_process_and_restored_submissions_reach_the_same_plan() {
     use cobra::server::program_fingerprint;
@@ -601,6 +583,8 @@ fn wire_in_process_and_restored_submissions_reach_the_same_plan() {
     }
     let counters = service.counters();
     assert_eq!((counters.cache_misses, counters.cache_hits), (8, 16));
+    // Of sixteen wire submissions only the eight that missed were decoded.
+    assert_eq!(counters.programs_decoded, 8);
     let snapshot = service.snapshot();
     server.shutdown();
 
@@ -618,5 +602,182 @@ fn wire_in_process_and_restored_submissions_reach_the_same_plan() {
     }
     let counters = service.counters();
     assert_eq!((counters.cache_misses, counters.cache_hits), (0, 8));
+    assert_eq!(
+        counters.programs_decoded, 0,
+        "a restored entry is found by bytes"
+    );
     server.shutdown();
+}
+
+/// Identity is the encoding, and the encoding carries `Stmt::line`: the
+/// same statements under other line numbers are another program to the
+/// cache (the structural fingerprint it keyed on before ignored lines).
+/// Each entry is correct; they are merely two.
+#[test]
+fn programs_that_differ_only_in_line_numbers_are_two_entries() {
+    let case = &read_only_cases(1)[0];
+    let mut renumbered = case.program.clone();
+    renumbered.functions[0].body[0].line += 1000;
+    assert_eq!(renumbered, case.program, "`Stmt: PartialEq` ignores lines");
+
+    let service = CobraService::new(ServerConfig::default());
+    let tenant = service.register_tenant(tenant_for("acme", &case.fixture(), false));
+    let session = service.open_session(tenant).unwrap();
+    let first = service.submit(session, &case.program).unwrap();
+    let second = service.submit(session, &renumbered).unwrap();
+    assert_eq!(
+        (first.cache, second.cache),
+        (CacheOutcome::Miss, CacheOutcome::Miss)
+    );
+    assert_ne!(first.fingerprint, second.fingerprint);
+    assert_eq!(first.results, second.results);
+    assert_eq!(service.cache_len(), 2);
+    for program in [&case.program, &renumbered] {
+        let again = service.submit(session, program).unwrap();
+        assert_eq!(again.cache, CacheOutcome::Hit);
+    }
+    service.shutdown();
+}
+
+/// One frame body, byte for byte, submitted to two tenants: the stamp
+/// keeps them two entries, and each tenant is only ever served the plan
+/// searched against its own data.
+#[test]
+fn the_same_bytes_under_two_tenants_are_two_entries() {
+    let case = GenCase::from_seed(5, &GenConfig::default());
+    // Same schema, other rows: the tenants' answers tell them apart.
+    let fixtures = [case.fixture(), case.schema.build_fixture(77, 1.0)];
+    let service = CobraService::new(ServerConfig::default());
+    for (name, fx) in ["alpha", "beta"].iter().zip(&fixtures) {
+        service.register_tenant(tenant_for(name, fx, false));
+    }
+    let server = WireServer::spawn(service, "127.0.0.1:0").expect("bind");
+    let mut client = WireClient::connect(server.local_addr()).expect("connect");
+    let sessions = ["alpha", "beta"].map(|name| client.open_session(name).unwrap());
+
+    let mut own = Vec::new();
+    for (session, fx) in sessions.iter().zip(&fixtures) {
+        let as_written = run_on(&fx.fork_db(), NetworkProfile::slow_remote(), &case.program)
+            .expect("runs as written");
+        own.push(as_written.outcome.normalized_with_vars(&["result"]));
+        let cold = client.submit(*session, &case.program).unwrap();
+        assert_eq!(cold.cache, CacheOutcome::Miss, "no cross-tenant hit");
+    }
+    assert_ne!(own[0], own[1], "other rows, other answers");
+    assert_eq!(server.service().cache_len(), 2);
+    for _ in 0..3 {
+        for (session, own) in sessions.iter().zip(&own) {
+            let warm = client.submit(*session, &case.program).unwrap();
+            assert_eq!(warm.cache, CacheOutcome::Hit);
+            assert_eq!(&warm.results, own);
+        }
+    }
+    let counters = server.service().counters();
+    assert_eq!((counters.cache_misses, counters.cache_hits), (2, 6));
+    server.shutdown();
+}
+
+/// A hit executes the program its entry holds, so a sweeper swap has to
+/// put the *re-optimized* program there — and the entries it retires must
+/// take theirs with them. Here the re-search abandons a one-round-trip
+/// join for a two-round-trip prefetch, which the next hit's execution
+/// shows.
+#[test]
+fn a_swapped_plan_runs_its_own_program_and_the_stale_ones_are_gone() {
+    use cobra::minidb::{self, Column, DataType, Schema, Value};
+    use imperative::ast::QuerySpec;
+    use std::time::{Duration, Instant};
+
+    // `orders(o_id, o_customer_sk, o_priority)` → `customer`, a tenth of
+    // the orders priority 3.
+    let int = |name| Column::new(name, DataType::Int);
+    let mut db = Database::new();
+    let orders = Schema::new(vec![int("o_id"), int("o_customer_sk"), int("o_priority")]);
+    let t = db.create_table("orders", orders).unwrap();
+    t.set_primary_key("o_id").unwrap();
+    t.insert_many((0..1000i64).map(|i| [i, i % 50, i % 10].map(Value::Int).to_vec()))
+        .unwrap();
+    let customer = Schema::new(vec![int("c_customer_sk"), int("c_birth_year")]);
+    let t = db.create_table("customer", customer).unwrap();
+    t.set_primary_key("c_customer_sk").unwrap();
+    t.insert_many((0..50i64).map(|i| [i, 1950 + i].map(Value::Int).to_vec()))
+        .unwrap();
+    db.analyze_all();
+    let mut mapping = MappingRegistry::new();
+    mapping.register(EntityMapping::new("Order", "orders", "o_id").many_to_one(
+        "customer",
+        "Customer",
+        "o_customer_sk",
+    ));
+    mapping.register(EntityMapping::new("Customer", "customer", "c_customer_sk"));
+    let fx = Fixture {
+        db: minidb::shared(db),
+        mapping,
+        funcs: Arc::new(FuncRegistry::with_builtins()),
+    };
+    let urgent = QuerySpec::sql("select * from orders where o_priority = 3");
+    let born = Expr::field(Expr::nav(Expr::var("o"), "customer"), "c_birth_year");
+    let program = Program::single(Function::new(
+        "urgent",
+        vec!["result".to_string()],
+        vec![
+            Stmt::new(StmtKind::NewCollection("result".into())),
+            Stmt::new(StmtKind::ForEach {
+                var: "o".into(),
+                iter: Expr::Query(urgent),
+                body: vec![Stmt::new(StmtKind::Add("result".into(), born))],
+            }),
+        ],
+    ));
+
+    let service = CobraService::new(ServerConfig {
+        drift_threshold: 2.0,
+        ..ServerConfig::default()
+    });
+    let tenant = service.register_tenant(tenant_for("orders", &fx, true));
+    let session = service.open_session(tenant).unwrap();
+    let cold = service.submit(session, &program).unwrap();
+    assert_eq!(cold.tags, ["sql-join"]);
+
+    // Nearly every order becomes priority 3. The write moves the stamp, so
+    // the next submission searches again — on stale statistics, hence the
+    // same join — and its execution records what is really there.
+    {
+        let mut db = fx.db.write().unwrap();
+        let t = db.table_mut("orders").unwrap();
+        for i in (0..1000i64).filter(|i| i % 11 != 0) {
+            t.update_where_eq(0, &Value::Int(i), 2, Value::Int(3));
+        }
+    }
+    let shifted = service.submit(session, &program).unwrap();
+    assert_eq!(shifted.cache, CacheOutcome::Miss);
+    assert_eq!((&shifted.tags, shifted.round_trips), (&cold.tags, 1));
+    assert_eq!(service.cache_len(), 2, "one entry per stamp so far");
+
+    // The background sweeper polls too; whichever of us gets there, the
+    // sweep ends with both stale entries evicted.
+    service.sweep_now();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while service.counters().evicted < 2 {
+        assert!(
+            Instant::now() < deadline,
+            "no sweep retired the stale plans"
+        );
+        std::thread::yield_now();
+    }
+    assert_eq!(service.cache_len(), 1, "only the swapped entry is left");
+
+    let post = service.submit(session, &program).unwrap();
+    assert_eq!(post.cache, CacheOutcome::Hit);
+    assert_eq!(post.stamp.stats_epoch, shifted.stamp.stats_epoch + 1);
+    assert_eq!(post.tags, ["prefetch"]);
+    assert_eq!(
+        post.round_trips, 2,
+        "the prefetching program ran, not the join"
+    );
+    assert_eq!(
+        post.results, shifted.results,
+        "a swap never changes answers"
+    );
+    service.shutdown();
 }

@@ -1112,6 +1112,57 @@ mod tests {
         }
     }
 
+    /// What a `Counters` reply is on the wire and what an operator reads:
+    /// tag 4, then one big-endian `u64` per counter in the order below, and
+    /// the three `Display` lines. Every value is distinct, so a counter
+    /// that changes position or word shows.
+    #[test]
+    fn the_counters_reply_and_its_display_line_are_pinned() {
+        let counters = ServerCounters {
+            cache_hits: 101,
+            cache_misses: 202,
+            coalesced: 303,
+            plans_swapped: 404,
+            evicted: 505,
+            admitted: 606,
+            rejected: 707,
+            degraded: 808,
+            sessions_opened: 909,
+            tenants: 1010,
+            executions: 1111,
+            drift_swaps: 1212,
+            validated_promotions: 1313,
+            internal_errors: 1414,
+            idempotent_replays: 1515,
+            restored_plans: 1616,
+            programs_decoded: 1717,
+        };
+        let on_the_wire: [u64; 17] = [
+            101, 202, 303, 404, 505, 606, 707, 808, 909, 1010, 1111, 1212, 1313, 1414, 1515, 1616,
+            1717,
+        ];
+        let mut expected = vec![4u8];
+        for v in on_the_wire {
+            expected.extend_from_slice(&v.to_be_bytes());
+        }
+        let bytes = Response::Counters(counters).encode();
+        assert_eq!(bytes.len(), 1 + 17 * 8);
+        assert_eq!(bytes, expected);
+        assert_eq!(
+            Response::decode(&bytes).unwrap(),
+            Response::Counters(counters)
+        );
+        assert_eq!(
+            counters.to_string(),
+            "cache: 101 hits / 202 misses (1717 programs decoded) / 303 coalesced / 404 swapped / \
+             505 evicted\n\
+             admission: 606 admitted / 707 rejected / 808 degraded\n\
+             sessions: 909 opened across 1010 tenants; 1111 executions; 1212 drift sweeps acted; \
+             1313 validated promotions\n\
+             resilience: 1414 internal errors / 1515 idempotent replays / 1616 restored plans"
+        );
+    }
+
     #[test]
     fn a_submit_frame_splits_where_request_encode_put_the_program() {
         use crate::plan_cache::{fingerprint_encoded, program_fingerprint};

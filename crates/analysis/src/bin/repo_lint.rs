@@ -1,7 +1,7 @@
 //! Dependency-free source-level repo lints, run in CI (`static-analysis`
 //! job) as `cargo run -p analysis --bin repo_lint`.
 //!
-//! Five invariants, all established by earlier PRs and cheap to regress:
+//! Seven invariants, all established by earlier PRs and cheap to regress:
 //!
 //! * **Server locks must recover from poison.** PR 9 routed every lock
 //!   acquisition in `crates/server` through the poison-recovering helpers
@@ -26,6 +26,10 @@
 //!   Under `crates/*/src` only three files read the environment, each to
 //!   size a run, never to change what a search does: `FUZZ_SEEDS` (oracle
 //!   corpus width), `COBRA_SCALE` and `COBRA_QUICK` (figure-binary scale).
+//! * **Deleted stays deleted, and a default price is written once.** What
+//!   PR 22 removed because nothing set or called it does not come back by
+//!   name; 30 ns a statement and 200 ns a server row are literals in
+//!   `orm::Prices::default()` only — the catalog starts from it.
 //!
 //! Exit status 0 when clean; 1 with `file:line` diagnostics otherwise.
 //!
@@ -84,6 +88,28 @@ const LINTS: &[Lint] = &[
         patterns: &[concat!("env::", "var("), concat!("env::", "var_os(")],
         why: "no option, env var or kept-alive old path: only FUZZ_SEEDS, COBRA_SCALE and \
               COBRA_QUICK are read, each in its one allow-listed file",
+    },
+    Lint {
+        dir: "crates/*/src",
+        exempt: &["crates/analysis/src/bin/repo_lint.rs"],
+        patterns: &[
+            "InterpConfig",
+            "with_server_row_ns",
+            "Request::Shutdown",
+            "shutdown_server",
+            "fn enable_rule",
+            "put_counters",
+            "with_min_speedup",
+            "with_use_feedback",
+        ],
+        why: "removed in PR 22: nothing set or called it (CHANGES.md says what to use instead)",
+    },
+    Lint {
+        dir: "crates/*/src",
+        exempt: &["crates/orm/src/remote.rs"],
+        // Split, as above.
+        patterns: &[concat!("cz_ns", ": 30"), concat!("server_row_ns", ": 200")],
+        why: "a default price is a literal in `orm::Prices::default()` only; start from that",
     },
 ];
 

@@ -5,18 +5,21 @@
 //! `key = value` per line, `#` comments, and per-table amortization
 //! factors as `af.<table> = <value>`.
 
+use orm::Prices;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Cost-model parameters (Figure 12's table, plus engine knobs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostCatalog {
-    /// `C_Z`: cost of one imperative statement, ns (paper: 30 ns).
+    /// `C_Z`: cost of one imperative statement, ns (paper: 30 ns). With
+    /// `server_row_ns`, one of the two prices a run is also charged at
+    /// ([`CostCatalog::prices`]).
     pub cz_ns: f64,
     /// `C_Y`: cost of one F-IR/program operator evaluation, ns.
     pub cy_ns: f64,
-    /// Server-side per-row cost (drives `C^F_Q`/`C^L_Q` estimates); must
-    /// match the executor's to keep estimates comparable to measurements.
+    /// Server-side per-row cost: drives the `C^F_Q`/`C^L_Q` estimates and
+    /// is what a run started from this catalog charges per row-touch.
     pub server_row_ns: f64,
     /// Default probability of a conditional when statistics cannot help
     /// (paper: 0.5).
@@ -36,10 +39,11 @@ pub struct CostCatalog {
 
 impl Default for CostCatalog {
     fn default() -> Self {
+        let prices = Prices::default();
         CostCatalog {
-            cz_ns: 30.0,
+            cz_ns: prices.cz_ns,
             cy_ns: 30.0,
-            server_row_ns: minidb::exec::DEFAULT_SERVER_ROW_NS,
+            server_row_ns: prices.server_row_ns,
             default_cond_p: 0.5,
             default_loop_iters: 1_000.0,
             default_collection_iters: 1_000.0,
@@ -57,6 +61,16 @@ impl CostCatalog {
         CostCatalog {
             default_af: af,
             ..CostCatalog::default()
+        }
+    }
+
+    /// The two prices the virtual clock runs on, as this catalog has them:
+    /// what [`crate::Cobra::run`] and validated selection's measurements
+    /// charge, so the estimate and the clock describe the same machine.
+    pub fn prices(&self) -> Prices {
+        Prices {
+            cz_ns: self.cz_ns,
+            server_row_ns: self.server_row_ns,
         }
     }
 

@@ -64,16 +64,6 @@ impl Default for SearchBudget {
 }
 
 impl SearchBudget {
-    /// No bounds at all (beyond memory): explore every alternative the
-    /// rules can derive.
-    pub fn unbounded() -> SearchBudget {
-        SearchBudget {
-            max_alternatives_per_region: usize::MAX,
-            max_memo_groups: None,
-            max_memo_exprs: None,
-        }
-    }
-
     /// Set the per-region alternative bound.
     pub fn with_max_alternatives_per_region(mut self, n: usize) -> SearchBudget {
         self.max_alternatives_per_region = n;
@@ -242,12 +232,6 @@ impl CobraBuilder {
         self
     }
 
-    /// Enable one rule by name (unknown names are ignored).
-    pub fn enable_rule(mut self, name: &str) -> CobraBuilder {
-        self.config.rules.enable(name);
-        self
-    }
-
     /// Search budget (default: [`SearchBudget::default`]).
     pub fn budget(mut self, budget: SearchBudget) -> CobraBuilder {
         self.config.budget = budget;
@@ -327,10 +311,11 @@ mod tests {
 
     #[test]
     fn budget_setters_chain() {
-        let b = SearchBudget::unbounded()
+        let b = SearchBudget::default()
+            .with_max_alternatives_per_region(7)
             .with_max_memo_groups(10)
             .with_max_memo_exprs(20);
-        assert_eq!(b.max_alternatives_per_region, usize::MAX);
+        assert_eq!(b.max_alternatives_per_region, 7);
         assert!(b.memo_has_room(9, 19));
         assert!(!b.memo_has_room(10, 0));
         assert!(!b.memo_has_room(0, 20));

@@ -59,7 +59,7 @@ pub struct RegionCostModel {
     funcs: std::sync::Arc<FuncRegistry>,
     net: NetworkProfile,
     catalog: CostCatalog,
-    mappings: MappingRegistry,
+    mappings: Arc<MappingRegistry>,
     /// Known collection bindings: variable → producing plan (flow-
     /// insensitive; gathered from every program variant in the DAG).
     var_plans: HashMap<String, SharedPlan>,
@@ -103,7 +103,7 @@ impl RegionCostModel {
     pub fn new(
         db: minidb::SharedDb,
         funcs: std::sync::Arc<FuncRegistry>,
-        mappings: MappingRegistry,
+        mappings: Arc<MappingRegistry>,
         config: &crate::OptimizerConfig,
         estimates: Arc<EstimateCache>,
         feedback: Option<Arc<minidb::FeedbackStore>>,
@@ -184,7 +184,6 @@ impl RegionCostModel {
     fn cached_estimate(&self, plan: &LogicalPlan, fp: PlanFingerprint) -> Result<Estimate, ()> {
         let db = self.db.read().unwrap();
         let mut estimator = Estimator::new(&db, &self.funcs)
-            .with_row_ns(self.catalog.server_row_ns)
             .with_histograms(self.use_histograms)
             .with_override_counter(&self.fb_overrides);
         if let Some(fb) = &self.feedback {
@@ -693,7 +692,7 @@ mod tests {
         RegionCostModel::new(
             minidb::shared(db),
             std::sync::Arc::new(FuncRegistry::with_builtins()),
-            mappings,
+            Arc::new(mappings),
             &config,
             Arc::new(EstimateCache::new()),
             None,

@@ -88,7 +88,7 @@ pub struct Optimized {
 pub struct Cobra {
     db: minidb::SharedDb,
     funcs: std::sync::Arc<FuncRegistry>,
-    mappings: MappingRegistry,
+    mappings: std::sync::Arc<MappingRegistry>,
     config: OptimizerConfig,
     /// Whole-plan estimate cache shared by every search this optimizer
     /// runs, on whichever thread; epoch-validated against the database, so
@@ -142,7 +142,7 @@ impl Cobra {
         Cobra {
             db,
             funcs,
-            mappings,
+            mappings: std::sync::Arc::new(mappings),
             config,
             estimates: std::sync::Arc::new(minidb::EstimateCache::new()),
             feedback,
@@ -349,15 +349,8 @@ impl Cobra {
         let mut chosen_rank = 0usize;
         if let Some(vcfg) = &self.config.validation {
             if plans.len() > 1 {
-                let ctx = crate::validation::ValidationContext {
-                    db: &self.db,
-                    funcs: &self.funcs,
-                    mappings: &self.mappings,
-                    network: &self.config.network,
-                    feedback: self.feedback.as_ref(),
-                };
                 let outcome = crate::validation::validate_selection(
-                    &ctx,
+                    &self.endpoint(),
                     program,
                     &entry.name,
                     &entry.params,
@@ -414,9 +407,27 @@ impl Cobra {
         })
     }
 
-    /// The runtime-feedback store attached at build time, if any.
-    pub fn feedback_store(&self) -> Option<&std::sync::Arc<minidb::FeedbackStore>> {
-        self.feedback.as_ref()
+    /// What this optimizer prices programs against, as something to run
+    /// them on: its database, functions, mappings and network, its
+    /// catalog's prices, and its feedback store to record into.
+    fn endpoint(&self) -> interp::Endpoint {
+        interp::Endpoint {
+            db: self.db.clone(),
+            funcs: self.funcs.clone(),
+            mappings: self.mappings.clone(),
+            net: self.config.network.clone(),
+            prices: self.config.catalog.prices(),
+            feedback: self.feedback.clone(),
+            engine: minidb::ExecEngine::default(),
+        }
+    }
+
+    /// Run `program` on the machine this optimizer's cost model describes:
+    /// a fresh connection over its network at its catalog's prices, each
+    /// query recorded into its feedback store if it has one. What
+    /// `est_cost_ns` is an estimate *of* is this run's `elapsed_ns`.
+    pub fn run(&self, program: &Program) -> DbResult<interp::Outcome> {
+        interp::run_program(self.endpoint(), program)
     }
 
     /// How far the statistics-only model has drifted from runtime
@@ -432,9 +443,8 @@ impl Cobra {
             return 1.0;
         };
         let db = self.db.read().unwrap();
-        let estimator = minidb::Estimator::new(&db, &self.funcs)
-            .with_row_ns(self.config.catalog.server_row_ns)
-            .with_histograms(self.config.use_histograms);
+        let estimator =
+            minidb::Estimator::new(&db, &self.funcs).with_histograms(self.config.use_histograms);
         let mut worst = 1.0f64;
         for (plan, obs, stamp) in fb.snapshot_stamped() {
             // Observations of since-rewritten tables are evidence about

@@ -9,8 +9,8 @@
 //!
 //! * **Micro-execution.** Each candidate is executed on a `row_scale`-
 //!   shrunk copy of the live database (FK validity preserved — see
-//!   `shrunk_database`) under the optimizer's own network profile and
-//!   execution engine, and its simulated elapsed time is the measurement.
+//!   `shrunk_database`) under the optimizer's own network profile and its
+//!   catalog's prices, and its simulated elapsed time is the measurement.
 //!   All candidates run on the *same* fixture, so measurements are
 //!   mutually comparable (they are never compared against full-scale
 //!   predicted costs, which live on a different data scale).
@@ -22,7 +22,7 @@
 //!
 //! Promotion is conservative: the measured winner replaces the predicted
 //! one only when the predicted winner was itself measured and the winner
-//! beats it by at least `min_speedup`. Execution errors leave a candidate
+//! beats it by at least `MIN_SPEEDUP`. Execution errors leave a candidate
 //! unmeasured and unpromotable, and the predicted winner is always the
 //! fallback — with validation disabled (the default) the optimizer's
 //! output is bit-identical to cost-only selection.
@@ -30,13 +30,17 @@
 use crate::emit;
 use crate::region_ops::RegionOp;
 use imperative::ast::{Expr, Function, Program, Stmt};
-use interp::{Interp, InterpConfig};
-use minidb::{feedback::semantic_key, Database, FuncRegistry, PlanFingerprint, Row};
-use netsim::{Clock, NetworkProfile};
-use orm::{MappingRegistry, RemoteDb, Session};
+use interp::Endpoint;
+use minidb::{feedback::semantic_key, Database, PlanFingerprint, Row};
+use orm::MappingRegistry;
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
+
+/// Minimum measured speedup (predicted winner's time divided by the
+/// challenger's) required to promote a challenger: the virtual clock has no
+/// jitter, so the bar only keeps a tie on the shrunk fixture from
+/// overturning the model.
+const MIN_SPEEDUP: f64 = 1.02;
 
 /// Knobs for runtime-validated plan selection
 /// ([`crate::CobraBuilder::validate_selection`]).
@@ -49,14 +53,6 @@ pub struct ValidationConfig {
     /// Fraction of each table's rows the micro-validation fixture keeps
     /// (floor one row per non-empty table). Default 0.05.
     pub row_scale: f64,
-    /// Minimum measured speedup (predicted winner's time divided by the
-    /// challenger's) required to promote a challenger. Guards against
-    /// promoting on measurement jitter. Default 1.02.
-    pub min_speedup: f64,
-    /// Accept the predicted ranking without execution when every
-    /// candidate's queries have fresh [`minidb::FeedbackStore`]
-    /// observations (default true).
-    pub use_feedback: bool,
 }
 
 impl Default for ValidationConfig {
@@ -64,8 +60,6 @@ impl Default for ValidationConfig {
         ValidationConfig {
             top_k: 3,
             row_scale: 0.05,
-            min_speedup: 1.02,
-            use_feedback: true,
         }
     }
 }
@@ -80,18 +74,6 @@ impl ValidationConfig {
     /// Set the micro-fixture row scale.
     pub fn with_row_scale(mut self, scale: f64) -> ValidationConfig {
         self.row_scale = scale;
-        self
-    }
-
-    /// Set the promotion threshold.
-    pub fn with_min_speedup(mut self, speedup: f64) -> ValidationConfig {
-        self.min_speedup = speedup;
-        self
-    }
-
-    /// Enable or disable the fresh-feedback shortcut.
-    pub fn with_use_feedback(mut self, on: bool) -> ValidationConfig {
-        self.use_feedback = on;
         self
     }
 }
@@ -139,20 +121,12 @@ pub struct SelectionValidation {
     pub agreement: bool,
 }
 
-/// Everything validation needs from the optimizer (borrowed; the fields
-/// mirror [`crate::Cobra`]'s).
-pub(crate) struct ValidationContext<'a> {
-    pub db: &'a minidb::SharedDb,
-    pub funcs: &'a Arc<FuncRegistry>,
-    pub mappings: &'a MappingRegistry,
-    pub network: &'a NetworkProfile,
-    pub feedback: Option<&'a Arc<minidb::FeedbackStore>>,
-}
-
 /// Validate `plans` (predicted order, cheapest first) and decide which
-/// one to emit. See the module docs for the decision procedure.
+/// one to emit; `live` is what the optimizer itself would run a program
+/// against ([`crate::Cobra::run`]). See the module docs for the decision
+/// procedure.
 pub(crate) fn validate_selection(
-    ctx: &ValidationContext<'_>,
+    live: &Endpoint,
     program: &Program,
     entry_name: &str,
     entry_params: &[String],
@@ -177,27 +151,25 @@ pub(crate) fn validate_selection(
 
     // Feedback shortcut: with fresh observations behind every candidate's
     // queries, the predicted costs already carry measured cardinalities.
-    if cfg.use_feedback {
-        if let Some(store) = ctx.feedback {
-            let db = ctx.db.read().unwrap();
-            if functions.iter().all(|f| all_queries_fresh(&db, store, f)) {
-                return SelectionValidation {
-                    row_scale: cfg.row_scale,
-                    source: ValidationSource::Feedback,
-                    candidates,
-                    promoted_rank: 0,
-                    agreement: true,
-                };
-            }
+    if let Some(store) = &live.feedback {
+        let db = live.db.read().unwrap();
+        if functions.iter().all(|f| all_queries_fresh(&db, store, f)) {
+            return SelectionValidation {
+                row_scale: cfg.row_scale,
+                source: ValidationSource::Feedback,
+                candidates,
+                promoted_rank: 0,
+                agreement: true,
+            };
         }
     }
 
     // Micro-execution: one shrunk fixture, every candidate on its own
     // fresh copy (update statements must not leak between runs).
-    let base = shrunk_database(&ctx.db.read().unwrap(), ctx.mappings, cfg.row_scale);
+    let base = shrunk_database(&live.db.read().unwrap(), &live.mappings, cfg.row_scale);
     for (i, f) in functions.iter().enumerate() {
         let run = program.with_entry(f.clone());
-        candidates[i].measured_ns = measure(ctx, &base, &run);
+        candidates[i].measured_ns = measure(live, &base, &run);
     }
 
     // Measured ranks (ties broken by predicted rank — determinism).
@@ -220,7 +192,7 @@ pub(crate) fn validate_selection(
         // Promote a challenger only when the predicted winner was itself
         // measured and the challenger clears the speedup bar.
         Some(w) if w != 0 => match (candidates[0].measured_ns, candidates[w].measured_ns) {
-            (Some(base_ns), Some(win_ns)) if base_ns / win_ns >= cfg.min_speedup => w,
+            (Some(base_ns), Some(win_ns)) if base_ns / win_ns >= MIN_SPEEDUP => w,
             _ => 0,
         },
         _ => 0,
@@ -234,22 +206,17 @@ pub(crate) fn validate_selection(
     }
 }
 
-/// Execute `program` against a fresh copy of `base` and return its
-/// simulated elapsed time, ns. `None` on any execution error — an
-/// unmeasured candidate can never be promoted.
-fn measure(ctx: &ValidationContext<'_>, base: &Database, program: &Program) -> Option<f64> {
-    let shared = minidb::shared(base.clone());
-    let clock = Arc::new(Clock::new());
-    let remote = Arc::new(RemoteDb::new(
-        shared,
-        ctx.funcs.clone(),
-        ctx.network.clone(),
-        clock,
-    ));
-    let session = Session::new(remote, Arc::new(ctx.mappings.clone()));
-    Interp::new(&session, program)
-        .with_config(InterpConfig::default())
-        .run(vec![])
+/// Execute `program` as `live` would run it, but against a fresh copy of
+/// `base` and recording nothing, and return its simulated elapsed time, ns.
+/// `None` on any execution error — an unmeasured candidate can never be
+/// promoted.
+fn measure(live: &Endpoint, base: &Database, program: &Program) -> Option<f64> {
+    let on = Endpoint {
+        db: minidb::shared(base.clone()),
+        feedback: None,
+        ..live.clone()
+    };
+    interp::run_program(on, program)
         .ok()
         .map(|outcome| outcome.elapsed_ns as f64)
 }

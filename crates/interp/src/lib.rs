@@ -20,5 +20,5 @@
 mod machine;
 mod value;
 
-pub use machine::{Interp, InterpConfig, NormalizedOutcome, Outcome};
+pub use machine::{run_program, Endpoint, Interp, NormalizedOutcome, Outcome};
 pub use value::{ColumnCache, RowObj, RtVal, Snapshot};

@@ -11,10 +11,12 @@
 //! only reads a variable (a field of it, its size, an operand) reads it
 //! in its frame instead of cloning it out first.
 //!
-//! **Clock.** The `C_Z` of each statement is summed locally and put on
-//! the shared clock before every [`orm::RemoteDb`] call and when the run
-//! ends, `Ok` or `Err`. The clock's sum saturates, so the order in which
-//! terms arrive does not change what it reads.
+//! **Clock.** The `C_Z` of each statement — the statement price of the
+//! connection the run was given ([`orm::Prices::statement_ns`]) — is summed
+//! locally and put on the connection's clock before every
+//! [`orm::RemoteDb`] call and when the run ends, `Ok` or `Err`. The clock's
+//! sum saturates, so the order in which terms arrive does not change what
+//! it reads.
 //!
 //! **Stack.** The interpreter recurses once per open block (a loop body, a
 //! branch, a function body) and once per level of the expression being
@@ -30,25 +32,48 @@
 
 use crate::value::{ColumnCache, FieldSite, RowObj, RtVal, Snapshot};
 use imperative::ast::{Expr, Function, Program, QuerySpec, Stmt, StmtKind};
-use minidb::{apply_bin_op, BinOp, DbError, DbResult, LogicalPlan, ResultSet, RowRef, Value};
-use orm::Session;
+use minidb::{
+    apply_bin_op, BinOp, DbError, DbResult, ExecEngine, FeedbackStore, FuncRegistry, LogicalPlan,
+    ResultSet, RowRef, SharedDb, Value,
+};
+use netsim::NetworkProfile;
+use orm::{MappingRegistry, Prices, RemoteDb, Session};
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Interpreter tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct InterpConfig {
-    /// Cost per executed (non-query) statement, ns — `C_Z` in §VI; the
-    /// paper profiles it at 30 ns.
-    pub cz_ns: u64,
+/// What one run of a program talks to: a database behind a network, at the
+/// virtual clock's prices.
+#[derive(Clone)]
+pub struct Endpoint {
+    /// The database, shared with whoever else holds the handle.
+    pub db: SharedDb,
+    /// Scalar functions, client and server side.
+    pub funcs: Arc<FuncRegistry>,
+    /// ORM mappings the session resolves entities through.
+    pub mappings: Arc<MappingRegistry>,
+    /// What round trips and transfer are charged against.
+    pub net: NetworkProfile,
+    /// What statements and server rows are charged at.
+    pub prices: Prices,
+    /// Where executed queries record what they observed, if anywhere.
+    pub feedback: Option<Arc<FeedbackStore>>,
+    /// The engine differential's hook for the row reference.
+    pub engine: ExecEngine,
 }
 
-impl Default for InterpConfig {
-    fn default() -> Self {
-        InterpConfig { cz_ns: 30 }
+/// Run `program` against `on`: a fresh connection, session and clock (one
+/// run is one transaction, as in the paper's measurements). The only place
+/// `RemoteDb → Session → Interp` is assembled, so what a run is charged is
+/// what `on.prices` says.
+pub fn run_program(on: Endpoint, program: &Program) -> DbResult<Outcome> {
+    let mut remote = RemoteDb::new(on.db, on.funcs, on.net, on.prices).with_engine(on.engine);
+    if let Some(feedback) = on.feedback {
+        remote = remote.with_feedback(feedback);
     }
+    let session = Session::new(Arc::new(remote), on.mappings);
+    Interp::new(&session, program).run(vec![])
 }
 
 /// Result of executing a program.
@@ -160,23 +185,12 @@ enum Flow {
 pub struct Interp<'a> {
     session: &'a Session,
     program: &'a Program,
-    config: InterpConfig,
 }
 
 impl<'a> Interp<'a> {
     /// New interpreter for `program` over `session`.
     pub fn new(session: &'a Session, program: &'a Program) -> Interp<'a> {
-        Interp {
-            session,
-            program,
-            config: InterpConfig::default(),
-        }
-    }
-
-    /// Override configuration.
-    pub fn with_config(mut self, config: InterpConfig) -> Interp<'a> {
-        self.config = config;
-        self
+        Interp { session, program }
     }
 
     /// Run the entry function with `args` bound to its parameters (missing
@@ -191,7 +205,7 @@ impl<'a> Interp<'a> {
         let mut tags = Vec::new();
         let machine = Machine {
             session: self.session,
-            cz_ns: self.config.cz_ns,
+            cz_ns: remote.prices().statement_ns(),
             funcs: lower(self.program, self.session, &mut tags),
             tags: RefCell::new(tags),
             stmts: Cell::new(0),
@@ -851,11 +865,15 @@ impl<'p> Machine<'_, 'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minidb::{Column, DataType, Database, FuncRegistry, Schema};
-    use netsim::{Clock, NetworkProfile};
-    use orm::{EntityMapping, MappingRegistry, RemoteDb};
+    use minidb::{Column, DataType, Database, Schema};
+    use netsim::Clock;
+    use orm::EntityMapping;
 
     fn fixture() -> (Session, Arc<Clock>) {
+        fixture_at(Prices::default())
+    }
+
+    fn fixture_at(prices: Prices) -> (Session, Arc<Clock>) {
         let mut db = Database::new();
         let orders = Schema::new(vec![
             Column::new("o_id", DataType::Int),
@@ -886,13 +904,13 @@ mod tests {
             Ok(Value::Int(a * 10_000 + b))
         });
 
-        let clock = Arc::new(Clock::new());
         let remote = Arc::new(RemoteDb::new(
             minidb::shared(db),
             Arc::new(funcs),
             NetworkProfile::new("test", 8e9, 1.0),
-            clock.clone(),
+            prices,
         ));
+        let clock = remote.clock().clone();
         let mut reg = MappingRegistry::new();
         reg.register(EntityMapping::new("Order", "orders", "o_id").many_to_one(
             "customer",
@@ -1045,13 +1063,13 @@ mod tests {
 
     #[test]
     fn statement_costs_accumulate_on_the_clock() {
-        let (session, clock) = fixture();
+        let (session, clock) = fixture_at(Prices {
+            cz_ns: 1000.0,
+            ..Prices::default()
+        });
         let program = p0();
         let before = clock.now();
-        let out = Interp::new(&session, &program)
-            .with_config(InterpConfig { cz_ns: 1000 })
-            .run(vec![])
-            .unwrap();
+        let out = Interp::new(&session, &program).run(vec![]).unwrap();
         assert!(out.stmts_executed > 12 * 3, "loop body re-executes");
         assert!(clock.now() - before >= out.stmts_executed * 1000);
     }

@@ -13,7 +13,6 @@
 
 use crate::catalog::{Database, Table};
 use crate::error::DbResult;
-use crate::exec::DEFAULT_SERVER_ROW_NS;
 use crate::expr::{BinOp, ColRef, ScalarExpr};
 use crate::feedback::FeedbackStore;
 use crate::fingerprint::PlanFingerprint;
@@ -56,15 +55,15 @@ impl Estimate {
     }
 }
 
-/// A shared, stamped cache of whole-plan [`Estimate`]s, keyed by
-/// `(plan fingerprint, row_ns bits)` and valid for exactly one
-/// [`CacheStamp`].
+/// A shared, stamped cache of whole-plan [`Estimate`]s, keyed by plan
+/// fingerprint and valid for exactly one [`CacheStamp`].
 ///
 /// Estimates depend only on the plan's structure (parameter *names* are
 /// part of it; bound values are not consulted) plus the database's
-/// statistics, the estimation mode, any runtime feedback, and the per-row
-/// server cost — so a fingerprint plus the `row_ns` bit pattern is a
-/// complete key. Validity is a **stamp**: [`Database::instance_id`]
+/// statistics, the estimation mode and any runtime feedback — an estimate
+/// is rows and row-touches, and whoever prices it brings the price
+/// ([`Estimate::first_row_ns`]) — so a fingerprint is a complete key.
+/// Validity is a **stamp**: [`Database::instance_id`]
 /// (every `Database` value, clones included, has its own),
 /// [`Database::stats_epoch`], the [`FeedbackStore::generation`] of the
 /// estimator's feedback store (new observations invalidate), and the
@@ -98,19 +97,6 @@ pub struct CacheStamp {
     pub mode: u8,
 }
 
-impl CacheStamp {
-    /// The stamp for estimating against `db` with the default mode
-    /// (histograms on, no feedback).
-    pub fn for_db(db: &Database) -> CacheStamp {
-        CacheStamp {
-            instance_id: db.instance_id(),
-            stats_epoch: db.stats_epoch(),
-            feedback_generation: 0,
-            mode: 1,
-        }
-    }
-}
-
 /// Prints as `db<instance>@e<epoch>/f<feedback gen>/m<mode>` — with a
 /// [`PlanFingerprint`] this names one cache-validity coordinate, the key
 /// server logs use to show which tenant/epoch a cached plan belongs to.
@@ -126,7 +112,7 @@ impl std::fmt::Display for CacheStamp {
 
 #[derive(Debug, Default)]
 struct CacheInner {
-    entries: HashMap<(PlanFingerprint, u64), DbResult<Estimate>>,
+    entries: HashMap<PlanFingerprint, DbResult<Estimate>>,
     /// The stamp the entries are valid for.
     valid: CacheStamp,
 }
@@ -135,13 +121,6 @@ impl EstimateCache {
     /// An empty cache.
     pub fn new() -> EstimateCache {
         EstimateCache::default()
-    }
-
-    /// The default-mode validity stamp for `db` (see
-    /// [`CacheStamp::for_db`]); estimators with feedback or a non-default
-    /// mode derive their own stamp.
-    pub fn stamp(db: &Database) -> CacheStamp {
-        CacheStamp::for_db(db)
     }
 
     /// Estimates served from the cache.
@@ -154,24 +133,10 @@ impl EstimateCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Cached entries currently held.
-    pub fn len(&self) -> usize {
-        self.inner.read().unwrap().entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Look up a cached estimate, flushing the contents when they were
     /// computed under a different stamp (another database instance or an
     /// older stats epoch). Counts a hit when found.
-    pub fn lookup(
-        &self,
-        stamp: CacheStamp,
-        key: (PlanFingerprint, u64),
-    ) -> Option<DbResult<Estimate>> {
+    pub fn lookup(&self, stamp: CacheStamp, key: PlanFingerprint) -> Option<DbResult<Estimate>> {
         {
             let inner = self.inner.read().unwrap();
             if inner.valid == stamp {
@@ -193,12 +158,7 @@ impl EstimateCache {
 
     /// Insert a computed estimate for `stamp` (counts a miss; dropped
     /// when the stamp moved while computing).
-    pub fn insert(
-        &self,
-        stamp: CacheStamp,
-        key: (PlanFingerprint, u64),
-        value: DbResult<Estimate>,
-    ) {
+    pub fn insert(&self, stamp: CacheStamp, key: PlanFingerprint, value: DbResult<Estimate>) {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.write().unwrap();
         if inner.valid == stamp {
@@ -213,7 +173,6 @@ impl EstimateCache {
 pub struct Estimator<'a> {
     db: &'a Database,
     funcs: &'a FuncRegistry,
-    row_ns: f64,
     cache: Option<&'a EstimateCache>,
     /// Runtime observations; whole-plan estimates prefer these.
     feedback: Option<&'a FeedbackStore>,
@@ -231,24 +190,16 @@ const RANGE_SELECTIVITY: f64 = 1.0 / 3.0;
 const DEFAULT_SELECTIVITY: f64 = 0.5;
 
 impl<'a> Estimator<'a> {
-    /// New estimator with the default server per-row cost.
+    /// New estimator: histograms on, no cache, no feedback.
     pub fn new(db: &'a Database, funcs: &'a FuncRegistry) -> Estimator<'a> {
         Estimator {
             db,
             funcs,
-            row_ns: DEFAULT_SERVER_ROW_NS,
             cache: None,
             feedback: None,
             use_histograms: true,
             override_counter: None,
         }
-    }
-
-    /// Override the per-row server cost (must match the executor's to make
-    /// estimates comparable with simulated measurements).
-    pub fn with_row_ns(mut self, row_ns: f64) -> Estimator<'a> {
-        self.row_ns = row_ns;
-        self
     }
 
     /// Serve [`Estimator::estimate_fp`] through `cache` (whole-plan
@@ -281,11 +232,6 @@ impl<'a> Estimator<'a> {
         self
     }
 
-    /// The per-row server cost used for time estimates.
-    pub fn row_ns(&self) -> f64 {
-        self.row_ns
-    }
-
     /// The cache-validity stamp for this estimator's configuration.
     fn stamp(&self) -> CacheStamp {
         CacheStamp {
@@ -316,12 +262,11 @@ impl<'a> Estimator<'a> {
             return (self.estimate_observed(plan, fp), false);
         };
         let stamp = self.stamp();
-        let key = (fp, self.row_ns.to_bits());
-        if let Some(cached) = cache.lookup(stamp, key) {
+        if let Some(cached) = cache.lookup(stamp, fp) {
             return (cached, true);
         }
         let computed = self.estimate_observed(plan, fp);
-        cache.insert(stamp, key, computed.clone());
+        cache.insert(stamp, fp, computed.clone());
         (computed, false)
     }
 
@@ -352,7 +297,6 @@ impl<'a> Estimator<'a> {
             } else {
                 return Ok(e);
             }
-            fb.note_served();
             if let Some(ctr) = self.override_counter {
                 ctr.fetch_add(1, Ordering::Relaxed);
             }
@@ -852,22 +796,22 @@ mod tests {
         assert!((base.rows - 10.0).abs() < 1e-9, "model guess: 1000/100");
 
         // Reality disagrees (a hot key): the observation wins.
-        fb.record(
-            &plan,
-            600,
-            &crate::exec::ExecWork {
-                startup_rows: 0,
-                total_rows: 1000,
-            },
-        );
+        let stamp = db.plan_data_stamp(&plan);
+        let observed = crate::exec::ExecWork {
+            startup_rows: 0,
+            total_rows: 1000,
+        };
+        fb.record_at(&plan, 600, &observed, stamp);
+        let overrides = AtomicU64::new(0);
         let fed = Estimator::new(&db, &funcs)
             .with_feedback(&fb)
+            .with_override_counter(&overrides)
             .estimate_fp(&plan, fp)
             .unwrap();
         assert_eq!(fed.rows, 600.0);
         assert_eq!(fed.total_work, 1000.0);
         assert_eq!(fed.row_bytes, base.row_bytes, "row size stays declared");
-        assert_eq!(fb.served(), 1);
+        assert_eq!(overrides.load(Ordering::Relaxed), 1);
 
         // Cached estimates refresh when new observations arrive: the
         // feedback generation is part of the validity stamp.
@@ -878,7 +822,7 @@ mod tests {
             .estimate_fp(&plan, fp)
             .unwrap();
         assert_eq!(c1.rows, 600.0);
-        fb.record(&plan, 0, &crate::exec::ExecWork::default());
+        fb.record_at(&plan, 0, &crate::exec::ExecWork::default(), stamp);
         let c2 = Estimator::new(&db, &funcs)
             .with_feedback(&fb)
             .with_cache(&cache)
@@ -992,15 +936,6 @@ mod tests {
             .unwrap();
         assert_eq!(cache.misses(), 2, "stale entry recomputed");
         assert!(third.rows > second.rows - 1e-9, "new stats observed");
-
-        // Different row_ns must not collide.
-        let slow = Estimator::new(&db, &funcs)
-            .with_cache(&cache)
-            .with_row_ns(999.0)
-            .estimate_fp(&plan, fp)
-            .unwrap();
-        assert_eq!(cache.misses(), 3);
-        assert_eq!(slow.rows, third.rows);
     }
 
     #[test]
@@ -1025,10 +960,7 @@ mod tests {
         let db = test_db();
         let funcs = FuncRegistry::with_builtins();
         let plan = parse("select * from orders").unwrap();
-        let e = Estimator::new(&db, &funcs)
-            .with_row_ns(100.0)
-            .estimate(&plan)
-            .unwrap();
+        let e = Estimator::new(&db, &funcs).estimate(&plan).unwrap();
         assert_eq!(e.last_row_ns(100.0), 1000.0 * 100.0);
         assert_eq!(e.first_row_ns(100.0), 0.0);
     }

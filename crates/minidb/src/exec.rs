@@ -3,8 +3,10 @@
 //! The executor runs a plan to completion and *accounts* the work done
 //! per operator, split into the portion that happens **before the first
 //! output row** (blocking work: hash-build, aggregation, sorting) and the
-//! total. The simulated server derives `C^F_Q` / `C^L_Q` — time to first
-//! and last row — from these counters via a per-row cost.
+//! total. The connection that runs the plan derives `C^F_Q` / `C^L_Q` —
+//! time to first and last row — from these counters at its per-row price
+//! ([`ExecWork::first_row_ns`], [`ExecWork::total_ns`]); nothing in this
+//! crate knows a price.
 //!
 //! [`Executor::run`] returns the result as the engine left it, a columnar
 //! [`ResultSet`]; [`Executor::execute`] is `run` followed by
@@ -89,6 +91,18 @@ impl ExecWork {
         self.startup_rows += other.startup_rows;
         self.total_rows += other.total_rows;
     }
+
+    /// Server time to produce the first result row, at `row_ns` a
+    /// row-touch, in ns.
+    pub fn first_row_ns(&self, row_ns: f64) -> u64 {
+        (self.startup_rows as f64 * row_ns) as u64
+    }
+
+    /// Server time to produce the complete result, at `row_ns` a
+    /// row-touch, in ns.
+    pub fn total_ns(&self, row_ns: f64) -> u64 {
+        (self.total_rows as f64 * row_ns) as u64
+    }
 }
 
 /// A query result with every row materialized, plus its work profile:
@@ -124,8 +138,6 @@ impl QueryResult {
 pub struct Executor<'a> {
     pub(crate) db: &'a Database,
     pub(crate) funcs: &'a FuncRegistry,
-    /// Server-side cost per row-touch, in nanoseconds.
-    row_ns: f64,
     /// Which data plane runs queries (columnar by default).
     engine: ExecEngine,
     /// When set, every execution records its actual cardinality and work
@@ -134,27 +146,15 @@ pub struct Executor<'a> {
     feedback: Option<&'a crate::feedback::FeedbackStore>,
 }
 
-/// Default per-row server cost. Roughly calibrated so that a 1 M-row scan
-/// costs ~0.2 s of server time, in line with the warm in-memory MySQL
-/// instance of the paper's testbed.
-pub const DEFAULT_SERVER_ROW_NS: f64 = 200.0;
-
 impl<'a> Executor<'a> {
-    /// New executor with the default per-row server cost.
+    /// New executor on the default engine, recording nothing.
     pub fn new(db: &'a Database, funcs: &'a FuncRegistry) -> Executor<'a> {
         Executor {
             db,
             funcs,
-            row_ns: DEFAULT_SERVER_ROW_NS,
             engine: ExecEngine::default(),
             feedback: None,
         }
-    }
-
-    /// Override the per-row server cost (nanoseconds per row-touch).
-    pub fn with_row_ns(mut self, row_ns: f64) -> Executor<'a> {
-        self.row_ns = row_ns;
-        self
     }
 
     /// Select the physical data plane (columnar by default).
@@ -163,21 +163,11 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// The data plane this executor runs on.
-    pub fn engine(&self) -> ExecEngine {
-        self.engine
-    }
-
     /// Record every execution's observed cardinality and work into
     /// `feedback`, keyed by the plan's structural fingerprint.
     pub fn with_feedback(mut self, feedback: &'a crate::feedback::FeedbackStore) -> Executor<'a> {
         self.feedback = Some(feedback);
         self
-    }
-
-    /// Per-row server cost in ns.
-    pub fn row_ns(&self) -> f64 {
-        self.row_ns
     }
 
     /// Execute `plan` with `params` bound and return the result as the
@@ -214,16 +204,6 @@ impl<'a> Executor<'a> {
             rows: result.rows(),
             work: result.work(),
         })
-    }
-
-    /// Server time to produce the first result row, in ns.
-    pub fn first_row_ns(&self, work: &ExecWork) -> u64 {
-        (work.startup_rows as f64 * self.row_ns) as u64
-    }
-
-    /// Server time to produce the complete result, in ns.
-    pub fn total_ns(&self, work: &ExecWork) -> u64 {
-        (work.total_rows as f64 * self.row_ns) as u64
     }
 
     fn run_rows(

@@ -22,9 +22,8 @@
 //!   written, the stale mean is *replaced*, not averaged with, and
 //!   stamped lookups ([`FeedbackStore::observed_fresh`]) refuse to serve
 //!   it. Without this, a pre-shift observation would pollute the mean
-//!   forever. [`FeedbackStore::record`] stays available for stores fed
-//!   without a database at hand; its entries are unstamped and always
-//!   considered fresh.
+//!   forever. Only [`FeedbackStore::restore`] can install an entry with
+//!   no stamp (a snapshot may hold one); such an entry is always fresh.
 //! * **Semantic keys.** The optimizer enumerates many operator shapes of
 //!   the same query (predicate pushed below a join or left above it), and
 //!   each shape has its own structural fingerprint — but they all return
@@ -79,8 +78,8 @@ struct Entry {
     plan: SharedPlan,
     obs: Observation,
     /// [`crate::Database::plan_data_stamp`] at recording time; `None`
-    /// for unstamped ([`FeedbackStore::record`]) entries, which are
-    /// always fresh.
+    /// only for an entry restored from a snapshot that held no stamp,
+    /// which is always fresh.
     data_stamp: Option<u64>,
 }
 
@@ -104,21 +103,12 @@ pub struct FeedbackStore {
     inner: RwLock<Inner>,
     /// Bumped on every recording; estimate-cache stamps include it.
     generation: AtomicU64,
-    /// Estimates that used an observation instead of a model guess.
-    served: AtomicU64,
 }
 
 impl FeedbackStore {
     /// An empty store.
     pub fn new() -> FeedbackStore {
         FeedbackStore::default()
-    }
-
-    /// Record one execution of `plan` with no data stamp: the entry is
-    /// considered fresh forever. Prefer [`FeedbackStore::record_at`]
-    /// when the database is at hand.
-    pub fn record(&self, plan: &LogicalPlan, rows: u64, work: &ExecWork) {
-        self.record_inner(plan, rows, work, None);
     }
 
     /// Record one execution of `plan`: `rows` result rows with `work`
@@ -129,24 +119,14 @@ impl FeedbackStore {
     /// stamp update the running means, while a recording at a new stamp
     /// replaces the now-stale mean outright.
     pub fn record_at(&self, plan: &LogicalPlan, rows: u64, work: &ExecWork, data_stamp: u64) {
-        self.record_inner(plan, rows, work, Some(data_stamp));
-    }
-
-    fn record_inner(
-        &self,
-        plan: &LogicalPlan,
-        rows: u64,
-        work: &ExecWork,
-        data_stamp: Option<u64>,
-    ) {
+        let data_stamp = Some(data_stamp);
         let fp = PlanFingerprint::of(plan);
         let mut inner = self.inner.write().unwrap();
         match inner.entries.get_mut(&fp) {
             Some(entry) if entry.data_stamp == data_stamp => fold(&mut entry.obs, rows, work),
             Some(entry) => {
-                // The tables changed under the plan (or the stamping
-                // discipline did): the old mean describes data that no
-                // longer exists. Start over.
+                // The tables changed under the plan: the old mean
+                // describes data that no longer exists. Start over.
                 entry.obs = one_run(rows, work);
                 entry.data_stamp = data_stamp;
             }
@@ -193,13 +173,6 @@ impl FeedbackStore {
         true
     }
 
-    /// The observation for `fp`, if any execution has been recorded —
-    /// regardless of how stale it is. Stamped consumers want
-    /// [`FeedbackStore::observed_fresh`].
-    pub fn observed(&self, fp: PlanFingerprint) -> Option<Observation> {
-        self.inner.read().unwrap().entries.get(&fp).map(|e| e.obs)
-    }
-
     /// The observation for `fp`, provided it was recorded against the
     /// current contents of the plan's tables (`data_stamp`) or carries no
     /// stamp at all.
@@ -227,16 +200,6 @@ impl FeedbackStore {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Estimates that were served an observation instead of a model guess
-    /// (process-lifetime counter across every estimator using this store).
-    pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn note_served(&self) {
-        self.served.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Number of distinct plans observed.
     pub fn len(&self) -> usize {
         self.inner.read().unwrap().entries.len()
@@ -257,18 +220,10 @@ impl FeedbackStore {
         self.generation.fetch_add(1, Ordering::Release);
     }
 
-    /// Every observed plan with its observation — drift analysis walks
-    /// this to compare model estimates against reality.
-    pub fn snapshot(&self) -> Vec<(SharedPlan, Observation)> {
-        self.snapshot_stamped()
-            .into_iter()
-            .map(|(p, o, _)| (p, o))
-            .collect()
-    }
-
-    /// [`FeedbackStore::snapshot`] including each entry's data stamp
-    /// (`None` = unstamped, always fresh), so stamped consumers can skip
-    /// observations describing data that has since been rewritten.
+    /// Every observed plan with its observation and data stamp (`None` =
+    /// unstamped, always fresh) — drift analysis walks this to compare
+    /// model estimates against reality, skipping observations of data that
+    /// has since been rewritten.
     pub fn snapshot_stamped(&self) -> Vec<(SharedPlan, Observation, Option<u64>)> {
         let inner = self.inner.read().unwrap();
         let mut out: Vec<(SharedPlan, Observation, Option<u64>)> = inner
@@ -286,8 +241,8 @@ impl FeedbackStore {
 /// least as fresh as the shape it would shadow: a stale sibling (recorded
 /// at an older data stamp) must not hide a sibling whose rows-only
 /// evidence still describes current data. Stamps are monotone, so "newer
-/// or equal stamp" means fresher; unstamped recordings (and dangling
-/// index entries) always win.
+/// or equal stamp" means fresher; unstamped entries (and dangling index
+/// entries) always win.
 fn redirect_semantic(
     inner: &mut Inner,
     plan: &LogicalPlan,
@@ -344,12 +299,12 @@ mod tests {
         let store = FeedbackStore::new();
         let plan = LogicalPlan::scan("orders");
         let fp = PlanFingerprint::of(&plan);
-        assert_eq!(store.observed(fp), None);
+        assert_eq!(store.observed_fresh(fp, 1), None);
         assert_eq!(store.generation(), 0);
 
-        store.record(&plan, 10, &work(0, 10));
-        store.record(&plan, 30, &work(0, 30));
-        let obs = store.observed(fp).unwrap();
+        store.record_at(&plan, 10, &work(0, 10), 1);
+        store.record_at(&plan, 30, &work(0, 30), 1);
+        let obs = store.observed_fresh(fp, 1).unwrap();
         assert_eq!(obs.rows, 20.0);
         assert_eq!(obs.total_work, 20.0);
         assert_eq!(obs.runs, 2);
@@ -360,11 +315,11 @@ mod tests {
     #[test]
     fn distinct_plans_do_not_collide() {
         let store = FeedbackStore::new();
-        store.record(&LogicalPlan::scan("a"), 1, &work(0, 1));
-        store.record(&LogicalPlan::scan("b"), 9, &work(0, 9));
+        store.record_at(&LogicalPlan::scan("a"), 1, &work(0, 1), 1);
+        store.record_at(&LogicalPlan::scan("b"), 9, &work(0, 9), 1);
         assert_eq!(store.len(), 2);
         let a = store
-            .observed(PlanFingerprint::of(&LogicalPlan::scan("a")))
+            .observed_fresh(PlanFingerprint::of(&LogicalPlan::scan("a")), 1)
             .unwrap();
         assert_eq!(a.rows, 1.0);
     }
@@ -372,14 +327,14 @@ mod tests {
     #[test]
     fn snapshot_is_deterministic_and_clear_advances_generation() {
         let store = FeedbackStore::new();
-        store.record(&LogicalPlan::scan("a"), 1, &work(0, 1));
-        store.record(&LogicalPlan::scan("b"), 2, &work(0, 2));
-        let s1 = store.snapshot();
-        let s2 = store.snapshot();
+        store.record_at(&LogicalPlan::scan("a"), 1, &work(0, 1), 1);
+        store.record_at(&LogicalPlan::scan("b"), 2, &work(0, 2), 1);
+        let s1 = store.snapshot_stamped();
+        let s2 = store.snapshot_stamped();
         assert_eq!(s1.len(), 2);
         assert_eq!(
-            s1.iter().map(|(p, _)| p.fingerprint()).collect::<Vec<_>>(),
-            s2.iter().map(|(p, _)| p.fingerprint()).collect::<Vec<_>>()
+            s1.iter().map(|(p, ..)| p.fingerprint()).collect::<Vec<_>>(),
+            s2.iter().map(|(p, ..)| p.fingerprint()).collect::<Vec<_>>()
         );
         let g = store.generation();
         store.clear();
@@ -392,7 +347,8 @@ mod tests {
         let store = FeedbackStore::new();
         store.record_at(&LogicalPlan::scan("a"), 10, &work(1, 10), 3);
         store.record_at(&LogicalPlan::scan("a"), 30, &work(3, 30), 3);
-        store.record(&LogicalPlan::scan("b"), 7, &work(0, 7));
+        // An entry with no stamp: what a snapshot may hold.
+        assert!(store.restore(&LogicalPlan::scan("b"), one_run(7, &work(0, 7)), None));
         let exported = store.snapshot_stamped();
 
         let restored = FeedbackStore::new();
@@ -414,7 +370,7 @@ mod tests {
             live.restore(plan.as_plan(), *obs, *stamp);
         }
         let a = live
-            .observed(PlanFingerprint::of(&LogicalPlan::scan("a")))
+            .observed_fresh(PlanFingerprint::of(&LogicalPlan::scan("a")), 4)
             .unwrap();
         assert_eq!(a.rows, 999.0);
     }
@@ -437,8 +393,6 @@ mod tests {
         assert_eq!(obs.runs, 1);
         // And the entry no longer answers for the old stamp.
         assert_eq!(store.observed_fresh(fp, 7), None);
-        // Unstamped lookup still sees it (legacy behavior).
-        assert_eq!(store.observed(fp).unwrap().rows, 900.0);
     }
 
     #[test]
@@ -446,7 +400,7 @@ mod tests {
         let store = FeedbackStore::new();
         let plan = LogicalPlan::scan("orders");
         let fp = PlanFingerprint::of(&plan);
-        store.record(&plan, 5, &work(0, 5));
+        assert!(store.restore(&plan, one_run(5, &work(0, 5)), None));
         assert_eq!(store.observed_fresh(fp, 0).unwrap().rows, 5.0);
         assert_eq!(store.observed_fresh(fp, 41).unwrap().rows, 5.0);
     }

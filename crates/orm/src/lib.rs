@@ -19,5 +19,5 @@ mod remote;
 mod session;
 
 pub use mapping::{AssociationMap, EntityMapping, MappingRegistry};
-pub use remote::RemoteDb;
+pub use remote::{Prices, RemoteDb};
 pub use session::Session;

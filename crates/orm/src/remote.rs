@@ -6,6 +6,41 @@ use netsim::{Clock, NetStats, NetworkProfile};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// What the virtual clock charges for the two things that are not the
+/// network: one statement of the application and one row the server
+/// touches. The defaults below are the only place either number is
+/// written; a cost catalog starts from them and hands its own pair to
+/// every run, so an estimate and the clock it is held against read one
+/// price list.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Prices {
+    /// `C_Z`: one executed statement, ns. The paper profiles it at 30 ns
+    /// (§VIII).
+    pub cz_ns: f64,
+    /// One row-touch at the server, ns: a 1 M-row scan is ~0.2 s of server
+    /// time, in line with the warm in-memory MySQL of the paper's testbed.
+    pub server_row_ns: f64,
+}
+
+impl Default for Prices {
+    fn default() -> Prices {
+        Prices {
+            cz_ns: 30.0,
+            server_row_ns: 200.0,
+        }
+    }
+}
+
+impl Prices {
+    /// What one statement puts on the clock. The clock counts whole
+    /// nanoseconds and the interpreter adds this per statement, so this is
+    /// the one place the catalog's `f64` becomes an integer: rounded to
+    /// nearest, once, not per statement (a negative or NaN price is 0).
+    pub fn statement_ns(&self) -> u64 {
+        self.cz_ns.round() as u64
+    }
+}
+
 /// A remote database connection.
 ///
 /// Every call charges the shared [`Clock`] with the paper's query-cost
@@ -18,7 +53,7 @@ pub struct RemoteDb {
     net: NetworkProfile,
     clock: Arc<Clock>,
     stats: NetStats,
-    server_row_ns: f64,
+    prices: Prices,
     /// When set, every executed query records its observed cardinality
     /// and work into this store (the runtime half of the cardinality
     /// feedback loop; estimators opt in via `Estimator::with_feedback`).
@@ -29,20 +64,21 @@ pub struct RemoteDb {
 }
 
 impl RemoteDb {
-    /// Connect to `db` through `net`, charging `clock`.
+    /// Connect to `db` through `net`, charging a clock of its own at
+    /// `prices`.
     pub fn new(
         db: minidb::SharedDb,
         funcs: Arc<FuncRegistry>,
         net: NetworkProfile,
-        clock: Arc<Clock>,
+        prices: Prices,
     ) -> RemoteDb {
         RemoteDb {
             db,
             funcs,
             net,
-            clock,
+            clock: Arc::new(Clock::new()),
             stats: NetStats::new(),
-            server_row_ns: minidb::exec::DEFAULT_SERVER_ROW_NS,
+            prices,
             feedback: None,
             engine: ExecEngine::default(),
         }
@@ -55,12 +91,6 @@ impl RemoteDb {
         self
     }
 
-    /// Override the server's per-row cost (ns).
-    pub fn with_server_row_ns(mut self, row_ns: f64) -> RemoteDb {
-        self.server_row_ns = row_ns;
-        self
-    }
-
     /// Record every executed query's observed cardinality and work into
     /// `feedback` (keyed by plan fingerprint).
     pub fn with_feedback(mut self, feedback: Arc<minidb::FeedbackStore>) -> RemoteDb {
@@ -68,22 +98,18 @@ impl RemoteDb {
         self
     }
 
-    /// The feedback store queries record into, if one is attached.
-    pub fn feedback(&self) -> Option<&Arc<minidb::FeedbackStore>> {
-        self.feedback.as_ref()
-    }
-
     /// The underlying database handle.
     pub fn database(&self) -> &minidb::SharedDb {
         &self.db
     }
 
-    /// The network profile in use.
-    pub fn network(&self) -> &NetworkProfile {
-        &self.net
+    /// The prices this connection charges; the interpreter running over it
+    /// reads its statement price here.
+    pub fn prices(&self) -> Prices {
+        self.prices
     }
 
-    /// The shared virtual clock.
+    /// The connection's virtual clock.
     pub fn clock(&self) -> &Arc<Clock> {
         &self.clock
     }
@@ -91,11 +117,6 @@ impl RemoteDb {
     /// Shared function registry (client and server semantics).
     pub fn funcs(&self) -> &Arc<FuncRegistry> {
         &self.funcs
-    }
-
-    /// Server per-row cost (ns).
-    pub fn server_row_ns(&self) -> f64 {
-        self.server_row_ns
     }
 
     /// Execute a read query, charging round trip + server + transfer time.
@@ -107,15 +128,13 @@ impl RemoteDb {
         params: &HashMap<String, Value>,
     ) -> DbResult<Arc<ResultSet>> {
         let db = self.db.read().unwrap();
-        let mut exec = Executor::new(&db, &self.funcs)
-            .with_row_ns(self.server_row_ns)
-            .with_engine(self.engine);
+        let mut exec = Executor::new(&db, &self.funcs).with_engine(self.engine);
         if let Some(fb) = &self.feedback {
             exec = exec.with_feedback(fb);
         }
         let result = exec.run(plan, params)?;
-        let first = exec.first_row_ns(&result.work());
-        let total = exec.total_ns(&result.work());
+        let first = result.work().first_row_ns(self.prices.server_row_ns);
+        let total = result.work().total_ns(self.prices.server_row_ns);
         let transfer = self.net.transfer_ns(result.payload_bytes());
         let stream = transfer.max(total - first);
         self.clock
@@ -140,7 +159,7 @@ impl RemoteDb {
         let key_idx = t.schema().resolve(key_col)?;
         let set_idx = t.schema().resolve(set_col)?;
         let changed = t.update_where_eq(key_idx, key, set_idx, value);
-        let server = (changed.max(1) as f64 * self.server_row_ns) as u64;
+        let server = (changed.max(1) as f64 * self.prices.server_row_ns) as u64;
         self.clock.advance(self.net.round_trip_ns() + server);
         self.stats.record_round_trip();
         Ok(changed)
@@ -162,7 +181,7 @@ mod tests {
     use super::*;
     use minidb::{Column, DataType, Database, Schema};
 
-    fn fixture() -> (minidb::SharedDb, Arc<FuncRegistry>, Arc<Clock>) {
+    fn fixture() -> (minidb::SharedDb, Arc<FuncRegistry>) {
         let mut db = Database::new();
         let schema = Schema::new(vec![
             Column::new("id", DataType::Int),
@@ -175,23 +194,19 @@ mod tests {
                 .unwrap();
         }
         t.analyze();
-        (
-            minidb::shared(db),
-            Arc::new(FuncRegistry::with_builtins()),
-            Arc::new(Clock::new()),
-        )
+        (minidb::shared(db), Arc::new(FuncRegistry::with_builtins()))
     }
 
     #[test]
     fn query_charges_round_trip_and_transfer() {
-        let (db, funcs, clock) = fixture();
+        let (db, funcs) = fixture();
         let net = NetworkProfile::new("test", 8e6, 10.0); // 1 MB/s, 10 ms RTT
-        let remote = RemoteDb::new(db, funcs, net, clock.clone());
+        let remote = RemoteDb::new(db, funcs, net, Prices::default());
         let plan = minidb::sql::parse("select * from t").unwrap();
         let r = remote.query(&plan, &HashMap::new()).unwrap();
         assert_eq!(r.len(), 100);
         // 100 rows × 28 B = 2800 B → 2.8 ms transfer; RTT 10 ms.
-        let elapsed = clock.now();
+        let elapsed = remote.clock().now();
         assert!(elapsed >= 10_000_000 + 2_800_000, "elapsed={elapsed}");
         assert_eq!(remote.round_trips(), 1);
         assert_eq!(remote.bytes_transferred(), 2800);
@@ -199,9 +214,9 @@ mod tests {
 
     #[test]
     fn each_query_is_a_round_trip() {
-        let (db, funcs, clock) = fixture();
+        let (db, funcs) = fixture();
         let net = NetworkProfile::new("test", 8e9, 5.0);
-        let remote = RemoteDb::new(db, funcs, net, clock.clone());
+        let remote = RemoteDb::new(db, funcs, net, Prices::default());
         let plan = minidb::sql::parse("select * from t where id = :k").unwrap();
         for i in 0..7 {
             let mut params = HashMap::new();
@@ -210,19 +225,22 @@ mod tests {
             assert_eq!(r.len(), 1, "key {i}");
         }
         assert_eq!(remote.round_trips(), 7);
-        assert!(clock.now() >= 7 * 5_000_000, "N+1 round trips dominate");
+        assert!(
+            remote.clock().now() >= 7 * 5_000_000,
+            "N+1 round trips dominate"
+        );
     }
 
     #[test]
     fn update_mutates_and_charges() {
-        let (db, funcs, clock) = fixture();
+        let (db, funcs) = fixture();
         let net = NetworkProfile::new("test", 8e9, 1.0);
-        let remote = RemoteDb::new(db.clone(), funcs, net, clock.clone());
+        let remote = RemoteDb::new(db.clone(), funcs, net, Prices::default());
         let n = remote
             .update("t", "id", &Value::Int(5), "name", Value::str("changed"))
             .unwrap();
         assert_eq!(n, 1);
-        assert!(clock.now() >= 1_000_000);
+        assert!(remote.clock().now() >= 1_000_000);
         let dbb = db.read().unwrap();
         let row = &dbb.table("t").unwrap().rows()[5];
         assert_eq!(row[1], Value::str("changed"));
@@ -232,24 +250,22 @@ mod tests {
     fn transfer_overlaps_server_production() {
         // With a huge bandwidth the stream term is dominated by server
         // time; with tiny bandwidth it is dominated by transfer.
-        let (db, funcs, clock) = fixture();
-        let fast = RemoteDb::new(
-            db.clone(),
-            funcs.clone(),
-            NetworkProfile::new("f", 8e12, 0.0),
-            clock.clone(),
-        )
-        .with_server_row_ns(1000.0);
+        let (db, funcs) = fixture();
+        let slow_server = Prices {
+            server_row_ns: 1000.0,
+            ..Prices::default()
+        };
+        let net = NetworkProfile::new("f", 8e12, 0.0);
+        let fast = RemoteDb::new(db.clone(), funcs.clone(), net, slow_server);
         let plan = minidb::sql::parse("select * from t").unwrap();
         fast.query(&plan, &HashMap::new()).unwrap();
-        let fast_time = clock.now();
+        let fast_time = fast.clock().now();
         assert!(fast_time >= 100_000, "server-bound: {fast_time}");
 
-        clock.reset();
-        let slow = RemoteDb::new(db, funcs, NetworkProfile::new("s", 8e3, 0.0), clock.clone())
-            .with_server_row_ns(1000.0);
+        let net = NetworkProfile::new("s", 8e3, 0.0);
+        let slow = RemoteDb::new(db, funcs, net, slow_server);
         slow.query(&plan, &HashMap::new()).unwrap();
         // 2800 B at 1 kB/s = 2.8 s ≫ 0.1 ms server time.
-        assert!(clock.now() >= 2_800_000_000);
+        assert!(slow.clock().now() >= 2_800_000_000);
     }
 }

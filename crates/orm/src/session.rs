@@ -128,9 +128,9 @@ impl Session {
 mod tests {
     use super::*;
     use minidb::{Column, DataType, Database, FuncRegistry, Schema};
-    use netsim::{Clock, NetworkProfile};
+    use netsim::NetworkProfile;
 
-    fn fixture() -> (Session, Arc<Clock>) {
+    fn fixture() -> Session {
         let mut db = Database::new();
         let orders = Schema::new(vec![
             Column::new("o_id", DataType::Int),
@@ -152,12 +152,11 @@ mod tests {
         }
         db.analyze_all();
 
-        let clock = Arc::new(Clock::new());
         let remote = Arc::new(RemoteDb::new(
             minidb::shared(db),
             Arc::new(FuncRegistry::with_builtins()),
             NetworkProfile::new("test", 8e9, 1.0),
-            clock.clone(),
+            crate::Prices::default(),
         ));
         let mut reg = MappingRegistry::new();
         reg.register(EntityMapping::new("Order", "orders", "o_id").many_to_one(
@@ -166,12 +165,12 @@ mod tests {
             "o_customer_sk",
         ));
         reg.register(EntityMapping::new("Customer", "customer", "c_customer_sk"));
-        (Session::new(remote, Arc::new(reg)), clock)
+        Session::new(remote, Arc::new(reg))
     }
 
     #[test]
     fn load_all_is_one_query_and_primes_cache() {
-        let (s, _clock) = fixture();
+        let s = fixture();
         let orders = s.load_all("Order").unwrap();
         assert_eq!(orders.len(), 20);
         assert_eq!(orders.schema().resolve("o_customer_sk").unwrap(), 1);
@@ -184,7 +183,7 @@ mod tests {
 
     #[test]
     fn get_misses_issue_point_queries_and_cache() {
-        let (s, _clock) = fixture();
+        let s = fixture();
         let r = s.get("Customer", &Value::Int(3)).unwrap().unwrap();
         assert_eq!(r.value(1), Value::Int(1963));
         assert_eq!(s.remote().round_trips(), 1);
@@ -195,7 +194,7 @@ mod tests {
 
     #[test]
     fn navigation_produces_n_plus_one_then_saturates() {
-        let (s, _clock) = fixture();
+        let s = fixture();
         let orders = s.load_all("Order").unwrap();
         let mut trips = Vec::new();
         for o in RowRef::all(&orders) {
@@ -210,7 +209,7 @@ mod tests {
 
     #[test]
     fn missing_row_returns_none_without_caching() {
-        let (s, _clock) = fixture();
+        let s = fixture();
         assert!(s.get("Customer", &Value::Int(999)).unwrap().is_none());
         // A retry queries again (absent rows are not negatively cached).
         assert!(s.get("Customer", &Value::Int(999)).unwrap().is_none());
@@ -219,7 +218,7 @@ mod tests {
 
     #[test]
     fn navigation_on_unmapped_field_errors() {
-        let (s, _clock) = fixture();
+        let s = fixture();
         let orders = s.load_all("Order").unwrap();
         let first = RowRef::all(&orders).next().unwrap();
         assert!(s.navigate("Order", "warehouse", &first).is_err());
@@ -227,7 +226,7 @@ mod tests {
 
     #[test]
     fn clear_resets_cache() {
-        let (s, _clock) = fixture();
+        let s = fixture();
         s.load_all("Customer").unwrap();
         assert_eq!(s.l1_size(), 5);
         s.clear();
@@ -239,7 +238,7 @@ mod tests {
 
     #[test]
     fn unmapped_entity_errors() {
-        let (s, _clock) = fixture();
+        let s = fixture();
         assert!(s.load_all("Ghost").is_err());
     }
 }

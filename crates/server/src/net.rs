@@ -15,7 +15,9 @@
 //! [`WireServer::spawn`] binds a listener and serves each connection on
 //! its own thread. Shutdown is cooperative: connection threads use a
 //! read timeout to poll the shutdown flag, and [`WireServer::shutdown`]
-//! unblocks the accept loop by connecting to itself.
+//! unblocks the accept loop by connecting to itself. It is the holder of
+//! the `WireServer` that stops it; no frame does — a peer that can
+//! connect must not be able to stop the server for every tenant.
 //!
 //! **Fault injection.** When the service's [`crate::FaultPlan`] is enabled, the
 //! response write path consults it per reply and injects transport
@@ -215,41 +217,25 @@ fn serve_connection(mut stream: TcpStream, service: CobraService, stop: Arc<Atom
             Ok(None) => return, // clean close or shutdown
             Err(_) => return,
         };
-        let response = handle_request(&service, &body);
-        // Only `Request::Shutdown` is answered with this.
-        let shutdown_after = response == Response::ShuttingDown;
-        if shutdown_after {
-            // Shut down *before* acking, so a client that saw the ack can
-            // rely on the service being stopped. Trip the stop flag first
-            // so other connections and the accept loop wind down too.
-            stop.store(true, Ordering::Release);
-            service.shutdown();
-        }
-        let mut frame = response.encode();
+        let mut frame = handle_request(&service, &body).encode();
         let mut cut = None;
         // Chaos harness: the response write is the transport's seam, so
-        // every transport fault is injected here. The shutdown ack is
-        // exempt — a clean shutdown must stay observable.
-        if !shutdown_after {
-            match faults.decide(FaultSite::Response) {
-                Some(FaultKind::ConnReset) => return, // reply swallowed, peer sees EOF
-                // Length prefix plus half the body, then sever: the peer
-                // is left mid-frame and must reconnect.
-                Some(FaultKind::PartialWrite) => cut = Some(frame.len() / 2),
-                Some(FaultKind::StallRead) => std::thread::sleep(faults.stall_duration()),
-                Some(FaultKind::SlowRead) => std::thread::sleep(faults.slow_duration()),
-                Some(FaultKind::CorruptFrame) => {
-                    // Clobber the response tag: corruption the decoder is
-                    // guaranteed to detect, never silently-wrong fields.
-                    frame[0] = 0xEE;
-                }
-                Some(FaultKind::WorkerPanic) | None => {} // panics inject in the service
+        // every transport fault is injected here.
+        match faults.decide(FaultSite::Response) {
+            Some(FaultKind::ConnReset) => return, // reply swallowed, peer sees EOF
+            // Length prefix plus half the body, then sever: the peer
+            // is left mid-frame and must reconnect.
+            Some(FaultKind::PartialWrite) => cut = Some(frame.len() / 2),
+            Some(FaultKind::StallRead) => std::thread::sleep(faults.stall_duration()),
+            Some(FaultKind::SlowRead) => std::thread::sleep(faults.slow_duration()),
+            Some(FaultKind::CorruptFrame) => {
+                // Clobber the response tag: corruption the decoder is
+                // guaranteed to detect, never silently-wrong fields.
+                frame[0] = 0xEE;
             }
+            Some(FaultKind::WorkerPanic) | None => {} // panics inject in the service
         }
         if write_frame(&mut stream, &frame, cut).is_err() || cut.is_some() {
-            return;
-        }
-        if shutdown_after {
             return;
         }
     }
@@ -281,7 +267,6 @@ fn handle_request(service: &CobraService, body: &[u8]) -> Response {
                 service.close_session(SessionId(session))?;
                 Response::Closed
             }
-            Request::Shutdown => Response::ShuttingDown,
         })
     };
     respond().unwrap_or_else(|e| Response::Error {
@@ -537,19 +522,6 @@ impl WireClient {
             Err(e) => Err(e),
         }
     }
-
-    /// Ask the server to shut down (acknowledged before it stops). A
-    /// retry that cannot reconnect treats that as success — an
-    /// unreachable server is what shutdown asked for.
-    pub fn shutdown_server(&mut self) -> Result<(), ServerError> {
-        let before = self.retries;
-        match self.call(&Request::Shutdown.encode()) {
-            Ok(Response::ShuttingDown) => Ok(()),
-            Ok(other) => Err(unexpected(&other)),
-            Err(ServerError::Io(_)) if self.retries > before => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
 }
 
 fn unexpected(resp: &Response) -> ServerError {
@@ -595,7 +567,7 @@ mod tests {
         assert_eq!(counters.cache_hits, 1);
         client.close_session(session).unwrap();
 
-        client.shutdown_server().unwrap();
+        server.shutdown();
         assert!(server.service().is_shut_down());
         server.shutdown(); // idempotent
     }

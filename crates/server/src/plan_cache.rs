@@ -2,9 +2,11 @@
 //!
 //! Keys are `(PlanFingerprint, CacheStamp)` — a hash of the submitted
 //! program's wire encoding ([`program_fingerprint`]: identity by bytes, so
-//! a lookup decodes nothing) plus the validity coordinate the estimator
-//! layer already maintains (database instance, stats epoch, feedback
-//! generation, estimation mode). Folding the stamp into the key gives
+//! a lookup decodes nothing) plus a [`CacheStamp`], the validity
+//! coordinate the estimator layer defines. Of its four parts a plan's
+//! stamp varies in two, database instance and stats epoch: the service
+//! pins feedback generation to 0 and estimation mode to 1 where it builds
+//! the stamp (`Tenant::plan_stamp`). Folding the stamp into the key gives
 //! tenant isolation and invalidation for free:
 //!
 //! * two tenants have different `Database::instance_id`s, so identical
@@ -40,8 +42,8 @@ use std::sync::{Arc, Condvar, Mutex};
 pub struct CacheKey {
     /// [`program_fingerprint`] of the whole submitted program.
     pub fingerprint: PlanFingerprint,
-    /// Validity stamp (tenant instance, stats epoch, feedback
-    /// generation, estimation mode).
+    /// Validity stamp: tenant instance and stats epoch (the service pins
+    /// the other two parts).
     pub stamp: CacheStamp,
 }
 

@@ -31,15 +31,27 @@ use crate::snapshot::{
 use crate::sync;
 use cobra_core::{Cobra, CobraBuilder, OptimizationReport, SearchBudget, ValidationConfig};
 use imperative::ast::Program;
-use interp::{Interp, InterpConfig, NormalizedOutcome};
+use interp::NormalizedOutcome;
 use minidb::{CacheStamp, FeedbackStore, FuncRegistry, PlanFingerprint, SharedDb};
-use netsim::{Clock, NetworkProfile};
-use orm::{MappingRegistry, RemoteDb, Session};
+use netsim::NetworkProfile;
+use orm::MappingRegistry;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
+
+/// The search budget under pressure: fewer alternatives per loop, a smaller
+/// memo. Degraded results are *not* retained in the plan cache.
+const DEGRADED_ALTERNATIVES: usize = 8;
+const DEGRADED_MEMO_EXPRS: usize = 512;
+
+/// Check drift every this many executions per tenant.
+const DRIFT_CHECK_EVERY: u64 = 32;
+
+/// Completed submissions remembered per session for idempotent replay (a
+/// retried `Submit` with the same key returns the stored reply).
+const IDEMPOTENCY_WINDOW: usize = 64;
 
 /// Service-wide tuning knobs.
 #[derive(Debug, Clone)]
@@ -53,16 +65,11 @@ pub struct ServerConfig {
     /// Queue depth at which admitted requests switch to the degraded
     /// search budget. Default 8.
     pub degrade_queue_depth: usize,
-    /// The downgraded [`SearchBudget`] used under pressure (fewer
-    /// alternatives per loop, a smaller memo). Degraded results are *not*
-    /// retained in the plan cache.
-    pub degraded_budget: SearchBudget,
     /// Multiplicative estimate-vs-observation divergence at which the
     /// sweeper re-optimizes a tenant's cached plans. Default 4.0.
     pub drift_threshold: f64,
-    /// Check drift every N executions per tenant. Default 32.
-    pub drift_check_every: u64,
-    /// Plan-cache shard count. Default 16.
+    /// Plan-cache shard count. Default 16. Nothing sets it; it is a field
+    /// because the repository's benchmark reads it.
     pub cache_shards: usize,
     /// Runtime-validate plan selection on the full-budget path: the
     /// optimizer's top-k candidates are micro-executed (or judged by
@@ -84,10 +91,6 @@ pub struct ServerConfig {
     /// Consecutive clean submissions after which a `Degraded` server
     /// recovers to `Healthy`. Default 8.
     pub recover_after_ok: u64,
-    /// Completed submissions remembered per session for idempotent
-    /// replay (a retried `Submit` with the same idempotency key returns
-    /// the stored reply instead of re-executing). Default 64.
-    pub idempotency_window: usize,
 }
 
 impl Default for ServerConfig {
@@ -98,17 +101,12 @@ impl Default for ServerConfig {
                 .unwrap_or(4),
             max_queue: 64,
             degrade_queue_depth: 8,
-            degraded_budget: SearchBudget::default()
-                .with_max_alternatives_per_region(8)
-                .with_max_memo_exprs(512),
             drift_threshold: 4.0,
-            drift_check_every: 32,
             cache_shards: 16,
             validate: None,
             faults: FaultPlan::off(),
             degrade_after_faults: 3,
             recover_after_ok: 8,
-            idempotency_window: 64,
         }
     }
 }
@@ -216,11 +214,10 @@ impl TenantSpec {
 struct Tenant {
     name: String,
     db: SharedDb,
-    mappings: Arc<MappingRegistry>,
-    funcs: Arc<FuncRegistry>,
-    network: NetworkProfile,
     feedback: Option<Arc<FeedbackStore>>,
-    /// Full-budget optimizer (the plan cache's compute path).
+    /// Full-budget optimizer (the plan cache's compute path), and what
+    /// runs every plan: over the tenant's network, at its catalog's prices,
+    /// recording into `feedback`.
     cobra: Cobra,
     /// Degraded-budget optimizer used under admission pressure.
     cobra_degraded: Cobra,
@@ -232,9 +229,12 @@ struct Tenant {
 }
 
 impl Tenant {
-    /// The tenant's current plan-cache stamp. `feedback_generation` is
-    /// pinned (see the module docs): plans invalidate on stats-epoch
-    /// bumps, not on every observation.
+    /// The tenant's current plan-cache stamp. Of the four parts of a
+    /// [`CacheStamp`] only two vary here: `feedback_generation` is pinned
+    /// to 0 (see the module docs: plans invalidate on stats-epoch bumps,
+    /// not on every observation) and `mode` to 1 (every tenant estimates
+    /// with histograms), so a plan's validity is its tenant's database
+    /// instance and stats epoch.
     fn plan_stamp(&self) -> CacheStamp {
         let db = self.db.read().unwrap_or_else(|e| e.into_inner());
         CacheStamp {
@@ -260,81 +260,89 @@ struct SessionState {
     replies: Mutex<VecDeque<(u64, SubmitReply)>>,
 }
 
-/// A snapshot of every server-wide counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerCounters {
+/// States every server-wide counter once. A row is the field, its position
+/// in a `Counters` reply (append-only: a new counter takes the next number
+/// wherever its row stands, so bytes already written keep their meaning),
+/// and the text `Display` puts before and after its value; rows stand in
+/// `Display` order. The struct, its `Display` and its wire encoding derive
+/// from the rows, so adding a counter is a row here and its source in
+/// [`CobraService::counters`].
+macro_rules! server_counters {
+    ($($(#[$doc:meta])* $name:ident = $wire:literal, $before:literal, $after:literal;)*) => {
+        /// A snapshot of every server-wide counter.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct ServerCounters {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl ServerCounters {
+            const COUNT: usize = [$($wire),*].len();
+
+            /// One `u64` per counter, in wire position.
+            pub(crate) fn put(&self, w: &mut codec::ByteWriter) {
+                let mut values = [0u64; Self::COUNT];
+                $(values[$wire] = self.$name;)*
+                values.iter().for_each(|&v| w.u64(v));
+            }
+
+            pub(crate) fn get(r: &mut codec::ByteReader) -> Result<ServerCounters, ServerError> {
+                let mut values = [0u64; Self::COUNT];
+                for v in &mut values {
+                    *v = r.u64()?;
+                }
+                Ok(ServerCounters { $($name: values[$wire],)* })
+            }
+        }
+
+        impl std::fmt::Display for ServerCounters {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                $(write!(f, concat!($before, "{}", $after), self.$name)?;)*
+                Ok(())
+            }
+        }
+    };
+}
+
+server_counters! {
     /// Plan-cache lookups served from a completed entry.
-    pub cache_hits: u64,
+    cache_hits = 0, "cache: ", " hits";
     /// Optimizer runs (cache misses, including degraded ones).
-    pub cache_misses: u64,
+    cache_misses = 1, " / ", " misses";
+    /// Wire submissions whose program was decoded — a hit decodes nothing.
+    programs_decoded = 16, " (", " programs decoded)";
     /// Submissions that joined another session's in-flight search.
-    pub coalesced: u64,
+    coalesced = 2, " / ", " coalesced";
     /// Plans hot-swapped by the drift sweeper.
-    pub plans_swapped: u64,
+    plans_swapped = 3, " / ", " swapped";
     /// Stale cache entries evicted after swaps.
-    pub evicted: u64,
+    evicted = 4, " / ", " evicted";
     /// Requests admitted.
-    pub admitted: u64,
+    admitted = 5, "\nadmission: ", " admitted";
     /// Requests shed with `Overloaded`.
-    pub rejected: u64,
+    rejected = 6, " / ", " rejected";
     /// Requests served under the degraded budget.
-    pub degraded: u64,
+    degraded = 7, " / ", " degraded";
     /// Sessions opened over the server's lifetime.
-    pub sessions_opened: u64,
+    sessions_opened = 8, "\nsessions: ", " opened";
     /// Registered tenants.
-    pub tenants: u64,
+    tenants = 9, " across ", " tenants";
     /// Programs executed.
-    pub executions: u64,
+    executions = 10, "; ", " executions";
     /// Drift sweeps that re-optimized at least one plan.
-    pub drift_swaps: u64,
+    drift_swaps = 11, "; ", " drift sweeps acted";
     /// Optimizations (cache fills and sweeper hot swaps) where runtime
     /// validation promoted a *measured* winner over the cost model's
     /// argmin. Always 0 unless [`ServerConfig::validate`] is set.
-    pub validated_promotions: u64,
+    validated_promotions = 12, "; ", " validated promotions";
     /// Worker panics caught and returned as [`ServerError::Internal`].
-    pub internal_errors: u64,
+    internal_errors = 13, "\nresilience: ", " internal errors";
     /// Retried submissions answered from the per-session reply window
     /// instead of re-executing.
-    pub idempotent_replays: u64,
-    /// Plans recovered from a snapshot at restore time.
-    pub restored_plans: u64,
-    /// Wire submissions whose program was decoded — a hit decodes nothing.
-    pub programs_decoded: u64,
-}
-
-impl std::fmt::Display for ServerCounters {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "cache: {} hits / {} misses ({} programs decoded) / {} coalesced / {} swapped / {} evicted",
-            self.cache_hits,
-            self.cache_misses,
-            self.programs_decoded,
-            self.coalesced,
-            self.plans_swapped,
-            self.evicted
-        )?;
-        writeln!(
-            f,
-            "admission: {} admitted / {} rejected / {} degraded",
-            self.admitted, self.rejected, self.degraded
-        )?;
-        writeln!(
-            f,
-            "sessions: {} opened across {} tenants; {} executions; {} drift sweeps acted; \
-             {} validated promotions",
-            self.sessions_opened,
-            self.tenants,
-            self.executions,
-            self.drift_swaps,
-            self.validated_promotions
-        )?;
-        write!(
-            f,
-            "resilience: {} internal errors / {} idempotent replays / {} restored plans",
-            self.internal_errors, self.idempotent_replays, self.restored_plans
-        )
-    }
+    idempotent_replays = 14, " / ", " idempotent replays";
+    /// Entries recovered from a snapshot at restore time: plans *and*
+    /// feedback observations, summed (the name predates the second; the
+    /// field and its wire position are kept for clients that read them).
+    restored_plans = 15, " / ", " restored plans + observations";
 }
 
 /// The reply to one submission: plan identity, how the cache satisfied
@@ -528,15 +536,13 @@ impl CobraService {
             full = full.validate_selection(v.clone());
         }
         let cobra = full.build();
-        let cobra_degraded = builder()
-            .budget(self.inner.config.degraded_budget.clone())
-            .build();
+        let degraded_budget = SearchBudget::default()
+            .with_max_alternatives_per_region(DEGRADED_ALTERNATIVES)
+            .with_max_memo_exprs(DEGRADED_MEMO_EXPRS);
+        let cobra_degraded = builder().budget(degraded_budget).build();
         let tenant = Arc::new(Tenant {
             name: spec.name,
             db: spec.db,
-            mappings: Arc::new(spec.mappings),
-            funcs: spec.funcs,
-            network: spec.network,
             feedback,
             cobra,
             cobra_degraded,
@@ -741,17 +747,18 @@ impl CobraService {
                 .fetch_add(1, Ordering::Relaxed);
         }
 
-        // Execute the optimized program on a fresh ORM session/clock (one
-        // submission = one transaction, as in the paper's measurements).
-        // Execution runs inside `catch_unwind` for the same reason the
-        // search does: a panicking worker fails this request with a typed
-        // error instead of tearing the serving thread down.
+        // Execute the optimized program as the tenant's optimizer priced
+        // it, on a fresh connection (one submission = one transaction, as
+        // in the paper's measurements). Execution runs inside
+        // `catch_unwind` for the same reason the search does: a panicking
+        // worker fails this request with a typed error instead of tearing
+        // the serving thread down.
         let runnable = cached.runnable();
         let outcome = match catch_unwind(AssertUnwindSafe(|| {
             if let Some(FaultKind::WorkerPanic) = faults.decide(FaultSite::Execute) {
                 panic!("injected worker panic (execute)");
             }
-            self.execute(&tenant, runnable)
+            tenant.cobra.run(runnable).map_err(ServerError::from)
         })) {
             Ok(Ok(outcome)) => outcome,
             Ok(Err(e)) => return Err(e),
@@ -775,7 +782,7 @@ impl CobraService {
 
         // Drift check every N executions per tenant: wake the sweeper.
         let execs = tenant.executions.fetch_add(1, Ordering::Relaxed) + 1;
-        if tenant.feedback.is_some() && execs % self.inner.config.drift_check_every == 0 {
+        if tenant.feedback.is_some() && execs % DRIFT_CHECK_EVERY == 0 {
             self.signal_sweeper();
         }
 
@@ -795,30 +802,11 @@ impl CobraService {
         if idempotency != 0 {
             let mut replies = sync::lock(&state.replies);
             replies.push_back((idempotency, reply.clone()));
-            let window = self.inner.config.idempotency_window.max(1);
-            while replies.len() > window {
+            while replies.len() > IDEMPOTENCY_WINDOW {
                 replies.pop_front();
             }
         }
         Ok(reply)
-    }
-
-    fn execute(&self, tenant: &Tenant, program: &Program) -> Result<interp::Outcome, ServerError> {
-        let clock = Arc::new(Clock::new());
-        let mut remote = RemoteDb::new(
-            tenant.db.clone(),
-            tenant.funcs.clone(),
-            tenant.network.clone(),
-            clock,
-        );
-        if let Some(fb) = &tenant.feedback {
-            remote = remote.with_feedback(fb.clone());
-        }
-        let session = Session::new(Arc::new(remote), tenant.mappings.clone());
-        Interp::new(&session, program)
-            .with_config(InterpConfig::default())
-            .run(vec![])
-            .map_err(ServerError::from)
     }
 
     /// The full [`OptimizationReport`] for the session's last submitted

@@ -1,10 +1,10 @@
-//! Shared experiment harness: fixtures, sessions and program execution.
+//! Shared experiment harness: fixtures and program execution.
 
 use imperative::ast::Program;
-use interp::{Interp, InterpConfig, Outcome};
+use interp::{Endpoint, Outcome};
 use minidb::{DbResult, ExecEngine, FuncRegistry};
-use netsim::{Clock, NetworkProfile};
-use orm::{MappingRegistry, RemoteDb, Session};
+use netsim::NetworkProfile;
+use orm::{MappingRegistry, Prices};
 
 use std::sync::Arc;
 
@@ -49,19 +49,6 @@ impl Fixture {
             .funcs(self.funcs.clone())
     }
 
-    /// This fixture over a *different* shared database handle — same
-    /// mappings and functions, the handle adopted as is (no re-wrapping
-    /// into a fresh `Arc<RwLock<_>>`). Sessions and optimizers built from
-    /// the result share `db` with everything else holding that handle,
-    /// which is what a server needs: N sessions against one database.
-    pub fn with_db(&self, db: minidb::SharedDb) -> Fixture {
-        Fixture {
-            db,
-            mapping: self.mapping.clone(),
-            funcs: self.funcs.clone(),
-        }
-    }
-
     /// An independent tenant copy: the database is deep-copied (minting a
     /// fresh `Database::instance_id`, so cached estimates and plans for
     /// this fixture can never be served for the original — the
@@ -70,41 +57,25 @@ impl Fixture {
     /// data are still distinct cache tenants.
     pub fn fork_db(&self) -> Fixture {
         let copy = self.db.read().unwrap().clone();
-        self.with_db(minidb::shared(copy))
+        Fixture {
+            db: minidb::shared(copy),
+            ..self.clone()
+        }
     }
 
-    /// Open a fresh session over `net` with its own virtual clock.
-    pub fn session(&self, net: NetworkProfile) -> (Session, Arc<Clock>) {
-        self.session_on(net, ExecEngine::default())
-    }
-
-    /// [`Fixture::session`], pinned to a specific execution engine —
-    /// the differential suite runs the same programs on
-    /// [`ExecEngine::Columnar`] and [`ExecEngine::Row`] and compares.
-    pub fn session_on(&self, net: NetworkProfile, engine: ExecEngine) -> (Session, Arc<Clock>) {
-        let clock = Arc::new(Clock::new());
-        let remote = Arc::new(
-            RemoteDb::new(self.db.clone(), self.funcs.clone(), net, clock.clone())
-                .with_engine(engine),
-        );
-        (Session::new(remote, Arc::new(self.mapping.clone())), clock)
-    }
-
-    /// [`Fixture::session`], with every executed query recording its
-    /// observed cardinality into `feedback` (the runtime half of the
-    /// cardinality feedback loop — pair it with
-    /// `CobraBuilder::feedback`).
-    pub fn session_with_feedback(
-        &self,
-        net: NetworkProfile,
-        feedback: Arc<minidb::FeedbackStore>,
-    ) -> (Session, Arc<Clock>) {
-        let clock = Arc::new(Clock::new());
-        let remote = Arc::new(
-            RemoteDb::new(self.db.clone(), self.funcs.clone(), net, clock.clone())
-                .with_feedback(feedback),
-        );
-        (Session::new(remote, Arc::new(self.mapping.clone())), clock)
+    /// This fixture as something to run a program on: across `net`, at the
+    /// default prices — a fixture has no catalog; a run that should charge
+    /// an optimizer's is [`cobra_core::Cobra::run`].
+    fn endpoint(&self, net: NetworkProfile) -> Endpoint {
+        Endpoint {
+            db: self.db.clone(),
+            funcs: self.funcs.clone(),
+            mappings: Arc::new(self.mapping.clone()),
+            net,
+            prices: Prices::default(),
+            feedback: None,
+            engine: ExecEngine::default(),
+        }
     }
 }
 
@@ -112,8 +83,7 @@ impl Fixture {
 /// simulated time. Each run uses a fresh session and clock (a fresh
 /// transaction, as in the paper's per-run measurements).
 pub fn run_on(fixture: &Fixture, net: NetworkProfile, program: &Program) -> DbResult<RunResult> {
-    let (session, _clock) = fixture.session(net);
-    run_in(&session, program)
+    run(fixture.endpoint(net), program)
 }
 
 /// [`run_on`], pinned to a specific execution engine. The columnar and
@@ -125,8 +95,11 @@ pub fn run_on_engine(
     engine: ExecEngine,
     program: &Program,
 ) -> DbResult<RunResult> {
-    let (session, _clock) = fixture.session_on(net, engine);
-    run_in(&session, program)
+    let on = Endpoint {
+        engine,
+        ..fixture.endpoint(net)
+    };
+    run(on, program)
 }
 
 /// [`run_on`], additionally recording every executed query's observed
@@ -139,14 +112,15 @@ pub fn run_on_with_feedback(
     program: &Program,
     feedback: Arc<minidb::FeedbackStore>,
 ) -> DbResult<RunResult> {
-    let (session, _clock) = fixture.session_with_feedback(net, feedback);
-    run_in(&session, program)
+    let on = Endpoint {
+        feedback: Some(feedback),
+        ..fixture.endpoint(net)
+    };
+    run(on, program)
 }
 
-fn run_in(session: &Session, program: &Program) -> DbResult<RunResult> {
-    let outcome = Interp::new(session, program)
-        .with_config(InterpConfig::default())
-        .run(vec![])?;
+fn run(on: Endpoint, program: &Program) -> DbResult<RunResult> {
+    let outcome = interp::run_program(on, program)?;
     let secs = netsim::ns_to_secs(outcome.elapsed_ns);
     Ok(RunResult { outcome, secs })
 }

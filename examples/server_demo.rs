@@ -11,7 +11,7 @@
 //! 4. the drift sweeper notices the model/observation divergence and
 //!    hot-swaps the cached plan against observed cardinalities;
 //! 5. the next submission hits the *re-optimized* plan;
-//! 6. clean shutdown via the wire protocol.
+//! 6. clean shutdown, by the holder of the server.
 
 use cobra::minidb::{self, Column, DataType, Schema, Value};
 use cobra::prelude::*;
@@ -193,9 +193,9 @@ fn main() {
     println!("\n--- server counters ---\n{counters}");
     assert!(counters.plans_swapped >= 1);
 
-    // 6. Clean shutdown over the wire.
+    // 6. Clean shutdown: the process that started the server stops it.
     client.close_session(session).expect("close");
-    client.shutdown_server().expect("shutdown");
+    server.shutdown();
     assert!(server.service().is_shut_down());
     println!("\nserver shut down cleanly");
 }

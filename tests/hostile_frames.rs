@@ -210,6 +210,44 @@ fn the_server_answers_every_hostile_frame_and_keeps_serving() {
     server.shutdown();
 }
 
+/// Request tag 6 asked the server to shut down, and any peer that could
+/// connect could send it. It is no request now: the peer gets the typed
+/// error an unassigned tag gets, and a client on another connection is
+/// served as before and after.
+#[test]
+fn no_frame_stops_the_server() {
+    let case = GenCase::from_seed(0, &GenConfig::default());
+    let fx = case.fixture();
+    let service = CobraService::new(ServerConfig::default());
+    service.register_tenant(TenantSpec::new(
+        "t0",
+        fx.db.clone(),
+        fx.mapping.clone(),
+        fx.funcs.clone(),
+    ));
+    let server = WireServer::spawn(service, "127.0.0.1:0").expect("bind");
+    let mut client = WireClient::connect(server.local_addr()).expect("connect");
+    let session = client.open_session("t0").expect("session opens");
+    let before = client.submit(session, &case.program).expect("served");
+
+    let mut peer = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    let protocol = ServerError::Protocol(String::new()).code();
+    let reply = exchange(&mut peer, &[6]);
+    assert!(
+        matches!(&reply, Response::Error { code, message }
+            if *code == protocol && message.contains("request tag")),
+        "tag 6 answered with {reply:?}"
+    );
+
+    assert!(!server.service().is_shut_down());
+    let after = client.submit(session, &case.program).expect("still served");
+    assert_eq!(after.cache, CacheOutcome::Hit);
+    assert_eq!(after.results, before.results);
+    let mut late = WireClient::connect(server.local_addr()).expect("still accepting");
+    late.open_session("t0").expect("sessions still open");
+    server.shutdown();
+}
+
 /// `name(n) { y = callee(n); return y; }`
 fn calling(name: &str, callee: &str) -> Function {
     let call = StmtKind::LetCall("y".into(), callee.into(), vec![Expr::var("n")]);

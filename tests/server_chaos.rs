@@ -463,6 +463,5 @@ fn faults_off_is_behavior_identical_to_the_unfaulted_wire() {
     assert_eq!(warm.results, cold.results);
     assert_eq!(client.retries(), 0, "nothing to retry");
     assert_eq!(server.service().config().faults.total_injected(), 0);
-    client.shutdown_server().unwrap();
     server.shutdown();
 }

@@ -13,6 +13,10 @@
 //!    promoted candidate's.
 //! 3. **The server honors it** — `ServerConfig::validate` routes cache
 //!    fills through validated selection and counts measured promotions.
+//! 4. **Measured on the clock the catalog describes** — the shrunk-fixture
+//!    runs, like `Cobra::run`, charge the optimizer's own catalog's
+//!    `cz_ns` and `server_row_ns`, so a price that moves the estimate
+//!    moves the measurement it is held against.
 
 use cobra::prelude::*;
 use cobra::server::CobraService;
@@ -160,8 +164,9 @@ fn validation_records_are_consistent_and_promotions_are_measured() {
             let win = v.candidates[v.promoted_rank]
                 .measured_ns
                 .expect("promoted winner was measured");
+            // `validation::MIN_SPEEDUP`, the bar a challenger must clear.
             assert!(
-                base / win >= vcfg.min_speedup,
+                base / win >= 1.02,
                 "promotion clears the speedup bar: base {base} ns vs win {win} ns"
             );
             assert!(!v.agreement, "a promotion is by definition a disagreement");
@@ -294,4 +299,96 @@ fn server_routes_cache_fills_through_validated_selection() {
         "the skewed corpus promotes at least one measured winner"
     );
     service.shutdown();
+}
+
+/// A price in the catalog is a price on the clock. Scale `server_row_ns`
+/// or `cz_ns` by ten and (a) what validated selection *measures* for every
+/// candidate of P0 and of P1 rises, as what it predicts for them does —
+/// compared as sorted lists, so a reordering of the candidates cannot hide
+/// a measurement that stayed put; (b) the full-scale run of P0 / P1 / P2
+/// from the same `Cobra` moves by what the estimate moved by, and estimate
+/// and run name the same cheapest program of the three at every price
+/// point. Before the run read the catalog, both were the default clock's
+/// whatever the catalog said.
+#[test]
+fn a_catalog_price_moves_the_measurement_and_the_run_with_the_estimate() {
+    let fixture = motivating::build_fixture(20_000, 5_000, 7);
+    let base = CostCatalog::default();
+    let scaled = [
+        CostCatalog {
+            server_row_ns: base.server_row_ns * 10.0,
+            ..base.clone()
+        },
+        CostCatalog {
+            cz_ns: base.cz_ns * 10.0,
+            ..base.clone()
+        },
+    ];
+    let cobra_at = |catalog: &CostCatalog| {
+        fixture
+            .cobra_builder()
+            .network(NetworkProfile::fast_local())
+            .catalog(catalog.clone())
+            .validate_selection(ValidationConfig::default())
+            .build()
+    };
+    let programs = [motivating::p0(), motivating::p1(), motivating::p2()];
+
+    // (a) predicted and measured, ascending, of every validated candidate.
+    let validated = |catalog: &CostCatalog, program: &Program| {
+        let optimized = cobra_at(catalog).optimize_program(program).unwrap();
+        let v = optimized.validation.expect("several candidates");
+        assert_eq!(v.source, cobra::core::ValidationSource::Execution);
+        let mut predicted: Vec<f64> = v.candidates.iter().map(|c| c.predicted_cost_ns).collect();
+        let measured = v.candidates.iter().map(|c| c.measured_ns.expect("ran"));
+        let mut measured: Vec<f64> = measured.collect();
+        predicted.sort_by(f64::total_cmp);
+        measured.sort_by(f64::total_cmp);
+        (predicted, measured)
+    };
+    let rises = |from: &[f64], to: &[f64]| {
+        from.len() == to.len() && from.iter().zip(to).all(|(a, b)| a < b)
+    };
+    for program in &programs[..2] {
+        let (predicted, measured) = validated(&base, program);
+        for catalog in &scaled {
+            let (predicted_at, measured_at) = validated(catalog, program);
+            assert!(
+                rises(&predicted, &predicted_at),
+                "estimates rise: {predicted:?} -> {predicted_at:?}"
+            );
+            assert!(
+                rises(&measured, &measured_at),
+                "measurements rise with them: {measured:?} -> {measured_at:?}"
+            );
+        }
+    }
+
+    // (b) estimate and run of the three programs as written.
+    let priced = |catalog: &CostCatalog| -> (Vec<f64>, Vec<f64>) {
+        let cobra = cobra_at(catalog);
+        let est = programs.iter().map(|p| cobra.cost_of(p.entry()));
+        let run = programs
+            .iter()
+            .map(|p| cobra.run(p).expect("runs").elapsed_ns as f64);
+        (est.collect(), run.collect())
+    };
+    let cheapest = |of: &[f64]| (0..of.len()).min_by(|&a, &b| of[a].total_cmp(&of[b]));
+    let (est_default, run_default) = priced(&base);
+    assert_eq!(cheapest(&est_default), cheapest(&run_default));
+    for catalog in &scaled {
+        let (est, run) = priced(catalog);
+        assert_eq!(
+            cheapest(&est),
+            cheapest(&run),
+            "estimate and run disagree on the cheapest of P0/P1/P2: {est:?} / {run:?}"
+        );
+        for i in 0..programs.len() {
+            let (moved_est, moved_run) = (est[i] - est_default[i], run[i] - run_default[i]);
+            assert!(
+                moved_run > 0.0 && (moved_run / moved_est - 1.0).abs() < 0.05,
+                "the estimate moved by {moved_est} ns, the run by {moved_run} ns"
+            );
+        }
+    }
 }

@@ -11,13 +11,33 @@
 //!
 //! Widen locally with `DIFF_SEEDS=1000 cargo test --release --test
 //! engine_differential`.
+//!
+//! What the two engines agree on is also pinned, as one digest per test
+//! over the columnar side of every comparison (at the default seed count):
+//! the row engine vouches for these values here, and the digests hold them
+//! for as long as nothing else runs beside the columnar engine.
 
 use cobra::interp::Outcome;
-use cobra::minidb::ExecEngine;
+use cobra::minidb::{ExecEngine, StableHasher};
 use cobra::netsim::NetworkProfile;
 use cobra::oracle::mid_range;
 use cobra::workloads::genprog::{GenCase, GenConfig};
 use cobra::workloads::harness::run_on_engine;
+use std::hash::{Hash, Hasher};
+
+#[path = "support/shapes.rs"]
+mod shapes;
+
+/// Per program and profile: normalized observables, `elapsed_ns`, round
+/// trips and statements of the columnar run, 200 seeds, as written and as
+/// optimized.
+const CORPUS_DIGEST: u64 = 0xc285_d3aa_3f78_0e60;
+/// The same over the skewed corpus, as written.
+const SKEWED_CORPUS_DIGEST: u64 = 0xa208_2093_78a5_f56f;
+/// Per case: schema, `ExecWork` and rows in order.
+const LARGE_JOINS_DIGEST: u64 = 0xf3c9_4436_d9b1_be73;
+const OLAP_SHAPES_DIGEST: u64 = 0x4449_5f72_f1b7_e72d;
+const JOIN_PATHS_DIGEST: u64 = 0xd1a6_7799_9939_25ff;
 
 /// The three network profiles of the oracle matrix.
 fn profiles() -> Vec<NetworkProfile> {
@@ -56,12 +76,14 @@ fn observables(
 }
 
 /// Run `program` on both engines over `net` (fresh fixture each, so runs
-/// cannot contaminate each other) and assert every observable matches.
+/// cannot contaminate each other), assert every observable matches and
+/// feed the columnar side to `pin`.
 fn assert_engines_agree(
     case: &GenCase,
     net: &NetworkProfile,
     program: &cobra::imperative::ast::Program,
     label: &str,
+    pin: &mut StableHasher,
 ) {
     let col = run_on_engine(&case.fixture(), net.clone(), ExecEngine::Columnar, program);
     let row = run_on_engine(&case.fixture(), net.clone(), ExecEngine::Row, program);
@@ -78,6 +100,9 @@ fn assert_engines_agree(
                 label,
                 case.pretty()
             );
+            let (normalized, elapsed_ns, round_trips, stmts) = c_obs;
+            normalized.to_string().hash(pin);
+            (elapsed_ns, round_trips, stmts).hash(pin);
         }
         (Err(ce), Err(_)) => panic!(
             "both engines error on seed={} profile={} program={} (generator bug): {ce}",
@@ -96,6 +121,10 @@ fn assert_engines_agree(
     }
 }
 
+fn assert_pinned(pin: StableHasher, digest: u64, what: &str) {
+    assert_eq!(pin.finish(), digest, "{what}: {:#018x}", pin.finish());
+}
+
 /// The acceptance sweep: ≥200 seeds × 3 network profiles, original *and*
 /// optimized programs (the optimized side adds the join/aggregate shapes
 /// the rewrites introduce), bit-identical observables and work-derived
@@ -104,10 +133,11 @@ fn assert_engines_agree(
 fn corpus_agrees_across_engines_and_profiles() {
     let n = seed_count(200);
     let cfg = GenConfig::default();
+    let mut pin = StableHasher::new();
     for seed in 0..n {
         let case = GenCase::from_seed(seed, &cfg);
         for net in profiles() {
-            assert_engines_agree(&case, &net, &case.program, "original");
+            assert_engines_agree(&case, &net, &case.program, "original", &mut pin);
             // Optimize against this profile and run the chosen rewrite
             // through both engines too.
             let cobra = case.fixture().cobra_builder().network(net.clone()).build();
@@ -116,8 +146,11 @@ fn corpus_agrees_across_engines_and_profiles() {
                 Err(e) => panic!("optimizer error on seed={seed}: {e}"),
             };
             let rewritten = case.program.with_entry(optimized.program.clone());
-            assert_engines_agree(&case, &net, &rewritten, "optimized");
+            assert_engines_agree(&case, &net, &rewritten, "optimized", &mut pin);
         }
+    }
+    if n == 200 {
+        assert_pinned(pin, CORPUS_DIGEST, "corpus");
     }
 }
 
@@ -126,12 +159,14 @@ fn corpus_agrees_across_engines_and_profiles() {
 #[test]
 fn skewed_corpus_agrees_across_engines() {
     let cfg = GenConfig::skewed();
+    let mut pin = StableHasher::new();
     for seed in 1000..1040u64 {
         let case = GenCase::from_seed(seed, &cfg);
         for net in profiles() {
-            assert_engines_agree(&case, &net, &case.program, "original");
+            assert_engines_agree(&case, &net, &case.program, "original", &mut pin);
         }
     }
+    assert_pinned(pin, SKEWED_CORPUS_DIGEST, "skewed corpus");
 }
 
 /// The report names the vectorized engine's batch width.
@@ -150,199 +185,30 @@ fn report_names_the_batch_size() {
 }
 
 /// Joins at a size that fills many buckets of the build table and
-/// composes selection vectors more than once: 20 000 items, 30 000 sales
-/// whose foreign keys are skewed (a few hot items), duplicated and, in one
-/// column, sometimes NULL. Rows, their order and `ExecWork` must be
-/// bit-identical across the two engines.
+/// composes selection vectors more than once (`shapes::sales_db`). Rows,
+/// their order and `ExecWork` must be bit-identical across the two
+/// engines.
 #[test]
 fn large_joins_agree_across_engines() {
-    use cobra::minidb::plan::SortDir;
-    use cobra::minidb::{
-        sql, BinOp, ColRef, Column, DataType, Database, FuncRegistry, LogicalPlan, ScalarExpr,
-        Schema, Value,
-    };
-    use cobra::netsim::rng::StdRng;
-
-    const ITEMS: i64 = 20_000;
     const SALES: i64 = 30_000;
-    let mut rng = StdRng::seed_from_u64(14);
-    let mut db = Database::new();
-
-    let t = db
-        .create_table(
-            "item",
-            Schema::new(vec![
-                Column::new("i_id", DataType::Int),
-                Column::new("i_grp", DataType::Int),
-                Column::new("i_price", DataType::Float),
-                Column::with_width("i_name", DataType::Str, 8),
-            ]),
-        )
-        .unwrap();
-    t.set_primary_key("i_id").unwrap();
-    for i in 0..ITEMS {
-        t.insert(vec![
-            Value::Int(i),
-            Value::Int(rng.gen_range(0..60i64)),
-            Value::Float(rng.gen_range(0..10_000i64) as f64 / 100.0),
-            Value::str(format!("item{}", i % 97)),
-        ])
-        .unwrap();
-    }
-
-    let t = db
-        .create_table(
-            "sale",
-            Schema::new(vec![
-                Column::new("s_id", DataType::Int),
-                Column::new("s_item", DataType::Int),
-                Column::new("s_item_opt", DataType::Int),
-                Column::new("s_qty", DataType::Int),
-            ]),
-        )
-        .unwrap();
-    t.set_primary_key("s_id").unwrap();
-    for s in 0..SALES {
-        // 2 % of the sales go to four hot items; the rest are uniform
-        // over a range a tenth of which has no item.
-        let item = if rng.chance(2) {
-            rng.gen_range(0..4i64)
-        } else {
-            rng.gen_range(0..ITEMS + ITEMS / 10)
-        };
-        let item_opt = if rng.chance(5) {
-            Value::Null
-        } else {
-            Value::Int(item)
-        };
-        let qty = rng.gen_range(1..20i64);
-        t.insert(vec![
-            Value::Int(s),
-            Value::Int(item),
-            item_opt,
-            Value::Int(qty),
-        ])
-        .unwrap();
-    }
-
-    let t = db
-        .create_table(
-            "grp",
-            Schema::new(vec![
-                Column::new("g_id", DataType::Int),
-                Column::with_width("g_label", DataType::Str, 8),
-            ]),
-        )
-        .unwrap();
-    t.set_primary_key("g_id").unwrap();
-    for g in 0..50i64 {
-        t.insert(vec![Value::Int(g), Value::str(format!("g{g}"))])
-            .unwrap();
-    }
-    db.analyze_all();
-
-    let col = ScalarExpr::col;
-    let lt = |c: &str, v: Value| ScalarExpr::bin(BinOp::Lt, col(c), ScalarExpr::Lit(v));
-    let sale_item = || {
-        LogicalPlan::scan("sale").join(
-            LogicalPlan::scan("item"),
-            ScalarExpr::eq(col("s_item"), col("i_id")),
-        )
-    };
-    // join → filter → join → project: three segments, the first two
-    // composed by the filter and again by the second join.
-    let chain = |keep_sales: i64| {
-        sale_item()
-            .select(ScalarExpr::and(
-                lt("i_price", Value::Float(40.0)),
-                lt("s_id", Value::Int(keep_sales)),
-            ))
-            .join(
-                LogicalPlan::scan("grp"),
-                ScalarExpr::eq(col("i_grp"), col("g_id")),
-            )
-            .project(vec![
-                (col("s_id"), "s_id".into()),
-                (col("g_label"), "label".into()),
-                (
-                    ScalarExpr::bin(BinOp::Mul, col("i_price"), col("s_qty")),
-                    "total".into(),
-                ),
-                (col("i_name"), "name".into()),
-            ])
-    };
-    let mut cases: Vec<(String, LogicalPlan)> = [
-        // Typed i64 keys; NULL-able keys (the `Value` path); both ways
-        // round. `item` is indexed, so each also rejects an INL attempt.
-        "select * from sale join item on s_item = i_id",
-        "select * from item join sale on i_id = s_item_opt",
-        "select count(*) as n, sum(s_qty) as q from sale join item on s_item_opt = i_id",
-        // Self-joins on the skewed key, with a residual and without.
-        "select a.s_id, b.s_id, b.s_qty from sale a join sale b \
-         on a.s_item = b.s_item and a.s_qty < b.s_qty",
-        "select count(*) as n from sale a join sale b on a.s_item_opt = b.s_item_opt",
-        // Three-way chain, aggregated and sorted.
-        "select g_label, count(*) as n, sum(s_qty) as q, avg(i_price) as p \
-         from sale join item on s_item = i_id join grp on i_grp = g_id \
-         where s_qty > 3 group by g_label order by g_label",
-        // ORDER BY / LIMIT over a joined chunk.
-        "select * from sale join item on s_item = i_id \
-         where i_price > 90.0 order by i_price desc, s_id limit 100",
-        // Well over 10 000 distinct Int keys: the group table doubles ten
-        // times and more, and the groups still come out in first-seen
-        // order. Then the same key with NULLs (grouped by `Value`), and a
-        // key read through a join's selection with Float arguments.
-        "select s_item, count(*) as n, sum(s_qty) as q, min(s_id) as lo, max(s_qty) as hi, \
-         avg(s_qty) as a from sale group by s_item",
-        "select s_item_opt, count(*) as n, count(s_item_opt) as m, sum(s_qty) as q \
-         from sale group by s_item_opt",
-        "select i_grp, count(*) as n, sum(i_price) as p, min(i_price) as lo, avg(s_qty) as a \
-         from sale join item on s_item = i_id where s_qty < 15 group by i_grp",
-    ]
-    .iter()
-    .map(|text| (text.to_string(), sql::parse(text).expect("query parses")))
-    .collect();
-    cases.extend([
-        ("chain, hash joins throughout".to_string(), chain(SALES)),
-        // Few enough sales survive that `grp`, then a second copy of
-        // `item`, are joined by index lookups driven from a chunk of
-        // several segments.
-        ("chain, INL second join".to_string(), chain(20)),
-        (
-            "chain joined back to item by index".to_string(),
-            sale_item()
-                .select(lt("s_id", Value::Int(300)))
-                .join(
-                    LogicalPlan::scan_as("item", "j"),
-                    ScalarExpr::eq(col("s_qty"), col("j.i_id")),
-                )
-                .order_by(vec![(ColRef::parse("j.i_name"), SortDir::Asc)])
-                .limit(250),
-        ),
-        // No equi conjunct: the nested-loop path over composed inputs.
-        (
-            "nested loop over a joined chunk".to_string(),
-            sale_item().select(lt("s_id", Value::Int(150))).join(
-                LogicalPlan::scan("grp"),
-                ScalarExpr::bin(BinOp::Lt, col("i_grp"), col("g_id")),
-            ),
-        ),
-    ]);
-
-    let funcs = FuncRegistry::with_builtins();
-    for (label, plan) in &cases {
-        let c = assert_plan_agrees(&db, &funcs, label, plan);
+    let db = shapes::sales_db(20_000, SALES);
+    let funcs = cobra::minidb::FuncRegistry::with_builtins();
+    let mut pin = StableHasher::new();
+    for (label, plan) in &shapes::sales_cases(SALES, 20) {
+        let c = assert_plan_agrees(&db, &funcs, label, plan, &mut pin);
         assert!(c.row_count() > 0, "{label}: vacuous");
     }
+    assert_pinned(pin, LARGE_JOINS_DIGEST, "large joins");
 }
 
 /// Run `plan` on both engines, assert schema, `ExecWork`, rows and their
-/// order equal, and return the columnar engine's result.
+/// order equal, feed the columnar engine's to `pin` and return its result.
 fn assert_plan_agrees(
     db: &cobra::minidb::Database,
     funcs: &cobra::minidb::FuncRegistry,
     label: &str,
     plan: &cobra::minidb::LogicalPlan,
+    pin: &mut StableHasher,
 ) -> cobra::minidb::QueryResult {
     let run = |engine| {
         cobra::minidb::Executor::new(db, funcs)
@@ -360,78 +226,40 @@ fn assert_plan_agrees(
             c.rows[k], r.rows[k]
         );
     }
+    format!("{:?}", c.schema).hash(pin);
+    (c.work.startup_rows, c.work.total_rows, &c.rows).hash(pin);
     c
 }
 
 /// The five plan shapes of `cobra_bench`'s `exec_olap` workload, on its
-/// schema (`GenSchema` seed 2024, `GenConfig::large()`) at a row scale the
-/// row engine can follow and that still spans a dozen batches. The
-/// benchmark checks these against its own reference; only here are their
-/// rows, order and `ExecWork` held to the row engine's.
+/// schema at a row scale the row engine can follow and that still spans a
+/// dozen batches. The benchmark checks these against its own reference;
+/// only here are their rows, order and `ExecWork` held to the row
+/// engine's.
 #[test]
 fn olap_shapes_agree_across_engines() {
-    use cobra::minidb::plan::AggItem;
-    use cobra::minidb::{sql, AggFunc, BinOp, LogicalPlan, ScalarExpr};
-    use cobra::netsim::rng::StdRng;
-    use cobra::workloads::genprog::GenSchema;
-
-    let schema = GenSchema::generate(&mut StdRng::seed_from_u64(2024), &GenConfig::large());
-    let fixture = schema.build_fixture(1, 0.01);
+    let fixture = shapes::olap_fixture(0.01);
     let db = fixture.db.read().expect("fixture lock");
     let t0_rows = db.table("t0").unwrap().row_count();
     assert!(
         t0_rows > 8 * cobra::minidb::BATCH_SIZE,
         "t0 has {t0_rows} rows"
     );
-
-    let lt = |c: &str, v: i64| ScalarExpr::bin(BinOp::Lt, ScalarExpr::col(c), ScalarExpr::lit(v));
-    // A filtered build side of a few rows, probed by all of `t1`.
-    let small_build = LogicalPlan::scan("t0")
-        .select(ScalarExpr::and(lt("t0_a", 3), lt("t0_b", 5)))
-        .join(
-            LogicalPlan::scan("t1"),
-            ScalarExpr::eq(ScalarExpr::col("t0_id"), ScalarExpr::col("t1_fk")),
-        )
-        .aggregate(
-            vec![],
-            vec![AggItem {
-                func: AggFunc::Count,
-                arg: None,
-                name: "n".into(),
-            }],
-        );
-    let mut cases: Vec<(&str, LogicalPlan)> = [
-        "select sum(t0_a) as s from t0",
-        "select count(*) as n from t0 where t0_a < 20 and t0_b < 25",
-        "select count(*) as n from t0 join t1 on t0_id = t1_fk where t1_b < 10",
-        "select t0_a, count(*) as n, sum(t0_b) as s from t0 group by t0_a",
-    ]
-    .iter()
-    .map(|text| (*text, sql::parse(text).expect("query parses")))
-    .collect();
-    cases.push(("small filtered build side", small_build));
-
-    for (label, plan) in &cases {
-        let c = assert_plan_agrees(&db, &fixture.funcs, label, plan);
+    let mut pin = StableHasher::new();
+    for (label, plan) in &shapes::olap_cases() {
+        let c = assert_plan_agrees(&db, &fixture.funcs, label, plan, &mut pin);
         let counted = c.rows[0].last().and_then(|v| v.as_i64());
         assert!(counted > Some(0), "{label}: vacuous ({counted:?})");
     }
+    assert_pinned(pin, OLAP_SHAPES_DIGEST, "olap shapes");
 }
 
-/// The hash join's two typed paths where `exec_olap`'s shapes do not take
-/// them: long chains and an output far larger than its inputs on the
-/// directly addressed table, spread-out keys on the hashed one, and a
-/// residual conjunct behind a filtered build side. Same fixture, at a row
-/// scale that keeps the first join's output — which the row engine
-/// materializes — in the low hundreds of thousands of rows.
+/// `shapes::join_path_cases`, at a row scale that keeps the first join's
+/// output — which the row engine materializes — in the low hundreds of
+/// thousands of rows.
 #[test]
 fn join_paths_agree_across_engines() {
-    use cobra::minidb::{BinOp, LogicalPlan, ScalarExpr};
-    use cobra::netsim::rng::StdRng;
-    use cobra::workloads::genprog::GenSchema;
-
-    let schema = GenSchema::generate(&mut StdRng::seed_from_u64(2024), &GenConfig::large());
-    let fixture = schema.build_fixture(1, 0.002);
+    let fixture = shapes::olap_fixture(0.002);
     let db = fixture.db.read().expect("fixture lock");
     let rows = |t: &str| db.table(t).unwrap().row_count();
     let inputs = rows("t0") + rows("t1");
@@ -440,44 +268,14 @@ fn join_paths_agree_across_engines() {
         "t0 has {} rows",
         rows("t0")
     );
-
-    let col = ScalarExpr::col;
-    let lt = |c: &str, v: i64| ScalarExpr::bin(BinOp::Lt, col(c), ScalarExpr::lit(v));
-    // At most 100 distinct values under skew 2.5: a dense range whose
-    // chains are hundreds of rows long.
-    let fan_out = LogicalPlan::scan("t0").join(
-        LogicalPlan::scan("t1"),
-        ScalarExpr::eq(col("t0_a"), col("t1_b")),
-    );
-    // Keys and foreign keys a thousand apart: too wide a range for the
-    // rows that carry it, so hashed.
-    let spread = |table: &str, key: &str, name: &str| {
-        let wide = ScalarExpr::bin(BinOp::Mul, col(key), ScalarExpr::lit(1000i64));
-        LogicalPlan::scan(table).project(vec![(wide, name.into())])
-    };
-    let sparse = spread("t0", "t0_id", "k").join(
-        spread("t1", "t1_fk", "fk"),
-        ScalarExpr::eq(col("k"), col("fk")),
-    );
-    // `exec_olap`'s `join_small_build` with a conjunct the probe does not
-    // prove.
-    let residual = LogicalPlan::scan("t0")
-        .select(ScalarExpr::and(lt("t0_a", 3), lt("t0_b", 5)))
-        .join(
-            LogicalPlan::scan("t1"),
-            ScalarExpr::and(ScalarExpr::eq(col("t0_id"), col("t1_fk")), lt("t1_b", 10)),
-        );
-
-    for (label, plan, at_least) in [
-        ("fan-out on non-key columns", fan_out, 10 * inputs),
-        ("spread-out keys", sparse, 1),
-        ("filtered build side and a residual", residual, 1),
-    ] {
-        let c = assert_plan_agrees(&db, &fixture.funcs, label, &plan);
+    let mut pin = StableHasher::new();
+    for ((label, plan), at_least) in shapes::join_path_cases().iter().zip([10 * inputs, 1, 1]) {
+        let c = assert_plan_agrees(&db, &fixture.funcs, label, plan, &mut pin);
         assert!(
             c.rows.len() >= at_least,
             "{label}: {} rows from {inputs}",
             c.rows.len()
         );
     }
+    assert_pinned(pin, JOIN_PATHS_DIGEST, "join paths");
 }

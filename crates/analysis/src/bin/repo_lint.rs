@@ -28,8 +28,11 @@
 //!   corpus width), `COBRA_SCALE` and `COBRA_QUICK` (figure-binary scale).
 //! * **Deleted stays deleted, and a default price is written once.** What
 //!   PR 22 removed because nothing set or called it does not come back by
-//!   name; 30 ns a statement and 200 ns a server row are literals in
-//!   `orm::Prices::default()` only — the catalog starts from it.
+//!   name, nor does the row engine PR 23 removed with the hook that
+//!   selected it — under `crates/*/src`, and by its three public names
+//!   under `src`, `tests` and `examples` too; 30 ns a statement and 200 ns
+//!   a server row are literals in `orm::Prices::default()` only — the
+//!   catalog starts from it.
 //!
 //! Exit status 0 when clean; 1 with `file:line` diagnostics otherwise.
 //!
@@ -49,6 +52,15 @@ struct Lint {
     patterns: &'static [&'static str],
     why: &'static str,
 }
+
+/// The row engine's public names, split so that this file does not match.
+const ROW_ENGINE_NAMES: &[&str] = &[
+    concat!("Exec", "Engine"),
+    concat!("with_", "engine"),
+    concat!("run_on_", "engine"),
+];
+const ROW_ENGINE_WHY: &str = "removed in PR 23: one engine runs every query, and what it returns \
+                              is held to tests/support/naive.rs (tests/engine_reference.rs)";
 
 const LINTS: &[Lint] = &[
     Lint {
@@ -103,6 +115,36 @@ const LINTS: &[Lint] = &[
             "with_use_feedback",
         ],
         why: "removed in PR 22: nothing set or called it (CHANGES.md says what to use instead)",
+    },
+    Lint {
+        dir: "crates/*/src",
+        exempt: &[],
+        patterns: ROW_ENGINE_NAMES,
+        why: ROW_ENGINE_WHY,
+    },
+    Lint {
+        dir: "src",
+        exempt: &[],
+        patterns: ROW_ENGINE_NAMES,
+        why: ROW_ENGINE_WHY,
+    },
+    Lint {
+        dir: "tests",
+        exempt: &[],
+        patterns: ROW_ENGINE_NAMES,
+        why: ROW_ENGINE_WHY,
+    },
+    Lint {
+        dir: "examples",
+        exempt: &[],
+        patterns: ROW_ENGINE_NAMES,
+        why: ROW_ENGINE_WHY,
+    },
+    Lint {
+        dir: "crates/*/src",
+        exempt: &[],
+        patterns: &[concat!("fn run_", "rows"), concat!("pub fn ", "db(")],
+        why: "removed in PR 23: the row engine's entry point, and a builder setter no caller used",
     },
     Lint {
         dir: "crates/*/src",

@@ -180,19 +180,6 @@ impl CobraBuilder {
         }
     }
 
-    /// Replace the database handle, keeping mappings, functions and the
-    /// rest of the configuration. The handle is adopted **as is** — no
-    /// re-wrapping into a fresh `Arc<RwLock<_>>` — so optimizers built
-    /// from the same `SharedDb` share one database: concurrent server
-    /// sessions see each other's writes and their estimate caches stamp
-    /// against the same `Database::instance_id`. This is what lets one
-    /// pre-configured builder serve as a template across tenants that
-    /// differ only in their database.
-    pub fn db(mut self, db: minidb::SharedDb) -> CobraBuilder {
-        self.db = db;
-        self
-    }
-
     /// Network profile to cost against (default: fast local).
     pub fn network(mut self, network: NetworkProfile) -> CobraBuilder {
         self.config.network = network;

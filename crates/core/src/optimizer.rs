@@ -418,7 +418,6 @@ impl Cobra {
             net: self.config.network.clone(),
             prices: self.config.catalog.prices(),
             feedback: self.feedback.clone(),
-            engine: minidb::ExecEngine::default(),
         }
     }
 

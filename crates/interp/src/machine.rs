@@ -33,8 +33,8 @@
 use crate::value::{ColumnCache, FieldSite, RowObj, RtVal, Snapshot};
 use imperative::ast::{Expr, Function, Program, QuerySpec, Stmt, StmtKind};
 use minidb::{
-    apply_bin_op, BinOp, DbError, DbResult, ExecEngine, FeedbackStore, FuncRegistry, LogicalPlan,
-    ResultSet, RowRef, SharedDb, Value,
+    apply_bin_op, BinOp, DbError, DbResult, FeedbackStore, FuncRegistry, LogicalPlan, ResultSet,
+    RowRef, SharedDb, Value,
 };
 use netsim::NetworkProfile;
 use orm::{MappingRegistry, Prices, RemoteDb, Session};
@@ -59,8 +59,6 @@ pub struct Endpoint {
     pub prices: Prices,
     /// Where executed queries record what they observed, if anywhere.
     pub feedback: Option<Arc<FeedbackStore>>,
-    /// The engine differential's hook for the row reference.
-    pub engine: ExecEngine,
 }
 
 /// Run `program` against `on`: a fresh connection, session and clock (one
@@ -68,7 +66,7 @@ pub struct Endpoint {
 /// `RemoteDb → Session → Interp` is assembled, so what a run is charged is
 /// what `on.prices` says.
 pub fn run_program(on: Endpoint, program: &Program) -> DbResult<Outcome> {
-    let mut remote = RemoteDb::new(on.db, on.funcs, on.net, on.prices).with_engine(on.engine);
+    let mut remote = RemoteDb::new(on.db, on.funcs, on.net, on.prices);
     if let Some(feedback) = on.feedback {
         remote = remote.with_feedback(feedback);
     }

@@ -127,7 +127,8 @@ impl Table {
         }
         let pos = self.rows.len();
         for (&col, index) in self.indexes.iter_mut() {
-            index.entry(row[col].clone()).or_default().push(pos);
+            let key = row[col].clone().unsigned_zero();
+            index.entry(key).or_default().push(pos);
         }
         self.rows.push(row);
         self.version += 1;
@@ -178,13 +179,19 @@ impl Table {
     fn rebuild_index(&mut self, col: usize) {
         let mut index: HashMap<Value, Vec<usize>> = HashMap::with_capacity(self.rows.len());
         for (pos, row) in self.rows.iter().enumerate() {
-            index.entry(row[col].clone()).or_default().push(pos);
+            let key = row[col].clone().unsigned_zero();
+            index.entry(key).or_default().push(pos);
         }
         self.indexes.insert(col, index);
     }
 
-    /// Probe the index on `col` for `key`, if one exists.
+    /// Probe the index on `col` for `key`, if one exists. A zero is filed
+    /// and found without its sign, so that `= 0.0` finds a stored `-0.0`.
     pub fn index_lookup(&self, col: usize, key: &Value) -> Option<&[usize]> {
+        let key = match key {
+            Value::Float(f) if *f == 0.0 => &Value::Float(0.0),
+            key => key,
+        };
         self.indexes
             .get(&col)
             .map(|ix| ix.get(key).map(|v| v.as_slice()).unwrap_or(&[]))
@@ -528,12 +535,75 @@ mod tests {
         assert_eq!(t.columnar().row(10), vec![Value::Int(10), Value::Int(2)]);
     }
 
+    /// Statistics the obvious way, a row and a `Value` at a time: what the
+    /// typed columnar passes of `analyze_columns` must equal bit for bit.
+    fn row_analyze(rows: &[Row], width: usize) -> TableStats {
+        use crate::stats::{ColumnStats, Histogram, HISTOGRAM_BUCKETS};
+        let column = |i: usize| {
+            let present: Vec<&Value> = rows
+                .iter()
+                .map(|r| &r[i])
+                .filter(|v| !v.is_null())
+                .collect();
+            // Only pure-numeric columns get histograms.
+            let numeric: Vec<f64> = present.iter().filter_map(|v| v.as_f64()).collect();
+            let pure = !numeric.is_empty() && numeric.len() == present.len();
+            ColumnStats {
+                ndv: present
+                    .iter()
+                    .collect::<std::collections::HashSet<_>>()
+                    .len() as u64,
+                null_count: (rows.len() - present.len()) as u64,
+                min: present.iter().copied().min().cloned(),
+                max: present.iter().copied().max().cloned(),
+                histogram: pure
+                    .then(|| Histogram::build(numeric, HISTOGRAM_BUCKETS))
+                    .flatten(),
+            }
+        };
+        TableStats {
+            row_count: rows.len() as u64,
+            columns: (0..width).map(column).collect(),
+            analyzed: true,
+        }
+    }
+
     #[test]
     fn columnar_analyze_matches_row_analyze() {
         let db = db_with_orders();
         let t = db.table("orders").unwrap();
-        let row_stats = TableStats::analyze(t.rows(), t.schema().len());
-        assert_eq!(t.stats(), &row_stats);
+        assert_eq!(t.stats(), &row_analyze(t.rows(), t.schema().len()));
+        // Floats, NULLs, strings, a column of nothing but NULLs and one
+        // that mixes types.
+        let mixed = vec![
+            vec![
+                Value::Float(2.5),
+                Value::Null,
+                Value::str("b"),
+                Value::Int(1),
+            ],
+            vec![
+                Value::Float(-0.0),
+                Value::Null,
+                Value::Null,
+                Value::str("x"),
+            ],
+            vec![Value::Null, Value::Null, Value::str("a"), Value::Float(0.5)],
+            vec![
+                Value::Float(0.0),
+                Value::Null,
+                Value::str("b"),
+                Value::Int(1),
+            ],
+        ];
+        let column = |c: usize| {
+            crate::column::ColumnVec::from_values(mixed.iter().map(|r| r[c].clone()).collect())
+        };
+        let columnar = TableStats::analyze_columns(&ColumnTable {
+            cols: (0..4).map(|c| Arc::new(column(c))).collect(),
+            len: mixed.len(),
+        });
+        assert_eq!(columnar, row_analyze(&mixed, 4));
     }
 
     #[test]

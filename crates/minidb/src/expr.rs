@@ -322,16 +322,21 @@ impl ScalarExpr {
 pub fn apply_bin_op(op: BinOp, l: &Value, r: &Value) -> DbResult<Value> {
     use BinOp::*;
     match op {
-        And => match (l.as_bool(), r.as_bool()) {
-            (Some(a), Some(b)) => Ok(Value::Bool(a && b)),
-            _ if l.is_null() || r.is_null() => Ok(Value::Null),
-            _ => Err(DbError::Type(format!("AND on {l} and {r}"))),
-        },
-        Or => match (l.as_bool(), r.as_bool()) {
-            (Some(a), Some(b)) => Ok(Value::Bool(a || b)),
-            _ if l.is_null() || r.is_null() => Ok(Value::Null),
-            _ => Err(DbError::Type(format!("OR on {l} and {r}"))),
-        },
+        And | Or => {
+            // Three-valued: FALSE decides AND and TRUE decides OR whatever
+            // the other side is, a NULL one included.
+            let side = |v: &Value| match v {
+                Value::Bool(b) => Ok(Some(*b)),
+                Value::Null => Ok(None),
+                _ => Err(DbError::Type(format!("{} on {l} and {r}", op.sql()))),
+            };
+            let decides = op == Or;
+            Ok(match (side(l)?, side(r)?) {
+                (Some(a), Some(b)) => Value::Bool(if decides { a || b } else { a && b }),
+                (Some(x), None) | (None, Some(x)) if x == decides => Value::Bool(decides),
+                _ => Value::Null,
+            })
+        }
         Eq | Ne | Lt | Le | Gt | Ge => {
             let ord = match l.sql_cmp(r) {
                 Some(o) => o,
@@ -379,13 +384,15 @@ pub fn apply_bin_op(op: BinOp, l: &Value, r: &Value) -> DbResult<Value> {
                             )))
                         }
                     };
-                    Ok(Value::Float(match op {
-                        Add => a + b,
-                        Sub => a - b,
-                        Mul => a * b,
-                        Div => a / b,
+                    Ok(match op {
+                        Add => Value::Float(a + b),
+                        Sub => Value::Float(a - b),
+                        Mul => Value::Float(a * b),
+                        // As between Ints: no infinity, no NaN.
+                        Div if b == 0.0 => Value::Null,
+                        Div => Value::Float(a / b),
                         _ => unreachable!(),
-                    }))
+                    })
                 }
             }
         }

@@ -8,9 +8,11 @@
 //! * a SQL dialect (lexer + recursive-descent parser) sufficient for every
 //!   query in the paper, and a printer that turns plans back into SQL,
 //! * logical plans ([`plan::LogicalPlan`]) with schema derivation,
-//! * a physical executor with hash joins, index lookups and hash
-//!   aggregation that also accounts the *work* performed, from which the
-//!   simulated server-side execution time is derived,
+//! * a physical executor — one vectorized columnar engine, [`vexec`], with
+//!   hash joins, index lookups and hash aggregation — that also accounts
+//!   the *work* performed, from which the simulated server-side execution
+//!   time is derived; what it returns is held to `tests/support/naive.rs`
+//!   on rows and to pinned digests on row order and [`ExecWork`],
 //! * table statistics and a cardinality/row-size/time [`estimate::Estimator`]
 //!   — the component the paper "consults the database query optimizer" for
 //!   (`C^F_Q`, `C^L_Q`, `N_Q`, `S_row(Q)`).
@@ -54,7 +56,7 @@ pub fn shared(db: Database) -> SharedDb {
 pub use column::{ColumnTable, ColumnVec, NullMask};
 pub use error::{DbError, DbResult};
 pub use estimate::{CacheStamp, Estimate, EstimateCache, Estimator};
-pub use exec::{ExecEngine, ExecWork, Executor, QueryResult};
+pub use exec::{ExecWork, Executor, QueryResult};
 pub use expr::{apply_bin_op, AggFunc, BinOp, ColRef, ScalarExpr};
 pub use feedback::{FeedbackStore, Observation};
 pub use fingerprint::{PlanFingerprint, SharedPlan, StableHasher};

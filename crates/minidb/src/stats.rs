@@ -14,7 +14,7 @@
 
 use crate::column::{ColumnTable, ColumnVec};
 use crate::expr::BinOp;
-use crate::value::{Row, Value};
+use crate::value::Value;
 use std::collections::HashSet;
 
 /// Buckets per equi-depth histogram (fewer when the column has fewer
@@ -205,58 +205,11 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Compute statistics over `rows` with `width` columns.
-    pub fn analyze(rows: &[Row], width: usize) -> TableStats {
-        let mut columns = vec![ColumnStats::empty(); width];
-        let mut distinct: Vec<HashSet<&Value>> = vec![HashSet::new(); width];
-        let mut numeric: Vec<Vec<f64>> = vec![Vec::new(); width];
-        for row in rows {
-            for (i, v) in row.iter().enumerate().take(width) {
-                let stats = &mut columns[i];
-                if v.is_null() {
-                    stats.null_count += 1;
-                    continue;
-                }
-                distinct[i].insert(v);
-                if let Some(x) = v.as_f64() {
-                    numeric[i].push(x);
-                }
-                match &stats.min {
-                    Some(m) if v >= m => {}
-                    _ => stats.min = Some(v.clone()),
-                }
-                match &stats.max {
-                    Some(m) if v <= m => {}
-                    _ => stats.max = Some(v.clone()),
-                }
-            }
-        }
-        for (i, set) in distinct.into_iter().enumerate() {
-            columns[i].ndv = set.len() as u64;
-        }
-        for (i, values) in numeric.into_iter().enumerate() {
-            // Only pure-numeric columns get histograms: a mixed column's
-            // ordering is type-ranked, not numeric, so interpolation over
-            // the numeric subset would misestimate.
-            if !values.is_empty()
-                && values.len() as u64 + columns[i].null_count == rows.len() as u64
-            {
-                columns[i].histogram = Histogram::build(values, HISTOGRAM_BUCKETS);
-            }
-        }
-        TableStats {
-            row_count: rows.len() as u64,
-            columns,
-            analyzed: true,
-        }
-    }
-
     /// Compute statistics from a columnar projection, one typed pass per
-    /// column. Produces exactly the same [`TableStats`] as
-    /// [`TableStats::analyze`] over the row form: distinctness and
-    /// min/max follow [`Value`] semantics (floats by total order), and
-    /// histograms are built from the same numeric multiset, so equal
-    /// inputs yield equal statistics bit for bit.
+    /// column: distinctness and min/max follow [`Value`] semantics (floats
+    /// by total order), a histogram is built for a column whose non-NULL
+    /// values are all numeric. (`catalog.rs`'s tests hold this to a
+    /// row-at-a-time analyzer.)
     pub fn analyze_columns(table: &ColumnTable) -> TableStats {
         let row_count = table.len as u64;
         let columns = table
@@ -459,6 +412,18 @@ impl TableStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Row;
+    use std::sync::Arc;
+
+    /// `rows`, `width` columns wide, through the analyzer `Table::analyze`
+    /// runs: each column typed as its values are.
+    fn analyze(rows: &[Row], width: usize) -> TableStats {
+        let column = |c: usize| ColumnVec::from_values(rows.iter().map(|r| r[c].clone()).collect());
+        TableStats::analyze_columns(&ColumnTable {
+            cols: (0..width).map(|c| Arc::new(column(c))).collect(),
+            len: rows.len(),
+        })
+    }
 
     fn rows() -> Vec<Row> {
         vec![
@@ -471,7 +436,7 @@ mod tests {
 
     #[test]
     fn analyze_counts_rows_and_ndv() {
-        let s = TableStats::analyze(&rows(), 3);
+        let s = analyze(&rows(), 3);
         assert_eq!(s.row_count, 4);
         assert_eq!(s.columns[0].ndv, 3);
         assert_eq!(s.columns[1].ndv, 3);
@@ -482,7 +447,7 @@ mod tests {
 
     #[test]
     fn analyze_tracks_min_max() {
-        let s = TableStats::analyze(&rows(), 3);
+        let s = analyze(&rows(), 3);
         assert_eq!(s.columns[0].min, Some(Value::Int(1)));
         assert_eq!(s.columns[0].max, Some(Value::Int(3)));
         assert_eq!(s.columns[2].min, Some(Value::Int(10)));
@@ -491,7 +456,7 @@ mod tests {
 
     #[test]
     fn eq_selectivity_scales_by_non_null_fraction() {
-        let s = TableStats::analyze(&rows(), 3);
+        let s = analyze(&rows(), 3);
         assert!((s.eq_selectivity(0) - 1.0 / 3.0).abs() < 1e-12);
         // Column 2 is half NULL with 2 distinct values: (2/4) / 2 = 0.25.
         assert!((s.eq_selectivity(2) - 0.25).abs() < 1e-12);
@@ -503,7 +468,7 @@ mod tests {
     fn analyzed_empty_table_estimates_zero_not_ten_percent() {
         // Regression: the pre-histogram estimator returned the 10 %
         // fallback for an analyzed `row_count == 0` table.
-        let s = TableStats::analyze(&[], 2);
+        let s = analyze(&[], 2);
         assert!(s.analyzed);
         assert_eq!(s.eq_selectivity(0), 0.0);
         assert_eq!(s.eq_selectivity(1), 0.0);
@@ -516,13 +481,13 @@ mod tests {
     #[test]
     fn all_null_column_eq_selectivity_is_zero() {
         let rows = vec![vec![Value::Null], vec![Value::Null]];
-        let s = TableStats::analyze(&rows, 1);
+        let s = analyze(&rows, 1);
         assert_eq!(s.eq_selectivity(0), 0.0);
     }
 
     #[test]
     fn empty_table_stats() {
-        let s = TableStats::analyze(&[], 2);
+        let s = analyze(&[], 2);
         assert_eq!(s.row_count, 0);
         assert_eq!(s.columns[0].ndv, 0);
         assert_eq!(s.ndv(0), 1, "ndv clamps to >= 1 for estimation");
@@ -577,7 +542,7 @@ mod tests {
     fn range_selectivity_interpolates_from_min_max_without_histogram() {
         // A table whose stats carry min/max but no histogram (e.g. a
         // mixed-type column would; here we drop it by hand).
-        let mut s = TableStats::analyze(
+        let mut s = analyze(
             &(0..100i64).map(|i| vec![Value::Int(i)]).collect::<Vec<_>>(),
             1,
         );
@@ -593,7 +558,7 @@ mod tests {
 
     #[test]
     fn range_selectivity_bounds_and_operators() {
-        let s = TableStats::analyze(
+        let s = analyze(
             &(0..100i64).map(|i| vec![Value::Int(i)]).collect::<Vec<_>>(),
             1,
         );
@@ -621,7 +586,7 @@ mod tests {
         let rows: Vec<Row> = (1..10)
             .map(|i| vec![Value::Float(i as f64 / 10.0)])
             .collect();
-        let s = TableStats::analyze(&rows, 1);
+        let s = analyze(&rows, 1);
         let lt = s.range_selectivity(0, BinOp::Lt, &Value::Int(1)).unwrap();
         assert!(lt > 0.95, "all values < 1: {lt}");
         let gt = s.range_selectivity(0, BinOp::Gt, &Value::Int(0)).unwrap();
@@ -631,6 +596,6 @@ mod tests {
     #[test]
     fn analyze_is_deterministic() {
         let data = rows();
-        assert_eq!(TableStats::analyze(&data, 3), TableStats::analyze(&data, 3));
+        assert_eq!(analyze(&data, 3), analyze(&data, 3));
     }
 }

@@ -69,18 +69,30 @@ impl Value {
     }
 
     /// SQL comparison semantics: `None` when either side is NULL (unknown),
-    /// numeric cross-type comparison via `f64`, otherwise same-type order.
+    /// numbers as numbers (an Int with a Float through `f64`, in IEEE
+    /// order: `-0.0 = 0.0`), otherwise same-type order.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         use Value::*;
         match (self, other) {
             (Null, _) | (_, Null) => None,
             (Int(a), Int(b)) => Some(a.cmp(b)),
-            (Float(a), Float(b)) => Some(a.total_cmp(b)),
-            (Int(a), Float(b)) => Some((*a as f64).total_cmp(b)),
-            (Float(a), Int(b)) => Some(a.total_cmp(&(*b as f64))),
+            (Float(a), Float(b)) => Some(cmp_f64(a, b)),
+            (Int(a), Float(b)) => Some(cmp_f64(&(*a as f64), b)),
+            (Float(a), Int(b)) => Some(cmp_f64(a, &(*b as f64))),
             (Str(a), Str(b)) => Some(a.cmp(b)),
             (Bool(a), Bool(b)) => Some(a.cmp(b)),
             _ => None,
+        }
+    }
+
+    /// This value as the key of a table that files values by `Eq` and
+    /// `Hash` (a hash index, a group table) and must find what
+    /// [`Value::sql_cmp`] calls equal: `-0.0` as `0.0`, anything else as
+    /// it is.
+    pub(crate) fn unsigned_zero(self) -> Value {
+        match self {
+            Value::Float(f) => Value::Float(f + 0.0),
+            v => v,
         }
     }
 
@@ -105,6 +117,13 @@ impl Value {
             Value::Str(s) => s.len() as u64,
         }
     }
+}
+
+/// The order of two numbers under `=` and `<`: IEEE's, in which `-0.0`
+/// equals `0.0`, with NaNs — which IEEE leaves unordered — where
+/// `total_cmp` puts them, so that the order stays total.
+pub(crate) fn cmp_f64(a: &f64, b: &f64) -> Ordering {
+    a.partial_cmp(b).unwrap_or_else(|| a.total_cmp(b))
 }
 
 impl PartialEq for Value {

@@ -22,10 +22,10 @@
 //! Equi-joins share one `BuildTable` — per bucket its first build row, per
 //! build row the next one of its bucket, linked in one pass from the last
 //! row to the first, so that a chain reads in build-insertion order, the
-//! row engine's output order — and one `probe`, which looks up a batch of
-//! buckets before it walks any chain. Keys are not stored; the paths
-//! differ in how a key finds its bucket and whether a chain needs
-//! comparing:
+//! output order `tests/engine_differential.rs` pins — and one `probe`,
+//! which looks up a batch of buckets before it walks any chain. Keys are
+//! not stored; the paths differ in how a key finds its bucket and whether
+//! a chain needs comparing:
 //!
 //! * **Dense null-free `Int` keys are their own bucket**, `key - min`,
 //!   when `max - min + 1` is at most twice the rows the join reads (both
@@ -62,7 +62,7 @@
 //! table on the same `i64` hash; every other key is grouped by `Value`.
 //! `COUNT(*)` is a histogram of the group ids. `Int` and `Float`
 //! arguments fold into typed accumulators, every other argument through
-//! the row engine's own `AggState`.
+//! `exec::AggState`, row by row.
 //!
 //! Which operand combinations have a typed kernel (a batch that is all
 //! of one type, a constant, or a NULL constant counts as that type):
@@ -77,25 +77,33 @@
 //! | `COUNT SUM MIN MAX AVG` | Int, Float | typed fold | typed fold, NULLs skipped |
 //! | anything else | Str/Bool arguments, `Mixed` columns, mismatched types, function calls | per-row `Value`s: `apply_bin_op`, `AggState` | same |
 //!
-//! **Exact-equivalence contract.** This engine must be bit-identical to
-//! the row engine in `exec.rs`: same output rows in the same order, same
-//! [`ExecWork`] counters, and an error whenever the row engine errors.
-//! Three properties make that hold:
+//! **What holds this engine.** No second engine runs beside it. The rows
+//! it returns are held to `tests/support/naive.rs` — an evaluator with no
+//! access path and its own comparison, logic and arithmetic — over
+//! generated queries, to the same query with its access paths defeated
+//! and to the partition of every predicate (`tests/engine_reference.rs`);
+//! row order below a join or a grouping and [`ExecWork`], which nothing
+//! but this engine defines, to pinned digests
+//! (`tests/engine_differential.rs`, `tests/interp_pins.rs`). A change to
+//! an access path is one edit here plus a deliberate re-pin. The rules the
+//! engine evaluates by:
 //!
-//! 1. Typed kernels replicate [`apply_bin_op`]/[`Value::sql_cmp`] and
-//!    `AggState` exactly (integer compares stay integral, floats use
-//!    total order, Int arithmetic and Int SUM wrap, `/0 → NULL`, a Float
-//!    SUM starts from its first value); every combination without a
-//!    kernel falls back to a per-row `apply_bin_op` or `AggState` loop.
-//! 2. The row engine never short-circuits `AND`/`OR` *inside* a predicate
-//!    tree (both sides always evaluate) and evaluates nothing on empty
-//!    input — so whole-tree vectorized evaluation with an empty-batch
-//!    early-out errors in exactly the same situations. Conjunct *lists*
-//!    (index-path residuals, join residuals), which the row engine does
-//!    short-circuit per row, are applied progressively: each conjunct
-//!    narrows the selection before the next evaluates.
+//! 1. Typed kernels compute what [`apply_bin_op`]/[`Value::sql_cmp`] and
+//!    `AggState` compute value by value (integer compares stay integral,
+//!    floats compare as IEEE numbers, `AND`/`OR` are three-valued, Int
+//!    arithmetic and Int SUM wrap, `/0 → NULL`, a Float SUM starts from
+//!    its first value); every combination without a kernel falls back to
+//!    a per-row `apply_bin_op` or `AggState` loop.
+//! 2. An expression is bound to its input before any row is looked at
+//!    (`Eval::bind`): a column that does not resolve, an unbound parameter
+//!    or an unknown function fails the statement whatever the data. A type
+//!    error is met by the rows that meet it: `AND`/`OR` *inside* a
+//!    predicate tree never short-circuit (both sides always evaluate), a
+//!    conjunct *list* (index-path residuals, join residuals) is applied
+//!    progressively, each conjunct narrowing the selection before the next
+//!    evaluates.
 //! 3. Order-sensitive accumulations (AVG's float sum, group first-seen
-//!    order, stable sorts) run in selection order, matching row order.
+//!    order, stable sorts) run in selection order.
 
 use crate::catalog::Table;
 use crate::column::{ColumnTable, ColumnVec, NullMask};
@@ -105,7 +113,7 @@ use crate::expr::{apply_bin_op, AggFunc, BinOp, ColRef, ScalarExpr};
 use crate::func::FuncRegistry;
 use crate::plan::{AggItem, LogicalPlan, SortDir};
 use crate::schema::Schema;
-use crate::value::{Row, Value};
+use crate::value::{cmp_f64, Row, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -264,15 +272,6 @@ pub struct ResultSet {
 }
 
 impl ResultSet {
-    /// The result of the row engine: its rows, in columnar form (a round
-    /// trip [`ColumnTable::from_rows`] keeps exact).
-    pub(crate) fn from_rows(schema: Schema, rows: &[Row], work: ExecWork) -> ResultSet {
-        ResultSet {
-            chunk: Chunk::from_rows(schema, rows),
-            work,
-        }
-    }
-
     /// Result-set cardinality (`N_Q`).
     pub fn len(&self) -> usize {
         self.chunk.len
@@ -399,6 +398,7 @@ fn run_plan(
             let mut eval = Eval::new(&chunk, params, exec.funcs);
             let mut cols = Vec::with_capacity(items.len());
             for (expr, _) in items {
+                eval.bind(expr)?;
                 cols.push(Arc::new(vcol_to_column(eval.eval(expr, 0..n)?, n)));
             }
             work.total_rows += n as u64;
@@ -418,8 +418,7 @@ fn run_plan(
                 key_cols.push((chunk.col(i), *dir));
             }
             let mut rows: Vec<u32> = (0..chunk.len as u32).collect();
-            // Stable index sort with the row engine's comparator
-            // (`Value::cmp` per key column) — identical permutation.
+            // Stable index sort by `Value::cmp` per key column.
             rows.sort_by(|&a, &b| {
                 for &(c, dir) in &key_cols {
                     let ord = cmp_rows(c.col, c.base(a as usize), c.base(b as usize));
@@ -476,8 +475,7 @@ fn cmp_rows(col: &ColumnVec, a: usize, b: usize) -> Ordering {
 /// The index fast path's probe: the first equality conjunct between an
 /// indexed column of base table `t` (whose scan has `schema`) and a
 /// column-free expression, as `(conjunct position, column, key
-/// expression)`. The row engine's selection, kept there as the reference
-/// copy; the estimator prices the path this finds.
+/// expression)`. The estimator prices the path this finds.
 pub(crate) fn indexed_eq_conjunct<'p>(
     t: &Table,
     schema: &Schema,
@@ -503,8 +501,8 @@ fn run_select(
     pred: &ScalarExpr,
     params: &HashMap<String, Value>,
 ) -> DbResult<(Chunk, ExecWork)> {
-    // Index fast path: mirror of the row engine's probe selection (first
-    // eligible equality conjunct over an indexed base-table column).
+    // Index fast path: the first eligible equality conjunct over an
+    // indexed base-table column.
     if let LogicalPlan::Scan { table, alias } = input {
         let t = exec.db.table(table)?;
         let schema = t.schema().with_qualifier(alias.as_deref().unwrap_or(table));
@@ -520,8 +518,7 @@ fn run_select(
                 let hits: Vec<u32> = positions.iter().map(|&p| p as u32).collect();
                 let mut chunk = Chunk::scan(t, schema);
                 chunk.select(hits);
-                // Remaining conjuncts narrow the selection in order
-                // (progressive = the row engine's per-row short-circuit).
+                // Remaining conjuncts narrow the selection in order.
                 for (i, other) in conjuncts.iter().enumerate() {
                     if i != ci {
                         filter_chunk(&mut chunk, other, params, exec.funcs)?;
@@ -549,6 +546,7 @@ fn filter_chunk(
 ) -> DbResult<()> {
     let mut keep: Vec<u32> = Vec::new();
     let mut eval = Eval::new(chunk, params, funcs);
+    eval.bind(pred)?;
     for lo in (0..chunk.len).step_by(BATCH_SIZE) {
         let rows = lo..chunk.len.min(lo + BATCH_SIZE);
         let v = eval.eval(pred, rows.clone())?;
@@ -620,9 +618,9 @@ fn run_join(
     work.add(l_work);
     work.add(r_work);
 
-    // Equi-conjunct detection, identical to the row engine (first match
-    // in conjunct order, either orientation): the conjunct's position and
-    // its (left, right) columns, by reference and by position.
+    // Equi-conjunct detection (first match in conjunct order, either
+    // orientation): the conjunct's position and its (left, right) columns,
+    // by reference and by position.
     let conjuncts = pred.conjuncts();
     let equi = conjuncts.iter().enumerate().find_map(|(ci, c)| {
         let ScalarExpr::Bin(BinOp::Eq, a, b) = c else {
@@ -676,8 +674,7 @@ fn run_join(
                 filter_chunk(&mut chunk, c, params, exec.funcs)?;
             }
         }
-        // The row engine charges one row-touch per row *passing* the
-        // residual.
+        // One row-touch per row *passing* the residual.
         work.total_rows += chunk.len as u64;
         Ok((chunk, work))
     } else {
@@ -685,6 +682,8 @@ fn run_join(
         // evaluate the full predicate per batch.
         work.startup_rows = work.total_rows;
         work.total_rows += (l_chunk.len as u64).saturating_mul(r_chunk.len as u64);
+        let no_pairs = Chunk::joined(&l_chunk, Vec::new(), &r_chunk, Vec::new());
+        Eval::new(&no_pairs, params, exec.funcs).bind(pred)?;
         let mut keep_l: Vec<u32> = Vec::new();
         let mut keep_r: Vec<u32> = Vec::new();
         let mut batch_l: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
@@ -764,7 +763,7 @@ impl BuildTable {
 
     /// The candidate pairs `(build row, probe row)` of probe rows
     /// `0..n_probe`: probe-major, a probe row's matches in
-    /// build-insertion order — exactly the row engine's output order.
+    /// build-insertion order.
     /// `bucket(p)` is probe row `p`'s bucket, `None` when its key has
     /// none; `eq(b, p)` is whether build row `b` has probe row `p`'s key.
     ///
@@ -888,8 +887,8 @@ fn hash_candidates(
     }
     // Generic path: full `Value`s under [`join_key`], NULL keys included —
     // a NULL pairs with a NULL and two Ints with one `f64` image pair with
-    // each other, as in the row engine's table, and the residual, which
-    // evaluates every conjunct on this path, discards both.
+    // each other, and the residual, which evaluates every conjunct on this
+    // path, discards both.
     let keys = |col: ColView<'_>, n: usize| -> Vec<Value> {
         (0..n).map(|k| join_key(col.get(k))).collect()
     };
@@ -906,8 +905,7 @@ fn hash_candidates(
 /// Index-nested-loops' probe columns: the *last* equi-conjunct between a
 /// column of the outer side and an indexed column of the inner side — a
 /// bare scan of `t` with schema `inner_schema` — as `(outer column, inner
-/// column)`. The row engine's selection, kept there as the reference copy;
-/// the estimator prices the join this makes eligible.
+/// column)`. The estimator prices the join this makes eligible.
 pub(crate) fn inl_probe_columns(
     t: &Table,
     outer_schema: &Schema,
@@ -937,11 +935,11 @@ pub(crate) fn inl_probe_columns(
     probe
 }
 
-/// Index-nested-loops join, mirroring the row engine's decision order:
-/// inner side must be a bare scan with an index on the *last* eligible
-/// equi conjunct; the outer side runs first (errors propagate even if the
-/// size heuristic then rejects), and candidates charge one row-touch per
-/// outer row plus one per index hit before residual checks. `sides` is
+/// Index-nested-loops join, in this decision order: the inner side must
+/// be a bare scan with an index on the *last* eligible equi conjunct; the
+/// outer side runs first (errors propagate even if the size heuristic
+/// then rejects), and candidates charge one row-touch per outer row plus
+/// one per index hit before residual checks. `sides` is
 /// `[left, right]`; an outer side that ran and was rejected is left in
 /// its slot of `ran`.
 fn try_inl_join(
@@ -1039,7 +1037,10 @@ fn run_aggregate(
     let mut eval = Eval::new(&chunk, params, exec.funcs);
     for item in aggs {
         let vals = match &item.arg {
-            Some(e) => fold_agg(item.func, &eval.eval(e, 0..n)?, n, gids, n_groups),
+            Some(e) => {
+                eval.bind(e)?;
+                fold_agg(item.func, &eval.eval(e, 0..n)?, n, gids, n_groups)
+            }
             None if item.func == AggFunc::Count => count_star(n, gids, n_groups),
             // No other function's state moves on an argument-less update.
             None => (0..n_groups)
@@ -1115,7 +1116,10 @@ fn value_groups(group_cols: &[ColView<'_>], n: usize) -> (Vec<Row>, Vec<u32>) {
     let mut seen: HashMap<Row, u32> = HashMap::new();
     let gids = (0..n)
         .map(|k| {
-            let key: Row = group_cols.iter().map(|c| c.get(k)).collect();
+            let key: Row = group_cols
+                .iter()
+                .map(|c| c.get(k).unsigned_zero())
+                .collect();
             *seen.entry(key).or_insert_with_key(|key| {
                 order.push(key.clone());
                 order.len() as u32 - 1
@@ -1170,7 +1174,7 @@ impl AggNum for f64 {
         }
     }
     fn order(self, other: f64) -> Ordering {
-        self.total_cmp(&other)
+        cmp_f64(&self, &other)
     }
     fn to_f64(self) -> f64 {
         self
@@ -1395,10 +1399,8 @@ struct Eval<'a> {
     chunk: &'a Chunk,
     params: &'a HashMap<String, Value>,
     funcs: &'a FuncRegistry,
-    /// The column references evaluated so far, by address in the
-    /// expression tree, each resolved against the chunk once — and only
-    /// once a non-empty batch reads it, which keeps resolution errors
-    /// where the row engine raises them.
+    /// The column references bound so far, by address in the expression
+    /// tree, each resolved against the chunk once.
     cols: Vec<(&'a ColRef, ColView<'a>)>,
 }
 
@@ -1427,10 +1429,27 @@ impl<'a> Eval<'a> {
         Ok(view)
     }
 
-    /// Evaluate `expr` over the batch `rows` of the chunk's logical rows.
-    ///
-    /// Empty batches return immediately without resolving anything — the
-    /// row engine evaluates nothing over zero rows, so neither may we.
+    /// Bind `expr` to the chunk before any row is looked at: every column
+    /// it names resolves, every parameter is bound, every function exists.
+    /// A statement that cannot be bound fails whatever the data — over an
+    /// empty input too, where nothing is evaluated.
+    fn bind(&mut self, expr: &'a ScalarExpr) -> DbResult<()> {
+        match expr {
+            ScalarExpr::Lit(_) => Ok(()),
+            ScalarExpr::Param(name) if self.params.contains_key(name) => Ok(()),
+            ScalarExpr::Param(name) => Err(DbError::UnboundParam(name.clone())),
+            ScalarExpr::Col(c) => self.col(c).map(drop),
+            ScalarExpr::Bin(_, l, r) => self.bind(l).and_then(|()| self.bind(r)),
+            ScalarExpr::Not(e) => self.bind(e),
+            ScalarExpr::Func(name, _) if !self.funcs.contains(name) => {
+                Err(DbError::UnknownFunction(name.clone()))
+            }
+            ScalarExpr::Func(_, args) => args.iter().try_for_each(|a| self.bind(a)),
+        }
+    }
+
+    /// Evaluate `expr`, bound, over the batch `rows` of the chunk's
+    /// logical rows. An empty batch evaluates nothing.
     fn eval(&mut self, expr: &'a ScalarExpr, rows: Range<usize>) -> DbResult<VCol<'a>> {
         let n = rows.len();
         if n == 0 {
@@ -1596,25 +1615,36 @@ fn str_side<'v>(v: &'v VCol<'_>) -> Option<Side<'v, String>> {
     }
 }
 
-/// The nullable form of every typed kernel: `f` on the rows where both
-/// sides are non-NULL, NULL (flag set, `U::default()` as the value)
-/// where a side is NULL or `f` returns `None`.
-fn zip_nullable<T, U: Default + Clone>(
+/// The nullable form of every typed kernel: `f` on each row's two sides,
+/// `None` for a NULL one; where `f` returns `None` the row is NULL (flag
+/// set, `U::default()` as the value).
+fn zip_sides<T, U: Default + Clone>(
     a: &Side<'_, T>,
     b: &Side<'_, T>,
     n: usize,
-    f: impl Fn(&T, &T) -> Option<U>,
+    f: impl Fn(Option<&T>, Option<&T>) -> Option<U>,
 ) -> (Cow<'static, [U]>, Option<Vec<bool>>) {
     let mut data = Vec::with_capacity(n);
     let mut nulls: Option<Vec<bool>> = None;
     for k in 0..n {
-        let v = a.get(k).zip(b.get(k)).and_then(|(x, y)| f(x, y));
+        let v = f(a.get(k), b.get(k));
         if v.is_none() {
             nulls.get_or_insert_with(|| vec![false; n])[k] = true;
         }
         data.push(v.unwrap_or_default());
     }
     (Cow::Owned(data), nulls)
+}
+
+/// [`zip_sides`] for an operator that is NULL when a side is: `f` on the
+/// rows where both are not.
+fn zip_nullable<T, U: Default + Clone>(
+    a: &Side<'_, T>,
+    b: &Side<'_, T>,
+    n: usize,
+    f: impl Fn(&T, &T) -> Option<U>,
+) -> (Cow<'static, [U]>, Option<Vec<bool>>) {
+    zip_sides(a, b, n, |x, y| x.zip(y).and_then(|(x, y)| f(x, y)))
 }
 
 #[inline]
@@ -1690,9 +1720,9 @@ fn combine(op: BinOp, l: &VCol<'_>, r: &VCol<'_>, n: usize) -> DbResult<VCol<'st
             if let (Some(a), Some(b)) = (int_side(l), int_side(r)) {
                 return Ok(compare(op, &a, &b, n, i64::cmp));
             }
-            // Numeric (mixed Int/Float) via total_cmp on f64.
+            // Numeric (mixed Int/Float) through f64, as `sql_cmp`.
             if let Some((a, b)) = float_sides(l, r, &mut tmp) {
-                return Ok(compare(op, &a, &b, n, f64::total_cmp));
+                return Ok(compare(op, &a, &b, n, cmp_f64));
             }
             if let (Some(a), Some(b)) = (str_side(l), str_side(r)) {
                 return Ok(compare(op, &a, &b, n, String::cmp));
@@ -1709,15 +1739,13 @@ fn combine(op: BinOp, l: &VCol<'_>, r: &VCol<'_>, n: usize) -> DbResult<VCol<'st
                 });
                 return Ok(VCol::Int(data, nulls));
             }
-            // Numeric mixed → Float.
+            // Numeric mixed → Float, division by zero → NULL.
             if let Some((a, b)) = float_sides(l, r, &mut tmp) {
-                let (data, nulls) = zip_nullable(&a, &b, n, |&x, &y| {
-                    Some(match op {
-                        Add => x + y,
-                        Sub => x - y,
-                        Mul => x * y,
-                        _ => x / y,
-                    })
+                let (data, nulls) = zip_nullable(&a, &b, n, |&x, &y| match op {
+                    Add => Some(x + y),
+                    Sub => Some(x - y),
+                    Mul => Some(x * y),
+                    _ => (y != 0.0).then(|| x / y),
                 });
                 return Ok(VCol::Float(data, nulls));
             }
@@ -1738,8 +1766,13 @@ fn combine(op: BinOp, l: &VCol<'_>, r: &VCol<'_>, n: usize) -> DbResult<VCol<'st
                 return Ok(VCol::Bool(Cow::Owned(data), None));
             }
             if let (Some(a), Some(b)) = (bool_side(l), bool_side(r)) {
-                let (data, nulls) = zip_nullable(&a, &b, n, |&x, &y| {
-                    Some(if op == And { x && y } else { x || y })
+                // Three-valued, as `apply_bin_op`: FALSE decides AND and
+                // TRUE decides OR beside a NULL too.
+                let decides = op == Or;
+                let (data, nulls) = zip_sides(&a, &b, n, |x, y| match (x, y) {
+                    (Some(&x), Some(&y)) => Some(if decides { x || y } else { x && y }),
+                    (Some(&x), None) | (None, Some(&x)) if x == decides => Some(decides),
+                    _ => None,
                 });
                 return Ok(VCol::Bool(data, nulls));
             }
@@ -1754,53 +1787,82 @@ fn combine(op: BinOp, l: &VCol<'_>, r: &VCol<'_>, n: usize) -> DbResult<VCol<'st
     Ok(VCol::Vals(out))
 }
 
+/// The workspace's reference evaluator: `tests/engine_reference.rs` holds
+/// the engine to it over generated queries, the unit tests below over
+/// hand-picked ones. It names this crate `super::minidb`.
+#[cfg(test)]
+#[path = "../../../tests/support/naive.rs"]
+mod naive;
+#[cfg(test)]
+use crate as minidb;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::Database;
-    use crate::exec::ExecEngine;
+    use crate::exec::QueryResult;
     use crate::schema::{Column, DataType};
     use crate::sql::parse;
 
-    /// Run `plan` on both engines and assert bit-identical results + work,
-    /// and that the unmaterialized result reads the same values in place.
+    fn run(db: &Database, funcs: &FuncRegistry, plan: &LogicalPlan) -> DbResult<QueryResult> {
+        Executor::new(db, funcs).execute(plan, &HashMap::new())
+    }
+
+    /// Run `plan` and hold its rows to the naive evaluator's — in order,
+    /// unless a join or a grouping leaves the order to the engine — and
+    /// the unmaterialized result to the materialized one.
     fn assert_plan_agrees(
         db: &Database,
         funcs: &FuncRegistry,
         plan: &LogicalPlan,
         label: &str,
-    ) -> crate::exec::QueryResult {
-        let col = Executor::new(db, funcs)
-            .with_engine(ExecEngine::Columnar)
-            .execute(plan, &HashMap::new());
-        let row = Executor::new(db, funcs)
-            .with_engine(ExecEngine::Row)
-            .execute(plan, &HashMap::new());
-        match (col, row) {
-            (Ok(c), Ok(r)) => {
-                assert_eq!(c.schema, r.schema, "schema for {label}");
-                assert_eq!(c.rows, r.rows, "rows for {label}");
-                assert_eq!(c.work, r.work, "work for {label}");
-                for engine in [ExecEngine::Columnar, ExecEngine::Row] {
-                    let exec = Executor::new(db, funcs).with_engine(engine);
-                    let set = exec.run(plan, &HashMap::new()).unwrap();
-                    assert_eq!((set.len(), set.work()), (r.rows.len(), r.work), "{label}");
-                    assert_eq!(**set.schema(), r.schema, "{label}");
-                    for (i, row) in r.rows.iter().enumerate() {
-                        assert_eq!(&set.row(i), row, "row {i} for {label}");
-                        for (col, v) in row.iter().enumerate() {
-                            assert_eq!(&set.value(i, col), v, "value {i}, {col} for {label}");
-                        }
-                    }
-                }
-                c
+    ) -> QueryResult {
+        let reference = naive::Naive {
+            db,
+            funcs,
+            params: &HashMap::new(),
+        };
+        let (got, want) = match (run(db, funcs, plan), reference.run(plan)) {
+            (Ok(got), Ok((_, want))) => (got, want),
+            (Err(e), Err(_)) => panic!("engine and reference both error on {label}: {e}"),
+            (got, want) => panic!("one errors on {label}: engine={got:?} reference={want:?}"),
+        };
+        let mut engine_ordered = false;
+        plan.walk(&mut |p| {
+            engine_ordered |= match p {
+                LogicalPlan::Join { .. } => true,
+                LogicalPlan::Aggregate { group_by, .. } => !group_by.is_empty(),
+                _ => false,
             }
-            (Err(ce), Err(_re)) => panic!("both engines error on {label}: {ce}"),
-            (c, r) => panic!("engines disagree on {label}: columnar={c:?} row={r:?}"),
+        });
+        // `-0.0` and `0.0` are one number; `Value`'s `Eq` tells them apart.
+        let comparable = |rows: &[Row]| {
+            let unsigned = |row: &Row| row.iter().cloned().map(Value::unsigned_zero).collect();
+            let mut rows: Vec<Row> = rows.iter().map(unsigned).collect();
+            if engine_ordered {
+                rows.sort();
+            }
+            rows
+        };
+        assert_eq!(comparable(&got.rows), comparable(&want), "rows for {label}");
+
+        let set = Executor::new(db, funcs).run(plan, &HashMap::new()).unwrap();
+        assert_eq!(
+            (set.len(), set.work()),
+            (got.rows.len(), got.work),
+            "{label}"
+        );
+        assert_eq!(**set.schema(), got.schema, "{label}");
+        for (i, row) in got.rows.iter().enumerate() {
+            assert_eq!(&set.row(i), row, "row {i} for {label}");
+            for (col, v) in row.iter().enumerate() {
+                assert_eq!(&set.value(i, col), v, "value {i}, {col} for {label}");
+            }
         }
+        got
     }
 
-    fn assert_engines_agree(db: &Database, sql: &str) -> crate::exec::QueryResult {
+    fn assert_engines_agree(db: &Database, sql: &str) -> QueryResult {
         assert_plan_agrees(
             db,
             &FuncRegistry::with_builtins(),
@@ -2010,7 +2072,7 @@ mod tests {
     #[test]
     fn null_join_keys_never_match_but_group_together() {
         // o_customer_sk has NULLs: join keys must drop them, GROUP BY
-        // must keep them as one group — on both engines.
+        // must keep them as one group.
         let db = test_db();
         let r = assert_engines_agree(
             &db,
@@ -2082,6 +2144,8 @@ mod tests {
             "a >= b or f = a",
             "a = 7 and not b > 10",
             "a <> b and f >= 2.5 and a + 1 > b / 2",
+            // `f - 3.0` is zero on every ninth row: NULL, not an infinity.
+            "f / (f - 3.0) > 1.0 or a < 5",
         ] {
             let sql = format!("select * from w where {pred}");
             assert!(assert_engines_agree(&db2, &sql).row_count() > 0, "{sql}");
@@ -2113,8 +2177,8 @@ mod tests {
             "select * from m where a > 0",
             "select a, b from m order by a",
             "select a, count(*) as n from m group by a",
-            // Strings and Int → Float promotion go through `AggState`.
-            "select sum(a) as s, min(a) as lo, max(a) as hi, avg(a) as c, count(a) as n from m",
+            // An extreme leaves aside what it cannot compare with.
+            "select min(a) as lo, max(a) as hi, count(a) as n, sum(b) as s from m",
         ] {
             assert_engines_agree(&db, sql);
         }
@@ -2134,59 +2198,54 @@ mod tests {
             t.insert(vec![v]).unwrap();
         }
         db.analyze_all();
-        let r = assert_engines_agree(&db, "select sum(v) as s, avg(v) as a from p");
+        // No SQL column mixes types, so no reference says what this is.
+        let plan = parse("select sum(v) as s, avg(v) as a from p").unwrap();
+        let r = run(&db, &FuncRegistry::with_builtins(), &plan).unwrap();
         let promoted = i64::MAX.wrapping_add(2) as f64 + 0.5 + 3.0;
         assert_eq!(r.rows[0][0], Value::Float(promoted));
     }
 
     #[test]
     fn errors_match_the_row_engine() {
+        // Each statement fails on the engine with the error stated here,
+        // and on the reference too.
+        fn assert_fails(db: &Database, plan: &LogicalPlan, is: fn(&DbError) -> bool) {
+            let funcs = FuncRegistry::with_builtins();
+            let err = run(db, &funcs, plan).unwrap_err();
+            assert!(is(&err), "{plan:?}: {err}");
+            let params = HashMap::new();
+            let reference = naive::Naive {
+                db,
+                funcs: &funcs,
+                params: &params,
+            };
+            assert!(reference.run(plan).is_err(), "{plan:?}");
+        }
         let db = test_db();
-        let funcs = FuncRegistry::with_builtins();
-        // Unbound parameter errors on both engines; empty input errors on
-        // neither (nothing is evaluated over zero rows).
-        let plan = parse("select * from orders where o_id = :k").unwrap();
-        for engine in [ExecEngine::Columnar, ExecEngine::Row] {
-            let err = Executor::new(&db, &funcs)
-                .with_engine(engine)
-                .execute(&plan, &HashMap::new())
-                .unwrap_err();
-            assert!(matches!(err, DbError::UnboundParam(_)), "{engine:?}");
-        }
-        // NOT on a non-boolean errors identically.
-        let plan = parse("select * from orders where not o_id").unwrap();
-        for engine in [ExecEngine::Columnar, ExecEngine::Row] {
-            let err = Executor::new(&db, &funcs)
-                .with_engine(engine)
-                .execute(&plan, &HashMap::new())
-                .unwrap_err();
-            assert!(matches!(err, DbError::Type(_)), "{engine:?}");
-        }
-        // An unknown column is an error under a filter that sees rows and
-        // none over an empty chunk, where nothing is resolved.
+        let unbound = parse("select * from orders where o_id = :k").unwrap();
+        assert_fails(&db, &unbound, |e| matches!(e, DbError::UnboundParam(_)));
+        let not_int = parse("select * from orders where not o_id").unwrap();
+        assert_fails(&db, &not_int, |e| matches!(e, DbError::Type(_)));
+        // A statement is bound before it runs: an unknown column or an
+        // unbound parameter fails over an empty input as over a full one,
+        // though nothing is evaluated there.
         let unknown = || ScalarExpr::eq(ScalarExpr::col("nosuch"), ScalarExpr::lit(1i64));
-        let empty = LogicalPlan::scan("orders").select(parse_pred("o_id < 0"));
-        assert_plan_agrees(&db, &funcs, &empty.select(unknown()), "empty, filtered");
-        let plan = LogicalPlan::scan("orders").select(unknown());
-        for engine in [ExecEngine::Columnar, ExecEngine::Row] {
-            let err = Executor::new(&db, &funcs)
-                .with_engine(engine)
-                .execute(&plan, &HashMap::new())
-                .unwrap_err();
-            assert!(matches!(err, DbError::UnknownColumn(_)), "{engine:?}");
+        let unbound = || ScalarExpr::eq(ScalarExpr::col("o_id"), ScalarExpr::param("k"));
+        for input in [
+            LogicalPlan::scan("orders"),
+            LogicalPlan::scan("orders").select(parse_pred("o_id < 0")),
+        ] {
+            let plan = input.clone().select(unknown());
+            assert_fails(&db, &plan, |e| matches!(e, DbError::UnknownColumn(_)));
+            let plan = input.select(ScalarExpr::and(parse_pred("o_amount > 1.0"), unbound()));
+            assert_fails(&db, &plan, |e| matches!(e, DbError::UnboundParam(_)));
         }
         // `k = k` finds its two sides in the inputs' schemas and is
         // ambiguous in the joined one: the typed hash join proves the
-        // keys equal and must still raise as the row engine does.
+        // keys equal and must still raise.
         let db = key_tables(&[("a", &ints(&[1, 2])), ("b", &ints(&[2, 3]))]);
         let plan = parse("select * from a join b on k = k").unwrap();
-        for engine in [ExecEngine::Columnar, ExecEngine::Row] {
-            let err = Executor::new(&db, &funcs)
-                .with_engine(engine)
-                .execute(&plan, &HashMap::new())
-                .unwrap_err();
-            assert!(matches!(err, DbError::AmbiguousColumn(_)), "{engine:?}");
-        }
+        assert_fails(&db, &plan, |e| matches!(e, DbError::AmbiguousColumn(_)));
     }
 
     #[test]
@@ -2225,7 +2284,7 @@ mod tests {
 
     /// `a join b on a.k = b.k` and its mirror image (so the smaller
     /// table, the build side, is once the left and once the right input).
-    fn assert_key_joins_agree(db: &Database) -> crate::exec::QueryResult {
+    fn assert_key_joins_agree(db: &Database) -> QueryResult {
         assert_engines_agree(db, "select * from b join a on a.k = b.k");
         assert_engines_agree(db, "select * from a join b on a.k = b.k")
     }
@@ -2382,12 +2441,14 @@ mod tests {
             ("a", "ai", DataType::Int, 4),
             ("b", "bf", DataType::Float, 4),
             ("c", "ci", DataType::Int, 100),
+            ("z", "zf", DataType::Float, 1),
         ] {
             let t = db
                 .create_table(name, Schema::new(vec![Column::new(col, dtype)]))
                 .unwrap();
             for i in 0..rows {
                 let v = match dtype {
+                    DataType::Float if name == "z" => Value::Float(-0.0),
                     DataType::Float => Value::Float(i as f64),
                     _ => Value::Int(i),
                 };
@@ -2421,6 +2482,12 @@ mod tests {
                 "select * from b join c on bf = ci",
                 "select * from b join c on bf = ci + 0",
                 4,
+            ),
+            (
+                "hash join, the two zeros",
+                "select * from z join b on zf = bf",
+                "select * from z join b on zf + 0 = bf",
+                1,
             ),
             (
                 "index, NULL key",
@@ -2574,11 +2641,8 @@ mod tests {
                     ScalarExpr::col("c_customer_sk"),
                 ),
             );
-        Executor::new(&db, &funcs)
-            .with_engine(ExecEngine::Columnar)
-            .execute(&plan, &HashMap::new())
-            .unwrap();
+        let r = run(&db, &funcs, &plan).unwrap();
         assert_eq!(calls.load(Ordering::Relaxed), 100, "once per outer row");
-        assert_plan_agrees(&db, &funcs, &plan, "rejected INL join");
+        assert_eq!(r.row_count(), 100 - 15, "every order with a customer");
     }
 }

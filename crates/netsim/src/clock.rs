@@ -47,18 +47,6 @@ impl Clock {
                 Some(now.saturating_add(delta))
             });
     }
-
-    /// Reset to time zero (used between benchmark runs).
-    pub fn reset(&self) {
-        self.now_ns.store(0, Ordering::Relaxed);
-    }
-
-    /// Run `f` and return the virtual time it consumed.
-    pub fn measure<T>(&self, f: impl FnOnce() -> T) -> (T, Ns) {
-        let start = self.now();
-        let out = f();
-        (out, self.now() - start)
-    }
 }
 
 #[cfg(test)]
@@ -80,27 +68,6 @@ mod tests {
         c.advance(u64::MAX - 1);
         c.advance(100);
         assert_eq!(c.now(), u64::MAX);
-    }
-
-    #[test]
-    fn reset_returns_to_zero() {
-        let c = Clock::new();
-        c.advance(42);
-        c.reset();
-        assert_eq!(c.now(), 0);
-    }
-
-    #[test]
-    fn measure_reports_elapsed_virtual_time() {
-        let c = Clock::new();
-        c.advance(7);
-        let (value, took) = c.measure(|| {
-            c.advance(35);
-            "done"
-        });
-        assert_eq!(value, "done");
-        assert_eq!(took, 35);
-        assert_eq!(c.now(), 42);
     }
 
     #[test]

@@ -40,12 +40,6 @@ impl NetStats {
     pub fn bytes_transferred(&self) -> u64 {
         self.bytes_transferred.load(Ordering::Relaxed)
     }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        self.round_trips.store(0, Ordering::Relaxed);
-        self.bytes_transferred.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -61,15 +55,5 @@ mod tests {
         s.record_transfer(28);
         assert_eq!(s.round_trips(), 2);
         assert_eq!(s.bytes_transferred(), 128);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let s = NetStats::new();
-        s.record_round_trip();
-        s.record_transfer(5);
-        s.reset();
-        assert_eq!(s.round_trips(), 0);
-        assert_eq!(s.bytes_transferred(), 0);
     }
 }

@@ -1,6 +1,6 @@
 //! The client's connection to the database across the simulated network.
 
-use minidb::{DbResult, ExecEngine, Executor, FuncRegistry, LogicalPlan, ResultSet, Value};
+use minidb::{DbResult, Executor, FuncRegistry, LogicalPlan, ResultSet, Value};
 use netsim::{Clock, NetStats, NetworkProfile};
 
 use std::collections::HashMap;
@@ -58,9 +58,6 @@ pub struct RemoteDb {
     /// and work into this store (the runtime half of the cardinality
     /// feedback loop; estimators opt in via `Estimator::with_feedback`).
     feedback: Option<Arc<minidb::FeedbackStore>>,
-    /// Which server-side execution engine runs the plans (columnar by
-    /// default; the row engine is the differential reference).
-    engine: ExecEngine,
 }
 
 impl RemoteDb {
@@ -80,15 +77,7 @@ impl RemoteDb {
             stats: NetStats::new(),
             prices,
             feedback: None,
-            engine: ExecEngine::default(),
         }
-    }
-
-    /// Select the server-side execution engine — the engine differential's
-    /// hook for running a session on the row reference.
-    pub fn with_engine(mut self, engine: ExecEngine) -> RemoteDb {
-        self.engine = engine;
-        self
     }
 
     /// Record every executed query's observed cardinality and work into
@@ -128,7 +117,7 @@ impl RemoteDb {
         params: &HashMap<String, Value>,
     ) -> DbResult<Arc<ResultSet>> {
         let db = self.db.read().unwrap();
-        let mut exec = Executor::new(&db, &self.funcs).with_engine(self.engine);
+        let mut exec = Executor::new(&db, &self.funcs);
         if let Some(fb) = &self.feedback {
             exec = exec.with_feedback(fb);
         }

@@ -352,32 +352,42 @@ impl Snapshot {
         Ok(Snapshot { tenants })
     }
 
-    /// Write atomically: encode to `<path>.tmp`, flush it to disk, then
-    /// rename over `path`. A crash at any point leaves the previous
-    /// snapshot (or nothing) intact — never a torn file. The flush is what
-    /// makes that true across an OS crash: without it the rename can
-    /// become durable before the data, and the torn file that the checksum
-    /// then rejects has already replaced the old snapshot.
+    /// Write atomically: encode to a temp file beside `path`, flush it to
+    /// disk, then rename over `path`. A crash at any point leaves the
+    /// previous snapshot (or nothing) intact — never a torn file. The flush
+    /// is what makes that true across an OS crash: without it the rename
+    /// can become durable before the data, and the torn file that the
+    /// checksum then rejects has already replaced the old snapshot.
+    ///
+    /// The temp file is this call's alone (`<path>.<pid>.<n>.tmp`): the
+    /// service is shared by threads, and two writers through one temp name
+    /// would interleave their bytes and rename the mix over a good
+    /// snapshot. Concurrent calls each install a whole image; the last
+    /// rename wins. A call that fails removes its temp file.
     pub fn write_to(&self, path: &Path) -> Result<(), ServerError> {
         use std::io::Write;
-        let tmp = match path.file_name() {
-            Some(name) => {
-                let mut n = name.to_os_string();
-                n.push(".tmp");
-                path.with_file_name(n)
-            }
-            None => {
-                return Err(ServerError::Snapshot(format!(
-                    "snapshot path has no file name: {}",
-                    path.display()
-                )))
-            }
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static WRITES: AtomicU64 = AtomicU64::new(0);
+        let Some(name) = path.file_name() else {
+            return Err(ServerError::Snapshot(format!(
+                "snapshot path has no file name: {}",
+                path.display()
+            )));
         };
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&self.encode())?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, path)?;
+        let mut tmp = name.to_os_string();
+        let n = WRITES.fetch_add(1, Ordering::Relaxed);
+        tmp.push(format!(".{}.{n}.tmp", std::process::id()));
+        let tmp = path.with_file_name(tmp);
+        let written = std::fs::File::create(&tmp).and_then(|mut file| {
+            file.write_all(&self.encode())?;
+            file.sync_all()?;
+            drop(file);
+            std::fs::rename(&tmp, path)
+        });
+        if let Err(e) = written {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e.into());
+        }
         // Best effort: make the rename itself durable. A directory cannot
         // be opened or synced on every platform, and the snapshot is
         // already whole either way.
@@ -538,6 +548,45 @@ mod tests {
             .map(|e| e.unwrap().file_name())
             .collect();
         assert_eq!(left, ["state.cbsn"], "temp file renamed away");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_writers_to_one_path_never_tear_it() {
+        let dir = std::env::temp_dir().join(format!("cobra-snap-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.cbsn");
+        // 8 × 20 snapshots, each told apart by its tenant's name.
+        let named = |name: String| {
+            let mut snap = sample_snapshot();
+            snap.tenants[0].name = name;
+            snap
+        };
+        named("first".into()).write_to(&path).expect("first write");
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let (path, barrier, named) = (&path, &barrier, &named);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for i in 0..20 {
+                        named(format!("t{t}-{i}")).write_to(path).expect("write");
+                        // Whatever is installed is one writer's whole image.
+                        let back = Snapshot::read_from(path).expect("a whole snapshot");
+                        assert_eq!(back, named(back.tenants[0].name.clone()));
+                    }
+                });
+            }
+        });
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["state.cbsn"], "no temp file left");
+        // A write that cannot happen cleans up after itself too.
+        let nowhere = dir.join("no-such-dir").join("state.cbsn");
+        assert!(named("x".into()).write_to(&nowhere).is_err());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

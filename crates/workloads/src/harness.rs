@@ -2,7 +2,7 @@
 
 use imperative::ast::Program;
 use interp::{Endpoint, Outcome};
-use minidb::{DbResult, ExecEngine, FuncRegistry};
+use minidb::{DbResult, FuncRegistry};
 use netsim::NetworkProfile;
 use orm::{MappingRegistry, Prices};
 
@@ -74,7 +74,6 @@ impl Fixture {
             net,
             prices: Prices::default(),
             feedback: None,
-            engine: ExecEngine::default(),
         }
     }
 }
@@ -84,22 +83,6 @@ impl Fixture {
 /// transaction, as in the paper's per-run measurements).
 pub fn run_on(fixture: &Fixture, net: NetworkProfile, program: &Program) -> DbResult<RunResult> {
     run(fixture.endpoint(net), program)
-}
-
-/// [`run_on`], pinned to a specific execution engine. The columnar and
-/// row engines must produce bit-identical outcomes; this is the hook the
-/// differential suite uses to check that.
-pub fn run_on_engine(
-    fixture: &Fixture,
-    net: NetworkProfile,
-    engine: ExecEngine,
-    program: &Program,
-) -> DbResult<RunResult> {
-    let on = Endpoint {
-        engine,
-        ..fixture.endpoint(net)
-    };
-    run(on, program)
 }
 
 /// [`run_on`], additionally recording every executed query's observed

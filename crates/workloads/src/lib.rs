@@ -22,4 +22,4 @@ pub mod harness;
 pub mod motivating;
 pub mod wilos;
 
-pub use harness::{run_on, run_on_engine, Fixture, RunResult};
+pub use harness::{run_on, Fixture, RunResult};

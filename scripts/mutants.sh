@@ -9,9 +9,11 @@
 # A patch is a plain diff against crates/minidb/src under a three-line
 # header: what it breaks, `profile: debug|release` (debug where only the
 # overflow checks see it) and `kills: rows|order`. A `rows` mutant changes
-# what some query returns and must fail ROWS_SUITE; an `order` mutant
-# returns the same rows in another order, which no reference defines, and
-# must fail ORDER_SUITE (the pinned digests). SUITE overrides both.
+# what some query returns and must fail ROWS_SUITE (engine_reference: the
+# naive evaluator, the twins, the partitions — no pinned digest); an
+# `order` mutant returns the same rows in another order, which no
+# reference defines, and must fail ORDER_SUITE (the pinned digests of
+# engine_differential). SUITE overrides both.
 #
 # The copy lives in $MUTANTS_DIR (default target/mutants) with one target
 # directory shared by all mutants, so each costs one incremental build.
@@ -21,7 +23,7 @@
 set -u
 cd "$(dirname "$0")/.."
 
-ROWS_SUITE=${SUITE:-"-p cobra --test engine_differential"}
+ROWS_SUITE=${SUITE:-"-p cobra --test engine_reference"}
 ORDER_SUITE=${SUITE:-"-p cobra --test engine_differential"}
 WORK=${MUTANTS_DIR:-target/mutants}
 SRC=$WORK/src

@@ -4,7 +4,8 @@
 
 use cobra::core::Cobra;
 use cobra::minidb::{
-    BinOp, Column, DataType, Database, FeedbackStore, FuncRegistry, Schema, TableStats, Value,
+    BinOp, Column, ColumnTable, ColumnVec, DataType, Database, FeedbackStore, FuncRegistry, Schema,
+    TableStats, Value,
 };
 use cobra::netsim::rng::StdRng;
 use cobra::netsim::NetworkProfile;
@@ -55,8 +56,17 @@ fn histogram_invariants_hold_on_random_data() {
     for seed in 0..200u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let rows = random_rows(&mut rng);
-        let stats = TableStats::analyze(&rows, 1);
-        assert_eq!(stats, TableStats::analyze(&rows, 1), "analyze determinism");
+        // The analyzer `Table::analyze` runs, on the column typed as its
+        // values are.
+        let analyze = || {
+            let column = ColumnVec::from_values(rows.iter().map(|r| r[0].clone()).collect());
+            TableStats::analyze_columns(&ColumnTable {
+                cols: vec![Arc::new(column)],
+                len: rows.len(),
+            })
+        };
+        let stats = analyze();
+        assert_eq!(stats, analyze(), "analyze determinism");
         assert!(stats.analyzed);
         let col = &stats.columns[0];
         assert!(

@@ -30,9 +30,11 @@
 //!   PR 22 removed because nothing set or called it does not come back by
 //!   name, nor does the row engine PR 23 removed with the hook that
 //!   selected it — under `crates/*/src`, and by its three public names
-//!   under `src`, `tests` and `examples` too; 30 ns a statement and 200 ns
-//!   a server row are literals in `orm::Prices::default()` only — the
-//!   catalog starts from it.
+//!   under `src`, `tests` and `examples` too — nor the call-site rules for
+//!   `=` on a key that PR 24 replaced by `minidb::EqIndex`, the one place
+//!   a `HashMap` is keyed by a database value (whose identity is not `=`);
+//!   30 ns a statement and 200 ns a server row are literals in
+//!   `orm::Prices::default()` only — the catalog starts from it.
 //!
 //! Exit status 0 when clean; 1 with `file:line` diagnostics otherwise.
 //!
@@ -145,6 +147,19 @@ const LINTS: &[Lint] = &[
         exempt: &[],
         patterns: &[concat!("fn run_", "rows"), concat!("pub fn ", "db(")],
         why: "removed in PR 23: the row engine's entry point, and a builder setter no caller used",
+    },
+    Lint {
+        dir: "crates/*/src",
+        exempt: &["crates/minidb/src/value.rs"],
+        // Split, as above.
+        patterns: &[
+            concat!("HashMap<", "Value,"),
+            concat!("index_answers", "_eq"),
+            concat!("index_joins", "_eq"),
+            concat!("unsigned", "_zero"),
+        ],
+        why: "`=` on a key is `minidb::EqIndex`'s to answer (PR 24): a map keyed by a database \
+              value finds by identity, and no call site decides which keys an index may take",
     },
     Lint {
         dir: "crates/*/src",

@@ -642,7 +642,7 @@ impl<'p> Machine<'_, 'p> {
                     RtVal::Row(r) => Some(r),
                     _ => None,
                 });
-                let built = ColumnCache::build(rows, key_col);
+                let built = ColumnCache::build(rows, key_col)?;
                 frame[cache.slot] = Some(RtVal::Cache(Arc::new(built)));
             }
             LStmt::UpdateQuery(table, set_col, value, key_col, key) => {
@@ -762,10 +762,7 @@ impl<'p> Machine<'_, 'p> {
                 _ => Err(type_error("NOT on non-boolean")),
             },
             LExpr::Field(base, name, site) => {
-                let read = |r: &RowObj| {
-                    let v = site.read(&r.row, name).map(RtVal::Scalar);
-                    v.ok_or_else(|| DbError::UnknownColumn(name.to_string()))
-                };
+                let read = |r: &RowObj| site.read(&r.row, name).map(RtVal::Scalar);
                 match &*self.operand(base, frame)? {
                     RtVal::Row(r) => read(r),
                     // Single-row convention (the ORM `uniqueResult` idiom,
@@ -828,7 +825,7 @@ impl<'p> Machine<'_, 'p> {
                     // Single-row convention: a unique match evaluates to
                     // the row itself (paper: `cust = lookupCache(...)`),
                     // multiple matches to a collection.
-                    Some(RtVal::Cache(c)) => Ok(match c.lookup(&k) {
+                    Some(RtVal::Cache(c)) => Ok(match &*c.lookup(&k) {
                         [one] => RtVal::Row(one.clone()),
                         hits => RtVal::Collection(Arc::new(Mutex::new(
                             hits.iter().cloned().map(RtVal::Row).collect(),
@@ -1186,6 +1183,70 @@ mod tests {
         Interp::new(&session, &program).run(vec![]).unwrap();
         let db = session.remote().database().read().unwrap();
         assert_eq!(db.table("orders").unwrap().rows()[3][2], Value::Int(777));
+    }
+
+    #[test]
+    fn update_query_finds_its_rows_by_sql_equality() {
+        let (session, _clock) = fixture();
+        let unowned = vec![Value::Int(12), Value::Null, Value::Int(120)];
+        let db = session.remote().database().clone();
+        let orders = |db: &mut Database| db.table_mut("orders").unwrap().insert(unowned);
+        orders(&mut db.write().unwrap()).unwrap();
+        let update = |key_col: &str, key: Value| {
+            let program = Program::single(Function::new(
+                "f",
+                vec![],
+                vec![Stmt::new(StmtKind::UpdateQuery {
+                    table: "orders".into(),
+                    set_col: "o_amount".into(),
+                    value: Expr::lit(777i64),
+                    key_col: key_col.into(),
+                    key: Expr::Lit(key),
+                })],
+            ));
+            Interp::new(&session, &program).run(vec![]).unwrap();
+        };
+        // `o_id = 3.0` holds on order 3, through the primary-key index;
+        // `o_customer_sk = NULL` on no order, the unowned one included.
+        update("o_id", Value::Float(3.0));
+        update("o_customer_sk", Value::Null);
+        let db = db.read().unwrap();
+        let orders = db.table("orders").unwrap().rows();
+        let amounts: Vec<Value> = orders.iter().map(|r| r[2].clone()).collect();
+        assert_eq!(amounts[3], Value::Int(777));
+        assert_eq!(amounts[12], Value::Int(120));
+        let changed = amounts.iter().filter(|a| **a == Value::Int(777));
+        assert_eq!(changed.count(), 1);
+    }
+
+    #[test]
+    fn cache_by_a_column_the_rows_lack_fails_the_statement() {
+        // As the query a lookup replaces would: `where nosuch = :k` does not
+        // bind, `where o_id = :k` over a self-join is ambiguous.
+        let cache = |sql: &str, key_col: &str| {
+            let program = Program::single(Function::new(
+                "f",
+                vec![],
+                vec![Stmt::new(StmtKind::CacheByColumn {
+                    cache: "c".into(),
+                    source: Expr::Query(QuerySpec::sql(sql)),
+                    key_col: key_col.into(),
+                })],
+            ));
+            let (session, _clock) = fixture();
+            Interp::new(&session, &program).run(vec![]).map(|_| ())
+        };
+        let twice = "select * from orders a join orders b on a.o_id = b.o_id";
+        assert_eq!(cache("select * from orders", "o_id"), Ok(()));
+        assert_eq!(cache(twice, "a.o_id"), Ok(()));
+        assert_eq!(
+            cache("select * from orders", "nosuch"),
+            Err(DbError::UnknownColumn("nosuch".into()))
+        );
+        assert_eq!(
+            cache(twice, "o_id"),
+            Err(DbError::AmbiguousColumn("o_id".into()))
+        );
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Runtime values of the interpreter.
 
-use minidb::{RowRef, Schema, Value};
+use minidb::{DbResult, EqIndex, RowRef, Schema, Value};
 
+use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// A row object: a row of a shared query result — which carries the schema
@@ -19,14 +20,6 @@ pub struct RowObj {
     pub entity: Option<Arc<str>>,
 }
 
-impl RowObj {
-    /// Read a field by (possibly qualified) name.
-    pub fn field(&self, name: &str) -> Option<Value> {
-        let col = self.row.schema().resolve(name).ok()?;
-        Some(self.row.value(col))
-    }
-}
-
 /// One place that reads a field by name: it remembers the schema of the
 /// last row it read and the column the name resolved to there, and
 /// resolves again only when a row of another schema arrives.
@@ -34,50 +27,45 @@ impl RowObj {
 pub(crate) struct FieldSite(RefCell<Option<(Arc<Schema>, usize)>>);
 
 impl FieldSite {
-    /// The field `name` of `row`; `None` when the row's schema has no such
-    /// column (or more than one).
-    pub(crate) fn read(&self, row: &RowRef, name: &str) -> Option<Value> {
+    /// The field `name` of `row`, or why its schema does not resolve it.
+    pub(crate) fn read(&self, row: &RowRef, name: &str) -> DbResult<Value> {
         let mut last = self.0.borrow_mut();
         let col = match &*last {
             Some((schema, col)) if Arc::ptr_eq(schema, row.schema()) => *col,
             _ => {
-                let col = row.schema().resolve(name).ok()?;
+                let col = row.schema().resolve(name)?;
                 *last = Some((row.schema().clone(), col));
                 col
             }
         };
-        Some(row.value(col))
+        Ok(row.value(col))
     }
 }
 
 /// A client-side column cache built by `Utils.cacheByColumn` (footnote 3 of
-/// the paper): rows grouped by the value of a key column.
+/// the paper): rows found by the `=` of the query a lookup replaces.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnCache {
-    rows_by_key: HashMap<Value, Vec<RowObj>>,
+    rows_by_key: EqIndex<RowObj>,
     len: usize,
 }
 
 impl ColumnCache {
-    /// Build a cache of `rows` keyed by column `key_col`.
-    pub fn build(rows: impl IntoIterator<Item = RowObj>, key_col: &str) -> ColumnCache {
+    /// Build a cache of `rows` keyed by column `key_col`, which every row
+    /// must have, once: a query on a column its rows lack fails too.
+    pub fn build(rows: impl IntoIterator<Item = RowObj>, key_col: &str) -> DbResult<ColumnCache> {
         let mut cache = ColumnCache::default();
         let site = FieldSite::default();
         for r in rows {
             cache.len += 1;
-            if let Some(k) = site.read(&r.row, key_col) {
-                cache.rows_by_key.entry(k).or_default().push(r);
-            }
+            cache.rows_by_key.insert(&site.read(&r.row, key_col)?, r);
         }
-        cache
+        Ok(cache)
     }
 
-    /// All rows whose key column equals `key` (empty slice when absent).
-    pub fn lookup(&self, key: &Value) -> &[RowObj] {
-        self.rows_by_key
-            .get(key)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+    /// All rows `key_col = key` holds on (none when absent, or for a NULL).
+    pub fn lookup(&self, key: &Value) -> Cow<'_, [RowObj]> {
+        self.rows_by_key.get(key)
     }
 
     /// Number of cached rows.
@@ -149,15 +137,10 @@ impl RtVal {
                     .collect(),
             ),
             RtVal::Cache(c) => {
-                // Caches compare as the multiset of their rows.
-                let mut rows: Vec<Snapshot> = Vec::new();
-                let mut keys: Vec<&Value> = c.rows_by_key.keys().collect();
-                keys.sort();
-                for k in keys {
-                    for r in &c.rows_by_key[k] {
-                        rows.push(Snapshot::Row(r.row.values()));
-                    }
-                }
+                // Caches compare as the multiset of the rows a lookup finds.
+                let found = c.rows_by_key.entries();
+                let mut rows: Vec<_> = found.map(|r| Snapshot::Row(r.row.values())).collect();
+                rows.sort();
                 Snapshot::List(rows)
             }
         }
@@ -256,7 +239,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minidb::{Column, DataType, Database, Executor, FuncRegistry, LogicalPlan, Row};
+    use minidb::{Column, DataType, Database, DbError, Executor, FuncRegistry, LogicalPlan, Row};
 
     /// `rows` as the rows of a scan of a table `t(k, v)`.
     fn rows(rows: Vec<Row>) -> Vec<RowObj> {
@@ -271,7 +254,7 @@ mod tests {
             .unwrap();
         let funcs = FuncRegistry::with_builtins();
         let result = Executor::new(&db, &funcs)
-            .run(&LogicalPlan::scan("t"), &HashMap::new())
+            .run(&LogicalPlan::scan("t"), &std::collections::HashMap::new())
             .unwrap();
         let result = Arc::new(result);
         let rows = RowRef::all(&result).map(|row| RowObj { row, entity: None });
@@ -281,9 +264,10 @@ mod tests {
     #[test]
     fn row_field_access() {
         let r = rows(vec![vec![Value::Int(1), Value::str("x")]]).remove(0);
-        assert_eq!(r.field("v"), Some(Value::str("x")));
-        assert_eq!(r.field("t.k"), Some(Value::Int(1)));
-        assert_eq!(r.field("nope"), None);
+        let field = |name: &str| FieldSite::default().read(&r.row, name);
+        assert_eq!(field("v"), Ok(Value::str("x")));
+        assert_eq!(field("t.k"), Ok(Value::Int(1)));
+        assert_eq!(field("nope"), Err(DbError::UnknownColumn("nope".into())));
     }
 
     #[test]
@@ -293,7 +277,7 @@ mod tests {
             vec![Value::Int(2), Value::str("b")],
             vec![Value::Int(1), Value::str("c")],
         ]);
-        let cache = ColumnCache::build(rows, "k");
+        let cache = ColumnCache::build(rows, "k").unwrap();
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.lookup(&Value::Int(1)).len(), 2);
         assert_eq!(cache.lookup(&Value::Int(9)).len(), 0);
@@ -363,8 +347,10 @@ mod tests {
             vec![Value::Int(2), Value::str("b")],
             vec![Value::Int(1), Value::str("a")],
         ]);
-        let c1 = RtVal::Cache(Arc::new(ColumnCache::build(rows.clone(), "k")));
-        let c2 = RtVal::Cache(Arc::new(ColumnCache::build(rows.into_iter().rev(), "k")));
+        let c1 = RtVal::Cache(Arc::new(ColumnCache::build(rows.clone(), "k").unwrap()));
+        let c2 = RtVal::Cache(Arc::new(
+            ColumnCache::build(rows.into_iter().rev(), "k").unwrap(),
+        ));
         assert_eq!(c1.snapshot(), c2.snapshot());
     }
 }

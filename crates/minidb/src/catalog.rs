@@ -4,7 +4,9 @@ use crate::column::ColumnTable;
 use crate::error::{DbError, DbResult};
 use crate::schema::Schema;
 use crate::stats::TableStats;
-use crate::value::{Row, Value};
+use crate::value::{EqIndex, Row, Value};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
@@ -15,7 +17,7 @@ pub struct Table {
     schema: Schema,
     rows: Vec<Row>,
     /// Hash indexes by column position: value → row positions.
-    indexes: HashMap<usize, HashMap<Value, Vec<usize>>>,
+    indexes: HashMap<usize, EqIndex<usize>>,
     /// Column position of the primary key, if declared.
     primary_key: Option<usize>,
     stats: TableStats,
@@ -103,11 +105,8 @@ impl Table {
 
     /// Declare `column` as primary key and index it.
     pub fn set_primary_key(&mut self, column: &str) -> DbResult<()> {
-        let idx = self.schema.resolve(column)?;
-        self.primary_key = Some(idx);
-        self.version += 1;
-        self.create_index_at(idx);
-        Ok(())
+        self.primary_key = Some(self.schema.resolve(column)?);
+        self.create_index(column)
     }
 
     /// Primary-key column position, if declared.
@@ -115,20 +114,25 @@ impl Table {
         self.primary_key
     }
 
-    /// Insert a row; maintains indexes. The row must match the schema arity.
-    pub fn insert(&mut self, row: Row) -> DbResult<()> {
-        if row.len() != self.schema.len() {
-            return Err(DbError::Invalid(format!(
-                "row arity {} does not match schema arity {} for table {}",
-                row.len(),
-                self.schema.len(),
-                self.name
-            )));
+    /// A row must match the schema arity.
+    fn check_arity(&self, row: &Row) -> DbResult<()> {
+        if row.len() == self.schema.len() {
+            return Ok(());
         }
+        Err(DbError::Invalid(format!(
+            "row arity {} does not match schema arity {} for table {}",
+            row.len(),
+            self.schema.len(),
+            self.name
+        )))
+    }
+
+    /// Insert a row; maintains indexes.
+    pub fn insert(&mut self, row: Row) -> DbResult<()> {
+        self.check_arity(&row)?;
         let pos = self.rows.len();
         for (&col, index) in self.indexes.iter_mut() {
-            let key = row[col].clone().unsigned_zero();
-            index.entry(key).or_default().push(pos);
+            index.insert(&row[col], pos);
         }
         self.rows.push(row);
         self.version += 1;
@@ -136,24 +140,13 @@ impl Table {
         Ok(())
     }
 
-    /// Bulk insert; clears and rebuilds indexes once at the end.
+    /// Bulk insert; rebuilds indexes once at the end.
     pub fn insert_many(&mut self, rows: impl IntoIterator<Item = Row>) -> DbResult<()> {
-        let cols: Vec<usize> = self.indexes.keys().copied().collect();
-        for c in &cols {
-            self.indexes.get_mut(c).unwrap().clear();
-        }
         for row in rows {
-            if row.len() != self.schema.len() {
-                return Err(DbError::Invalid(format!(
-                    "row arity {} does not match schema arity {} for table {}",
-                    row.len(),
-                    self.schema.len(),
-                    self.name
-                )));
-            }
+            self.check_arity(&row)?;
             self.rows.push(row);
         }
-        for c in cols {
+        for c in self.indexes.keys().copied().collect::<Vec<_>>() {
             self.rebuild_index(c);
         }
         self.version += 1;
@@ -165,36 +158,23 @@ impl Table {
     pub fn create_index(&mut self, column: &str) -> DbResult<()> {
         let idx = self.schema.resolve(column)?;
         self.version += 1;
-        self.create_index_at(idx);
+        if !self.indexes.contains_key(&idx) {
+            self.rebuild_index(idx);
+        }
         Ok(())
     }
 
-    fn create_index_at(&mut self, col: usize) {
-        if let std::collections::hash_map::Entry::Vacant(e) = self.indexes.entry(col) {
-            e.insert(HashMap::new());
-            self.rebuild_index(col);
-        }
-    }
-
     fn rebuild_index(&mut self, col: usize) {
-        let mut index: HashMap<Value, Vec<usize>> = HashMap::with_capacity(self.rows.len());
+        let mut index = EqIndex::default();
         for (pos, row) in self.rows.iter().enumerate() {
-            let key = row[col].clone().unsigned_zero();
-            index.entry(key).or_default().push(pos);
+            index.insert(&row[col], pos);
         }
         self.indexes.insert(col, index);
     }
 
-    /// Probe the index on `col` for `key`, if one exists. A zero is filed
-    /// and found without its sign, so that `= 0.0` finds a stored `-0.0`.
-    pub fn index_lookup(&self, col: usize, key: &Value) -> Option<&[usize]> {
-        let key = match key {
-            Value::Float(f) if *f == 0.0 => &Value::Float(0.0),
-            key => key,
-        };
-        self.indexes
-            .get(&col)
-            .map(|ix| ix.get(key).map(|v| v.as_slice()).unwrap_or(&[]))
+    /// The rows `col = key` holds on, by position, if `col` is indexed.
+    pub fn index_lookup(&self, col: usize, key: &Value) -> Option<Cow<'_, [usize]>> {
+        self.indexes.get(&col).map(|index| index.get(key))
     }
 
     /// True if `col` is indexed.
@@ -216,7 +196,7 @@ impl Table {
         &self.stats
     }
 
-    /// Update `set_col` to `value` on all rows where `key_col == key`.
+    /// Update `set_col` to `value` on all rows where `key_col = key` holds.
     /// Returns the number of rows changed. Maintains indexes.
     pub fn update_where_eq(
         &mut self,
@@ -225,15 +205,12 @@ impl Table {
         set_col: usize,
         value: Value,
     ) -> usize {
-        let positions: Vec<usize> = if let Some(hits) = self.index_lookup(key_col, key) {
-            hits.to_vec()
-        } else {
-            self.rows
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| &r[key_col] == key)
-                .map(|(i, _)| i)
-                .collect()
+        let equal = |r: &Row| r[key_col].sql_cmp(key) == Some(Ordering::Equal);
+        let positions = match self.index_lookup(key_col, key) {
+            Some(hits) => hits.into_owned(),
+            None => (0..self.rows.len())
+                .filter(|&pos| equal(&self.rows[pos]))
+                .collect(),
         };
         for &pos in &positions {
             self.rows[pos][set_col] = value.clone();
@@ -434,7 +411,7 @@ mod tests {
         let db = db_with_orders();
         let t = db.table("orders").unwrap();
         let hits = t.index_lookup(0, &Value::Int(7)).unwrap();
-        assert_eq!(hits, &[7]);
+        assert_eq!(*hits, [7]);
     }
 
     #[test]
@@ -443,8 +420,8 @@ mod tests {
         let t = db.table_mut("orders").unwrap();
         t.create_index("o_customer_sk").unwrap();
         let hits = t.index_lookup(1, &Value::Int(1)).unwrap();
-        assert_eq!(hits, &[1, 4, 7]);
-        assert_eq!(t.index_lookup(1, &Value::Int(99)).unwrap(), &[] as &[usize]);
+        assert_eq!(*hits, [1, 4, 7]);
+        assert!(t.index_lookup(1, &Value::Int(99)).unwrap().is_empty());
     }
 
     #[test]
@@ -462,7 +439,7 @@ mod tests {
             .unwrap();
         assert_eq!(t.row_count(), 20);
         let hits = t.index_lookup(0, &Value::Int(15)).unwrap();
-        assert_eq!(hits, &[15]);
+        assert_eq!(*hits, [15]);
     }
 
     #[test]
@@ -604,6 +581,26 @@ mod tests {
             len: mixed.len(),
         });
         assert_eq!(columnar, row_analyze(&mixed, 4));
+    }
+
+    #[test]
+    fn update_where_eq_finds_its_rows_by_sql_equality() {
+        // `k = 1.0` holds on an Int 1 and `k = NULL` on nothing, with an
+        // index on `k` and without.
+        for indexed in [false, true] {
+            let mut db = db_with_orders();
+            let t = db.table_mut("orders").unwrap();
+            t.insert(vec![Value::Int(10), Value::Null]).unwrap();
+            if indexed {
+                t.create_index("o_customer_sk").unwrap();
+            }
+            let n = t.update_where_eq(1, &Value::Float(1.0), 0, Value::Int(-1));
+            assert_eq!(n, 3, "indexed: {indexed}");
+            assert_eq!(t.rows()[4], vec![Value::Int(-1), Value::Int(1)]);
+            let n = t.update_where_eq(1, &Value::Null, 0, Value::Int(-2));
+            assert_eq!(n, 0, "indexed: {indexed}");
+            assert_eq!(t.rows()[10], vec![Value::Int(10), Value::Null]);
+        }
     }
 
     #[test]

@@ -17,10 +17,9 @@
 //! predicates over indexed base-table scans, index-nested-loops and hash
 //! joins for equi-joins (nested loops otherwise), hash aggregation and a
 //! full sort for `ORDER BY`. This module keeps what is not columnar about
-//! execution: the [`Executor`] handle, the work counters, the rules by
-//! which an access path may answer `=` (`join_key`, `index_answers_eq`,
-//! `index_joins_eq`) and `AggState`, the aggregate fallback for arguments
-//! without a typed accumulator.
+//! execution: the [`Executor`] handle, the work counters and `AggState`,
+//! the aggregate fallback for arguments without a typed accumulator. (What
+//! `=` holds on is no access path's to decide: [`crate::value::EqIndex`].)
 //!
 //! What the engine returns is held to `tests/support/naive.rs`, an
 //! evaluator with no access path and its own comparison, logic and
@@ -33,7 +32,7 @@ use crate::error::DbResult;
 use crate::expr::AggFunc;
 use crate::func::FuncRegistry;
 use crate::plan::LogicalPlan;
-use crate::schema::{DataType, Schema};
+use crate::schema::Schema;
 use crate::value::{Row, Value};
 use crate::vexec::ResultSet;
 use std::collections::HashMap;
@@ -151,43 +150,6 @@ impl<'a> Executor<'a> {
             work: result.work(),
         })
     }
-}
-
-/// The key a hash join files `v` under: an Int's `f64` image — what
-/// `sql_cmp` compares an Int with a Float through — and a zero without its
-/// sign, so that keys the predicate calls equal share an entry, and any
-/// other value itself. Ints that share an image (beyond 2^53) meet as
-/// candidates, as a NULL meets a NULL; the conjunct, evaluated on every
-/// candidate of a `Value`-keyed table, tells them apart.
-pub(crate) fn join_key(v: Value) -> Value {
-    match v {
-        Value::Int(i) => Value::Float(i as f64),
-        v => v.unsigned_zero(),
-    }
-}
-
-/// Whether a hash index on a column declared `column` finds the rows
-/// `column = key` holds on. An index files values by `Value` identity,
-/// which ranks Int and Float apart where `sql_cmp` compares them
-/// numerically and finds a NULL under NULL where the predicate holds on no
-/// row: a numeric key of another type than the column's, or a NULL one,
-/// goes through the filter instead. (A column that *holds* values outside
-/// its declared type is out of scope for the two index paths.)
-pub(crate) fn index_answers_eq(column: DataType, key: &Value) -> bool {
-    match key {
-        Value::Int(_) => column == DataType::Int,
-        Value::Float(_) => column == DataType::Float,
-        Value::Null => false,
-        Value::Str(_) | Value::Bool(_) => true,
-    }
-}
-
-/// Whether an index on a column declared `inner` can be probed with the
-/// values of a column declared `outer`: not when one is Int and the other
-/// Float, for the reason [`index_answers_eq`] gives.
-pub(crate) fn index_joins_eq(outer: DataType, inner: DataType) -> bool {
-    use DataType::{Float, Int};
-    !matches!((outer, inner), (Int, Float) | (Float, Int))
 }
 
 /// Incremental aggregate state: the engine's row-at-a-time fallback for

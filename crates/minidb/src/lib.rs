@@ -64,5 +64,5 @@ pub use func::FuncRegistry;
 pub use plan::LogicalPlan;
 pub use schema::{Column, DataType, Schema};
 pub use stats::{ColumnStats, Histogram, TableStats};
-pub use value::{Row, Value};
+pub use value::{EqIndex, Row, Value};
 pub use vexec::{ResultSet, RowRef, BATCH_SIZE};

@@ -1,14 +1,18 @@
-//! Runtime values and rows.
+//! Runtime values and rows, and [`EqIndex`], the one map that answers `=`
+//! ([`Value::sql_cmp`]) on them: behind a table's hash indexes, the
+//! interpreter's column cache and the session's first-level cache.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// A single scalar value stored in the database or produced by a query.
 ///
 /// `Value` implements `Eq`, `Ord` and `Hash` (floats via `total_cmp` /
-/// `to_bits`) so it can key hash joins, group-by tables and client-side
-/// caches directly.
+/// `to_bits`): an identity that sorts, groups and keys a program's maps. It
+/// is not `=` — that is [`Value::sql_cmp`], and [`EqIndex`] the map by it.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL. Compares equal to itself for grouping purposes; predicates
@@ -85,14 +89,24 @@ impl Value {
         }
     }
 
-    /// This value as the key of a table that files values by `Eq` and
-    /// `Hash` (a hash index, a group table) and must find what
-    /// [`Value::sql_cmp`] calls equal: `-0.0` as `0.0`, anything else as
-    /// it is.
-    pub(crate) fn unsigned_zero(self) -> Value {
+    /// The number [`Value::sql_cmp`] compares this value through, if it is
+    /// one: an Int's `f64` image, a zero without its sign. Values `=` holds
+    /// on have one image; a value without one is its own.
+    pub(crate) fn eq_image(&self) -> Option<f64> {
         match self {
-            Value::Float(f) => Value::Float(f + 0.0),
-            v => v,
+            Value::Int(i) => Some(*i as f64),
+            Value::Float(f) => Some(f + 0.0),
+            _ => None,
+        }
+    }
+
+    /// This value as the key of a table that files by `Eq` and `Hash`: its
+    /// image. What shares a key is a candidate for `=` to confirm — two
+    /// Ints beyond 2^53 may, a NULL and a NULL do.
+    pub(crate) fn into_eq_key(self) -> Value {
+        match self.eq_image() {
+            Some(image) => Value::Float(image),
+            None => self,
         }
     }
 
@@ -106,17 +120,6 @@ impl Value {
             Value::Str(_) => 4,
         }
     }
-
-    /// In-memory size used when declared column widths are unavailable.
-    pub fn approx_bytes(&self) -> u64 {
-        match self {
-            Value::Null => 1,
-            Value::Bool(_) => 1,
-            Value::Int(_) => 8,
-            Value::Float(_) => 8,
-            Value::Str(s) => s.len() as u64,
-        }
-    }
 }
 
 /// The order of two numbers under `=` and `<`: IEEE's, in which `-0.0`
@@ -124,6 +127,70 @@ impl Value {
 /// `total_cmp` puts them, so that the order stays total.
 pub(crate) fn cmp_f64(a: &f64, b: &f64) -> Ordering {
     a.partial_cmp(b).unwrap_or_else(|| a.total_cmp(b))
+}
+
+/// Entries filed under database values and found by `=`: `get(key)` is
+/// exactly the entries whose value [`Value::sql_cmp`] calls `Equal` to
+/// `key`, in the order they were filed. A NULL is never filed, nor found.
+#[derive(Debug, Clone)]
+pub struct EqIndex<T> {
+    /// By image, the values every key of their image equals.
+    exact: HashMap<Value, Vec<T>>,
+    /// By image, the numbers from 2^53 on, where several Ints that `=` tells
+    /// apart share one: each beside its entry, for a lookup to confirm.
+    shared: HashMap<Value, Vec<(Value, T)>>,
+}
+
+impl<T> Default for EqIndex<T> {
+    fn default() -> EqIndex<T> {
+        EqIndex {
+            exact: HashMap::new(),
+            shared: HashMap::new(),
+        }
+    }
+}
+
+impl<T: Clone> EqIndex<T> {
+    /// The image `key` is filed under, and whether in `shared`.
+    fn image(key: &Value) -> (Cow<'_, Value>, bool) {
+        const SHARED: f64 = (1u64 << 53) as f64;
+        match key.eq_image() {
+            Some(x) => (Cow::Owned(Value::Float(x)), x.abs() >= SHARED),
+            None => (Cow::Borrowed(key), false),
+        }
+    }
+
+    /// File `entry` under `key`; under a NULL, drop it.
+    pub fn insert(&mut self, key: &Value, entry: T) {
+        if key.is_null() {
+            return;
+        }
+        let (image, shared) = Self::image(key);
+        if shared {
+            let candidates = self.shared.entry(image.into_owned()).or_default();
+            candidates.push((key.clone(), entry));
+        } else {
+            let equals = self.exact.entry(image.into_owned()).or_default();
+            equals.push(entry);
+        }
+    }
+
+    /// The entries filed under a value `= key` holds on.
+    pub fn get(&self, key: &Value) -> Cow<'_, [T]> {
+        let (image, shared) = Self::image(key);
+        if shared {
+            let candidates = self.shared.get(&*image).into_iter().flatten();
+            let equal = candidates.filter(|(v, _)| v.sql_cmp(key) == Some(Ordering::Equal));
+            return equal.map(|(_, entry)| entry.clone()).collect();
+        }
+        Cow::Borrowed(self.exact.get(&*image).map_or(&[], Vec::as_slice))
+    }
+
+    /// Every entry, in no particular order.
+    pub fn entries(&self) -> impl Iterator<Item = &T> {
+        let shared = self.shared.values().flatten().map(|(_, entry)| entry);
+        self.exact.values().flatten().chain(shared)
+    }
 }
 
 impl PartialEq for Value {
@@ -141,10 +208,8 @@ impl PartialOrd for Value {
 }
 
 impl Ord for Value {
-    /// Total order: by type rank, then value. Int/Float cross-compare
-    /// numerically so that `Int(1) == Float(1.0)` holds for grouping keys
-    /// would be surprising — instead the ranks keep them distinct, and the
-    /// engine normalizes numeric types per column at insert time.
+    /// Total order: by type rank, then value; the ranks keep `Int(1)` and
+    /// `Float(1.0)` distinct.
     fn cmp(&self, other: &Self) -> Ordering {
         use Value::*;
         match (self, other) {
@@ -250,6 +315,67 @@ mod tests {
             Value::Float(1.5).sql_cmp(&Value::Int(2)),
             Some(Ordering::Less)
         );
+    }
+
+    /// What `get` must return: the entries whose value `sql_cmp` calls
+    /// equal to the key, in filing order.
+    fn scan(filed: &[Value], key: &Value) -> Vec<usize> {
+        let equal = |i: &usize| filed[*i].sql_cmp(key) == Some(Ordering::Equal);
+        (0..filed.len()).filter(equal).collect()
+    }
+
+    #[test]
+    fn eq_index_finds_what_sql_cmp_calls_equal() {
+        const TWO_53: i64 = 1 << 53;
+        let filed = [
+            Value::Int(1),
+            Value::Null,
+            Value::Float(1.0),
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Float(0.0),
+            Value::str("1"),
+            Value::Bool(true),
+            Value::Float(f64::NAN),
+            Value::Float(0.5),
+            // Three values of one image: the Float equals both Ints, which
+            // differ.
+            Value::Int(TWO_53),
+            Value::Int(TWO_53 + 1),
+            Value::Float(TWO_53 as f64),
+            Value::Int(i64::MAX),
+            Value::Int(i64::MAX - 1),
+            Value::Int(i64::MIN),
+            Value::Int(1),
+        ];
+        let mut index = EqIndex::default();
+        for (i, v) in filed.iter().enumerate() {
+            index.insert(v, i);
+        }
+        let mut entries: Vec<usize> = index.entries().copied().collect();
+        entries.sort();
+        let all_but_the_null: Vec<usize> = (0..filed.len()).filter(|i| *i != 1).collect();
+        assert_eq!(entries, all_but_the_null);
+
+        let mut keys = filed.to_vec();
+        keys.extend([
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Float(-1.0),
+            Value::str("2"),
+            Value::Bool(false),
+            Value::Int(TWO_53 + 2),
+            Value::Float(i64::MAX as f64),
+            Value::Float(f64::INFINITY),
+        ]);
+        for key in &keys {
+            assert_eq!(*index.get(key), scan(&filed, key), "{key:?}");
+        }
+        assert_eq!(*index.get(&Value::Int(1)), [0, 2, 16]);
+        assert_eq!(*index.get(&Value::Float(0.0)), [3, 4, 5]);
+        assert_eq!(*index.get(&Value::Int(TWO_53)), [10, 12]);
+        assert_eq!(*index.get(&Value::Float(TWO_53 as f64)), [10, 11, 12]);
+        assert!(index.get(&Value::Null).is_empty());
     }
 
     #[test]

@@ -46,10 +46,9 @@
 //!   that match nothing meet no chain; a chain row costs a compare against
 //!   the build column and a load of the next.
 //! * **Every other key** (NULLs, non-`Int`, mixed) takes the same table
-//!   through `Value`s under `exec::join_key`: an Int is filed under the
-//!   `f64` image `sql_cmp` compares it with a Float through, the
-//!   candidates are a superset of the pairs the conjunct holds on, and
-//!   the residual pass evaluates it on each.
+//!   through `Value`s under [`Value::into_eq_key`], the image an index
+//!   files under too: the candidates are a superset of the pairs the
+//!   conjunct holds on, and the residual pass evaluates it on each.
 //!
 //! On the two `Int` paths the probe *is* the equi conjunct, so the
 //! residual pass skips it. The candidate lists become the output's
@@ -108,7 +107,7 @@
 use crate::catalog::Table;
 use crate::column::{ColumnTable, ColumnVec, NullMask};
 use crate::error::{DbError, DbResult};
-use crate::exec::{index_answers_eq, index_joins_eq, join_key, AggState, ExecWork, Executor};
+use crate::exec::{AggState, ExecWork, Executor};
 use crate::expr::{apply_bin_op, AggFunc, BinOp, ColRef, ScalarExpr};
 use crate::func::FuncRegistry;
 use crate::plan::{AggItem, LogicalPlan, SortDir};
@@ -509,23 +508,21 @@ fn run_select(
         let conjuncts = pred.conjuncts();
         if let Some((ci, idx, key_expr)) = indexed_eq_conjunct(t, &schema, &conjuncts) {
             let key = key_expr.eval(&Schema::default(), &Vec::new(), params, exec.funcs)?;
-            if index_answers_eq(schema.column(idx).dtype, &key) {
-                let positions = t.index_lookup(idx, &key).unwrap_or(&[]);
-                let work = ExecWork {
-                    startup_rows: 0,
-                    total_rows: positions.len() as u64 + 1,
-                };
-                let hits: Vec<u32> = positions.iter().map(|&p| p as u32).collect();
-                let mut chunk = Chunk::scan(t, schema);
-                chunk.select(hits);
-                // Remaining conjuncts narrow the selection in order.
-                for (i, other) in conjuncts.iter().enumerate() {
-                    if i != ci {
-                        filter_chunk(&mut chunk, other, params, exec.funcs)?;
-                    }
+            let positions = t.index_lookup(idx, &key).unwrap_or_default();
+            let work = ExecWork {
+                startup_rows: 0,
+                total_rows: positions.len() as u64 + 1,
+            };
+            let hits: Vec<u32> = positions.iter().map(|&p| p as u32).collect();
+            let mut chunk = Chunk::scan(t, schema);
+            chunk.select(hits);
+            // Remaining conjuncts narrow the selection in order.
+            for (i, other) in conjuncts.iter().enumerate() {
+                if i != ci {
+                    filter_chunk(&mut chunk, other, params, exec.funcs)?;
                 }
-                return Ok((chunk, work));
             }
+            return Ok((chunk, work));
         }
     }
     // Generic filter: whole predicate tree, batched over the selection.
@@ -885,12 +882,12 @@ fn hash_candidates(
         };
         return (pairs, true);
     }
-    // Generic path: full `Value`s under [`join_key`], NULL keys included —
+    // Generic path: full `Value`s under their images, NULL keys included —
     // a NULL pairs with a NULL and two Ints with one `f64` image pair with
     // each other, and the residual, which evaluates every conjunct on this
     // path, discards both.
     let keys = |col: ColView<'_>, n: usize| -> Vec<Value> {
-        (0..n).map(|k| join_key(col.get(k))).collect()
+        (0..n).map(|k| col.get(k).into_eq_key()).collect()
     };
     let (b_keys, p_keys) = (keys(build, n_build), keys(probe, n_probe));
     let (table, shift) = BuildTable::hashed(n_build, |b| hash_value(&b_keys[b]));
@@ -925,8 +922,7 @@ pub(crate) fn inl_probe_columns(
                 outer_schema.resolve(&x.to_ref_string()),
                 inner_schema.resolve(&y.to_ref_string()),
             ) {
-                let (o_type, i_type) = (outer_schema.column(o).dtype, inner_schema.column(i).dtype);
-                if t.has_index(i) && index_joins_eq(o_type, i_type) {
+                if t.has_index(i) {
                     probe = Some((o, i));
                 }
             }
@@ -974,8 +970,8 @@ fn try_inl_join(
         let o_key = o_chunk.col(o_col);
         for k in 0..o_chunk.len {
             work.total_rows += 1;
-            let hits = t.index_lookup(i_col, &o_key.get(k)).unwrap_or(&[]);
-            for &pos in hits {
+            let hits = t.index_lookup(i_col, &o_key.get(k)).unwrap_or_default();
+            for &pos in hits.iter() {
                 work.total_rows += 1;
                 cand_o.push(k as u32);
                 cand_i.push(pos as u32);
@@ -1116,9 +1112,13 @@ fn value_groups(group_cols: &[ColView<'_>], n: usize) -> (Vec<Row>, Vec<u32>) {
     let mut seen: HashMap<Row, u32> = HashMap::new();
     let gids = (0..n)
         .map(|k| {
+            // An Int groups as itself: two that share an image are two.
             let key: Row = group_cols
                 .iter()
-                .map(|c| c.get(k).unsigned_zero())
+                .map(|c| match c.get(k) {
+                    v @ Value::Int(_) => v,
+                    v => v.into_eq_key(),
+                })
                 .collect();
             *seen.entry(key).or_insert_with_key(|key| {
                 order.push(key.clone());
@@ -1837,7 +1837,11 @@ mod tests {
         });
         // `-0.0` and `0.0` are one number; `Value`'s `Eq` tells them apart.
         let comparable = |rows: &[Row]| {
-            let unsigned = |row: &Row| row.iter().cloned().map(Value::unsigned_zero).collect();
+            let unsigned = |v: &Value| match v {
+                Value::Float(f) => Value::Float(f + 0.0),
+                v => v.clone(),
+            };
+            let unsigned = |row: &Row| row.iter().map(unsigned).collect();
             let mut rows: Vec<Row> = rows.iter().map(unsigned).collect();
             if engine_ordered {
                 rows.sort();

@@ -2,7 +2,7 @@
 
 use crate::mapping::{EntityMapping, MappingRegistry};
 use crate::remote::RemoteDb;
-use minidb::{DbError, DbResult, LogicalPlan, ResultSet, RowRef, ScalarExpr, Value};
+use minidb::{DbError, DbResult, EqIndex, LogicalPlan, ResultSet, RowRef, ScalarExpr, Value};
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -20,8 +20,8 @@ use std::sync::{Arc, Mutex};
 pub struct Session {
     remote: Arc<RemoteDb>,
     mappings: Arc<MappingRegistry>,
-    /// First-level cache: entity → primary key → row.
-    l1: Mutex<HashMap<String, HashMap<Value, RowRef>>>,
+    /// First-level cache: entity → primary key → row, the latest filed.
+    l1: Mutex<HashMap<String, EqIndex<RowRef>>>,
 }
 
 impl Session {
@@ -57,11 +57,11 @@ impl Session {
         let plan = LogicalPlan::scan(&m.table);
         let result = self.remote.query(&plan, &HashMap::new())?;
         let id_idx = result.schema().resolve(&m.id_column)?;
-        let mut l1 = self.l1.lock().unwrap();
-        let cache = l1.entry(entity.to_string()).or_default();
+        let mut cache = EqIndex::default();
         for row in RowRef::all(&result) {
-            cache.insert(row.value(id_idx), row);
+            cache.insert(&row.value(id_idx), row);
         }
+        self.l1.lock().unwrap().insert(entity.to_string(), cache);
         Ok(result)
     }
 
@@ -70,8 +70,8 @@ impl Session {
     /// A miss issues `select * from table where id = :id` (one round trip);
     /// a hit is free — Hibernate's first-level cache behaviour.
     pub fn get(&self, entity: &str, id: &Value) -> DbResult<Option<RowRef>> {
-        let cached = |l1: &HashMap<String, HashMap<Value, RowRef>>| {
-            l1.get(entity).and_then(|rows| rows.get(id)).cloned()
+        let cached = |l1: &HashMap<String, EqIndex<RowRef>>| {
+            l1.get(entity).and_then(|rows| rows.get(id).last().cloned())
         };
         if let Some(row) = cached(&self.l1.lock().unwrap()) {
             return Ok(Some(row));
@@ -89,7 +89,7 @@ impl Session {
         let mut l1 = self.l1.lock().unwrap();
         l1.entry(entity.to_string())
             .or_default()
-            .insert(id.clone(), row.clone());
+            .insert(id, row.clone());
         Ok(Some(row))
     }
 
@@ -115,7 +115,8 @@ impl Session {
 
     /// Number of rows currently in the first-level cache.
     pub fn l1_size(&self) -> usize {
-        self.l1.lock().unwrap().values().map(HashMap::len).sum()
+        let l1 = self.l1.lock().unwrap();
+        l1.values().map(|rows| rows.entries().count()).sum()
     }
 
     /// Drop all cached rows (end of transaction).

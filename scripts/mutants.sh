@@ -6,8 +6,9 @@
 #   scripts/mutants.sh join_key_identity    # the named mutants only
 #   SUITE='-p minidb' scripts/mutants.sh    # another suite for every mutant
 #
-# A patch is a plain diff against crates/minidb/src under a three-line
-# header: what it breaks, `profile: debug|release` (debug where only the
+# A patch is a plain diff against any crates/*/src (the engine's, or the
+# interpreter's client cache, which answers `=` beside it) under a
+# three-line header: what it breaks, `profile: debug|release` (debug where only the
 # overflow checks see it) and `kills: rows|order`. A `rows` mutant changes
 # what some query returns and must fail ROWS_SUITE (engine_reference: the
 # naive evaluator, the twins, the partitions — no pinned digest); an

@@ -2,7 +2,10 @@
 //! choices match the paper's Experiments 1–3 qualitatively.
 
 use cobra::core::Cobra;
+use cobra::imperative::ast::{Expr, Function, Program, QuerySpec, Stmt, StmtKind};
 use cobra::imperative::pretty;
+use cobra::interp::Snapshot;
+use cobra::minidb::{Column, DataType, Database, FuncRegistry, Schema, Value};
 use cobra::netsim::NetworkProfile;
 use cobra::workloads::{harness::run_on, motivating};
 
@@ -142,4 +145,94 @@ fn optimization_chooses_min_of_measured_alternatives() {
              (P0={t0}, P1={t1}, P2={t2})"
         );
     }
+}
+
+/// The lookup `prefetch` (rule N1) puts in place of `where b_k = :p` finds
+/// what the query found, whatever the keys are. `a` has 400 rows, `b` 40,
+/// their keys a type and a value per row number; the original finds `rows`.
+fn prefetch_preserves_the_lookup(
+    a_fk: (DataType, &dyn Fn(i64) -> Value),
+    b_k: (DataType, &dyn Fn(i64) -> Value),
+    rows: usize,
+) {
+    let mut db = Database::new();
+    let schema =
+        |k: &str, t, v: &str| Schema::new(vec![Column::new(k, t), Column::new(v, DataType::Int)]);
+    let t = db
+        .create_table("a", schema("a_fk", a_fk.0, "a_id"))
+        .unwrap();
+    t.insert_many((0..400).map(|i| vec![a_fk.1(i), Value::Int(i)]))
+        .unwrap();
+    let t = db.create_table("b", schema("b_k", b_k.0, "b_v")).unwrap();
+    t.insert_many((0..40).map(|i| vec![b_k.1(i), Value::Int(100 + i)]))
+        .unwrap();
+    db.analyze_all();
+    let fx = cobra::workloads::Fixture {
+        db: cobra::minidb::shared(db),
+        mapping: Default::default(),
+        funcs: std::sync::Arc::new(FuncRegistry::with_builtins()),
+    };
+
+    let lookup = QuerySpec::sql("select * from b where b_k = :p")
+        .bind("p", Expr::field(Expr::var("x"), "a_fk"));
+    let add = StmtKind::Add("result".into(), Expr::field(Expr::var("r"), "b_v"));
+    let inner = StmtKind::ForEach {
+        var: "r".into(),
+        iter: Expr::Query(lookup),
+        body: vec![Stmt::new(add)],
+    };
+    let outer = StmtKind::ForEach {
+        var: "x".into(),
+        iter: Expr::Query(QuerySpec::sql("select * from a")),
+        body: vec![Stmt::new(inner)],
+    };
+    let body = vec![
+        Stmt::new(StmtKind::NewCollection("result".into())),
+        Stmt::new(outer),
+    ];
+    let mut f = Function::new("lookups", vec!["result".to_string()], body);
+    f.number_lines(2);
+    let original = Program::single(f);
+
+    // Without T4 the join is not on offer, and prefetching wins.
+    let net = NetworkProfile::slow_remote();
+    let cobra = fx
+        .cobra_builder()
+        .network(net.clone())
+        .disable_rule("T4")
+        .build();
+    let opt = cobra.optimize_program(&original).unwrap();
+    let text = pretty::function_to_string(&opt.program);
+    assert!(opt.tags.contains(&"prefetch"), "{:?}:\n{text}", opt.tags);
+    assert!(text.contains("lookupCache"), "{text}");
+
+    let result = |program: &Program| {
+        let run = run_on(&fx, net.clone(), program).unwrap();
+        run.outcome.var_snapshot("result")
+    };
+    let (was, is) = (result(&original), result(&Program::single(opt.program)));
+    let len = |result: &Snapshot| match result {
+        Snapshot::List(found) => found.len(),
+        other => panic!("{other}"),
+    };
+    assert_eq!((len(&was), len(&is)), (rows, rows), "original, rewritten");
+    assert_eq!(was, is, "{text}");
+}
+
+#[test]
+fn prefetch_finds_no_row_under_a_null_key() {
+    // Two `a` rows in five have no `b`, five `b` rows no key: 240 of the
+    // 400 lookups find their one row, and a NULL finds none of the five.
+    let a_fk = |i: i64| match i % 5 {
+        0 | 1 => Value::Null,
+        _ => Value::Int(i % 35),
+    };
+    let b_k = |i: i64| if i < 35 { Value::Int(i) } else { Value::Null };
+    prefetch_preserves_the_lookup((DataType::Int, &a_fk), (DataType::Int, &b_k), 240);
+}
+
+#[test]
+fn prefetch_finds_an_int_key_under_its_float() {
+    let a_fk = |i: i64| Value::Float((i % 40) as f64);
+    prefetch_preserves_the_lookup((DataType::Float, &a_fk), (DataType::Int, &Value::Int), 400);
 }

@@ -20,13 +20,17 @@
 //! compared with (and NULL, a Float twin, an absent key); the shapes of
 //! `engine_differential` at a size a cross product can follow; and
 //! generated queries over a schema of Float, nullable and cross-type keys,
-//! an empty table and extreme values. `ExecWork` and row order below a
-//! join are no reference's to define: `engine_differential` pins them.
+//! an empty table and extreme values. Over that schema a fourth check
+//! runs programs: `k = :p` by `executeQuery`, by `cacheByColumn` +
+//! `lookupCache` and by `Session::get` finds naive's rows, for every
+//! column and key. `ExecWork` and row order below a join are no
+//! reference's to define: `engine_differential` pins them.
 //!
 //! Widen with `DIFF_SEEDS=1000 cargo test --release --test
 //! engine_reference`.
 
-use cobra::imperative::ast::{Expr, Program, QuerySpec};
+use cobra::imperative::ast::{Expr, Function, Program, QuerySpec, Stmt, StmtKind};
+use cobra::interp::Snapshot;
 use cobra::minidb;
 use cobra::minidb::plan::{AggItem, SortDir};
 use cobra::minidb::{
@@ -36,10 +40,11 @@ use cobra::minidb::{
 use cobra::netsim::rng::StdRng;
 use cobra::netsim::NetworkProfile;
 use cobra::oracle::mid_range;
+use cobra::orm::{EntityMapping, MappingRegistry, Prices, RemoteDb, Session};
 use cobra::workloads::genprog::{GenCase, GenConfig};
-use cobra::workloads::harness::Fixture;
+use cobra::workloads::harness::{run_on, Fixture};
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 #[path = "support/naive.rs"]
 mod naive;
@@ -1033,6 +1038,138 @@ fn generated_predicates_partition_their_inputs() {
     let held = edge_queries_hold(Check::Partition);
     println!("{held} generated queries partitioned");
     assert!(held > 800, "{held}");
+}
+
+// ---------------------------------------------------------------------------
+// `k = :p` by the query, by the column cache and by the session
+// ---------------------------------------------------------------------------
+
+/// What a column of `values` is looked up by: each of its values, the same
+/// number in the other numeric type, its neighbour; NULL, the zeros, and a
+/// key one past the largest.
+fn lookup_keys(values: &[Value]) -> Vec<Value> {
+    let mut keys = vec![
+        Value::Null,
+        Value::Float(-0.0),
+        Value::Float(0.0),
+        Value::Int(0),
+        Value::str("s9"),
+    ];
+    let max = values.iter().filter_map(Value::as_i64).max();
+    keys.push(Value::Int(max.map_or(-1, |max| max.wrapping_add(1))));
+    for v in values {
+        keys.push(v.clone());
+        match v {
+            Value::Int(i) => keys.extend([Value::Float(*i as f64), Value::Int(i.wrapping_sub(1))]),
+            Value::Float(f) => keys.extend([Value::Int(*f as i64), Value::Float(f + 0.25)]),
+            _ => {}
+        }
+    }
+    keys.sort();
+    keys.dedup();
+    keys
+}
+
+/// `out`, after `for r in rows { out.add(r) }` behind `setup`.
+fn collected(fixture: &Fixture, setup: Vec<StmtKind>, rows: Expr) -> Vec<Row> {
+    let add = StmtKind::Add("out".into(), Expr::var("r"));
+    let each = StmtKind::ForEach {
+        var: "r".into(),
+        iter: rows,
+        body: vec![Stmt::new(add)],
+    };
+    let kinds = [StmtKind::NewCollection("out".into())].into_iter();
+    let body = kinds.chain(setup).chain([each]).map(Stmt::new).collect();
+    let program = Program::single(Function::new("lookup", vec![], body));
+    let run = run_on(fixture, NetworkProfile::fast_local(), &program).expect("the program runs");
+    let Snapshot::List(out) = run.outcome.var_snapshot("out") else {
+        panic!("out is a collection")
+    };
+    let row = |r: Snapshot| match r {
+        Snapshot::Row(values) => values,
+        other => panic!("{other} is no row"),
+    };
+    out.into_iter().map(row).collect()
+}
+
+/// The rewrite the paper opens with (Fig. 3c, rule N1) puts `lookupCache`
+/// where `where k = :p` was, and association navigation reads the session's
+/// cache where it would have queried: over every column of the edge schema
+/// and every key, the three find the rows the naive evaluator finds.
+#[test]
+fn a_key_finds_the_same_rows_by_query_by_column_cache_and_by_session() {
+    let funcs = Arc::new(FuncRegistry::with_builtins());
+    let mut mapping = MappingRegistry::new();
+    mapping.register(EntityMapping::new("A", "a", "ak"));
+    mapping.register(EntityMapping::new("C", "c", "ck"));
+    let (mut looked_up, mut session_hits) = (0, 0);
+    for seed in 0..seed_count(200).div_ceil(50) {
+        let fixture = Fixture {
+            db: minidb::shared(edge_db(seed)),
+            mapping: mapping.clone(),
+            funcs: funcs.clone(),
+        };
+        let db = fixture.db.read().expect("fixture lock");
+        let remote = RemoteDb::new(
+            fixture.db.clone(),
+            funcs.clone(),
+            NetworkProfile::fast_local(),
+            Prices::default(),
+        );
+        let session = Session::new(Arc::new(remote), Arc::new(mapping.clone()));
+        for col in edge_columns() {
+            let (table, k) = (col.table, col.name);
+            let t = db.table(table).unwrap();
+            let at = t.schema().resolve(k).unwrap();
+            let values: Vec<Value> = t.rows().iter().map(|r| r[at].clone()).collect();
+            let entity = mapping.entity_for_table(table).filter(|m| m.id_column == k);
+            if let Some(m) = entity {
+                session.load_all(&m.entity).unwrap();
+            }
+            let select = minidb::sql::parse(&format!("select * from {table} where {k} = :p"));
+            let select = QuerySpec::of(select.unwrap());
+            for key in lookup_keys(&values) {
+                let what = format!("{table}.{k} = {key:?}, data seed {seed}");
+                let params = Params::from([("p".to_string(), key.clone())]);
+                let on = On {
+                    db: &db,
+                    funcs: &funcs,
+                    params: &params,
+                };
+                let want = canonical(on.naive(&select.plan).unwrap());
+
+                let query = select.clone().bind("p", Expr::Lit(key.clone()));
+                let by_query = collected(&fixture, vec![], Expr::Query(query));
+                assert_eq!(canonical(by_query), want, "executeQuery: {what}");
+
+                let cache = StmtKind::CacheByColumn {
+                    cache: "cache".into(),
+                    source: Expr::Query(QuerySpec::sql(&format!("select * from {table}"))),
+                    key_col: k.into(),
+                };
+                let lookup = Expr::LookupCache("cache".into(), Box::new(Expr::Lit(key.clone())));
+                let by_cache = collected(&fixture, vec![cache], lookup);
+                assert_eq!(canonical(by_cache), want, "lookupCache: {what}");
+                looked_up += 1;
+
+                // A key the loaded table holds costs no round trip.
+                let Some(m) = entity else { continue };
+                let trips = session.remote().round_trips();
+                let got = session.get(&m.entity, &key).unwrap();
+                let got: Vec<Row> = got.iter().map(|row| row.values()).collect();
+                assert_eq!(canonical(got), want, "Session::get: {what}");
+                if !want.is_empty() {
+                    assert_eq!(session.remote().round_trips(), trips, "{what}");
+                    session_hits += 1;
+                }
+            }
+        }
+    }
+    println!("{looked_up} (column, key) pairs looked up three ways, {session_hits} session hits");
+    assert!(
+        looked_up > 1_000 && session_hits > 300,
+        "{looked_up} {session_hits}"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -35,6 +35,12 @@
 //!   a `HashMap` is keyed by a database value (whose identity is not `=`);
 //!   30 ns a statement and 200 ns a server row are literals in
 //!   `orm::Prices::default()` only — the catalog starts from it.
+//! * **A query pays for its rows, not its plan.** A schema is qualified
+//!   only where a table builds its scan schema (`catalog.rs`) and where the
+//!   operation is defined (`schema.rs`), and no column reference is
+//!   resolved by writing it out as a string first (`resolve(&`, then
+//!   `to_ref_string()` on the line). `tests/support/naive.rs` is not under
+//!   `crates/` and does both, deliberately.
 //!
 //! Exit status 0 when clean; 1 with `file:line` diagnostics otherwise.
 //!
@@ -168,7 +174,37 @@ const LINTS: &[Lint] = &[
         patterns: &[concat!("cz_ns", ": 30"), concat!("server_row_ns", ": 200")],
         why: "a default price is a literal in `orm::Prices::default()` only; start from that",
     },
+    Lint {
+        dir: "crates/*/src",
+        exempt: &[
+            "crates/minidb/src/catalog.rs",
+            "crates/minidb/src/schema.rs",
+        ],
+        // Split, as above.
+        patterns: &[concat!("with_", "qualifier(")],
+        why: "a scan's schema is its table's, built once (`Table::scan_schema`); a schema is \
+              not re-qualified per execution",
+    },
+    Lint {
+        dir: "crates/*/src",
+        exempt: &[],
+        // Split, as above; `…` is anything on the same line.
+        patterns: &[concat!("resolve", "(&…to_ref", "_string())")],
+        why: "a `ColRef` resolves through `ColRef::resolve` (`Schema::resolve_parts`), which \
+              writes no string",
+    },
 ];
+
+/// Whether `line` holds `pat`: a substring, or with a `…` in it the part
+/// before and then, further on, the part after.
+fn matches(line: &str, pat: &str) -> bool {
+    match pat.split_once('…') {
+        None => line.contains(pat),
+        Some((head, tail)) => line
+            .find(head)
+            .is_some_and(|at| line[at + head.len()..].contains(tail)),
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -213,7 +249,7 @@ fn main() {
                     continue;
                 }
                 for pat in lint.patterns {
-                    if line.contains(pat) {
+                    if matches(line, pat) {
                         violations += 1;
                         println!(
                             "{}:{}: found `{}` — {}",

@@ -15,6 +15,9 @@ use std::sync::{Arc, Mutex};
 pub struct Table {
     name: String,
     schema: Schema,
+    /// `schema` with every column qualified by `name`: what an unaliased
+    /// scan produces, built once and shared by every scan.
+    scan_schema: Arc<Schema>,
     rows: Vec<Row>,
     /// Hash indexes by column position: value → row positions.
     indexes: HashMap<usize, EqIndex<usize>>,
@@ -40,6 +43,7 @@ impl Clone for Table {
         Table {
             name: self.name.clone(),
             schema: self.schema.clone(),
+            scan_schema: self.scan_schema.clone(),
             rows: self.rows.clone(),
             indexes: self.indexes.clone(),
             primary_key: self.primary_key,
@@ -53,8 +57,10 @@ impl Clone for Table {
 impl Table {
     /// Create an empty table.
     pub fn new(name: impl Into<String>, schema: Schema) -> Table {
+        let name = name.into();
         Table {
-            name: name.into(),
+            scan_schema: Arc::new(schema.with_qualifier(&name)),
+            name,
             schema,
             rows: Vec::new(),
             indexes: HashMap::new(),
@@ -73,6 +79,17 @@ impl Table {
     /// Table schema (columns unqualified).
     pub fn schema(&self) -> &Schema {
         &self.schema
+    }
+
+    /// The schema a scan of this table under `alias` produces: every
+    /// column qualified by the alias, or by the table's name without one.
+    /// The unaliased schema is the table's own, shared; an alias that is
+    /// not the name builds its copy.
+    pub fn scan_schema(&self, alias: Option<&str>) -> Arc<Schema> {
+        match alias {
+            Some(alias) if alias != self.name => Arc::new(self.schema.with_qualifier(alias)),
+            _ => self.scan_schema.clone(),
+        }
     }
 
     /// All rows.

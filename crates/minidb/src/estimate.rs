@@ -17,13 +17,13 @@ use crate::expr::{BinOp, ColRef, ScalarExpr};
 use crate::feedback::FeedbackStore;
 use crate::fingerprint::PlanFingerprint;
 use crate::func::FuncRegistry;
-use crate::plan::LogicalPlan;
+use crate::plan::{aggregate_schema, project_schema, LogicalPlan};
 use crate::schema::Schema;
 use crate::value::Value;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 /// The estimate for one query plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -306,21 +306,27 @@ impl<'a> Estimator<'a> {
 
     /// Estimate cardinality, row size and work for `plan`.
     pub fn estimate(&self, plan: &LogicalPlan) -> DbResult<Estimate> {
-        match plan {
-            LogicalPlan::Scan { table, .. } => {
+        Ok(self.estimate_node(plan)?.0)
+    }
+
+    /// [`Estimator::estimate`] with the plan's output schema, which each
+    /// node derives from its inputs' as the executor does.
+    fn estimate_node(&self, plan: &LogicalPlan) -> DbResult<(Estimate, Arc<Schema>)> {
+        Ok(match plan {
+            LogicalPlan::Scan { table, alias } => {
                 let t = self.db.table(table)?;
                 let rows = t.stats().row_count.max(t.row_count() as u64) as f64;
-                Ok(Estimate {
+                let e = Estimate {
                     rows,
                     row_bytes: t.schema().row_bytes() as f64,
                     startup_work: 0.0,
                     total_work: rows,
-                })
+                };
+                (e, t.scan_schema(alias.as_deref()))
             }
             LogicalPlan::Select { input, pred } => {
-                let child = self.estimate(input)?;
-                let schema = input.output_schema(self.db, self.funcs)?;
-                let sel = self.selectivity(&schema, pred);
+                let (child, schema) = self.estimate_node(input)?;
+                let sel = self.selectivity(pred);
                 let rows = child.rows * sel;
                 // Index fast path mirrors the executor: equality on an
                 // indexed column of a base scan touches only matches.
@@ -330,129 +336,134 @@ impl<'a> Estimator<'a> {
                 } else {
                     (child.startup_work, child.total_work + child.rows)
                 };
-                Ok(Estimate {
+                let e = Estimate {
                     rows,
                     row_bytes: child.row_bytes,
                     startup_work: startup,
                     total_work: total,
-                })
+                };
+                (e, schema)
             }
-            LogicalPlan::Project { input, .. } => {
-                let child = self.estimate(input)?;
-                let schema = plan.output_schema(self.db, self.funcs)?;
-                Ok(Estimate {
+            LogicalPlan::Project { input, items } => {
+                let (child, in_schema) = self.estimate_node(input)?;
+                let schema = project_schema(&in_schema, items, self.funcs)?;
+                let e = Estimate {
                     rows: child.rows,
                     row_bytes: schema.row_bytes() as f64,
                     startup_work: child.startup_work,
                     total_work: child.total_work + child.rows,
-                })
+                };
+                (e, Arc::new(schema))
             }
             LogicalPlan::Join { left, right, pred } => {
-                let l = self.estimate(left)?;
-                let r = self.estimate(right)?;
-                let l_schema = left.output_schema(self.db, self.funcs)?;
-                let r_schema = right.output_schema(self.db, self.funcs)?;
-                let sel = self.join_selectivity(&l_schema, &r_schema, pred);
+                let (l, l_schema) = self.estimate_node(left)?;
+                let (r, r_schema) = self.estimate_node(right)?;
+                let schema = Arc::new(l_schema.join(&r_schema));
+                let sel = self.join_selectivity(pred);
                 let rows = (l.rows * r.rows * sel).max(0.0);
                 // Index-nested-loops fast path (mirrors the executor): an
                 // indexed base-table side probed by a much smaller driver.
-                for (outer, outer_plan, inner_plan) in [(&l, left, right), (&r, right, left)] {
-                    if self.inl_eligible(outer_plan, inner_plan, pred)
-                        && outer.rows * 2.0 < self.estimate(inner_plan)?.rows
+                let sides = [(&l, &l_schema, &r, right), (&r, &r_schema, &l, left)];
+                for (outer, outer_schema, inner, inner_plan) in sides {
+                    if self.inl_eligible(outer_schema, inner_plan, pred)
+                        && outer.rows * 2.0 < inner.rows
                     {
-                        return Ok(Estimate {
+                        let e = Estimate {
                             rows,
                             row_bytes: l.row_bytes + r.row_bytes,
                             startup_work: outer.startup_work,
                             total_work: outer.total_work + outer.rows + rows,
-                        });
+                        };
+                        return Ok((e, schema));
                     }
                 }
                 let build = l.rows.min(r.rows);
                 let probe = l.rows.max(r.rows);
                 let startup = l.startup_work + r.startup_work + build;
                 let total = l.total_work + r.total_work + build + probe + rows;
-                Ok(Estimate {
+                let e = Estimate {
                     rows,
                     row_bytes: l.row_bytes + r.row_bytes,
                     startup_work: startup,
                     total_work: total,
-                })
+                };
+                (e, schema)
             }
             LogicalPlan::Aggregate {
-                input, group_by, ..
+                input,
+                group_by,
+                aggs,
             } => {
-                let child = self.estimate(input)?;
-                let schema = plan.output_schema(self.db, self.funcs)?;
-                let in_schema = input.output_schema(self.db, self.funcs)?;
+                let (child, in_schema) = self.estimate_node(input)?;
+                let schema = aggregate_schema(&in_schema, group_by, aggs, self.funcs)?;
                 let rows = if group_by.is_empty() {
                     1.0
                 } else {
                     let mut groups = 1.0f64;
                     for g in group_by {
-                        groups *= self.column_ndv(&in_schema, g).max(1.0);
+                        groups *= self.column_ndv(g).max(1.0);
                     }
                     groups.min(child.rows.max(1.0))
                 };
                 let total = child.total_work + child.rows;
-                Ok(Estimate {
+                let e = Estimate {
                     rows,
                     row_bytes: schema.row_bytes() as f64,
                     startup_work: total, // blocking
                     total_work: total,
-                })
+                };
+                (e, Arc::new(schema))
             }
             LogicalPlan::OrderBy { input, .. } => {
-                let child = self.estimate(input)?;
+                let (child, schema) = self.estimate_node(input)?;
                 let n = child.rows.max(1.0);
                 let sort = n * n.log2().max(1.0);
-                Ok(Estimate {
+                let e = Estimate {
                     rows: child.rows,
                     row_bytes: child.row_bytes,
                     startup_work: child.total_work + sort, // blocking
                     total_work: child.total_work + sort,
-                })
+                };
+                (e, schema)
             }
             LogicalPlan::Limit { input, n } => {
-                let child = self.estimate(input)?;
+                let (child, schema) = self.estimate_node(input)?;
                 let rows = child.rows.min(*n as f64);
-                Ok(Estimate { rows, ..child })
+                (Estimate { rows, ..child }, schema)
             }
-        }
+        })
     }
 
-    /// Probability that `pred` holds for a row of `schema` — used directly
-    /// for the `p` of a `cond` region when the predicate involves query
-    /// result attributes (§VI).
-    pub fn selectivity(&self, schema: &Schema, pred: &ScalarExpr) -> f64 {
+    /// Probability that `pred` holds for a row — used directly for the `p`
+    /// of a `cond` region when the predicate involves query result
+    /// attributes (§VI). A column is traced to its base table by name.
+    pub fn selectivity(&self, pred: &ScalarExpr) -> f64 {
         match pred {
             ScalarExpr::Lit(v) => match v.as_bool() {
                 Some(true) => 1.0,
                 Some(false) => 0.0,
                 None => DEFAULT_SELECTIVITY,
             },
-            ScalarExpr::Bin(BinOp::And, l, r) => {
-                self.selectivity(schema, l) * self.selectivity(schema, r)
-            }
+            ScalarExpr::Bin(BinOp::And, l, r) => self.selectivity(l) * self.selectivity(r),
             ScalarExpr::Bin(BinOp::Or, l, r) => {
-                let a = self.selectivity(schema, l);
-                let b = self.selectivity(schema, r);
+                let a = self.selectivity(l);
+                let b = self.selectivity(r);
                 (a + b - a * b).min(1.0)
             }
-            ScalarExpr::Not(e) => 1.0 - self.selectivity(schema, e),
+            ScalarExpr::Not(e) => 1.0 - self.selectivity(e),
             ScalarExpr::Bin(BinOp::Eq, l, r) => {
                 // col = constant/param → non-null fraction / NDV (equality
                 // never matches NULLs); col = col handled by joins.
                 if let Some(c) = as_column(l).or_else(|| as_column(r)) {
                     if self.use_histograms {
-                        if let Some((table, i)) = self.locate_column(&c) {
+                        if let Some((table, i)) = self.locate_column(c) {
                             let stats = table.stats();
                             if stats.analyzed {
                                 return stats.eq_selectivity(i);
                             }
                         }
                     }
-                    let ndv = self.column_ndv(schema, &c);
+                    let ndv = self.column_ndv(c);
                     if ndv > 0.0 {
                         return 1.0 / ndv;
                     }
@@ -494,18 +505,17 @@ impl<'a> Estimator<'a> {
         table.stats().range_selectivity(i, op, lit)
     }
 
-    fn join_selectivity(&self, l_schema: &Schema, r_schema: &Schema, pred: &ScalarExpr) -> f64 {
+    fn join_selectivity(&self, pred: &ScalarExpr) -> f64 {
         for c in pred.conjuncts() {
             if let ScalarExpr::Bin(BinOp::Eq, a, b) = c {
                 if let (Some(ca), Some(cb)) = (as_column(a), as_column(b)) {
-                    let joint = l_schema.join(r_schema);
-                    let ndv_a = self.column_ndv(&joint, &ca).max(1.0);
-                    let ndv_b = self.column_ndv(&joint, &cb).max(1.0);
+                    let ndv_a = self.column_ndv(ca).max(1.0);
+                    let ndv_b = self.column_ndv(cb).max(1.0);
                     let mut sel = 1.0 / ndv_a.max(ndv_b);
                     if self.use_histograms {
                         // NULL join keys never match: scale the output by
                         // both keys' non-null fractions.
-                        for col in [&ca, &cb] {
+                        for col in [ca, cb] {
                             if let Some((t, i)) = self.locate_column(col) {
                                 let stats = t.stats();
                                 if stats.analyzed {
@@ -540,18 +550,18 @@ impl<'a> Estimator<'a> {
     }
 
     /// NDV of a referenced column, traced back to its base table.
-    fn column_ndv(&self, _schema: &Schema, col: &ColRef) -> f64 {
+    fn column_ndv(&self, col: &ColRef) -> f64 {
         self.locate_column(col)
             .map(|(t, i)| t.stats().ndv(i) as f64)
             .unwrap_or(0.0)
     }
 
-    /// True when `inner_plan` is a bare indexed scan joinable from
-    /// `outer_plan` through an indexed equality column (the executor's INL
-    /// join precondition, minus the size heuristic).
+    /// True when `inner_plan` is a bare indexed scan joinable from an outer
+    /// side of `outer_schema` through an indexed equality column (the
+    /// executor's INL join precondition, minus the size heuristic).
     fn inl_eligible(
         &self,
-        outer_plan: &LogicalPlan,
+        outer_schema: &Schema,
         inner_plan: &LogicalPlan,
         pred: &ScalarExpr,
     ) -> bool {
@@ -561,12 +571,8 @@ impl<'a> Estimator<'a> {
         let Ok(t) = self.db.table(table) else {
             return false;
         };
-        let inner_schema = t.schema().with_qualifier(alias.as_deref().unwrap_or(table));
-        let Ok(outer_schema) = outer_plan.output_schema(self.db, self.funcs) else {
-            return false;
-        };
-        crate::vexec::inl_probe_columns(t, &outer_schema, &inner_schema, &pred.conjuncts())
-            .is_some()
+        let inner_schema = t.scan_schema(alias.as_deref());
+        crate::vexec::inl_probe_columns(t, outer_schema, &inner_schema, &pred.conjuncts()).is_some()
     }
 
     /// True when the executor answers `σ_pred(input)` from an index: `input`
@@ -583,9 +589,9 @@ impl<'a> Estimator<'a> {
     }
 }
 
-fn as_column(e: &ScalarExpr) -> Option<ColRef> {
+fn as_column(e: &ScalarExpr) -> Option<&ColRef> {
     match e {
-        ScalarExpr::Col(c) => Some(c.clone()),
+        ScalarExpr::Col(c) => Some(c),
         _ => None,
     }
 }
@@ -746,14 +752,11 @@ mod tests {
         assert_eq!(e.rows, 0.0);
         let funcs = FuncRegistry::with_builtins();
         let est = Estimator::new(&db, &funcs);
-        let schema = LogicalPlan::scan("empty")
-            .output_schema(&db, &funcs)
-            .unwrap();
         let plan = parse("select * from empty where e_id = 7").unwrap();
         let LogicalPlan::Select { pred, .. } = plan else {
             panic!()
         };
-        assert_eq!(est.selectivity(&schema, &pred), 0.0);
+        assert_eq!(est.selectivity(&pred), 0.0);
     }
 
     #[test]
@@ -866,16 +869,13 @@ mod tests {
         let db = test_db();
         let funcs = FuncRegistry::with_builtins();
         let est = Estimator::new(&db, &funcs);
-        let schema = LogicalPlan::scan("orders")
-            .output_schema(&db, &funcs)
-            .unwrap();
         let p_eq = parse("select * from orders where o_customer_sk = 1").unwrap();
         let LogicalPlan::Select { pred, .. } = p_eq else {
             panic!()
         };
-        let p = est.selectivity(&schema, &pred);
+        let p = est.selectivity(&pred);
         assert!((p - 0.01).abs() < 1e-9);
-        let not_p = est.selectivity(&schema, &ScalarExpr::Not(Box::new(pred)));
+        let not_p = est.selectivity(&ScalarExpr::Not(Box::new(pred)));
         assert!((not_p - 0.99).abs() < 1e-9);
     }
 

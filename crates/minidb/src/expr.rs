@@ -32,6 +32,18 @@ impl ColRef {
         }
     }
 
+    /// This column's position in `schema`: what [`Schema::resolve`] says of
+    /// [`ColRef::to_ref_string`], errors included, with nothing written out.
+    pub fn resolve(&self, schema: &Schema) -> DbResult<usize> {
+        schema.resolve_parts(self.qualifier.as_deref(), &self.name)
+    }
+
+    /// [`ColRef::resolve`] where a miss is only `None`: an access path
+    /// asking whether a column is on one side.
+    pub(crate) fn position(&self, schema: &Schema) -> Option<usize> {
+        schema.position(self.qualifier.as_deref(), &self.name)
+    }
+
     /// The reference as `q.name` or `name`.
     pub fn to_ref_string(&self) -> String {
         match &self.qualifier {
@@ -185,10 +197,7 @@ impl ScalarExpr {
         funcs: &FuncRegistry,
     ) -> DbResult<Value> {
         match self {
-            ScalarExpr::Col(c) => {
-                let i = schema.resolve(&c.to_ref_string())?;
-                Ok(row[i].clone())
-            }
+            ScalarExpr::Col(c) => Ok(row[c.resolve(schema)?].clone()),
             ScalarExpr::Lit(v) => Ok(v.clone()),
             ScalarExpr::Param(name) => params
                 .get(name)
@@ -283,10 +292,7 @@ impl ScalarExpr {
     /// unknown functions default to `Float`.
     pub fn infer_type(&self, schema: &Schema, funcs: &FuncRegistry) -> DbResult<DataType> {
         match self {
-            ScalarExpr::Col(c) => {
-                let i = schema.resolve(&c.to_ref_string())?;
-                Ok(schema.column(i).dtype)
-            }
+            ScalarExpr::Col(c) => Ok(schema.column(c.resolve(schema)?).dtype),
             ScalarExpr::Lit(v) => Ok(match v {
                 Value::Int(_) => DataType::Int,
                 Value::Float(_) => DataType::Float,
@@ -521,6 +527,67 @@ mod tests {
         let row = vec![Value::Int(5), Value::str("ab")];
         let e = ScalarExpr::bin(BinOp::Add, ScalarExpr::col("b"), ScalarExpr::lit("cd"));
         assert_eq!(eval(&e, &row), Value::str("abcd"));
+    }
+
+    #[test]
+    fn a_col_ref_resolves_as_its_written_form_does() {
+        // Qualified, unqualified, a qualifier that falls back to the name,
+        // ambiguous and unknown references — and the dotted ones no parser
+        // writes — against qualified, mixed and duplicated schemas: the
+        // same position or the same error, word for word.
+        let col = |name: &str, q: Option<&str>| {
+            let c = Column::new(name, DataType::Int);
+            q.map_or(c.clone(), |q| c.qualified(q))
+        };
+        let schemas = [
+            Schema::new(vec![col("o_id", Some("o")), col("c_name", Some("c"))]),
+            Schema::new(vec![
+                col("id", Some("a")),
+                col("id", Some("b")),
+                col("k", None),
+            ]),
+            Schema::new(vec![
+                col("id", Some("a")),
+                col("id", Some("a")),
+                col("b.c", Some("a")),
+            ]),
+            Schema::new(vec![col("c", Some("b")), col("c", None), col("x.y", None)]),
+        ];
+        let mut refs: Vec<ColRef> = [
+            "o_id", "o.o_id", "c.o_id", "x.c_name", "id", "a.id", "b.id", "z.id", "k", "a.k",
+            "nope", "q.nope", "a.b.c", "x.y", "b.c",
+        ]
+        .iter()
+        .map(|r| ColRef::parse(r))
+        .collect();
+        for (q, name) in [
+            (None, "a.id"),
+            (Some("a.b"), "c"),
+            (Some("x"), "y.z"),
+            (None, "b.c"),
+        ] {
+            refs.push(ColRef {
+                qualifier: q.map(str::to_string),
+                name: name.to_string(),
+            });
+        }
+        let (mut found, mut failed) = (0, 0);
+        for s in &schemas {
+            for c in &refs {
+                let text = c.to_ref_string();
+                let written = s.resolve(&text);
+                assert_eq!(c.resolve(s), written, "{c:?} in {s:?}");
+                assert_eq!(c.position(s), written.clone().ok(), "{c:?} in {s:?}");
+                match written {
+                    Ok(_) => found += 1,
+                    Err(e) => {
+                        assert_eq!(c.resolve(s).unwrap_err().to_string(), e.to_string());
+                        failed += 1;
+                    }
+                }
+            }
+        }
+        assert!(found > 10 && failed > 10, "{found} found, {failed} failed");
     }
 
     #[test]

@@ -5,12 +5,22 @@
 //! estimator. Plans are plain values with structural equality/hashing so
 //! the Region DAG can deduplicate alternatives that embed identical
 //! queries.
+//!
+//! A plan's output schema is stated per node: a scan's is its table's
+//! ([`crate::Table::scan_schema`], built once), a selection, a sort and a
+//! limit keep their input's, a join concatenates its inputs', and a
+//! projection's and an aggregate's come from their input's through
+//! `project_schema` and `aggregate_schema`. [`LogicalPlan::output_schema`]
+//! walks the tree with those; the executor and the estimator, which hold
+//! each input's schema already, call the node's rule on it and never walk a
+//! subtree twice. Schemas are `Arc`s: a scan's is shared, not copied.
 
 use crate::catalog::Database;
 use crate::error::{DbError, DbResult};
 use crate::expr::{AggFunc, ColRef, ScalarExpr};
 use crate::func::FuncRegistry;
 use crate::schema::{Column, DataType, Schema};
+use std::sync::Arc;
 
 /// One item of an aggregate: function, optional argument, output name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -201,75 +211,89 @@ impl LogicalPlan {
         }
     }
 
-    /// Derive the output schema against `db`.
-    pub fn output_schema(&self, db: &Database, funcs: &FuncRegistry) -> DbResult<Schema> {
-        match self {
-            LogicalPlan::Scan { table, alias } => {
-                let t = db.table(table)?;
-                let q = alias.clone().unwrap_or_else(|| table.clone());
-                Ok(t.schema().with_qualifier(&q))
-            }
-            LogicalPlan::Select { input, .. } => input.output_schema(db, funcs),
+    /// Derive the output schema against `db`, node by node through
+    /// `project_schema` and `aggregate_schema` — what the executor and the
+    /// estimator build from the input schema they hold.
+    pub fn output_schema(&self, db: &Database, funcs: &FuncRegistry) -> DbResult<Arc<Schema>> {
+        Ok(match self {
+            LogicalPlan::Scan { table, alias } => db.table(table)?.scan_schema(alias.as_deref()),
+            LogicalPlan::Select { input, .. }
+            | LogicalPlan::OrderBy { input, .. }
+            | LogicalPlan::Limit { input, .. } => input.output_schema(db, funcs)?,
             LogicalPlan::Project { input, items } => {
-                let in_schema = input.output_schema(db, funcs)?;
-                let mut cols = Vec::with_capacity(items.len());
-                for (expr, name) in items {
-                    let dtype = expr.infer_type(&in_schema, funcs)?;
-                    let width = match expr {
-                        ScalarExpr::Col(c) => {
-                            let i = in_schema.resolve(&c.to_ref_string())?;
-                            in_schema.column(i).byte_width
-                        }
-                        _ => dtype.default_width(),
-                    };
-                    cols.push(Column::with_width(name.clone(), dtype, width));
-                }
-                Ok(Schema::new(cols))
+                let input = input.output_schema(db, funcs)?;
+                Arc::new(project_schema(&input, items, funcs)?)
             }
             LogicalPlan::Join { left, right, .. } => {
-                let l = left.output_schema(db, funcs)?;
-                let r = right.output_schema(db, funcs)?;
-                Ok(l.join(&r))
+                let (l, r) = (
+                    left.output_schema(db, funcs)?,
+                    right.output_schema(db, funcs)?,
+                );
+                Arc::new(l.join(&r))
             }
             LogicalPlan::Aggregate {
                 input,
                 group_by,
                 aggs,
             } => {
-                let in_schema = input.output_schema(db, funcs)?;
-                let mut cols = Vec::new();
-                for g in group_by {
-                    let i = in_schema.resolve(&g.to_ref_string())?;
-                    let c = in_schema.column(i);
-                    cols.push(Column::with_width(c.name.clone(), c.dtype, c.byte_width));
-                }
-                for a in aggs {
-                    let dtype = match a.func {
-                        AggFunc::Count => DataType::Int,
-                        AggFunc::Avg => DataType::Float,
-                        AggFunc::Sum | AggFunc::Min | AggFunc::Max => match &a.arg {
-                            Some(e) => e.infer_type(&in_schema, funcs)?,
-                            None => {
-                                return Err(DbError::Invalid(format!(
-                                    "{}(*) is only valid for count",
-                                    a.func.sql()
-                                )))
-                            }
-                        },
-                    };
-                    cols.push(Column::with_width(
-                        a.name.clone(),
-                        dtype,
-                        dtype.default_width(),
-                    ));
-                }
-                Ok(Schema::new(cols))
+                let input = input.output_schema(db, funcs)?;
+                Arc::new(aggregate_schema(&input, group_by, aggs, funcs)?)
             }
-            LogicalPlan::OrderBy { input, .. } | LogicalPlan::Limit { input, .. } => {
-                input.output_schema(db, funcs)
-            }
-        }
+        })
     }
+}
+
+/// A projection's schema over its input's: each item under its name, a
+/// column keeping its width.
+pub(crate) fn project_schema(
+    input: &Schema,
+    items: &[(ScalarExpr, String)],
+    funcs: &FuncRegistry,
+) -> DbResult<Schema> {
+    let mut cols = Vec::with_capacity(items.len());
+    for (expr, name) in items {
+        let dtype = expr.infer_type(input, funcs)?;
+        let width = match expr {
+            ScalarExpr::Col(c) => input.column(c.resolve(input)?).byte_width,
+            _ => dtype.default_width(),
+        };
+        cols.push(Column::with_width(name.clone(), dtype, width));
+    }
+    Ok(Schema::new(cols))
+}
+
+/// An aggregate's schema over its input's: the grouping columns,
+/// unqualified, then one column per aggregate.
+pub(crate) fn aggregate_schema(
+    input: &Schema,
+    group_by: &[ColRef],
+    aggs: &[AggItem],
+    funcs: &FuncRegistry,
+) -> DbResult<Schema> {
+    let mut cols = Vec::with_capacity(group_by.len() + aggs.len());
+    for g in group_by {
+        let c = input.column(g.resolve(input)?);
+        cols.push(Column::with_width(c.name.clone(), c.dtype, c.byte_width));
+    }
+    for a in aggs {
+        let dtype = match (a.func, &a.arg) {
+            (AggFunc::Count, _) => DataType::Int,
+            (AggFunc::Avg, _) => DataType::Float,
+            (_, Some(e)) => e.infer_type(input, funcs)?,
+            (func, None) => {
+                let sql = func.sql();
+                return Err(DbError::Invalid(format!(
+                    "{sql}(*) is only valid for count"
+                )));
+            }
+        };
+        cols.push(Column::with_width(
+            a.name.clone(),
+            dtype,
+            dtype.default_width(),
+        ));
+    }
+    Ok(Schema::new(cols))
 }
 
 #[cfg(test)]

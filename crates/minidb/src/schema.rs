@@ -1,4 +1,17 @@
-//! Column and schema definitions.
+//! Column and schema definitions, and how a name finds its column.
+//!
+//! A schema is built where its node is: a table's, qualified by the table
+//! name, once with the table ([`crate::Table::scan_schema`], shared by every
+//! unaliased scan); a join's, a projection's and an aggregate's from the
+//! input schema the node already holds ([`crate::plan`]). Nothing derives a
+//! schema per execution by walking a plan.
+//!
+//! A reference resolves through [`Schema::resolve_parts`] — qualifier and
+//! name apart, as a [`crate::ColRef`] holds them — which allocates nothing
+//! unless it fails: `q.name` matches qualifier and name, falls back to the
+//! name alone (a projection may have stripped the qualifier), and a bare
+//! name must be unique. [`Schema::resolve`] is the same on the written form
+//! `"q.name"`, with the same errors, word for word.
 
 use crate::error::{DbError, DbResult};
 use std::fmt;
@@ -132,33 +145,53 @@ impl Schema {
     /// `"c.c_birth_year"` matches qualifier and name; `"c_birth_year"`
     /// matches by name alone and errors if the name is ambiguous.
     pub fn resolve(&self, reference: &str) -> DbResult<usize> {
-        if let Some((q, name)) = reference.split_once('.') {
-            let mut found = None;
-            for (i, c) in self.columns.iter().enumerate() {
-                if c.name == name && c.qualifier.as_deref() == Some(q) {
-                    if found.is_some() {
-                        return Err(DbError::AmbiguousColumn(reference.to_string()));
-                    }
-                    found = Some(i);
-                }
+        self.resolve_parts(None, reference)
+    }
+
+    /// [`Schema::resolve`] of `qualifier.name` (or of `name`), without
+    /// writing the reference out: nothing is allocated unless it fails.
+    pub fn resolve_parts(&self, qualifier: Option<&str>, name: &str) -> DbResult<usize> {
+        match qualifier {
+            // The written form splits at its first dot, this qualifier's.
+            Some(q) if q.contains('.') => self.resolve(&format!("{q}.{name}")),
+            _ => self.find(qualifier, name).map_err(Miss::into_error),
+        }
+    }
+
+    /// [`Schema::resolve_parts`] where a miss is no error, only `None`.
+    pub(crate) fn position(&self, qualifier: Option<&str>, name: &str) -> Option<usize> {
+        match qualifier {
+            Some(q) if q.contains('.') => self.resolve(&format!("{q}.{name}")).ok(),
+            _ => self.find(qualifier, name).ok(),
+        }
+    }
+
+    /// Resolution itself; an unqualified `name` with a dot is `q.name`.
+    fn find<'a>(&self, qualifier: Option<&'a str>, name: &'a str) -> Result<usize, Miss<'a>> {
+        let (q, name) = match (qualifier, name.split_once('.')) {
+            (Some(q), _) => (q, name),
+            (None, Some(parts)) => parts,
+            (None, None) => {
+                let mut named = self
+                    .columns
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| c.name == name);
+                return match (named.next(), named.next()) {
+                    (Some((i, _)), None) => Ok(i),
+                    (Some(_), Some(_)) => Err(Miss::Ambiguous(None, name)),
+                    (None, _) => Err(Miss::Unknown(name)),
+                };
             }
-            // Fall back to name-only matching: a projection may have
-            // stripped qualifiers while the reference kept one.
-            if found.is_none() {
-                return self.resolve(name);
-            }
-            found.ok_or_else(|| DbError::UnknownColumn(reference.to_string()))
-        } else {
-            let mut found = None;
-            for (i, c) in self.columns.iter().enumerate() {
-                if c.name == reference {
-                    if found.is_some() {
-                        return Err(DbError::AmbiguousColumn(reference.to_string()));
-                    }
-                    found = Some(i);
-                }
-            }
-            found.ok_or_else(|| DbError::UnknownColumn(reference.to_string()))
+        };
+        let is = |c: &&Column| c.name == name && c.qualifier.as_deref() == Some(q);
+        let mut matching = self.columns.iter().enumerate().filter(|(_, c)| is(c));
+        match (matching.next(), matching.next()) {
+            (Some((i, _)), None) => Ok(i),
+            (Some(_), Some(_)) => Err(Miss::Ambiguous(Some(q), name)),
+            // A projection may have stripped qualifiers while the
+            // reference kept one: the name alone.
+            (None, _) => self.find(None, name),
         }
     }
 
@@ -177,6 +210,23 @@ impl Schema {
                 .iter()
                 .map(|c| c.clone().qualified(qualifier))
                 .collect(),
+        }
+    }
+}
+
+/// Why a reference did not resolve, borrowed from it: the error is written
+/// only when someone asks for it.
+enum Miss<'a> {
+    Unknown(&'a str),
+    Ambiguous(Option<&'a str>, &'a str),
+}
+
+impl Miss<'_> {
+    fn into_error(self) -> DbError {
+        match self {
+            Miss::Unknown(name) => DbError::UnknownColumn(name.to_string()),
+            Miss::Ambiguous(None, name) => DbError::AmbiguousColumn(name.to_string()),
+            Miss::Ambiguous(Some(q), name) => DbError::AmbiguousColumn(format!("{q}.{name}")),
         }
     }
 }

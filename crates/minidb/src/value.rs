@@ -4,6 +4,7 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -135,10 +136,37 @@ pub(crate) fn cmp_f64(a: &f64, b: &f64) -> Ordering {
 #[derive(Debug, Clone)]
 pub struct EqIndex<T> {
     /// By image, the values every key of their image equals.
-    exact: HashMap<Value, Vec<T>>,
+    exact: HashMap<Value, Bucket<T>>,
     /// By image, the numbers from 2^53 on, where several Ints that `=` tells
     /// apart share one: each beside its entry, for a lookup to confirm.
     shared: HashMap<Value, Vec<(Value, T)>>,
+}
+
+/// The entries of one image: a key column is mostly unique, so one entry
+/// is held inline and a list is allocated from the second on.
+#[derive(Debug, Clone)]
+enum Bucket<T> {
+    One(T),
+    Many(Vec<T>),
+}
+
+impl<T> Bucket<T> {
+    fn push(&mut self, entry: T) {
+        *self = match std::mem::replace(self, Bucket::Many(Vec::new())) {
+            Bucket::One(first) => Bucket::Many(vec![first, entry]),
+            Bucket::Many(mut entries) => {
+                entries.push(entry);
+                Bucket::Many(entries)
+            }
+        };
+    }
+
+    fn as_slice(&self) -> &[T] {
+        match self {
+            Bucket::One(entry) => std::slice::from_ref(entry),
+            Bucket::Many(entries) => entries,
+        }
+    }
 }
 
 impl<T> Default for EqIndex<T> {
@@ -170,8 +198,12 @@ impl<T: Clone> EqIndex<T> {
             let candidates = self.shared.entry(image.into_owned()).or_default();
             candidates.push((key.clone(), entry));
         } else {
-            let equals = self.exact.entry(image.into_owned()).or_default();
-            equals.push(entry);
+            match self.exact.entry(image.into_owned()) {
+                Entry::Occupied(equals) => equals.into_mut().push(entry),
+                Entry::Vacant(slot) => {
+                    slot.insert(Bucket::One(entry));
+                }
+            }
         }
     }
 
@@ -183,13 +215,13 @@ impl<T: Clone> EqIndex<T> {
             let equal = candidates.filter(|(v, _)| v.sql_cmp(key) == Some(Ordering::Equal));
             return equal.map(|(_, entry)| entry.clone()).collect();
         }
-        Cow::Borrowed(self.exact.get(&*image).map_or(&[], Vec::as_slice))
+        Cow::Borrowed(self.exact.get(&*image).map_or(&[], Bucket::as_slice))
     }
 
     /// Every entry, in no particular order.
     pub fn entries(&self) -> impl Iterator<Item = &T> {
         let shared = self.shared.values().flatten().map(|(_, entry)| entry);
-        self.exact.values().flatten().chain(shared)
+        self.exact.values().flat_map(Bucket::as_slice).chain(shared)
     }
 }
 

@@ -10,9 +10,22 @@
 //! ids followed by its right input's read through the right ones — `u32`
 //! gathers, never column data. A column's values are read only when an
 //! expression reads it, one batch at a time — borrowed from storage under
-//! an identity selection, gathered through any other. A column reference
-//! is resolved once per filter or aggregate, when its first non-empty
-//! batch is evaluated.
+//! an identity selection, gathered through any other.
+//!
+//! **What a query costs before its first row.** Most queries here are an
+//! N+1 loop's point queries over tables of a few dozen rows, so the fixed
+//! cost of an execution is what the paper's rewrites trade against, and it
+//! is kept to what the plan's nodes need, with no cache in front: a scan
+//! shares its table's qualified schema ([`Table::scan_schema`], built with
+//! the table; an aliased scan builds its own), every other node builds its
+//! output schema from the chunk its input returned (a join's by
+//! concatenation, a projection's and an aggregate's through
+//! `plan::{project_schema, aggregate_schema}`), and no node derives a schema
+//! by walking a subtree. A column reference is bound once per expression,
+//! before any row is looked at, through [`ColRef::resolve`] — qualifier and
+//! name as the reference holds them, nothing allocated unless the name is
+//! unknown. An aggregate writes its output columns directly, typed where
+//! its accumulators are.
 //!
 //! No row is materialized, at the result boundary either: the chunk the
 //! last operator produced *is* the result ([`ResultSet`]), a fetched row is
@@ -46,7 +59,7 @@
 //!   that match nothing meet no chain; a chain row costs a compare against
 //!   the build column and a load of the next.
 //! * **Every other key** (NULLs, non-`Int`, mixed) takes the same table
-//!   through `Value`s under [`Value::into_eq_key`], the image an index
+//!   through `Value`s under `Value::into_eq_key`, the image an index
 //!   files under too: the candidates are a superset of the pairs the
 //!   conjunct holds on, and the residual pass evaluates it on each.
 //!
@@ -105,12 +118,12 @@
 //!    order, stable sorts) run in selection order.
 
 use crate::catalog::Table;
-use crate::column::{ColumnTable, ColumnVec, NullMask};
+use crate::column::{ColumnVec, NullMask};
 use crate::error::{DbError, DbResult};
 use crate::exec::{AggState, ExecWork, Executor};
 use crate::expr::{apply_bin_op, AggFunc, BinOp, ColRef, ScalarExpr};
 use crate::func::FuncRegistry;
-use crate::plan::{AggItem, LogicalPlan, SortDir};
+use crate::plan::{aggregate_schema, project_schema, AggItem, LogicalPlan, SortDir};
 use crate::schema::Schema;
 use crate::value::{cmp_f64, Row, Value};
 use std::borrow::Cow;
@@ -133,14 +146,12 @@ struct Segment {
 }
 
 impl Segment {
-    /// This segment read through `rows`, logical row ids of its chunk.
-    fn compose(&self, rows: &[u32]) -> Segment {
-        Segment {
-            cols: self.cols.clone(),
-            sel: Some(match &self.sel {
-                Some(sel) => rows.iter().map(|&k| sel[k as usize]).collect(),
-                None => rows.to_vec(),
-            }),
+    /// The selection of this segment read through `rows`, logical row ids
+    /// of its chunk: the base row of each.
+    fn compose(&self, rows: &[u32]) -> Vec<u32> {
+        match &self.sel {
+            Some(sel) => rows.iter().map(|&k| sel[k as usize]).collect(),
+            None => rows.to_vec(),
         }
     }
 }
@@ -178,37 +189,40 @@ struct Chunk {
 
 impl Chunk {
     /// One segment holding the first `len` rows of `cols`.
-    fn dense(schema: Schema, cols: Vec<Arc<ColumnVec>>, len: usize) -> Chunk {
+    fn dense(schema: Arc<Schema>, cols: Vec<Arc<ColumnVec>>, len: usize) -> Chunk {
         Chunk {
-            schema: Arc::new(schema),
+            schema,
             segs: vec![Segment { cols, sel: None }],
             len,
         }
     }
 
     /// All of `t`'s rows, zero-copy, under `schema` (its own, qualified).
-    fn scan(t: &Table, schema: Schema) -> Chunk {
+    fn scan(t: &Table, schema: Arc<Schema>) -> Chunk {
         let ct = t.columnar();
         Chunk::dense(schema, ct.cols.clone(), ct.len)
     }
 
-    /// Build a dense chunk from materialized rows (aggregate outputs).
-    fn from_rows(schema: Schema, rows: &[Row]) -> Chunk {
-        let ct = ColumnTable::from_rows(&schema, rows);
-        Chunk::dense(schema, ct.cols, ct.len)
-    }
-
     /// A join's output: row `k` is row `l_rows[k]` of `l` followed by row
-    /// `r_rows[k]` of `r`. Only selections are written.
-    fn joined(l: &Chunk, l_rows: Vec<u32>, r: &Chunk, r_rows: Vec<u32>) -> Chunk {
+    /// `r_rows[k]` of `r`, under `schema` (`l`'s columns, then `r`'s). Only
+    /// selections are written.
+    fn joined(
+        schema: Arc<Schema>,
+        l: &Chunk,
+        l_rows: Vec<u32>,
+        r: &Chunk,
+        r_rows: Vec<u32>,
+    ) -> Chunk {
         let len = l_rows.len();
         let mut segs = l.read_through(l_rows);
         segs.extend(r.read_through(r_rows));
-        Chunk {
-            schema: Arc::new(l.schema.join(&r.schema)),
-            segs,
-            len,
-        }
+        Chunk { schema, segs, len }
+    }
+
+    /// The schema of this chunk joined with `r`: this one's columns, then
+    /// `r`'s.
+    fn join_schema(&self, r: &Chunk) -> Arc<Schema> {
+        Arc::new(self.schema.join(&r.schema))
     }
 
     /// This chunk's segments read through `rows`, logical row ids of it. A
@@ -222,7 +236,11 @@ impl Chunk {
                 sel: Some(rows),
             }];
         }
-        self.segs.iter().map(|s| s.compose(&rows)).collect()
+        let read = |s: &Segment| Segment {
+            cols: s.cols.clone(),
+            sel: Some(s.compose(&rows)),
+        };
+        self.segs.iter().map(read).collect()
     }
 
     /// Column `i` of the schema.
@@ -239,10 +257,17 @@ impl Chunk {
         unreachable!("column index resolved against this chunk's schema")
     }
 
-    /// Keep the logical rows `rows`, in that order.
+    /// Keep the logical rows `rows`, in that order: each segment's
+    /// selection is replaced, its columns stay where they are.
     fn select(&mut self, rows: Vec<u32>) {
         self.len = rows.len();
-        self.segs = self.read_through(rows);
+        if let [seg @ Segment { sel: None, .. }] = &mut self.segs[..] {
+            seg.sel = Some(rows);
+            return;
+        }
+        for seg in &mut self.segs {
+            seg.sel = Some(seg.compose(&rows));
+        }
     }
 
     /// Late materialization: clone the selected rows out, in order.
@@ -381,8 +406,7 @@ fn run_plan(
     match plan {
         LogicalPlan::Scan { table, alias } => {
             let t = exec.db.table(table)?;
-            let q = alias.as_deref().unwrap_or(table);
-            let chunk = Chunk::scan(t, t.schema().with_qualifier(q));
+            let chunk = Chunk::scan(t, t.scan_schema(alias.as_deref()));
             let work = ExecWork {
                 startup_rows: 0,
                 total_rows: chunk.len as u64,
@@ -392,7 +416,7 @@ fn run_plan(
         LogicalPlan::Select { input, pred } => run_select(exec, input, pred, params),
         LogicalPlan::Project { input, items } => {
             let (chunk, mut work) = run_plan(exec, input, params)?;
-            let out_schema = plan.output_schema(exec.db, exec.funcs)?;
+            let out_schema = project_schema(&chunk.schema, items, exec.funcs)?;
             let n = chunk.len;
             let mut eval = Eval::new(&chunk, params, exec.funcs);
             let mut cols = Vec::with_capacity(items.len());
@@ -401,23 +425,22 @@ fn run_plan(
                 cols.push(Arc::new(vcol_to_column(eval.eval(expr, 0..n)?, n)));
             }
             work.total_rows += n as u64;
-            Ok((Chunk::dense(out_schema, cols, n), work))
+            Ok((Chunk::dense(Arc::new(out_schema), cols, n), work))
         }
         LogicalPlan::Join { left, right, pred } => run_join(exec, left, right, pred, params),
         LogicalPlan::Aggregate {
             input,
             group_by,
             aggs,
-        } => run_aggregate(exec, plan, input, group_by, aggs, params),
+        } => run_aggregate(exec, input, group_by, aggs, params),
         LogicalPlan::OrderBy { input, keys } => {
             let (mut chunk, mut work) = run_plan(exec, input, params)?;
             let mut key_cols = Vec::with_capacity(keys.len());
             for (c, dir) in keys {
-                let i = chunk.schema.resolve(&c.to_ref_string())?;
-                key_cols.push((chunk.col(i), *dir));
+                key_cols.push((chunk.col(c.resolve(&chunk.schema)?), *dir));
             }
             let mut rows: Vec<u32> = (0..chunk.len as u32).collect();
-            // Stable index sort by `Value::cmp` per key column.
+            // Stable index sort, key column by key column (`cmp_rows`).
             rows.sort_by(|&a, &b| {
                 for &(c, dir) in &key_cols {
                     let ord = cmp_rows(c.col, c.base(a as usize), c.base(b as usize));
@@ -451,23 +474,39 @@ fn run_plan(
     }
 }
 
-/// `Value::cmp` on two rows of one column without materializing values.
+/// `ORDER BY`'s order on two rows of one column, without materializing
+/// values: NULLs first, then as `=` compares (`-0.0` ties `0.0`), so that
+/// the next key decides between rows `=` calls equal.
 fn cmp_rows(col: &ColumnVec, a: usize, b: usize) -> Ordering {
     match col {
-        ColumnVec::Mixed(v) => v[a].cmp(&v[b]),
+        ColumnVec::Mixed(v) => sort_cmp(&v[a], &v[b]),
         _ => match (col.is_null(a), col.is_null(b)) {
             (true, true) => Ordering::Equal,
-            // NULL has the lowest type rank.
             (true, false) => Ordering::Less,
             (false, true) => Ordering::Greater,
             (false, false) => match col {
                 ColumnVec::Int { data, .. } => data[a].cmp(&data[b]),
-                ColumnVec::Float { data, .. } => data[a].total_cmp(&data[b]),
+                ColumnVec::Float { data, .. } => cmp_f64(&data[a], &data[b]),
                 ColumnVec::Str { data, .. } => data[a].cmp(&data[b]),
                 ColumnVec::Bool { data, .. } => data[a].cmp(&data[b]),
                 ColumnVec::Mixed(_) => unreachable!(),
             },
         },
+    }
+}
+
+/// [`cmp_rows`] on two values of a `Mixed` column: two numbers by value, two
+/// values of one kind as `sql_cmp` has them, and otherwise `Value::cmp`'s
+/// rank of their kinds (NULL, then booleans, numbers, strings). An Int and
+/// a Float compare exactly, not through the Int's `f64` as `sql_cmp` does:
+/// from 2^53 on that makes `=` intransitive, and a sort needs an order.
+fn sort_cmp(a: &Value, b: &Value) -> Ordering {
+    let exact =
+        |i: i64, f: f64| cmp_f64(&(i as f64), &f).then_with(|| (i as i128).cmp(&(f as i128)));
+    match (a, b) {
+        (Value::Int(i), Value::Float(f)) => exact(*i, *f),
+        (Value::Float(f), Value::Int(i)) => exact(*i, *f).reverse(),
+        _ => a.sql_cmp(b).unwrap_or_else(|| a.cmp(b)),
     }
 }
 
@@ -489,7 +528,7 @@ pub(crate) fn indexed_eq_conjunct<'p>(
             (other, ScalarExpr::Col(col)) if !other.references_columns() => (col, other),
             _ => return None,
         };
-        let idx = schema.resolve(&col.to_ref_string()).ok()?;
+        let idx = col.position(schema)?;
         t.has_index(idx).then_some((ci, idx, key_expr))
     })
 }
@@ -504,7 +543,7 @@ fn run_select(
     // indexed base-table column.
     if let LogicalPlan::Scan { table, alias } = input {
         let t = exec.db.table(table)?;
-        let schema = t.schema().with_qualifier(alias.as_deref().unwrap_or(table));
+        let schema = t.scan_schema(alias.as_deref());
         let conjuncts = pred.conjuncts();
         if let Some((ci, idx, key_expr)) = indexed_eq_conjunct(t, &schema, &conjuncts) {
             let key = key_expr.eval(&Schema::default(), &Vec::new(), params, exec.funcs)?;
@@ -626,18 +665,14 @@ fn run_join(
         let (ScalarExpr::Col(ca), ScalarExpr::Col(cb)) = (&**a, &**b) else {
             return None;
         };
-        let (ra, rb) = (ca.to_ref_string(), cb.to_ref_string());
-        let sides = |l: &str, r: &str| {
-            Some((
-                l_chunk.schema.resolve(l).ok()?,
-                r_chunk.schema.resolve(r).ok()?,
-            ))
+        let sides = |l: &ColRef, r: &ColRef| {
+            Some((l.position(&l_chunk.schema)?, r.position(&r_chunk.schema)?))
         };
-        if let Some((li, ri)) = sides(&ra, &rb) {
-            return Some((ci, [ra, rb], li, ri));
+        if let Some((li, ri)) = sides(ca, cb) {
+            return Some((ci, [ca, cb], li, ri));
         }
-        let (li, ri) = sides(&rb, &ra)?;
-        Some((ci, [rb, ra], li, ri))
+        let (li, ri) = sides(cb, ca)?;
+        Some((ci, [cb, ca], li, ri))
     });
 
     if let Some((equi_ci, [l_ref, r_ref], li, ri)) = equi {
@@ -656,14 +691,15 @@ fn run_join(
         } else {
             (cand_p, cand_b)
         };
-        let mut chunk = Chunk::joined(&l_chunk, cand_l, &r_chunk, cand_r);
+        let schema = l_chunk.join_schema(&r_chunk);
+        let mut chunk = Chunk::joined(schema, &l_chunk, cand_l, &r_chunk, cand_r);
         // The typed probe matched the two key columns as null-free ints,
         // which is the equi conjunct — provided the conjunct reads those
         // same two columns in the joined schema (where a reference can
         // turn ambiguous, and must then still raise).
         let proven = typed
-            && chunk.schema.resolve(&l_ref).ok() == Some(li)
-            && chunk.schema.resolve(&r_ref).ok() == Some(l_chunk.schema.len() + ri);
+            && l_ref.position(&chunk.schema) == Some(li)
+            && r_ref.position(&chunk.schema) == Some(l_chunk.schema.len() + ri);
         // Residual check = every other conjunct, progressively
         // (short-circuit).
         for (ci, c) in conjuncts.iter().enumerate() {
@@ -679,15 +715,17 @@ fn run_join(
         // evaluate the full predicate per batch.
         work.startup_rows = work.total_rows;
         work.total_rows += (l_chunk.len as u64).saturating_mul(r_chunk.len as u64);
-        let no_pairs = Chunk::joined(&l_chunk, Vec::new(), &r_chunk, Vec::new());
-        Eval::new(&no_pairs, params, exec.funcs).bind(pred)?;
+        let schema = l_chunk.join_schema(&r_chunk);
+        let joined =
+            |l_rows, r_rows| Chunk::joined(schema.clone(), &l_chunk, l_rows, &r_chunk, r_rows);
+        Eval::new(&joined(Vec::new(), Vec::new()), params, exec.funcs).bind(pred)?;
         let mut keep_l: Vec<u32> = Vec::new();
         let mut keep_r: Vec<u32> = Vec::new();
         let mut batch_l: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
         let mut batch_r: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
         let mut flush = |batch_l: &mut Vec<u32>, batch_r: &mut Vec<u32>| -> DbResult<()> {
             let n = batch_l.len();
-            let mini = Chunk::joined(&l_chunk, batch_l.clone(), &r_chunk, batch_r.clone());
+            let mini = joined(batch_l.clone(), batch_r.clone());
             let v = Eval::new(&mini, params, exec.funcs).eval(pred, 0..n)?;
             let mut local: Vec<u32> = Vec::new();
             append_truthy(&v, 0..n, &mut local);
@@ -709,7 +747,7 @@ fn run_join(
             }
         }
         flush(&mut batch_l, &mut batch_r)?;
-        Ok((Chunk::joined(&l_chunk, keep_l, &r_chunk, keep_r), work))
+        Ok((joined(keep_l, keep_r), work))
     }
 }
 
@@ -918,10 +956,7 @@ pub(crate) fn inl_probe_columns(
             continue;
         };
         for (x, y) in [(ca, cb), (cb, ca)] {
-            if let (Ok(o), Ok(i)) = (
-                outer_schema.resolve(&x.to_ref_string()),
-                inner_schema.resolve(&y.to_ref_string()),
-            ) {
+            if let (Some(o), Some(i)) = (x.position(outer_schema), y.position(inner_schema)) {
                 if t.has_index(i) {
                     probe = Some((o, i));
                 }
@@ -932,10 +967,10 @@ pub(crate) fn inl_probe_columns(
 }
 
 /// Index-nested-loops join, in this decision order: the inner side must
-/// be a bare scan with an index on the *last* eligible equi conjunct; the
-/// outer side runs first (errors propagate even if the size heuristic
-/// then rejects), and candidates charge one row-touch per outer row plus
-/// one per index hit before residual checks. `sides` is
+/// be a bare scan; the outer side then runs (errors propagate whatever is
+/// decided next), and its schema must give the inner an index on the
+/// *last* eligible equi conjunct; candidates charge one row-touch per
+/// outer row plus one per index hit before residual checks. `sides` is
 /// `[left, right]`; an outer side that ran and was rejected is left in
 /// its slot of `ran`.
 fn try_inl_join(
@@ -945,21 +980,18 @@ fn try_inl_join(
     params: &HashMap<String, Value>,
     ran: &mut [Option<(Chunk, ExecWork)>; 2],
 ) -> DbResult<Option<(Chunk, ExecWork)>> {
+    let conjuncts = pred.conjuncts();
     for outer in [0, 1] {
-        let (outer_plan, inner_plan) = (sides[outer], sides[1 - outer]);
-        let LogicalPlan::Scan { table, alias } = inner_plan else {
+        let LogicalPlan::Scan { table, alias } = sides[1 - outer] else {
             continue;
         };
         let t = exec.db.table(table)?;
-        let inner_schema = t.schema().with_qualifier(alias.as_deref().unwrap_or(table));
-        let outer_schema = outer_plan.output_schema(exec.db, exec.funcs)?;
-        let conjuncts = pred.conjuncts();
-        let Some((o_col, i_col)) = inl_probe_columns(t, &outer_schema, &inner_schema, &conjuncts)
+        let (o_chunk, o_work) = ran[outer].insert(run_plan(exec, sides[outer], params)?);
+        let inner_schema = t.scan_schema(alias.as_deref());
+        let Some((o_col, i_col)) = inl_probe_columns(t, &o_chunk.schema, &inner_schema, &conjuncts)
         else {
             continue;
         };
-
-        let (o_chunk, o_work) = ran[outer].insert(run_plan(exec, outer_plan, params)?);
         if o_chunk.len * 2 >= t.row_count() {
             continue; // hash join is the better plan; fall through
         }
@@ -979,9 +1011,9 @@ fn try_inl_join(
         }
         let inner = Chunk::scan(t, inner_schema);
         let mut chunk = if outer == 0 {
-            Chunk::joined(o_chunk, cand_o, &inner, cand_i)
+            Chunk::joined(o_chunk.join_schema(&inner), o_chunk, cand_o, &inner, cand_i)
         } else {
-            Chunk::joined(&inner, cand_i, o_chunk, cand_o)
+            Chunk::joined(inner.join_schema(o_chunk), &inner, cand_i, o_chunk, cand_o)
         };
         // All conjuncts, in order, progressively (per-hit short-circuit).
         for c in &conjuncts {
@@ -994,62 +1026,64 @@ fn try_inl_join(
 
 fn run_aggregate(
     exec: &Executor<'_>,
-    plan: &LogicalPlan,
     input: &LogicalPlan,
     group_by: &[ColRef],
     aggs: &[AggItem],
     params: &HashMap<String, Value>,
 ) -> DbResult<(Chunk, ExecWork)> {
     let (chunk, mut work) = run_plan(exec, input, params)?;
-    let out_schema = plan.output_schema(exec.db, exec.funcs)?;
+    let out_schema = aggregate_schema(&chunk.schema, group_by, aggs, exec.funcs)?;
     let mut group_cols = Vec::with_capacity(group_by.len());
     for g in group_by {
-        group_cols.push(chunk.col(chunk.schema.resolve(&g.to_ref_string())?));
+        group_cols.push(chunk.col(g.resolve(&chunk.schema)?));
     }
     let n = chunk.len;
 
-    // Group keys in first-seen order, and every row's group. A scalar
-    // aggregate has its one group whatever the input, and assigns nothing.
-    let (mut out, gids): (Vec<Row>, Option<Vec<u32>>) = match group_cols[..] {
-        [] => (vec![Vec::new()], None),
+    // Group keys in first-seen order, one column per key, and every row's
+    // group. A scalar aggregate has its one group whatever the input, and
+    // assigns nothing.
+    let (mut cols, gids, n_groups) = match group_cols[..] {
+        [] => (Vec::new(), None, 1),
         [c @ ColView {
             col: ColumnVec::Int { data, nulls: None },
             ..
         }] => {
             let mut groups = IntGroups::new();
             let gids = (0..n).map(|k| groups.gid(data[c.base(k)])).collect();
-            let keys = groups.keys.into_iter().map(|k| vec![Value::Int(k)]);
-            (keys.collect(), Some(gids))
+            let n_groups = groups.keys.len();
+            let keys = ColumnVec::Int {
+                data: groups.keys,
+                nulls: None,
+            };
+            (vec![Arc::new(keys)], Some(gids), n_groups)
         }
         _ => {
             let (keys, gids) = value_groups(&group_cols, n);
-            (keys, Some(gids))
+            let n_groups = keys.first().map_or(0, Vec::len);
+            let keys = keys.into_iter().map(ColumnVec::from_values).map(Arc::new);
+            (keys.collect(), Some(gids), n_groups)
         }
     };
-    let (gids, n_groups) = (gids.as_deref(), out.len());
+    let gids = gids.as_deref();
 
     // Per aggregate item: evaluate the argument once over all rows, then
     // fold it per group in row order (AVG's float sum is order-sensitive).
+    // An item without an argument is `COUNT(*)`: `aggregate_schema`
+    // refused any other.
     let mut eval = Eval::new(&chunk, params, exec.funcs);
     for item in aggs {
-        let vals = match &item.arg {
+        let col = match &item.arg {
             Some(e) => {
                 eval.bind(e)?;
                 fold_agg(item.func, &eval.eval(e, 0..n)?, n, gids, n_groups)
             }
-            None if item.func == AggFunc::Count => count_star(n, gids, n_groups),
-            // No other function's state moves on an argument-less update.
-            None => (0..n_groups)
-                .map(|_| AggState::new(item.func).finish())
-                .collect(),
+            None => count_star(n, gids, n_groups),
         };
-        for (row, v) in out.iter_mut().zip(vals) {
-            row.push(v);
-        }
+        cols.push(Arc::new(col));
     }
     work.total_rows += n as u64;
     work.startup_rows = work.total_rows;
-    Ok((Chunk::from_rows(out_schema, &out), work))
+    Ok((Chunk::dense(Arc::new(out_schema), cols, n_groups), work))
 }
 
 /// Group assignment over one null-free Int key: a flat open-addressing
@@ -1105,10 +1139,10 @@ impl IntGroups {
 }
 
 /// Group assignment over full `Value` keys (several columns, a non-Int
-/// one, or an Int one with NULLs): the keys in first-seen order and every
-/// row's group.
-fn value_groups(group_cols: &[ColView<'_>], n: usize) -> (Vec<Row>, Vec<u32>) {
-    let mut order: Vec<Row> = Vec::new();
+/// one, or an Int one with NULLs): per key column its values in first-seen
+/// order of the groups, and every row's group.
+fn value_groups(group_cols: &[ColView<'_>], n: usize) -> (Vec<Vec<Value>>, Vec<u32>) {
+    let mut keys: Vec<Vec<Value>> = vec![Vec::new(); group_cols.len()];
     let mut seen: HashMap<Row, u32> = HashMap::new();
     let gids = (0..n)
         .map(|k| {
@@ -1120,34 +1154,42 @@ fn value_groups(group_cols: &[ColView<'_>], n: usize) -> (Vec<Row>, Vec<u32>) {
                     v => v.into_eq_key(),
                 })
                 .collect();
+            let n_groups = seen.len() as u32;
             *seen.entry(key).or_insert_with_key(|key| {
-                order.push(key.clone());
-                order.len() as u32 - 1
+                for (column, v) in keys.iter_mut().zip(key) {
+                    column.push(v.clone());
+                }
+                n_groups
             })
         })
         .collect();
-    (order, gids)
+    (keys, gids)
 }
 
 /// COUNT(*) per group: a histogram of `gids`; a scalar aggregate's is `n`.
-fn count_star(n: usize, gids: Option<&[u32]>, n_groups: usize) -> Vec<Value> {
-    let Some(gids) = gids else {
-        return vec![Value::Int(n as i64)];
+fn count_star(n: usize, gids: Option<&[u32]>, n_groups: usize) -> ColumnVec {
+    let data = match gids {
+        None => vec![n as i64],
+        Some(gids) => {
+            let mut counts = vec![0i64; n_groups];
+            for &g in gids {
+                counts[g as usize] += 1;
+            }
+            counts
+        }
     };
-    let mut counts = vec![0i64; n_groups];
-    for &g in gids {
-        counts[g as usize] += 1;
-    }
-    counts.into_iter().map(Value::Int).collect()
+    ColumnVec::Int { data, nulls: None }
 }
 
 /// The element types with typed accumulators, under [`AggState`]'s
 /// arithmetic and `sql_cmp`'s order.
-trait AggNum: Copy + Default + Into<Value> {
+trait AggNum: Copy + Default {
     /// SUM's step; `first` on a group's first non-NULL row.
     fn sum(acc: Self, x: Self, first: bool) -> Self;
     fn order(self, other: Self) -> Ordering;
     fn to_f64(self) -> f64;
+    /// A column of this type.
+    fn column(data: Vec<Self>, nulls: Option<NullMask>) -> ColumnVec;
 }
 
 impl AggNum for i64 {
@@ -1160,6 +1202,9 @@ impl AggNum for i64 {
     }
     fn to_f64(self) -> f64 {
         self as f64
+    }
+    fn column(data: Vec<i64>, nulls: Option<NullMask>) -> ColumnVec {
+        ColumnVec::Int { data, nulls }
     }
 }
 
@@ -1178,6 +1223,9 @@ impl AggNum for f64 {
     }
     fn to_f64(self) -> f64 {
         self
+    }
+    fn column(data: Vec<f64>, nulls: Option<NullMask>) -> ColumnVec {
+        ColumnVec::Float { data, nulls }
     }
 }
 
@@ -1219,24 +1267,30 @@ fn fold_groups<T: Copy, A: Copy>(
 }
 
 /// One aggregate of a typed slice per group, as `AggState` would compute
-/// it row by row.
+/// it row by row, as a column.
 fn fold_typed<T: AggNum>(
     func: AggFunc,
     data: &[T],
     nulls: Option<&[bool]>,
     gids: Option<&[u32]>,
     n_groups: usize,
-) -> Vec<Value> {
+) -> ColumnVec {
     /// NULL for a group without a non-NULL row, else `value`.
-    fn finish<A>(accs: Vec<(A, u64)>, value: impl Fn(A, u64) -> Value) -> Vec<Value> {
-        let finish = |(acc, rows)| {
+    fn finish<A, U: Default>(
+        accs: Vec<(A, u64)>,
+        value: impl Fn(A, u64) -> U,
+    ) -> (Vec<U>, Option<NullMask>) {
+        let (n, mut nulls) = (accs.len(), None);
+        let mut data = Vec::with_capacity(n);
+        for (g, (acc, rows)) in accs.into_iter().enumerate() {
             if rows == 0 {
-                Value::Null
+                nulls.get_or_insert_with(|| NullMask::new(n)).set_null(g);
+                data.push(U::default());
             } else {
-                value(acc, rows)
+                data.push(value(acc, rows));
             }
-        };
-        accs.into_iter().map(finish).collect()
+        }
+        (data, nulls)
     }
     // A group's extreme moves only to a row strictly beyond it.
     let extreme = |beyond: Ordering| {
@@ -1248,28 +1302,32 @@ fn fold_typed<T: AggNum>(
             }
         };
         let accs = fold_groups(data, nulls, gids, n_groups, T::default(), step);
-        finish(accs, |acc, _| acc.into())
+        let (data, nulls) = finish(accs, |acc, _| acc);
+        T::column(data, nulls)
     };
     match func {
-        AggFunc::Count => fold_groups(data, nulls, gids, n_groups, (), |_, _, _| ())
-            .into_iter()
-            .map(|(_, rows)| Value::Int(rows as i64))
-            .collect(),
+        AggFunc::Count => {
+            let accs = fold_groups(data, nulls, gids, n_groups, (), |_, _, _| ());
+            let data = accs.into_iter().map(|(_, rows)| rows as i64).collect();
+            ColumnVec::Int { data, nulls: None }
+        }
         AggFunc::Sum => {
             let accs = fold_groups(data, nulls, gids, n_groups, T::default(), T::sum);
-            finish(accs, |acc, _| acc.into())
+            let (data, nulls) = finish(accs, |acc, _| acc);
+            T::column(data, nulls)
         }
         AggFunc::Min => extreme(Ordering::Less),
         AggFunc::Max => extreme(Ordering::Greater),
         AggFunc::Avg => {
             let step = |acc: f64, x: T, _| acc + x.to_f64();
             let accs = fold_groups(data, nulls, gids, n_groups, 0.0, step);
-            finish(accs, |acc, rows| Value::Float(acc / rows as f64))
+            let (data, nulls) = finish(accs, |acc, rows| acc / rows as f64);
+            ColumnVec::Float { data, nulls }
         }
     }
 }
 
-/// One aggregate of the `n`-row argument `v` per group: typed
+/// One aggregate of the `n`-row argument `v` per group, as a column: typed
 /// accumulators over `Int` and `Float`; `AggState` row by row is the exact
 /// fallback for everything else (`Str`, `Bool`, constants, mixed-type
 /// `Vals` and with them SUM's Int→Float promotion).
@@ -1279,7 +1337,7 @@ fn fold_agg(
     n: usize,
     gids: Option<&[u32]>,
     n_groups: usize,
-) -> Vec<Value> {
+) -> ColumnVec {
     match v {
         VCol::Int(data, nulls) => fold_typed(func, data, nulls.as_deref(), gids, n_groups),
         VCol::Float(data, nulls) => fold_typed(func, data, nulls.as_deref(), gids, n_groups),
@@ -1288,7 +1346,7 @@ fn fold_agg(
             for k in 0..n {
                 states[gids.map_or(0, |g| g[k] as usize)].update(Some(&v.value_at(k)));
             }
-            states.into_iter().map(AggState::finish).collect()
+            ColumnVec::from_values(states.into_iter().map(AggState::finish).collect())
         }
     }
 }
@@ -1422,9 +1480,7 @@ impl<'a> Eval<'a> {
         if let Some(&(_, view)) = self.cols.iter().find(|(seen, _)| std::ptr::eq(*seen, c)) {
             return Ok(view);
         }
-        let view = self
-            .chunk
-            .col(self.chunk.schema.resolve(&c.to_ref_string())?);
+        let view = self.chunk.col(c.resolve(&self.chunk.schema)?);
         self.cols.push((c, view));
         Ok(view)
     }
@@ -1943,6 +1999,37 @@ mod tests {
     }
 
     #[test]
+    fn a_scan_shares_its_tables_schema() {
+        // Every execution of an unaliased scan, filtered or through the
+        // index, returns the one schema its table built; an alias builds
+        // its own, equal but for the qualifier.
+        let db = test_db();
+        let funcs = FuncRegistry::with_builtins();
+        let schema = |sql: &str| {
+            let plan = parse(sql).unwrap();
+            let set = Executor::new(&db, &funcs).run(&plan, &HashMap::new());
+            let set = set.unwrap();
+            assert_eq!(**set.schema(), *plan.output_schema(&db, &funcs).unwrap());
+            set.schema().clone()
+        };
+        for sql in [
+            "select * from orders",
+            "select * from orders where o_id = 3",
+            "select * from orders where o_amount > 1.0",
+        ] {
+            assert!(Arc::ptr_eq(&schema(sql), &schema(sql)), "{sql}");
+            assert!(Arc::ptr_eq(&schema(sql), &schema("select * from orders")));
+        }
+        let aliased = schema("select * from orders o");
+        assert!(!Arc::ptr_eq(&aliased, &schema("select * from orders o")));
+        assert_eq!(aliased.column(0).full_name(), "o.o_id");
+        assert_eq!(
+            schema("select * from orders orders").column(0).full_name(),
+            "orders.o_id"
+        );
+    }
+
+    #[test]
     fn a_row_past_a_limit_is_refused_not_read() {
         // The limited scan still holds the table's columns, 100 rows long.
         let db = test_db();
@@ -2253,6 +2340,69 @@ mod tests {
     }
 
     #[test]
+    fn order_by_ranks_rows_as_equality_compares_them() {
+        // `-0.0 = 0.0` and `1 = 1.0`: rows `=` calls equal tie on that key
+        // and the next one decides, on a Float column and on a `Mixed` one
+        // (an Int column holding Floats). `total_cmp` ranked `-0.0` first.
+        let mut db = Database::new();
+        let cols = vec![
+            Column::new("x", DataType::Float),
+            Column::new("m", DataType::Int),
+            Column::new("y", DataType::Int),
+        ];
+        let t = db.create_table("t", Schema::new(cols)).unwrap();
+        for (x, m, y) in [
+            (0.0, Value::Float(1.0), 1),
+            (-0.0, Value::Int(1), 2),
+            (-0.0, Value::Float(0.5), 0),
+            (0.0, Value::Null, 3),
+        ] {
+            t.insert(vec![Value::Float(x), m, Value::Int(y)]).unwrap();
+        }
+        db.analyze_all();
+        let ys = |sql: &str| -> Vec<Value> {
+            let r = assert_engines_agree(&db, sql);
+            r.rows.iter().map(|row| row[2].clone()).collect()
+        };
+        assert_eq!(ys("select * from t order by x, y"), ints(&[0, 1, 2, 3]));
+        assert_eq!(
+            ys("select * from t order by x desc, y desc"),
+            ints(&[3, 2, 1, 0])
+        );
+        assert_eq!(ys("select * from t order by m, y"), ints(&[3, 0, 1, 2]));
+        assert_eq!(
+            ys("select * from t order by m desc, y"),
+            ints(&[1, 2, 0, 3])
+        );
+
+        // Past 2^53 an Int and a Float compare exactly, so that the order
+        // stays one: `2^53 = 2^53.0 = 2^53 + 1` under `sql_cmp`, but the
+        // two Ints differ.
+        const TWO_53: i64 = 1 << 53;
+        let (a, b, c) = (
+            Value::Int(TWO_53),
+            Value::Float(TWO_53 as f64),
+            Value::Int(TWO_53 + 1),
+        );
+        assert_eq!(sort_cmp(&a, &b), Ordering::Equal);
+        assert_eq!(sort_cmp(&b, &c), Ordering::Less);
+        assert_eq!(sort_cmp(&c, &b), Ordering::Greater);
+        assert_eq!(
+            sort_cmp(&Value::Int(i64::MAX), &Value::Float(i64::MAX as f64)),
+            Ordering::Less
+        );
+        assert_eq!(
+            sort_cmp(&Value::Float(-0.0), &Value::Int(0)),
+            Ordering::Equal
+        );
+        assert_eq!(sort_cmp(&Value::Null, &Value::Bool(false)), Ordering::Less);
+        assert_eq!(
+            sort_cmp(&Value::str("a"), &Value::Float(f64::INFINITY)),
+            Ordering::Greater
+        );
+    }
+
+    #[test]
     fn int_compare_beyond_f64_precision_stays_integral() {
         let mut db = Database::new();
         let t = db
@@ -2515,7 +2665,7 @@ mod tests {
             data: keys.to_vec(),
             nulls: None,
         };
-        let schema = Schema::new(vec![Column::new("k", DataType::Int)]);
+        let schema = Arc::new(Schema::new(vec![Column::new("k", DataType::Int)]));
         let mut chunk = Chunk::dense(schema, vec![Arc::new(col)], keys.len());
         if let Some(sel) = sel {
             chunk.select(sel.to_vec());

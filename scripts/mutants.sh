@@ -27,8 +27,10 @@ cd "$(dirname "$0")/.."
 ROWS_SUITE=${SUITE:-"-p cobra --test engine_reference"}
 ORDER_SUITE=${SUITE:-"-p cobra --test engine_differential"}
 WORK=${MUTANTS_DIR:-target/mutants}
+# Relative to the workspace root unless absolute.
+case $WORK in /*) ;; *) WORK=$PWD/$WORK ;; esac
 SRC=$WORK/src
-export CARGO_TARGET_DIR=$PWD/$WORK/target
+export CARGO_TARGET_DIR=$WORK/target
 
 mkdir -p "$SRC"
 # mtimes travel with the files, so an unchanged file is not rebuilt.

@@ -62,8 +62,12 @@ struct On<'a> {
 }
 
 impl On<'_> {
+    /// The engine's rows; the schema they come under is the one the plan
+    /// derives, node by node.
     fn vexec(&self, plan: &LogicalPlan) -> DbResult<Vec<Row>> {
         let result = Executor::new(self.db, self.funcs).execute(plan, self.params)?;
+        let derived = plan.output_schema(self.db, self.funcs)?;
+        assert_eq!(result.schema, *derived, "schema of {}", self.describe(plan));
         Ok(result.rows)
     }
 
@@ -83,8 +87,8 @@ impl On<'_> {
 
 /// Rows with `-0.0` written `0.0`, to be compared: the two are one number
 /// to SQL, so a result may hold either, and `Value`'s own equality tells
-/// them apart. (Its own order does too, and `ORDER BY` is defined by it:
-/// sortedness is checked on rows as they came.)
+/// them apart. (Sortedness is checked on rows as they came, under naive's
+/// `ORDER BY` order, in which the two tie.)
 fn canonical(rows: Vec<Row>) -> Vec<Row> {
     rows.iter().map(canonical_row).collect()
 }
@@ -163,8 +167,8 @@ fn order_of(plan: &LogicalPlan, on: On) -> Order {
 
 fn by_keys(keys: &[(usize, SortDir)], a: &Row, b: &Row) -> std::cmp::Ordering {
     let ords = keys.iter().map(|&(i, dir)| match dir {
-        SortDir::Asc => a[i].cmp(&b[i]),
-        SortDir::Desc => b[i].cmp(&a[i]),
+        SortDir::Asc => naive::sort_order(&a[i], &b[i]),
+        SortDir::Desc => naive::sort_order(&b[i], &a[i]),
     });
     ords.fold(std::cmp::Ordering::Equal, std::cmp::Ordering::then)
 }

@@ -6,8 +6,9 @@
 //! and every rule — three-valued logic, comparison, arithmetic,
 //! aggregation — is written out here from the SQL rules, not imported: of
 //! `minidb` this file uses the plan and expression *types*, `Schema` to
-//! resolve a name, `FuncRegistry` to call a function and `Value::cmp` to
-//! sort for `ORDER BY`. It answers rows and knows nothing of `ExecWork`.
+//! resolve a name (the written-out way: a scan qualifies its table's schema
+//! afresh and a name is resolved as the string `q.name`) and `FuncRegistry`
+//! to call a function. It answers rows and knows nothing of `ExecWork`.
 //!
 //! A statement is bound before it is run: every column must resolve, every
 //! parameter be bound and every function exist, whatever the tables hold.
@@ -49,6 +50,31 @@ pub fn compare(a: &Value, b: &Value) -> Option<Ordering> {
         (Bool(a), Bool(b)) => Some(a.cmp(b)),
         _ => None,
     }
+}
+
+/// `ORDER BY`'s order: NULL first, then booleans, numbers and strings,
+/// each kind in `compare`'s order, so that values `=` calls equal (`-0.0`
+/// and `0.0`, `1` and `1.0`) tie and the next key decides. An Int and a
+/// Float compare exactly: `compare` rounds an Int from 2^53 on, where `=`
+/// stops being transitive, and a sort needs an order that is.
+pub fn sort_order(a: &Value, b: &Value) -> Ordering {
+    use Value::*;
+    let kind = |v: &Value| match v {
+        Null => 0,
+        Bool(_) => 1,
+        Int(_) | Float(_) => 2,
+        Str(_) => 3,
+    };
+    let exact = |i: i64, f: f64| {
+        let rounded = (i as f64).partial_cmp(&f);
+        rounded.map(|ord| ord.then((i as i128).cmp(&(f as i128))))
+    };
+    let ord = match (a, b) {
+        (Int(i), Float(f)) => exact(*i, *f),
+        (Float(f), Int(i)) => exact(*i, *f).map(Ordering::reverse),
+        _ => compare(a, b),
+    };
+    kind(a).cmp(&kind(b)).then(ord.unwrap_or(Ordering::Equal))
 }
 
 /// A truth value, `None` for unknown; a type error for anything else.
@@ -142,7 +168,7 @@ impl Naive<'_> {
                     let values = items.iter().map(|(e, _)| self.eval(e, &schema, row));
                     out.push(values.collect::<DbResult<Row>>()?);
                 }
-                Ok((plan.output_schema(self.db, self.funcs)?, out))
+                Ok(((*plan.output_schema(self.db, self.funcs)?).clone(), out))
             }
             LogicalPlan::Aggregate {
                 input,
@@ -186,18 +212,17 @@ impl Naive<'_> {
                     }
                     out.push(row);
                 }
-                Ok((plan.output_schema(self.db, self.funcs)?, out))
+                Ok(((*plan.output_schema(self.db, self.funcs)?).clone(), out))
             }
             LogicalPlan::OrderBy { input, keys } => {
                 let (schema, mut rows) = self.run(input)?;
                 let by = keys.iter().map(|(c, _)| schema.resolve(&c.to_ref_string()));
                 let by = by.collect::<DbResult<Vec<_>>>()?;
-                // Stable, NULLs first: `Value::cmp` is the engine's sort
-                // order, the one thing taken from it.
+                // Stable, NULLs first, rows `=` calls equal tied.
                 rows.sort_by(|a, b| {
                     let ords = by.iter().zip(keys).map(|(&i, (_, dir))| match dir {
-                        SortDir::Asc => a[i].cmp(&b[i]),
-                        SortDir::Desc => b[i].cmp(&a[i]),
+                        SortDir::Asc => sort_order(&a[i], &b[i]),
+                        SortDir::Desc => sort_order(&b[i], &a[i]),
                     });
                     ords.fold(Ordering::Equal, Ordering::then)
                 });
